@@ -1,5 +1,4 @@
-"""Shared numerical helpers: compensated summation, panel quadrature,
-semi-infinite transforms.
+"""Shared numerical helpers: compensated summation, panel quadrature.
 
 Nothing in here knows about hazard rates; it is plumbing used by the
 domain modules.
@@ -15,7 +14,6 @@ __all__ = [
     "comp_sum",
     "gauss_legendre_panels",
     "integrate_piecewise_linear",
-    "quad_semi_infinite",
     "quad_breaks",
 ]
 
@@ -80,21 +78,6 @@ def integrate_piecewise_linear(f, breaks) -> float:
     y = f(breaks)
     widths = np.diff(breaks)
     return comp_sum(0.5 * widths * (y[:-1] + y[1:]))
-
-
-def quad_semi_infinite(f, lower: float, rel_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of f over (lower, inf).
-
-    Substitutes v = lower + w/(1-w) and integrates on (0,1) with the
-    adaptive Gauss-Kronrod rule, so all three jump-measure families are
-    handled uniformly.
-    """
-    def g(w):
-        v = lower + w / (1.0 - w)
-        return f(v) / (1.0 - w) ** 2
-
-    val, _ = integrate.quad(g, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
-    return val
 
 
 def quad_breaks(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10,

@@ -225,9 +225,6 @@ class _Grid:
         from ._numeric import gauss_legendre_panels
         return gauss_legendre_panels(f, edges, order=12)
 
-    def _outer_nodes(self):
-        return self.x, self.w
-
     # -- sparse banded Q ----------------------------------------------------
     def _band_width(self) -> Optional[float]:
         k = self.kernel

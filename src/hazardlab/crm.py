@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import special
 
-from ._numeric import comp_sum, quad_semi_infinite
+from ._numeric import comp_sum
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -556,15 +556,3 @@ def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
             lo, hi, rel_tol=1e-10)
     return CrmSample(jumps, locations, (lo, hi), epsilon, deficit,
                      seed=seed, envelope=env_label)
-
-
-def moment_by_quadrature(intensity: JumpIntensity, order: float, x=None,
-                         rel_tol: float = 1e-10) -> float:
-    """Adaptive-quadrature reference for the closed-form moments (oracle)."""
-    f = lambda v: v ** order * jump_density(intensity, v, x)
-    upper = _jump_ceiling(intensity)
-    if math.isinf(upper):
-        return quad_semi_infinite(f, 0.0, rel_tol)
-    from scipy import integrate
-    val, _ = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=rel_tol, limit=200)
-    return val

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from . import crm
-from ._numeric import gauss_legendre_panels, integrate_piecewise_linear, quad_breaks
+from ._numeric import integrate_piecewise_linear, quad_breaks
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -258,15 +258,3 @@ def ou_panels(kernel: OrnsteinUhlenbeck, lo: float, hi: float, centers) -> np.nd
         edges.extend(np.clip(c - offsets, lo, hi))
     return np.unique(edges)
 
-
-def Q_row_integral(kernel: Kernel, T: float, x: float, power: int = 1) -> float:
-    """int Q_T(x,w)^power dw over the location window (exact panels for the
-    indicator kernels, decay-resolved Gauss-Legendre for the exponential one)."""
-    T = _check_T(T)
-    lo_w, hi_w = location_window(kernel, T)
-    f = lambda w: Q_T(kernel, T, x, w) ** power
-    if isinstance(kernel, OrnsteinUhlenbeck):
-        return gauss_legendre_panels(f, ou_panels(kernel, lo_w, hi_w, [x, T]), order=12)
-    if power == 1:
-        return integrate_piecewise_linear(f, _q_breaks(kernel, T, x))
-    return gauss_legendre_panels(f, _q_breaks(kernel, T, x), order=12)

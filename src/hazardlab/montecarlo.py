@@ -59,30 +59,55 @@ def cumhaz(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
     return comp_sum(sample.jumps * kernels.K_T(kernel, T, sample.locations))
 
 
+def _block_bounds(x, span):
+    # [start, stop) index ranges of the sorted x cut every `span` from x[0];
+    # empty blocks are dropped
+    edges = np.arange(x[0], x[-1] + span, span)
+    stops = np.unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
+    if stops.size == 0 or stops[-1] != x.size:
+        stops = np.append(stops, x.size).astype(int)
+    starts = np.concatenate([[0], stops[:-1]])
+    return starts, stops
+
+
+def _compensated_prefix(v):
+    # prefix sums s of v (leading 0) and the running sum e of each step's
+    # rounding error, exact by TwoSum because np.cumsum adds in order:
+    # (s[q] - s[p]) + (e[q] - e[p]) is accurate to the size of the
+    # difference, however large the prefix has grown
+    s = np.concatenate([[0.0], np.cumsum(v)])
+    t = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - t)) + (v - t)
+    return s, np.concatenate([[0.0], np.cumsum(err)])
+
+
 def _p2m_banded_rect(J, x, kernel, T):
+    # run [L_j, j) of atom j: sum J_i (a_i - c) - (b_j - c) sum J_i.  From
+    # one global c both parts reach ~T times the run's mass while their
+    # difference is ~tau times it, so block k's segment [L_start, stop) is
+    # measured from its own c = b[start].  The segments, laid end to end
+    # (a block's first 2 tau reappear after the previous block), share one
+    # compensated prefix sum in place of a loop over blocks.
     tau = kernel.tau
     order = np.argsort(x, kind="stable")
     x, J = x[order], J[order]
-    total_parts = [float(np.sum(J * J * kernels.Q_T(kernel, T, x, x)))]
-    n = x.size
-    # pairs with x_j - x_i < 2 tau, i < j, in index chunks
-    right = np.searchsorted(x, x + 2.0 * tau, side="left")
-    counts = right - np.arange(n) - 1
-    csum = np.concatenate([[0], np.cumsum(counts)])
-    chunk = 2_000_000
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(csum, csum[start] + chunk, side="right"))
-        stop = max(start + 1, min(stop, n))
-        idx_i = np.repeat(np.arange(start, stop), counts[start:stop])
-        offs = np.concatenate([np.arange(1, c + 1) for c in counts[start:stop]]) \
-            if np.any(counts[start:stop]) else np.empty(0, dtype=int)
-        idx_j = idx_i + offs
-        if idx_i.size:
-            q = kernels.Q_T(kernel, T, x[idx_i], x[idx_j])
-            total_parts.append(2.0 * float(np.sum(J[idx_i] * J[idx_j] * q)))
-        start = stop
-    return math.fsum(total_parts) / T
+    a = np.minimum(x + tau, T)
+    b = np.maximum(x - tau, 0.0)
+    diag = float(np.sum(J * J * np.maximum(a - b, 0.0)))
+    L = np.minimum(np.searchsorted(a, b, side="right"), np.arange(x.size))
+    starts, stops = _block_bounds(x, 8.0 * tau)
+    lo, ref = L[starts], b[starts]
+    seg_len = stops - lo
+    seg_at = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
+    atom = np.arange(seg_len.sum()) + np.repeat(lo - seg_at, seg_len)
+    SA, EA = _compensated_prefix(J[atom] * (a[atom] - np.repeat(ref, seg_len)))
+    S, ES = _compensated_prefix(J[atom])
+    # positions of j and of L_j in the segment of j's block
+    shift = np.repeat(seg_at - lo, stops - starts)
+    q, p = np.arange(x.size) + shift, L + shift
+    run = ((SA[q] - SA[p]) + (EA[q] - EA[p])) \
+        - (b - np.repeat(ref, stops - starts)) * ((S[q] - S[p]) + (ES[q] - ES[p]))
+    return math.fsum([diag, 2.0 * float(np.sum(J * run))]) / T
 
 
 def _p2m_prefix_ou(J, x, kernel, T):
@@ -92,12 +117,7 @@ def _p2m_prefix_ou(J, x, kernel, T):
     k = kernel.kappa
     order = np.argsort(x, kind="stable")
     x, J = x[order], J[order]
-    span = 60.0 / k
-    edges = np.arange(x[0], x[-1] + span, span)
-    stops = np.unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
-    if stops.size == 0 or stops[-1] != x.size:
-        stops = np.append(stops, x.size).astype(int)
-    starts = np.concatenate([[0], stops[:-1]])
+    starts, stops = _block_bounds(x, 60.0 / k)
     carry = 0.0          # sum over earlier blocks of J_i e^{-k (ref - x_i)}
     ref = x[0]
     parts = []
@@ -132,9 +152,16 @@ def path_second_moment(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) 
     """(1/T) sum_{i,j} J_i J_j Q_T(x_i, x_j): exact time average of the
     squared hazard path.
 
-    Rectangular exploits locality (pairs further apart than 2 tau vanish),
-    Ornstein-Uhlenbeck a carried-prefix factorization, the nested kernels
-    a sorted cumulative sum; all three equal the naive double sum.
+    All three strategies sort the locations and combine prefix sums; all
+    equal the naive double sum.  Rectangular: for x_i <= x_j,
+    Q_T = (a_i - b_j)_+ with a = min(x + tau, T) and b = max(x - tau, 0).
+    a is nondecreasing, so each atom's partners form one run found by
+    searchsorted, summed as prefix differences of J and of J a.  The
+    prefix sums run over blocks 8 tau wide, each measuring a and b from its
+    own reference point, and are compensated, so the digits lost grow with
+    neither T / tau nor the atom count; O(n log n) in all.
+    Ornstein-Uhlenbeck: a carried-prefix factorization.  Nested kernels: a
+    sorted cumulative sum.
     """
     _check_window(sample, kernel, T)
     if sample.size == 0:
@@ -265,11 +292,16 @@ class CltReport:
 
 
 def resolve_workers(requested: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else HAZARDLAB_THREADS, else
-    min(4, cpu_count)."""
+    """Worker count: explicit argument, else HAZARDLAB_THREADS (a positive
+    integer), else min(4, cpu_count); capped at cpu_count."""
     if requested is None:
         env = os.environ.get("HAZARDLAB_THREADS")
-        requested = int(env) if env else min(4, os.cpu_count() or 1)
+        if not env:
+            requested = min(4, os.cpu_count() or 1)
+        elif env.strip().isdecimal() and int(env) > 0:
+            requested = int(env)
+        else:
+            raise ValueError(f"HAZARDLAB_THREADS must be a positive integer, got {env!r}")
     return max(1, min(requested, os.cpu_count() or 1))
 
 
@@ -401,6 +433,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None,
             f"no cataloged limit for ({config.kernel.label()}, "
             f"{config.intensity.label()}, {config.functional.value}): {spec.reason}; "
             "run check-conditions for the numeric verdicts")
+    nworkers = resolve_workers(workers)
     T = config.horizon
     rate_value = spec.rate(T)
     target_sd = math.sqrt(spec.limit_variance)
@@ -417,7 +450,6 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None,
             f"truncation bias {residual_bias:.4g} exceeds {budget_fraction:.0%} of the "
             f"target sd {target_sd:.4g}; lower epsilon or use quadrature centering")
 
-    nworkers = resolve_workers(workers)
     R = config.replicates
     if nworkers <= 1 or R < 2 * nworkers:
         values = _replicate_range((config, 0, R))

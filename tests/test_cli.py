@@ -170,3 +170,15 @@ def test_subcommand_config_kind_mismatch(tmp_path):
 def test_operational_error_exit_code(tmp_path):
     missing = tmp_path / "nope.ini"
     assert cli.main(["simulate", "--config", str(missing)]) == 1
+
+
+def test_bad_thread_setting_is_one_line_error(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(SIMULATE)
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("HAZARDLAB_THREADS", bad)
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "HAZARDLAB_THREADS" in err[0] and repr(bad) in err[0]

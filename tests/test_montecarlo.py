@@ -131,6 +131,67 @@ def test_rectangular_locality_speed():
     assert min(timings) < 0.05
 
 
+def test_rect_prefix_pair_sum_equals_naive_double_sum():
+    # T < 2 tau, atoms in (T, T + tau], tied locations (half the atoms
+    # snapped to a 0.1 grid, so some pairs sit exactly 2 tau apart), and a
+    # sample window wider than the kernel's, with atoms that Q_T ignores
+    for tau in (0.3, 0.8, 2.5):
+        for T in (1.0, 23.0):
+            kern = kernels.Rectangular(tau)
+            s = make_sample(kern, T, 600, entropy=510)
+            extra = seeded(513).uniform(T + tau, T + 3 * tau, 20)
+            x = np.concatenate([s.locations, extra])
+            x[::2] = np.round(x[::2], 1)
+            J = np.concatenate([s.jumps, np.ones(extra.size)])
+            s = crm.CrmSample(J, x, (0.0, T + 3 * tau), 1e-6, 0.0)
+            assert np.unique(x).size < x.size
+            assert np.any((x > T) & (x <= T + tau)) and np.any(x > T + tau)
+            Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
+            naive = float(s.jumps @ Q @ s.jumps) / T
+            assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12)
+
+
+def _banded_oracle(sample, kern, T):
+    # sum of J_i J_j Q_T(x_i, x_j) over the pairs closer than 2 tau, by
+    # sorted-index offset; every other pair has Q_T = 0
+    order = np.argsort(sample.locations)
+    x, J = sample.locations[order], sample.jumps[order]
+    parts = [float(np.sum(J * J * kernels.Q_T(kern, T, x, x)))]
+    for d in range(1, x.size):
+        near = x[d:] - x[:-d] < 2.0 * kern.tau
+        if not near.any():
+            break
+        i = np.flatnonzero(near)
+        parts.append(2.0 * float(np.sum(J[i] * J[i + d] * kernels.Q_T(kern, T, x[i], x[i + d]))))
+    return math.fsum(parts) / T
+
+
+def test_rect_prefix_pair_sum_matches_banded_oracle_at_56k_atoms():
+    kern = kernels.Rectangular(1.0)
+    T = 500.0
+    s = crm.sample_homogeneous(GG, kernels.location_window(kern, T), 1e-4, seeded(511))
+    assert 40_000 <= s.size <= 80_000
+    # an uncompensated prefix over the laid-out blocks drifts to ~1e-13 here
+    assert mc.path_second_moment(s, kern, T) == pytest.approx(_banded_oracle(s, kern, T),
+                                                              rel=1e-14, abs=0.0)
+
+
+def test_rect_path2nd_at_production_truncation():
+    # ~565k atoms at the production truncation; pair enumeration takes ~48 s
+    # on 2 vCPUs, the prefix sums ~0.2 s
+    kern = kernels.Rectangular(1.0)
+    T = 500.0
+    s = crm.sample_homogeneous(GG, kernels.location_window(kern, T), 1e-6, seeded(512))
+    assert 400_000 <= s.size <= 800_000
+    t0 = time.perf_counter()
+    p2m = mc.path_second_moment(s, kern, T)
+    assert time.perf_counter() - t0 < 2.0
+    assert math.isfinite(p2m) and p2m > 0
+    v = mc.path_variance(s, kern, T)
+    h = mc.cumhaz(s, kern, T)
+    assert v + (h / T) ** 2 == pytest.approx(p2m, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # KS test
 # ---------------------------------------------------------------------------
