@@ -11,7 +11,9 @@ import numpy as np
 from scipy import integrate
 
 __all__ = [
+    "block_bounds",
     "comp_sum",
+    "compensated_prefix",
     "gauss_legendre_panels",
     "integrate_piecewise_linear",
     "quad_breaks",
@@ -35,6 +37,28 @@ def comp_sum(values) -> float:
     nblocks = -(-a.size // _BLOCK)
     partial = [float(np.sum(a[i * _BLOCK:(i + 1) * _BLOCK])) for i in range(nblocks)]
     return math.fsum(partial)
+
+
+def compensated_prefix(v):
+    """Prefix sums s of v (leading 0) and the running sum e of each step's
+    rounding error, exact by TwoSum because np.cumsum adds in order:
+    (s[q] - s[p]) + (e[q] - e[p]) is accurate to the size of the
+    difference, however large the prefix has grown."""
+    s = np.concatenate([[0.0], np.cumsum(v)])
+    t = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - t)) + (v - t)
+    return s, np.concatenate([[0.0], np.cumsum(err)])
+
+
+def block_bounds(x, span):
+    """[start, stop) index ranges of the sorted x cut every `span` from
+    x[0]; empty blocks are dropped."""
+    edges = np.arange(x[0], x[-1] + span, span)
+    stops = np.unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
+    if stops.size == 0 or stops[-1] != x.size:
+        stops = np.append(stops, x.size).astype(int)
+    starts = np.concatenate([[0], stops[:-1]])
+    return starts, stops
 
 
 _GL_CACHE = {}

@@ -201,7 +201,7 @@ def regime_path2nd(kernel: kernels.Kernel,
                    intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
     """sqrt(T) * [path-second-moment - centering] -> N(0, sigma1^2 + sigma2^2)."""
     F = Functional.PATH_SECOND_MOMENT
-    if isinstance(kernel, (kernels.DykstraLaud, kernels.UShaped)):
+    if kernel.nested:
         return Unsupported(_MONOTONE_REASON)
     if not crm.is_homogeneous(intensity):
         return Unsupported(
@@ -226,7 +226,7 @@ def regime_pathvar(kernel: kernels.Kernel,
                    intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
     """sqrt(T) * [path-variance - centering] -> N(0, sigma1^2 + sigma3^2)."""
     F = Functional.PATH_VARIANCE
-    if isinstance(kernel, (kernels.DykstraLaud, kernels.UShaped)):
+    if kernel.nested:
         return Unsupported(_MONOTONE_REASON)
     if not crm.is_homogeneous(intensity):
         return Unsupported(

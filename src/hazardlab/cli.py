@@ -135,25 +135,27 @@ def _build_positive_fn(fields: dict, section: str) -> crm.PositiveFunction:
     raise ConfigError(f"{section}.fn={fn!r} is not one of constant, affine_sqrt, indicator_sqrt")
 
 
+# kernel.type -> (class, {INI key: constructor argument}); every parameter is > 0
+_KERNEL_TYPES = {
+    "rectangular": (kernels.Rectangular, {"tau": "tau"}),
+    "dykstra_laud": (kernels.DykstraLaud, {}),
+    "ornstein_uhlenbeck": (kernels.OrnsteinUhlenbeck, {"kappa": "kappa"}),
+    "u_shaped": (kernels.UShaped, {"beta": "beta_center"}),
+}
+
+
 def _build_kernel(fields: dict) -> kernels.Kernel:
     if "type" not in fields:
         raise ConfigError("missing required key kernel.type")
     ktype, lineno = fields.pop("type")
+    if ktype not in _KERNEL_TYPES:
+        raise ConfigError(f"line {lineno}: unknown kernel.type {ktype!r}")
+    cls, keys = _KERNEL_TYPES[ktype]
     try:
-        if ktype == "rectangular":
-            return kernels.Rectangular(_take_float(fields, "kernel", "tau",
-                                                   lambda x: x > 0, "tau > 0"))
-        if ktype == "dykstra_laud":
-            return kernels.DykstraLaud()
-        if ktype == "ornstein_uhlenbeck":
-            return kernels.OrnsteinUhlenbeck(_take_float(fields, "kernel", "kappa",
-                                                         lambda x: x > 0, "kappa > 0"))
-        if ktype == "u_shaped":
-            return kernels.UShaped(_take_float(fields, "kernel", "beta",
-                                               lambda x: x > 0, "beta > 0"))
+        return cls(**{arg: _take_float(fields, "kernel", key, lambda x: x > 0, f"{key} > 0")
+                      for key, arg in keys.items()})
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}")
-    raise ConfigError(f"line {lineno}: unknown kernel.type {ktype!r}")
 
 
 def _build_intensity(fields: dict) -> crm.JumpIntensity:
@@ -193,7 +195,7 @@ def _parse_rate(value: str, lineno: int):
 _EXPERIMENT_KEYS = {"kind", "functional", "theorem", "rate", "horizon", "replicates",
                     "seed", "epsilon", "t_grid", "centering", "ks_alpha", "grid_n"}
 _OUTPUT_KEYS = {"path", "format"}
-_KERNEL_KEYS = {"type", "tau", "kappa", "beta"}
+_KERNEL_KEYS = {"type"}.union(*(keys for _, keys in _KERNEL_TYPES.values()))
 _CRM_KEYS = {"family", "sigma", "gamma", "fn", "value", "a", "b"}
 
 
@@ -305,13 +307,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _render_kernel(kernel) -> str:
-    if isinstance(kernel, kernels.Rectangular):
-        return f"type = rectangular\ntau = {kernel.tau:.17g}"
-    if isinstance(kernel, kernels.DykstraLaud):
-        return "type = dykstra_laud"
-    if isinstance(kernel, kernels.OrnsteinUhlenbeck):
-        return f"type = ornstein_uhlenbeck\nkappa = {kernel.kappa:.17g}"
-    return f"type = u_shaped\nbeta = {kernel.beta_center:.17g}"
+    ktype, keys = next((name, keys) for name, (cls, keys) in _KERNEL_TYPES.items()
+                       if type(kernel) is cls)
+    return "\n".join([f"type = {ktype}"] + [f"{key} = {getattr(kernel, arg):.17g}"
+                                             for key, arg in keys.items()])
 
 
 def _render_fn(fn) -> str:

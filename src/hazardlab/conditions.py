@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from . import crm, kernels
-from ._numeric import quad_breaks
+from ._numeric import gauss_legendre_panels, quad_breaks
 from .asymptotics import (NotCatalogedError, Power, PowerLog, RateFunction,
                           regime_cumhaz)
 
@@ -121,16 +121,6 @@ def classify(t_grid, values) -> Verdict:
 # I_i moments
 # ---------------------------------------------------------------------------
 
-def _kernel_breaks(kernel, T):
-    if isinstance(kernel, kernels.Rectangular):
-        tau = kernel.tau
-        return [tau, 2 * tau, T - 2 * tau, T - tau, T]
-    if isinstance(kernel, kernels.UShaped):
-        b = kernel.beta_center
-        return [b, abs(T - b)]
-    return []
-
-
 def I_moments(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
               T: float, i: int) -> float:
     """I_i(T) = int K_rho^(i)(x) K_T(x)^i dx; I_1(T) is the exact mean of
@@ -138,15 +128,9 @@ def I_moments(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     if i not in (1, 2, 3):
         raise ValueError("i must be 1, 2 or 3")
     lo, hi = kernels.location_window(kernel, T)
-
-    def f(x):
-        xs = np.asarray(x, dtype=float)
-        mu = crm.moment_general(intensity, float(i),
-                                None if crm.is_homogeneous(intensity) else xs)
-        return np.asarray(mu, dtype=float) * kernels.K_T(kernel, T, xs) ** i
-
-    val = quad_breaks(lambda x: float(f(x)), lo, hi, _kernel_breaks(kernel, T),
-                      rel_tol=1e-11)
+    f = lambda x: float(crm.jump_moment(intensity, float(i), x)
+                        * kernels.K_T(kernel, T, x) ** i)
+    val = quad_breaks(f, lo, hi, kernel.breaks(T), rel_tol=1e-11)
     if not math.isfinite(val):
         raise kernels.UnsupportedRegimeError(
             f"I_{i}(T) diverges for ({kernel.label()}, {intensity.label()})")
@@ -157,26 +141,13 @@ def I_moments(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
 # quadrature-grid engine for the bivariate norms
 # ---------------------------------------------------------------------------
 
-def _mu_values(intensity, a: float, xs: np.ndarray) -> np.ndarray:
-    if crm.is_homogeneous(intensity):
-        c = crm.moment_general(
-            intensity, a, None if isinstance(intensity, crm.GeneralizedGamma) else 0.0)
-        return np.full(xs.shape, float(c))
-    return np.asarray(crm.moment_general(intensity, a, xs), dtype=float)
-
-
 def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
     """Panel edges over the location window resolving kernel kinks, OU decay
     scales, and (non-homogeneous) the profile's origin behavior."""
     lo, hi = kernels.location_window(kernel, T)
-    if isinstance(kernel, kernels.Rectangular):
-        step = kernel.tau / 2.0
-    elif isinstance(kernel, kernels.OrnsteinUhlenbeck):
-        step = 1.0 / kernel.kappa
-    else:
-        step = (hi - lo) / 64.0
+    step = kernel.panel_step(T)
     edges = np.arange(lo, hi + step, step)
-    edges = np.concatenate([edges, [hi], np.asarray(_kernel_breaks(kernel, T))])
+    edges = np.concatenate([edges, [hi], np.asarray(kernel.breaks(T))])
     edges = edges[(edges >= lo) & (edges <= hi)]
     if nonhomog:
         ladder = hi * 2.0 ** -np.arange(1.0, 42.0)
@@ -190,10 +161,10 @@ class _Grid:
     weighted kernel matrix Q_T(x_i, x_j); all bivariate norms reduce to
     quadratic forms in it.
 
-    The Ornstein-Uhlenbeck kernel gets split-panel overrides for the row
-    integrals and the Q-power double integrals: placing the |x - y| kink
-    on a panel edge makes those machine-exact, where the tensor grid
-    would carry ~1e-3 relative error from kink-straddling panels."""
+    Kernels with split_rows (Ornstein-Uhlenbeck) get split panels for the
+    row integrals: placing the |x - y| kink on a panel edge makes them
+    machine-exact, where the tensor grid would carry ~1e-3 relative error
+    from kink-straddling panels."""
 
     def __init__(self, kernel, intensity, T, order: int = 8):
         self.kernel, self.intensity, self.T = kernel, intensity, T
@@ -206,48 +177,35 @@ class _Grid:
         self.KT = kernels.K_T(kernel, T, self.x)
         self.R = kernels.Q_T(kernel, T, self.x, self.x)
         self._Q = None
+        self._rows = {}
 
     def mu(self, a: float) -> np.ndarray:
-        return _mu_values(self.intensity, a, self.x)
+        return crm.jump_moment(self.intensity, a, self.x)
 
-    # -- split-panel machinery (exact inner integrals) -----------------------
     def _inner_split(self, x: float, f) -> float:
         """integral over the window of f(y), with panels split at y = x so
         the diagonal kink of Q(x, .) never lies inside a panel."""
         lo, hi = kernels.location_window(self.kernel, self.T)
-        if isinstance(self.kernel, kernels.OrnsteinUhlenbeck):
-            edges = kernels.ou_panels(self.kernel, lo, hi, [x, self.T])
-        else:
-            edges = np.unique(np.clip(kernels._q_breaks(self.kernel, self.T, x), lo, hi))
+        edges = self.kernel.panels(lo, hi, [x, self.T])
         if not crm.is_homogeneous(self.intensity):
             ladder = hi * 2.0 ** -np.arange(1.0, 42.0)
             edges = np.unique(np.concatenate([edges, ladder[ladder > lo]]))
-        from ._numeric import gauss_legendre_panels
         return gauss_legendre_panels(f, edges, order=12)
-
-    # -- sparse banded Q ----------------------------------------------------
-    def _band_width(self) -> Optional[float]:
-        k = self.kernel
-        if isinstance(k, kernels.Rectangular):
-            return 2.0 * k.tau
-        if isinstance(k, kernels.OrnsteinUhlenbeck):
-            return 30.0 / k.kappa          # e^{-30} ~ 1e-13 of the norm mass
-        return None                        # nested kernels: dense but small n
 
     def Q_matrix(self) -> sparse.csr_matrix:
         if self._Q is not None:
             return self._Q
         x = self.x
         n = x.size
-        band = self._band_width()
-        if band is None:
+        if self.kernel.nested:
+            # nested kernels: dense but small n
             dense = kernels.Q_T(self.kernel, self.T, x[:, None], x[None, :])
             self._Q = sparse.csr_matrix(dense)
             return self._Q
         order = np.argsort(x, kind="stable")
         xs = x[order]
         rows, cols, vals = [], [], []
-        hi_idx = np.searchsorted(xs, xs + band, side="right")
+        hi_idx = np.searchsorted(xs, xs + self.kernel.band, side="right")
         for i in range(n):
             j = np.arange(i, hi_idx[i])
             q = kernels.Q_T(self.kernel, self.T, xs[i], xs[j])
@@ -265,33 +223,26 @@ class _Grid:
         return self._Q
 
     # -- reduced quantities --------------------------------------------------
-    def _split_exact(self) -> bool:
-        return isinstance(self.kernel, kernels.OrnsteinUhlenbeck)
+    def rows(self, p: float, power: int) -> np.ndarray:
+        """int mu_p(y) Q(x_i, y)^power dy at every node x_i (memoised);
+        rows(1, 1) is J(x_i) = int mu_1(w) Q(x_i, w) dw."""
+        key = (float(p), power)
+        if key not in self._rows:
+            if self.kernel.split_rows:
+                mu_p = lambda y: crm.jump_moment(self.intensity, float(p), np.asarray(y))
+                self._rows[key] = np.array([
+                    self._inner_split(float(x), lambda y: mu_p(y)
+                                      * kernels.Q_T(self.kernel, self.T, float(x), y) ** power)
+                    for x in self.x])
+            else:
+                Qp = self.Q_matrix().copy()
+                Qp.data = Qp.data ** power
+                self._rows[key] = np.asarray(Qp @ (self.w * self.mu(float(p)))).ravel()
+        return self._rows[key]
 
     def qq(self, power: int) -> float:
         """intint mu_p(x) mu_p(y) Q^power dxdy with p = power."""
-        if self._split_exact():
-            mu_of = lambda y: _mu_values(self.intensity, float(power), np.asarray(y))
-            inner = np.array([
-                self._inner_split(float(x), lambda y: mu_of(y)
-                                  * kernels.Q_T(self.kernel, self.T, float(x), y) ** power)
-                for x in self.x])
-            return float(np.sum(self.w * self.mu(float(power)) * inner))
-        Q = self.Q_matrix()
-        v = self.w * self.mu(float(power))
-        Qp = Q.copy()
-        Qp.data = Qp.data ** power
-        return float(v @ (Qp @ v))
-
-    def J(self) -> np.ndarray:
-        """J(x_i) = int mu_1(w) Q(x_i, w) dw."""
-        if self._split_exact():
-            mu1 = lambda y: _mu_values(self.intensity, 1.0, np.asarray(y))
-            return np.array([
-                self._inner_split(float(x), lambda y: mu1(y)
-                                  * kernels.Q_T(self.kernel, self.T, float(x), y))
-                for x in self.x])
-        return np.asarray(self.Q_matrix() @ (self.w * self.mu(1.0))).ravel()
+        return float(np.sum(self.w * self.mu(float(power)) * self.rows(power, power)))
 
     def contraction_11_norm_sq(self) -> float:
         """|| k1 *_1^1 k1 ||^2_{L2(nu^2)} * T^4 (the T factors are applied
@@ -305,29 +256,19 @@ class _Grid:
     def contraction_21_norm_sq(self) -> float:
         """|| k1 *_2^1 k1 ||^2_{L2(nu)} * T^4: int mu4(x) H(x)^2 dx with
         H(x) = int mu2(y) Q(x,y)^2 dy."""
-        if self._split_exact():
-            mu2 = lambda y: _mu_values(self.intensity, 2.0, np.asarray(y))
-            H = np.array([
-                self._inner_split(float(x), lambda y: mu2(y)
-                                  * kernels.Q_T(self.kernel, self.T, float(x), y) ** 2)
-                for x in self.x])
-            return float(np.sum(self.w * self.mu(4.0) * H ** 2))
-        Q = self.Q_matrix()
-        Q2 = Q.copy()
-        Q2.data = Q2.data ** 2
-        H = np.asarray(Q2 @ (self.w * self.mu(2.0))).ravel()
+        H = self.rows(2, 2)
         return float(np.sum(self.w * self.mu(4.0) * H ** 2))
 
     def k23_l2_sq(self) -> float:
         """|| k2 + 2 k3 ||^2_{L2(nu)} * T^2."""
-        R, J = self.R, self.J()
+        R, J = self.R, self.rows(1, 1)
         integ = self.mu(4.0) * R ** 2 + 4.0 * self.mu(3.0) * R * J \
             + 4.0 * self.mu(2.0) * J ** 2
         return float(np.sum(self.w * integ))
 
     def k23_l3_cubed(self) -> float:
         """|| k2 + 2 k3 ||^3_{L3(nu)} * T^3."""
-        R, J = self.R, self.J()
+        R, J = self.R, self.rows(1, 1)
         integ = self.mu(6.0) * R ** 3 + 6.0 * self.mu(5.0) * R ** 2 * J \
             + 12.0 * self.mu(4.0) * R * J ** 2 + 8.0 * self.mu(3.0) * J ** 3
         return float(np.sum(self.w * integ))
@@ -335,7 +276,7 @@ class _Grid:
     def pathvar_combined_norm_sq(self, c1: float, c0: float, delta: float) -> float:
         """|| C1 (k2 + 2 k3) - delta C0 k0 ||^2_{L2(nu)}."""
         T = self.T
-        R, J, K = self.R, self.J(), self.KT
+        R, J, K = self.R, self.rows(1, 1), self.KT
         phi = 2.0 * c1 * J / T - delta * c0 * K
         integ = self.mu(4.0) * (c1 * R / T) ** 2 \
             + 2.0 * self.mu(3.0) * (c1 * R / T) * phi + self.mu(2.0) * phi ** 2

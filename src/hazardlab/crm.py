@@ -29,7 +29,7 @@ __all__ = [
     "GeneralizedGamma", "ExtendedGamma", "Beta", "JumpIntensity",
     "CrmSample", "EnvelopeError",
     "is_homogeneous", "moment", "moment_general", "moment_truncated",
-    "tail_mass", "jump_density", "mean_below",
+    "tail_mass", "jump_density", "mean_below", "jump_moment",
     "sample_homogeneous", "sample_nonhomogeneous",
 ]
 
@@ -243,6 +243,17 @@ def moment_truncated(intensity: JumpIntensity, a: float, epsilon: float, x=None)
     if epsilon >= 1.0:
         return 0.0
     return full * float(1.0 - special.betainc(a, p, epsilon))
+
+
+def jump_moment(intensity: JumpIntensity, a: float, x, epsilon: float = 0.0):
+    """Full (epsilon = 0) or epsilon-truncated jump moment of order a at
+    the location(s) x, shaped like x.  A homogeneous family's moment does
+    not depend on x: it is computed once and broadcast."""
+    if is_homogeneous(intensity):
+        c = moment_truncated(intensity, a, epsilon)
+        return np.full(np.shape(x), c) if np.ndim(x) else c
+    val = moment_truncated(intensity, a, epsilon, x)
+    return np.asarray(val, dtype=float) if np.ndim(x) else val
 
 
 def mean_below(intensity: JumpIntensity, epsilon: float, x=None) -> float:

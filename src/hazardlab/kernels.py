@@ -8,18 +8,20 @@ derived quantities do most of the work downstream:
 
 Both have exact closed forms for every family (interval intersections
 for the indicator kernels, stable exponential expressions for the
-Ornstein-Uhlenbeck kernel), valid for every T > 0.
+Ornstein-Uhlenbeck kernel), valid for every T > 0.  Each family's class
+carries its facts; the module functions are the validated entry points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from . import crm
-from ._numeric import integrate_piecewise_linear, quad_breaks
+from ._numeric import (block_bounds, comp_sum, compensated_prefix,
+                       integrate_piecewise_linear, quad_breaks)
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -32,8 +34,61 @@ class UnsupportedRegimeError(Exception):
     """An integrability or catalog precondition fails for this pair."""
 
 
+class _Family:
+    """Defaults for the family facts.  Every family also defines value(t, x),
+    K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
+    slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T), and
+    pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x."""
+    # the slices x -> k(t, x) are nested, so Q_T(x, y) = K_T(max(x, y))
+    nested: ClassVar[bool] = False
+    # condition-grid rows of Q_T need panels split at the diagonal kink
+    split_rows: ClassVar[bool] = False
+    # kinks of t -> slice_mass(t)
+    slice_kinks: ClassVar[tuple] = ()
+
+    def window(self, T: float) -> tuple:
+        return (0.0, T)
+
+    def slice_support(self, t: float) -> tuple:
+        # support of x -> k(t, x)
+        return 0.0, max(t, 0.0)
+
+    def q_breaks(self, T: float, x: float) -> list:
+        # kinks of w -> Q_T(x, w)
+        return [0.0, min(x, T), T]
+
+    def breaks(self, T: float) -> list:
+        # breakpoints of the I_i quadratures and of the condition-grid panels
+        return []
+
+    def kT3_const(self, T: float, x: float, k1: float) -> float:
+        # kT3(x) for a constant first jump moment k1: Q_T(x, .) is
+        # piecewise linear, so the trapezoid rule on its kinks is exact
+        f = lambda w: Q_T(self, T, x, w)
+        return k1 * integrate_piecewise_linear(f, self.q_breaks(T, x)) / T
+
+
+class _Nested(_Family):
+    """Kernels whose slices are nested: the joint support of two locations
+    is the larger one's.  Their quadratic functionals have no CLT."""
+    nested = True
+
+    def Q(self, T, x, y):
+        return K_T(self, T, np.maximum(x, y))
+
+    def panel_step(self, T: float) -> float:
+        lo, hi = self.window(T)
+        return (hi - lo) / 64.0
+
+    def pair_sum(self, J, x, T):
+        # Q(x_i, x_j) = K_T(x_j) for x_i <= x_j: prefix mass of J
+        K = K_T(self, T, x)
+        prev = np.concatenate([[0.0], np.cumsum(J)[:-1]])
+        return comp_sum(J * K * (2.0 * prev + J))
+
+
 @dataclass(frozen=True)
-class Rectangular:
+class Rectangular(_Family):
     """k(t,x) = 1{|t-x| <= tau}; bandwidth tau > 0."""
     tau: float
 
@@ -44,19 +99,101 @@ class Rectangular:
     def label(self) -> str:
         return f"rectangular(tau={self.tau:g})"
 
+    def value(self, t, x):
+        return (np.abs(t - x) <= self.tau).astype(float)
+
+    def K(self, T, x):
+        tau = self.tau
+        return np.maximum(0.0, np.minimum(x + tau, T) - np.maximum(x - tau, 0.0))
+
+    def Q(self, T, x, y):
+        tau = self.tau
+        lo, m = np.minimum(x, y), np.maximum(x, y)
+        out = np.maximum(0.0, np.minimum(lo + tau, T) - np.maximum(m - tau, 0.0))
+        return np.where((x >= -tau) & (y >= -tau), out, 0.0)
+
+    def window(self, T: float) -> tuple:
+        return (0.0, T + self.tau)
+
+    def slice_mass(self, t: float) -> float:
+        return min(t + self.tau, 2.0 * self.tau) if t > -self.tau else 0.0
+
+    def slice_support(self, t: float) -> tuple:
+        return max(0.0, t - self.tau), t + self.tau
+
+    @property
+    def slice_kinks(self) -> tuple:
+        return (self.tau,)
+
+    def q_breaks(self, T: float, x: float) -> list:
+        tau = self.tau
+        pts = [0.0, x - 2 * tau, x - tau, x, x + tau, x + 2 * tau, tau, T - tau, T, T + tau]
+        return [p for p in pts if 0.0 <= p <= T + tau]
+
+    def breaks(self, T: float) -> list:
+        tau = self.tau
+        return [tau, 2 * tau, T - 2 * tau, T - tau, T]
+
+    def panel_step(self, T: float) -> float:
+        return self.tau / 2.0
+
+    @property
+    def band(self) -> float:
+        # Q_T(x, y) = 0 once |x - y| > 2 tau
+        return 2.0 * self.tau
+
+    def pair_sum(self, J, x, T):
+        # For x_i <= x_j, Q_T = (a_i - b_j)_+ with a = min(x + tau, T) and
+        # b = max(x - tau, 0); a is nondecreasing, so atom j's partners form
+        # one run [L_j, j), summed as sum J_i (a_i - c) - (b_j - c) sum J_i.
+        # From one global c both parts reach ~T times the run's mass while
+        # their difference is ~tau times it, so block k's segment
+        # [L_start, stop) is measured from its own c = b[start].  The
+        # segments, laid end to end (a block's first 2 tau reappear after
+        # the previous block), share one compensated prefix sum in place of
+        # a loop over blocks.
+        tau = self.tau
+        a = np.minimum(x + tau, T)
+        b = np.maximum(x - tau, 0.0)
+        diag = float(np.sum(J * J * np.maximum(a - b, 0.0)))
+        L = np.minimum(np.searchsorted(a, b, side="right"), np.arange(x.size))
+        starts, stops = block_bounds(x, 8.0 * tau)
+        lo, ref = L[starts], b[starts]
+        seg_len = stops - lo
+        seg_at = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
+        atom = np.arange(seg_len.sum()) + np.repeat(lo - seg_at, seg_len)
+        SA, EA = compensated_prefix(J[atom] * (a[atom] - np.repeat(ref, seg_len)))
+        S, ES = compensated_prefix(J[atom])
+        # positions of j and of L_j in the segment of j's block
+        shift = np.repeat(seg_at - lo, stops - starts)
+        q, p = np.arange(x.size) + shift, L + shift
+        run = ((SA[q] - SA[p]) + (EA[q] - EA[p])) \
+            - (b - np.repeat(ref, stops - starts)) * ((S[q] - S[p]) + (ES[q] - ES[p]))
+        return math.fsum([diag, 2.0 * float(np.sum(J * run))])
+
 
 @dataclass(frozen=True)
-class DykstraLaud:
+class DykstraLaud(_Nested):
     """k(t,x) = 1{0 <= x <= t}; yields monotone increasing hazard paths."""
 
     def label(self) -> str:
         return "dykstra_laud"
 
+    def value(self, t, x):
+        return ((x >= 0) & (x <= t)).astype(float)
+
+    def K(self, T, x):
+        return np.where(x >= 0, np.maximum(T - x, 0.0), 0.0)
+
+    def slice_mass(self, t: float) -> float:
+        return max(t, 0.0)
+
 
 @dataclass(frozen=True)
-class OrnsteinUhlenbeck:
+class OrnsteinUhlenbeck(_Family):
     """k(t,x) = sqrt(2 kappa) exp(-kappa (t-x)) 1{0 <= x <= t}."""
     kappa: float
+    split_rows = True
 
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
@@ -65,9 +202,81 @@ class OrnsteinUhlenbeck:
     def label(self) -> str:
         return f"ornstein_uhlenbeck(kappa={self.kappa:g})"
 
+    def value(self, t, x):
+        k = self.kappa
+        on = (x >= 0) & (x <= t)
+        return np.where(on, math.sqrt(2.0 * k) * np.exp(-k * np.where(on, t - x, 0.0)), 0.0)
+
+    def K(self, T, x):
+        k = self.kappa
+        on = (x >= 0) & (x <= T)
+        return np.where(on, math.sqrt(2.0 / k) * (-np.expm1(-k * np.where(on, T - x, 0.0))), 0.0)
+
+    def Q(self, T, x, y):
+        k = self.kappa
+        on = (np.minimum(x, y) >= 0) & (np.maximum(x, y) <= T)
+        d = np.abs(x - y)
+        return np.where(on, np.exp(-k * d) - np.exp(-k * (2.0 * T - (x + y))), 0.0)
+
+    def slice_mass(self, t: float) -> float:
+        k = self.kappa
+        return math.sqrt(2.0 / k) * (-math.expm1(-k * t)) if t > 0 else 0.0
+
+    def kT3_const(self, T: float, x: float, k1: float) -> float:
+        k = self.kappa
+        # int_0^T Q_T(x,w) dw, split at w = x; all exponents <= 0
+        t1 = 1.0 - math.exp(-k * x) - math.exp(-2.0 * k * (T - x)) + math.exp(-k * (2.0 * T - x))
+        t2 = (-math.expm1(-k * (T - x))) ** 2
+        return k1 * (t1 + t2) / (k * T)
+
+    def panel_step(self, T: float) -> float:
+        return 1.0 / self.kappa
+
+    @property
+    def band(self) -> float:
+        return 30.0 / self.kappa          # e^{-30} ~ 1e-13 of the norm mass
+
+    def panels(self, lo: float, hi: float, centers) -> np.ndarray:
+        """Panel edges resolving the e^{-kappa |w - c|} decay scales around each
+        center; panel width 1/kappa out to 45/kappa, so Gauss-Legendre of
+        moderate order is exact to machine precision on every panel."""
+        k = self.kappa
+        edges = [lo, hi]
+        offsets = np.arange(0.0, 45.0 + 1e-9, 1.0) / k
+        for c in np.atleast_1d(centers):
+            edges.extend(np.clip(c + offsets, lo, hi))
+            edges.extend(np.clip(c - offsets, lo, hi))
+        return np.unique(edges)
+
+    def pair_sum(self, J, x, T):
+        # Q = e^{-k|xi-xj|} - e^{-k(2T-xi-xj)}; the first part is a carried
+        # prefix sum over sorted locations, blocked so no exponential argument
+        # exceeds ~60; the second factorizes.
+        k = self.kappa
+        starts, stops = block_bounds(x, 60.0 / k)
+        carry = 0.0          # sum over earlier blocks of J_i e^{-k (ref - x_i)}
+        ref = x[0]
+        parts = []
+        for a, b in zip(starts, stops):
+            xb, Jb = x[a:b], J[a:b]
+            local_ref = xb[0]
+            carry *= math.exp(-k * (local_ref - ref))
+            up = np.exp(k * (xb - local_ref))           # bounded by e^{60}
+            down = np.exp(-k * (xb - local_ref))
+            prefix = np.cumsum(Jb * up)
+            parts.append(float(np.sum(Jb * down * np.concatenate([[0.0], prefix[:-1]]))))
+            parts.append(float(np.sum(Jb * down)) * carry)
+            carry = (carry + float(prefix[-1])) * math.exp(-k * (xb[-1] - local_ref))
+            ref = xb[-1]
+        off = math.fsum(parts)
+        diag = float(np.sum(J * J))
+        first = 2.0 * off + diag
+        second = float(np.sum(J * np.exp(-k * (T - x)))) ** 2
+        return first - second
+
 
 @dataclass(frozen=True)
-class UShaped:
+class UShaped(_Nested):
     """k(t,x) = 1{|t - beta| >= x}; bath-tub shape with minimum at beta > 0."""
     beta_center: float
 
@@ -77,6 +286,39 @@ class UShaped:
 
     def label(self) -> str:
         return f"u_shaped(beta={self.beta_center:g})"
+
+    def value(self, t, x):
+        return (np.abs(t - self.beta_center) >= x).astype(float)
+
+    def K(self, T, x):
+        b = self.beta_center
+        return np.where(x >= 0,
+                        np.maximum(0.0, np.minimum(b - x, T)) + np.maximum(0.0, T - (b + x)),
+                        0.0)
+
+    def window(self, T: float) -> tuple:
+        b = self.beta_center
+        return (0.0, max(b, T - b))
+
+    def slice_mass(self, t: float) -> float:
+        return abs(t - self.beta_center)
+
+    def slice_support(self, t: float) -> tuple:
+        return 0.0, abs(t - self.beta_center)
+
+    @property
+    def slice_kinks(self) -> tuple:
+        return (self.beta_center,)
+
+    def q_breaks(self, T: float, x: float) -> list:
+        b = self.beta_center
+        hi = max(b, T - b)
+        pts = [0.0, x, b, abs(T - b), hi]
+        return sorted(p for p in pts if 0.0 <= p <= hi)
+
+    def breaks(self, T: float) -> list:
+        b = self.beta_center
+        return [b, abs(T - b)]
 
 
 Kernel = Union[Rectangular, DykstraLaud, OrnsteinUhlenbeck, UShaped]
@@ -90,85 +332,25 @@ def _check_T(T: float) -> float:
 
 def eval_kernel(kernel: Kernel, t, x):
     """Pointwise kernel value; vectorized over t and/or x."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if isinstance(kernel, Rectangular):
-        out = (np.abs(t - x) <= kernel.tau).astype(float)
-    elif isinstance(kernel, DykstraLaud):
-        out = ((x >= 0) & (x <= t)).astype(float)
-    elif isinstance(kernel, OrnsteinUhlenbeck):
-        k = kernel.kappa
-        on = (x >= 0) & (x <= t)
-        out = np.where(on, math.sqrt(2.0 * k) * np.exp(-k * np.where(on, t - x, 0.0)), 0.0)
-    else:
-        out = (np.abs(t - kernel.beta_center) >= x).astype(float)
+    out = kernel.value(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
 def K_T(kernel: Kernel, T: float, x):
     """K_T(x) = int_0^T k(t,x) dt, exact for all T > 0."""
-    T = _check_T(T)
-    x = np.asarray(x, dtype=float)
-    if isinstance(kernel, Rectangular):
-        tau = kernel.tau
-        out = np.maximum(0.0, np.minimum(x + tau, T) - np.maximum(x - tau, 0.0))
-    elif isinstance(kernel, DykstraLaud):
-        out = np.where(x >= 0, np.maximum(T - x, 0.0), 0.0)
-    elif isinstance(kernel, OrnsteinUhlenbeck):
-        k = kernel.kappa
-        on = (x >= 0) & (x <= T)
-        out = np.where(on, math.sqrt(2.0 / k) * (-np.expm1(-k * np.where(on, T - x, 0.0))), 0.0)
-    else:
-        b = kernel.beta_center
-        out = np.where(x >= 0,
-                       np.maximum(0.0, np.minimum(b - x, T)) + np.maximum(0.0, T - (b + x)),
-                       0.0)
+    out = kernel.K(_check_T(T), np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
 def Q_T(kernel: Kernel, T: float, x, y):
     """Q_T(x,y) = int_0^T k(t,x) k(t,y) dt; symmetric, exact for all T > 0."""
-    T = _check_T(T)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = np.maximum(x, y)
-    if isinstance(kernel, Rectangular):
-        tau = kernel.tau
-        lo = np.minimum(x, y)
-        out = np.maximum(0.0, np.minimum(lo + tau, T) - np.maximum(m - tau, 0.0))
-        out = np.where((x >= -tau) & (y >= -tau), out, 0.0)
-    elif isinstance(kernel, (DykstraLaud, UShaped)):
-        # nested supports: joint indicator equals the one with larger x
-        return K_T(kernel, T, m)
-    else:
-        k = kernel.kappa
-        on = (np.minimum(x, y) >= 0) & (m <= T)
-        d = np.abs(x - y)
-        out = np.where(on, np.exp(-k * d) - np.exp(-k * (2.0 * T - (x + y))), 0.0)
-    return out if out.ndim else float(out)
+    out = kernel.Q(_check_T(T), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return out if np.ndim(out) else float(out)
 
 
 def location_window(kernel: Kernel, T: float) -> tuple:
     """Support of x -> K_T(x): atoms outside it cannot affect horizon T."""
-    T = _check_T(T)
-    if isinstance(kernel, Rectangular):
-        return (0.0, T + kernel.tau)
-    if isinstance(kernel, UShaped):
-        b = kernel.beta_center
-        return (0.0, max(b, T - b))
-    return (0.0, T)
-
-
-def _slice_mass(kernel: Kernel, t: float) -> float:
-    # int k(t,x) dx over x >= 0, closed form per family
-    if isinstance(kernel, Rectangular):
-        return min(t + kernel.tau, 2.0 * kernel.tau) if t > -kernel.tau else 0.0
-    if isinstance(kernel, DykstraLaud):
-        return max(t, 0.0)
-    if isinstance(kernel, OrnsteinUhlenbeck):
-        k = kernel.kappa
-        return math.sqrt(2.0 / k) * (-math.expm1(-k * t)) if t > 0 else 0.0
-    return abs(t - kernel.beta_center)
+    return kernel.window(_check_T(T))
 
 
 def mean_hazard(kernel: Kernel, intensity: crm.JumpIntensity, t: float) -> float:
@@ -179,38 +361,12 @@ def mean_hazard(kernel: Kernel, intensity: crm.JumpIntensity, t: float) -> float
     """
     t = float(t)
     if crm.is_homogeneous(intensity):
-        return crm.moment(intensity, 1) * _slice_mass(kernel, t)
-    lo, hi, breaks = _slice_support(kernel, t)
+        return crm.moment(intensity, 1) * kernel.slice_mass(t)
+    lo, hi = kernel.slice_support(t)
     if hi <= lo:
         return 0.0
-    k1 = lambda x: np.asarray(crm.moment_general(intensity, 1.0, x), dtype=float)
-    f = lambda x: k1(x) * eval_kernel(kernel, t, x)
-    return quad_breaks(f, lo, hi, breaks, rel_tol=1e-9)
-
-
-def _slice_support(kernel: Kernel, t: float):
-    # support of x -> k(t,x) plus interior breakpoints
-    if isinstance(kernel, Rectangular):
-        return max(0.0, t - kernel.tau), t + kernel.tau, ()
-    if isinstance(kernel, (DykstraLaud, OrnsteinUhlenbeck)):
-        return 0.0, max(t, 0.0), ()
-    return 0.0, abs(t - kernel.beta_center), ()
-
-
-def _q_breaks(kernel: Kernel, T: float, x: float):
-    # kinks of w -> Q_T(x, w)
-    if isinstance(kernel, Rectangular):
-        tau = kernel.tau
-        pts = [0.0, x - 2 * tau, x - tau, x, x + tau, x + 2 * tau, tau, T - tau, T, T + tau]
-        return [p for p in pts if 0.0 <= p <= T + tau]
-    if isinstance(kernel, DykstraLaud):
-        return [0.0, min(x, T), T]
-    if isinstance(kernel, UShaped):
-        b = kernel.beta_center
-        hi = max(b, T - b)
-        pts = [0.0, x, b, abs(T - b), hi]
-        return sorted(p for p in pts if 0.0 <= p <= hi)
-    return [0.0, min(x, T), T]
+    f = lambda x: crm.jump_moment(intensity, 1.0, x) * eval_kernel(kernel, t, x)
+    return quad_breaks(f, lo, hi, rel_tol=1e-9)
 
 
 def kT3(kernel: Kernel, intensity: crm.JumpIntensity, T: float, x: float) -> float:
@@ -224,37 +380,14 @@ def kT3(kernel: Kernel, intensity: crm.JumpIntensity, T: float, x: float) -> flo
     """
     T = _check_T(T)
     x = float(x)
-    lo_w, hi_w = location_window(kernel, T)
+    lo_w, hi_w = kernel.window(T)
     if not (lo_w <= x <= hi_w):
         return 0.0
     if crm.is_homogeneous(intensity):
-        k1 = crm.moment(intensity, 1)
-        if isinstance(kernel, OrnsteinUhlenbeck):
-            k = kernel.kappa
-            # int_0^T Q_T(x,w) dw, split at w = x; all exponents <= 0
-            t1 = 1.0 - math.exp(-k * x) - math.exp(-2.0 * k * (T - x)) + math.exp(-k * (2.0 * T - x))
-            t2 = (-math.expm1(-k * (T - x))) ** 2
-            return k1 * (t1 + t2) / (k * T)
-        f = lambda w: Q_T(kernel, T, x, w)
-        return k1 * integrate_piecewise_linear(f, _q_breaks(kernel, T, x)) / T
-    k1 = lambda w: np.asarray(crm.moment_general(intensity, 1.0, w), dtype=float)
-    f = lambda w: k1(w) * Q_T(kernel, T, x, w)
-    val = quad_breaks(f, lo_w, hi_w, _q_breaks(kernel, T, x), rel_tol=1e-10) / T
+        return kernel.kT3_const(T, x, crm.moment(intensity, 1))
+    f = lambda w: crm.jump_moment(intensity, 1.0, w) * Q_T(kernel, T, x, w)
+    val = quad_breaks(f, lo_w, hi_w, kernel.q_breaks(T, x), rel_tol=1e-10) / T
     if not math.isfinite(val):
         raise UnsupportedRegimeError(
             f"kT3 integral did not converge for {kernel.label()} / {intensity.label()}")
     return val
-
-
-def ou_panels(kernel: OrnsteinUhlenbeck, lo: float, hi: float, centers) -> np.ndarray:
-    """Panel edges resolving the e^{-kappa |w - c|} decay scales around each
-    center; panel width 1/kappa out to 45/kappa, so Gauss-Legendre of
-    moderate order is exact to machine precision on every panel."""
-    k = kernel.kappa
-    edges = [lo, hi]
-    offsets = np.arange(0.0, 45.0 + 1e-9, 1.0) / k
-    for c in np.atleast_1d(centers):
-        edges.extend(np.clip(c + offsets, lo, hi))
-        edges.extend(np.clip(c - offsets, lo, hi))
-    return np.unique(edges)
-

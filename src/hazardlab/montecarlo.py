@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from . import crm, kernels
-from ._numeric import comp_sum
+from ._numeric import comp_sum, quad_breaks
 from .asymptotics import (Functional, MonteCarloMean, RegimeSpec, Unsupported,
                           regime)
 
@@ -59,119 +59,19 @@ def cumhaz(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
     return comp_sum(sample.jumps * kernels.K_T(kernel, T, sample.locations))
 
 
-def _block_bounds(x, span):
-    # [start, stop) index ranges of the sorted x cut every `span` from x[0];
-    # empty blocks are dropped
-    edges = np.arange(x[0], x[-1] + span, span)
-    stops = np.unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
-    if stops.size == 0 or stops[-1] != x.size:
-        stops = np.append(stops, x.size).astype(int)
-    starts = np.concatenate([[0], stops[:-1]])
-    return starts, stops
-
-
-def _compensated_prefix(v):
-    # prefix sums s of v (leading 0) and the running sum e of each step's
-    # rounding error, exact by TwoSum because np.cumsum adds in order:
-    # (s[q] - s[p]) + (e[q] - e[p]) is accurate to the size of the
-    # difference, however large the prefix has grown
-    s = np.concatenate([[0.0], np.cumsum(v)])
-    t = s[1:] - s[:-1]
-    err = (s[:-1] - (s[1:] - t)) + (v - t)
-    return s, np.concatenate([[0.0], np.cumsum(err)])
-
-
-def _p2m_banded_rect(J, x, kernel, T):
-    # run [L_j, j) of atom j: sum J_i (a_i - c) - (b_j - c) sum J_i.  From
-    # one global c both parts reach ~T times the run's mass while their
-    # difference is ~tau times it, so block k's segment [L_start, stop) is
-    # measured from its own c = b[start].  The segments, laid end to end
-    # (a block's first 2 tau reappear after the previous block), share one
-    # compensated prefix sum in place of a loop over blocks.
-    tau = kernel.tau
-    order = np.argsort(x, kind="stable")
-    x, J = x[order], J[order]
-    a = np.minimum(x + tau, T)
-    b = np.maximum(x - tau, 0.0)
-    diag = float(np.sum(J * J * np.maximum(a - b, 0.0)))
-    L = np.minimum(np.searchsorted(a, b, side="right"), np.arange(x.size))
-    starts, stops = _block_bounds(x, 8.0 * tau)
-    lo, ref = L[starts], b[starts]
-    seg_len = stops - lo
-    seg_at = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
-    atom = np.arange(seg_len.sum()) + np.repeat(lo - seg_at, seg_len)
-    SA, EA = _compensated_prefix(J[atom] * (a[atom] - np.repeat(ref, seg_len)))
-    S, ES = _compensated_prefix(J[atom])
-    # positions of j and of L_j in the segment of j's block
-    shift = np.repeat(seg_at - lo, stops - starts)
-    q, p = np.arange(x.size) + shift, L + shift
-    run = ((SA[q] - SA[p]) + (EA[q] - EA[p])) \
-        - (b - np.repeat(ref, stops - starts)) * ((S[q] - S[p]) + (ES[q] - ES[p]))
-    return math.fsum([diag, 2.0 * float(np.sum(J * run))]) / T
-
-
-def _p2m_prefix_ou(J, x, kernel, T):
-    # Q = e^{-k|xi-xj|} - e^{-k(2T-xi-xj)}; the first part is a carried
-    # prefix sum over sorted locations, blocked so no exponential argument
-    # exceeds ~60; the second factorizes.
-    k = kernel.kappa
-    order = np.argsort(x, kind="stable")
-    x, J = x[order], J[order]
-    starts, stops = _block_bounds(x, 60.0 / k)
-    carry = 0.0          # sum over earlier blocks of J_i e^{-k (ref - x_i)}
-    ref = x[0]
-    parts = []
-    for a, b in zip(starts, stops):
-        xb, Jb = x[a:b], J[a:b]
-        local_ref = xb[0]
-        carry *= math.exp(-k * (local_ref - ref))
-        up = np.exp(k * (xb - local_ref))           # bounded by e^{60}
-        down = np.exp(-k * (xb - local_ref))
-        prefix = np.cumsum(Jb * up)
-        parts.append(float(np.sum(Jb * down * np.concatenate([[0.0], prefix[:-1]]))))
-        parts.append(float(np.sum(Jb * down)) * carry)
-        carry = (carry + float(prefix[-1])) * math.exp(-k * (xb[-1] - local_ref))
-        ref = xb[-1]
-    off = math.fsum(parts)
-    diag = float(np.sum(J * J))
-    first = 2.0 * off + diag
-    second = float(np.sum(J * np.exp(-k * (T - x)))) ** 2
-    return (first - second) / T
-
-
-def _p2m_nested(J, x, kernel, T):
-    # Q(x,y) = K_T(x v y): sort ascending and use prefix mass
-    order = np.argsort(x, kind="stable")
-    x, J = x[order], J[order]
-    K = kernels.K_T(kernel, T, x)
-    prev = np.concatenate([[0.0], np.cumsum(J)[:-1]])
-    return comp_sum(J * K * (2.0 * prev + J)) / T
-
-
 def path_second_moment(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
     """(1/T) sum_{i,j} J_i J_j Q_T(x_i, x_j): exact time average of the
     squared hazard path.
 
-    All three strategies sort the locations and combine prefix sums; all
-    equal the naive double sum.  Rectangular: for x_i <= x_j,
-    Q_T = (a_i - b_j)_+ with a = min(x + tau, T) and b = max(x - tau, 0).
-    a is nondecreasing, so each atom's partners form one run found by
-    searchsorted, summed as prefix differences of J and of J a.  The
-    prefix sums run over blocks 8 tau wide, each measuring a and b from its
-    own reference point, and are compensated, so the digits lost grow with
-    neither T / tau nor the atom count; O(n log n) in all.
-    Ornstein-Uhlenbeck: a carried-prefix factorization.  Nested kernels: a
-    sorted cumulative sum.
+    The atoms are sorted by location once and handed to the kernel's pair
+    sum, which combines prefix sums in O(n log n) and equals the naive
+    double sum.
     """
     _check_window(sample, kernel, T)
     if sample.size == 0:
         return 0.0
-    J, x = sample.jumps, sample.locations
-    if isinstance(kernel, kernels.Rectangular):
-        return _p2m_banded_rect(J, x, kernel, T)
-    if isinstance(kernel, kernels.OrnsteinUhlenbeck):
-        return _p2m_prefix_ou(J, x, kernel, T)
-    return _p2m_nested(J, x, kernel, T)
+    order = np.argsort(sample.locations)
+    return kernel.pair_sum(sample.jumps[order], sample.locations[order], T) / T
 
 
 def path_variance(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
@@ -332,50 +232,31 @@ def _replicate_range(args) -> List[float]:
             for r in range(start, stop)]
 
 
-def _slice_sq_integral(kernel, T: float) -> float:
-    # int_0^T (int k(t,x) dx)^2 dt, for the quadrature centerings
-    from ._numeric import quad_breaks
-    if isinstance(kernel, kernels.Rectangular):
-        breaks = [kernel.tau]
-    elif isinstance(kernel, kernels.UShaped):
-        breaks = [kernel.beta_center]
-    else:
-        breaks = []
-    return quad_breaks(lambda t: kernels._slice_mass(kernel, t) ** 2, 0.0, T,
-                       breaks, rel_tol=1e-11)
-
-
-def _mu(intensity, a: float, eps: float, x):
-    # jump moment of the full (eps = 0) or truncated intensity; the
-    # generalized-gamma branch ignores x, so passing it is always safe
-    if eps > 0:
-        return crm.moment_truncated(intensity, a, eps, x)
-    return crm.moment_general(intensity, a, x)
-
-
 def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> float:
     """(1/T) int_0^T E[h(t)^2] dt under the full or epsilon-truncated
     intensity: (1/T) [int m(t)^2 dt + int K2(x) Q_T(x,x) dx]."""
     kernel, intensity, T = config.kernel, config.intensity, config.horizon
     eps = config.epsilon if truncated else 0.0
     lo, hi = kernels.location_window(kernel, T)
-    from ._numeric import quad_breaks
 
     if crm.is_homogeneous(intensity):
-        k1 = _mu(intensity, 1.0, eps, 0.0)
-        mean_part = k1 ** 2 * _slice_sq_integral(kernel, T)
+        k1 = crm.jump_moment(intensity, 1.0, 0.0, eps)
+        # int_0^T (int k(t,x) dx)^2 dt
+        mean_part = k1 ** 2 * quad_breaks(lambda t: kernel.slice_mass(t) ** 2, 0.0, T,
+                                          kernel.slice_kinks, rel_tol=1e-11)
     else:
         def m_of_t(t):
-            lo_s, hi_s, _ = kernels._slice_support(kernel, t)
+            lo_s, hi_s = kernel.slice_support(t)
             if hi_s <= lo_s:
                 return 0.0
             return quad_breaks(
-                lambda x: _mu(intensity, 1.0, eps, x) * kernels.eval_kernel(kernel, t, x),
+                lambda x: crm.jump_moment(intensity, 1.0, x, eps)
+                * kernels.eval_kernel(kernel, t, x),
                 lo_s, hi_s, rel_tol=1e-9)
         mean_part = quad_breaks(lambda t: m_of_t(t) ** 2, 0.0, T, rel_tol=1e-8)
 
     second_part = quad_breaks(
-        lambda x: _mu(intensity, 2.0, eps, float(x))
+        lambda x: crm.jump_moment(intensity, 2.0, float(x), eps)
         * kernels.Q_T(kernel, T, float(x), float(x)),
         lo, hi, rel_tol=1e-10)
     return (mean_part + second_part) / T
@@ -385,9 +266,9 @@ def _I1_quadrature(config: ExperimentConfig, truncated: bool) -> float:
     kernel, intensity, T = config.kernel, config.intensity, config.horizon
     eps = config.epsilon if truncated else 0.0
     lo, hi = kernels.location_window(kernel, T)
-    from ._numeric import quad_breaks
     return quad_breaks(
-        lambda x: _mu(intensity, 1.0, eps, float(x)) * kernels.K_T(kernel, T, float(x)),
+        lambda x: crm.jump_moment(intensity, 1.0, float(x), eps)
+        * kernels.K_T(kernel, T, float(x)),
         lo, hi, rel_tol=1e-11)
 
 
@@ -456,8 +337,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None,
     else:
         bounds = np.linspace(0, R, 4 * nworkers + 1).astype(int)
         jobs = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(nworkers) as pool:
+        with multiprocessing.Pool(nworkers) as pool:
             chunks = pool.map(_replicate_range, jobs)
         values = [v for chunk in chunks for v in chunk]
 

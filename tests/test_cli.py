@@ -182,3 +182,26 @@ def test_bad_thread_setting_is_one_line_error(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "HAZARDLAB_THREADS" in err[0] and repr(bad) in err[0]
+
+
+@pytest.mark.parametrize("kernel", [kernels.Rectangular(0.3), kernels.DykstraLaud(),
+                                    kernels.OrnsteinUhlenbeck(2.5),
+                                    kernels.UShaped(1.0 / 3.0)], ids=lambda k: k.label())
+def test_kernel_render_parse_round_trip(kernel):
+    cfg = cli.parse_config(SIMULATE)
+    cfg.kernel = kernel
+    again = cli.parse_config(cli.render_config(cfg))
+    assert again == cfg
+    assert type(again.kernel) is type(kernel)
+
+
+@pytest.mark.parametrize("ktype, key", [("rectangular", "tau"),
+                                        ("ornstein_uhlenbeck", "kappa"),
+                                        ("u_shaped", "beta")])
+def test_non_positive_kernel_parameter_cites_the_key(ktype, key):
+    for value in ("0", "-2.5"):
+        text = SIMULATE.replace("type = ornstein_uhlenbeck\nkappa = 1.0",
+                                f"type = {ktype}\n{key} = {value}")
+        with pytest.raises(cli.ConfigError,
+                           match=rf"^line \d+: line \d+: kernel\.{key}={value} violates {key} > 0$"):
+            cli.parse_config(text)

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -72,6 +76,30 @@ def test_path_variance_identity_and_clamp():
     T = 1.0
     s = crm.CrmSample(np.array([1.3]), np.array([0.9]), (0.0, 3.0), 1e-6, 0.0)
     assert mc.path_variance(s, kern, T) <= 1e-12
+
+
+@pytest.mark.parametrize("kern", [kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
+                                  kernels.DykstraLaud(), kernels.UShaped(2.0)],
+                         ids=lambda k: k.label())
+def test_pair_sums_below_one_at_relative_precision(kern):
+    # small jumps keep the path second moment below 1, where approx's
+    # default abs=1e-12 would loosen a rel=1e-12 gate, so abs=0; half the
+    # locations sit on a 0.1 grid, so ties reach every pair sum
+    T = 23.0
+    s = make_sample(kern, T, 500, entropy=520, jump_scale=0.002)
+    x = s.locations.copy()
+    x[::2] = np.round(x[::2], 1)
+    s = crm.CrmSample(s.jumps, x, s.window, 1e-6, 0.0)
+    assert np.unique(x).size < x.size
+    Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
+    naive = float(s.jumps @ Q @ s.jumps) / T
+    p2m = mc.path_second_moment(s, kern, T)
+    assert 0.0 < p2m < 1.0
+    assert p2m == pytest.approx(naive, rel=1e-12, abs=0)
+    v = mc.path_variance(s, kern, T)
+    h = mc.cumhaz(s, kern, T)
+    assert v > 0.0
+    assert v + (h / T) ** 2 == pytest.approx(p2m, rel=1e-12, abs=0)
 
 
 def _trapezoid(sample, kern, T, what, n_grid=10_000):
@@ -239,6 +267,34 @@ def test_run_clt_deterministic_and_worker_invariant():
     b = mc.run_clt(cfg, workers=2)
     assert a.standardized_samples == b.standardized_samples
     assert a.to_json() == b.to_json()
+
+
+_SPAWN_RUN = """
+import json, multiprocessing
+multiprocessing.set_start_method("spawn")
+from hazardlab import crm, kernels, montecarlo as mc
+from hazardlab.asymptotics import Functional
+cfg = mc.ExperimentConfig(kernel=kernels.OrnsteinUhlenbeck(1.0),
+                          intensity=crm.ExtendedGamma(crm.Constant(1.0)),
+                          functional=Functional.PATH_VARIANCE, horizon=40.0,
+                          replicates=100, seed=7, epsilon=1e-3)
+print(json.dumps(mc.run_clt(cfg, workers=2).values))
+"""
+
+
+def test_run_clt_worker_pool_under_spawn():
+    # the pool takes the platform's start method; spawned workers import the
+    # package afresh and must reproduce the serial run bit for bit
+    if mc.resolve_workers(2) < 2:
+        pytest.skip("needs 2 cores for a worker pool")
+    cfg = mc.ExperimentConfig(kernel=kernels.OrnsteinUhlenbeck(1.0), intensity=EG1,
+                              functional=Functional.PATH_VARIANCE, horizon=40.0,
+                              replicates=100, seed=7, epsilon=1e-3)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SPAWN_RUN], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert json.loads(out.stdout) == mc.run_clt(cfg, workers=1).values
 
 
 def test_unbiased_centering_and_variance_law():
