@@ -137,15 +137,6 @@ _MONOTONE_REASON = (
 )
 
 
-def _sqrt_family_slope(fn: crm.PositiveFunction) -> Optional[float]:
-    # coefficient b with fn(x) ~ b*sqrt(x) as x -> infinity
-    if isinstance(fn, crm.AffineSqrt):
-        return fn.b
-    if isinstance(fn, crm.IndicatorSqrt):
-        return 1.0
-    return None
-
-
 def _moments(intensity, upto=4):
     return [crm.moment(intensity, i) for i in range(1, upto + 1)]
 
@@ -173,7 +164,7 @@ def regime_cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> Regim
         raise NotCatalogedError(f"no cumulative-hazard regime for {kernel.label()}")
     # non-homogeneous worked cases: sqrt-growth profiles with DL / rectangular
     if isinstance(intensity, crm.ExtendedGamma):
-        b = _sqrt_family_slope(intensity.beta_fn)
+        b = intensity.beta_fn.sqrt_slope
         if b is not None:
             if isinstance(kernel, kernels.DykstraLaud):
                 var = 1.0 / b ** 2      # K2(x) ~ 1/(b^2 x), I2 ~ var * T^2 log T
@@ -182,7 +173,7 @@ def regime_cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> Regim
                 var = 4.0 * kernel.tau ** 2 / b ** 2
                 return RegimeSpec(F, PowerLog(0.0, -0.5), MonteCarloMean(), var, sigma0_sq=var)
     if isinstance(intensity, crm.Beta):
-        b = _sqrt_family_slope(intensity.c_fn)
+        b = intensity.c_fn.sqrt_slope
         if b is not None:
             # first jump moment is exactly 1 at every location for the beta family
             if isinstance(kernel, kernels.DykstraLaud):

@@ -109,72 +109,67 @@ def _as_int(value, lineno, key, cond=None, describe=""):
     return x
 
 
-def _take_float(fields, section, key, cond=None, describe=""):
-    if key not in fields:
-        raise ConfigError(f"missing required key {section}.{key}")
-    value, lineno = fields.pop(key)
-    return _as_float(value, lineno, f"{section}.{key}", cond, describe)
-
-
-def _build_positive_fn(fields: dict, section: str) -> crm.PositiveFunction:
-    fn = fields.pop("fn")[0] if "fn" in fields else "constant"
-    try:
-        if fn == "constant":
-            return crm.Constant(_take_float(fields, section, "value",
-                                            lambda x: x > 0, "value > 0"))
-        if fn == "affine_sqrt":
-            a = _take_float(fields, section, "a", lambda x: x > 0,
-                            "a > 0 (value 0 at x=0 otherwise)")
-            b = _take_float(fields, section, "b", lambda x: x > 0, "b > 0")
-            return crm.AffineSqrt(a, b)
-        if fn == "indicator_sqrt":
-            return crm.IndicatorSqrt(_take_float(fields, section, "b",
-                                                 lambda x: x > 0, "b > 0"))
-    except ValueError as exc:
-        raise ConfigError(f"{section} profile: {exc}")
-    raise ConfigError(f"{section}.fn={fn!r} is not one of constant, affine_sqrt, indicator_sqrt")
-
-
-# kernel.type -> (class, {INI key: constructor argument}); every parameter is > 0
+# kernel.type, crm.family and crm.fn -> (class, {INI key: constructor argument})
 _KERNEL_TYPES = {
     "rectangular": (kernels.Rectangular, {"tau": "tau"}),
     "dykstra_laud": (kernels.DykstraLaud, {}),
     "ornstein_uhlenbeck": (kernels.OrnsteinUhlenbeck, {"kappa": "kappa"}),
     "u_shaped": (kernels.UShaped, {"beta": "beta_center"}),
 }
+_FAMILIES = {
+    "generalized_gamma": (crm.GeneralizedGamma, {"sigma": "sigma", "gamma": "gamma"}),
+    "extended_gamma": (crm.ExtendedGamma, {"fn": "beta_fn"}),
+    "beta": (crm.Beta, {"fn": "c_fn"}),
+}
+_PROFILES = {
+    "constant": (crm.Constant, {"value": "a"}),
+    "affine_sqrt": (crm.AffineSqrt, {"a": "a", "b": "b"}),
+    "indicator_sqrt": (crm.IndicatorSqrt, {"b": "b"}),
+}
+# a key naming a table (default type or None) builds its argument from that
+# table; every other key is a number, > 0 unless _RULES says otherwise
+_TABLES = {"type": (_KERNEL_TYPES, None), "family": (_FAMILIES, None),
+           "fn": (_PROFILES, "constant")}
+_RULES = {"sigma": (lambda x: 0 < x < 1, "sigma in (0,1)"),
+          "a": (lambda x: x > 0, "a > 0 (value 0 at x=0 otherwise)")}
 
 
-def _build_kernel(fields: dict) -> kernels.Kernel:
-    if "type" not in fields:
-        raise ConfigError("missing required key kernel.type")
-    ktype, lineno = fields.pop("type")
-    if ktype not in _KERNEL_TYPES:
-        raise ConfigError(f"line {lineno}: unknown kernel.type {ktype!r}")
-    cls, keys = _KERNEL_TYPES[ktype]
+def _build(fields: dict, section: str, tkey: str, lineno: Optional[int] = None):
+    """Pop fields[tkey] and its type's parameters from fields and build the
+    object; lineno is where a missing key is reported."""
+    table, default = _TABLES[tkey]
+    if tkey in fields:
+        name, lineno = fields.pop(tkey)
+    elif default is None:
+        raise ConfigError(f"missing required key {section}.{tkey}")
+    else:
+        name = default
+    if name not in table:
+        raise ConfigError(f"line {lineno}: unknown {section}.{tkey} {name!r} "
+                          f"(one of {', '.join(table)})")
+    cls, keys = table[name]
+    args = {}
+    for key, arg in keys.items():
+        if key in _TABLES:
+            args[arg] = _build(fields, section, key, lineno)
+        elif key not in fields:
+            raise ConfigError(f"line {lineno}: missing required key {section}.{key}")
+        else:
+            value, at = fields.pop(key)
+            cond, rule = _RULES.get(key, (lambda x: x > 0, f"{key} > 0"))
+            args[arg] = _as_float(value, at, f"{section}.{key}", cond, rule)
     try:
-        return cls(**{arg: _take_float(fields, "kernel", key, lambda x: x > 0, f"{key} > 0")
-                      for key, arg in keys.items()})
+        return cls(**args)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}")
 
 
-def _build_intensity(fields: dict) -> crm.JumpIntensity:
-    if "family" not in fields:
-        raise ConfigError("missing required key crm.family")
-    family, lineno = fields.pop("family")
-    try:
-        if family == "generalized_gamma":
-            sigma = _take_float(fields, "crm", "sigma",
-                                lambda x: 0 < x < 1, "sigma in (0,1)")
-            gamma = _take_float(fields, "crm", "gamma", lambda x: x > 0, "gamma > 0")
-            return crm.GeneralizedGamma(sigma, gamma)
-        if family == "extended_gamma":
-            return crm.ExtendedGamma(_build_positive_fn(fields, "crm"))
-        if family == "beta":
-            return crm.Beta(_build_positive_fn(fields, "crm"))
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}")
-    raise ConfigError(f"line {lineno}: unknown crm.family {family!r}")
+def _build_section(fields: dict, section: str, tkey: str):
+    built = _build(fields, section, tkey)
+    if fields:
+        key, (_, lineno) = next(iter(fields.items()))
+        raise ConfigError(f"line {lineno}: {section}.{key} is not used by {built.label()}")
+    return built
 
 
 def _parse_rate(value: str, lineno: int):
@@ -196,7 +191,8 @@ _EXPERIMENT_KEYS = {"kind", "functional", "theorem", "rate", "horizon", "replica
                     "seed", "epsilon", "t_grid", "centering", "ks_alpha", "grid_n"}
 _OUTPUT_KEYS = {"path", "format"}
 _KERNEL_KEYS = {"type"}.union(*(keys for _, keys in _KERNEL_TYPES.values()))
-_CRM_KEYS = {"family", "sigma", "gamma", "fn", "value", "a", "b"}
+_CRM_KEYS = {"family"}.union(*(keys for _, keys in [*_FAMILIES.values(),
+                                                    *_PROFILES.values()]))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -285,9 +281,9 @@ def parse_config(text: str) -> RunConfig:
             cfg.expects[idx] = value
 
     if sections["kernel"]:
-        cfg.kernel = _build_kernel(dict(sections["kernel"]))
+        cfg.kernel = _build_section(dict(sections["kernel"]), "kernel", "type")
     if sections["crm"]:
-        cfg.intensity = _build_intensity(dict(sections["crm"]))
+        cfg.intensity = _build_section(dict(sections["crm"]), "crm", "family")
 
     out = sections["output"]
     if "path" in out:
@@ -306,28 +302,15 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _render_kernel(kernel) -> str:
-    ktype, keys = next((name, keys) for name, (cls, keys) in _KERNEL_TYPES.items()
-                       if type(kernel) is cls)
-    return "\n".join([f"type = {ktype}"] + [f"{key} = {getattr(kernel, arg):.17g}"
-                                             for key, arg in keys.items()])
-
-
-def _render_fn(fn) -> str:
-    if isinstance(fn, crm.Constant):
-        return f"fn = constant\nvalue = {fn.a:.17g}"
-    if isinstance(fn, crm.AffineSqrt):
-        return f"fn = affine_sqrt\na = {fn.a:.17g}\nb = {fn.b:.17g}"
-    return f"fn = indicator_sqrt\nb = {fn.b:.17g}"
-
-
-def _render_intensity(intensity) -> str:
-    if isinstance(intensity, crm.GeneralizedGamma):
-        return (f"family = generalized_gamma\nsigma = {intensity.sigma:.17g}\n"
-                f"gamma = {intensity.gamma:.17g}")
-    if isinstance(intensity, crm.ExtendedGamma):
-        return "family = extended_gamma\n" + _render_fn(intensity.beta_fn)
-    return "family = beta\n" + _render_fn(intensity.c_fn)
+def _render(obj, tkey: str) -> list:
+    table, _ = _TABLES[tkey]
+    name, keys = next((name, keys) for name, (cls, keys) in table.items()
+                      if type(obj) is cls)
+    lines = [f"{tkey} = {name}"]
+    for key, arg in keys.items():
+        value = getattr(obj, arg)
+        lines += _render(value, key) if key in _TABLES else [f"{key} = {value:.17g}"]
+    return lines
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -348,9 +331,9 @@ def render_config(cfg: RunConfig) -> str:
     for idx in sorted(cfg.expects):
         lines.append(f"expect_condition_{idx} = {cfg.expects[idx]}")
     if cfg.kernel is not None:
-        lines += ["", "[kernel]", _render_kernel(cfg.kernel)]
+        lines += ["", "[kernel]", *_render(cfg.kernel, "type")]
     if cfg.intensity is not None:
-        lines += ["", "[crm]", _render_intensity(cfg.intensity)]
+        lines += ["", "[crm]", *_render(cfg.intensity, "family")]
     lines += ["", "[output]"]
     if cfg.out_path:
         lines.append(f"path = {cfg.out_path}")

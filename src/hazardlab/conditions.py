@@ -122,13 +122,14 @@ def classify(t_grid, values) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def I_moments(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
-              T: float, i: int) -> float:
-    """I_i(T) = int K_rho^(i)(x) K_T(x)^i dx; I_1(T) is the exact mean of
-    the cumulative hazard."""
+              T: float, i: int, epsilon: float = 0.0) -> float:
+    """I_i(T) = int K_rho^(i)(x) K_T(x)^i dx, with the epsilon-truncated
+    jump moment when epsilon > 0; I_1(T) is the exact mean of the
+    cumulative hazard."""
     if i not in (1, 2, 3):
         raise ValueError("i must be 1, 2 or 3")
     lo, hi = kernels.location_window(kernel, T)
-    f = lambda x: float(crm.jump_moment(intensity, float(i), x)
+    f = lambda x: float(crm.jump_moment(intensity, float(i), x, epsilon)
                         * kernels.K_T(kernel, T, x) ** i)
     val = quad_breaks(f, lo, hi, kernel.breaks(T), rel_tol=1e-11)
     if not math.isfinite(val):
@@ -482,7 +483,7 @@ def _dominance_grid(kernel_lo, kernel_hi, target_kernel, t_max: float):
 
 
 def _intensity_dominance(int_lo, int_target, int_hi, x_max: float):
-    vs = np.geomspace(1e-8, 0.999999 if isinstance(int_target, crm.Beta) else 50.0, 60)
+    vs = np.geomspace(1e-8, min(0.999999 * int_target.ceiling, 50.0), 60)
     xs = np.linspace(0.0, x_max, 40)
     for x in xs:
         lo = crm.jump_density(int_lo, vs, x)
@@ -535,22 +536,6 @@ def sandwich_compare(kernel_lo, kernel_hi, intensity_lo, intensity_hi,
 # full-dimensional Monte Carlo oracle for the reduced norms
 # ---------------------------------------------------------------------------
 
-def _tilted_jump_sampler(intensity, rng, n, power: int):
-    """Sample from q(s) ~ s^power rho(s) / K^(power); the importance weight
-    of one nu-coordinate is then K^(power)/s^power (times the window
-    length).  The tilt must not exceed the lowest jump power the
-    estimator carries in that coordinate, or the weights have infinite
-    variance."""
-    kp = crm.moment(intensity, power)
-    if isinstance(intensity, crm.GeneralizedGamma):
-        s = rng.gamma(power - intensity.sigma, 1.0 / intensity.gamma, size=n)
-    elif isinstance(intensity, crm.ExtendedGamma):
-        s = rng.gamma(float(power), 1.0 / intensity.beta_fn.a, size=n)
-    else:
-        s = rng.beta(float(power), intensity.c_fn.a, size=n)
-    return s, kp / s ** power
-
-
 def mc_norm_oracle(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
                    T: float, n_samples: int, rng) -> Dict[str, tuple]:
     """Importance-sampling estimates (value, standard_error) of the six
@@ -570,9 +555,14 @@ def mc_norm_oracle(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     W = hi - lo
 
     def pairs(n, power):
-        s, w = _tilted_jump_sampler(intensity, rng, n, power)
+        # s ~ s^power rho(s) / K^(power), so one nu-coordinate weighs
+        # W K^(power) / s^power.  The tilt must not exceed the lowest jump
+        # power the estimator carries in that coordinate, or the weights
+        # have infinite variance.
+        kp = crm.moment(intensity, power)
+        s = intensity.draw_tilted(rng, n, power)
         x = rng.uniform(lo, hi, size=n)
-        return s, x, w * W          # weight of one nu-coordinate
+        return s, x, kp / s ** power * W
 
     out = {}
 

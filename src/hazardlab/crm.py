@@ -10,19 +10,20 @@ measure on locations:
 The module provides closed-form jump moments and tail masses, exact
 truncated moments, a Ferguson-Klass inverse-tail sampler for the
 homogeneous cases and a thinning sampler against a constant-parameter
-envelope for the non-homogeneous ones.
+envelope for the non-homogeneous ones.  Each family's class carries its
+facts; the module functions are the validated entry points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 from scipy import special
 
-from ._numeric import comp_sum
+from ._numeric import comp_sum, quad_breaks
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -41,11 +42,16 @@ class EnvelopeError(Exception):
 # ---------------------------------------------------------------------------
 # positive functions (non-homogeneity profiles)
 # ---------------------------------------------------------------------------
+# Each profile also carries `constant` (it does not depend on x) and
+# `sqrt_slope`, the b with fn(x) ~ b sqrt(x) as x -> infinity (None when
+# the profile does not grow like sqrt(x)).
 
 @dataclass(frozen=True)
 class Constant:
     """x -> a with a > 0."""
     a: float
+    constant: ClassVar[bool] = True
+    sqrt_slope: ClassVar[Optional[float]] = None
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
@@ -72,6 +78,7 @@ class AffineSqrt:
     """
     a: float
     b: float
+    constant: ClassVar[bool] = False
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
@@ -81,6 +88,10 @@ class AffineSqrt:
 
     def __call__(self, x):
         return self.a + self.b * np.sqrt(np.asarray(x, dtype=float))
+
+    @property
+    def sqrt_slope(self) -> float:
+        return self.b
 
     def inf_on(self, lo: float, hi: float) -> float:
         return self.a + self.b * math.sqrt(max(lo, 0.0))   # increasing
@@ -96,6 +107,8 @@ class AffineSqrt:
 class IndicatorSqrt:
     """x -> 1 on (0, b], sqrt(x) on (b, inf); b > 0."""
     b: float
+    constant: ClassVar[bool] = False
+    sqrt_slope: ClassVar[Optional[float]] = 1.0
 
     def __post_init__(self):
         if not (self.b > 0 and math.isfinite(self.b)):
@@ -128,8 +141,35 @@ PositiveFunction = Union[Constant, AffineSqrt, IndicatorSqrt]
 # jump intensities
 # ---------------------------------------------------------------------------
 
+class _Family:
+    """Defaults for the family facts.  Every family also defines, at its
+    parameter p = param(x): moment(a, p) = int v^a rho(dv), the share
+    above(a, epsilon, p) of that moment carried by jumps above epsilon
+    (for epsilon below the ceiling), density(v, p) and tail(v, p) =
+    int_v^inf rho(du); and the thinning envelope(lo, hi) (see _envelope)
+    and draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
+    (homogeneous members only)."""
+    # every jump lies below the ceiling
+    ceiling: ClassVar[float] = math.inf
+    homogeneous: ClassVar[bool] = True
+
+    def param(self, x):
+        return None
+
+
+class _Profiled(_Family):
+    """Families whose parameter at x is the value of a location profile."""
+
+    @property
+    def homogeneous(self) -> bool:
+        return self.profile.constant
+
+    def param(self, x):
+        return np.asarray(self.profile(x), dtype=float)
+
+
 @dataclass(frozen=True)
-class GeneralizedGamma:
+class GeneralizedGamma(_Family):
     """Tilted-stable family; sigma in (0, 1), gamma > 0.
 
     gamma = 0 (the stable case) is rejected: its jump moments diverge.
@@ -146,23 +186,141 @@ class GeneralizedGamma:
     def label(self) -> str:
         return f"generalized_gamma(sigma={self.sigma:g},gamma={self.gamma:g})"
 
+    def moment(self, a, p):
+        s, g = self.sigma, self.gamma
+        return math.exp(math.lgamma(a - s) - math.lgamma(1.0 - s) - (a - s) * math.log(g))
+
+    def above(self, a, epsilon, p):
+        return special.gammaincc(a - self.sigma, self.gamma * epsilon)
+
+    def density(self, v, p):
+        s, g = self.sigma, self.gamma
+        return np.where(v > 0, np.exp(-g * v) * v ** (-1.0 - s) / math.gamma(1.0 - s), 0.0)
+
+    def tail(self, v, p):
+        s, g = self.sigma, self.gamma
+        z = g * v
+        # Gamma(-s, z) through the recurrence Gamma(-s,z) = (z^-s e^-z - Gamma(1-s,z))/s
+        upper = z ** (-s) * np.exp(-z) - math.gamma(1.0 - s) * special.gammaincc(1.0 - s, z)
+        return np.maximum((g ** s / math.gamma(1.0 - s)) * upper / s, 0.0)
+
+    def envelope(self, lo: float, hi: float):
+        raise ValueError("generalized gamma is homogeneous; use sample_homogeneous")
+
+    def draw_tilted(self, rng, n, power):
+        return rng.gamma(power - self.sigma, 1.0 / self.gamma, size=n)
+
 
 @dataclass(frozen=True)
-class ExtendedGamma:
+class ExtendedGamma(_Profiled):
     """Weighted gamma family with rate profile beta_fn(x) > 0."""
     beta_fn: PositiveFunction
 
     def label(self) -> str:
         return f"extended_gamma({self.beta_fn.label()})"
 
+    @property
+    def profile(self) -> PositiveFunction:
+        return self.beta_fn
+
+    def moment(self, a, p):
+        return np.exp(special.gammaln(a) - a * np.log(p))
+
+    def above(self, a, epsilon, p):
+        return special.gammaincc(a, p * epsilon)
+
+    def density(self, v, p):
+        return np.where(v > 0, np.exp(-p * v) / np.where(v > 0, v, 1.0), 0.0)
+
+    def tail(self, v, p):
+        return special.exp1(p * v)
+
+    def envelope(self, lo: float, hi: float):
+        fn, L = self.beta_fn, self.beta_fn.inf_on(lo, hi)
+
+        def accept(v, x):
+            return np.exp(-(fn(x) - L) * v)
+
+        return ExtendedGamma(Constant(L)), 1.0, accept, f"extended_gamma(constant({L:g}))"
+
+    def draw_tilted(self, rng, n, power):
+        return rng.gamma(float(power), 1.0 / self.beta_fn.a, size=n)
+
+
+_BETA_SERIES_TERMS = 80
+_GL128 = np.polynomial.legendre.leggauss(128)
+
 
 @dataclass(frozen=True)
-class Beta:
+class Beta(_Profiled):
     """Beta family with concentration profile c_fn(x) > 0; jumps in (0,1)."""
     c_fn: PositiveFunction
+    ceiling: ClassVar[float] = 1.0
 
     def label(self) -> str:
         return f"beta({self.c_fn.label()})"
+
+    @property
+    def profile(self) -> PositiveFunction:
+        return self.c_fn
+
+    def moment(self, a, p):
+        return np.exp(special.gammaln(a) + special.gammaln(1.0 + p) - special.gammaln(a + p))
+
+    def above(self, a, epsilon, p):
+        return 1.0 - special.betainc(a, p, epsilon)
+
+    def density(self, v, p):
+        inside = (v > 0) & (v < 1)
+        vsafe = np.where(inside, v, 0.5)
+        return np.where(inside, p * np.exp(special.xlog1py(p - 1.0, -vsafe)) / vsafe, 0.0)
+
+    def tail(self, v, c):
+        # int_v^1 c (1-u)^{c-1} / u du, vectorized and accurate to ~1e-14.
+        out = np.zeros_like(v)
+        live = (v > 0) & (v < 1)
+        if not np.any(live):
+            return out
+        vv = v[live]
+        # upper piece on [max(v, 1/2), 1): geometric series of int z^{c-1+k} dz
+        m = np.maximum(vv, 0.5)
+        z = 1.0 - m
+        upper = np.zeros_like(vv)
+        zpow = z ** c
+        for k in range(_BETA_SERIES_TERMS):
+            upper += c * zpow / (c + k)
+            zpow *= z
+        # lower piece on [v, 1/2) in log coordinates: int c (1-e^y)^{c-1} dy
+        need = vv < 0.5
+        lower = np.zeros_like(vv)
+        if np.any(need):
+            y0 = np.log(vv[need])
+            y1 = math.log(0.5)
+            nodes, wts = _GL128
+            half = 0.5 * (y1 - y0)
+            ys = half[:, None] * nodes[None, :] + (0.5 * (y0 + y1))[:, None]
+            integ = c * np.exp(special.xlog1py(c - 1.0, -np.exp(ys)))
+            lower[need] = half * np.sum(wts[None, :] * integ, axis=1)
+        out[live] = upper + lower
+        return out
+
+    def envelope(self, lo: float, hi: float):
+        fn = self.c_fn
+        c_min, c_max = fn.inf_on(lo, hi), fn.sup_on(lo, hi)
+        if c_min < 1.0:
+            raise EnvelopeError(
+                f"beta thinning needs inf c >= 1 on the window; got inf c = {c_min:g} "
+                f"for {fn.label()} on [{lo:g},{hi:g}]")
+
+        def accept(v, x):
+            c = fn(x)
+            return (c / c_max) * np.exp(special.xlog1py(c - c_min, -v))
+
+        return Beta(Constant(c_min)), c_max / c_min, accept, \
+            f"beta(constant({c_min:g}))*{c_max / c_min:g}"
+
+    def draw_tilted(self, rng, n, power):
+        return rng.beta(float(power), self.c_fn.a, size=n)
 
 
 JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
@@ -170,18 +328,21 @@ JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
 
 def is_homogeneous(intensity: JumpIntensity) -> bool:
     """True when rho(dv|x) does not depend on x."""
-    if isinstance(intensity, GeneralizedGamma):
-        return True
-    fn = intensity.beta_fn if isinstance(intensity, ExtendedGamma) else intensity.c_fn
-    return isinstance(fn, Constant)
+    return intensity.homogeneous
 
 
-def _profile_value(intensity: JumpIntensity, x) -> np.ndarray:
-    if isinstance(intensity, ExtendedGamma):
-        return np.asarray(intensity.beta_fn(x), dtype=float)
-    if isinstance(intensity, Beta):
-        return np.asarray(intensity.c_fn(x), dtype=float)
-    raise TypeError("generalized gamma has no location profile")
+def _param(intensity: JumpIntensity, x):
+    """The family parameter at the location(s) x; x may be omitted for a
+    homogeneous intensity."""
+    if x is None:
+        if not intensity.homogeneous:
+            raise ValueError(f"{intensity.label()} is non-homogeneous: supply the location x")
+        x = 0.0
+    return intensity.param(x)
+
+
+def _scalar_or_array(val):
+    return float(val) if np.size(val) == 1 else val
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +357,7 @@ def moment_general(intensity: JumpIntensity, a: float, x=None) -> float:
     """
     if a < 1:
         raise ValueError(f"order must be >= 1, got {a}")
-    if isinstance(intensity, GeneralizedGamma):
-        s, g = intensity.sigma, intensity.gamma
-        return math.exp(math.lgamma(a - s) - math.lgamma(1.0 - s) - (a - s) * math.log(g))
-    if x is None:
-        if not is_homogeneous(intensity):
-            raise ValueError(f"{intensity.label()} is non-homogeneous: supply the location x")
-        x = 0.0
-    p = _profile_value(intensity, x)
-    if isinstance(intensity, ExtendedGamma):
-        val = np.exp(special.gammaln(a) - a * np.log(p))
-    else:
-        val = np.exp(special.gammaln(a) + special.gammaln(1.0 + p) - special.gammaln(a + p))
-    return float(val) if np.ndim(val) == 0 or np.size(val) == 1 else val
+    return _scalar_or_array(intensity.moment(a, _param(intensity, x)))
 
 
 def moment(intensity: JumpIntensity, order: int, x=None) -> float:
@@ -219,8 +368,6 @@ def moment(intensity: JumpIntensity, order: int, x=None) -> float:
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be one of 1,2,3,4, got {order}")
-    if not is_homogeneous(intensity) and x is None:
-        raise ValueError(f"{intensity.label()} is non-homogeneous: supply the location x")
     return moment_general(intensity, float(order), x)
 
 
@@ -230,30 +377,23 @@ def moment_truncated(intensity: JumpIntensity, a: float, epsilon: float, x=None)
     This is the exact jump moment of the epsilon-truncated simulation and
     drives the bias-corrected Monte Carlo centerings.
     """
-    if epsilon <= 0:
-        return moment_general(intensity, a, x)
     full = moment_general(intensity, a, x)
-    if isinstance(intensity, GeneralizedGamma):
-        return full * float(special.gammaincc(a - intensity.sigma, intensity.gamma * epsilon))
-    if not is_homogeneous(intensity) and x is None:
-        raise ValueError("non-homogeneous intensity needs x")
-    p = _profile_value(intensity, 0.0 if x is None else x)
-    if isinstance(intensity, ExtendedGamma):
-        return full * float(special.gammaincc(a, p * epsilon))
-    if epsilon >= 1.0:
-        return 0.0
-    return full * float(1.0 - special.betainc(a, p, epsilon))
+    if epsilon <= 0:
+        return full
+    if epsilon >= intensity.ceiling:
+        return 0.0 * full
+    return _scalar_or_array(full * intensity.above(a, epsilon, _param(intensity, x)))
 
 
 def jump_moment(intensity: JumpIntensity, a: float, x, epsilon: float = 0.0):
     """Full (epsilon = 0) or epsilon-truncated jump moment of order a at
     the location(s) x, shaped like x.  A homogeneous family's moment does
     not depend on x: it is computed once and broadcast."""
-    if is_homogeneous(intensity):
+    if intensity.homogeneous:
         c = moment_truncated(intensity, a, epsilon)
         return np.full(np.shape(x), c) if np.ndim(x) else c
     val = moment_truncated(intensity, a, epsilon, x)
-    return np.asarray(val, dtype=float) if np.ndim(x) else val
+    return np.reshape(val, np.shape(x)) if np.ndim(x) else val
 
 
 def mean_below(intensity: JumpIntensity, epsilon: float, x=None) -> float:
@@ -265,53 +405,7 @@ def mean_below(intensity: JumpIntensity, epsilon: float, x=None) -> float:
 
 def jump_density(intensity: JumpIntensity, v, x=None):
     """Levy density rho(v|x) (with respect to dv)."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(intensity, GeneralizedGamma):
-        s, g = intensity.sigma, intensity.gamma
-        return np.where(v > 0, np.exp(-g * v) * v ** (-1.0 - s) / math.gamma(1.0 - s), 0.0)
-    if not is_homogeneous(intensity) and x is None:
-        raise ValueError("non-homogeneous intensity needs x")
-    p = _profile_value(intensity, 0.0 if x is None else x)
-    if isinstance(intensity, ExtendedGamma):
-        return np.where(v > 0, np.exp(-p * v) / np.where(v > 0, v, 1.0), 0.0)
-    inside = (v > 0) & (v < 1)
-    vsafe = np.where(inside, v, 0.5)
-    return np.where(inside, p * np.exp(special.xlog1py(p - 1.0, -vsafe)) / vsafe, 0.0)
-
-
-_BETA_SERIES_TERMS = 80
-_GL128 = np.polynomial.legendre.leggauss(128)
-
-
-def _beta_tail_const(c: float, v: np.ndarray) -> np.ndarray:
-    # int_v^1 c (1-u)^{c-1} / u du, vectorized and accurate to ~1e-14.
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    live = (v > 0) & (v < 1)
-    if not np.any(live):
-        return out
-    vv = v[live]
-    # upper piece on [max(v, 1/2), 1): geometric series of int z^{c-1+k} dz
-    m = np.maximum(vv, 0.5)
-    z = 1.0 - m
-    upper = np.zeros_like(vv)
-    zpow = z ** c
-    for k in range(_BETA_SERIES_TERMS):
-        upper += c * zpow / (c + k)
-        zpow *= z
-    # lower piece on [v, 1/2) in log coordinates: int c (1-e^y)^{c-1} dy
-    need = vv < 0.5
-    lower = np.zeros_like(vv)
-    if np.any(need):
-        y0 = np.log(vv[need])
-        y1 = math.log(0.5)
-        nodes, wts = _GL128
-        half = 0.5 * (y1 - y0)
-        ys = half[:, None] * nodes[None, :] + (0.5 * (y0 + y1))[:, None]
-        integ = c * np.exp(special.xlog1py(c - 1.0, -np.exp(ys)))
-        lower[need] = half * np.sum(wts[None, :] * integ, axis=1)
-    out[live] = upper + lower
-    return out
+    return intensity.density(np.asarray(v, dtype=float), _param(intensity, x))
 
 
 def tail_mass(intensity: JumpIntensity, v, x=None):
@@ -320,21 +414,7 @@ def tail_mass(intensity: JumpIntensity, v, x=None):
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr <= 0):
         raise ValueError("tail_mass requires v > 0")
-    if isinstance(intensity, GeneralizedGamma):
-        s, g = intensity.sigma, intensity.gamma
-        z = g * v_arr
-        # Gamma(-s, z) through the recurrence Gamma(-s,z) = (z^-s e^-z - Gamma(1-s,z))/s
-        upper = z ** (-s) * np.exp(-z) - math.gamma(1.0 - s) * special.gammaincc(1.0 - s, z)
-        out = (g ** s / math.gamma(1.0 - s)) * upper / s
-        out = np.maximum(out, 0.0)
-    else:
-        if not is_homogeneous(intensity) and x is None:
-            raise ValueError("non-homogeneous intensity needs x")
-        p = float(_profile_value(intensity, 0.0 if x is None else x))
-        if isinstance(intensity, ExtendedGamma):
-            out = special.exp1(p * v_arr)
-        else:
-            out = _beta_tail_const(p, v_arr)
+    out = intensity.tail(v_arr, _param(intensity, x))
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -394,23 +474,17 @@ def _check_window(window) -> tuple:
     return lo, hi
 
 
-def _jump_ceiling(intensity: JumpIntensity) -> float:
-    return 1.0 if isinstance(intensity, Beta) else math.inf
-
-
 @lru_cache(maxsize=64)
 def _inverse_tail_table(intensity: JumpIntensity, rate: float, epsilon: float):
     """Cached monotone-cubic interpolant of a log jump coordinate against
     log N(v) = log(rate * tail_mass(v)), for inverse-tail sampling.
 
-    The coordinate is log v for the unbounded families and log(1 - v)
-    for the beta family, whose tail flattens only in 1 - v near the
-    jump ceiling.
+    The coordinate is log v for the unbounded families and logit v for
+    the beta family, whose tail flattens only in 1 - v near the jump
+    ceiling 1.
     """
     from scipy.interpolate import PchipInterpolator
-    if isinstance(intensity, Beta):
-        if epsilon >= 1.0:
-            return None
+    if math.isfinite(intensity.ceiling):
         # logit coordinate resolves both the v -> 0 and v -> 1 regimes
         lo_side = np.geomspace(epsilon, 0.5, 4096)
         hi_side = 1.0 - np.geomspace(1e-13, 0.5, 4096)[::-1]
@@ -446,14 +520,14 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
     table = _inverse_tail_table(intensity, rate, epsilon)
     interp, lo, hi = table
     coord = np.clip(interp(np.log(gammas)), lo, hi)
-    beta = isinstance(intensity, Beta)
-    to_v = special.expit if beta else np.exp
-    for _ in range(2 if beta else 1):
+    bounded = math.isfinite(intensity.ceiling)
+    to_v = special.expit if bounded else np.exp
+    for _ in range(2 if bounded else 1):
         v = to_v(coord)
         nv = rate * tail_mass(intensity, v)
         dens = rate * jump_density(intensity, v)
         # d log N / d coord: -v rho / N in log v, -v(1-v) rho / N in logit v
-        dv_dcoord = v * (1.0 - v) if beta else v
+        dv_dcoord = v * (1.0 - v) if bounded else v
         slope = -dv_dcoord * dens / nv
         step = (np.log(nv) - np.log(gammas)) / slope
         coord = np.clip(coord - np.clip(step, -1.0, 1.0), lo, hi)
@@ -465,7 +539,7 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     """Ferguson-Klass series for a homogeneous intensity scaled by `rate`:
     unit-rate Poisson arrivals inverted through v -> rate*tail_mass(v),
     stopped at the first jump below epsilon."""
-    n_eps = rate * tail_mass(intensity, epsilon) if epsilon < _jump_ceiling(intensity) else 0.0
+    n_eps = rate * tail_mass(intensity, epsilon) if epsilon < intensity.ceiling else 0.0
     if n_eps <= 0.0:
         return np.empty(0)
     chunks = []
@@ -481,6 +555,33 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     return _invert_tail(intensity, rate, epsilon, gammas)
 
 
+def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
+            seed: Optional[int], thin: bool) -> CrmSample:
+    lo, hi = _check_window(window)
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be > 0")
+    if thin:
+        env, rate_mult, accept, env_label = _envelope(intensity, lo, hi)
+    elif intensity.homogeneous:
+        env, rate_mult, env_label = intensity, 1.0, ""
+    else:
+        raise ValueError(
+            f"{intensity.label()} is non-homogeneous; use sample_nonhomogeneous")
+    jumps = _fk_jumps(env, (hi - lo) * rate_mult, epsilon, rng)
+    locations = rng.uniform(lo, hi, size=jumps.size)
+    if thin:
+        keep = rng.uniform(size=jumps.size) < accept(jumps, locations)
+        jumps, locations = jumps[keep], locations[keep]
+    # deficit of the *target* intensity, integrated over the window
+    if intensity.homogeneous:
+        deficit = (hi - lo) * mean_below(intensity, epsilon)
+    else:
+        deficit = quad_breaks(lambda x: mean_below(intensity, epsilon, x),
+                              lo, hi, rel_tol=1e-10)
+    return CrmSample(jumps, locations, (lo, hi), epsilon, deficit,
+                     seed=seed, envelope=env_label)
+
+
 def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,
                        rng: np.random.Generator, seed: Optional[int] = None) -> CrmSample:
     """Exact-above-epsilon Ferguson-Klass sample of a homogeneous CRM.
@@ -488,51 +589,16 @@ def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,
     Jumps come out non-increasing; locations are uniform on the window;
     mean_deficit = |window| * int_0^epsilon v rho(dv).
     """
-    lo, hi = _check_window(window)
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be > 0")
-    if not is_homogeneous(intensity):
-        raise ValueError(
-            f"{intensity.label()} is non-homogeneous; use sample_nonhomogeneous")
-    measure = hi - lo
-    jumps = _fk_jumps(intensity, measure, epsilon, rng)
-    locations = rng.uniform(lo, hi, size=jumps.size)
-    deficit = measure * mean_below(intensity, epsilon)
-    return CrmSample(jumps, locations, (lo, hi), epsilon, deficit, seed=seed)
+    return _sample(intensity, window, epsilon, rng, seed, thin=False)
 
 
 def _envelope(intensity: JumpIntensity, lo: float, hi: float):
     """Tightest constant-parameter envelope of the same family on the window.
 
     Returns (homogeneous envelope intensity, rate multiplier, acceptance
-    probability function of (v, x)).
+    probability function of (v, x), envelope label).
     """
-    if isinstance(intensity, ExtendedGamma):
-        L = intensity.beta_fn.inf_on(lo, hi)
-        if L <= 0:
-            raise ValueError("envelope infimum must be > 0 on the window")
-        fn = intensity.beta_fn
-
-        def accept(v, x):
-            return np.exp(-(fn(x) - L) * v)
-
-        return ExtendedGamma(Constant(L)), 1.0, accept, f"extended_gamma(constant({L:g}))"
-    if isinstance(intensity, Beta):
-        c_min = intensity.c_fn.inf_on(lo, hi)
-        c_max = intensity.c_fn.sup_on(lo, hi)
-        if c_min < 1.0:
-            raise EnvelopeError(
-                f"beta thinning needs inf c >= 1 on the window; got inf c = {c_min:g} "
-                f"for {intensity.c_fn.label()} on [{lo:g},{hi:g}]")
-        fn = intensity.c_fn
-
-        def accept(v, x):
-            c = fn(x)
-            return (c / c_max) * np.exp(special.xlog1py(c - c_min, -v))
-
-        return Beta(Constant(c_min)), c_max / c_min, accept, \
-            f"beta(constant({c_min:g}))*{c_max / c_min:g}"
-    raise ValueError("generalized gamma is homogeneous; use sample_homogeneous")
+    return intensity.envelope(lo, hi)
 
 
 def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
@@ -544,26 +610,4 @@ def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
     atom (v, x) is accepted with probability rho(v|x)/rho_env(v), which is
     exp(-(beta(x)-L)v) resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.
     """
-    lo, hi = _check_window(window)
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be > 0")
-    if isinstance(intensity, GeneralizedGamma):
-        raise ValueError("generalized gamma is homogeneous; use sample_homogeneous")
-    env_intensity, rate_mult, accept, env_label = _envelope(intensity, lo, hi)
-    measure = (hi - lo) * rate_mult
-    jumps = _fk_jumps(env_intensity, measure, epsilon, rng)
-    locations = rng.uniform(lo, hi, size=jumps.size)
-    u = rng.uniform(size=jumps.size)
-    p = accept(jumps, locations) if jumps.size else np.empty(0)
-    keep = u < p
-    jumps, locations = jumps[keep], locations[keep]
-    # deficit of the *target* intensity, integrated over the window
-    if is_homogeneous(intensity):
-        deficit = (hi - lo) * mean_below(intensity, epsilon)
-    else:
-        from ._numeric import quad_breaks
-        deficit = quad_breaks(
-            lambda x: np.vectorize(lambda xx: mean_below(intensity, epsilon, xx))(x),
-            lo, hi, rel_tol=1e-10)
-    return CrmSample(jumps, locations, (lo, hi), epsilon, deficit,
-                     seed=seed, envelope=env_label)
+    return _sample(intensity, window, epsilon, rng, seed, thin=True)

@@ -353,19 +353,21 @@ def location_window(kernel: Kernel, T: float) -> tuple:
     return kernel.window(_check_T(T))
 
 
-def mean_hazard(kernel: Kernel, intensity: crm.JumpIntensity, t: float) -> float:
-    """E[h(t)] = int K_rho^(1)(x) k(t,x) dx.
+def mean_hazard(kernel: Kernel, intensity: crm.JumpIntensity, t: float,
+                epsilon: float = 0.0) -> float:
+    """E[h(t)] = int K_rho^(1)(x) k(t,x) dx, with the epsilon-truncated
+    first moment when epsilon > 0.
 
     Closed form (first moment times slice mass) for homogeneous
     intensities, quadrature over the slice support otherwise.
     """
     t = float(t)
     if crm.is_homogeneous(intensity):
-        return crm.moment(intensity, 1) * kernel.slice_mass(t)
+        return crm.moment_truncated(intensity, 1.0, epsilon) * kernel.slice_mass(t)
     lo, hi = kernel.slice_support(t)
     if hi <= lo:
         return 0.0
-    f = lambda x: crm.jump_moment(intensity, 1.0, x) * eval_kernel(kernel, t, x)
+    f = lambda x: crm.jump_moment(intensity, 1.0, x, epsilon) * eval_kernel(kernel, t, x)
     return quad_breaks(f, lo, hi, rel_tol=1e-9)
 
 

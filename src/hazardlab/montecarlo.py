@@ -23,6 +23,7 @@ from . import crm, kernels
 from ._numeric import comp_sum, quad_breaks
 from .asymptotics import (Functional, MonteCarloMean, RegimeSpec, Unsupported,
                           regime)
+from .conditions import I_moments
 
 __all__ = [
     "ExperimentConfig", "CltReport", "TruncationBudgetError",
@@ -245,15 +246,8 @@ def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> flo
         mean_part = k1 ** 2 * quad_breaks(lambda t: kernel.slice_mass(t) ** 2, 0.0, T,
                                           kernel.slice_kinks, rel_tol=1e-11)
     else:
-        def m_of_t(t):
-            lo_s, hi_s = kernel.slice_support(t)
-            if hi_s <= lo_s:
-                return 0.0
-            return quad_breaks(
-                lambda x: crm.jump_moment(intensity, 1.0, x, eps)
-                * kernels.eval_kernel(kernel, t, x),
-                lo_s, hi_s, rel_tol=1e-9)
-        mean_part = quad_breaks(lambda t: m_of_t(t) ** 2, 0.0, T, rel_tol=1e-8)
+        mean_part = quad_breaks(lambda t: kernels.mean_hazard(kernel, intensity, t, eps) ** 2,
+                                0.0, T, rel_tol=1e-8)
 
     second_part = quad_breaks(
         lambda x: crm.jump_moment(intensity, 2.0, float(x), eps)
@@ -262,14 +256,9 @@ def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> flo
     return (mean_part + second_part) / T
 
 
-def _I1_quadrature(config: ExperimentConfig, truncated: bool) -> float:
-    kernel, intensity, T = config.kernel, config.intensity, config.horizon
-    eps = config.epsilon if truncated else 0.0
-    lo, hi = kernels.location_window(kernel, T)
-    return quad_breaks(
-        lambda x: crm.jump_moment(intensity, 1.0, float(x), eps)
-        * kernels.K_T(kernel, T, float(x)),
-        lo, hi, rel_tol=1e-11)
+def _I1(config: ExperimentConfig, truncated: bool) -> float:
+    return I_moments(config.kernel, config.intensity, config.horizon, 1,
+                     config.epsilon if truncated else 0.0)
 
 
 def _exact_center(config: ExperimentConfig, truncated: bool) -> float:
@@ -278,11 +267,11 @@ def _exact_center(config: ExperimentConfig, truncated: bool) -> float:
     simulated statistic)."""
     F = config.functional
     if F is Functional.CUMULATIVE_HAZARD:
-        return _I1_quadrature(config, truncated)
+        return _I1(config, truncated)
     mean_sq = _mean_sq_hazard_quadrature(config, truncated)
     if F is Functional.PATH_SECOND_MOMENT:
         return mean_sq
-    i1 = _I1_quadrature(config, truncated)
+    i1 = _I1(config, truncated)
     return mean_sq - (i1 / config.horizon) ** 2
 
 
@@ -292,7 +281,7 @@ def _centering(config: ExperimentConfig, spec: RegimeSpec) -> float:
     mean in quadrature mode."""
     if config.centering_mode == CENTERING_CATALOG:
         if isinstance(spec.centering, MonteCarloMean):
-            return _I1_quadrature(config, truncated=False)
+            return _I1(config, truncated=False)
         return spec.centering(config.horizon)
     return _exact_center(config, truncated=True)
 

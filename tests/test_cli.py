@@ -203,5 +203,52 @@ def test_non_positive_kernel_parameter_cites_the_key(ktype, key):
         text = SIMULATE.replace("type = ornstein_uhlenbeck\nkappa = 1.0",
                                 f"type = {ktype}\n{key} = {value}")
         with pytest.raises(cli.ConfigError,
-                           match=rf"^line \d+: line \d+: kernel\.{key}={value} violates {key} > 0$"):
+                           match=rf"^line \d+: kernel\.{key}={value} violates {key} > 0$"):
             cli.parse_config(text)
+
+
+@pytest.mark.parametrize("crm_text, key, rule", [
+    ("family = generalized_gamma\nsigma = {}\ngamma = 1.0", "sigma", r"sigma in \(0,1\)"),
+    ("family = generalized_gamma\nsigma = 0.5\ngamma = {}", "gamma", "gamma > 0"),
+    ("family = extended_gamma\nfn = constant\nvalue = {}", "value", "value > 0"),
+    ("family = beta\nfn = affine_sqrt\na = {}\nb = 1.0", "a",
+     r"a > 0 \(value 0 at x=0 otherwise\)"),
+    ("family = extended_gamma\nfn = indicator_sqrt\nb = {}", "b", "b > 0"),
+], ids=["sigma", "gamma", "value", "a", "b"])
+def test_out_of_range_crm_parameter_cites_the_key(crm_text, key, rule):
+    for value in ("0", "-2.5"):
+        text = SIMULATE.replace("family = extended_gamma\nfn = constant\nvalue = 1.0",
+                                crm_text.format(value))
+        with pytest.raises(cli.ConfigError,
+                           match=rf"^line \d+: crm\.{key}={value} violates {rule}$"):
+            cli.parse_config(text)
+
+
+def test_keys_the_chosen_type_does_not_use_are_rejected():
+    # (replaced text, replacement, unused line, key, what it is not used by)
+    cases = [("type = ornstein_uhlenbeck\nkappa = 1.0", "type = dykstra_laud\ntau = -1\nkappa = 3",
+              "tau = -1", "kernel.tau", "dykstra_laud"),
+             ("value = 1.0", "value = 1.0\nb = 2",
+              "b = 2", "crm.b", r"extended_gamma\(constant\(1\)\)"),
+             ("family = extended_gamma\nfn = constant\nvalue = 1.0",
+              "family = generalized_gamma\nsigma = 0.5\ngamma = 1\nfn = constant",
+              "fn = constant", "crm.fn", r"generalized_gamma\(sigma=0.5,gamma=1\)")]
+    for old, new, unused, key, owner in cases:
+        text = SIMULATE.replace(old, new)
+        lineno = text.splitlines().index(unused) + 1
+        with pytest.raises(cli.ConfigError,
+                           match=rf"^line {lineno}: {key} is not used by {owner}$"):
+            cli.parse_config(text)
+
+
+@pytest.mark.parametrize("intensity", [
+    crm.GeneralizedGamma(0.3, 2.5),
+    *(family(fn) for family in (crm.ExtendedGamma, crm.Beta)
+      for fn in (crm.Constant(1.0 / 3.0), crm.AffineSqrt(0.7, 1.9), crm.IndicatorSqrt(2.25))),
+], ids=lambda i: i.label())
+def test_intensity_render_parse_round_trip(intensity):
+    cfg = cli.parse_config(SIMULATE)
+    cfg.intensity = intensity
+    again = cli.parse_config(cli.render_config(cfg))
+    assert again == cfg
+    assert type(again.intensity) is type(intensity)

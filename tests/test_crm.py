@@ -73,6 +73,21 @@ def test_truncated_moments():
             == pytest.approx(total, rel=1e-12)
 
 
+@pytest.mark.parametrize("intensity", [
+    family(fn) for family in (crm.ExtendedGamma, crm.Beta)
+    for fn in (crm.AffineSqrt(0.8, 1.3), crm.IndicatorSqrt(2.0))], ids=lambda i: i.label())
+def test_jump_moment_on_an_array_of_locations(intensity):
+    # one call on an array of locations equals the per-location loop, also
+    # for truncated moments and for beta's full truncation (epsilon >= 1)
+    x = np.array([[0.0, 0.4, 2.0], [2.5, 7.0, 30.0]])
+    for a in (1.0, 2.0, 3.5):
+        for eps in (0.0, 1e-6, 0.05, 0.7, 1.0):
+            got = crm.jump_moment(intensity, a, x, eps)
+            loop = [crm.jump_moment(intensity, a, float(xi), eps) for xi in x.ravel()]
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got.ravel(), loop, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # tail mass
 # ---------------------------------------------------------------------------
