@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
@@ -94,6 +95,8 @@ def _as_float(value, lineno, key, cond=None, describe=""):
         x = float(value)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
     if cond is not None and not cond(x):
         raise ConfigError(f"line {lineno}: {key}={value} violates {describe}")
     return x
@@ -259,6 +262,8 @@ def parse_config(text: str) -> RunConfig:
             grid = tuple(float(p) for p in value.split(","))
         except ValueError:
             raise ConfigError(f"line {lineno}: t_grid must be comma-separated numbers")
+        if not all(math.isfinite(t) and t > 0 for t in grid):
+            raise ConfigError(f"line {lineno}: t_grid horizons must be finite and > 0")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"line {lineno}: t_grid must be >= 4 increasing horizons")
         cfg.t_grid = grid

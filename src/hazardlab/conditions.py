@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from . import crm, kernels
-from ._numeric import gauss_legendre_panels, quad_breaks
+from ._numeric import quad_breaks
 from .asymptotics import (NotCatalogedError, Power, PowerLog, RateFunction,
                           regime_cumhaz)
 
@@ -162,17 +162,18 @@ class _Grid:
     weighted kernel matrix Q_T(x_i, x_j); all bivariate norms reduce to
     quadratic forms in it.
 
-    Kernels with split_rows (Ornstein-Uhlenbeck) get split panels for the
-    row integrals: placing the |x - y| kink on a panel edge makes them
-    machine-exact, where the tensor grid would carry ~1e-3 relative error
-    from kink-straddling panels."""
+    The Ornstein-Uhlenbeck kernel integrates its own rows
+    (OrnsteinUhlenbeck.row_integrals) with the |x - y| kink on a segment
+    edge, which makes them machine-exact where the tensor grid would carry
+    ~1e-3 relative error from kink-straddling panels."""
 
     def __init__(self, kernel, intensity, T, order: int = 8):
         self.kernel, self.intensity, self.T = kernel, intensity, T
-        edges = _panel_edges(kernel, T, not crm.is_homogeneous(intensity))
+        self.edges = _panel_edges(kernel, T, not crm.is_homogeneous(intensity))
         gl_nodes, gl_wts = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * np.diff(self.edges)
+        mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        # increasing: the panels are consecutive and the nodes interior
         self.x = (half[:, None] * gl_nodes[None, :] + mid[:, None]).ravel()
         self.w = (half[:, None] * gl_wts[None, :]).ravel()
         self.KT = kernels.K_T(kernel, T, self.x)
@@ -183,44 +184,22 @@ class _Grid:
     def mu(self, a: float) -> np.ndarray:
         return crm.jump_moment(self.intensity, a, self.x)
 
-    def _inner_split(self, x: float, f) -> float:
-        """integral over the window of f(y), with panels split at y = x so
-        the diagonal kink of Q(x, .) never lies inside a panel."""
-        lo, hi = kernels.location_window(self.kernel, self.T)
-        edges = self.kernel.panels(lo, hi, [x, self.T])
-        if not crm.is_homogeneous(self.intensity):
-            ladder = hi * 2.0 ** -np.arange(1.0, 42.0)
-            edges = np.unique(np.concatenate([edges, ladder[ladder > lo]]))
-        return gauss_legendre_panels(f, edges, order=12)
-
     def Q_matrix(self) -> sparse.csr_matrix:
+        """Q_T(x_i, x_j) for |x_i - x_j| within the kernel's band, from one
+        Q_T call on every pair in the band (Q_T is exactly symmetric)."""
         if self._Q is not None:
             return self._Q
-        x = self.x
-        n = x.size
-        if self.kernel.nested:
-            # nested kernels: dense but small n
-            dense = kernels.Q_T(self.kernel, self.T, x[:, None], x[None, :])
-            self._Q = sparse.csr_matrix(dense)
-            return self._Q
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        rows, cols, vals = [], [], []
-        hi_idx = np.searchsorted(xs, xs + self.kernel.band, side="right")
-        for i in range(n):
-            j = np.arange(i, hi_idx[i])
-            q = kernels.Q_T(self.kernel, self.T, xs[i], xs[j])
-            nz = q != 0.0
-            j = j[nz]; q = q[nz]
-            rows.append(np.full(j.size, i)); cols.append(j); vals.append(q)
-        rows = np.concatenate(rows); cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        upper = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        diag = sparse.diags(upper.diagonal())
-        full = (upper + upper.T - diag).tocsr()
-        # undo the sort so rows align with self.x
-        perm = sparse.coo_matrix((np.ones(n), (order, np.arange(n))), shape=(n, n)).tocsr()
-        self._Q = (perm @ full @ perm.T).tocsr()
+        x, n = self.x, self.x.size
+        reach = x + self.kernel.band
+        lo = np.searchsorted(reach, x, side="left")      # x_i <= x_j + band
+        hi = np.searchsorted(x, reach, side="right")     # x_j <= x_i + band
+        count = hi - lo
+        i = np.repeat(np.arange(n), count)
+        j = np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
+        q = kernels.Q_T(self.kernel, self.T, x[i], x[j])
+        nz = q != 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(i[nz], minlength=n))])
+        self._Q = sparse.csr_matrix((q[nz], j[nz], indptr), shape=(n, n))
         return self._Q
 
     # -- reduced quantities --------------------------------------------------
@@ -229,16 +208,13 @@ class _Grid:
         rows(1, 1) is J(x_i) = int mu_1(w) Q(x_i, w) dw."""
         key = (float(p), power)
         if key not in self._rows:
-            if self.kernel.split_rows:
-                mu_p = lambda y: crm.jump_moment(self.intensity, float(p), np.asarray(y))
-                self._rows[key] = np.array([
-                    self._inner_split(float(x), lambda y: mu_p(y)
-                                      * kernels.Q_T(self.kernel, self.T, float(x), y) ** power)
-                    for x in self.x])
-            else:
+            mu_p = lambda y: crm.jump_moment(self.intensity, float(p), y)
+            row = self.kernel.row_integrals(self.T, self.x, self.edges, mu_p, power)
+            if row is None:
                 Qp = self.Q_matrix().copy()
                 Qp.data = Qp.data ** power
-                self._rows[key] = np.asarray(Qp @ (self.w * self.mu(float(p)))).ravel()
+                row = np.asarray(Qp @ (self.w * self.mu(float(p)))).ravel()
+            self._rows[key] = row
         return self._rows[key]
 
     def qq(self, power: int) -> float:
@@ -247,12 +223,29 @@ class _Grid:
 
     def contraction_11_norm_sq(self) -> float:
         """|| k1 *_1^1 k1 ||^2_{L2(nu^2)} * T^4 (the T factors are applied
-        by the caller): intint mu2 mu2 G^2 with G = int mu2 Q Q."""
+        by the caller): intint mu2 mu2 G^2 with G = int mu2 Q Q, i.e.
+        ||A^2||_F^2 for A = diag(r) Q diag(r), r = sqrt(w mu2).
+
+        A vanishes beyond its index half-bandwidth, so in index blocks I_b
+        of m = half-bandwidth + 1 rows, A[I_b, I_c] = 0 unless |b - c| <= 1
+        and A^2[I_b, I_d] = sum_c A[I_b, I_c] A[I_c, I_d] unless
+        |b - d| > 2; A^2 is symmetric, so blocks d > b count twice."""
         Q = self.Q_matrix()
+        n = Q.shape[0]
+        i, j = np.repeat(np.arange(n), np.diff(Q.indptr)), Q.indices
         r = np.sqrt(self.w * self.mu(2.0))
-        A = sparse.diags(r) @ Q @ sparse.diags(r)
-        C = A @ A
-        return float(np.sum(C.data ** 2))
+        m = int(np.max(j - i)) + 1
+        nb = -(-n // m)
+        # B[b, t] = A[I_b, I_{b+t-1}]
+        B = np.zeros((nb, 3, m, m))
+        B[i // m, j // m - i // m + 1, i % m, j % m] = r[i] * Q.data * r[j]
+        total = 0.0
+        for b in range(nb):
+            for d in range(b, min(b + 3, nb)):
+                C = sum(B[b, c - b + 1] @ B[c, d - c + 1]
+                        for c in range(max(d - 1, 0), min(b + 2, nb)))
+                total += (1.0 if d == b else 2.0) * float(np.sum(C * C))
+        return total
 
     def contraction_21_norm_sq(self) -> float:
         """|| k1 *_2^1 k1 ||^2_{L2(nu)} * T^4: int mu4(x) H(x)^2 dx with

@@ -143,9 +143,10 @@ PositiveFunction = Union[Constant, AffineSqrt, IndicatorSqrt]
 
 class _Family:
     """Defaults for the family facts.  Every family also defines, at its
-    parameter p = param(x): moment(a, p) = int v^a rho(dv), the share
-    above(a, epsilon, p) of that moment carried by jumps above epsilon
-    (for epsilon below the ceiling), density(v, p) and tail(v, p) =
+    parameter p = param(x): moment(a, p) = int v^a rho(dv), the shares
+    above(a, epsilon, p) and below(a, epsilon, p) of that moment carried by
+    jumps above and below epsilon (each a regularised incomplete function,
+    so neither is 1 minus the other), density(v, p) and tail(v, p) =
     int_v^inf rho(du); and the thinning envelope(lo, hi) (see _envelope)
     and draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
     (homogeneous members only)."""
@@ -180,8 +181,8 @@ class GeneralizedGamma(_Family):
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0):
             raise ValueError(f"sigma must lie in (0,1), got {self.sigma}")
-        if not (self.gamma > 0):
-            raise ValueError(f"gamma must be > 0 (gamma = 0, the stable case, is excluded), got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite and > 0 (gamma = 0, the stable case, is excluded), got {self.gamma}")
 
     def label(self) -> str:
         return f"generalized_gamma(sigma={self.sigma:g},gamma={self.gamma:g})"
@@ -192,6 +193,9 @@ class GeneralizedGamma(_Family):
 
     def above(self, a, epsilon, p):
         return special.gammaincc(a - self.sigma, self.gamma * epsilon)
+
+    def below(self, a, epsilon, p):
+        return special.gammainc(a - self.sigma, self.gamma * epsilon)
 
     def density(self, v, p):
         s, g = self.sigma, self.gamma
@@ -228,6 +232,9 @@ class ExtendedGamma(_Profiled):
 
     def above(self, a, epsilon, p):
         return special.gammaincc(a, p * epsilon)
+
+    def below(self, a, epsilon, p):
+        return special.gammainc(a, p * epsilon)
 
     def density(self, v, p):
         return np.where(v > 0, np.exp(-p * v) / np.where(v > 0, v, 1.0), 0.0)
@@ -269,6 +276,9 @@ class Beta(_Profiled):
 
     def above(self, a, epsilon, p):
         return 1.0 - special.betainc(a, p, epsilon)
+
+    def below(self, a, epsilon, p):
+        return special.betainc(a, p, min(epsilon, 1.0))
 
     def density(self, v, p):
         inside = (v > 0) & (v < 1)
@@ -400,7 +410,8 @@ def mean_below(intensity: JumpIntensity, epsilon: float, x=None) -> float:
     """int_0^epsilon v rho(dv|x): the mean jump mass lost to truncation."""
     if epsilon <= 0:
         return 0.0
-    return moment_general(intensity, 1.0, x) - moment_truncated(intensity, 1.0, epsilon, x)
+    return _scalar_or_array(moment_general(intensity, 1.0, x)
+                            * intensity.below(1.0, epsilon, _param(intensity, x)))
 
 
 def jump_density(intensity: JumpIntensity, v, x=None):

@@ -13,6 +13,7 @@ carries its facts; the module functions are the validated entry points.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -20,7 +21,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import (block_bounds, comp_sum, compensated_prefix,
+from ._numeric import (_gl_rule, block_bounds, comp_sum, compensated_prefix,
                        integrate_piecewise_linear, quad_breaks)
 
 __all__ = [
@@ -37,12 +38,11 @@ class UnsupportedRegimeError(Exception):
 class _Family:
     """Defaults for the family facts.  Every family also defines value(t, x),
     K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
-    slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T), and
+    slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T) and
+    band (Q_T(x, y) = 0 once |x - y| > band), and
     pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x."""
     # the slices x -> k(t, x) are nested, so Q_T(x, y) = K_T(max(x, y))
     nested: ClassVar[bool] = False
-    # condition-grid rows of Q_T need panels split at the diagonal kink
-    split_rows: ClassVar[bool] = False
     # kinks of t -> slice_mass(t)
     slice_kinks: ClassVar[tuple] = ()
 
@@ -67,6 +67,11 @@ class _Family:
         f = lambda w: Q_T(self, T, x, w)
         return k1 * integrate_piecewise_linear(f, self.q_breaks(T, x)) / T
 
+    def row_integrals(self, T, x, edges, mu, power):
+        # int mu(y) Q_T(x_i, y)^power dy at the condition-grid nodes; None
+        # leaves them to the grid's banded Q matrix
+        return None
+
 
 class _Nested(_Family):
     """Kernels whose slices are nested: the joint support of two locations
@@ -79,6 +84,9 @@ class _Nested(_Family):
     def panel_step(self, T: float) -> float:
         lo, hi = self.window(T)
         return (hi - lo) / 64.0
+
+    # every pair of locations overlaps
+    band: ClassVar[float] = math.inf
 
     def pair_sum(self, J, x, T):
         # Q(x_i, x_j) = K_T(x_j) for x_i <= x_j: prefix mass of J
@@ -193,7 +201,6 @@ class DykstraLaud(_Nested):
 class OrnsteinUhlenbeck(_Family):
     """k(t,x) = sqrt(2 kappa) exp(-kappa (t-x)) 1{0 <= x <= t}."""
     kappa: float
-    split_rows = True
 
     def __post_init__(self):
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
@@ -236,17 +243,31 @@ class OrnsteinUhlenbeck(_Family):
     def band(self) -> float:
         return 30.0 / self.kappa          # e^{-30} ~ 1e-13 of the norm mass
 
-    def panels(self, lo: float, hi: float, centers) -> np.ndarray:
-        """Panel edges resolving the e^{-kappa |w - c|} decay scales around each
-        center; panel width 1/kappa out to 45/kappa, so Gauss-Legendre of
-        moderate order is exact to machine precision on every panel."""
-        k = self.kappa
-        edges = [lo, hi]
-        offsets = np.arange(0.0, 45.0 + 1e-9, 1.0) / k
-        for c in np.atleast_1d(centers):
-            edges.extend(np.clip(c + offsets, lo, hi))
-            edges.extend(np.clip(c - offsets, lo, hi))
-        return np.unique(edges)
+    def row_integrals(self, T, x, edges, mu, power):
+        """int_0^T mu(y) Q_T(x_i, y)^power dy at the increasing nodes x, for
+        mu smooth between the edges (which span [0, T]).
+
+        Q_T(x, y) = e^{-k|x-y|} g(max(x, y)) with g(z) = -expm1(-2k(T-z)),
+        so with m = power * k the row is g(x_i)^power L(x_i) + R(x_i), where
+        L(b) = int_0^b mu(y) e^{-m(b-y)} dy and
+        R(b) = int_b^T mu(y) g(y)^power e^{-m(y-b)} dy.  Both are carried
+        segment by segment over the breakpoints edges U x, with one
+        Gauss-Legendre rule per segment.  Every term is positive and every
+        carry factor is <= 1, so nothing cancels."""
+        k, m = self.kappa, power * self.kappa
+        b = np.union1d(edges, x)
+        nodes, wts = _gl_rule(12)
+        half = 0.5 * np.diff(b)[:, None]
+        y = half * nodes + 0.5 * (b[:-1] + b[1:])[:, None]
+        g = lambda z: -np.expm1(-2.0 * k * (T - z))
+        f = half * wts * mu(y)
+        into_left = np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1)
+        into_right = np.sum(f * g(y) ** power * np.exp(-m * (y - b[:-1, None])), axis=1)
+        decay = np.exp(-m * np.diff(b))
+        left = _carry(decay, into_left)
+        right = _carry(decay[::-1], into_right[::-1])[::-1]
+        at = np.searchsorted(b, x)
+        return g(x) ** power * left[at] + right[at]
 
     def pair_sum(self, J, x, T):
         # Q = e^{-k|xi-xj|} - e^{-k(2T-xi-xj)}; the first part is a carried
@@ -324,9 +345,16 @@ class UShaped(_Nested):
 Kernel = Union[Rectangular, DykstraLaud, OrnsteinUhlenbeck, UShaped]
 
 
+def _carry(decay, inflow) -> np.ndarray:
+    """c_0 = 0, c_{j+1} = c_j decay_j + inflow_j, for j = 0 .. len(decay)-1."""
+    steps = itertools.accumulate(zip(decay.tolist(), inflow.tolist()),
+                                 lambda c, di: c * di[0] + di[1], initial=0.0)
+    return np.fromiter(steps, dtype=float, count=decay.size + 1)
+
+
 def _check_T(T: float) -> float:
     if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"horizon T must be > 0, got {T}")
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
     return float(T)
 
 

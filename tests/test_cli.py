@@ -252,3 +252,31 @@ def test_intensity_render_parse_round_trip(intensity):
     again = cli.parse_config(cli.render_config(cfg))
     assert again == cfg
     assert type(again.intensity) is type(intensity)
+
+
+@pytest.mark.parametrize("grid", ["1, 2, 3, nan", "-4, 1, 2, 3", "0, 1, 2, 3",
+                                  "1, 2, 3, inf"])
+def test_t_grid_rejects_non_finite_and_non_positive_horizons(grid):
+    text = "[experiment]\nkind = check-conditions\nt_grid = " + grid + "\n"
+    with pytest.raises(cli.ConfigError,
+                       match=r"^line 3: t_grid horizons must be finite and > 0$"):
+        cli.parse_config(text)
+
+
+def test_horizon_check_names_finiteness():
+    with pytest.raises(ValueError, match="horizon T must be finite and > 0, got inf"):
+        kernels.K_T(kernels.DykstraLaud(), float("inf"), 1.0)
+
+
+def test_non_finite_gamma_fails_at_its_line(tmp_path, capsys):
+    text = ("[experiment]\nkind = check-conditions\n\n[kernel]\ntype = dykstra_laud\n\n"
+            "[crm]\nfamily = generalized_gamma\nsigma = 0.5\ngamma = inf\n")
+    lineno = text.splitlines().index("gamma = inf") + 1
+    with pytest.raises(cli.ConfigError,
+                       match=rf"^line {lineno}: crm\.gamma must be finite, got 'inf'$"):
+        cli.parse_config(text)
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(text)
+    assert cli.main(["check-conditions", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line {lineno}: crm.gamma must be finite, got 'inf'"]

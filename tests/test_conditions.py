@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hazardlab import asymptotics as asy
 from hazardlab import conditions as cond
@@ -137,6 +138,69 @@ def test_monte_carlo_norm_oracle_agreement():
             ref = analytic[name]
             assert abs(est - ref) <= 3.0 * se + 1e-4 * abs(ref), \
                 (kern.label(), intensity.label(), name, ref, est, se)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature-grid engine
+# ---------------------------------------------------------------------------
+
+def quad_row(kern, intensity, T, x, p, power):
+    """Adaptive-quadrature oracle for int mu_p(y) Q_T(x, y)^power dy, split
+    at the diagonal kink y = x."""
+    f = lambda y: crm.jump_moment(intensity, p, y) * kernels.Q_T(kern, T, x, y) ** power
+    return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in ((0.0, x), (x, T)))
+
+
+@pytest.mark.parametrize("intensity", [GG, crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7))],
+                         ids=lambda i: i.label())
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_ou_rows_match_split_quadrature(kappa, intensity):
+    kern, T = kernels.OrnsteinUhlenbeck(kappa), 20.0
+    g = cond._Grid(kern, intensity, T)
+    nodes = [0, g.x.size // 2, g.x.size - 1]       # nearest 0, the middle and T
+    for power in (1, 2, 4):
+        row = g.rows(power, power)
+        for i in nodes:
+            assert row[i] == pytest.approx(
+                quad_row(kern, intensity, T, g.x[i], power, power), rel=1e-11, abs=0), \
+                (power, g.x[i])
+
+
+ALL_KERNELS = [(kernels.Rectangular(0.5), 20.0), (kernels.OrnsteinUhlenbeck(1.0), 45.0),
+               (kernels.OrnsteinUhlenbeck(2.5), 40.0), (kernels.DykstraLaud(), 10.0),
+               (kernels.UShaped(2.0), 10.0)]
+
+
+def _case_id(value):
+    return value.label() if hasattr(value, "label") else f"T={value:g}"
+
+
+@pytest.mark.parametrize("kern, T", ALL_KERNELS, ids=_case_id)
+def test_Q_matrix_is_the_dense_kernel_on_the_band(kern, T):
+    g = cond._Grid(kern, GG, T)
+    x = g.x
+    dense = kernels.Q_T(kern, T, x[:, None], x[None, :])
+    band = (x[None, :] <= x[:, None] + kern.band) & (x[:, None] <= x[None, :] + kern.band)
+    assert np.array_equal(g.Q_matrix().toarray(), np.where(band, dense, 0.0))
+
+
+@pytest.mark.parametrize("kern, T", ALL_KERNELS, ids=_case_id)
+def test_contraction_11_equals_dense_square(kern, T):
+    g = cond._Grid(kern, GG, T)
+    r = np.sqrt(g.w * g.mu(2.0))
+    A = r[:, None] * g.Q_matrix().toarray() * r[None, :]
+    assert g.contraction_11_norm_sq() == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("intensity", [GG, EG1], ids=lambda i: i.label())
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_ou_first_row_is_kT3(kappa, intensity):
+    # J(x) / T = int mu_1(w) Q_T(x, w) dw / T is kT3's closed form
+    kern, T = kernels.OrnsteinUhlenbeck(kappa), 30.0
+    g = cond._Grid(kern, intensity, T)
+    kT3 = [kernels.kT3(kern, intensity, T, x) for x in g.x]
+    np.testing.assert_allclose(g.rows(1, 1) / T, kT3, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

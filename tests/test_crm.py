@@ -56,6 +56,28 @@ def test_intensity_validation():
         crm.Constant(-1.0)
 
 
+def test_generalized_gamma_rejects_non_finite_gamma():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            crm.GeneralizedGamma(0.5, bad)
+
+
+def test_mean_below_is_the_lower_incomplete_share():
+    # int_0^eps v rho(dv|x) in closed form: beta 1 - (1 - eps)^c,
+    # extended gamma (1 - e^{-beta eps}) / beta; the difference of the full
+    # and the truncated moment would lose ~1e-9 of it at eps = 1e-9
+    x = 3.0
+    level = 1.0 + 0.7 * math.sqrt(x)
+    for eps in (1e-9, 1e-6, 1e-3, 0.5):
+        assert crm.mean_below(crm.Beta(crm.AffineSqrt(1.0, 0.7)), eps, x) \
+            == pytest.approx(-math.expm1(level * math.log1p(-eps)), rel=1e-14, abs=0)
+        assert crm.mean_below(crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7)), eps, x) \
+            == pytest.approx(-math.expm1(-level * eps) / level, rel=1e-14, abs=0)
+    # every jump of a beta CRM lies below a truncation level >= 1
+    assert crm.mean_below(crm.Beta(crm.Constant(2.0)), 1.5) \
+        == crm.moment(crm.Beta(crm.Constant(2.0)), 1)
+
+
 def test_truncated_moments():
     rng = seeded(102)
     for _ in range(12):

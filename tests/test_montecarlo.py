@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from hazardlab import crm, kernels
 from hazardlab import montecarlo as mc
@@ -367,3 +368,17 @@ def test_csv_and_json_reports():
     assert len(lines) == 101
     blob = rep.to_json()
     assert '"variance_ratio"' in blob and '"truncation_budget_ok"' in blob
+
+
+def test_run_clt_deficit_quadrature_is_clean_at_small_epsilon():
+    # the non-homogeneous truncation deficit integrates mean_below over the
+    # window; QUADPACK flags roundoff at eps = 1e-9 unless mean_below is
+    # smooth to machine precision
+    config = mc.ExperimentConfig(kernels.Rectangular(1.0),
+                                 crm.Beta(crm.AffineSqrt(1.0, 0.7)),
+                                 Functional.CUMULATIVE_HAZARD, 30.0, replicates=100,
+                                 seed=5, epsilon=1e-9, centering_mode=mc.CENTERING_CATALOG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        report = mc.run_clt(config, workers=1)
+    assert len(report.values) == 100
