@@ -7,10 +7,17 @@ engine; pairs outside it raise NotCatalogedError (linear functional) or
 return Unsupported (quadratic functionals, where monotone-type kernels
 genuinely fail the required negligibility conditions).
 
-The quadratic-functional variances are assembled from the symmetric-
-kernel norms, i.e. with the full product-space L2 norm of the bivariate
-kernel and the location integral of Q_T(x, .) taken over the whole
-window.  Each constant is pinned by quadrature and Monte Carlo tests.
+For a stationary kernel k(t, x) = phi(t - x) every constant is a
+stationary-bulk integral with the jump moments K_i plugged in: the
+kernel's bulk facts (m, r0, r2) = (int phi, int phi^2, int rho^2), rho
+the autocorrelation of phi, give sigma0^2 = m^2 K2, and the quadratic
+functionals' shot-noise covariances sigma1^2 = 2 K2^2 r2,
+sigma2^2 = K4 r0^2 + 4 K3 K1 r0 m^2 + 4 K2 K1^2 m^4 and
+sigma3^2 = K4 r0^2 (symmetric-kernel norms: the full product-space L2
+norm of the bivariate kernel, the location integral of Q_T(x, .) over the
+whole window).  The nested kernels and the non-homogeneous worked cases
+carry their own constants.  Each is pinned by quadrature and Monte Carlo
+tests.
 """
 from __future__ import annotations
 
@@ -146,52 +153,36 @@ def regime_cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> Regim
     F = Functional.CUMULATIVE_HAZARD
     if crm.is_homogeneous(intensity):
         k1, k2 = crm.moment(intensity, 1), crm.moment(intensity, 2)
-        if isinstance(kernel, kernels.Rectangular):
-            tau = kernel.tau
-            var = 4.0 * k2 * tau ** 2
-            return RegimeSpec(F, Power(-0.5), PowerTrend(2.0 * tau * k1, 1.0), var, sigma0_sq=var)
-        if isinstance(kernel, kernels.DykstraLaud):
+        if kernel.nested:
             var = k2 / 3.0
             return RegimeSpec(F, Power(-1.5), PowerTrend(0.5 * k1, 2.0), var, sigma0_sq=var)
-        if isinstance(kernel, kernels.OrnsteinUhlenbeck):
-            kap = kernel.kappa
-            var = 2.0 * k2 / kap
-            return RegimeSpec(F, Power(-0.5), PowerTrend(k1 * math.sqrt(2.0 / kap), 1.0),
-                              var, sigma0_sq=var)
-        if isinstance(kernel, kernels.UShaped):
-            var = k2 / 3.0
-            return RegimeSpec(F, Power(-1.5), PowerTrend(0.5 * k1, 2.0), var, sigma0_sq=var)
-        raise NotCatalogedError(f"no cumulative-hazard regime for {kernel.label()}")
+        m = kernel.bulk[0]
+        var = m ** 2 * k2
+        return RegimeSpec(F, Power(-0.5), PowerTrend(m * k1, 1.0), var, sigma0_sq=var)
     # non-homogeneous worked cases: sqrt-growth profiles with DL / rectangular
-    if isinstance(intensity, crm.ExtendedGamma):
-        b = intensity.beta_fn.sqrt_slope
-        if b is not None:
-            if isinstance(kernel, kernels.DykstraLaud):
-                var = 1.0 / b ** 2      # K2(x) ~ 1/(b^2 x), I2 ~ var * T^2 log T
-                return RegimeSpec(F, PowerLog(-1.0, -0.5), MonteCarloMean(), var, sigma0_sq=var)
-            if isinstance(kernel, kernels.Rectangular):
-                var = 4.0 * kernel.tau ** 2 / b ** 2
-                return RegimeSpec(F, PowerLog(0.0, -0.5), MonteCarloMean(), var, sigma0_sq=var)
-    if isinstance(intensity, crm.Beta):
-        b = intensity.c_fn.sqrt_slope
-        if b is not None:
-            # first jump moment is exactly 1 at every location for the beta family
-            if isinstance(kernel, kernels.DykstraLaud):
-                var = 16.0 / (15.0 * b)
-                return RegimeSpec(F, Power(-1.25), PowerTrend(0.5, 2.0), var, sigma0_sq=var)
-            if isinstance(kernel, kernels.Rectangular):
-                tau = kernel.tau
-                var = 8.0 * tau ** 2 / b
-                return RegimeSpec(F, Power(-0.25), PowerTrend(2.0 * tau, 1.0), var, sigma0_sq=var)
+    b = intensity.profile.sqrt_slope
+    if b is not None and isinstance(kernel, (kernels.DykstraLaud, kernels.Rectangular)):
+        # extended gamma: K2(x) ~ 1/(b^2 x), so I2 ~ var * T^2 log T (Dykstra-
+        # Laud) or var * log T (rectangular); beta: the first jump moment is
+        # exactly 1 at every location
+        extended = isinstance(intensity, crm.ExtendedGamma)
+        if kernel.nested:
+            rate, centering, var = ((PowerLog(-1.0, -0.5), MonteCarloMean(), 1.0 / b ** 2)
+                                    if extended else
+                                    (Power(-1.25), PowerTrend(0.5, 2.0), 16.0 / (15.0 * b)))
+        else:
+            m = kernel.bulk[0]
+            rate, centering, var = ((PowerLog(0.0, -0.5), MonteCarloMean(), m ** 2 / b ** 2)
+                                    if extended else
+                                    (Power(-0.25), PowerTrend(m, 1.0), 2.0 * m ** 2 / b))
+        return RegimeSpec(F, rate, centering, var, sigma0_sq=var)
     raise NotCatalogedError(
         f"no cumulative-hazard regime cataloged for ({kernel.label()}, {intensity.label()}); "
         "the numeric condition checker can still be run")
 
 
-def regime_path2nd(kernel: kernels.Kernel,
-                   intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
-    """sqrt(T) * [path-second-moment - centering] -> N(0, sigma1^2 + sigma2^2)."""
-    F = Functional.PATH_SECOND_MOMENT
+def _regime_quadratic(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
+                      F: Functional) -> Union[RegimeSpec, Unsupported]:
     if kernel.nested:
         return Unsupported(_MONOTONE_REASON)
     if not crm.is_homogeneous(intensity):
@@ -199,54 +190,34 @@ def regime_path2nd(kernel: kernels.Kernel,
             "non-homogeneous intensity: the limiting variance depends on the whole "
             "profile; bracket with constant-parameter envelopes or run check-conditions")
     k1, k2, k3, k4 = _moments(intensity)
-    if isinstance(kernel, kernels.Rectangular):
-        tau = kernel.tau
-        s1 = 32.0 * tau ** 3 * k2 ** 2 / 3.0
-        s2 = 4.0 * tau ** 2 * k4 + 32.0 * tau ** 3 * k3 * k1 + 64.0 * tau ** 4 * k2 * k1 ** 2
-        center = 2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2
-    else:
-        kap = kernel.kappa
-        s1 = 2.0 * k2 ** 2 / kap
-        s2 = k4 + 8.0 * k3 * k1 / kap + 16.0 * k2 * k1 ** 2 / kap ** 2
-        center = k2 + 2.0 * k1 ** 2 / kap
-    return RegimeSpec(F, Power(0.5), ConstantCentering(center), s1 + s2,
-                      sigma1_sq=s1, sigma2_sq=s2)
+    m, r0, r2 = kernel.bulk
+    s1 = 2.0 * k2 ** 2 * r2
+    if F is Functional.PATH_SECOND_MOMENT:
+        s2 = k4 * r0 ** 2 + 4.0 * k3 * k1 * r0 * m ** 2 + 4.0 * k2 * k1 ** 2 * m ** 4
+        return RegimeSpec(F, Power(0.5), ConstantCentering(k2 * r0 + k1 ** 2 * m ** 2),
+                          s1 + s2, sigma1_sq=s1, sigma2_sq=s2)
+    s3 = k4 * r0 ** 2       # the delta * C0 * k0 term cancels the cross terms
+    return RegimeSpec(F, Power(0.5), ConstantCentering(k2 * r0), s1 + s3,
+                      delta=2.0 * k1 * m, sigma1_sq=s1, sigma3_sq=s3)
+
+
+def regime_path2nd(kernel: kernels.Kernel,
+                   intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
+    """sqrt(T) * [path-second-moment - centering] -> N(0, sigma1^2 + sigma2^2)."""
+    return _regime_quadratic(kernel, intensity, Functional.PATH_SECOND_MOMENT)
 
 
 def regime_pathvar(kernel: kernels.Kernel,
                    intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
     """sqrt(T) * [path-variance - centering] -> N(0, sigma1^2 + sigma3^2)."""
-    F = Functional.PATH_VARIANCE
-    if kernel.nested:
-        return Unsupported(_MONOTONE_REASON)
-    if not crm.is_homogeneous(intensity):
-        return Unsupported(
-            "non-homogeneous intensity: the limiting variance depends on the whole "
-            "profile; bracket with constant-parameter envelopes or run check-conditions")
-    k1, k2, k3, k4 = _moments(intensity)
-    if isinstance(kernel, kernels.Rectangular):
-        tau = kernel.tau
-        s1 = 32.0 * tau ** 3 * k2 ** 2 / 3.0
-        s3 = 4.0 * tau ** 2 * k4      # the delta * C0 * k0 term cancels the cross terms
-        delta = 4.0 * tau * k1
-        center = 2.0 * tau * k2
-    else:
-        kap = kernel.kappa
-        s1 = 2.0 * k2 ** 2 / kap
-        s3 = k4
-        delta = 2.0 ** 1.5 * k1 / math.sqrt(kap)
-        center = k2
-    return RegimeSpec(F, Power(0.5), ConstantCentering(center), s1 + s3,
-                      delta=delta, sigma1_sq=s1, sigma3_sq=s3)
+    return _regime_quadratic(kernel, intensity, Functional.PATH_VARIANCE)
 
 
 def regime(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
            functional: Functional) -> Union[RegimeSpec, Unsupported]:
     if functional is Functional.CUMULATIVE_HAZARD:
         return regime_cumhaz(kernel, intensity)
-    if functional is Functional.PATH_SECOND_MOMENT:
-        return regime_path2nd(kernel, intensity)
-    return regime_pathvar(kernel, intensity)
+    return _regime_quadratic(kernel, intensity, functional)
 
 
 # ---------------------------------------------------------------------------

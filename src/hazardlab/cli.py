@@ -280,6 +280,10 @@ def parse_config(text: str) -> RunConfig:
                 idx = int(key.rsplit("_", 1)[1])
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad condition index in {key}")
+            count = Theorem.CONDITIONS[cfg.theorem]
+            if not 1 <= idx <= count:
+                raise ConfigError(f"line {lineno}: {key}: theorem {cfg.theorem} "
+                                  f"has conditions 1-{count}")
             if value not in ("converges_to_positive", "vanishes", "diverges"):
                 raise ConfigError(
                     f"line {lineno}: {key} must be converges_to_positive, vanishes or diverges")
@@ -486,7 +490,9 @@ def main(argv=None) -> int:
             cfg.out_path = args.out
         if getattr(args, "format", None):
             cfg.out_format = args.format
-        if getattr(args, "grid", None):
+        if getattr(args, "grid", None) is not None:
+            if args.grid < 2:
+                raise ConfigError(f"--grid={args.grid} violates grid_n >= 2")
             cfg.grid_n = args.grid
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,8 @@ class Theorem:
     PATH2ND = "path2nd"
     PATHVAR = "pathvar"
     ALL = (CUMHAZ, PATH2ND, PATHVAR)
+    # number of condition quantities each theorem evaluates
+    CONDITIONS = {CUMHAZ: 2, PATH2ND: 6, PATHVAR: 3}
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ class Beta(_Profiled):
         return np.exp(special.gammaln(a) + special.gammaln(1.0 + p) - special.gammaln(a + p))
 
     def above(self, a, epsilon, p):
-        return 1.0 - special.betainc(a, p, epsilon)
+        return special.betaincc(a, p, epsilon)
 
     def below(self, a, epsilon, p):
         return special.betainc(a, p, min(epsilon, 1.0))

@@ -40,7 +40,11 @@ class _Family:
     K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
     slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T) and
     band (Q_T(x, y) = 0 once |x - y| > band), and
-    pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x."""
+    pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x.
+    Non-nested families are stationary, k(t, x) = phi(t - x), and carry the
+    bulk integrals (m, r0, r2) = (int phi, rho(0), int rho(u)^2 du) with
+    rho(u) = int phi(s) phi(s + u) ds: away from 0 and T these are K_T(x),
+    Q_T(x, x) and int Q_T(x, x + u)^2 du."""
     # the slices x -> k(t, x) are nested, so Q_T(x, y) = K_T(max(x, y))
     nested: ClassVar[bool] = False
     # kinks of t -> slice_mass(t)
@@ -146,6 +150,11 @@ class Rectangular(_Family):
         return self.tau / 2.0
 
     @property
+    def bulk(self) -> tuple:
+        tau = self.tau
+        return 2.0 * tau, 2.0 * tau, 16.0 * tau ** 3 / 3.0
+
+    @property
     def band(self) -> float:
         # Q_T(x, y) = 0 once |x - y| > 2 tau
         return 2.0 * self.tau
@@ -238,6 +247,10 @@ class OrnsteinUhlenbeck(_Family):
 
     def panel_step(self, T: float) -> float:
         return 1.0 / self.kappa
+
+    @property
+    def bulk(self) -> tuple:
+        return math.sqrt(2.0 / self.kappa), 1.0, 1.0 / self.kappa
 
     @property
     def band(self) -> float:

@@ -104,17 +104,6 @@ def hazard_path(sample: crm.CrmSample, kernel: kernels.Kernel, t_grid) -> np.nda
 # Kolmogorov-Smirnov against a fully specified normal
 # ---------------------------------------------------------------------------
 
-def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
-    """P(sup |B| > lam) for the Kolmogorov distribution, asymptotic series
-    truncated at `terms`."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for k in range(1, terms + 1):
-        total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_test(samples: Sequence[float], mean: float, variance: float) -> dict:
     """One-sample Kolmogorov-Smirnov statistic against N(mean, variance)
     and its asymptotic p-value."""
@@ -130,7 +119,7 @@ def ks_test(samples: Sequence[float], mean: float, variance: float) -> dict:
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
     d = float(max(d_plus, d_minus))
-    return {"statistic": d, "p_value": _kolmogorov_sf(math.sqrt(n) * d)}
+    return {"statistic": d, "p_value": float(special.kolmogorov(math.sqrt(n) * d))}
 
 
 # ---------------------------------------------------------------------------

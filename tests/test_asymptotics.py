@@ -156,3 +156,56 @@ def test_regime_spec_validation():
     with pytest.raises(ValueError):
         asy.RegimeSpec(asy.Functional.PATH_VARIANCE, asy.Power(0.5),
                        asy.ConstantCentering(1.0), 1.0)       # delta missing
+
+
+def test_bulk_integrals_match_their_definitions():
+    # away from 0 and T: m = K_T(x), r0 = Q_T(x, x), r2 = int Q_T(x, x + u)^2 du
+    rng = seeded(303)
+    T = 400.0
+    x = T / 2.0
+    draws = [kernels.Rectangular(rng.uniform(0.05, 5.0)) for _ in range(8)] \
+        + [kernels.OrnsteinUhlenbeck(rng.uniform(0.2, 5.0)) for _ in range(8)]
+    for kern in draws:
+        m, r0, r2 = kern.bulk
+        assert float(kernels.K_T(kern, T, x)) == pytest.approx(m, rel=1e-12, abs=0)
+        assert float(kernels.Q_T(kern, T, x, x)) == pytest.approx(r0, rel=1e-12, abs=0)
+        # Q_T(x, x + u) vanishes beyond the band and is smooth on each side of 0
+        f = lambda u: float(kernels.Q_T(kern, T, x, x + u)) ** 2
+        r2_quad = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                      for lo, hi in ((-kern.band, 0.0), (0.0, kern.band)))
+        assert r2_quad == pytest.approx(r2, rel=1e-12, abs=0)
+
+
+def test_catalog_matches_hand_written_rectangular_and_ou_constants():
+    rng = seeded(304)
+    exact = lambda v: pytest.approx(v, rel=1e-13, abs=0)
+    for _ in range(25):
+        intensity = random_intensity(rng, homogeneous=True)
+        k1, k2, k3, k4 = _moments(intensity)
+        tau, kap = rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
+        # (sigma0^2, trend coefficient, sigma1^2, sigma2^2, path-2nd centering,
+        #  sigma3^2, delta, path-variance centering)
+        reference = [
+            (kernels.Rectangular(tau),
+             4.0 * k2 * tau ** 2, 2.0 * tau * k1, 32.0 * tau ** 3 * k2 ** 2 / 3.0,
+             4.0 * tau ** 2 * k4 + 32.0 * tau ** 3 * k3 * k1 + 64.0 * tau ** 4 * k2 * k1 ** 2,
+             2.0 * tau * k2 + 4.0 * tau ** 2 * k1 ** 2,
+             4.0 * tau ** 2 * k4, 4.0 * tau * k1, 2.0 * tau * k2),
+            (kernels.OrnsteinUhlenbeck(kap),
+             2.0 * k2 / kap, k1 * math.sqrt(2.0 / kap), 2.0 * k2 ** 2 / kap,
+             k4 + 8.0 * k3 * k1 / kap + 16.0 * k2 * k1 ** 2 / kap ** 2,
+             k2 + 2.0 * k1 ** 2 / kap,
+             k4, 2.0 ** 1.5 * k1 / math.sqrt(kap), k2),
+        ]
+        for kern, s0, trend, s1, s2, c2, s3, delta, cv in reference:
+            ch = asy.regime_cumhaz(kern, intensity)
+            assert (ch.sigma0_sq, ch.limit_variance) == (exact(s0), exact(s0))
+            assert (ch.centering.coef, ch.centering.power) == (exact(trend), 1.0)
+            p2 = asy.regime_path2nd(kern, intensity)
+            assert (p2.sigma1_sq, p2.sigma2_sq) == (exact(s1), exact(s2))
+            assert p2.limit_variance == exact(s1 + s2)
+            assert p2.centering.value == exact(c2)
+            pv = asy.regime_pathvar(kern, intensity)
+            assert (pv.sigma1_sq, pv.sigma3_sq, pv.delta) == (exact(s1), exact(s3), exact(delta))
+            assert pv.limit_variance == exact(s1 + s3)
+            assert pv.centering.value == exact(cv)

@@ -280,3 +280,36 @@ def test_non_finite_gamma_fails_at_its_line(tmp_path, capsys):
     assert cli.main(["check-conditions", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: line {lineno}: crm.gamma must be finite, got 'inf'"]
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_grid_override_follows_the_grid_n_rule(tmp_path, capsys, grid):
+    cfg_path = tmp_path / "paths.ini"
+    cfg_path.write_text(SIMULATE.replace("kind = simulate", "kind = sample-paths"))
+    out = tmp_path / "paths.csv"
+    assert cli.main(["sample-paths", "--config", str(cfg_path), "--grid", grid,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --grid={grid} violates grid_n >= 2"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem,bad,good", [("cumhaz", 3, 2), ("path2nd", 7, 6),
+                                              ("pathvar", 4, 3)])
+def test_expect_condition_index_must_exist_for_the_theorem(tmp_path, capsys,
+                                                           theorem, bad, good):
+    text = (f"[experiment]\nkind = check-conditions\ntheorem = {theorem}\n"
+            "expect_condition_{} = diverges\n[kernel]\ntype = dykstra_laud\n"
+            "[crm]\nfamily = generalized_gamma\nsigma = 0.5\ngamma = 1.0\n")
+    assert cli.parse_config(text.format(good)).expects == {good: "diverges"}
+    for idx in (bad, 0, -1):
+        with pytest.raises(cli.ConfigError,
+                           match=rf"^line 4: expect_condition_{idx}: theorem {theorem} "
+                                 rf"has conditions 1-{good}$"):
+            cli.parse_config(text.format(idx))
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(text.format(bad))
+    assert cli.main(["check-conditions", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 4: ")

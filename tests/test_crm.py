@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -311,3 +313,22 @@ def test_thinning_acceptance_probabilities_valid():
     v = rng.uniform(1e-6, 0.999, 500)
     p = accept(v, x)
     assert np.all((p >= 0) & (p <= 1 + 1e-12))
+
+
+def _beta_upper_share_exact(a, c, eps):
+    # for integers a, c: 1 - I_eps(a, c) = P(Binomial(a + c - 1, eps) < a)
+    x, n = Fraction(eps), a + c - 1
+    return sum(comb(n, j) * x ** j * (1 - x) ** (n - j) for j in range(a))
+
+
+def test_beta_upper_share_against_exact_binomial_sum():
+    for a in range(1, 7):
+        for c in range(1, 9):
+            intensity = crm.Beta(crm.Constant(float(c)))
+            full = Fraction(factorial(a - 1) * factorial(c), factorial(a + c - 1))
+            for eps in (1e-6, 0.01, 0.3, 0.9, 0.95, 0.999, 0.999999):
+                exact = _beta_upper_share_exact(a, c, eps)
+                assert float(intensity.above(float(a), eps, float(c))) \
+                    == pytest.approx(float(exact), rel=1e-13, abs=0)
+                assert crm.moment_truncated(intensity, float(a), eps) \
+                    == pytest.approx(float(full * exact), rel=1e-13, abs=0)

@@ -382,3 +382,12 @@ def test_run_clt_deficit_quadrature_is_clean_at_small_epsilon():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         report = mc.run_clt(config, workers=1)
     assert len(report.values) == 100
+
+
+def test_ks_p_value_is_one_for_a_perfect_fit_at_2000_replicates():
+    # D = 1/(2n), so lambda = sqrt(n) D ~ 0.0112, where P(K > lambda) = 1
+    n = 2000
+    q = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    out = mc.ks_test(q, 0.0, 1.0)
+    assert math.sqrt(n) * out["statistic"] == pytest.approx(0.0112, abs=1e-4)
+    assert out["p_value"] == 1.0
