@@ -198,6 +198,10 @@ _CRM_KEYS = {"family"}.union(*(keys for _, keys in [*_FAMILIES.values(),
                                                     *_PROFILES.values()]))
 
 
+def _unread_expectation(key: str, kind: str) -> str:
+    return f"{key}: only check-conditions reads condition expectations, not {kind}"
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     sections: Dict[str, Dict[str, tuple]] = {s: {} for s in _SECTIONS}
@@ -276,6 +280,10 @@ def parse_config(text: str) -> RunConfig:
     for key in list(exp):
         if key.startswith("expect_condition_"):
             value, lineno = exp.pop(key)
+            # a regimes document may carry check-conditions keys through a
+            # render/parse round trip; the regimes run refuses them (run)
+            if cfg.kind not in ("check-conditions", "regimes"):
+                raise ConfigError(f"line {lineno}: {_unread_expectation(key, cfg.kind)}")
             try:
                 idx = int(key.rsplit("_", 1)[1])
             except ValueError:
@@ -380,6 +388,9 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
         if cfg.kind == "regimes":
+            if cfg.expects:
+                raise ConfigError(_unread_expectation(
+                    f"expect_condition_{min(cfg.expects)}", cfg.kind))
             pairs = None
             if cfg.kernel is not None and cfg.intensity is not None:
                 pairs = [(cfg.kernel, cfg.intensity)]

@@ -8,17 +8,21 @@ measure on locations:
 * beta                rho(dv|x) = c(x) (1-v)^{c(x)-1} / v dv   on (0,1)
 
 The module provides closed-form jump moments and tail masses, exact
-truncated moments, a Ferguson-Klass inverse-tail sampler for the
-homogeneous cases and a thinning sampler against a constant-parameter
-envelope for the non-homogeneous ones.  Each family's class carries its
-facts; the module functions are the validated entry points.
+truncated moments, a Ferguson-Klass sampler for the homogeneous cases and
+a thinning sampler against a constant-parameter envelope for the
+non-homogeneous ones.  Ferguson-Klass runs on a dominating Levy measure
+nu0 >= rho with a closed-form tail inverse and keeps each jump v with
+probability rho(v)/nu0(v) (Rosinski's rejection method); a family without
+such a nu0 (extended gamma, beta with c < 1) inverts the tail of rho.  Each
+family's class carries its facts; the module functions are the validated
+entry points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy import special
@@ -28,7 +32,7 @@ from ._numeric import comp_sum, quad_breaks
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
     "GeneralizedGamma", "ExtendedGamma", "Beta", "JumpIntensity",
-    "CrmSample", "EnvelopeError",
+    "CrmSample", "EnvelopeError", "Dominating", "MAX_EXPECTED_ATOMS",
     "is_homogeneous", "moment", "moment_general", "moment_truncated",
     "tail_mass", "jump_density", "mean_below", "jump_moment",
     "sample_homogeneous", "sample_nonhomogeneous",
@@ -37,6 +41,21 @@ __all__ = [
 
 class EnvelopeError(Exception):
     """No valid constant-parameter envelope exists on the window."""
+
+
+# The sampler refuses a draw whose expected Ferguson-Klass series is longer
+# than this: each per-atom float array of such a draw takes 160 MB, and a
+# draw holds several at once.
+MAX_EXPECTED_ATOMS = 2e7
+
+
+class Dominating(NamedTuple):
+    """A Levy measure nu0 >= rho for Rosinski's rejection method: its tail
+    v -> nu0((v, inf)), the closed-form inverse of that tail, and the keep
+    probability v -> rho(v) / nu0(v) in [0, 1]."""
+    tail: Callable
+    inverse: Callable
+    keep: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +168,17 @@ class _Family:
     so neither is 1 minus the other), density(v, p) and tail(v, p) =
     int_v^inf rho(du); and the thinning envelope(lo, hi) (see _envelope)
     and draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
-    (homogeneous members only)."""
+    (homogeneous members only).  dominating() gives the Dominating measure
+    Ferguson-Klass runs on (homogeneous members only), or None where the
+    sampler inverts the tail of rho itself."""
     # every jump lies below the ceiling
     ceiling: ClassVar[float] = math.inf
     homogeneous: ClassVar[bool] = True
 
     def param(self, x):
+        return None
+
+    def dominating(self) -> Optional[Dominating]:
         return None
 
 
@@ -214,6 +238,14 @@ class GeneralizedGamma(_Family):
     def draw_tilted(self, rng, n, power):
         return rng.gamma(power - self.sigma, 1.0 / self.gamma, size=n)
 
+    def dominating(self) -> Dominating:
+        # the stable measure v^{-1-sigma} / Gamma(1-sigma) dv
+        s, g = self.sigma, self.gamma
+        c = s * math.gamma(1.0 - s)
+        return Dominating(lambda v: v ** -s / c,
+                          lambda n: (c * n) ** (-1.0 / s),
+                          lambda v: np.exp(-g * v))
+
 
 @dataclass(frozen=True)
 class ExtendedGamma(_Profiled):
@@ -252,6 +284,10 @@ class ExtendedGamma(_Profiled):
 
     def draw_tilted(self, rng, n, power):
         return rng.gamma(float(power), 1.0 / self.beta_fn.a, size=n)
+
+    # No dominating measure: dv / (v (1 + beta v)) would serve, with keep
+    # probability e^{-beta v}(1 + beta v), but it moves the seeded stream
+    # that the criterion-6 KS gates are pinned to (ROADMAP item 1).
 
 
 _BETA_SERIES_TERMS = 80
@@ -331,6 +367,15 @@ class Beta(_Profiled):
 
     def draw_tilted(self, rng, n, power):
         return rng.beta(float(power), self.c_fn.a, size=n)
+
+    def dominating(self) -> Optional[Dominating]:
+        # c dv / v on (0, 1), tail -c log v; (1-v)^{c-1} <= 1 needs c >= 1
+        c = self.c_fn.a
+        if c < 1.0:
+            return None
+        return Dominating(lambda v: -c * np.log(v),
+                          lambda n: np.exp(-n / c),
+                          lambda v: np.exp(special.xlog1py(c - 1.0, -v)))
 
 
 JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
@@ -437,9 +482,10 @@ def tail_mass(intensity: JumpIntensity, v, x=None):
 class CrmSample:
     """A realized, epsilon-truncated CRM on a bounded window.
 
-    jumps are non-increasing (Ferguson-Klass order); every jump is
-    >= epsilon; mean_deficit bounds the mean mass discarded below
-    epsilon.  envelope records the thinning envelope, when one was used.
+    jumps are non-increasing (Ferguson-Klass order, which rejection and
+    thinning keep); every jump is >= epsilon; mean_deficit bounds the mean
+    mass discarded below epsilon.  envelope records the thinning envelope,
+    when one was used.
     """
     jumps: np.ndarray
     locations: np.ndarray
@@ -547,10 +593,30 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
 
 def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
               rng: np.random.Generator) -> np.ndarray:
-    """Ferguson-Klass series for a homogeneous intensity scaled by `rate`:
-    unit-rate Poisson arrivals inverted through v -> rate*tail_mass(v),
-    stopped at the first jump below epsilon."""
-    n_eps = rate * tail_mass(intensity, epsilon) if epsilon < intensity.ceiling else 0.0
+    """Ferguson-Klass series for a homogeneous intensity scaled by `rate`,
+    stopped at the first jump below epsilon: unit-rate Poisson arrivals g
+    mapped to the jump v with rate * nu0((v, inf)) = g.
+
+    nu0 is the family's dominating measure, whose tail inverts in closed
+    form; each jump is then kept with probability rho(v)/nu0(v), and the
+    kept jumps are exactly the epsilon-truncated series of rho (Rosinski's
+    rejection method).  A family without one (extended gamma, beta with
+    c < 1) has nu0 = rho, inverted through the tail table.  Refuses, before
+    any draw, a series whose expected length rate * nu0((epsilon, inf))
+    exceeds MAX_EXPECTED_ATOMS.
+    """
+    dom = intensity.dominating()
+    if epsilon >= intensity.ceiling:
+        n_eps = 0.0
+    elif dom is None:
+        n_eps = rate * tail_mass(intensity, epsilon)
+    else:
+        # on a numpy scalar an overflowing tail reads inf, refused below
+        n_eps = rate * float(dom.tail(np.float64(epsilon)))
+    if not n_eps <= MAX_EXPECTED_ATOMS:
+        raise ValueError(
+            f"epsilon={epsilon:g} asks for {n_eps:.3g} expected atoms per draw of "
+            f"{intensity.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}; raise epsilon")
     if n_eps <= 0.0:
         return np.empty(0)
     chunks = []
@@ -561,9 +627,13 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
         chunks.append(e)
         total += float(np.sum(e))
         want = max(64, want // 4)
-    gammas = np.cumsum(np.concatenate(chunks))
-    gammas = gammas[gammas < n_eps]
-    return _invert_tail(intensity, rate, epsilon, gammas)
+    gammas = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    np.cumsum(gammas, out=gammas)
+    gammas = gammas[:np.searchsorted(gammas, n_eps)]
+    if dom is None:
+        return _invert_tail(intensity, rate, epsilon, gammas)
+    jumps = dom.inverse(gammas / rate)
+    return jumps[rng.random(jumps.size) < dom.keep(jumps)]
 
 
 def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
@@ -595,10 +665,13 @@ def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gen
 
 def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,
                        rng: np.random.Generator, seed: Optional[int] = None) -> CrmSample:
-    """Exact-above-epsilon Ferguson-Klass sample of a homogeneous CRM.
+    """Exact-above-epsilon Ferguson-Klass sample of a homogeneous CRM
+    (rejection from the family's dominating measure, see _fk_jumps).
 
     Jumps come out non-increasing; locations are uniform on the window;
-    mean_deficit = |window| * int_0^epsilon v rho(dv).
+    mean_deficit = |window| * int_0^epsilon v rho(dv).  Raises ValueError,
+    before any draw, when the expected series length exceeds
+    MAX_EXPECTED_ATOMS.
     """
     return _sample(intensity, window, epsilon, rng, seed, thin=False)
 
@@ -617,8 +690,10 @@ def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
     """Thinning sampler for extended-gamma / beta intensities.
 
     A homogeneous envelope (constant-parameter member of the same family,
-    scaled for beta by sup c / inf c) is sampled by Ferguson-Klass; the
-    atom (v, x) is accepted with probability rho(v|x)/rho_env(v), which is
-    exp(-(beta(x)-L)v) resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.
+    scaled for beta by sup c / inf c) is sampled exactly by Ferguson-Klass
+    with rejection from its dominating measure, as in sample_homogeneous;
+    the atom (v, x) is then accepted with probability rho(v|x)/rho_env(v),
+    which is exp(-(beta(x)-L)v) resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.  The
+    same MAX_EXPECTED_ATOMS preflight applies to the envelope's series.
     """
     return _sample(intensity, window, epsilon, rng, seed, thin=True)

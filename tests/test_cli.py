@@ -313,3 +313,25 @@ def test_expect_condition_index_must_exist_for_the_theorem(tmp_path, capsys,
                      "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: line 4: ")
+
+
+@pytest.mark.parametrize("kind", ["simulate", "sample-paths", "regimes"])
+def test_expect_condition_refused_outside_check_conditions(tmp_path, capsys, kind):
+    # only check-conditions reads expectations; elsewhere they would name a
+    # verdict the run never checks
+    text = SIMULATE.replace("kind = simulate", f"kind = {kind}").replace(
+        "centering = quadrature\n", "centering = quadrature\nexpect_condition_5 = vanishes\n")
+    message = f"expect_condition_5: only check-conditions reads condition expectations, not {kind}"
+    if kind == "regimes":
+        # a regimes document still parses (render/parse round trip); its run refuses
+        assert cli.parse_config(text).expects == {5: "vanishes"}
+    else:
+        with pytest.raises(cli.ConfigError, match=rf"^line 9: {message}$"):
+            cli.parse_config(text)
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out.txt"
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+    assert not out.exists()

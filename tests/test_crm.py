@@ -4,9 +4,9 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
-from hazardlab import crm
+from hazardlab import crm, kernels
 
 from conftest import quad_moment, random_intensity, seeded
 
@@ -213,6 +213,71 @@ def test_poisson_count_law():
     mean = np.mean(counts)
     tol = 4.0 * math.sqrt(lam / 200.0)
     assert abs(mean - lam) <= tol, (mean, lam, tol)
+
+
+def _truncated_law_cdf(intensity, jumps, eps):
+    # 1 - N(v)/N(eps), in chunks: beta's tail holds a 128-node rule per point
+    tails = np.concatenate([crm.tail_mass(intensity, chunk)
+                            for chunk in np.array_split(jumps, max(1, jumps.size // 20000))])
+    return 1.0 - tails / crm.tail_mass(intensity, eps)
+
+
+@pytest.mark.parametrize("entropy,intensity", [
+    (116, crm.GeneralizedGamma(0.5, 1.0)),
+    (117, crm.ExtendedGamma(crm.Constant(1.0))),
+    (118, crm.Beta(crm.Constant(1.0))),
+    (119, crm.Beta(crm.Constant(1.5)))], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_sampled_jumps_follow_the_truncated_law(entropy, intensity):
+    # Given their count, the jumps of the epsilon-truncated CRM are iid with
+    # CDF 1 - N(v)/N(eps), so the pooled jumps of 50 draws must pass a KS
+    # test of their probability-integral transform.  At eps = 1e-3 rejection
+    # removes 5.5% (GG) and 8.9% (beta(1.5)) of the dominating series and
+    # keeps all of it for beta(1); gamma inverts its tail table.
+    eps = 1e-3
+    jumps = np.concatenate([crm.sample_homogeneous(intensity, (0.0, 200.0), eps,
+                                                   seeded(entropy, r)).jumps
+                            for r in range(50)])
+    p = stats.kstest(_truncated_law_cdf(intensity, jumps, eps), "uniform").pvalue
+    assert p > 1e-3, (intensity, jumps.size, p)
+
+
+@pytest.mark.parametrize("entropy,intensity", [
+    (120, crm.ExtendedGamma(crm.Constant(1.0))),
+    (121, crm.Beta(crm.Constant(1.5))),
+    (122, crm.Beta(crm.Constant(0.5)))], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_count_law_per_sampling_path(entropy, intensity, monkeypatch):
+    # like test_poisson_count_law; beta with c < 1 has no dominating measure
+    # and still inverts its own tail, every other family never does
+    inversions = []
+    invert = crm._invert_tail
+    monkeypatch.setattr(crm, "_invert_tail",
+                        lambda *args: inversions.append(1) or invert(*args))
+    lam = 100.0 * crm.tail_mass(intensity, 1e-6)
+    counts = [crm.sample_homogeneous(intensity, (0.0, 100.0), 1e-6, seeded(entropy, r)).size
+              for r in range(200)]
+    assert len(inversions) == (200 if intensity.dominating() is None else 0)
+    tol = 4.0 * math.sqrt(lam / 200.0)
+    assert abs(np.mean(counts) - lam) <= tol, (np.mean(counts), lam, tol)
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"the sampler drew ({name}) before refusing")
+
+
+def test_sampler_refuses_oversized_series_before_drawing():
+    # GG(0.9, 1) at T = 500 (rectangular window) and eps = 1e-8 expects
+    # ~9.3e8 atoms, ~7 GB per float array; criterion 5's ~565k still run
+    window = kernels.location_window(kernels.Rectangular(1.0), 500.0)
+    with pytest.raises(ValueError, match=r"epsilon=1e-08 asks for 9\.\d+e\+08 expected "
+                                         r"atoms .* above the limit 2e\+07"):
+        crm.sample_homogeneous(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8, _NoDraws())
+    s = crm.sample_homogeneous(crm.GeneralizedGamma(0.5, 1.0), window, 1e-6, seeded(123))
+    assert 5.6e5 < s.size < 5.7e5
+    # the thinning sampler checks its envelope's series the same way
+    with pytest.raises(ValueError, match="above the limit"):
+        crm.sample_nonhomogeneous(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
+                                  (0.0, 1e7), 1e-6, _NoDraws())
 
 
 def test_campbell_mean_per_family():
