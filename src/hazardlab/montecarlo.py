@@ -231,17 +231,19 @@ def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> flo
 
     if crm.is_homogeneous(intensity):
         k1 = crm.jump_moment(intensity, 1.0, 0.0, eps)
+        k2 = crm.jump_moment(intensity, 2.0, 0.0, eps)
         # int_0^T (int k(t,x) dx)^2 dt
         mean_part = k1 ** 2 * quad_breaks(lambda t: kernel.slice_mass(t) ** 2, 0.0, T,
                                           kernel.slice_kinks, rel_tol=1e-11)
+        second_part = k2 * quad_breaks(lambda x: kernels.Q_T(kernel, T, x, x), lo, hi,
+                                       kernel.breaks(T), rel_tol=1e-10)
     else:
         mean_part = quad_breaks(lambda t: kernels.mean_hazard(kernel, intensity, t, eps) ** 2,
-                                0.0, T, rel_tol=1e-8)
-
-    second_part = quad_breaks(
-        lambda x: crm.jump_moment(intensity, 2.0, float(x), eps)
-        * kernels.Q_T(kernel, T, float(x), float(x)),
-        lo, hi, rel_tol=1e-10)
+                                0.0, T, kernel.slice_kinks, rel_tol=1e-8)
+        second_part = quad_breaks(
+            lambda x: crm.jump_moment(intensity, 2.0, float(x), eps)
+            * kernels.Q_T(kernel, T, float(x), float(x)),
+            lo, hi, kernel.breaks(T), rel_tol=1e-10)
     return (mean_part + second_part) / T
 
 

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, special, stats
 
 from hazardlab import crm, kernels
 
@@ -397,3 +397,91 @@ def test_beta_upper_share_against_exact_binomial_sum():
                     == pytest.approx(float(exact), rel=1e-13, abs=0)
                 assert crm.moment_truncated(intensity, float(a), eps) \
                     == pytest.approx(float(full * exact), rel=1e-13, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# inverse-tail table (extended gamma, beta with c < 1)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("beta", [0.5, 0.8, 1.0, 2.0])
+@pytest.mark.parametrize("rate,eps", [(50.0, 1e-6), (1000.0, 1e-6), (200.0, 1e-3)])
+def test_extended_gamma_inversion_residual(beta, rate, eps):
+    intensity = crm.ExtendedGamma(crm.Constant(beta))
+    n_eps = rate * crm.tail_mass(intensity, eps)
+    g = np.geomspace(1.0, n_eps, 20001)[:-1]
+    v = crm._invert_tail(intensity, rate, eps, g)
+    resid = np.abs(rate * crm.tail_mass(intensity, v) / g - 1.0)
+    assert resid.max() <= 1e-13, resid.max()
+
+
+@pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
+def test_beta_small_c_inversion_residual(c):
+    # g >= 1 keeps 1 - v above ~1e-6 at c = 0.3; nearer the ceiling the
+    # double v resolves 1 - v only to 1.1e-16, which alone moves N(v) by
+    # more than the bound
+    intensity = crm.Beta(crm.Constant(c))
+    rate, eps = 50.0, 1e-6
+    n_eps = rate * crm.tail_mass(intensity, eps)
+    g = np.geomspace(1.0, n_eps, 20001)[:-1]
+    v = crm._invert_tail(intensity, rate, eps, g)
+    resid = np.abs(rate * crm.tail_mass(intensity, v) / g - 1.0)
+    assert resid.max() <= 1e-9, resid.max()
+
+
+@pytest.mark.parametrize("intensity,rate,eps,top", [
+    (crm.ExtendedGamma(crm.Constant(1.0)), 1000.0, 1e-6, 32.0),
+    (crm.Beta(crm.Constant(0.3)), 100.0, 1e-4, 1.0 - 1e-13)],
+    ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_arrivals_beyond_the_table_take_its_end_jumps(intensity, rate, eps, top):
+    # the table spans the jumps from epsilon up to the first power of two
+    # with rate * N(v) <= 1e-12 (unbounded) or up to 1 - 1e-13 (beta); an
+    # earlier arrival takes the top jump, and jumps never rise as g grows
+    n_eps = rate * crm.tail_mass(intensity, eps)
+    v = crm._invert_tail(intensity, rate, eps, np.geomspace(1e-300, n_eps, 2001))
+    assert v[0] == pytest.approx(top, rel=1e-15, abs=0)
+    assert np.all(np.diff(v) <= 0)
+    assert v[-1] == pytest.approx(eps, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_extended_gamma_jumps_match_an_independent_root(beta):
+    # rate * E1(beta v) = g solved by Brent's method in log v, for the first
+    # 100 arrivals of a seeded unit-rate series and 100 uniform on (0, n_eps)
+    intensity = crm.ExtendedGamma(crm.Constant(beta))
+    rate, eps = 1000.0, 1e-6
+    n_eps = rate * crm.tail_mass(intensity, eps)
+    rng = seeded(123, int(beta * 10))
+    g = np.sort(np.concatenate([np.cumsum(rng.exponential(size=100)),
+                                rng.uniform(0.0, n_eps, 100)]))
+    v = crm._invert_tail(intensity, rate, eps, g)
+    for gi, vi in zip(g, v):
+        root = optimize.brentq(
+            lambda u: math.log(rate * special.exp1(beta * math.exp(u))) - math.log(gi),
+            math.log(eps) - 1.0, math.log(100.0 / beta), xtol=1e-15, rtol=1e-15)
+        assert vi == pytest.approx(math.exp(root), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("intensity", [crm.ExtendedGamma(crm.Constant(1.0)),
+                                       crm.Beta(crm.Constant(0.5))],
+                         ids=lambda v: v.label())
+def test_warm_table_draw_evaluates_no_tail_per_jump(intensity, monkeypatch):
+    window, eps = (0.0, 300.0), 1e-6
+    crm.sample_homogeneous(intensity, window, eps, seeded(124))
+    sizes = []
+    tail_mass = crm.tail_mass
+    monkeypatch.setattr(crm, "tail_mass",
+                        lambda intensity, v, x=None: sizes.append(np.size(v))
+                        or tail_mass(intensity, v, x))
+    s = crm.sample_homogeneous(intensity, window, eps, seeded(124, 1))
+    assert s.size > 1000
+    assert sizes and max(sizes) == 1, sizes
+
+
+def test_beta_tail_in_row_blocks_is_pointwise():
+    # each point's 128-node sum is the same whichever block it falls in
+    intensity = crm.Beta(crm.Constant(0.5))
+    v = np.geomspace(1e-9, 0.999, 3 * crm._BETA_ROW_BLOCK + 17)
+    whole = crm.tail_mass(intensity, v)
+    single = np.array([crm.tail_mass(intensity, v[i:i + 1])[0]
+                       for i in range(0, v.size, 997)])
+    assert np.array_equal(whole[::997], single)

@@ -391,3 +391,38 @@ def test_ks_p_value_is_one_for_a_perfect_fit_at_2000_replicates():
     out = mc.ks_test(q, 0.0, 1.0)
     assert math.sqrt(n) * out["statistic"] == pytest.approx(0.0112, abs=1e-4)
     assert out["p_value"] == 1.0
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.5])
+@pytest.mark.parametrize("T", [30.0, 500.0, 1000.0, 2000.0])
+def test_rectangular_mean_square_centering_is_exact(tau, T):
+    # (1/T) E int_0^T h^2 dt on the window [0, T + tau] of rectangular(tau):
+    # int slice_mass^2 = 4 tau^2 T - 5 tau^3 / 3 and int Q_T(x, x) dx
+    # = 2 tau T - tau^2 / 2, weighted by K^(1)^2 and K^(2)
+    for intensity in (EG1, crm.ExtendedGamma(crm.Constant(2.0)), crm.Beta(crm.Constant(1.5))):
+        cfg = mc.ExperimentConfig(kernels.Rectangular(tau), intensity,
+                                  Functional.PATH_SECOND_MOMENT, T, epsilon=1e-3)
+        for truncated in (False, True):
+            eps = cfg.epsilon if truncated else 0.0
+            k1 = crm.moment_truncated(intensity, 1.0, eps)
+            k2 = crm.moment_truncated(intensity, 2.0, eps)
+            exact = (k1 ** 2 * (4 * tau ** 2 * T - 5 * tau ** 3 / 3)
+                     + k2 * (2 * tau * T - tau ** 2 / 2)) / T
+            assert mc._mean_sq_hazard_quadrature(cfg, truncated) \
+                == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_nonhomogeneous_mean_square_centering_against_panels():
+    # beta has K^(1) = 1 for every c, so the mean part is the homogeneous
+    # one; the K^(2) Q_T(x, x) part is summed over unit panels
+    T, tau = 500.0, 1.0
+    intensity = crm.Beta(crm.IndicatorSqrt(1.0))
+    cfg = mc.ExperimentConfig(kernels.Rectangular(tau), intensity,
+                              Functional.PATH_SECOND_MOMENT, T)
+    f = lambda x: crm.moment(intensity, 2, x=x) * kernels.Q_T(cfg.kernel, T, x, x)
+    edges = np.arange(0.0, T + tau + 0.5, 1.0)
+    second = math.fsum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+    ref = (4 * tau ** 2 * T - 5 * tau ** 3 / 3 + second) / T
+    assert mc._mean_sq_hazard_quadrature(cfg, truncated=False) \
+        == pytest.approx(ref, rel=1e-10, abs=0)
