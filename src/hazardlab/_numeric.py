@@ -15,6 +15,7 @@ __all__ = [
     "comp_sum",
     "compensated_prefix",
     "gauss_legendre_panels",
+    "gl_panels",
     "integrate_piecewise_linear",
     "quad_breaks",
 ]
@@ -72,6 +73,14 @@ def _gl_rule(order: int):
     return rule
 
 
+def gl_panels(a, b, order: int):
+    """Nodes and weights, each of shape (panels, order), of the order-point
+    Gauss-Legendre rule on every panel [a[i], b[i]] (b may be a scalar)."""
+    nodes, weights = _gl_rule(order)
+    half = (0.5 * (b - a))[:, None]
+    return half * nodes + (0.5 * (a + b))[:, None], half * weights
+
+
 def gauss_legendre_panels(f, breaks, order: int = 20) -> float:
     """Integrate f over [breaks[0], breaks[-1]] with one Gauss-Legendre
     rule per panel between consecutive breakpoints.
@@ -84,13 +93,8 @@ def gauss_legendre_panels(f, breaks, order: int = 20) -> float:
     breaks = np.unique(np.asarray(breaks, dtype=float))
     if breaks.size < 2:
         return 0.0
-    nodes, weights = _gl_rule(order)
-    half = 0.5 * np.diff(breaks)
-    mid = 0.5 * (breaks[:-1] + breaks[1:])
-    xs = (half[:, None] * nodes[None, :] + mid[:, None]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    vals = np.asarray(f(xs), dtype=float) * ws
-    return comp_sum(vals)
+    xs, ws = gl_panels(breaks[:-1], breaks[1:], order)
+    return comp_sum(np.asarray(f(xs.ravel()), dtype=float) * ws.ravel())
 
 
 def integrate_piecewise_linear(f, breaks) -> float:
@@ -104,12 +108,11 @@ def integrate_piecewise_linear(f, breaks) -> float:
     return comp_sum(0.5 * widths * (y[:-1] + y[1:]))
 
 
-def quad_breaks(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10,
-                abs_tol: float = 0.0) -> float:
+def quad_breaks(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10) -> float:
     """Adaptive quadrature on [a, b] with interior breakpoints."""
     if b <= a:
         return 0.0
     pts = [p for p in np.atleast_1d(np.asarray(breaks, dtype=float)) if a < p < b]
     val, _ = integrate.quad(f, a, b, points=sorted(set(pts)) or None,
-                            epsabs=abs_tol, epsrel=rel_tol, limit=400)
+                            epsabs=0.0, epsrel=rel_tol, limit=400)
     return val

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -34,7 +35,11 @@ from .montecarlo import (CENTERING_CATALOG, CENTERING_QUADRATURE,
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "render_config", "run", "main"]
 
-_KINDS = ("regimes", "check-conditions", "simulate", "sample-paths")
+# subcommand (and experiment.kind) -> help text
+_KINDS = {"regimes": "dump the regime catalog (CSV or JSON)",
+          "check-conditions": "numeric verification of a theorem's hypotheses",
+          "simulate": "Monte Carlo CLT run",
+          "sample-paths": "one seeded hazard path on a time grid (plot-ready CSV)"}
 _DEFAULT_T_GRID = (50.0, 100.0, 200.0, 400.0, 800.0)
 
 
@@ -175,27 +180,107 @@ def _build_section(fields: dict, section: str, tkey: str):
     return built
 
 
-def _parse_rate(value: str, lineno: int):
+def _g(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _parse_rate(value: str, lineno: int, key: str):
     # forms: auto | power:<p> | powerlog:<p>,<q>
     if value == "auto":
         return None
     if value.startswith("power:"):
-        return Power(_as_float(value[6:], lineno, "experiment.rate"))
+        return Power(_as_float(value[6:], lineno, key))
     if value.startswith("powerlog:"):
         parts = value[9:].split(",")
         if len(parts) != 2:
             raise ConfigError(f"line {lineno}: powerlog rate needs p,q")
-        return PowerLog(_as_float(parts[0], lineno, "experiment.rate"),
-                        _as_float(parts[1], lineno, "experiment.rate"))
+        return PowerLog(_as_float(parts[0], lineno, key), _as_float(parts[1], lineno, key))
     raise ConfigError(f"line {lineno}: rate must be auto, power:<p> or powerlog:<p>,<q>")
 
 
-_EXPERIMENT_KEYS = {"kind", "functional", "theorem", "rate", "horizon", "replicates",
-                    "seed", "epsilon", "t_grid", "centering", "ks_alpha", "grid_n"}
-_OUTPUT_KEYS = {"path", "format"}
-_KERNEL_KEYS = {"type"}.union(*(keys for _, keys in _KERNEL_TYPES.values()))
-_CRM_KEYS = {"family"}.union(*(keys for _, keys in [*_FAMILIES.values(),
-                                                    *_PROFILES.values()]))
+def _render_rate(rate) -> str:
+    if isinstance(rate, PowerLog):
+        return f"powerlog:{_g(rate.p)},{_g(rate.q)}"
+    return f"power:{_g(rate.p)}"
+
+
+def _parse_t_grid(value: str, lineno: int, key: str):
+    try:
+        grid = tuple(float(p) for p in value.split(","))
+    except ValueError:
+        raise ConfigError(f"line {lineno}: t_grid must be comma-separated numbers")
+    if not all(math.isfinite(t) and t > 0 for t in grid):
+        raise ConfigError(f"line {lineno}: t_grid horizons must be finite and > 0")
+    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"line {lineno}: t_grid must be >= 4 increasing horizons")
+    return grid
+
+
+def _choice(names: dict, message: str):
+    """Parser for a value that names one entry of `names`; message is the
+    error text, formatted with the value."""
+    def parse(value, lineno, key):
+        if value not in names:
+            raise ConfigError(f"line {lineno}: " + message.format(value=value))
+        return names[value]
+    return parse
+
+
+_CENTERINGS = {"catalog": CENTERING_CATALOG, "quadrature": CENTERING_QUADRATURE}
+_FORMATS = ("csv", "json")
+
+# [experiment] and [output] key -> (RunConfig field, parse(value, lineno,
+# "section.key") carrying the key's rule, render(field value)); render_config
+# writes the keys in this order and skips a field that is None
+_FIELDS = {
+    "experiment": {
+        "functional": ("functional", _choice({f.value: f for f in Functional},
+                                             "unknown functional {value!r}"),
+                       lambda f: f.value),
+        "theorem": ("theorem", _choice({t: t for t in Theorem.ALL},
+                                       f"theorem must be one of {Theorem.ALL}"), str),
+        "rate": ("rate", _parse_rate, _render_rate),
+        "horizon": ("horizon", partial(_as_float, cond=lambda x: x > 0,
+                                       describe="horizon > 0"), _g),
+        "replicates": ("replicates", partial(_as_int, cond=lambda x: x >= 100,
+                                             describe="replicates >= 100"), str),
+        "seed": ("seed", partial(_as_int, cond=lambda x: x >= 0, describe="seed >= 0"), str),
+        "epsilon": ("epsilon", partial(_as_float, cond=lambda x: x > 0,
+                                       describe="epsilon > 0"), _g),
+        "t_grid": ("t_grid", _parse_t_grid, lambda grid: ",".join(map(_g, grid))),
+        "centering": ("centering", _choice(_CENTERINGS,
+                                           "centering must be catalog or quadrature"),
+                      {mode: name for name, mode in _CENTERINGS.items()}.get),
+        "ks_alpha": ("ks_alpha", partial(_as_float, cond=lambda x: 0 < x < 1,
+                                         describe="ks_alpha in (0,1)"), _g),
+        "grid_n": ("grid_n", partial(_as_int, cond=lambda x: x >= 2,
+                                     describe="grid_n >= 2"), str),
+    },
+    "output": {
+        # an empty path means the subcommand's default file name
+        "path": ("out_path", lambda value, lineno, key: value or None, str),
+        "format": ("out_format", _choice({f: f for f in _FORMATS},
+                                         "format must be json or csv"), str),
+    },
+}
+# section -> its keys, besides experiment.expect_condition_<i>
+_ALLOWED = {"experiment": {"kind", *_FIELDS["experiment"]}, "output": set(_FIELDS["output"]),
+            "kernel": {"type"}.union(*(keys for _, keys in _KERNEL_TYPES.values())),
+            "crm": {"family"}.union(*(keys for _, keys in [*_FAMILIES.values(),
+                                                           *_PROFILES.values()]))}
+
+
+def _parse_fields(cfg: RunConfig, section: str, fields: dict) -> None:
+    """Set cfg's fields from a section's table keys, in document order."""
+    for key, (value, lineno) in fields.items():
+        name, parse, _ = _FIELDS[section][key]
+        setattr(cfg, name, parse(value, lineno, f"{section}.{key}"))
+
+
+def _render_fields(cfg: RunConfig, section: str) -> list:
+    return [f"{key} = {render(value)}"
+            for key, (name, _, render) in _FIELDS[section].items()
+            if (value := getattr(cfg, name)) is not None]
 
 
 def _unread_expectation(key: str, kind: str) -> str:
@@ -206,10 +291,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     sections: Dict[str, Dict[str, tuple]] = {s: {} for s in _SECTIONS}
     for lineno, section, key, value in _tokenize(text):
-        allowed = {"experiment": _EXPERIMENT_KEYS, "output": _OUTPUT_KEYS,
-                   "kernel": _KERNEL_KEYS, "crm": _CRM_KEYS}[section]
-        if key not in allowed and not (section == "experiment"
-                                       and key.startswith("expect_condition_")):
+        if key not in _ALLOWED[section] and not (section == "experiment"
+                                                 and key.startswith("expect_condition_")):
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
         if key in sections[section]:
             raise ConfigError(f"line {lineno}: duplicate key {section}.{key}")
@@ -223,93 +306,31 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"experiment.kind must be one of {', '.join(_KINDS)}")
     cfg = RunConfig(kind=kind)
 
-    if "functional" in exp:
-        value, lineno = exp.pop("functional")
+    expects = {key: exp.pop(key) for key in list(exp) if key.startswith("expect_condition_")}
+    _parse_fields(cfg, "experiment", exp)
+    for key, (value, lineno) in expects.items():
+        # a regimes document may carry check-conditions keys through a
+        # render/parse round trip; the regimes run refuses them (run)
+        if cfg.kind not in ("check-conditions", "regimes"):
+            raise ConfigError(f"line {lineno}: {_unread_expectation(key, cfg.kind)}")
         try:
-            cfg.functional = Functional(value)
+            idx = int(key.rsplit("_", 1)[1])
         except ValueError:
-            raise ConfigError(f"line {lineno}: unknown functional {value!r}")
-    if "theorem" in exp:
-        value, lineno = exp.pop("theorem")
-        if value not in Theorem.ALL:
-            raise ConfigError(f"line {lineno}: theorem must be one of {Theorem.ALL}")
-        cfg.theorem = value
-    if "rate" in exp:
-        value, lineno = exp.pop("rate")
-        cfg.rate = _parse_rate(value, lineno)
-    if "horizon" in exp:
-        value, lineno = exp.pop("horizon")
-        cfg.horizon = _as_float(value, lineno, "experiment.horizon",
-                                lambda x: x > 0, "horizon > 0")
-    if "replicates" in exp:
-        value, lineno = exp.pop("replicates")
-        cfg.replicates = _as_int(value, lineno, "experiment.replicates",
-                                 lambda x: x >= 100, "replicates >= 100")
-    if "seed" in exp:
-        value, lineno = exp.pop("seed")
-        cfg.seed = _as_int(value, lineno, "experiment.seed")
-    if "epsilon" in exp:
-        value, lineno = exp.pop("epsilon")
-        cfg.epsilon = _as_float(value, lineno, "experiment.epsilon",
-                                lambda x: x > 0, "epsilon > 0")
-    if "ks_alpha" in exp:
-        value, lineno = exp.pop("ks_alpha")
-        cfg.ks_alpha = _as_float(value, lineno, "experiment.ks_alpha",
-                                 lambda x: 0 < x < 1, "ks_alpha in (0,1)")
-    if "grid_n" in exp:
-        value, lineno = exp.pop("grid_n")
-        cfg.grid_n = _as_int(value, lineno, "experiment.grid_n",
-                             lambda x: x >= 2, "grid_n >= 2")
-    if "t_grid" in exp:
-        value, lineno = exp.pop("t_grid")
-        try:
-            grid = tuple(float(p) for p in value.split(","))
-        except ValueError:
-            raise ConfigError(f"line {lineno}: t_grid must be comma-separated numbers")
-        if not all(math.isfinite(t) and t > 0 for t in grid):
-            raise ConfigError(f"line {lineno}: t_grid horizons must be finite and > 0")
-        if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(f"line {lineno}: t_grid must be >= 4 increasing horizons")
-        cfg.t_grid = grid
-    if "centering" in exp:
-        value, lineno = exp.pop("centering")
-        mapping = {"catalog": CENTERING_CATALOG, "quadrature": CENTERING_QUADRATURE}
-        if value not in mapping:
-            raise ConfigError(f"line {lineno}: centering must be catalog or quadrature")
-        cfg.centering = mapping[value]
-    for key in list(exp):
-        if key.startswith("expect_condition_"):
-            value, lineno = exp.pop(key)
-            # a regimes document may carry check-conditions keys through a
-            # render/parse round trip; the regimes run refuses them (run)
-            if cfg.kind not in ("check-conditions", "regimes"):
-                raise ConfigError(f"line {lineno}: {_unread_expectation(key, cfg.kind)}")
-            try:
-                idx = int(key.rsplit("_", 1)[1])
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad condition index in {key}")
-            count = Theorem.CONDITIONS[cfg.theorem]
-            if not 1 <= idx <= count:
-                raise ConfigError(f"line {lineno}: {key}: theorem {cfg.theorem} "
-                                  f"has conditions 1-{count}")
-            if value not in ("converges_to_positive", "vanishes", "diverges"):
-                raise ConfigError(
-                    f"line {lineno}: {key} must be converges_to_positive, vanishes or diverges")
-            cfg.expects[idx] = value
+            raise ConfigError(f"line {lineno}: bad condition index in {key}")
+        count = Theorem.CONDITIONS[cfg.theorem]
+        if not 1 <= idx <= count:
+            raise ConfigError(f"line {lineno}: {key}: theorem {cfg.theorem} "
+                              f"has conditions 1-{count}")
+        if value not in ("converges_to_positive", "vanishes", "diverges"):
+            raise ConfigError(
+                f"line {lineno}: {key} must be converges_to_positive, vanishes or diverges")
+        cfg.expects[idx] = value
 
     if sections["kernel"]:
         cfg.kernel = _build_section(dict(sections["kernel"]), "kernel", "type")
     if sections["crm"]:
         cfg.intensity = _build_section(dict(sections["crm"]), "crm", "family")
-
-    out = sections["output"]
-    if "path" in out:
-        cfg.out_path = out.pop("path")[0]
-    if "format" in out:
-        value, lineno = out.pop("format")
-        if value not in ("json", "csv"):
-            raise ConfigError(f"line {lineno}: format must be json or csv")
-        cfg.out_format = value
+    _parse_fields(cfg, "output", sections["output"])
 
     if cfg.kind in ("check-conditions", "simulate", "sample-paths"):
         if cfg.kernel is None:
@@ -332,29 +353,13 @@ def _render(obj, tkey: str) -> list:
 
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig; parse_config(render_config(c)) == c."""
-    lines = ["[experiment]", f"kind = {cfg.kind}",
-             f"functional = {cfg.functional.value}", f"theorem = {cfg.theorem}"]
-    if cfg.rate is not None:
-        if isinstance(cfg.rate, PowerLog):
-            lines.append(f"rate = powerlog:{cfg.rate.p:.17g},{cfg.rate.q:.17g}")
-        else:
-            lines.append(f"rate = power:{cfg.rate.p:.17g}")
-    lines += [f"horizon = {cfg.horizon:.17g}", f"replicates = {cfg.replicates}",
-              f"seed = {cfg.seed}", f"epsilon = {cfg.epsilon:.17g}",
-              "t_grid = " + ",".join(f"{t:.17g}" for t in cfg.t_grid),
-              "centering = " + ("catalog" if cfg.centering == CENTERING_CATALOG
-                                else "quadrature"),
-              f"ks_alpha = {cfg.ks_alpha:.17g}", f"grid_n = {cfg.grid_n}"]
-    for idx in sorted(cfg.expects):
-        lines.append(f"expect_condition_{idx} = {cfg.expects[idx]}")
+    lines = ["[experiment]", f"kind = {cfg.kind}", *_render_fields(cfg, "experiment")]
+    lines += [f"expect_condition_{idx} = {cfg.expects[idx]}" for idx in sorted(cfg.expects)]
     if cfg.kernel is not None:
         lines += ["", "[kernel]", *_render(cfg.kernel, "type")]
     if cfg.intensity is not None:
         lines += ["", "[crm]", *_render(cfg.intensity, "family")]
-    lines += ["", "[output]"]
-    if cfg.out_path:
-        lines.append(f"path = {cfg.out_path}")
-    lines.append(f"format = {cfg.out_format}")
+    lines += ["", "[output]", *_render_fields(cfg, "output")]
     return "\n".join(lines) + "\n"
 
 
@@ -422,11 +427,13 @@ def run(cfg: RunConfig) -> int:
             print(f"wrote {path}")
             return status
 
+        if cfg.kind not in ("simulate", "sample-paths"):
+            raise ConfigError(f"unknown kind {cfg.kind!r}")
+        config = ExperimentConfig(
+            kernel=cfg.kernel, intensity=cfg.intensity, functional=cfg.functional,
+            horizon=cfg.horizon, replicates=cfg.replicates, seed=cfg.seed,
+            epsilon=cfg.epsilon, centering_mode=cfg.centering)
         if cfg.kind == "simulate":
-            config = ExperimentConfig(
-                kernel=cfg.kernel, intensity=cfg.intensity, functional=cfg.functional,
-                horizon=cfg.horizon, replicates=cfg.replicates, seed=cfg.seed,
-                epsilon=cfg.epsilon, centering_mode=cfg.centering)
             report = run_clt(config)
             if cfg.out_format == "csv":
                 path = _write(cfg, report.samples_csv_text(), "simulate.csv")
@@ -436,20 +443,14 @@ def run(cfg: RunConfig) -> int:
                   f"variance_ratio={report.variance_ratio:.4g}")
             return 0 if report.ks_p_value >= cfg.ks_alpha else 2
 
-        if cfg.kind == "sample-paths":
-            config = ExperimentConfig(
-                kernel=cfg.kernel, intensity=cfg.intensity, functional=cfg.functional,
-                horizon=cfg.horizon, replicates=100, seed=cfg.seed,
-                epsilon=cfg.epsilon, centering_mode=cfg.centering)
-            sample = sample_crm(config, 0)
-            ts = np.linspace(0.0, cfg.horizon, cfg.grid_n)
-            hs = hazard_path(sample, cfg.kernel, ts)
-            body = "t,hazard\n" + "\n".join(
-                f"{t:.17g},{h:.17g}" for t, h in zip(ts, hs)) + "\n"
-            path = _write(cfg, body, "paths.csv")
-            print(f"wrote {path} ({sample.size} atoms)")
-            return 0
-        raise ConfigError(f"unknown kind {cfg.kind!r}")
+        sample = sample_crm(config, 0)
+        ts = np.linspace(0.0, cfg.horizon, cfg.grid_n)
+        hs = hazard_path(sample, cfg.kernel, ts)
+        body = "t,hazard\n" + "\n".join(
+            f"{t:.17g},{h:.17g}" for t, h in zip(ts, hs)) + "\n"
+        path = _write(cfg, body, "paths.csv")
+        print(f"wrote {path} ({sample.size} atoms)")
+        return 0
     except (OSError, ConfigError, ValueError, crm.EnvelopeError,
             kernels.UnsupportedRegimeError, NotCatalogedError,
             TruncationBudgetError) as exc:
@@ -467,22 +468,14 @@ def main(argv=None) -> int:
         prog="hazardlab",
         description="simulation and asymptotic verification of CRM-driven random hazard rates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_reg = sub.add_parser("regimes", help="dump the regime catalog")
-    p_reg.add_argument("--config", default=None)
-    p_reg.add_argument("--out", default=None)
-    p_reg.add_argument("--format", choices=("csv", "json"), default=None)
-
-    for name in ("check-conditions", "simulate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
+    for kind, help_text in _KINDS.items():
+        p = sub.add_parser(kind, help=help_text)
+        p.add_argument("--config", required=kind != "regimes", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-
-    p_paths = sub.add_parser("sample-paths")
-    p_paths.add_argument("--config", required=True)
-    p_paths.add_argument("--grid", type=int, default=None)
-    p_paths.add_argument("--out", default=None)
+        if kind == "sample-paths":
+            p.add_argument("--grid", type=int, default=None)
+        else:
+            p.add_argument("--format", choices=_FORMATS, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -497,7 +490,7 @@ def main(argv=None) -> int:
                       f"subcommand {args.command!r}", file=sys.stderr)
                 return 1
             cfg.kind = args.command
-        if getattr(args, "out", None):
+        if args.out:
             cfg.out_path = args.out
         if getattr(args, "format", None):
             cfg.out_format = args.format

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from . import crm, kernels
-from ._numeric import quad_breaks
+from ._numeric import gl_panels, quad_breaks
 from .asymptotics import (NotCatalogedError, Power, PowerLog, RateFunction,
                           regime_cumhaz)
 
@@ -159,6 +159,9 @@ def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
     return edges[np.concatenate([[True], np.diff(edges) > 1e-12 * max(1.0, hi)])]
 
 
+_GRID_ORDER = 8     # Gauss-Legendre nodes per panel of the condition grid
+
+
 class _Grid:
     """Quadrature nodes/weights on the location window plus the (sparse)
     weighted kernel matrix Q_T(x_i, x_j); all bivariate norms reduce to
@@ -169,15 +172,12 @@ class _Grid:
     edge, which makes them machine-exact where the tensor grid would carry
     ~1e-3 relative error from kink-straddling panels."""
 
-    def __init__(self, kernel, intensity, T, order: int = 8):
+    def __init__(self, kernel, intensity, T):
         self.kernel, self.intensity, self.T = kernel, intensity, T
         self.edges = _panel_edges(kernel, T, not crm.is_homogeneous(intensity))
-        gl_nodes, gl_wts = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * np.diff(self.edges)
-        mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        x, w = gl_panels(self.edges[:-1], self.edges[1:], _GRID_ORDER)
         # increasing: the panels are consecutive and the nodes interior
-        self.x = (half[:, None] * gl_nodes[None, :] + mid[:, None]).ravel()
-        self.w = (half[:, None] * gl_wts[None, :]).ravel()
+        self.x, self.w = x.ravel(), w.ravel()
         self.KT = kernels.K_T(kernel, T, self.x)
         self.R = kernels.Q_T(kernel, T, self.x, self.x)
         self._Q = None

@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 import numpy as np
 from scipy import special
 
-from ._numeric import comp_sum, quad_breaks
+from ._numeric import comp_sum, gl_panels, quad_breaks
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -295,7 +295,6 @@ class ExtendedGamma(_Profiled):
 
 _BETA_SERIES_TERMS = 80
 _BETA_ROW_BLOCK = 4096
-_GL128 = np.polynomial.legendre.leggauss(128)
 
 
 @dataclass(frozen=True)
@@ -344,14 +343,11 @@ class Beta(_Profiled):
         # in row blocks because the rule holds 128 nodes per point
         need = np.flatnonzero(vv < 0.5)
         lower = np.zeros_like(vv)
-        nodes, wts = _GL128
         for i in range(0, need.size, _BETA_ROW_BLOCK):
             rows = need[i:i + _BETA_ROW_BLOCK]
-            y0 = np.log(vv[rows])
-            half = 0.5 * (math.log(0.5) - y0)
-            ys = half[:, None] * nodes + (0.5 * (y0 + math.log(0.5)))[:, None]
+            ys, ws = gl_panels(np.log(vv[rows]), math.log(0.5), 128)
             integ = c * np.exp(special.xlog1py(c - 1.0, -np.exp(ys)))
-            lower[rows] = half * np.sum(wts * integ, axis=1)
+            lower[rows] = np.sum(ws * integ, axis=1)
         out[live] = upper + lower
         return out
 

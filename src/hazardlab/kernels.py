@@ -21,7 +21,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import (_gl_rule, block_bounds, comp_sum, compensated_prefix,
+from ._numeric import (block_bounds, comp_sum, compensated_prefix, gl_panels,
                        integrate_piecewise_linear, quad_breaks)
 
 __all__ = [
@@ -269,11 +269,9 @@ class OrnsteinUhlenbeck(_Family):
         carry factor is <= 1, so nothing cancels."""
         k, m = self.kappa, power * self.kappa
         b = np.union1d(edges, x)
-        nodes, wts = _gl_rule(12)
-        half = 0.5 * np.diff(b)[:, None]
-        y = half * nodes + 0.5 * (b[:-1] + b[1:])[:, None]
+        y, w = gl_panels(b[:-1], b[1:], 12)
         g = lambda z: -np.expm1(-2.0 * k * (T - z))
-        f = half * wts * mu(y)
+        f = w * mu(y)
         into_left = np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1)
         into_right = np.sum(f * g(y) ** power * np.exp(-m * (y - b[:-1, None])), axis=1)
         decay = np.exp(-m * np.diff(b))

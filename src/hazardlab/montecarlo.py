@@ -33,6 +33,9 @@ __all__ = [
 
 CENTERING_CATALOG = "catalog"
 CENTERING_QUADRATURE = "quadrature_i1"
+# largest tolerated truncation bias of the standardized statistic, as a
+# fraction of the target standard deviation
+TRUNCATION_BUDGET = 0.01
 
 
 class TruncationBudgetError(Exception):
@@ -142,6 +145,8 @@ class ExperimentConfig:
             raise ValueError("horizon must be > 0")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be > 0")
         if self.centering_mode not in (CENTERING_CATALOG, CENTERING_QUADRATURE):
@@ -277,14 +282,13 @@ def _centering(config: ExperimentConfig, spec: RegimeSpec) -> float:
     return _exact_center(config, truncated=True)
 
 
-def run_clt(config: ExperimentConfig, workers: Optional[int] = None,
-            budget_fraction: float = 0.01) -> CltReport:
+def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltReport:
     """Simulate R replicates, standardize rate(T) * (value - centering(T)),
     and test the Gaussian limit (KS against N(0, target) plus the variance
     ratio).
 
     Refuses to run when the epsilon-truncation bias of the standardized
-    statistic exceeds budget_fraction of the target standard deviation
+    statistic exceeds TRUNCATION_BUDGET of the target standard deviation
     (with quadrature centering the bias is absorbed into the centering,
     so only catalog centering can trip the budget).
     """
@@ -306,9 +310,9 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None,
         # bias of the standardized mean induced by epsilon-truncation alone
         residual_bias = abs(rate_value * (_exact_center(config, truncated=False)
                                           - _exact_center(config, truncated=True)))
-    if residual_bias > budget_fraction * target_sd:
+    if residual_bias > TRUNCATION_BUDGET * target_sd:
         raise TruncationBudgetError(
-            f"truncation bias {residual_bias:.4g} exceeds {budget_fraction:.0%} of the "
+            f"truncation bias {residual_bias:.4g} exceeds {TRUNCATION_BUDGET:.0%} of the "
             f"target sd {target_sd:.4g}; lower epsilon or use quadrature centering")
 
     R = config.replicates

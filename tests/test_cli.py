@@ -4,6 +4,7 @@ import pytest
 
 from hazardlab import cli, crm, kernels
 from hazardlab.asymptotics import PowerLog
+from hazardlab.montecarlo import ExperimentConfig
 
 MINIMAL = """
 [experiment]
@@ -335,3 +336,119 @@ def test_expect_condition_refused_outside_check_conditions(tmp_path, capsys, kin
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
     assert not out.exists()
+
+
+RATE_AND_EXPECTS = """
+[experiment]
+kind = check-conditions
+theorem = pathvar
+rate = powerlog:-1,-0.5
+t_grid = 10,20,40,80
+expect_condition_3 = diverges
+expect_condition_1 = vanishes
+
+[kernel]
+type = rectangular
+tau = 0.3
+
+[crm]
+family = beta
+fn = affine_sqrt
+a = 0.7
+b = 1.9
+"""
+
+OUTPUT_PATH = """
+[experiment]
+kind = regimes
+
+[output]
+path = out/regimes.csv
+format = csv
+"""
+
+@pytest.mark.parametrize("text, seed, rendered", [
+    (SIMULATE, 3, [
+        "[experiment]", "kind = simulate", "functional = cumulative_hazard",
+        "theorem = path2nd", "horizon = 40", "replicates = 100", "seed = 3",
+        "epsilon = 9.9999999999999995e-07", "t_grid = 50,100,200,400,800",
+        "centering = quadrature", "ks_alpha = 0.01", "grid_n = 2000", "",
+        "[kernel]", "type = ornstein_uhlenbeck", "kappa = 1", "",
+        "[crm]", "family = extended_gamma", "fn = constant", "value = 1", "",
+        "[output]", "format = json"]),
+    (RATE_AND_EXPECTS, 0, [
+        "[experiment]", "kind = check-conditions", "functional = cumulative_hazard",
+        "theorem = pathvar", "rate = powerlog:-1,-0.5", "horizon = 500",
+        "replicates = 2000", "seed = 0", "epsilon = 9.9999999999999995e-07",
+        "t_grid = 10,20,40,80", "centering = quadrature", "ks_alpha = 0.01",
+        "grid_n = 2000", "expect_condition_1 = vanishes",
+        "expect_condition_3 = diverges", "",
+        "[kernel]", "type = rectangular", "tau = 0.29999999999999999", "",
+        "[crm]", "family = beta", "fn = affine_sqrt", "a = 0.69999999999999996",
+        "b = 1.8999999999999999", "",
+        "[output]", "format = json"]),
+    (OUTPUT_PATH, 0, [
+        "[experiment]", "kind = regimes", "functional = cumulative_hazard",
+        "theorem = path2nd", "horizon = 500", "replicates = 2000", "seed = 0",
+        "epsilon = 9.9999999999999995e-07", "t_grid = 50,100,200,400,800",
+        "centering = quadrature", "ks_alpha = 0.01", "grid_n = 2000", "",
+        "[output]", "path = out/regimes.csv", "format = csv"]),
+], ids=["simulate", "rate-and-expects", "output-path"])
+def test_render_and_provenance_text_is_pinned(text, seed, rendered):
+    # round trips pass whatever the key order; this pins the order and format
+    cfg = cli.parse_config(text)
+    assert cli.render_config(cfg) == "\n".join(rendered) + "\n"
+    echo = " ; ".join(line for line in rendered if line)
+    assert cli._provenance(cfg) == (f"# hazardlab {cli.__version__} | seed={seed} "
+                                    f"| config: {echo}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("functional = bogus", "unknown functional 'bogus'"),
+    ("theorem = nope", "theorem must be one of ('cumhaz', 'path2nd', 'pathvar')"),
+    ("rate = power:x", "experiment.rate must be a number, got 'x'"),
+    ("rate = powerlog:1", "powerlog rate needs p,q"),
+    ("rate = weird", "rate must be auto, power:<p> or powerlog:<p>,<q>"),
+    ("horizon = 0", "experiment.horizon=0 violates horizon > 0"),
+    ("horizon = nan", "experiment.horizon must be finite, got 'nan'"),
+    ("replicates = 1.5", "experiment.replicates must be an integer, got '1.5'"),
+    ("replicates = 99", "experiment.replicates=99 violates replicates >= 100"),
+    ("seed = -3", "experiment.seed=-3 violates seed >= 0"),
+    ("epsilon = -1", "experiment.epsilon=-1 violates epsilon > 0"),
+    ("t_grid = 1,a,3,4", "t_grid must be comma-separated numbers"),
+    ("t_grid = 10,20,40", "t_grid must be >= 4 increasing horizons"),
+    ("centering = other", "centering must be catalog or quadrature"),
+    ("ks_alpha = 1", "experiment.ks_alpha=1 violates ks_alpha in (0,1)"),
+    ("grid_n = 1", "experiment.grid_n=1 violates grid_n >= 2"),
+    ("[output]\nformat = xml", "format must be json or csv"),
+])
+def test_bad_value_error_text_per_key(line, message):
+    with pytest.raises(cli.ConfigError) as info:
+        cli.parse_config(f"[experiment]\nkind = regimes\n{line}\n")
+    lineno = 3 if not line.startswith("[") else 4
+    assert str(info.value) == f"line {lineno}: {message}"
+
+
+def test_first_bad_experiment_line_is_reported():
+    bad = ["horizon = 0", "functional = bogus", "seed = -1"]
+    for first in range(len(bad)):
+        lines = bad[first:] + bad[:first]
+        with pytest.raises(cli.ConfigError, match=r"^line 3: "):
+            cli.parse_config("[experiment]\nkind = regimes\n" + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["simulate", "sample-paths"])
+def test_negative_seed_is_refused_at_its_line(tmp_path, capsys, kind):
+    text = SIMULATE.replace("kind = simulate", f"kind = {kind}").replace("seed = 3", "seed = -3")
+    lineno = text.splitlines().index("seed = -3") + 1
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out.txt"
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line {lineno}: experiment.seed=-3 violates seed >= 0"]
+    assert not out.exists()
+    cfg = cli.parse_config(SIMULATE)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        ExperimentConfig(kernel=cfg.kernel, intensity=cfg.intensity,
+                         functional=cfg.functional, horizon=40.0, seed=-3)
