@@ -301,9 +301,9 @@ def parse_config(text: str) -> RunConfig:
     exp = sections["experiment"]
     if "kind" not in exp:
         raise ConfigError("missing required key experiment.kind")
-    kind = exp.pop("kind")[0]
+    kind, lineno = exp.pop("kind")
     if kind not in _KINDS:
-        raise ConfigError(f"experiment.kind must be one of {', '.join(_KINDS)}")
+        raise ConfigError(f"line {lineno}: experiment.kind must be one of {', '.join(_KINDS)}")
     cfg = RunConfig(kind=kind)
 
     expects = {key: exp.pop(key) for key in list(exp) if key.startswith("expect_condition_")}

@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 import numpy as np
 from scipy import special
 
-from ._numeric import comp_sum, gl_panels, quad_breaks
+from ._numeric import _STREAM, comp_sum, gl_panels, quad_breaks
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -45,8 +45,11 @@ class EnvelopeError(Exception):
 
 
 # The sampler refuses a draw whose expected Ferguson-Klass series is longer
-# than this: each per-atom float array of such a draw takes 160 MB, and a
-# draw holds several at once.
+# than this: each per-atom float array of such a draw takes 160 MB.  A draw
+# holds two at full length, the arrival times (overwritten by the jumps) and
+# the locations; a thinned draw also holds its acceptance uniforms and
+# probabilities and the thinned copies.  The inverse and keep steps run over
+# blocks of _numeric._STREAM atoms.
 MAX_EXPECTED_ATOMS = 2e7
 
 
@@ -614,6 +617,13 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
     return t.to_v(np.clip(coord, t.lo, t.hi, out=coord))
 
 
+@lru_cache(maxsize=64)
+def _tail_at(intensity: JumpIntensity, epsilon: float) -> float:
+    """tail_mass(intensity, epsilon), cached: the sampler's scalar series
+    length, which for beta costs a series and a quadrature per call."""
+    return tail_mass(intensity, epsilon)
+
+
 def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
               rng: np.random.Generator) -> np.ndarray:
     """Ferguson-Klass series for a homogeneous intensity scaled by `rate`,
@@ -625,15 +635,16 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     kept jumps are exactly the epsilon-truncated series of rho (Rosinski's
     rejection method).  A family without one (extended gamma, beta with
     c < 1) has nu0 = rho, inverted by _invert_tail: one cubic per arrival
-    from the cached Hermite table, with no tail evaluation.  Refuses, before
-    any draw, a series whose expected length rate * nu0((epsilon, inf))
-    exceeds MAX_EXPECTED_ATOMS.
+    from the cached Hermite table, with no tail evaluation.  Both maps run
+    over blocks of _STREAM arrivals, so their temporaries stay in cache.
+    Refuses, before any draw, a series whose expected length
+    rate * nu0((epsilon, inf)) exceeds MAX_EXPECTED_ATOMS.
     """
     dom = intensity.dominating()
     if epsilon >= intensity.ceiling:
         n_eps = 0.0
     elif dom is None:
-        n_eps = rate * tail_mass(intensity, epsilon)
+        n_eps = rate * _tail_at(intensity, epsilon)
     else:
         # on a numpy scalar an overflowing tail reads inf, refused below
         n_eps = rate * float(dom.tail(np.float64(epsilon)))
@@ -654,10 +665,20 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     gammas = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     np.cumsum(gammas, out=gammas)
     gammas = gammas[:np.searchsorted(gammas, n_eps)]
-    if dom is None:
-        return _invert_tail(intensity, rate, epsilon, gammas)
-    jumps = dom.inverse(gammas / rate)
-    return jumps[rng.random(jumps.size) < dom.keep(jumps)]
+    # The kept jumps overwrite the arrivals block by block.  The map is
+    # elementwise and successive rng.random calls continue one stream, so
+    # the blocks give the same jumps as one pass over the series.
+    kept = 0
+    for i in range(0, gammas.size, _STREAM):
+        g = gammas[i:i + _STREAM]
+        if dom is None:
+            v = _invert_tail(intensity, rate, epsilon, g)
+        else:
+            v = dom.inverse(g / rate)
+            v = v[rng.random(v.size) < dom.keep(v)]
+        gammas[kept:kept + v.size] = v
+        kept += v.size
+    return gammas[:kept]
 
 
 def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from . import crm, kernels
-from ._numeric import comp_sum, quad_breaks
+from ._numeric import _STREAM, comp_sum, quad_breaks
 from .asymptotics import (Functional, MonteCarloMean, RegimeSpec, Unsupported,
                           regime)
 from .conditions import I_moments
@@ -56,11 +56,18 @@ def _check_window(sample: crm.CrmSample, kernel, T: float):
 
 
 def cumhaz(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
-    """H(T) = sum_i J_i K_T(x_i): exact integral of the hazard path."""
+    """H(T) = sum_i J_i K_T(x_i): exact integral of the hazard path.  The
+    terms are formed over blocks of _STREAM atoms, so K_T's temporaries
+    stay in cache, and summed once."""
     _check_window(sample, kernel, T)
     if sample.size == 0:
         return 0.0
-    return comp_sum(sample.jumps * kernels.K_T(kernel, T, sample.locations))
+    terms = np.empty(sample.size)
+    for i in range(0, sample.size, _STREAM):
+        block = slice(i, i + _STREAM)
+        np.multiply(sample.jumps[block], kernels.K_T(kernel, T, sample.locations[block]),
+                    out=terms[block])
+    return comp_sum(terms)
 
 
 def path_second_moment(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:

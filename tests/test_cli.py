@@ -429,6 +429,13 @@ def test_bad_value_error_text_per_key(line, message):
     assert str(info.value) == f"line {lineno}: {message}"
 
 
+def test_bad_kind_names_its_line():
+    with pytest.raises(cli.ConfigError) as info:
+        cli.parse_config("[experiment]\nseed = 1\nkind = bogus\n")
+    assert str(info.value) == ("line 3: experiment.kind must be one of "
+                               "regimes, check-conditions, simulate, sample-paths")
+
+
 def test_first_bad_experiment_line_is_reported():
     bad = ["horizon = 0", "functional = bogus", "seed = -1"]
     for first in range(len(bad)):

@@ -474,7 +474,71 @@ def test_warm_table_draw_evaluates_no_tail_per_jump(intensity, monkeypatch):
                         or tail_mass(intensity, v, x))
     s = crm.sample_homogeneous(intensity, window, eps, seeded(124, 1))
     assert s.size > 1000
-    assert sizes and max(sizes) == 1, sizes
+    # the table and the scalar series length are both cached
+    assert sizes == [], sizes
+
+
+@pytest.mark.parametrize("intensity", [crm.ExtendedGamma(crm.Constant(1.7)),
+                                       crm.Beta(crm.Constant(0.45))],
+                         ids=lambda v: v.label())
+def test_series_length_tail_is_evaluated_once_per_intensity_and_epsilon(intensity, monkeypatch):
+    calls = []
+    tail_mass = crm.tail_mass
+    monkeypatch.setattr(crm, "tail_mass",
+                        lambda intensity, v, x=None: calls.append(v)
+                        or tail_mass(intensity, v, x))
+    crm._tail_at.cache_clear()
+    window, eps = (0.0, 200.0), 1e-6
+    crm.sample_homogeneous(intensity, window, eps, seeded(125))
+    first = len(calls)
+    crm.sample_homogeneous(intensity, window, eps, seeded(125, 1))
+    assert len(calls) == first
+    assert sum(np.ndim(v) == 0 and v == eps for v in calls) == 1
+
+
+def _fk_one_pass(intensity, rate, epsilon, rng):
+    # the series drawn in one pass over all arrivals (the block loop's
+    # reference): same arrivals, one inverse, one rng.random call
+    dom = intensity.dominating()
+    tail = crm.tail_mass(intensity, epsilon) if dom is None else float(dom.tail(epsilon))
+    n_eps = rate * tail
+    chunks, total = [], 0.0
+    want = int(n_eps + 10.0 * math.sqrt(n_eps) + 64)
+    while total < n_eps:
+        e = rng.exponential(size=want)
+        chunks.append(e)
+        total += float(np.sum(e))
+        want = max(64, want // 4)
+    gammas = np.cumsum(np.concatenate(chunks))
+    gammas = gammas[:np.searchsorted(gammas, n_eps)]
+    if dom is None:
+        return crm._invert_tail(intensity, rate, epsilon, gammas)
+    jumps = dom.inverse(gammas / rate)
+    return jumps[rng.random(jumps.size) < dom.keep(jumps)]
+
+
+@pytest.mark.parametrize("arrivals", [crm._STREAM, 2 * crm._STREAM + 1, 3 * crm._STREAM + 1234])
+@pytest.mark.parametrize("intensity", [crm.GeneralizedGamma(0.5, 1.0), crm.Beta(crm.Constant(1.5)),
+                                       crm.Beta(crm.Constant(0.5)),
+                                       crm.ExtendedGamma(crm.Constant(1.0))],
+                         ids=lambda v: v.label())
+def test_block_loop_draws_the_one_pass_series_bit_for_bit(intensity, arrivals):
+    # pick the rate whose cut falls between arrival `arrivals` and the next
+    eps = 1e-6
+    g = np.cumsum(seeded(126).exponential(size=arrivals + 1))
+    dom = intensity.dominating()
+    tail = crm.tail_mass(intensity, eps) if dom is None else float(dom.tail(eps))
+    rate = 0.5 * (g[arrivals - 1] + g[arrivals]) / tail
+    assert np.searchsorted(g, rate * tail) == arrivals
+    rng, ref_rng = seeded(126), seeded(126)
+    jumps = crm._fk_jumps(intensity, rate, eps, rng)
+    ref = _fk_one_pass(intensity, rate, eps, ref_rng)
+    assert jumps.size == ref.size > 0
+    if dom is None:
+        assert jumps.size == arrivals
+    assert np.array_equal(jumps, ref)
+    # the stream continues where the one-pass draw leaves it
+    assert rng.random() == ref_rng.random()
 
 
 def test_beta_tail_in_row_blocks_is_pointwise():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hazardlab import crm, kernels
+from hazardlab import _numeric, crm, kernels
 from hazardlab import montecarlo as mc
 from hazardlab.asymptotics import Functional
 from hazardlab.conditions import I_moments
@@ -43,6 +43,37 @@ def test_cumhaz_reference_values():
         mc.cumhaz(single, kernels.Rectangular(1.0), 3.0)   # window too small
 
 
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, _numeric._STREAM + 1, 3 * _numeric._STREAM + 5])
+def test_cumhaz_blocks_equal_one_pass(n):
+    for kern in (kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
+                 kernels.DykstraLaud(), kernels.UShaped(2.0)):
+        T = 23.0
+        s = make_sample(kern, T, n, entropy=502)
+        one_pass = _numeric.comp_sum(s.jumps * kernels.K_T(kern, T, s.locations))
+        assert mc.cumhaz(s, kern, T) == one_pass
+
+
+def _comp_sum_per_block(values):
+    # comp_sum's partials taken one np.sum call per 4096-element block
+    a = np.asarray(values, dtype=float).ravel()
+    if a.size == 0:
+        return 0.0
+    if a.size <= 4096:
+        return math.fsum(a.tolist())
+    nblocks = -(-a.size // 4096)
+    return math.fsum([float(np.sum(a[i * 4096:(i + 1) * 4096])) for i in range(nblocks)])
+
+
+def test_comp_sum_equals_per_block_partials():
+    rng = seeded(503)
+    for n in (0, 1, 4095, 4096, 4097, 3 * 4096, _numeric._STREAM + 5, 200_003):
+        for _ in range(3):
+            # mixed signs over 26 decades: a partial summed in another order
+            # differs in its last bits
+            a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+            assert _numeric.comp_sum(a) == _comp_sum_per_block(a)
+
+
 def test_path2nd_single_atom_ou():
     kern = kernels.OrnsteinUhlenbeck(1.0)
     T = 50.0
@@ -60,7 +91,7 @@ def test_path2nd_equals_naive_double_sum():
         s = make_sample(kern, T, 500)
         Q = kernels.Q_T(kern, T, s.locations[:, None], s.locations[None, :])
         naive = float(s.jumps @ Q @ s.jumps) / T
-        assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12)
+        assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
 
 
 def test_path_variance_identity_and_clamp():
@@ -71,7 +102,7 @@ def test_path_variance_identity_and_clamp():
         p2m = mc.path_second_moment(s, kern, T)
         v = mc.path_variance(s, kern, T)
         h = mc.cumhaz(s, kern, T)
-        assert v + (h / T) ** 2 == pytest.approx(p2m, rel=1e-12)
+        assert v + (h / T) ** 2 == pytest.approx(p2m, rel=1e-12, abs=0)
     # a hazard path that is constant on [0, T] has zero path variance
     kern = kernels.Rectangular(2.0)
     T = 1.0
@@ -177,7 +208,7 @@ def test_rect_prefix_pair_sum_equals_naive_double_sum():
             assert np.any((x > T) & (x <= T + tau)) and np.any(x > T + tau)
             Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
             naive = float(s.jumps @ Q @ s.jumps) / T
-            assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12)
+            assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
 
 
 def _banded_oracle(sample, kern, T):
@@ -218,7 +249,7 @@ def test_rect_path2nd_at_production_truncation():
     assert math.isfinite(p2m) and p2m > 0
     v = mc.path_variance(s, kern, T)
     h = mc.cumhaz(s, kern, T)
-    assert v + (h / T) ** 2 == pytest.approx(p2m, rel=1e-12)
+    assert v + (h / T) ** 2 == pytest.approx(p2m, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
