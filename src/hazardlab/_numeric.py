@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "block_bounds",
@@ -16,7 +15,6 @@ __all__ = [
     "compensated_prefix",
     "gauss_legendre_panels",
     "gl_panels",
-    "integrate_piecewise_linear",
     "quad_breaks",
 ]
 
@@ -103,22 +101,72 @@ def gauss_legendre_panels(f, breaks, order: int = 20) -> float:
     return comp_sum(np.asarray(f(xs.ravel()), dtype=float) * ws.ravel())
 
 
-def integrate_piecewise_linear(f, breaks) -> float:
-    """Exact integral of a piecewise-linear f whose kinks are contained
-    in `breaks` (trapezoid rule per panel is exact for linear pieces)."""
-    breaks = np.unique(np.asarray(breaks, dtype=float))
-    if breaks.size < 2:
-        return 0.0
-    y = f(breaks)
-    widths = np.diff(breaks)
-    return comp_sum(0.5 * widths * (y[:-1] + y[1:]))
+# The adaptive rule of quad_breaks: a panel's _QUAD_ORDER-point
+# Gauss-Legendre value is checked against the same rule on its two halves.
+# The target is _QUAD_SAFETY * rel_tol because an outer rule over inner
+# rule values sees the inner errors as noise: the nested non-homogeneous
+# mean squares (outer rel_tol 1e-8) land 2.3e-9 from a QUADPACK oracle at
+# safety 1, 3.6e-10 at 0.1 and 1.7e-11 at 0.01.
+_QUAD_ORDER = 10
+_QUAD_SAFETY = 0.01
+# rounds of bisection (an undeclared jump needs ~45 at rel_tol 1e-11) and
+# the panel count that, like the round cap, ends a refinement as unconverged
+# (the test suite's integrals converge within 35 rounds on at most 36 panels)
+_QUAD_ROUNDS = 100
+_QUAD_PANELS = 1000
+
+
+def _rule(f, lo, hi):
+    """Sums of the _QUAD_ORDER-point rule over the panels [lo[i], hi[i]],
+    from one call of f."""
+    x, w = gl_panels(lo, hi, _QUAD_ORDER)
+    fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), (x.size,))
+    return np.sum(fx.reshape(x.shape) * w, axis=1)
 
 
 def quad_breaks(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10) -> float:
-    """Adaptive quadrature on [a, b] with interior breakpoints."""
+    """Adaptive Gauss-Legendre quadrature of f over [a, b]; the breaks
+    inside (a, b) start the panels.
+
+    f maps a 1-d array of nodes to the array of its values there (a scalar
+    is broadcast); each round of refinement makes one call.  A panel's
+    error estimate is the difference between the rule on the panel and the
+    rule on its two halves, whose sum is the panel's value.  Each round
+    bisects every panel whose estimate exceeds its equal share of the
+    tolerance, until the estimates sum to at most
+    _QUAD_SAFETY * rel_tol * |total|.  Raises ArithmeticError, naming
+    [a, b], rel_tol and the estimate reached, when that takes more than
+    _QUAD_ROUNDS rounds or _QUAD_PANELS panels, or when f is not finite.
+    """
     if b <= a:
         return 0.0
-    pts = [p for p in np.atleast_1d(np.asarray(breaks, dtype=float)) if a < p < b]
-    val, _ = integrate.quad(f, a, b, points=sorted(set(pts)) or None,
-                            epsabs=0.0, epsrel=rel_tol, limit=400)
-    return val
+    pts = np.asarray(breaks, dtype=float).ravel()
+    edges = np.unique(np.concatenate([[a, b], pts[(pts > a) & (pts < b)]]))
+    lo, hi = edges[:-1], edges[1:]
+    n, mid = lo.size, 0.5 * (lo + hi)
+    sums = _rule(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    whole, left, right = sums[:n], sums[n:2 * n], sums[2 * n:]
+    tol = _QUAD_SAFETY * rel_tol
+    for _ in range(_QUAD_ROUNDS):
+        fine = left + right
+        err = np.abs(fine - whole)
+        total, estimate = math.fsum(fine.tolist()), math.fsum(err.tolist())
+        if estimate <= tol * abs(total):
+            return total
+        if not math.isfinite(estimate) or lo.size > _QUAD_PANELS:
+            break
+        # the halves of a bisected panel are its children; only their own
+        # halves are new
+        split = err > tol * abs(total) / lo.size
+        keep = ~split
+        lo = np.concatenate([lo[keep], lo[split], mid[split]])
+        hi = np.concatenate([hi[keep], mid[split], hi[split]])
+        whole = np.concatenate([whole[keep], left[split], right[split]])
+        n, mid = np.count_nonzero(keep), 0.5 * (lo + hi)
+        sums = _rule(f, np.concatenate([lo[n:], mid[n:]]), np.concatenate([mid[n:], hi[n:]]))
+        k = lo.size - n
+        left = np.concatenate([left[keep], sums[:k]])
+        right = np.concatenate([right[keep], sums[k:]])
+    raise ArithmeticError(
+        f"quadrature on [{a:g}, {b:g}] did not reach rel_tol={rel_tol:g}: "
+        f"error estimate {estimate:.3g} of total {total:.6g}")

@@ -451,9 +451,8 @@ def run(cfg: RunConfig) -> int:
         path = _write(cfg, body, "paths.csv")
         print(f"wrote {path} ({sample.size} atoms)")
         return 0
-    except (OSError, ConfigError, ValueError, crm.EnvelopeError,
-            kernels.UnsupportedRegimeError, NotCatalogedError,
-            TruncationBudgetError) as exc:
+    except (OSError, ConfigError, ValueError, ArithmeticError, crm.EnvelopeError,
+            NotCatalogedError, TruncationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

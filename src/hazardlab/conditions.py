@@ -127,17 +127,13 @@ def I_moments(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
               T: float, i: int, epsilon: float = 0.0) -> float:
     """I_i(T) = int K_rho^(i)(x) K_T(x)^i dx, with the epsilon-truncated
     jump moment when epsilon > 0; I_1(T) is the exact mean of the
-    cumulative hazard."""
+    cumulative hazard.  Raises ArithmeticError when the integral does not
+    converge."""
     if i not in (1, 2, 3):
         raise ValueError("i must be 1, 2 or 3")
     lo, hi = kernels.location_window(kernel, T)
-    f = lambda x: float(crm.jump_moment(intensity, float(i), x, epsilon)
-                        * kernels.K_T(kernel, T, x) ** i)
-    val = quad_breaks(f, lo, hi, kernel.breaks(T), rel_tol=1e-11)
-    if not math.isfinite(val):
-        raise kernels.UnsupportedRegimeError(
-            f"I_{i}(T) diverges for ({kernel.label()}, {intensity.label()})")
-    return val
+    f = lambda x: crm.jump_moment(intensity, float(i), x, epsilon) * kernels.K_T(kernel, T, x) ** i
+    return quad_breaks(f, lo, hi, kernel.breaks(T) + list(intensity.kinks), rel_tol=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ class Constant:
     a: float
     constant: ClassVar[bool] = True
     sqrt_slope: ClassVar[Optional[float]] = None
+    # the points where the profile is not smooth
+    kinks: ClassVar[tuple] = ()
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
@@ -102,6 +104,7 @@ class AffineSqrt:
     a: float
     b: float
     constant: ClassVar[bool] = False
+    kinks: ClassVar[tuple] = (0.0,)
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
@@ -141,6 +144,10 @@ class IndicatorSqrt:
         x = np.asarray(x, dtype=float)
         return np.where(x <= self.b, 1.0, np.sqrt(np.maximum(x, self.b)))
 
+    @property
+    def kinks(self) -> tuple:
+        return (self.b,)
+
     def inf_on(self, lo: float, hi: float) -> float:
         vals = [1.0] if lo < self.b else []
         if hi > self.b:
@@ -178,6 +185,9 @@ class _Family:
     # every jump lies below the ceiling
     ceiling: ClassVar[float] = math.inf
     homogeneous: ClassVar[bool] = True
+    # the locations where rho(dv|x) is not smooth in x: breakpoints of
+    # every quadrature over x
+    kinks: ClassVar[tuple] = ()
 
     def param(self, x):
         return None
@@ -192,6 +202,10 @@ class _Profiled(_Family):
     @property
     def homogeneous(self) -> bool:
         return self.profile.constant
+
+    @property
+    def kinks(self) -> tuple:
+        return self.profile.kinks
 
     def param(self, x):
         return np.asarray(self.profile(x), dtype=float)
@@ -703,7 +717,7 @@ def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gen
         deficit = (hi - lo) * mean_below(intensity, epsilon)
     else:
         deficit = quad_breaks(lambda x: mean_below(intensity, epsilon, x),
-                              lo, hi, rel_tol=1e-10)
+                              lo, hi, intensity.kinks, rel_tol=1e-10)
     return CrmSample(jumps, locations, (lo, hi), epsilon, deficit,
                      seed=seed, envelope=env_label)
 

@@ -21,18 +21,12 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import (block_bounds, comp_sum, compensated_prefix, gl_panels,
-                       integrate_piecewise_linear, quad_breaks)
+from ._numeric import block_bounds, comp_sum, compensated_prefix, gl_panels, quad_breaks
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
-    "eval_kernel", "K_T", "Q_T", "mean_hazard", "kT3", "location_window",
-    "UnsupportedRegimeError",
+    "eval_kernel", "K_T", "Q_T", "mean_hazard", "location_window",
 ]
-
-
-class UnsupportedRegimeError(Exception):
-    """An integrability or catalog precondition fails for this pair."""
 
 
 class _Family:
@@ -57,19 +51,9 @@ class _Family:
         # support of x -> k(t, x)
         return 0.0, max(t, 0.0)
 
-    def q_breaks(self, T: float, x: float) -> list:
-        # kinks of w -> Q_T(x, w)
-        return [0.0, min(x, T), T]
-
     def breaks(self, T: float) -> list:
         # breakpoints of the I_i quadratures and of the condition-grid panels
         return []
-
-    def kT3_const(self, T: float, x: float, k1: float) -> float:
-        # kT3(x) for a constant first jump moment k1: Q_T(x, .) is
-        # piecewise linear, so the trapezoid rule on its kinks is exact
-        f = lambda w: Q_T(self, T, x, w)
-        return k1 * integrate_piecewise_linear(f, self.q_breaks(T, x)) / T
 
     def row_integrals(self, T, x, edges, mu, power):
         # int mu(y) Q_T(x_i, y)^power dy at the condition-grid nodes; None
@@ -127,8 +111,9 @@ class Rectangular(_Family):
     def window(self, T: float) -> tuple:
         return (0.0, T + self.tau)
 
-    def slice_mass(self, t: float) -> float:
-        return min(t + self.tau, 2.0 * self.tau) if t > -self.tau else 0.0
+    def slice_mass(self, t):
+        tau = self.tau
+        return np.where(t > -tau, np.minimum(t + tau, 2.0 * tau), 0.0)
 
     def slice_support(self, t: float) -> tuple:
         return max(0.0, t - self.tau), t + self.tau
@@ -136,11 +121,6 @@ class Rectangular(_Family):
     @property
     def slice_kinks(self) -> tuple:
         return (self.tau,)
-
-    def q_breaks(self, T: float, x: float) -> list:
-        tau = self.tau
-        pts = [0.0, x - 2 * tau, x - tau, x, x + tau, x + 2 * tau, tau, T - tau, T, T + tau]
-        return [p for p in pts if 0.0 <= p <= T + tau]
 
     def breaks(self, T: float) -> list:
         tau = self.tau
@@ -202,8 +182,8 @@ class DykstraLaud(_Nested):
     def K(self, T, x):
         return np.where(x >= 0, np.maximum(T - x, 0.0), 0.0)
 
-    def slice_mass(self, t: float) -> float:
-        return max(t, 0.0)
+    def slice_mass(self, t):
+        return np.maximum(t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -234,16 +214,9 @@ class OrnsteinUhlenbeck(_Family):
         d = np.abs(x - y)
         return np.where(on, np.exp(-k * d) - np.exp(-k * (2.0 * T - (x + y))), 0.0)
 
-    def slice_mass(self, t: float) -> float:
+    def slice_mass(self, t):
         k = self.kappa
-        return math.sqrt(2.0 / k) * (-math.expm1(-k * t)) if t > 0 else 0.0
-
-    def kT3_const(self, T: float, x: float, k1: float) -> float:
-        k = self.kappa
-        # int_0^T Q_T(x,w) dw, split at w = x; all exponents <= 0
-        t1 = 1.0 - math.exp(-k * x) - math.exp(-2.0 * k * (T - x)) + math.exp(-k * (2.0 * T - x))
-        t2 = (-math.expm1(-k * (T - x))) ** 2
-        return k1 * (t1 + t2) / (k * T)
+        return math.sqrt(2.0 / k) * -np.expm1(-k * np.maximum(t, 0.0))
 
     def panel_step(self, T: float) -> float:
         return 1.0 / self.kappa
@@ -332,8 +305,8 @@ class UShaped(_Nested):
         b = self.beta_center
         return (0.0, max(b, T - b))
 
-    def slice_mass(self, t: float) -> float:
-        return abs(t - self.beta_center)
+    def slice_mass(self, t):
+        return np.abs(t - self.beta_center)
 
     def slice_support(self, t: float) -> tuple:
         return 0.0, abs(t - self.beta_center)
@@ -341,12 +314,6 @@ class UShaped(_Nested):
     @property
     def slice_kinks(self) -> tuple:
         return (self.beta_center,)
-
-    def q_breaks(self, T: float, x: float) -> list:
-        b = self.beta_center
-        hi = max(b, T - b)
-        pts = [0.0, x, b, abs(T - b), hi]
-        return sorted(p for p in pts if 0.0 <= p <= hi)
 
     def breaks(self, T: float) -> list:
         b = self.beta_center
@@ -402,33 +369,10 @@ def mean_hazard(kernel: Kernel, intensity: crm.JumpIntensity, t: float,
     """
     t = float(t)
     if crm.is_homogeneous(intensity):
-        return crm.moment_truncated(intensity, 1.0, epsilon) * kernel.slice_mass(t)
+        return float(crm.moment_truncated(intensity, 1.0, epsilon) * kernel.slice_mass(t))
     lo, hi = kernel.slice_support(t)
     if hi <= lo:
         return 0.0
     f = lambda x: crm.jump_moment(intensity, 1.0, x, epsilon) * eval_kernel(kernel, t, x)
-    return quad_breaks(f, lo, hi, rel_tol=1e-9)
+    return quad_breaks(f, lo, hi, intensity.kinks, rel_tol=1e-9)
 
-
-def kT3(kernel: Kernel, intensity: crm.JumpIntensity, T: float, x: float) -> float:
-    """Third derived kernel divided by the jump size:
-
-        kT3(x) = (1/T) int_0^T k(t,x) E[h(t)] dt
-               = (1/T) int K_rho^(1)(w) Q_T(x,w) dw.
-
-    Exact piecewise/exponential closed forms for homogeneous intensities;
-    quadrature over the location window otherwise.
-    """
-    T = _check_T(T)
-    x = float(x)
-    lo_w, hi_w = kernel.window(T)
-    if not (lo_w <= x <= hi_w):
-        return 0.0
-    if crm.is_homogeneous(intensity):
-        return kernel.kT3_const(T, x, crm.moment(intensity, 1))
-    f = lambda w: crm.jump_moment(intensity, 1.0, w) * Q_T(kernel, T, x, w)
-    val = quad_breaks(f, lo_w, hi_w, kernel.q_breaks(T, x), rel_tol=1e-10) / T
-    if not math.isfinite(val):
-        raise UnsupportedRegimeError(
-            f"kT3 integral did not converge for {kernel.label()} / {intensity.label()}")
-    return val

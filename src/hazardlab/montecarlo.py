@@ -250,12 +250,13 @@ def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> flo
         second_part = k2 * quad_breaks(lambda x: kernels.Q_T(kernel, T, x, x), lo, hi,
                                        kernel.breaks(T), rel_tol=1e-10)
     else:
-        mean_part = quad_breaks(lambda t: kernels.mean_hazard(kernel, intensity, t, eps) ** 2,
-                                0.0, T, kernel.slice_kinks, rel_tol=1e-8)
+        # each node's mean hazard is an integral of its own
+        mean_sq = lambda ts: np.array([kernels.mean_hazard(kernel, intensity, t, eps)
+                                       for t in ts]) ** 2
+        mean_part = quad_breaks(mean_sq, 0.0, T, kernel.slice_kinks, rel_tol=1e-8)
         second_part = quad_breaks(
-            lambda x: crm.jump_moment(intensity, 2.0, float(x), eps)
-            * kernels.Q_T(kernel, T, float(x), float(x)),
-            lo, hi, kernel.breaks(T), rel_tol=1e-10)
+            lambda x: crm.jump_moment(intensity, 2.0, x, eps) * kernels.Q_T(kernel, T, x, x),
+            lo, hi, kernel.breaks(T) + list(intensity.kinks), rel_tol=1e-10)
     return (mean_part + second_part) / T
 
 
@@ -267,15 +268,17 @@ def _I1(config: ExperimentConfig, truncated: bool) -> float:
 def _exact_center(config: ExperimentConfig, truncated: bool) -> float:
     """Quadrature value of the functional's mean under the full or the
     epsilon-truncated intensity (the latter is the exact mean of the
-    simulated statistic)."""
+    simulated statistic).  For the path variance that is
+    mean_sq - E[(H/T)^2] with E[H^2] = I_1^2 + I_2."""
     F = config.functional
     if F is Functional.CUMULATIVE_HAZARD:
         return _I1(config, truncated)
     mean_sq = _mean_sq_hazard_quadrature(config, truncated)
     if F is Functional.PATH_SECOND_MOMENT:
         return mean_sq
-    i1 = _I1(config, truncated)
-    return mean_sq - (i1 / config.horizon) ** 2
+    T, eps = config.horizon, config.epsilon if truncated else 0.0
+    i2 = I_moments(config.kernel, config.intensity, T, 2, eps)
+    return mean_sq - ((_I1(config, truncated) / T) ** 2 + i2 / T ** 2)
 
 
 def _centering(config: ExperimentConfig, spec: RegimeSpec) -> float:

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hazardlab import cli, crm, kernels
-from hazardlab.asymptotics import PowerLog
+from hazardlab import _numeric, cli, crm, kernels, montecarlo
+from hazardlab.asymptotics import Functional, PowerLog
 from hazardlab.montecarlo import ExperimentConfig
 
 MINIMAL = """
@@ -183,6 +186,45 @@ def test_bad_thread_setting_is_one_line_error(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "HAZARDLAB_THREADS" in err[0] and repr(bad) in err[0]
+
+
+def _fail_path_variance(*args):
+    raise ArithmeticError("path variance -1 negative beyond rounding (p2m=1)")
+
+
+@pytest.mark.parametrize("trigger", ["quadrature", "negative_variance"])
+def test_arithmetic_error_is_one_line_error(tmp_path, monkeypatch, capsys, trigger):
+    # an unconverged centering quadrature, or a path variance negative beyond
+    # rounding, ends the run with one error line and exit code 1
+    text = SIMULATE
+    monkeypatch.setenv("HAZARDLAB_THREADS", "1")
+    if trigger == "quadrature":
+        monkeypatch.setattr(_numeric, "_QUAD_ROUNDS", 1)
+        expected = "error: quadrature on [0, 40] did not reach rel_tol=1e-11"
+    else:
+        text = text.replace("cumulative_hazard", "path_variance")
+        monkeypatch.setitem(montecarlo._FUNCTIONALS, Functional.PATH_VARIANCE,
+                            _fail_path_variance)
+        expected = "error: path variance -1 negative beyond rounding"
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out.json"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(expected), err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the runtime needs scipy.special and scipy.sparse only; scipy.integrate
+    # would pull in scipy.optimize and scipy.linalg (~0.35 s of every start)
+    code = ("import sys, hazardlab.cli; "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 @pytest.mark.parametrize("kernel", [kernels.Rectangular(0.3), kernels.DykstraLaud(),

@@ -196,10 +196,14 @@ def test_contraction_11_equals_dense_square(kern, T):
 @pytest.mark.parametrize("intensity", [GG, EG1], ids=lambda i: i.label())
 @pytest.mark.parametrize("kappa", [1.0, 2.5])
 def test_ou_first_row_is_kT3(kappa, intensity):
-    # J(x) / T = int mu_1(w) Q_T(x, w) dw / T is kT3's closed form
+    # J(x) / T = int mu_1(w) Q_T(x, w) dw / T has a closed form for a
+    # constant first moment: split at w = x, every exponent is <= 0
     kern, T = kernels.OrnsteinUhlenbeck(kappa), 30.0
     g = cond._Grid(kern, intensity, T)
-    kT3 = [kernels.kT3(kern, intensity, T, x) for x in g.x]
+    x, k = g.x, kappa
+    t1 = 1.0 - np.exp(-k * x) - np.exp(-2.0 * k * (T - x)) + np.exp(-k * (2.0 * T - x))
+    t2 = (-np.expm1(-k * (T - x))) ** 2
+    kT3 = crm.moment(intensity, 1) * (t1 + t2) / (k * T)
     np.testing.assert_allclose(g.rows(1, 1) / T, kT3, rtol=1e-12, atol=0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from hazardlab import conditions as cond
 from hazardlab import crm, kernels
 
 from conftest import quad_K_T, quad_Q_T, seeded
@@ -129,39 +130,42 @@ def quad_kT3(kern, intensity, T, x):
 
 
 def test_kT3_matches_double_quadrature():
-    for kern, x in ((kernels.Rectangular(1.0), 1.7), (kernels.OrnsteinUhlenbeck(1.0), 1.0),
-                    (kernels.DykstraLaud(), 2.0), (kernels.UShaped(2.0), 1.1)):
-        val = kernels.kT3(kern, GG, 10.0, x)
-        assert val == pytest.approx(quad_kT3(kern, GG, 10.0, x), rel=1e-7)
-    # randomized sweep per variant (the double-quadrature oracle is the
-    # expensive side, so fewer draws than the single-integral sweeps)
+    # kT3(x) = J(x) / T with J = int mu_1(w) Q_T(x, w) dw is the condition
+    # grid's first row integral, rows(1, 1) / T.  OU integrates its rows
+    # along the kink (exact); the other kernels' rows come from the banded
+    # tensor-grid Q matrix and carry its kink-straddling error (~1e-4
+    # relative, see conditions._Grid).
     rng = seeded(203)
+    eg = crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
+    cases = [(kernels.Rectangular(1.0), GG, 10.0), (kernels.OrnsteinUhlenbeck(1.0), GG, 10.0),
+             (kernels.DykstraLaud(), GG, 10.0), (kernels.UShaped(2.0), GG, 10.0),
+             # non-homogeneous
+             (kernels.Rectangular(1.0), eg, 12.0), (kernels.OrnsteinUhlenbeck(1.0), eg, 12.0)]
     for make in (lambda: kernels.Rectangular(rng.uniform(0.4, 2.0)),
                  kernels.DykstraLaud,
                  lambda: kernels.OrnsteinUhlenbeck(rng.uniform(0.4, 2.5)),
                  lambda: kernels.UShaped(rng.uniform(0.8, 3.0))):
-        for _ in range(10):
-            kern = make()
-            T = rng.uniform(4.0, 20.0)
-            x = rng.uniform(0.0, kernels.location_window(kern, T)[1])
-            assert kernels.kT3(kern, GG, T, x) \
-                == pytest.approx(quad_kT3(kern, GG, T, x), rel=1e-7, abs=1e-12)
-    # outside the location window the kernel cannot contribute
-    assert kernels.kT3(kernels.Rectangular(1.0), GG, 10.0, 11.5) == 0.0
-    # non-homogeneous fallback
-    eg = crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
-    val = kernels.kT3(kernels.Rectangular(1.0), eg, 12.0, 3.0)
-    assert val == pytest.approx(quad_kT3(kernels.Rectangular(1.0), eg, 12.0, 3.0), rel=1e-7)
+        cases += [(make(), GG, rng.uniform(4.0, 20.0)) for _ in range(3)]
+    for kern, intensity, T in cases:
+        g = cond._Grid(kern, intensity, T)
+        rel = 1e-7 if isinstance(kern, kernels.OrnsteinUhlenbeck) else 1e-3
+        for i in rng.choice(g.x.size, 3, replace=False):
+            assert g.rows(1, 1)[i] / T \
+                == pytest.approx(quad_kT3(kern, intensity, T, g.x[i]), rel=rel, abs=1e-12)
 
 
 def test_kT3_bulk_value_definition_consistent():
-    # for x away from both boundaries the w-integral of Q picks up 2 tau^2
-    # from each side of x, so the value is (K1/T) * 4 tau^2; the
-    # double-quadrature oracle pins the definition
-    T, tau = 20.0, 1.0
-    val = kernels.kT3(kernels.Rectangular(tau), GG, T, 5.0)
-    assert val == pytest.approx(4.0 * tau ** 2 * crm.moment(GG, 1) / T, rel=1e-12)
-    assert val == pytest.approx(quad_kT3(kernels.Rectangular(tau), GG, T, 5.0), rel=1e-9)
+    # for x away from both boundaries the w-integral of Q is (int phi)^2,
+    # 2 / kappa for OU (the boundary terms are below e^{-40} here), so
+    # kT3 = (K1 / T) * 2 / kappa; the double-quadrature oracle pins the
+    # definition
+    kappa, T = 1.0, 80.0
+    kern = kernels.OrnsteinUhlenbeck(kappa)
+    g = cond._Grid(kern, GG, T)
+    i = int(np.searchsorted(g.x, T / 2))
+    val = g.rows(1, 1)[i] / T
+    assert val == pytest.approx(2.0 / kappa * crm.moment(GG, 1) / T, rel=1e-12)
+    assert val == pytest.approx(quad_kT3(kern, GG, T, g.x[i]), rel=1e-9)
 
 
 def test_location_window():

@@ -1,0 +1,164 @@
+"""The adaptive Gauss-Legendre rule behind every centering and I_i moment,
+against closed forms and against QUADPACK (scipy.integrate, a test-only
+oracle: the package itself never imports it)."""
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy import integrate
+
+from hazardlab import _numeric, crm, kernels
+from hazardlab import montecarlo as mc
+from hazardlab.asymptotics import Functional
+from hazardlab.conditions import I_moments
+
+KERNELS = [kernels.Rectangular(1.0), kernels.DykstraLaud(), kernels.OrnsteinUhlenbeck(1.0),
+           kernels.UShaped(2.0)]
+HOMOGENEOUS = [crm.GeneralizedGamma(0.5, 1.0), crm.ExtendedGamma(crm.Constant(1.0)),
+               crm.Beta(crm.Constant(1.5))]
+
+
+def quadpack(f, a, b, points=(), rel=1e-13):
+    pts = sorted({float(p) for p in points if a < p < b})
+    val, _ = integrate.quad(f, a, b, points=pts or None, epsabs=0.0, epsrel=rel, limit=1000)
+    return val
+
+
+# ---------------------------------------------------------------------------
+# the rule itself
+# ---------------------------------------------------------------------------
+
+def test_smooth_and_endpoint_singular_integrals():
+    q = _numeric.quad_breaks
+    # degree 19 and below is exact on the starting panel
+    assert q(lambda x: x ** 19, 0.0, 1.0) == pytest.approx(1.0 / 20.0, rel=1e-15)
+    assert q(lambda x: np.exp(-x), 0.0, 50.0, rel_tol=1e-12) \
+        == pytest.approx(-math.expm1(-50.0), rel=1e-13)
+    # a sqrt singularity at an endpoint is bisected toward
+    assert q(np.sqrt, 0.0, 2.0, rel_tol=1e-11) == pytest.approx(2.0 / 3.0 * 2.0 ** 1.5, rel=1e-12)
+    # a jump at a break costs nothing; the same jump left to the rule is found
+    step = lambda x: np.where(x < 0.3, 1.0, 2.0)
+    assert q(step, 0.0, 1.0, [0.3]) == pytest.approx(1.7, rel=1e-15)
+    assert q(step, 0.0, 1.0, rel_tol=1e-10) == pytest.approx(1.7, rel=1e-10)
+    # breaks outside (a, b) are ignored; an empty interval is 0
+    assert q(lambda x: x, 0.0, 2.0, [-1.0, 0.0, 2.0, 5.0]) == pytest.approx(2.0, rel=1e-15)
+    assert q(lambda x: x, 1.0, 1.0) == 0.0
+
+
+def test_one_array_call_per_round():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(-x)
+    _numeric.quad_breaks(f, 0.0, 500.0, rel_tol=1e-12)
+    assert all(len(shape) == 1 and shape[0] % _numeric._QUAD_ORDER == 0 for shape in calls)
+    assert 1 < len(calls) <= _numeric._QUAD_ROUNDS + 1
+    # a constant may come back as a scalar
+    assert _numeric.quad_breaks(lambda x: 3.0, 0.0, 2.0) == pytest.approx(6.0, rel=1e-15)
+
+
+def test_unconverged_quadrature_is_refused():
+    # 1/x on (0, 1] diverges: every bisection toward 0 adds ~log 2
+    with pytest.raises(ArithmeticError,
+                       match=r"quadrature on \[0, 1\] did not reach rel_tol=1e-10: "
+                             r"error estimate \S+ of total"):
+        _numeric.quad_breaks(lambda x: 1.0 / x, 0.0, 1.0)
+    with pytest.raises(ArithmeticError, match=r"rel_tol=1e-08"):
+        _numeric.quad_breaks(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, rel_tol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# homogeneous intensities: every quadrature against QUADPACK at 1e-12
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.label())
+def test_homogeneous_values_match_quadpack(kern):
+    for intensity in HOMOGENEOUS:
+        for T in (30.0, 500.0):
+            lo, hi = kernels.location_window(kern, T)
+            for eps in (0.0, 1e-3):
+                k1, k2 = (crm.moment_truncated(intensity, a, eps) for a in (1.0, 2.0))
+                for i in (1, 2, 3):
+                    ki = crm.moment_truncated(intensity, float(i), eps)
+                    oracle = quadpack(lambda x: ki * kernels.K_T(kern, T, x) ** i,
+                                      lo, hi, kern.breaks(T))
+                    assert I_moments(kern, intensity, T, i, eps) \
+                        == pytest.approx(oracle, rel=1e-12, abs=0)
+                for t in (0.5, 3.0, T / 2):
+                    # the points hold the slice's edges for rectangular(1)
+                    # and U-shaped(2)
+                    s_lo, s_hi = kern.slice_support(t)
+                    oracle = k1 * quadpack(lambda x: kernels.eval_kernel(kern, t, x),
+                                           s_lo, s_hi, [t - 1.0, t + 1.0, 2.0 - t, t - 2.0])
+                    assert kernels.mean_hazard(kern, intensity, t, eps) \
+                        == pytest.approx(oracle, rel=1e-12, abs=0)
+                if eps == 0.0:
+                    continue
+                cfg = mc.ExperimentConfig(kern, intensity, Functional.PATH_SECOND_MOMENT, T,
+                                          epsilon=eps)
+                mean_part = quadpack(lambda t: float(kern.slice_mass(t)) ** 2, 0.0, T,
+                                     kern.slice_kinks)
+                second = quadpack(lambda x: kernels.Q_T(kern, T, x, x), lo, hi, kern.breaks(T))
+                assert mc._mean_sq_hazard_quadrature(cfg, truncated=True) \
+                    == pytest.approx((k1 ** 2 * mean_part + k2 * second) / T, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# non-homogeneous intensities: the nested centerings against nested QUADPACK
+# ---------------------------------------------------------------------------
+
+def _nested_oracle(kern, intensity, T, eps, t_kinks):
+    """(mean part, second part, I_1, I_2) by QUADPACK at epsrel 2e-14, with
+    every kink of the inner and the outer integrands as a point."""
+    x_kinks = list(kern.breaks(T)) + list(intensity.kinks)
+
+    def mean_hazard(t):
+        lo, hi = kern.slice_support(t)
+        if hi <= lo:
+            return 0.0
+        # QUADPACK flags roundoff where t falls within a few ulps of a kink
+        # (the piece next to it is empty); the value is still exact there
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return quadpack(lambda x: float(crm.jump_moment(intensity, 1.0, x, eps))
+                            * kernels.eval_kernel(kern, t, x), lo, hi, intensity.kinks,
+                            rel=2e-14)
+    lo, hi = kernels.location_window(kern, T)
+    mean_part = quadpack(lambda t: mean_hazard(t) ** 2, 0.0, T,
+                         list(kern.slice_kinks) + t_kinks, rel=2e-14)
+    second = quadpack(lambda x: float(crm.jump_moment(intensity, 2.0, x, eps))
+                      * kernels.Q_T(kern, T, x, x), lo, hi, x_kinks, rel=2e-14)
+    I1, I2 = (quadpack(lambda x: float(crm.jump_moment(intensity, float(i), x, eps))
+                       * kernels.K_T(kern, T, x) ** i, lo, hi, x_kinks, rel=2e-14)
+              for i in (1, 2))
+    return mean_part, second, I1, I2
+
+
+# (kernel, intensity, the kinks of t -> E[h(t)] that the profile adds)
+NONHOMOGENEOUS = [
+    (kernels.Rectangular(1.0), crm.Beta(crm.IndicatorSqrt(1.0)), [2.0]),
+    (kernels.DykstraLaud(), crm.ExtendedGamma(crm.IndicatorSqrt(2.0)), [2.0]),
+    (kernels.UShaped(2.0), crm.Beta(crm.AffineSqrt(1.0, 0.7)), []),
+    (kernels.OrnsteinUhlenbeck(1.0), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), []),
+]
+
+
+@pytest.mark.parametrize("kern, intensity, t_kinks", NONHOMOGENEOUS,
+                         ids=lambda v: v.label() if hasattr(v, "label") else "")
+def test_nonhomogeneous_centerings_match_nested_quadpack(kern, intensity, t_kinks):
+    T, eps = 30.0, 1e-3
+    mean_part, second, I1, I2 = _nested_oracle(kern, intensity, T, eps, t_kinks)
+    if isinstance(intensity.profile, crm.IndicatorSqrt) and isinstance(kern, kernels.Rectangular):
+        assert mean_part == pytest.approx(117.4607162226596, rel=1e-13)
+    assert I_moments(kern, intensity, T, 1, eps) == pytest.approx(I1, rel=1e-10, abs=0)
+    assert I_moments(kern, intensity, T, 2, eps) == pytest.approx(I2, rel=1e-10, abs=0)
+    cfg = mc.ExperimentConfig(kern, intensity, Functional.PATH_SECOND_MOMENT, T, epsilon=eps)
+    assert mc._mean_sq_hazard_quadrature(cfg, truncated=True) \
+        == pytest.approx((mean_part + second) / T, rel=1e-10, abs=0)
+    # the path variance is a difference: its error is the mean square's
+    cfg = mc.ExperimentConfig(kern, intensity, Functional.PATH_VARIANCE, T, epsilon=eps)
+    mean_sq = (mean_part + second) / T
+    assert mc._exact_center(cfg, truncated=True) \
+        == pytest.approx(mean_sq - (I1 ** 2 + I2) / T ** 2, rel=0, abs=1e-10 * mean_sq)
