@@ -156,6 +156,10 @@ def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
 
 
 _GRID_ORDER = 8     # Gauss-Legendre nodes per panel of the condition grid
+# Q_matrix refuses a band of more pairs than this (~25x the rectangular
+# T=800 grid's 806k) before allocating any of them.  The banded products
+# peak at ~70 bytes a pair (56 MB traced at T=800), ~1.4 GB at the cap.
+_MAX_BAND_PAIRS = 20_000_000
 
 
 class _Grid:
@@ -163,10 +167,14 @@ class _Grid:
     weighted kernel matrix Q_T(x_i, x_j); all bivariate norms reduce to
     quadratic forms in it.
 
-    The Ornstein-Uhlenbeck kernel integrates its own rows
+    A family may compute the grid's reductions without the matrix: the
+    Ornstein-Uhlenbeck kernel integrates its own rows
     (OrnsteinUhlenbeck.row_integrals) with the |x - y| kink on a segment
     edge, which makes them machine-exact where the tensor grid would carry
-    ~1e-3 relative error from kink-straddling panels."""
+    ~1e-3 relative error from kink-straddling panels, and carries
+    ||A^2||_F^2 through its Green's-function form
+    (OrnsteinUhlenbeck.contraction_11) in O(n), so an OU grid never builds
+    Q_matrix."""
 
     def __init__(self, kernel, intensity, T):
         self.kernel, self.intensity, self.T = kernel, intensity, T
@@ -183,21 +191,29 @@ class _Grid:
         return crm.jump_moment(self.intensity, a, self.x)
 
     def Q_matrix(self) -> sparse.csr_matrix:
-        """Q_T(x_i, x_j) for |x_i - x_j| within the kernel's band, from one
-        Q_T call on every pair in the band (Q_T is exactly symmetric)."""
+        """Q_T(x_i, x_j) for |x_i - x_j| within the kernel's band.  Q_T is
+        exactly symmetric, so one Q_T call covers the upper half j >= i and
+        the strict upper half is mirrored.  A band of more than
+        _MAX_BAND_PAIRS pairs is refused with ValueError."""
         if self._Q is not None:
             return self._Q
         x, n = self.x, self.x.size
         reach = x + self.kernel.band
         lo = np.searchsorted(reach, x, side="left")      # x_i <= x_j + band
         hi = np.searchsorted(x, reach, side="right")     # x_j <= x_i + band
-        count = hi - lo
-        i = np.repeat(np.arange(n), count)
-        j = np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
-        q = kernels.Q_T(self.kernel, self.T, x[i], x[j])
+        pairs = int(np.sum(hi - lo))
+        if pairs > _MAX_BAND_PAIRS:
+            raise ValueError(
+                f"the condition grid at T={self.T:g} has {pairs} kernel band "
+                f"pairs, above the cap of {_MAX_BAND_PAIRS}")
+        count = hi - np.arange(n)                        # pairs j >= i of row i
+        start = np.cumsum(count) - count
+        j = np.arange(count.sum()) - np.repeat(start - np.arange(n), count)
+        q = kernels.Q_T(self.kernel, self.T, np.repeat(x, count), x[j])
         nz = q != 0.0
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(i[nz], minlength=n))])
-        self._Q = sparse.csr_matrix((q[nz], j[nz], indptr), shape=(n, n))
+        indptr = np.concatenate([[0], np.cumsum(np.add.reduceat(nz, start, dtype=np.intp))])
+        upper = sparse.csr_matrix((q[nz], j[nz], indptr), shape=(n, n))
+        self._Q = upper + sparse.triu(upper, k=1).T
         return self._Q
 
     # -- reduced quantities --------------------------------------------------
@@ -224,14 +240,20 @@ class _Grid:
         by the caller): intint mu2 mu2 G^2 with G = int mu2 Q Q, i.e.
         ||A^2||_F^2 for A = diag(r) Q diag(r), r = sqrt(w mu2).
 
+        The family's contraction_11 gives it where Q_T has a closed form
+        for it (OU, in O(n)).  Otherwise A comes from the banded Q_matrix:
         A vanishes beyond its index half-bandwidth, so in index blocks I_b
         of m = half-bandwidth + 1 rows, A[I_b, I_c] = 0 unless |b - c| <= 1
         and A^2[I_b, I_d] = sum_c A[I_b, I_c] A[I_c, I_d] unless
         |b - d| > 2; A^2 is symmetric, so blocks d > b count twice."""
+        r2 = self.w * self.mu(2.0)
+        total = self.kernel.contraction_11(self.T, self.x, r2)
+        if total is not None:
+            return total
         Q = self.Q_matrix()
         n = Q.shape[0]
         i, j = np.repeat(np.arange(n), np.diff(Q.indptr)), Q.indices
-        r = np.sqrt(self.w * self.mu(2.0))
+        r = np.sqrt(r2)
         m = int(np.max(j - i)) + 1
         nb = -(-n // m)
         # B[b, t] = A[I_b, I_{b+t-1}]

@@ -60,6 +60,11 @@ class _Family:
         # leaves them to the grid's banded Q matrix
         return None
 
+    def contraction_11(self, T, x, r2):
+        # ||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j at the condition-grid
+        # nodes, r^2 = r2; None leaves it to the grid's banded Q matrix
+        return None
+
 
 class _Nested(_Family):
     """Kernels whose slices are nested: the joint support of two locations
@@ -252,6 +257,36 @@ class OrnsteinUhlenbeck(_Family):
         right = _carry(decay[::-1], into_right[::-1])[::-1]
         at = np.searchsorted(b, x)
         return g(x) ** power * left[at] + right[at]
+
+    def contraction_11(self, T, x, r2):
+        """||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j at the increasing
+        nodes x in [0, T], with r^2 = r2, in O(n).
+
+        Q_T(x, y) = e^{-k|x-y|} g(max(x, y)) is a Green's-function kernel,
+        so with c = r2 g, for i <= j
+            (A^2)_ij = r_i r_j e^{-k(x_j - x_i)} (g_j Y_ij + R_j),
+            Y_ij = g_i L_i + sum_{l=i..j} c_l,
+        where L_i = sum_{l<i} r2_l e^{-2k(x_i-x_l)} and
+        R_j = sum_{l>j} r2_l g_l^2 e^{-2k(x_l-x_j)}.  Squaring and summing
+        over i < j leaves the sums U_p(j) = sum_{i<j} r2_i e^{-2k(x_j-x_i)}
+        Y_ij^p for p = 0, 1, 2 (U_0 = L), each carried forward with the
+        decay d = e^{-2k dx}; Y_{i,j+1} = Y_ij + c_{j+1} makes U_1 and U_2
+        binomial updates of the lower ones.  Every term and every carry
+        factor is positive, so nothing cancels."""
+        k = self.kappa
+        g = -np.expm1(-2.0 * k * (T - x))
+        c = r2 * g
+        d = np.exp(-2.0 * k * np.diff(x))
+        a, cn = r2[:-1], c[1:]            # node j's r2 and node j+1's c
+        U0 = _carry(d, d * a)
+        Y = g * U0 + c                    # Y_jj
+        U1 = _carry(d, d * (a * Y[:-1] + cn * (U0[:-1] + a)))
+        U2 = _carry(d, d * (2.0 * cn * U1[:-1] + cn ** 2 * U0[:-1]
+                            + a * (Y[:-1] + cn) ** 2))
+        R = _carry(d[::-1], (d * r2[1:] * g[1:] ** 2)[::-1])[::-1]
+        return float(np.sum(r2 * (g ** 2 * (2.0 * U2 + r2 * Y ** 2)
+                                  + 2.0 * g * R * (2.0 * U1 + r2 * Y)
+                                  + R ** 2 * (2.0 * U0 + r2))))
 
     def pair_sum(self, J, x, T):
         # Q = e^{-k|xi-xj|} - e^{-k(2T-xi-xj)}; the first part is a carried

@@ -154,6 +154,34 @@ format = json
     assert cli.main(["check-conditions", "--config", str(bad), "--out", str(out)]) == 2
 
 
+def test_oversized_condition_grid_is_one_line_error(tmp_path, capsys):
+    # 640k nodes with a 65-node band: twice the condition grid's pair cap,
+    # refused before any pair is evaluated
+    cfg_path = tmp_path / "big.ini"
+    cfg_path.write_text("""
+[experiment]
+kind = check-conditions
+theorem = path2nd
+rate = power:0.5
+t_grid = 2000,2200,2400,2600
+
+[kernel]
+type = rectangular
+tau = 0.05
+
+[crm]
+family = generalized_gamma
+sigma = 0.5
+gamma = 1.0
+""")
+    out = tmp_path / "big.json"
+    assert cli.main(["check-conditions", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: the condition grid at T=2000 has 41155998 kernel band pairs")
+    assert not out.exists()
+
+
 def test_sample_paths_csv(tmp_path):
     cfg_path = tmp_path / "paths.ini"
     cfg_path.write_text(SIMULATE.replace("kind = simulate", "kind = sample-paths"))

@@ -193,6 +193,54 @@ def test_contraction_11_equals_dense_square(kern, T):
     assert g.contraction_11_norm_sq() == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("intensity", [GG, crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7)),
+                                       crm.Beta(crm.IndicatorSqrt(1.0))],
+                         ids=lambda i: i.label())
+@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.5])
+def test_ou_contraction_11_equals_dense_full_square(kappa, intensity):
+    # the carried O(n) recurrence against ||A^2||_F^2 on the full, unbanded Q
+    kern, T = kernels.OrnsteinUhlenbeck(kappa), 30.0
+    g = cond._Grid(kern, intensity, T)
+    r = np.sqrt(g.w * g.mu(2.0))
+    A = r[:, None] * kernels.Q_T(kern, T, g.x[:, None], g.x[None, :]) * r[None, :]
+    assert g.contraction_11_norm_sq() == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
+
+
+# ||k1 *_1^1 k1||^2 for OU(1) + GG(0.5, 1) from dense products of the banded Q
+OU_K11_BANDED = {50.0: 1.2029005654579863e-06, 100.0: 1.5402137482055057e-07,
+                 200.0: 1.948134711121272e-08, 400.0: 2.449460592566833e-09,
+                 800.0: 3.0707583679993213e-10}
+
+
+@pytest.mark.parametrize("T", GRID)
+def test_ou_contraction_11_matches_banded_block_products(T):
+    kern = kernels.OrnsteinUhlenbeck(1.0)
+    n = cond.contraction_norms(kern, GG, T)
+    assert n.k11_l2_sq == pytest.approx(OU_K11_BANDED[T], rel=1e-12, abs=0)
+    # every OU norm comes without the banded Q matrix
+    assert cond._grid(kern, GG, T)._Q is None
+
+
+def test_Q_matrix_refuses_a_band_above_the_cap(monkeypatch):
+    kern = kernels.Rectangular(1.0)
+    g = cond._Grid(kern, GG, 20.0)
+    x = g.x
+    pairs = int(np.sum((x[None, :] <= x[:, None] + kern.band)
+                       & (x[:, None] <= x[None, :] + kern.band)))
+    monkeypatch.setattr(cond, "_MAX_BAND_PAIRS", pairs - 1)
+
+    def no_pairs(*args):
+        raise AssertionError("Q_T evaluated before the refusal")
+
+    monkeypatch.setattr(kernels, "Q_T", no_pairs)
+    with pytest.raises(ValueError, match=rf"T=20 has {pairs} kernel band pairs, "
+                                         rf"above the cap of {pairs - 1}"):
+        g.Q_matrix()
+    monkeypatch.undo()
+    monkeypatch.setattr(cond, "_MAX_BAND_PAIRS", pairs)
+    assert g.Q_matrix().shape == (x.size, x.size)
+
+
 @pytest.mark.parametrize("intensity", [GG, EG1], ids=lambda i: i.label())
 @pytest.mark.parametrize("kappa", [1.0, 2.5])
 def test_ou_first_row_is_kT3(kappa, intensity):
