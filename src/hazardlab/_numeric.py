@@ -1,4 +1,5 @@
-"""Shared numerical helpers: compensated summation, panel quadrature.
+"""Shared numerical helpers: compensated summation, panel quadrature and
+the special functions of the jump-intensity families and the KS test.
 
 Nothing in here knows about hazard rates; it is plumbing used by the
 domain modules.
@@ -6,8 +7,14 @@ domain modules.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+# numpy loads these on first use: numpy.polynomial for the Gauss-Legendre
+# rules, numpy.ma (16 ms) for np.unique.  Importing them here keeps that
+# out of the first call and of each pool worker's first task.
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
 
 __all__ = [
     "block_bounds",
@@ -16,6 +23,8 @@ __all__ = [
     "gauss_legendre_panels",
     "gl_panels",
     "quad_breaks",
+    "betainc", "betaincc", "erf", "exp1", "expit", "gammainc", "gammaincc",
+    "gammaln", "kolmogorov", "logit", "xlog1py",
 ]
 
 _BLOCK = 4096
@@ -23,6 +32,15 @@ _BLOCK = 4096
 # the cumulative hazard's products): 256 KB per float array, so a pass's
 # temporaries stay in a core's L2 cache instead of streaming from L3.
 _STREAM = 8 * _BLOCK
+# glibc's malloc serves a block above its mmap threshold (128 KB at start)
+# from freshly mapped pages, unmaps it when it is freed, and raises the
+# threshold to the largest such block freed so far.  Freeing one 8 MB block
+# here lifts it above a replicate's temporaries (256 KB pass blocks, whole
+# series of up to ~5 MB), which then reuse heap pages instead of faulting
+# in new ones: the pool workers of 100 clt-pathvar-rect-gg replicates take
+# ~10k minor page faults instead of ~95k.  Forked pool workers inherit it,
+# spawned ones run this import; other allocators ignore it.
+np.empty(1 << 20)
 
 
 def comp_sum(values) -> float:
@@ -170,3 +188,297 @@ def quad_breaks(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10) -> flo
     raise ArithmeticError(
         f"quadrature on [{a:g}, {b:g}] did not reach rel_tol={rel_tol:g}: "
         f"error estimate {estimate:.3g} of total {total:.6g}")
+
+
+# ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
+# Each accepts scalars or arrays (broadcast together) and returns a float
+# for scalar arguments.  They cover the domains the package evaluates:
+# orders and shapes up to a few tens, arguments in double range; each
+# matches a reference implementation to 1e-13 relative there
+# (tests/test_special.py).
+# The incomplete gamma and beta functions run their series and continued
+# fractions on Python floats, one entry at a time (a few us an entry): the
+# package calls them on scalars and on the nodes of one quadrature round.
+# exp1 also runs on whole arrays, for the inverse-tail tables.
+
+_EPS = 2.0 ** -52
+_TINY = 1e-300
+_EULER = 0.57721566490153286061
+_MAX_TERMS = 500
+
+
+def _out(values, shape):
+    return values.reshape(shape)[()]
+
+
+def _elementwise(f, *args):
+    """f, a function of floats, over the broadcast entries of args."""
+    if all(isinstance(v, float) for v in args):
+        return f(*map(float, args))
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    values = map(f, *(a.ravel().tolist() for a in arrays))
+    return _out(np.fromiter(values, float, arrays[0].size), arrays[0].shape)
+
+
+def gammaln(x):
+    """log |Gamma(x)|."""
+    return _elementwise(math.lgamma, x)
+
+
+def erf(x):
+    """The error function."""
+    return _elementwise(math.erf, x)
+
+
+def xlog1py(x, y):
+    """x * log1p(y), and 0 where x = 0 (also at y = -1)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log1p(y)
+    return np.where((x == 0) & ~np.isnan(y), 0.0, out)[()]
+
+
+def expit(x):
+    """1 / (1 + e^-x), without overflow for either sign of x."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
+
+
+def logit(p):
+    """log(p / (1 - p)); around p = 1/2 from log1p, which keeps the
+    digits that p / (1 - p) loses there."""
+    p = np.asarray(p, dtype=float)
+    s = 2.0 * (p - 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                       np.log1p(s) - np.log1p(-s))
+    return out[()]
+
+
+def kolmogorov(y: float) -> float:
+    """P(K > y) for the Kolmogorov distribution K = sup |Brownian bridge|.
+
+    Below y = 1 the complement of the CDF's theta series
+    sqrt(2 pi)/y sum_k exp(-(2k-1)^2 pi^2 / (8 y^2)); from y = 1 the
+    alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 y^2).  Each series
+    falls by at least e^-8 a term, so the first few carry every digit."""
+    y = float(y)
+    if math.isnan(y):
+        return math.nan
+    if y <= 0.0:
+        return 1.0
+    if y < 1.0:
+        w = math.pi ** 2 / (8.0 * y * y)
+        terms = [math.exp(-(2 * k - 1) ** 2 * w) for k in range(1, 8)]
+        return 1.0 - math.sqrt(2.0 * math.pi) / y * math.fsum(terms)
+    terms = [(-1) ** (k - 1) * math.exp(-2.0 * k * k * y * y) for k in range(1, 8)]
+    return 2.0 * math.fsum(terms)
+
+
+# exp1's continued fraction is evaluated from its depth-th term back; on
+# z > edge, the exact-arithmetic convergent of that depth is within 2e-17
+# relative of E1 at z = edge (the depth falls as z grows), plus two.
+_E1_DEPTH = ((1.0, 110), (1.5, 76), (2.0, 59), (3.0, 42), (4.0, 34), (6.0, 25),
+             (8.0, 20), (12.0, 16), (16.0, 13), (32.0, 10), (64.0, 8), (128.0, 6))
+
+
+def _e1_series(z):
+    """E1(z) = -gamma - log z - sum_k (-z)^k / (k k!) for 0 < z <= 1 (at 24
+    terms the tail is below 1e-25); z a float or an array."""
+    term = -z
+    total = term
+    for k in range(2, 25):
+        term = term * (-z * (k - 1) / (k * k))
+        total = total + term
+    return -_EULER - np.log(z) - total
+
+
+def _e1_fraction(z, depth: int):
+    """E1(z) = e^-z / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) from its
+    depth-th term back, for z > 1; z a float or an array."""
+    f = 0.0
+    for i in range(depth, 0, -1):
+        f = -float(i * i) / (z + (2 * i + 1) + f)
+    with np.errstate(under="ignore"):
+        return np.exp(-z) / (z + 1.0 + f)
+
+
+def exp1(z):
+    """E1(z) = int_z^inf e^-t / t dt for z >= 0."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        v = float(z)
+        if not v > 1.0:
+            return float(_e1_series(v)) if v > 0.0 else (math.inf if v == 0.0 else math.nan)
+        depth = next(d for edge, d in reversed(_E1_DEPTH) if v > edge)
+        return float(_e1_fraction(v, depth))
+    flat = z.ravel()
+    out = np.full(flat.shape, np.nan)
+    out[flat == 0] = np.inf
+    small = (flat > 0) & (flat <= 1.0)
+    if np.any(small):
+        out[small] = _e1_series(flat[small])
+    uppers = [edge for edge, _ in _E1_DEPTH[1:]] + [np.inf]
+    for (edge, depth), upper in zip(_E1_DEPTH, uppers):
+        part = (flat > edge) & (flat <= upper)
+        if np.any(part):
+            out[part] = _e1_fraction(flat[part], depth)
+    return _out(out, z.shape)
+
+
+@lru_cache(maxsize=None)
+def _zeta(s: int) -> float:
+    """Riemann zeta at an integer s >= 2: the sum to k = 19 and the
+    Euler-Maclaurin tail from k = 20 (the next correction is below 1e-25)."""
+    n = 20
+    total = math.fsum(k ** -s for k in range(1, n))
+    tail = n ** (1 - s) / (s - 1) + 0.5 * n ** -s
+    rising = s                      # s (s+1) ... (s+2j-2)
+    for j, b2j in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1):
+        tail += b2j / math.factorial(2 * j) * rising * n ** (-s - 2 * j + 1)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total + tail
+
+
+@lru_cache(maxsize=256)
+def _lgamma1p(a: float) -> float:
+    """log Gamma(1 + a) for |a| <= 1/2, to a few ulp also where it is near
+    0: -gamma a + sum_{n>=2} zeta(n) (-a)^n / n, summed until a term is
+    below rounding (50 terms at |a| = 1/2).  Cached: a call's entries
+    share their a."""
+    total, power = -_EULER * a, -a
+    for n in range(2, _MAX_TERMS):
+        power *= -a
+        term = _zeta(n) * power / n
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            return total
+    raise ArithmeticError(f"log Gamma(1 + {a}) series did not converge")
+
+
+def _lentz(b0: float, coef) -> float:
+    """The continued fraction b0 + a1/(b1 + a2/(b2 + ...)) by the modified
+    Lentz method; coef(i) gives (a_i, b_i).  It stops once the last factor
+    is 1 to rounding (a zero a_i ends the fraction exactly)."""
+    h = b0 if b0 != 0.0 else _TINY
+    c, d = h, 0.0
+    for i in range(1, _MAX_TERMS + 1):
+        a, b = coef(i)
+        d = b + a * d
+        d = 1.0 / (d if d != 0.0 else _TINY)
+        c = b + a / c
+        if c == 0.0:
+            c = _TINY
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+    raise ArithmeticError(f"continued fraction did not converge in {_MAX_TERMS} terms")
+
+
+def _gamma_pq(a: float, x: float, upper: bool) -> float:
+    """P(a, x) or, with upper, Q(a, x) = 1 - P(a, x), the regularised
+    incomplete gamma functions, for a > 0, x >= 0.
+
+    Below x = a + 1 the series P = x^a e^-x / Gamma(a + 1) sum_n
+    x^n / ((a+1)...(a+n)), all terms positive; from there Legendre's
+    continued fraction Q = x^a e^-x / Gamma(a) / (x + 1 - a - 1(1-a)/(x +
+    3 - a - 2(2-a)/(x + 5 - a - ...))).  Each gives the larger of P and Q
+    there, and the other is its complement, except for a <= 1/2 below
+    x = a + 1, where Q ~ a E1(x) is small and comes from its own series
+    Q = 1 - x^a / Gamma(1 + a) - x^a / Gamma(a) sum_{n>=1} (-x)^n / (n! (a+n))."""
+    if not (a > 0.0 and x >= 0.0):
+        return math.nan
+    if x == 0.0:
+        return 1.0 if upper else 0.0
+    if math.isinf(x):
+        return 0.0 if upper else 1.0
+    ax = a * math.log(x)
+    if x < a + 1.0:
+        if upper and a <= 0.5:
+            # sum_{n>=1} (-x)^n / (n! (a + n)) by its terms' powers f = (-x)^n / n!
+            f, total = -x, 0.0
+            for n in range(1, _MAX_TERMS):
+                term = f / (a + n)
+                total += term
+                if abs(term) <= _EPS * abs(total):
+                    return -math.expm1(ax - _lgamma1p(a)) - math.exp(ax - math.lgamma(a)) * total
+                f *= -x / (n + 1)
+        else:
+            term = total = 1.0
+            for n in range(1, _MAX_TERMS):
+                term *= x / (a + n)
+                total += term
+                if term <= _EPS * total:
+                    p = total * math.exp(ax - x - math.lgamma(a + 1.0))
+                    return 1.0 - p if upper else p
+        raise ArithmeticError(f"incomplete gamma series at a={a}, x={x} did not converge")
+    q = math.exp(ax - x - math.lgamma(a)) / _lentz(x + 1.0 - a,
+                                                   lambda i: (-i * (i - a), x + 2 * i + 1 - a))
+    return q if upper else 1.0 - q
+
+
+def gammainc(a, x):
+    """Regularised lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
+    return _elementwise(lambda a, x: _gamma_pq(a, x, False), a, x)
+
+
+def gammaincc(a, x):
+    """Regularised upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
+    return _elementwise(lambda a, x: _gamma_pq(a, x, True), a, x)
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) with y = 1 - x, for x below about the mean (a+1)/(a+b+2):
+    x^a y^b / (a B(a, b)) / (1 + d1/(1 + d2/(1 + ...))) with
+    d_{2m+1} = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)) and
+    d_{2m} = m(b-m) x / ((a+2m-1)(a+2m))."""
+    def coef(i):
+        m = i // 2
+        if i % 2:
+            return -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)), 1.0
+        return m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)), 1.0
+
+    if a + b < 170.0:
+        # Gamma itself is good to a few ulp; its log is not, where large
+        beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    else:
+        beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return x ** a * y ** b / (a * beta * _lentz(1.0, coef))
+
+
+def _beta_value(a: float, b: float, x: float, upper: bool) -> float:
+    """I_x(a, b) or, with upper, 1 - I_x(a, b), for a, b > 0, 0 <= x <= 1.
+
+    Below (a+1)/(a+b+2), where it converges fastest, the continued
+    fraction gives I_x(a, b), above it 1 - I_x(a, b) = I_{1-x}(b, a)
+    (there 1 - x is exact).  The other value is the complement, unless
+    the first exceeds 0.9: then the complement would lose digits, and the
+    other side's fraction gives it too."""
+    if not (a > 0.0 and b > 0.0 and 0.0 <= x <= 1.0):
+        return math.nan
+    if x == 0.0 or x == 1.0:
+        return 1.0 - x if upper else x
+    y = 1.0 - x
+    # the side whose fraction converges fast, and whether it is the one asked for
+    if x < (a + 1.0) / (a + b + 2.0):
+        near, far, asked = (a, b, x, y), (b, a, y, x), not upper
+    else:
+        near, far, asked = (b, a, y, x), (a, b, x, y), upper
+    value = _beta_fraction(*near)
+    if asked:
+        return value
+    return _beta_fraction(*far) if value > 0.9 else 1.0 - value
+
+
+def betainc(a, b, x):
+    """Regularised incomplete beta I_x(a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt / B(a, b)."""
+    return _elementwise(lambda a, b, x: _beta_value(a, b, x, False), a, b, x)
+
+
+def betaincc(a, b, x):
+    """1 - I_x(a, b), without the cancellation of the subtraction."""
+    return _elementwise(lambda a, b, x: _beta_value(a, b, x, True), a, b, x)

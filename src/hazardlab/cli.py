@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built
+import locale  # noqa: F401
 import math
 import sys
 from dataclasses import dataclass, field as dc_field

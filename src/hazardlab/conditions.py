@@ -13,9 +13,9 @@ the condition quantities of the three limit theorems:
 All norms are over the full symmetric product space.  Jump coordinates
 are integrated out analytically through the moment functions, leaving
 1-2 dimensional location integrals; the bivariate ones are evaluated on
-a kernel-structure-aware quadrature grid as (sparse banded) quadratic
-forms, which also makes the Cauchy-Schwarz contraction bound exact in
-the discretization.  Log-log slope fits over the horizon grid turn the
+a kernel-structure-aware quadrature grid as banded quadratic forms,
+which also makes the Cauchy-Schwarz contraction bound exact in the
+discretization.  Log-log slope fits over the horizon grid turn the
 asymptotic claims into verdicts.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import crm, kernels
 from ._numeric import gl_panels, quad_breaks
@@ -156,16 +156,29 @@ def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
 
 
 _GRID_ORDER = 8     # Gauss-Legendre nodes per panel of the condition grid
-# Q_matrix refuses a band of more pairs than this (~25x the rectangular
-# T=800 grid's 806k) before allocating any of them.  The banded products
-# peak at ~70 bytes a pair (56 MB traced at T=800), ~1.4 GB at the cap.
+# Q_band refuses a band of more pairs than this (~25x the rectangular T=800
+# grid's 806k) before allocating any of them.  On a uniform grid the band
+# and the block products peak at ~36 bytes a pair (29 MB traced at T=800).
 _MAX_BAND_PAIRS = 20_000_000
 
 
+def _band_matvec(diags, v, power: int):
+    """(Q ** power) v, the power taken entrywise, for the symmetric Q held
+    as its diagonals diags[k][i] = Q[i, i + k]: diagonal k > 0 adds
+    Q[i, i + k] v[i + k] to row i and its mirror Q[i + k, i] v[i] to row
+    i + k."""
+    out = diags[0] ** power * v
+    for k, d in enumerate(diags[1:], 1):
+        q, e = d ** power, d.size
+        out[:e] += q * v[k:k + e]
+        out[k:k + e] += q * v[:e]
+    return out
+
+
 class _Grid:
-    """Quadrature nodes/weights on the location window plus the (sparse)
-    weighted kernel matrix Q_T(x_i, x_j); all bivariate norms reduce to
-    quadratic forms in it.
+    """Quadrature nodes/weights on the location window plus the weighted
+    kernel matrix Q_T(x_i, x_j) on the kernel's band (Q_band); all
+    bivariate norms reduce to quadratic forms in it.
 
     A family may compute the grid's reductions without the matrix: the
     Ornstein-Uhlenbeck kernel integrates its own rows
@@ -174,7 +187,7 @@ class _Grid:
     ~1e-3 relative error from kink-straddling panels, and carries
     ||A^2||_F^2 through its Green's-function form
     (OrnsteinUhlenbeck.contraction_11) in O(n), so an OU grid never builds
-    Q_matrix."""
+    Q_band."""
 
     def __init__(self, kernel, intensity, T):
         self.kernel, self.intensity, self.T = kernel, intensity, T
@@ -190,11 +203,15 @@ class _Grid:
     def mu(self, a: float) -> np.ndarray:
         return crm.jump_moment(self.intensity, a, self.x)
 
-    def Q_matrix(self) -> sparse.csr_matrix:
-        """Q_T(x_i, x_j) for |x_i - x_j| within the kernel's band.  Q_T is
-        exactly symmetric, so one Q_T call covers the upper half j >= i and
-        the strict upper half is mirrored.  A band of more than
-        _MAX_BAND_PAIRS pairs is refused with ValueError."""
+    def Q_band(self) -> list:
+        """The band of Q as its diagonals: diags[k][i] = Q_T(x_i, x_{i+k})
+        while x_{i+k} <= x_i + band, 0 beyond it; diagonal k ends at the
+        last row whose band reaches x_{i+k}, and diags[0] is the full
+        diagonal.  Q_T is exactly symmetric, so the diagonals hold all of
+        Q: Q[i, j] = diags[|i - j|][min(i, j)].  One Q_T call covers the
+        pairs of the band, and the diagonals share one buffer.  A band of
+        more than _MAX_BAND_PAIRS pairs (counting both halves) is refused
+        with ValueError."""
         if self._Q is not None:
             return self._Q
         x, n = self.x, self.x.size
@@ -207,13 +224,18 @@ class _Grid:
                 f"the condition grid at T={self.T:g} has {pairs} kernel band "
                 f"pairs, above the cap of {_MAX_BAND_PAIRS}")
         count = hi - np.arange(n)                        # pairs j >= i of row i
-        start = np.cumsum(count) - count
-        j = np.arange(count.sum()) - np.repeat(start - np.arange(n), count)
-        q = kernels.Q_T(self.kernel, self.T, np.repeat(x, count), x[j])
-        nz = q != 0.0
-        indptr = np.concatenate([[0], np.cumsum(np.add.reduceat(nz, start, dtype=np.intp))])
-        upper = sparse.csr_matrix((q[nz], j[nz], indptr), shape=(n, n))
-        self._Q = upper + sparse.triu(upper, k=1).T
+        m = int(count.max())
+        # diagonal k runs over the rows before the first i from which no
+        # row has more than k pairs
+        reach_max = np.maximum.accumulate(count[::-1])[::-1]
+        length = np.searchsorted(-reach_max, -np.arange(m), side="left")
+        inside = np.arange(m)[:, None] < count           # (k, i) in the band
+        kept = np.arange(n) < length[:, None]            # (k, i) stored
+        shifted = sliding_window_view(np.concatenate([x, np.full(m - 1, x[-1])]), n)
+        flat = np.zeros(int(length.sum()))
+        flat[inside[kept]] = kernels.Q_T(self.kernel, self.T,
+                                         np.broadcast_to(x, (m, n))[inside], shifted[inside])
+        self._Q = np.split(flat, np.cumsum(length)[:-1])
         return self._Q
 
     # -- reduced quantities --------------------------------------------------
@@ -225,9 +247,7 @@ class _Grid:
             mu_p = lambda y: crm.jump_moment(self.intensity, float(p), y)
             row = self.kernel.row_integrals(self.T, self.x, self.edges, mu_p, power)
             if row is None:
-                Qp = self.Q_matrix().copy()
-                Qp.data = Qp.data ** power
-                row = np.asarray(Qp @ (self.w * self.mu(float(p)))).ravel()
+                row = _band_matvec(self.Q_band(), self.w * self.mu(float(p)), power)
             self._rows[key] = row
         return self._rows[key]
 
@@ -241,31 +261,55 @@ class _Grid:
         ||A^2||_F^2 for A = diag(r) Q diag(r), r = sqrt(w mu2).
 
         The family's contraction_11 gives it where Q_T has a closed form
-        for it (OU, in O(n)).  Otherwise A comes from the banded Q_matrix:
-        A vanishes beyond its index half-bandwidth, so in index blocks I_b
-        of m = half-bandwidth + 1 rows, A[I_b, I_c] = 0 unless |b - c| <= 1
-        and A^2[I_b, I_d] = sum_c A[I_b, I_c] A[I_c, I_d] unless
-        |b - d| > 2; A^2 is symmetric, so blocks d > b count twice."""
+        for it (OU, in O(n)).  Otherwise A comes from the band Q_band of
+        m diagonals: in index blocks I_b of m rows, A[I_b, I_c] = 0 unless
+        |b - c| <= 1, so A is held as its diagonal blocks M_b and the blocks
+        R_b = A[I_b, I_{b+1}] right of them, filled from the diagonals.  Of
+        the symmetric A^2 only the blocks
+            A^2[I_b, I_b]     = M_b M_b + R_{b-1}^T R_{b-1} + R_b R_b^T,
+            A^2[I_b, I_{b+1}] = M_b R_b + R_b M_{b+1},
+            A^2[I_b, I_{b+2}] = R_b R_{b+1}
+        and their mirror images are nonzero; each is one batch of block
+        products over b."""
         r2 = self.w * self.mu(2.0)
         total = self.kernel.contraction_11(self.T, self.x, r2)
         if total is not None:
             return total
-        Q = self.Q_matrix()
-        n = Q.shape[0]
-        i, j = np.repeat(np.arange(n), np.diff(Q.indptr)), Q.indices
-        r = np.sqrt(r2)
-        m = int(np.max(j - i)) + 1
+        diags = self.Q_band()
+        n, m = diags[0].size, len(diags)
         nb = -(-n // m)
-        # B[b, t] = A[I_b, I_{b+t-1}]
-        B = np.zeros((nb, 3, m, m))
-        B[i // m, j // m - i // m + 1, i % m, j % m] = r[i] * Q.data * r[j]
-        total = 0.0
-        for b in range(nb):
-            for d in range(b, min(b + 3, nb)):
-                C = sum(B[b, c - b + 1] @ B[c, d - c + 1]
-                        for c in range(max(d - 1, 0), min(b + 2, nb)))
-                total += (1.0 if d == b else 2.0) * float(np.sum(C * C))
-        return total
+        # S[b*m + a, t*m + c] = [M_b, R_b][t][a, c]; the last R_b reaches
+        # past the last node and stays 0
+        S = np.zeros((nb * m, 2 * m))
+        # entry (i, i + k) of A, i = b*m + a, is S[b*m + a, a + k]: affine
+        # in (b, a, k)
+        s0, s1 = S.strides
+        rows = as_strided(S, shape=(nb, m, m), strides=(m * s0, s0 + s1, s1))
+        for k, d in enumerate(diags):
+            q, rem = divmod(d.size, m)
+            rows[:q, :, k] = d[:q * m].reshape(q, m)
+            if rem:
+                rows[q, :rem, k] = d[q * m:]
+        blocks = S.reshape(nb, m, 2, m)
+        M, R = blocks[:, :, 0], blocks[:, :, 1]
+        lower = np.tri(m, k=-1, dtype=bool)
+        M[:, lower] = M.transpose(0, 2, 1)[:, lower]
+        r = np.zeros((nb + 1) * m)
+        r[:n] = np.sqrt(r2)
+        r = r.reshape(nb + 1, m)
+        M *= r[:-1, :, None] * r[:-1, None, :]
+        R *= r[:-1, :, None] * r[1:, None, :]
+        R, Rt = R[:-1], R[:-1].transpose(0, 2, 1)
+        # one batch of blocks alive at a time: C is rebound, never copied
+        C = M @ M
+        C[1:] += Rt @ R
+        C[:-1] += R @ Rt
+        total = float(np.vdot(C, C))
+        C = M[:-1] @ R
+        C += R @ M[1:]
+        total += 2.0 * float(np.vdot(C, C))
+        C = R[:-1] @ R[1:]
+        return total + 2.0 * float(np.vdot(C, C))
 
     def contraction_21_norm_sq(self) -> float:
         """|| k1 *_2^1 k1 ||^2_{L2(nu)} * T^4: int mu4(x) H(x)^2 dx with

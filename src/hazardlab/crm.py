@@ -26,9 +26,9 @@ from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy import special
 
-from ._numeric import _STREAM, comp_sum, gl_panels, quad_breaks
+from ._numeric import (_STREAM, betainc, betaincc, comp_sum, exp1, expit, gammainc,
+                       gammaincc, gammaln, gl_panels, logit, quad_breaks, xlog1py)
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -234,10 +234,10 @@ class GeneralizedGamma(_Family):
         return math.exp(math.lgamma(a - s) - math.lgamma(1.0 - s) - (a - s) * math.log(g))
 
     def above(self, a, epsilon, p):
-        return special.gammaincc(a - self.sigma, self.gamma * epsilon)
+        return gammaincc(a - self.sigma, self.gamma * epsilon)
 
     def below(self, a, epsilon, p):
-        return special.gammainc(a - self.sigma, self.gamma * epsilon)
+        return gammainc(a - self.sigma, self.gamma * epsilon)
 
     def density(self, v, p):
         s, g = self.sigma, self.gamma
@@ -247,7 +247,7 @@ class GeneralizedGamma(_Family):
         s, g = self.sigma, self.gamma
         z = g * v
         # Gamma(-s, z) through the recurrence Gamma(-s,z) = (z^-s e^-z - Gamma(1-s,z))/s
-        upper = z ** (-s) * np.exp(-z) - math.gamma(1.0 - s) * special.gammaincc(1.0 - s, z)
+        upper = z ** (-s) * np.exp(-z) - math.gamma(1.0 - s) * gammaincc(1.0 - s, z)
         return np.maximum((g ** s / math.gamma(1.0 - s)) * upper / s, 0.0)
 
     def envelope(self, lo: float, hi: float):
@@ -278,19 +278,19 @@ class ExtendedGamma(_Profiled):
         return self.beta_fn
 
     def moment(self, a, p):
-        return np.exp(special.gammaln(a) - a * np.log(p))
+        return np.exp(gammaln(a) - a * np.log(p))
 
     def above(self, a, epsilon, p):
-        return special.gammaincc(a, p * epsilon)
+        return gammaincc(a, p * epsilon)
 
     def below(self, a, epsilon, p):
-        return special.gammainc(a, p * epsilon)
+        return gammainc(a, p * epsilon)
 
     def density(self, v, p):
         return np.where(v > 0, np.exp(-p * v) / np.where(v > 0, v, 1.0), 0.0)
 
     def tail(self, v, p):
-        return special.exp1(p * v)
+        return exp1(p * v)
 
     def envelope(self, lo: float, hi: float):
         fn, L = self.beta_fn, self.beta_fn.inf_on(lo, hi)
@@ -328,18 +328,18 @@ class Beta(_Profiled):
         return self.c_fn
 
     def moment(self, a, p):
-        return np.exp(special.gammaln(a) + special.gammaln(1.0 + p) - special.gammaln(a + p))
+        return np.exp(gammaln(a) + gammaln(1.0 + p) - gammaln(a + p))
 
     def above(self, a, epsilon, p):
-        return special.betaincc(a, p, epsilon)
+        return betaincc(a, p, epsilon)
 
     def below(self, a, epsilon, p):
-        return special.betainc(a, p, min(epsilon, 1.0))
+        return betainc(a, p, min(epsilon, 1.0))
 
     def density(self, v, p):
         inside = (v > 0) & (v < 1)
         vsafe = np.where(inside, v, 0.5)
-        return np.where(inside, p * np.exp(special.xlog1py(p - 1.0, -vsafe)) / vsafe, 0.0)
+        return np.where(inside, p * np.exp(xlog1py(p - 1.0, -vsafe)) / vsafe, 0.0)
 
     def tail(self, v, c):
         # int_v^1 c (1-u)^{c-1} / u du, vectorized and accurate to ~1e-14.
@@ -363,7 +363,7 @@ class Beta(_Profiled):
         for i in range(0, need.size, _BETA_ROW_BLOCK):
             rows = need[i:i + _BETA_ROW_BLOCK]
             ys, ws = gl_panels(np.log(vv[rows]), math.log(0.5), 128)
-            integ = c * np.exp(special.xlog1py(c - 1.0, -np.exp(ys)))
+            integ = c * np.exp(xlog1py(c - 1.0, -np.exp(ys)))
             lower[rows] = np.sum(ws * integ, axis=1)
         out[live] = upper + lower
         return out
@@ -378,7 +378,7 @@ class Beta(_Profiled):
 
         def accept(v, x):
             c = fn(x)
-            return (c / c_max) * np.exp(special.xlog1py(c - c_min, -v))
+            return (c / c_max) * np.exp(xlog1py(c - c_min, -v))
 
         return Beta(Constant(c_min)), c_max / c_min, accept, \
             f"beta(constant({c_min:g}))*{c_max / c_min:g}"
@@ -393,7 +393,7 @@ class Beta(_Profiled):
             return None
         return Dominating(lambda v: -c * np.log(v),
                           lambda n: np.exp(-n / c),
-                          lambda v: np.exp(special.xlog1py(c - 1.0, -v)))
+                          lambda v: np.exp(xlog1py(c - 1.0, -v)))
 
 
 JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
@@ -581,8 +581,8 @@ def _inverse_tail_table(intensity: JumpIntensity, rate: float, epsilon: float) -
     dc/dy = -N / (rho(v) dv/dc).
     """
     if math.isfinite(intensity.ceiling):
-        to_v, dv_dc = special.expit, lambda v: v * (1.0 - v)
-        lo, hi = special.logit(epsilon), special.logit(1.0 - 1e-13)
+        to_v, dv_dc = expit, lambda v: v * (1.0 - v)
+        lo, hi = logit(epsilon), logit(1.0 - 1e-13)
     else:
         vmax = max(2.0 * epsilon, 1.0)
         while rate * tail_mass(intensity, vmax) > 1e-12 and vmax < 1e6:
@@ -712,14 +712,19 @@ def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gen
     if thin:
         keep = rng.uniform(size=jumps.size) < accept(jumps, locations)
         jumps, locations = jumps[keep], locations[keep]
-    # deficit of the *target* intensity, integrated over the window
-    if intensity.homogeneous:
-        deficit = (hi - lo) * mean_below(intensity, epsilon)
-    else:
-        deficit = quad_breaks(lambda x: mean_below(intensity, epsilon, x),
-                              lo, hi, intensity.kinks, rel_tol=1e-10)
-    return CrmSample(jumps, locations, (lo, hi), epsilon, deficit,
+    return CrmSample(jumps, locations, (lo, hi), epsilon, _deficit(intensity, epsilon, lo, hi),
                      seed=seed, envelope=env_label)
+
+
+@lru_cache(maxsize=64)
+def _deficit(intensity: JumpIntensity, epsilon: float, lo: float, hi: float) -> float:
+    """Mean jump mass below epsilon of the *target* intensity, integrated
+    over the window [lo, hi); cached, as every replicate of a run asks for
+    the same one."""
+    if intensity.homogeneous:
+        return (hi - lo) * mean_below(intensity, epsilon)
+    return quad_breaks(lambda x: mean_below(intensity, epsilon, x),
+                       lo, hi, intensity.kinks, rel_tol=1e-10)
 
 
 def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,

