@@ -176,18 +176,17 @@ def _band_matvec(diags, v, power: int):
 
 
 class _Grid:
-    """Quadrature nodes/weights on the location window plus the weighted
-    kernel matrix Q_T(x_i, x_j) on the kernel's band (Q_band); all
-    bivariate norms reduce to quadratic forms in it.
+    """Quadrature nodes/weights on the location window; all bivariate
+    norms reduce to the rows int mu_p(y) Q_T(x_i, y)^power dy and to
+    ||A^2||_F^2 for A = diag(r) Q_T diag(r).
 
-    A family may compute the grid's reductions without the matrix: the
-    Ornstein-Uhlenbeck kernel integrates its own rows
-    (OrnsteinUhlenbeck.row_integrals) with the |x - y| kink on a segment
-    edge, which makes them machine-exact where the tensor grid would carry
-    ~1e-3 relative error from kink-straddling panels, and carries
-    ||A^2||_F^2 through its Green's-function form
-    (OrnsteinUhlenbeck.contraction_11) in O(n), so an OU grid never builds
-    Q_band."""
+    The Green's-function kernels (Ornstein-Uhlenbeck, Dykstra-Laud,
+    U-shaped; kernels._Green) compute both without a matrix: their
+    row_integrals put the kink of Q_T at y = x_i on a segment edge, which
+    makes the rows machine-exact where the tensor grid would carry ~1e-4
+    relative error from kink-straddling panels, and their contraction_11
+    is O(n).  Only the rectangular grid builds the weighted kernel matrix
+    on its band (Q_band)."""
 
     def __init__(self, kernel, intensity, T):
         self.kernel, self.intensity, self.T = kernel, intensity, T
@@ -260,8 +259,8 @@ class _Grid:
         by the caller): intint mu2 mu2 G^2 with G = int mu2 Q Q, i.e.
         ||A^2||_F^2 for A = diag(r) Q diag(r), r = sqrt(w mu2).
 
-        The family's contraction_11 gives it where Q_T has a closed form
-        for it (OU, in O(n)).  Otherwise A comes from the band Q_band of
+        The family's contraction_11 gives it where Q_T has a Green's-
+        function form (in O(n)).  Otherwise A comes from the band Q_band of
         m diagonals: in index blocks I_b of m rows, A[I_b, I_c] = 0 unless
         |b - c| <= 1, so A is held as its diagonal blocks M_b and the blocks
         R_b = A[I_b, I_{b+1}] right of them, filled from the diagonals.  Of

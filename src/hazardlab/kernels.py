@@ -33,8 +33,8 @@ class _Family:
     """Defaults for the family facts.  Every family also defines value(t, x),
     K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
     slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T) and
-    band (Q_T(x, y) = 0 once |x - y| > band), and
-    pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x.
+    pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x; the
+    non-nested ones define band (Q_T(x, y) = 0 once |x - y| > band).
     Non-nested families are stationary, k(t, x) = phi(t - x), and carry the
     bulk integrals (m, r0, r2) = (int phi, rho(0), int rho(u)^2 du) with
     rho(u) = int phi(s) phi(s + u) ds: away from 0 and T these are K_T(x),
@@ -66,26 +66,101 @@ class _Family:
         return None
 
 
-class _Nested(_Family):
-    """Kernels whose slices are nested: the joint support of two locations
-    is the larger one's.  Their quadratic functionals have no CLT."""
-    nested = True
+class _Green(_Family):
+    """Kernels of Green's-function form: for locations 0 <= x <= y,
+        Q_T(x, y) = e^{-decay (y - x)} g(T, y),
+    with g >= 0.  Q_T, the pair sum and the condition grid's reductions
+    follow from decay and g alone."""
 
     def Q(self, T, x, y):
-        return K_T(self, T, np.maximum(x, y))
+        out = np.exp(-self.decay * np.abs(x - y)) * self.g(T, np.maximum(x, y))
+        return np.where(np.minimum(x, y) >= 0, out, 0.0)
+
+    def pair_sum(self, J, x, T):
+        # For x_i <= x_j, Q_T(x_i, x_j) = e^{-k(x_j - x_i)} g(x_j) with
+        # k = decay, so the sum is sum_j J_j g_j (J_j + 2 L_j), all terms
+        # positive, with L_j = sum_{i<j} J_i e^{-k(x_j - x_i)}.  L is
+        # carried over the blocks of block_bounds, each measured from its
+        # first location so no exponent exceeds 60; k = 0 is one block, a
+        # plain exclusive cumsum.
+        k = self.decay
+        starts, stops = block_bounds(x, 60.0 / k) if k > 0 else ([0], [x.size])
+        L = np.empty_like(J)
+        carry, ref = 0.0, x[0]      # sum over earlier blocks of J_i e^{-k(ref - x_i)}
+        for a, b in zip(starts, stops):
+            xb = x[a:b]
+            carry *= math.exp(-k * (xb[0] - ref))
+            ref = xb[0]
+            prefix = np.cumsum(J[a:b] * np.exp(k * (xb - ref)))      # bounded by e^{60}
+            L[a:b] = np.exp(-k * (xb - ref)) * (carry + np.concatenate([[0.0], prefix[:-1]]))
+            carry += float(prefix[-1])
+        return comp_sum(J * self.g(T, x) * (J + 2.0 * L))
+
+    def row_integrals(self, T, x, edges, mu, power):
+        """int mu(y) Q_T(x_i, y)^power dy at the increasing nodes x, for mu
+        and g smooth between the edges, which span the window [0, hi].
+
+        With m = power * decay the row is g(x_i)^power L(x_i) + R(x_i),
+        where L(b) = int_0^b mu(y) e^{-m(b-y)} dy and
+        R(b) = int_b^hi mu(y) g(y)^power e^{-m(y-b)} dy.  Both are carried
+        segment by segment over the breakpoints edges U x, with one
+        Gauss-Legendre rule per segment, so the kink of Q_T at y = x_i is
+        on a segment edge.  Every term is positive and every carry factor
+        is <= 1, so nothing cancels."""
+        m = power * self.decay
+        b = np.union1d(edges, x)
+        y, w = gl_panels(b[:-1], b[1:], 12)
+        f = w * mu(y)
+        into_left = np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1)
+        into_right = np.sum(f * self.g(T, y) ** power * np.exp(-m * (y - b[:-1, None])), axis=1)
+        decay = np.exp(-m * np.diff(b))
+        left = _carry(decay, into_left)
+        right = _carry(decay[::-1], into_right[::-1])[::-1]
+        at = np.searchsorted(b, x)
+        return self.g(T, x) ** power * left[at] + right[at]
+
+    def contraction_11(self, T, x, r2):
+        """||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j at the increasing
+        nodes x >= 0, with r^2 = r2, in O(n).
+
+        With k = decay, g_i = g(T, x_i) and c = r2 g, for i <= j
+            (A^2)_ij = r_i r_j e^{-k(x_j - x_i)} (g_j Y_ij + R_j),
+            Y_ij = g_i L_i + sum_{l=i..j} c_l,
+        where L_i = sum_{l<i} r2_l e^{-2k(x_i-x_l)} and
+        R_j = sum_{l>j} r2_l g_l^2 e^{-2k(x_l-x_j)}.  Squaring and summing
+        over i < j leaves the sums U_p(j) = sum_{i<j} r2_i e^{-2k(x_j-x_i)}
+        Y_ij^p for p = 0, 1, 2 (U_0 = L), each carried forward with the
+        decay d = e^{-2k dx}; Y_{i,j+1} = Y_ij + c_{j+1} makes U_1 and U_2
+        binomial updates of the lower ones.  Every term and every carry
+        factor is positive, so nothing cancels."""
+        g = self.g(T, x)
+        c = r2 * g
+        d = np.exp(-2.0 * self.decay * np.diff(x))
+        a, cn = r2[:-1], c[1:]            # node j's r2 and node j+1's c
+        U0 = _carry(d, d * a)
+        Y = g * U0 + c                    # Y_jj
+        U1 = _carry(d, d * (a * Y[:-1] + cn * (U0[:-1] + a)))
+        U2 = _carry(d, d * (2.0 * cn * U1[:-1] + cn ** 2 * U0[:-1]
+                            + a * (Y[:-1] + cn) ** 2))
+        R = _carry(d[::-1], (d * r2[1:] * g[1:] ** 2)[::-1])[::-1]
+        return float(np.sum(r2 * (g ** 2 * (2.0 * U2 + r2 * Y ** 2)
+                                  + 2.0 * g * R * (2.0 * U1 + r2 * Y)
+                                  + R ** 2 * (2.0 * U0 + r2))))
+
+
+class _Nested(_Green):
+    """Kernels whose slices are nested: the joint support of two locations
+    is the larger one's, Q_T(x, y) = K_T(max(x, y)) (decay 0, g = K_T).
+    Their quadratic functionals have no CLT."""
+    nested = True
+    decay: ClassVar[float] = 0.0
+
+    def g(self, T, z):
+        return self.K(T, z)
 
     def panel_step(self, T: float) -> float:
         lo, hi = self.window(T)
         return (hi - lo) / 64.0
-
-    # every pair of locations overlaps
-    band: ClassVar[float] = math.inf
-
-    def pair_sum(self, J, x, T):
-        # Q(x_i, x_j) = K_T(x_j) for x_i <= x_j: prefix mass of J
-        K = K_T(self, T, x)
-        prev = np.concatenate([[0.0], np.cumsum(J)[:-1]])
-        return comp_sum(J * K * (2.0 * prev + J))
 
 
 @dataclass(frozen=True)
@@ -192,7 +267,7 @@ class DykstraLaud(_Nested):
 
 
 @dataclass(frozen=True)
-class OrnsteinUhlenbeck(_Family):
+class OrnsteinUhlenbeck(_Green):
     """k(t,x) = sqrt(2 kappa) exp(-kappa (t-x)) 1{0 <= x <= t}."""
     kappa: float
 
@@ -213,11 +288,13 @@ class OrnsteinUhlenbeck(_Family):
         on = (x >= 0) & (x <= T)
         return np.where(on, math.sqrt(2.0 / k) * (-np.expm1(-k * np.where(on, T - x, 0.0))), 0.0)
 
-    def Q(self, T, x, y):
-        k = self.kappa
-        on = (np.minimum(x, y) >= 0) & (np.maximum(x, y) <= T)
-        d = np.abs(x - y)
-        return np.where(on, np.exp(-k * d) - np.exp(-k * (2.0 * T - (x + y))), 0.0)
+    @property
+    def decay(self) -> float:
+        return self.kappa
+
+    def g(self, T, z):
+        # Q_T(x, y) = e^{-k|x-y|} - e^{-k(2T-x-y)}, 0 once max(x, y) > T
+        return -np.expm1(-2.0 * self.kappa * np.maximum(T - z, 0.0))
 
     def slice_mass(self, t):
         k = self.kappa
@@ -233,86 +310,6 @@ class OrnsteinUhlenbeck(_Family):
     @property
     def band(self) -> float:
         return 30.0 / self.kappa          # e^{-30} ~ 1e-13 of the norm mass
-
-    def row_integrals(self, T, x, edges, mu, power):
-        """int_0^T mu(y) Q_T(x_i, y)^power dy at the increasing nodes x, for
-        mu smooth between the edges (which span [0, T]).
-
-        Q_T(x, y) = e^{-k|x-y|} g(max(x, y)) with g(z) = -expm1(-2k(T-z)),
-        so with m = power * k the row is g(x_i)^power L(x_i) + R(x_i), where
-        L(b) = int_0^b mu(y) e^{-m(b-y)} dy and
-        R(b) = int_b^T mu(y) g(y)^power e^{-m(y-b)} dy.  Both are carried
-        segment by segment over the breakpoints edges U x, with one
-        Gauss-Legendre rule per segment.  Every term is positive and every
-        carry factor is <= 1, so nothing cancels."""
-        k, m = self.kappa, power * self.kappa
-        b = np.union1d(edges, x)
-        y, w = gl_panels(b[:-1], b[1:], 12)
-        g = lambda z: -np.expm1(-2.0 * k * (T - z))
-        f = w * mu(y)
-        into_left = np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1)
-        into_right = np.sum(f * g(y) ** power * np.exp(-m * (y - b[:-1, None])), axis=1)
-        decay = np.exp(-m * np.diff(b))
-        left = _carry(decay, into_left)
-        right = _carry(decay[::-1], into_right[::-1])[::-1]
-        at = np.searchsorted(b, x)
-        return g(x) ** power * left[at] + right[at]
-
-    def contraction_11(self, T, x, r2):
-        """||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j at the increasing
-        nodes x in [0, T], with r^2 = r2, in O(n).
-
-        Q_T(x, y) = e^{-k|x-y|} g(max(x, y)) is a Green's-function kernel,
-        so with c = r2 g, for i <= j
-            (A^2)_ij = r_i r_j e^{-k(x_j - x_i)} (g_j Y_ij + R_j),
-            Y_ij = g_i L_i + sum_{l=i..j} c_l,
-        where L_i = sum_{l<i} r2_l e^{-2k(x_i-x_l)} and
-        R_j = sum_{l>j} r2_l g_l^2 e^{-2k(x_l-x_j)}.  Squaring and summing
-        over i < j leaves the sums U_p(j) = sum_{i<j} r2_i e^{-2k(x_j-x_i)}
-        Y_ij^p for p = 0, 1, 2 (U_0 = L), each carried forward with the
-        decay d = e^{-2k dx}; Y_{i,j+1} = Y_ij + c_{j+1} makes U_1 and U_2
-        binomial updates of the lower ones.  Every term and every carry
-        factor is positive, so nothing cancels."""
-        k = self.kappa
-        g = -np.expm1(-2.0 * k * (T - x))
-        c = r2 * g
-        d = np.exp(-2.0 * k * np.diff(x))
-        a, cn = r2[:-1], c[1:]            # node j's r2 and node j+1's c
-        U0 = _carry(d, d * a)
-        Y = g * U0 + c                    # Y_jj
-        U1 = _carry(d, d * (a * Y[:-1] + cn * (U0[:-1] + a)))
-        U2 = _carry(d, d * (2.0 * cn * U1[:-1] + cn ** 2 * U0[:-1]
-                            + a * (Y[:-1] + cn) ** 2))
-        R = _carry(d[::-1], (d * r2[1:] * g[1:] ** 2)[::-1])[::-1]
-        return float(np.sum(r2 * (g ** 2 * (2.0 * U2 + r2 * Y ** 2)
-                                  + 2.0 * g * R * (2.0 * U1 + r2 * Y)
-                                  + R ** 2 * (2.0 * U0 + r2))))
-
-    def pair_sum(self, J, x, T):
-        # Q = e^{-k|xi-xj|} - e^{-k(2T-xi-xj)}; the first part is a carried
-        # prefix sum over sorted locations, blocked so no exponential argument
-        # exceeds ~60; the second factorizes.
-        k = self.kappa
-        starts, stops = block_bounds(x, 60.0 / k)
-        carry = 0.0          # sum over earlier blocks of J_i e^{-k (ref - x_i)}
-        ref = x[0]
-        parts = []
-        for a, b in zip(starts, stops):
-            xb, Jb = x[a:b], J[a:b]
-            local_ref = xb[0]
-            carry *= math.exp(-k * (local_ref - ref))
-            up = np.exp(k * (xb - local_ref))           # bounded by e^{60}
-            down = np.exp(-k * (xb - local_ref))
-            prefix = np.cumsum(Jb * up)
-            parts.append(float(np.sum(Jb * down * np.concatenate([[0.0], prefix[:-1]]))))
-            parts.append(float(np.sum(Jb * down)) * carry)
-            carry = (carry + float(prefix[-1])) * math.exp(-k * (xb[-1] - local_ref))
-            ref = xb[-1]
-        off = math.fsum(parts)
-        diag = float(np.sum(J * J))
-        first = 2.0 * off + diag
-        second = float(np.sum(J * np.exp(-k * (T - x)))) ** 2
-        return first - second
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,14 @@ def test_ou_norm_limits():
 
 
 def test_dl_norm_limit():
-    # (2/T^2) ||k1||^2 -> (K2)^2 / 3 under the full symmetric norm
-    k2 = crm.moment(GG, 2)
-    n = cond.contraction_norms(kernels.DykstraLaud(), GG, 400.0)
-    assert (2 / 400.0 ** 2) * n.k1_l2_sq == pytest.approx(k2 ** 2 / 3, rel=1e-3)
+    # (2/T^2) ||k1||^2 = (K2)^2 / 3 under the full symmetric norm: with
+    # Q_T(x, y) = T - max(x, y) on [0, T]^2, intint Q^2 = T^4 / 6 and
+    # intint Q^4 = T^6 / 15
+    k2, k4 = crm.moment(GG, 2), crm.moment(GG, 4)
+    for T in (10.0, 400.0):
+        n = cond.contraction_norms(kernels.DykstraLaud(), GG, T)
+        assert n.k1_l2_sq == pytest.approx(k2 ** 2 * T ** 2 / 6, rel=1e-13, abs=0)
+        assert n.k1_l4_4 == pytest.approx(k4 ** 2 * T ** 2 / 15, rel=1e-13, abs=0)
 
 
 def test_cauchy_schwarz_contraction_bound():
@@ -95,6 +99,9 @@ def test_cauchy_schwarz_contraction_bound():
         for T in (20.0, 100.0):
             n = cond.contraction_norms(kern, GG, T)
             assert n.k11_l2_sq <= n.k1_l2_sq ** 2 * (1 + 1e-9) + 1e-9
+            # only the rectangular grid builds the band of Q
+            assert (cond._grid(kern, GG, T)._Q is None) \
+                == (not isinstance(kern, kernels.Rectangular))
 
 
 def test_diagonal_restriction_identity():
@@ -146,19 +153,28 @@ def test_monte_carlo_norm_oracle_agreement():
 
 def quad_row(kern, intensity, T, x, p, power):
     """Adaptive-quadrature oracle for int mu_p(y) Q_T(x, y)^power dy, split
-    at the diagonal kink y = x."""
+    at the diagonal kink y = x and at the kernel's breakpoints."""
     f = lambda y: crm.jump_moment(intensity, p, y) * kernels.Q_T(kern, T, x, y) ** power
+    cuts = np.unique([0.0, x, T] + [b for b in kern.breaks(T) if 0.0 < b < T])
     return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
-               for a, b in ((0.0, x), (x, T)))
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+GREEN_KERNELS = [pytest.param(kernels.OrnsteinUhlenbeck(1.0), id="1.0"),
+                 pytest.param(kernels.OrnsteinUhlenbeck(2.5), id="2.5"),
+                 pytest.param(kernels.DykstraLaud(), id="dykstra_laud"),
+                 pytest.param(kernels.UShaped(2.0), id="u_shaped(beta=2)")]
 
 
 @pytest.mark.parametrize("intensity", [GG, crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7))],
                          ids=lambda i: i.label())
-@pytest.mark.parametrize("kappa", [1.0, 2.5])
-def test_ou_rows_match_split_quadrature(kappa, intensity):
-    kern, T = kernels.OrnsteinUhlenbeck(kappa), 20.0
+@pytest.mark.parametrize("kern", GREEN_KERNELS)
+def test_ou_rows_match_split_quadrature(kern, intensity):
+    # the Green's-function kernels (OU and the nested ones) integrate their
+    # rows with the kinks of Q_T on segment edges
+    T = 20.0
     g = cond._Grid(kern, intensity, T)
-    nodes = [0, g.x.size // 2, g.x.size - 1]       # nearest 0, the middle and T
+    nodes = [0, g.x.size // 2, g.x.size - 1]       # nearest 0, the middle and the end
     for power in (1, 2, 4):
         row = g.rows(power, power)
         for i in nodes:
@@ -167,9 +183,9 @@ def test_ou_rows_match_split_quadrature(kappa, intensity):
                 (power, g.x[i])
 
 
-ALL_KERNELS = [(kernels.Rectangular(0.5), 20.0), (kernels.OrnsteinUhlenbeck(1.0), 45.0),
-               (kernels.OrnsteinUhlenbeck(2.5), 40.0), (kernels.DykstraLaud(), 10.0),
-               (kernels.UShaped(2.0), 10.0)]
+# the kernels with a pair band
+BAND_KERNELS = [(kernels.Rectangular(0.5), 20.0), (kernels.OrnsteinUhlenbeck(1.0), 45.0),
+                (kernels.OrnsteinUhlenbeck(2.5), 40.0)]
 
 
 def _case_id(value):
@@ -187,7 +203,7 @@ def _dense_Q(g):
     return Q
 
 
-@pytest.mark.parametrize("kern, T", ALL_KERNELS, ids=_case_id)
+@pytest.mark.parametrize("kern, T", BAND_KERNELS, ids=_case_id)
 def test_Q_matrix_is_the_dense_kernel_on_the_band(kern, T):
     g = cond._Grid(kern, GG, T)
     x = g.x
@@ -196,7 +212,7 @@ def test_Q_matrix_is_the_dense_kernel_on_the_band(kern, T):
     assert np.array_equal(_dense_Q(g), np.where(band, dense, 0.0))
 
 
-@pytest.mark.parametrize("kern, T", ALL_KERNELS, ids=_case_id)
+@pytest.mark.parametrize("kern, T", BAND_KERNELS, ids=_case_id)
 def test_contraction_11_equals_dense_square(kern, T):
     g = cond._Grid(kern, GG, T)
     r = np.sqrt(g.w * g.mu(2.0))
@@ -207,10 +223,12 @@ def test_contraction_11_equals_dense_square(kern, T):
 @pytest.mark.parametrize("intensity", [GG, crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7)),
                                        crm.Beta(crm.IndicatorSqrt(1.0))],
                          ids=lambda i: i.label())
-@pytest.mark.parametrize("kappa", [0.7, 1.0, 2.5])
-def test_ou_contraction_11_equals_dense_full_square(kappa, intensity):
-    # the carried O(n) recurrence against ||A^2||_F^2 on the full, unbanded Q
-    kern, T = kernels.OrnsteinUhlenbeck(kappa), 30.0
+@pytest.mark.parametrize("kern", [pytest.param(kernels.OrnsteinUhlenbeck(0.7), id="0.7")]
+                         + GREEN_KERNELS)
+def test_ou_contraction_11_equals_dense_full_square(kern, intensity):
+    # the carried O(n) recurrence of the Green's-function kernels against
+    # ||A^2||_F^2 on the full, unbanded Q
+    T = 30.0
     g = cond._Grid(kern, intensity, T)
     r = np.sqrt(g.w * g.mu(2.0))
     A = r[:, None] * kernels.Q_T(kern, T, g.x[:, None], g.x[None, :]) * r[None, :]

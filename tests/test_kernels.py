@@ -68,6 +68,9 @@ def test_Q_T_reference_values():
         == pytest.approx(1.0 - math.exp(-40.0), rel=1e-14)
     assert kernels.Q_T(kernels.Rectangular(1.0), 20.0, 5.0, 5.0) == pytest.approx(2.0)
     assert kernels.Q_T(kernels.DykstraLaud(), 3.0, 1.0, 2.0) == pytest.approx(1.0)
+    # no mass at a location past T or below 0; OU's exponent stays bounded
+    assert kernels.Q_T(kernels.OrnsteinUhlenbeck(5.0), 20.0, 1.0, 400.0) == 0.0
+    assert kernels.Q_T(kernels.DykstraLaud(), 3.0, -1.0, 2.0) == 0.0
 
 
 def test_Q_T_properties_random_draws():
@@ -131,10 +134,11 @@ def quad_kT3(kern, intensity, T, x):
 
 def test_kT3_matches_double_quadrature():
     # kT3(x) = J(x) / T with J = int mu_1(w) Q_T(x, w) dw is the condition
-    # grid's first row integral, rows(1, 1) / T.  OU integrates its rows
-    # along the kink (exact); the other kernels' rows come from the banded
-    # tensor-grid Q matrix and carry its kink-straddling error (~1e-4
-    # relative, see conditions._Grid).
+    # grid's first row integral, rows(1, 1) / T.  The Green's-function
+    # kernels (OU, Dykstra-Laud, U-shaped) integrate their rows along the
+    # kinks (exact); the rectangular rows come from the banded tensor-grid
+    # Q matrix and carry its kink-straddling error (~1e-4 relative, see
+    # conditions._Grid).
     rng = seeded(203)
     eg = crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
     cases = [(kernels.Rectangular(1.0), GG, 10.0), (kernels.OrnsteinUhlenbeck(1.0), GG, 10.0),
@@ -148,7 +152,7 @@ def test_kT3_matches_double_quadrature():
         cases += [(make(), GG, rng.uniform(4.0, 20.0)) for _ in range(3)]
     for kern, intensity, T in cases:
         g = cond._Grid(kern, intensity, T)
-        rel = 1e-7 if isinstance(kern, kernels.OrnsteinUhlenbeck) else 1e-3
+        rel = 1e-3 if isinstance(kern, kernels.Rectangular) else 1e-7
         for i in rng.choice(g.x.size, 3, replace=False):
             assert g.rows(1, 1)[i] / T \
                 == pytest.approx(quad_kT3(kern, intensity, T, g.x[i]), rel=rel, abs=1e-12)

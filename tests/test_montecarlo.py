@@ -85,10 +85,14 @@ def test_path2nd_single_atom_ou():
 
 
 def test_path2nd_equals_naive_double_sum():
-    for kern in (kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
-                 kernels.DykstraLaud(), kernels.UShaped(2.0)):
-        T = 23.0
-        s = make_sample(kern, T, 500)
+    # the OU prefix sum runs in blocks of 60 / kappa: one block at T = 23,
+    # while at T = 200 and 300 the carry crosses 8 and 24 block edges
+    for kern, T, n in ((kernels.Rectangular(0.8), 23.0, 500),
+                       (kernels.OrnsteinUhlenbeck(1.3), 23.0, 500),
+                       (kernels.DykstraLaud(), 23.0, 500), (kernels.UShaped(2.0), 23.0, 500),
+                       (kernels.OrnsteinUhlenbeck(2.5), 200.0, 2000),
+                       (kernels.OrnsteinUhlenbeck(5.0), 300.0, 2000)):
+        s = make_sample(kern, T, n)
         Q = kernels.Q_T(kern, T, s.locations[:, None], s.locations[None, :])
         naive = float(s.jumps @ Q @ s.jumps) / T
         assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
