@@ -19,10 +19,10 @@ import numpy.polynomial  # noqa: F401
 __all__ = [
     "block_bounds",
     "comp_sum",
-    "compensated_prefix",
     "gauss_legendre_panels",
     "gl_panels",
     "quad_breaks",
+    "running_sum",
     "betainc", "betaincc", "erf", "exp1", "expit", "gammainc", "gammaincc",
     "gammaln", "kolmogorov", "logit", "xlog1py",
 ]
@@ -62,15 +62,16 @@ def comp_sum(values) -> float:
     return math.fsum(partial)
 
 
-def compensated_prefix(v):
-    """Prefix sums s of v (leading 0) and the running sum e of each step's
-    rounding error, exact by TwoSum because np.cumsum adds in order:
-    (s[q] - s[p]) + (e[q] - e[p]) is accurate to the size of the
-    difference, however large the prefix has grown."""
-    s = np.concatenate([[0.0], np.cumsum(v)])
+def running_sum(v):
+    """Running sums of v, each accurate to about an ulp of itself however
+    large the partial sums grew before it: np.cumsum adds in order, so
+    TwoSum recovers each step's rounding error exactly, and the running
+    sum of those errors corrects the cumsum."""
+    s = np.cumsum(v)
+    err = np.zeros_like(s)
     t = s[1:] - s[:-1]
-    err = (s[:-1] - (s[1:] - t)) + (v - t)
-    return s, np.concatenate([[0.0], np.cumsum(err)])
+    err[1:] = (s[:-1] - (s[1:] - t)) + (v[1:] - t)
+    return s + np.cumsum(err, out=err)
 
 
 def block_bounds(x, span):

@@ -299,16 +299,17 @@ class _Grid:
         M *= r[:-1, :, None] * r[:-1, None, :]
         R *= r[:-1, :, None] * r[1:, None, :]
         R, Rt = R[:-1], R[:-1].transpose(0, 2, 1)
-        # one batch of blocks alive at a time: C is rebound, never copied
+        # one batch of blocks alive at a time: C is rebound, never copied,
+        # and squared in place (np.vdot would run BLAS's threaded ddot)
         C = M @ M
         C[1:] += Rt @ R
         C[:-1] += R @ Rt
-        total = float(np.vdot(C, C))
+        total = float(np.sum(np.square(C, out=C)))
         C = M[:-1] @ R
         C += R @ M[1:]
-        total += 2.0 * float(np.vdot(C, C))
+        total += 2.0 * float(np.sum(np.square(C, out=C)))
         C = R[:-1] @ R[1:]
-        return total + 2.0 * float(np.vdot(C, C))
+        return total + 2.0 * float(np.sum(np.square(C, out=C)))
 
     def contraction_21_norm_sq(self) -> float:
         """|| k1 *_2^1 k1 ||^2_{L2(nu)} * T^4: int mu4(x) H(x)^2 dx with

@@ -21,7 +21,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import block_bounds, comp_sum, compensated_prefix, gl_panels, quad_breaks
+from ._numeric import block_bounds, comp_sum, gl_panels, quad_breaks, running_sum
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -220,33 +220,21 @@ class Rectangular(_Family):
         return 2.0 * self.tau
 
     def pair_sum(self, J, x, T):
-        # For x_i <= x_j, Q_T = (a_i - b_j)_+ with a = min(x + tau, T) and
-        # b = max(x - tau, 0); a is nondecreasing, so atom j's partners form
-        # one run [L_j, j), summed as sum J_i (a_i - c) - (b_j - c) sum J_i.
-        # From one global c both parts reach ~T times the run's mass while
-        # their difference is ~tau times it, so block k's segment
-        # [L_start, stop) is measured from its own c = b[start].  The
-        # segments, laid end to end (a block's first 2 tau reappear after
-        # the previous block), share one compensated prefix sum in place of
-        # a loop over blocks.
+        # sum_{i,j} J_i J_j Q_T(x_i, x_j) = int_0^T h(t)^2 dt, where the path
+        # h is J_i on [b_i, a_i] summed over the atoms, with a = min(x + tau, T)
+        # and b = max(x - tau, 0) clamped to a (atoms past T + tau get an
+        # empty interval).  For sorted x both are nondecreasing, so one
+        # stable argsort merges the starts (+J) and the ends (-J); h after
+        # each event is the compensated running sum of the jumps, and the
+        # integral sums h^2 over the gaps to the next event, all terms >= 0
+        # (a gap between neighbouring events is exact away from 0).
         tau = self.tau
         a = np.minimum(x + tau, T)
-        b = np.maximum(x - tau, 0.0)
-        diag = float(np.sum(J * J * np.maximum(a - b, 0.0)))
-        L = np.minimum(np.searchsorted(a, b, side="right"), np.arange(x.size))
-        starts, stops = block_bounds(x, 8.0 * tau)
-        lo, ref = L[starts], b[starts]
-        seg_len = stops - lo
-        seg_at = np.concatenate([[0], np.cumsum(seg_len)[:-1]])
-        atom = np.arange(seg_len.sum()) + np.repeat(lo - seg_at, seg_len)
-        SA, EA = compensated_prefix(J[atom] * (a[atom] - np.repeat(ref, seg_len)))
-        S, ES = compensated_prefix(J[atom])
-        # positions of j and of L_j in the segment of j's block
-        shift = np.repeat(seg_at - lo, stops - starts)
-        q, p = np.arange(x.size) + shift, L + shift
-        run = ((SA[q] - SA[p]) + (EA[q] - EA[p])) \
-            - (b - np.repeat(ref, stops - starts)) * ((S[q] - S[p]) + (ES[q] - ES[p]))
-        return math.fsum([diag, 2.0 * float(np.sum(J * run))])
+        b = np.minimum(np.maximum(x - tau, 0.0), a)
+        events = np.concatenate([b, a])
+        order = np.argsort(events, kind="stable")
+        h = running_sum(np.concatenate([J, -J])[order])
+        return comp_sum(h[:-1] ** 2 * np.diff(events[order]))
 
 
 @dataclass(frozen=True)
@@ -325,7 +313,7 @@ class UShaped(_Nested):
         return f"u_shaped(beta={self.beta_center:g})"
 
     def value(self, t, x):
-        return (np.abs(t - self.beta_center) >= x).astype(float)
+        return ((x >= 0) & (np.abs(t - self.beta_center) >= x)).astype(float)
 
     def K(self, T, x):
         b = self.beta_center

@@ -77,8 +77,10 @@ def path_second_moment(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) 
     squared hazard path.
 
     The atoms are sorted by location once and handed to the kernel's pair
-    sum, which combines prefix sums in O(n log n) and equals the naive
-    double sum.
+    sum, which equals the naive double sum: a decayed prefix sum for the
+    Green's-function kernels, and for the rectangular kernel the integral
+    of h^2 from one sweep over the path's jumps at max(x_i - tau, 0) and
+    min(x_i + tau, T).
     """
     _check_window(sample, kernel, T)
     if sample.size == 0:

@@ -21,6 +21,17 @@ def test_eval_reference_values():
     assert kernels.eval_kernel(kernels.UShaped(2.0), 3.0, 1.5) == 0.0
 
 
+def test_u_shaped_vanishes_at_negative_locations():
+    # like K_T and Q_T, the pointwise kernel is 0 left of the location range
+    kern = kernels.UShaped(2.0)
+    T = 10.0
+    ts = np.linspace(0.0, T, 1001)
+    assert np.all(kernels.eval_kernel(kern, ts, -1.0) == 0.0)
+    for x in (-1.0, 0.5, 3.0):
+        assert quad_K_T(kern, T, x) == pytest.approx(kernels.K_T(kern, T, x), rel=1e-12,
+                                                     abs=1e-12)
+
+
 def test_parameter_validation():
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):

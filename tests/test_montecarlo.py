@@ -74,6 +74,24 @@ def test_comp_sum_equals_per_block_partials():
             assert _numeric.comp_sum(a) == _comp_sum_per_block(a)
 
 
+def test_running_sum_equals_exact_prefixes():
+    # np.cumsum loses the 1 under 1e16 and reads 0 where the sum is 1
+    v = [1e16, 1.0, -1e16, 1.0, 1.0, -1.0, 0.5]
+    exact = [math.fsum(v[:k + 1]) for k in range(len(v))]
+    assert np.cumsum(v)[2] == 0.0
+    assert _numeric.running_sum(np.array(v)).tolist() == exact
+    assert _numeric.running_sum(np.empty(0)).size == 0
+    # heavy-tailed jumps over six decades, each added once and taken off
+    # once in shuffled order: the prefixes rise to ~1e5 and fall back to 0
+    for entropy in (530, 531, 532):
+        rng = seeded(entropy)
+        J = (rng.pareto(1.1, 1000) + 1.0) * 10.0 ** rng.uniform(-3.0, 3.0, 1000)
+        v = np.concatenate([J, -J])[rng.permutation(2000)]
+        exact = np.array([math.fsum(v[:k + 1].tolist()) for k in range(v.size)])
+        assert exact[-1] == 0.0
+        assert np.all(np.abs(_numeric.running_sum(v) - exact) <= np.spacing(np.abs(exact)))
+
+
 def test_path2nd_single_atom_ou():
     kern = kernels.OrnsteinUhlenbeck(1.0)
     T = 50.0
@@ -213,6 +231,32 @@ def test_rect_prefix_pair_sum_equals_naive_double_sum():
             Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
             naive = float(s.jumps @ Q @ s.jumps) / T
             assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
+
+
+def test_rect_path2nd_random_cases_equal_naive_double_sum():
+    # 20 draws of tau, T (a third below 2 tau) and n; most locations on a
+    # 1/16 grid and tau a multiple of 1/32, so locations, starts and ends
+    # are exact and many pairs sit exactly 2 tau apart (one's end is the
+    # other's start); jumps over four decades; a few atoms beyond T + tau
+    rng = seeded(540)
+    tied = short = 0
+    for _ in range(20):
+        tau = int(rng.integers(1, 49)) / 32.0
+        T = tau * 10.0 ** float(rng.uniform(-0.3, 1.5))
+        n = int(rng.integers(1, 800))
+        kern = kernels.Rectangular(tau)
+        x = rng.uniform(0.0, T + tau, n)
+        snap = rng.random(n) < 0.8
+        x[snap] = np.minimum(np.round(x[snap] * 16.0) / 16.0, T + tau)
+        x = np.concatenate([x, rng.uniform(T + tau, T + 3.0 * tau, 5)])
+        J = rng.exponential(1.0, x.size) * 10.0 ** rng.uniform(-4.0, 0.0, x.size)
+        s = crm.CrmSample(J, x, (0.0, T + 3.0 * tau), 1e-6, 0.0)
+        tied += bool(np.any(np.abs(x[:, None] - x[None, :]) == 2.0 * tau))
+        short += T < 2.0 * tau
+        Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
+        naive = float(J @ Q @ J) / T
+        assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
+    assert tied >= 12 and short >= 5
 
 
 def _banded_oracle(sample, kern, T):
