@@ -9,20 +9,22 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+# numpy only, and no call that loads numpy.ma (np.unique would;
+# sorted_unique stands in for it), numpy.polynomial or LAPACK (the
+# Gauss-Legendre rules come from the Legendre recurrence, the line fits
+# from closed forms): no process or pool worker loads those modules or
+# faults in LAPACK pages.
 import numpy as np
-# numpy loads these on first use: numpy.polynomial for the Gauss-Legendre
-# rules, numpy.ma (16 ms) for np.unique.  Importing them here keeps that
-# out of the first call and of each pool worker's first task.
-import numpy.ma  # noqa: F401
-import numpy.polynomial  # noqa: F401
 
 __all__ = [
     "block_bounds",
+    "block_partials",
     "comp_sum",
     "gauss_legendre_panels",
     "gl_panels",
     "quad_breaks",
     "running_sum",
+    "sorted_unique",
     "betainc", "betaincc", "erf", "exp1", "expit", "gammainc", "gammaincc",
     "gammaln", "kolmogorov", "logit", "xlog1py",
 ]
@@ -48,51 +50,102 @@ def comp_sum(values) -> float:
 
     Pairwise-summed blocks are combined with math.fsum (Shewchuk exact
     summation), so the result is accurate to ~1 ulp even for 10^6 terms
-    of mixed magnitude.
+    of mixed magnitude.  Up to _BLOCK terms are added exactly.
     """
     a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
     if a.size <= _BLOCK:
         return math.fsum(a.tolist())
+    return math.fsum(block_partials(a))
+
+
+def block_partials(a) -> list:
+    """comp_sum's partials of the 1-d float array a: the pairwise sums of
+    its consecutive _BLOCK-term blocks, the last one possibly shorter.
+    The partials of pieces cut at multiples of _BLOCK, concatenated, are
+    those of the whole."""
     full = a.size - a.size % _BLOCK
     partial = a[:full].reshape(-1, _BLOCK).sum(axis=1).tolist()
     if full < a.size:
         partial.append(float(np.sum(a[full:])))
-    return math.fsum(partial)
+    return partial
 
 
 def running_sum(v):
     """Running sums of v, each accurate to about an ulp of itself however
     large the partial sums grew before it: np.cumsum adds in order, so
     TwoSum recovers each step's rounding error exactly, and the running
-    sum of those errors corrects the cumsum."""
+    sum of those errors corrects the cumsum.  Three arrays of v's length
+    are live at once: the sums, the errors and one temporary."""
     s = np.cumsum(v)
-    err = np.zeros_like(s)
-    t = s[1:] - s[:-1]
-    err[1:] = (s[:-1] - (s[1:] - t)) + (v[1:] - t)
-    return s + np.cumsum(err, out=err)
+    err = np.empty_like(s)
+    err[:1] = 0.0
+    e = err[1:]
+    t = np.subtract(s[1:], s[:-1])
+    # e = (s[:-1] - (s[1:] - t)) + (v[1:] - t)
+    np.subtract(s[1:], t, out=e)
+    np.subtract(s[:-1], e, out=e)
+    np.subtract(v[1:], t, out=t)
+    e += t
+    s += np.cumsum(err, out=err)
+    return s
+
+
+def sorted_unique(a):
+    """The sorted distinct values of a, flattened, as np.unique gives them
+    for a without NaN (dtype kept): one sort and a neighbour mask."""
+    a = np.sort(np.ravel(a))
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def block_bounds(x, span):
     """[start, stop) index ranges of the sorted x cut every `span` from
     x[0]; empty blocks are dropped."""
     edges = np.arange(x[0], x[-1] + span, span)
-    stops = np.unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
+    stops = sorted_unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
     if stops.size == 0 or stops[-1] != x.size:
         stops = np.append(stops, x.size).astype(int)
     starts = np.concatenate([[0], stops[:-1]])
     return starts, stops
 
 
-_GL_CACHE = {}
+# Newton steps allowed per Gauss-Legendre rule; from the guesses below
+# every order the package uses settles within 5
+_GL_STEPS = 50
 
 
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) from the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}, for |x| < 1."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=None)
 def _gl_rule(order: int):
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = rule
+    """Nodes (increasing) and weights of the order-point Gauss-Legendre
+    rule on [-1, 1]: Newton's method on P_order from the guesses
+    cos(pi (i - 1/4) / (order + 1/2)), the weights 2 / ((1 - x^2) P'(x)^2),
+    both made symmetric about 0 as numpy's leggauss makes them.  Cached,
+    so the arrays are read-only."""
+    x = np.cos(np.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    for _ in range(_GL_STEPS):
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 4.0 * _EPS:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes of order {order} did not converge")
+    dp = _legendre(order, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    rule = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    for a in rule:
+        a.flags.writeable = False
     return rule
 
 
@@ -113,7 +166,7 @@ def gauss_legendre_panels(f, breaks, order: int = 20) -> float:
     overlap integrals, exponential pieces).  f must accept arrays: it is
     evaluated once on the full flattened node set.
     """
-    breaks = np.unique(np.asarray(breaks, dtype=float))
+    breaks = sorted_unique(np.asarray(breaks, dtype=float))
     if breaks.size < 2:
         return 0.0
     xs, ws = gl_panels(breaks[:-1], breaks[1:], order)
@@ -160,7 +213,7 @@ def quad_breaks(f, a: float, b: float, breaks=(), rel_tol: float = 1e-10) -> flo
     if b <= a:
         return 0.0
     pts = np.asarray(breaks, dtype=float).ravel()
-    edges = np.unique(np.concatenate([[a, b], pts[(pts > a) & (pts < b)]]))
+    edges = sorted_unique(np.concatenate([[a, b], pts[(pts > a) & (pts < b)]]))
     lo, hi = edges[:-1], edges[1:]
     n, mid = lo.size, 0.5 * (lo + hi)
     sums = _rule(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))

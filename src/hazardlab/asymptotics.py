@@ -61,11 +61,13 @@ class Power:
 
 @dataclass(frozen=True)
 class PowerLog:
-    """C(T) = T^p (log T)^q."""
+    """C(T) = T^p (log T)^q, for T > 1 (where log T > 0)."""
     p: float
     q: float
 
     def __call__(self, T: float) -> float:
+        if not T > 1.0:
+            raise ValueError(f"rate {self.label()} is defined for T > 1 only, got T={T:g}")
         return T ** self.p * math.log(T) ** self.q
 
     def label(self) -> str:

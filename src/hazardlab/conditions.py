@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import crm, kernels
-from ._numeric import gl_panels, quad_breaks
+from ._numeric import gl_panels, quad_breaks, sorted_unique
 from .asymptotics import (NotCatalogedError, Power, PowerLog, RateFunction,
                           regime_cumhaz)
 
@@ -72,12 +72,20 @@ def fit_slope(t_values: Sequence[float], y_values: Sequence[float]) -> FitResult
     if np.any(y <= 0):
         raise ValueError("fit_slope needs strictly positive y values")
     lx, ly = np.log(t), np.log(y)
-    A = np.column_stack([np.ones_like(lx), lx])
-    (intercept, slope), *_ = np.linalg.lstsq(A, ly, rcond=None)
+    intercept, slope = _line_fit(lx, ly)
     resid = ly - (intercept + slope * lx)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return FitResult(float(slope), float(intercept), float(r2))
+
+
+def _line_fit(x, y):
+    """Intercept and slope of the least-squares line through the points
+    (x_i, y_i), in closed form: the slope is
+    sum (x_i - mean x)(y_i - mean y) / sum (x_i - mean x)^2."""
+    dx = x - x.mean()
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    return float(y.mean()) - slope * float(x.mean()), slope
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
     if nonhomog:
         ladder = hi * 2.0 ** -np.arange(1.0, 42.0)
         edges = np.concatenate([edges, ladder[ladder > lo]])
-    edges = np.unique(edges)
+    edges = sorted_unique(edges)
     return edges[np.concatenate([[True], np.diff(edges) > 1e-12 * max(1.0, hi)])]
 
 
@@ -471,9 +479,7 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
             seq1.append(c1 / (T * c0) ** 2)
             seq2.append(2.0 * c1 * I_moments(kernel, intensity, T, 1) / (T ** 2 * c0))
         # delta = limit of seq2, extrapolated linearly in 1/T
-        A = np.column_stack([np.ones(len(t_grid)), 1.0 / np.asarray(t_grid)])
-        (delta_est, _), *_ = np.linalg.lstsq(A, np.asarray(seq2), rcond=None)
-        delta_est = float(delta_est)
+        delta_est = _line_fit(1.0 / np.asarray(t_grid), np.asarray(seq2))[0]
         values[1] = seq1
         values[2] = seq2
         values[3] = []

@@ -49,7 +49,12 @@ class EnvelopeError(Exception):
 # holds two at full length, the arrival times (overwritten by the jumps) and
 # the locations; a thinned draw also holds its acceptance uniforms and
 # probabilities and the thinned copies.  The inverse and keep steps run over
-# blocks of _numeric._STREAM atoms.
+# blocks of _numeric._STREAM atoms.  The cumulative hazard adds no array of
+# the draw's length (it keeps blocks and their partials).  The path
+# functionals' pair sums do: the Green's-function prefix sums about three
+# arrays of n, the rectangular sweep about seven of 2n at its peak (the
+# starts and ends, their merge order, the signed jumps and the running
+# sum's three).
 MAX_EXPECTED_ATOMS = 2e7
 
 

@@ -21,7 +21,8 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import block_bounds, comp_sum, gl_panels, quad_breaks, running_sum
+from ._numeric import (block_bounds, comp_sum, gl_panels, quad_breaks, running_sum,
+                       sorted_unique)
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -108,7 +109,7 @@ class _Green(_Family):
         on a segment edge.  Every term is positive and every carry factor
         is <= 1, so nothing cancels."""
         m = power * self.decay
-        b = np.union1d(edges, x)
+        b = sorted_unique(np.concatenate([edges, x]))
         y, w = gl_panels(b[:-1], b[1:], 12)
         f = w * mu(y)
         into_left = np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1)

@@ -22,7 +22,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import crm, kernels
-from ._numeric import _STREAM, comp_sum, erf, kolmogorov, quad_breaks
+from ._numeric import (_BLOCK, _STREAM, block_partials, comp_sum, erf, kolmogorov,
+                       quad_breaks)
 from .asymptotics import (Functional, MonteCarloMean, RegimeSpec, Unsupported,
                           regime)
 from .conditions import I_moments
@@ -60,16 +61,19 @@ def _check_window(sample: crm.CrmSample, kernel, T: float):
 def cumhaz(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
     """H(T) = sum_i J_i K_T(x_i): exact integral of the hazard path.  The
     terms are formed over blocks of _STREAM atoms, so K_T's temporaries
-    stay in cache, and summed once."""
+    stay in cache, and each block keeps only its comp_sum partials: no
+    array of the sample's length is added, and the result equals comp_sum
+    of all the terms bit for bit."""
     _check_window(sample, kernel, T)
-    if sample.size == 0:
-        return 0.0
-    terms = np.empty(sample.size)
+    if sample.size <= _BLOCK:
+        # comp_sum adds this few terms exactly, not by partials
+        return comp_sum(sample.jumps * kernels.K_T(kernel, T, sample.locations))
+    partials = []
     for i in range(0, sample.size, _STREAM):
         block = slice(i, i + _STREAM)
-        np.multiply(sample.jumps[block], kernels.K_T(kernel, T, sample.locations[block]),
-                    out=terms[block])
-    return comp_sum(terms)
+        partials += block_partials(
+            sample.jumps[block] * kernels.K_T(kernel, T, sample.locations[block]))
+    return math.fsum(partials)
 
 
 def path_second_moment(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:

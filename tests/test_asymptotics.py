@@ -49,6 +49,11 @@ def test_nonhomogeneous_cumhaz_catalog():
     be = crm.Beta(crm.IndicatorSqrt(1.0))
     spec = asy.regime_cumhaz(dl, eg)
     assert isinstance(spec.rate, asy.PowerLog) and (spec.rate.p, spec.rate.q) == (-1.0, -0.5)
+    # T^p (log T)^q is real and finite only above T = 1
+    assert spec.rate(math.e ** 4) == pytest.approx(math.e ** -4 / 2.0, rel=1e-15)
+    for T in (1.0, 0.5):
+        with pytest.raises(ValueError, match="defined for T > 1 only"):
+            spec.rate(T)
     assert isinstance(spec.centering, asy.MonteCarloMean)
     assert spec.limit_variance == pytest.approx(1.0)
     spec = asy.regime_cumhaz(rect, eg)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -257,8 +258,9 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 # Runs hazardlab.cli.main with every scipy import refused: argv[1] is a JSON
-# list of argument lists; prints the scipy modules loaded by importing the
-# CLI and each call's exit code.
+# list of argument lists; prints each call's exit code and the modules the
+# runtime leaves out that importing the CLI and the calls loaded (np.unique
+# would load numpy.ma, leggauss numpy.polynomial).
 _REFUSE_SCIPY = """
 import json, sys
 
@@ -273,8 +275,9 @@ class RefuseScipy:
 sys.meta_path.insert(0, RefuseScipy())
 from hazardlab import cli
 
-loaded = [m for m in sys.modules if m.startswith("scipy")]
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+left_out = ("scipy", "numpy.ma", "numpy.polynomial")
+loaded = [m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in left_out)]
 print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
@@ -320,7 +323,8 @@ def test_runtime_runs_with_scipy_refused(tmp_path):
     # every command, and each sampler path: closed-form rejection (GG, beta
     # c = 1.5), the inverse-tail tables (extended gamma, beta c = 0.5) and
     # thinning (affine_sqrt); ks_alpha = 1e-9 keeps a small-T KS verdict
-    # out of the exit code
+    # out of the exit code.  Neither these nor an OU path-variance run
+    # load scipy, numpy.ma or numpy.polynomial.
     crms = {"gg": "family = generalized_gamma\nsigma = 0.5\ngamma = 1.0",
             "eg": "family = extended_gamma\nfn = constant\nvalue = 1.0",
             "eg_thin": "family = extended_gamma\nfn = affine_sqrt\na = 1.0\nb = 0.7",
@@ -331,6 +335,11 @@ def test_runtime_runs_with_scipy_refused(tmp_path):
         (tmp_path / f"{name}.ini").write_text(_SMALL_SIMULATE.format(crm=text))
         runs.append(["simulate", "--config", str(tmp_path / f"{name}.ini"),
                      "--out", str(tmp_path / f"{name}.json")])
+    (tmp_path / "ou_pathvar.ini").write_text(
+        _SMALL_SIMULATE.format(crm=crms["gg"]).replace("cumulative_hazard", "path_variance")
+        .replace("type = rectangular\ntau = 1.0", "type = ornstein_uhlenbeck\nkappa = 1.0"))
+    runs.append(["simulate", "--config", str(tmp_path / "ou_pathvar.ini"),
+                 "--out", str(tmp_path / "ou_pathvar.json")])
     for name, text in (("rect", "type = rectangular\ntau = 1.0"),
                        ("ou", "type = ornstein_uhlenbeck\nkappa = 1.0")):
         (tmp_path / f"check_{name}.ini").write_text(_CHECK.format(kernel=text))
@@ -349,6 +358,45 @@ def test_runtime_runs_with_scipy_refused(tmp_path):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["loaded"] == []
     assert result["codes"] == [0] * len(runs), out.stderr
+
+
+_SQRT_PROFILE = """
+[experiment]
+kind = {kind}
+{lines}
+
+[kernel]
+type = rectangular
+tau = 1.0
+
+[crm]
+family = extended_gamma
+fn = affine_sqrt
+a = 1.0
+b = 1.0
+"""
+
+
+@pytest.mark.parametrize("kind, lines, T", [
+    ("check-conditions", "theorem = pathvar\nt_grid = 1,2,3,4", "1"),
+    ("check-conditions", "theorem = pathvar\nt_grid = 0.5,0.6,0.7,0.8", "0.5"),
+    ("simulate", "functional = cumulative_hazard\nhorizon = 0.9\nreplicates = 100", "0.9"),
+])
+def test_log_rate_refuses_horizons_up_to_one(tmp_path, monkeypatch, capsys, kind, lines, T):
+    # the catalog's C0 = (log T)^-1/2 of a sqrt profile divides by 0 at T = 1
+    # and is complex below; simulate refuses before drawing a replicate
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_crm", lambda *args: drawn.append(args))
+    monkeypatch.setenv("HAZARDLAB_THREADS", "1")
+    cfg_path = tmp_path / "sqrt.ini"
+    cfg_path.write_text(_SQRT_PROFILE.format(kind=kind, lines=lines))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: rate T^0*logT^-0.5 is defined for T > 1 only, got T={T}"]
+    assert drawn == [] and not out.exists()
 
 
 @pytest.mark.parametrize("kernel", [kernels.Rectangular(0.3), kernels.DykstraLaud(),

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,6 +91,34 @@ def test_running_sum_equals_exact_prefixes():
         exact = np.array([math.fsum(v[:k + 1].tolist()) for k in range(v.size)])
         assert exact[-1] == 0.0
         assert np.all(np.abs(_numeric.running_sum(v) - exact) <= np.spacing(np.abs(exact)))
+
+
+def _traced_peak(f, *args):
+    """Peak bytes that tracemalloc traces during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [34_000, 1_130_000])
+def test_running_sum_holds_three_arrays(n):
+    # the sums, the TwoSum errors and one temporary; the values are pinned
+    # by test_running_sum_equals_exact_prefixes
+    v = seeded(533).standard_normal(n)
+    assert _traced_peak(_numeric.running_sum, v) <= 3.5 * v.nbytes
+
+
+def test_cumhaz_adds_no_atom_length_array():
+    # only _STREAM-atom blocks and their partials: ~0.8 MB traced at any
+    # size, against 4.8 MB for each of the sample's two arrays here
+    T = 23.0
+    for kern in (kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
+                 kernels.DykstraLaud(), kernels.UShaped(2.0)):
+        s = make_sample(kern, T, 600_000, entropy=534)
+        assert _traced_peak(mc.cumhaz, s, kern, T) <= 0.25 * s.jumps.nbytes, kern.label()
 
 
 def test_path2nd_single_atom_ou():
@@ -257,6 +286,42 @@ def test_rect_path2nd_random_cases_equal_naive_double_sum():
         naive = float(J @ Q @ J) / T
         assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
     assert tied >= 12 and short >= 5
+
+
+def test_green_path2nd_random_cases_equal_naive_double_sum():
+    # 20 draws over OU(kappa in [0.1, 5]), Dykstra-Laud and U-shaped(beta
+    # in [0.5, 4]) with random T and n < 800; half the locations on a grid
+    # of 1/64 of the window, so ties occur; jumps over four decades; OU's
+    # T spans 1 to 25 blocks of 60 / kappa, so the carry crosses block edges
+    rng = seeded(541)
+    tied = crossing = 0
+    for i in range(20):
+        kind = ("ou", "ou", "dl", "u")[i % 4]
+        if kind == "ou":
+            kappa = float(rng.uniform(0.1, 5.0))
+            kern = kernels.OrnsteinUhlenbeck(kappa)
+            T = 60.0 / kappa * 10.0 ** float(rng.uniform(0.0, 1.4))
+        elif kind == "dl":
+            kern = kernels.DykstraLaud()
+            T = 10.0 ** float(rng.uniform(0.0, 2.5))
+        else:
+            kern = kernels.UShaped(float(rng.uniform(0.5, 4.0)))
+            T = 10.0 ** float(rng.uniform(0.0, 2.0))
+        lo, hi = kernels.location_window(kern, T)
+        n = int(rng.integers(1, 800))
+        x = rng.uniform(lo, hi, n)
+        snap = rng.random(n) < 0.5
+        step = (hi - lo) / 64.0
+        x[snap] = np.minimum(lo + np.round((x[snap] - lo) / step) * step, hi)
+        J = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-4.0, 0.0, n)
+        s = crm.CrmSample(J, x, (lo, hi), 1e-6, 0.0)
+        tied += np.unique(x).size < n
+        if kind == "ou":
+            crossing += _numeric.block_bounds(np.sort(x), 60.0 / kappa)[0].size >= 10
+        Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
+        naive = float(J @ Q @ J) / T
+        assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
+    assert tied >= 15 and crossing >= 3
 
 
 def _banded_oracle(sample, kern, T):

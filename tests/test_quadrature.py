@@ -46,6 +46,29 @@ def test_smooth_and_endpoint_singular_integrals():
     assert q(lambda x: x, 1.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("order", [8, 10, 12, 20])
+def test_gauss_legendre_rule_matches_leggauss(order):
+    # the package computes its rules itself (no numpy.polynomial, no LAPACK)
+    x, w = _numeric._gl_rule(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(x - ref_x)) <= 2e-15
+    assert np.max(np.abs(w - ref_w)) <= 2e-15
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for degree in range(2 * order):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(float(np.sum(w * x ** degree)) - exact) <= 1e-14, degree
+
+
+def test_sorted_unique_equals_np_unique():
+    rng = np.random.default_rng(560)
+    cases = [np.empty(0), np.array([2.5]), np.array([0.0, -0.0, 1.0, -0.0]),
+             rng.integers(0, 12, 300), rng.integers(-3, 3, (6, 7)),
+             np.round(rng.uniform(-1.0, 1.0, 2000), 2), rng.standard_normal(500)]
+    for a in cases:
+        got, ref = _numeric.sorted_unique(a), np.unique(a)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_one_array_call_per_round():
     calls = []
 
