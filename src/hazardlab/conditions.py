@@ -13,10 +13,14 @@ the condition quantities of the three limit theorems:
 All norms are over the full symmetric product space.  Jump coordinates
 are integrated out analytically through the moment functions, leaving
 1-2 dimensional location integrals; the bivariate ones are evaluated on
-a kernel-structure-aware quadrature grid as banded quadratic forms,
-which also makes the Cauchy-Schwarz contraction bound exact in the
-discretization.  Log-log slope fits over the horizon grid turn the
-asymptotic claims into verdicts.
+a kernel-structure-aware quadrature grid as quadratic forms of the
+kernel's Q_T at its nodes, which also makes the Cauchy-Schwarz
+contraction bound exact in the discretization.  The kernel reduces them:
+carried O(n) sums for the Green's-function kernels, and for the
+rectangular kernel sums over the band pairs, formed as they are used
+from two vectors of the nodes (no band or matrix is stored).  Log-log
+slope fits over the horizon grid turn the asymptotic claims into
+verdicts.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import crm, kernels
 from ._numeric import gl_panels, quad_breaks, sorted_unique
@@ -164,37 +167,26 @@ def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
 
 
 _GRID_ORDER = 8     # Gauss-Legendre nodes per panel of the condition grid
-# Q_band refuses a band of more pairs than this (~25x the rectangular T=800
-# grid's 806k) before allocating any of them.  On a uniform grid the band
-# and the block products peak at ~36 bytes a pair (29 MB traced at T=800).
+# A grid whose kernel band holds more pairs than this (~25x the rectangular
+# T=800 grid's 806k) is refused before any pair is evaluated.
 _MAX_BAND_PAIRS = 20_000_000
-
-
-def _band_matvec(diags, v, power: int):
-    """(Q ** power) v, the power taken entrywise, for the symmetric Q held
-    as its diagonals diags[k][i] = Q[i, i + k]: diagonal k > 0 adds
-    Q[i, i + k] v[i + k] to row i and its mirror Q[i + k, i] v[i] to row
-    i + k."""
-    out = diags[0] ** power * v
-    for k, d in enumerate(diags[1:], 1):
-        q, e = d ** power, d.size
-        out[:e] += q * v[k:k + e]
-        out[k:k + e] += q * v[:e]
-    return out
 
 
 class _Grid:
     """Quadrature nodes/weights on the location window; all bivariate
     norms reduce to the rows int mu_p(y) Q_T(x_i, y)^power dy and to
-    ||A^2||_F^2 for A = diag(r) Q_T diag(r).
+    ||A^2||_F^2 for A = diag(r) Q_T diag(r), both from the kernel.
 
     The Green's-function kernels (Ornstein-Uhlenbeck, Dykstra-Laud,
     U-shaped; kernels._Green) compute both without a matrix: their
     row_integrals put the kink of Q_T at y = x_i on a segment edge, which
     makes the rows machine-exact where the tensor grid would carry ~1e-4
     relative error from kink-straddling panels, and their contraction_11
-    is O(n).  Only the rectangular grid builds the weighted kernel matrix
-    on its band (Q_band)."""
+    is O(n).  The rectangular kernel sums over the tensor grid's band
+    pairs, formed as they are used from two vectors of the nodes
+    (band_matvec, contraction_11); no band is stored.  Its grid is refused
+    with ValueError when the band holds more than _MAX_BAND_PAIRS pairs
+    (counting both halves)."""
 
     def __init__(self, kernel, intensity, T):
         self.kernel, self.intensity, self.T = kernel, intensity, T
@@ -202,48 +194,21 @@ class _Grid:
         x, w = gl_panels(self.edges[:-1], self.edges[1:], _GRID_ORDER)
         # increasing: the panels are consecutive and the nodes interior
         self.x, self.w = x.ravel(), w.ravel()
+        self.banded = hasattr(kernel, "band_matvec")
+        if self.banded:
+            reach = self.x + kernel.band
+            pairs = int(np.sum(np.searchsorted(self.x, reach, side="right")
+                               - np.searchsorted(reach, self.x, side="left")))
+            if pairs > _MAX_BAND_PAIRS:
+                raise ValueError(
+                    f"the condition grid at T={T:g} has {pairs} kernel band "
+                    f"pairs, above the cap of {_MAX_BAND_PAIRS}")
         self.KT = kernels.K_T(kernel, T, self.x)
         self.R = kernels.Q_T(kernel, T, self.x, self.x)
-        self._Q = None
         self._rows = {}
 
     def mu(self, a: float) -> np.ndarray:
         return crm.jump_moment(self.intensity, a, self.x)
-
-    def Q_band(self) -> list:
-        """The band of Q as its diagonals: diags[k][i] = Q_T(x_i, x_{i+k})
-        while x_{i+k} <= x_i + band, 0 beyond it; diagonal k ends at the
-        last row whose band reaches x_{i+k}, and diags[0] is the full
-        diagonal.  Q_T is exactly symmetric, so the diagonals hold all of
-        Q: Q[i, j] = diags[|i - j|][min(i, j)].  One Q_T call covers the
-        pairs of the band, and the diagonals share one buffer.  A band of
-        more than _MAX_BAND_PAIRS pairs (counting both halves) is refused
-        with ValueError."""
-        if self._Q is not None:
-            return self._Q
-        x, n = self.x, self.x.size
-        reach = x + self.kernel.band
-        lo = np.searchsorted(reach, x, side="left")      # x_i <= x_j + band
-        hi = np.searchsorted(x, reach, side="right")     # x_j <= x_i + band
-        pairs = int(np.sum(hi - lo))
-        if pairs > _MAX_BAND_PAIRS:
-            raise ValueError(
-                f"the condition grid at T={self.T:g} has {pairs} kernel band "
-                f"pairs, above the cap of {_MAX_BAND_PAIRS}")
-        count = hi - np.arange(n)                        # pairs j >= i of row i
-        m = int(count.max())
-        # diagonal k runs over the rows before the first i from which no
-        # row has more than k pairs
-        reach_max = np.maximum.accumulate(count[::-1])[::-1]
-        length = np.searchsorted(-reach_max, -np.arange(m), side="left")
-        inside = np.arange(m)[:, None] < count           # (k, i) in the band
-        kept = np.arange(n) < length[:, None]            # (k, i) stored
-        shifted = sliding_window_view(np.concatenate([x, np.full(m - 1, x[-1])]), n)
-        flat = np.zeros(int(length.sum()))
-        flat[inside[kept]] = kernels.Q_T(self.kernel, self.T,
-                                         np.broadcast_to(x, (m, n))[inside], shifted[inside])
-        self._Q = np.split(flat, np.cumsum(length)[:-1])
-        return self._Q
 
     # -- reduced quantities --------------------------------------------------
     def rows(self, p: float, power: int) -> np.ndarray:
@@ -251,10 +216,11 @@ class _Grid:
         rows(1, 1) is J(x_i) = int mu_1(w) Q(x_i, w) dw."""
         key = (float(p), power)
         if key not in self._rows:
-            mu_p = lambda y: crm.jump_moment(self.intensity, float(p), y)
-            row = self.kernel.row_integrals(self.T, self.x, self.edges, mu_p, power)
-            if row is None:
-                row = _band_matvec(self.Q_band(), self.w * self.mu(float(p)), power)
+            if self.banded:
+                row = self.kernel.band_matvec(self.T, self.x, self.w * self.mu(float(p)), power)
+            else:
+                mu_p = lambda y: crm.jump_moment(self.intensity, float(p), y)
+                row = self.kernel.row_integrals(self.T, self.x, self.edges, mu_p, power)
             self._rows[key] = row
         return self._rows[key]
 
@@ -265,59 +231,9 @@ class _Grid:
     def contraction_11_norm_sq(self) -> float:
         """|| k1 *_1^1 k1 ||^2_{L2(nu^2)} * T^4 (the T factors are applied
         by the caller): intint mu2 mu2 G^2 with G = int mu2 Q Q, i.e.
-        ||A^2||_F^2 for A = diag(r) Q diag(r), r = sqrt(w mu2).
-
-        The family's contraction_11 gives it where Q_T has a Green's-
-        function form (in O(n)).  Otherwise A comes from the band Q_band of
-        m diagonals: in index blocks I_b of m rows, A[I_b, I_c] = 0 unless
-        |b - c| <= 1, so A is held as its diagonal blocks M_b and the blocks
-        R_b = A[I_b, I_{b+1}] right of them, filled from the diagonals.  Of
-        the symmetric A^2 only the blocks
-            A^2[I_b, I_b]     = M_b M_b + R_{b-1}^T R_{b-1} + R_b R_b^T,
-            A^2[I_b, I_{b+1}] = M_b R_b + R_b M_{b+1},
-            A^2[I_b, I_{b+2}] = R_b R_{b+1}
-        and their mirror images are nonzero; each is one batch of block
-        products over b."""
-        r2 = self.w * self.mu(2.0)
-        total = self.kernel.contraction_11(self.T, self.x, r2)
-        if total is not None:
-            return total
-        diags = self.Q_band()
-        n, m = diags[0].size, len(diags)
-        nb = -(-n // m)
-        # S[b*m + a, t*m + c] = [M_b, R_b][t][a, c]; the last R_b reaches
-        # past the last node and stays 0
-        S = np.zeros((nb * m, 2 * m))
-        # entry (i, i + k) of A, i = b*m + a, is S[b*m + a, a + k]: affine
-        # in (b, a, k)
-        s0, s1 = S.strides
-        rows = as_strided(S, shape=(nb, m, m), strides=(m * s0, s0 + s1, s1))
-        for k, d in enumerate(diags):
-            q, rem = divmod(d.size, m)
-            rows[:q, :, k] = d[:q * m].reshape(q, m)
-            if rem:
-                rows[q, :rem, k] = d[q * m:]
-        blocks = S.reshape(nb, m, 2, m)
-        M, R = blocks[:, :, 0], blocks[:, :, 1]
-        lower = np.tri(m, k=-1, dtype=bool)
-        M[:, lower] = M.transpose(0, 2, 1)[:, lower]
-        r = np.zeros((nb + 1) * m)
-        r[:n] = np.sqrt(r2)
-        r = r.reshape(nb + 1, m)
-        M *= r[:-1, :, None] * r[:-1, None, :]
-        R *= r[:-1, :, None] * r[1:, None, :]
-        R, Rt = R[:-1], R[:-1].transpose(0, 2, 1)
-        # one batch of blocks alive at a time: C is rebound, never copied,
-        # and squared in place (np.vdot would run BLAS's threaded ddot)
-        C = M @ M
-        C[1:] += Rt @ R
-        C[:-1] += R @ Rt
-        total = float(np.sum(np.square(C, out=C)))
-        C = M[:-1] @ R
-        C += R @ M[1:]
-        total += 2.0 * float(np.sum(np.square(C, out=C)))
-        C = R[:-1] @ R[1:]
-        return total + 2.0 * float(np.sum(np.square(C, out=C)))
+        ||A^2||_F^2 for A = diag(r) Q diag(r), r = sqrt(w mu2), from the
+        family's contraction_11."""
+        return self.kernel.contraction_11(self.T, self.x, self.w * self.mu(2.0))
 
     def contraction_21_norm_sq(self) -> float:
         """|| k1 *_2^1 k1 ||^2_{L2(nu)} * T^4: int mu4(x) H(x)^2 dx with

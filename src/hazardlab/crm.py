@@ -52,9 +52,9 @@ class EnvelopeError(Exception):
 # blocks of _numeric._STREAM atoms.  The cumulative hazard adds no array of
 # the draw's length (it keeps blocks and their partials).  The path
 # functionals' pair sums do: the Green's-function prefix sums about three
-# arrays of n, the rectangular sweep about seven of 2n at its peak (the
-# starts and ends, their merge order, the signed jumps and the running
-# sum's three).
+# arrays of n, the rectangular sweep five of 2n at its peak (the gaps
+# between the merged starts and ends, the signed jumps in merge order and
+# the running sum's three).
 MAX_EXPECTED_ATOMS = 2e7
 
 

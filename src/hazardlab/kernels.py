@@ -13,7 +13,6 @@ carries its facts; the module functions are the validated entry points.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -21,8 +20,8 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import (block_bounds, comp_sum, gl_panels, quad_breaks, running_sum,
-                       sorted_unique)
+from ._numeric import (_STREAM, block_bounds, comp_sum, gl_panels, quad_breaks,
+                       running_sum, sorted_unique)
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -36,6 +35,11 @@ class _Family:
     slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T) and
     pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x; the
     non-nested ones define band (Q_T(x, y) = 0 once |x - y| > band).
+    On the condition grid every family defines contraction_11(T, x, r2),
+    ||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j with r^2 = r2, and its
+    rows int mu(y) Q_T(x_i, y)^power dy come from row_integrals(T, x,
+    edges, mu, power) or, for the rectangular kernel, from
+    band_matvec(T, x, v, power) over the grid's nodes and weights.
     Non-nested families are stationary, k(t, x) = phi(t - x), and carry the
     bulk integrals (m, r0, r2) = (int phi, rho(0), int rho(u)^2 du) with
     rho(u) = int phi(s) phi(s + u) ds: away from 0 and T these are K_T(x),
@@ -55,16 +59,6 @@ class _Family:
     def breaks(self, T: float) -> list:
         # breakpoints of the I_i quadratures and of the condition-grid panels
         return []
-
-    def row_integrals(self, T, x, edges, mu, power):
-        # int mu(y) Q_T(x_i, y)^power dy at the condition-grid nodes; None
-        # leaves them to the grid's banded Q matrix
-        return None
-
-    def contraction_11(self, T, x, r2):
-        # ||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j at the condition-grid
-        # nodes, r^2 = r2; None leaves it to the grid's banded Q matrix
-        return None
 
 
 class _Green(_Family):
@@ -220,22 +214,133 @@ class Rectangular(_Family):
         # Q_T(x, y) = 0 once |x - y| > 2 tau
         return 2.0 * self.tau
 
+    def _span(self, T, x):
+        # the times [start, end] = [max(x - tau, 0), min(x + tau, T)] where
+        # k(., x) is on; both are nondecreasing in x, and for x <= y in the
+        # window Q_T(x, y) = max(0, end(x) - start(y)), the arithmetic of Q
+        tau = self.tau
+        return np.maximum(x - tau, 0.0), np.minimum(x + tau, T)
+
     def pair_sum(self, J, x, T):
         # sum_{i,j} J_i J_j Q_T(x_i, x_j) = int_0^T h(t)^2 dt, where the path
-        # h is J_i on [b_i, a_i] summed over the atoms, with a = min(x + tau, T)
-        # and b = max(x - tau, 0) clamped to a (atoms past T + tau get an
-        # empty interval).  For sorted x both are nondecreasing, so one
-        # stable argsort merges the starts (+J) and the ends (-J); h after
-        # each event is the compensated running sum of the jumps, and the
-        # integral sums h^2 over the gaps to the next event, all terms >= 0
-        # (a gap between neighbouring events is exact away from 0).
-        tau = self.tau
-        a = np.minimum(x + tau, T)
-        b = np.minimum(np.maximum(x - tau, 0.0), a)
-        events = np.concatenate([b, a])
+        # h is J_i on the span [start_i, end_i] summed over the atoms, with
+        # start clamped to end (atoms past T + tau get an empty span).  For
+        # sorted x both are nondecreasing, so one stable argsort merges the
+        # starts (+J) and the ends (-J); h after each event is the
+        # compensated running sum of the jumps, and the integral sums h^2
+        # over the gaps to the next event, all terms >= 0 (a gap between
+        # neighbouring events is exact away from 0).  Each array of 2n is
+        # dropped once used: at most five are live, in running_sum.
+        start, end = self._span(T, x)
+        events = np.concatenate([np.minimum(start, end, out=start), end])
+        del start, end
         order = np.argsort(events, kind="stable")
-        h = running_sum(np.concatenate([J, -J])[order])
-        return comp_sum(h[:-1] ** 2 * np.diff(events[order]))
+        gaps = np.diff(events[order])
+        del events
+        jumps = np.concatenate([J, -J])[order]
+        del order
+        h = running_sum(jumps)
+        del jumps
+        return comp_sum(h[:-1] ** 2 * gaps)
+
+    def band_matvec(self, T, x, v, power):
+        """(Q ** power) v at the increasing nodes x of the window, the power
+        taken entrywise, for Q_ij = Q_T(x_i, x_j): one diagonal
+        d_i = Q[i, i + k] at a time in reused buffers, adding d^power v[i + k]
+        to row i and its mirror d^power v[i] to row i + k.  Diagonal k
+        stops at the last row whose band reaches k nodes; beyond the band
+        d is exactly 0."""
+        start, end = self._span(T, x)
+        n = x.size
+        width = np.searchsorted(x, x + self.band, side="right") - np.arange(n)
+        # rows i < length[k] reach diagonal k
+        reach = np.maximum.accumulate(width[::-1])[::-1]
+        length = np.searchsorted(-reach, -np.arange(int(width.max())), side="left")
+        buf = np.empty((2, n))
+        out = np.maximum(end - start, 0.0) ** power * v
+        for k in range(1, length.size):
+            e = int(length[k])
+            d, dv = buf[0, :e], buf[1, :e]
+            np.subtract(end[:e], start[k:k + e], out=d)
+            np.maximum(d, 0.0, out=d)
+            if power != 1:
+                d **= power
+            out[:e] += np.multiply(d, v[k:k + e], out=dv)
+            out[k:k + e] += np.multiply(d, v[:e], out=dv)
+        return out
+
+    def _blocks(self, x) -> list:
+        # bounds of contraction_11's index blocks of the increasing nodes x.
+        # The band of row i ends before node hi[i], nondecreasing in i, so
+        # block b + 1 ending at hi of block b's last row keeps every row of
+        # block b inside blocks b - 1 .. b + 1.  Blocks 0 and 1 split the
+        # rows 0 .. hi[0] - 1 that meet row 0.
+        hi = np.searchsorted(x, x + self.band, side="right")
+        bounds = [0, (int(hi[0]) + 1) // 2]
+        while bounds[-1] < x.size:
+            bounds.append(max(int(hi[bounds[-1] - 1]), bounds[-1] + 1))
+        return bounds
+
+    def contraction_11(self, T, x, r2):
+        """||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j at the increasing
+        nodes x of the window, r^2 = r2.
+
+        The nodes are cut into index blocks I_b, each ending where the band
+        of the rows of I_{b-1} ends, so A[I_b, I_c] = 0 unless |b - c| <= 1
+        and a block is about as wide as the band rows around it.  A is its
+        diagonal blocks M_b and the blocks R_b = A[I_b, I_{b+1}] right of
+        them; of the symmetric A^2 only the blocks
+            A^2[I_b, I_b]     = M_b M_b + R_{b-1}^T R_{b-1} + R_b R_b^T,
+            A^2[I_b, I_{b+1}] = M_b R_b + R_b M_{b+1},
+            A^2[I_b, I_{b+2}] = R_b R_{b+1}
+        and their mirror images are nonzero.  The blocks are formed from the
+        spans for a batch of consecutive b at a time, each padded to the
+        batch's widest block with end 0, start +inf and r 0: a batch of L
+        blocks of width m holds L m^2 <= _STREAM entries in each array, or
+        one block.  Each batch's three sums are added under math.fsum."""
+        start, end = self._span(T, x)
+        n = x.size
+        bounds = self._blocks(x)
+        nb = len(bounds) - 1
+        # blocks -1, nb and nb + 1 are empty; node n is the padding
+        first = np.array([n] + bounds[:-1] + [n, n])
+        width = np.concatenate([[0], np.diff(bounds), [0, 0]])
+        S, E = np.append(start, np.inf), np.append(end, 0.0)
+        r = np.append(np.sqrt(r2), 0.0)
+        partials = []
+        b0 = 0
+        while b0 < nb:
+            # L blocks b0 .. b0 + L - 1 read the blocks b0 - 1 .. b0 + L + 1
+            widest = np.maximum.accumulate(width[b0:])
+            L = int(np.searchsorted(np.arange(1, nb - b0 + 1) * widest[3:] ** 2, _STREAM,
+                                    side="right"))
+            L = max(L, 1)
+            m = int(widest[L + 2])
+            col = np.arange(m)
+            at = np.where(col < width[b0:b0 + L + 3, None], first[b0:b0 + L + 3, None] + col, n)
+            s, e, w = S[at], E[at], r[at]
+            # R[c] = A[I_c, I_{c+1}] for the blocks b0 - 1 .. b0 + L: every i
+            # precedes every j there, so Q_ij = max(0, e_i - s_j)
+            R = e[:-1, :, None] - s[1:, None, :]
+            np.maximum(R, 0.0, out=R)
+            R *= w[:-1, :, None] * w[1:, None, :]
+            # M[c] = A[I_c, I_c] for the blocks b0 .. b0 + L
+            M = e[1:-1, :, None] - s[1:-1, None, :]
+            M = np.minimum(M, M.transpose(0, 2, 1))
+            np.maximum(M, 0.0, out=M)
+            M *= w[1:-1, :, None] * w[1:-1, None, :]
+            Mb, Rb = M[:-1], R[1:-1]
+            C = Mb @ Mb
+            C += R[:-2].transpose(0, 2, 1) @ R[:-2]
+            C += Rb @ Rb.transpose(0, 2, 1)
+            partials.append(float(np.sum(np.square(C, out=C))))
+            C = Mb @ Rb
+            C += Rb @ M[1:]
+            partials.append(2.0 * float(np.sum(np.square(C, out=C))))
+            C = Rb @ R[2:]
+            partials.append(2.0 * float(np.sum(np.square(C, out=C))))
+            b0 += L
+        return math.fsum(partials)
 
 
 @dataclass(frozen=True)
@@ -345,10 +450,36 @@ Kernel = Union[Rectangular, DykstraLaud, OrnsteinUhlenbeck, UShaped]
 
 
 def _carry(decay, inflow) -> np.ndarray:
-    """c_0 = 0, c_{j+1} = c_j decay_j + inflow_j, for j = 0 .. len(decay)-1."""
-    steps = itertools.accumulate(zip(decay.tolist(), inflow.tolist()),
-                                 lambda c, di: c * di[0] + di[1], initial=0.0)
-    return np.fromiter(steps, dtype=float, count=decay.size + 1)
+    """c_0 = 0, c_{j+1} = c_j decay_j + inflow_j, for j = 0 .. len(decay)-1,
+    with 0 <= decay <= 1 and inflow >= 0.
+
+    Over a block of steps with the decays' running product P >= e^{-600},
+    c = P (c_start + cumsum(inflow / P)), all terms positive.  A decay
+    below e^{-600} (zero or subnormal too) is a step of its own."""
+    n = decay.size
+    c = np.empty(n + 1)
+    c[0] = carry = 0.0
+    # H[j] = -log of the product of the first j decays, each factor's log
+    # clipped at -601 so that H stays finite and nondecreasing
+    H = np.zeros(n + 1)
+    np.cumsum(-np.log(np.maximum(decay, math.exp(-601.0))), out=H[1:])
+    j = 0
+    while j < n:
+        # steps j .. stop - 1 keep the block's product above e^{-600}
+        stop = int(np.searchsorted(H, H[j] + 600.0, side="right")) - 1
+        if stop == j:
+            carry = carry * float(decay[j]) + float(inflow[j])
+            c[j + 1] = carry
+            stop = j + 1
+        else:
+            P = np.cumprod(decay[j:stop])
+            q = inflow[j:stop] / P
+            q[0] += carry
+            np.cumsum(q, out=q)
+            np.multiply(P, q, out=c[j + 1:stop + 1])
+            carry = float(c[stop])
+        j = stop
+    return c
 
 
 def _check_T(T: float) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,16 @@ def rng():
 
 def seeded(entropy, key=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(key,)))
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc traces during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def quad_moment(intensity, order, x=None, rel=1e-11):

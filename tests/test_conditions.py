@@ -8,7 +8,7 @@ from hazardlab import asymptotics as asy
 from hazardlab import conditions as cond
 from hazardlab import crm, kernels
 
-from conftest import seeded
+from conftest import seeded, traced_peak
 
 GG = crm.GeneralizedGamma(0.5, 1.0)
 EG1 = crm.ExtendedGamma(crm.Constant(1.0))
@@ -99,9 +99,6 @@ def test_cauchy_schwarz_contraction_bound():
         for T in (20.0, 100.0):
             n = cond.contraction_norms(kern, GG, T)
             assert n.k11_l2_sq <= n.k1_l2_sq ** 2 * (1 + 1e-9) + 1e-9
-            # only the rectangular grid builds the band of Q
-            assert (cond._grid(kern, GG, T)._Q is None) \
-                == (not isinstance(kern, kernels.Rectangular))
 
 
 def test_diagonal_restriction_identity():
@@ -186,38 +183,112 @@ def test_ou_rows_match_split_quadrature(kern, intensity):
 # the kernels with a pair band
 BAND_KERNELS = [(kernels.Rectangular(0.5), 20.0), (kernels.OrnsteinUhlenbeck(1.0), 45.0),
                 (kernels.OrnsteinUhlenbeck(2.5), 40.0)]
+EG_SQRT = crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7))
+# rectangular grids: both bandwidths, a horizon below 4 tau and the
+# non-homogeneous grid with its panel ladder near 0
+RECT_GRIDS = [(kernels.Rectangular(0.5), GG, 20.0), (kernels.Rectangular(1.0), GG, 3.0),
+              (kernels.Rectangular(1.0), EG_SQRT, 12.0), (kernels.Rectangular(0.5), EG_SQRT, 5.0)]
 
 
 def _case_id(value):
-    return value.label() if hasattr(value, "label") else f"T={value:g}"
+    if hasattr(value, "label"):
+        return value.label()
+    return f"T={value:g}" if isinstance(value, float) else f"blocks={value}"
 
 
-def _dense_Q(g):
-    """The grid's symmetric Q from its diagonals diags[k][i] = Q[i, i + k]."""
-    diags = g.Q_band()
-    n = diags[0].size
-    Q = np.zeros((n, n))
-    for k, d in enumerate(diags):
-        i = np.arange(d.size)
-        Q[i, i + k] = Q[i + k, i] = d
-    return Q
-
-
-@pytest.mark.parametrize("kern, T", BAND_KERNELS, ids=_case_id)
-def test_Q_matrix_is_the_dense_kernel_on_the_band(kern, T):
-    g = cond._Grid(kern, GG, T)
-    x = g.x
+def _dense_Q(kern, T, x):
+    """Q_T(x_i, x_j) at every pair of the nodes x, 0 beyond the kernel's band."""
     dense = kernels.Q_T(kern, T, x[:, None], x[None, :])
     band = (x[None, :] <= x[:, None] + kern.band) & (x[:, None] <= x[None, :] + kern.band)
-    assert np.array_equal(_dense_Q(g), np.where(band, dense, 0.0))
+    return np.where(band, dense, 0.0)
+
+
+@pytest.mark.parametrize("kern, intensity, T", RECT_GRIDS, ids=_case_id)
+def test_rectangular_band_pairs_from_the_spans(kern, intensity, T):
+    # for x_i <= x_j, Q_T(x_i, x_j) = max(0, end_i - start_j): Q's own
+    # arithmetic, so equal bit for bit, and exactly 0 beyond the band
+    x = cond._Grid(kern, intensity, T).x
+    start, end = kern._span(T, x)
+    dense = kernels.Q_T(kern, T, x[:, None], x[None, :])
+    assert np.array_equal(np.triu(np.maximum(end[:, None] - start[None, :], 0.0)), np.triu(dense))
+    assert np.array_equal(_dense_Q(kern, T, x), dense)
+
+
+@pytest.mark.parametrize("kern, intensity, T", RECT_GRIDS, ids=_case_id)
+def test_rectangular_band_matvec_equals_dense_product(kern, intensity, T):
+    g = cond._Grid(kern, intensity, T)
+    Q = kernels.Q_T(kern, T, g.x[:, None], g.x[None, :])
+    for power in (1, 2, 4):
+        v = g.w * g.mu(float(power))
+        np.testing.assert_allclose(kern.band_matvec(T, g.x, v, power), (Q ** power) @ v,
+                                   rtol=1e-13, atol=0)
+
+
+# 2 and 3 blocks of rows on the homogeneous grid, and the grids of
+# RECT_GRIDS with their many blocks
+@pytest.mark.parametrize("kern, intensity, T, blocks",
+                         [(kernels.Rectangular(1.0), GG, 2.0, 2),
+                          (kernels.Rectangular(1.0), GG, 3.0, 3)]
+                         + [(*grid, None) for grid in RECT_GRIDS], ids=_case_id)
+@pytest.mark.parametrize("batch", ["cache", "one_block", "two_blocks"])
+def test_rectangular_contraction_11_equals_dense_square(kern, intensity, T, blocks, batch,
+                                                        monkeypatch):
+    g = cond._Grid(kern, intensity, T)
+    bounds = kern._blocks(g.x)
+    assert blocks in (None, len(bounds) - 1)
+    # batches of one block, or of two of the widest, put batch edges
+    # between the blocks
+    if batch != "cache":
+        m = int(np.max(np.diff(bounds)))
+        monkeypatch.setattr(kernels, "_STREAM", (1 if batch == "one_block" else 2) * m * m)
+    r = np.sqrt(g.w * g.mu(2.0))
+    A = r[:, None] * kernels.Q_T(kern, T, g.x[:, None], g.x[None, :]) * r[None, :]
+    assert g.contraction_11_norm_sq() == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("batch", ["cache", "one_block"])
+def test_rectangular_contraction_11_on_nodes_denser_to_the_right(batch, monkeypatch):
+    # the blocks widen along the nodes, so the widest block a batch reads
+    # is its last neighbour
+    kern, T = kernels.Rectangular(1.0), 19.0
+    x = 20.0 * np.sqrt(np.linspace(0.0, 1.0, 300))
+    r2 = seeded(403).uniform(0.5, 1.5, x.size)
+    widths = np.diff(kern._blocks(x))
+    assert np.all(np.diff(widths[:-1]) > 0) and widths[-2] > 20 * widths[0]
+    if batch == "one_block":
+        monkeypatch.setattr(kernels, "_STREAM", 1)
+    r = np.sqrt(r2)
+    A = r[:, None] * kernels.Q_T(kern, T, x[:, None], x[None, :]) * r[None, :]
+    assert kern.contraction_11(T, x, r2) == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
+
+
+def test_rectangular_contraction_11_on_one_node():
+    # one block: ||A^2||_F^2 = A_00^4
+    kern, T = kernels.Rectangular(1.0), 3.0
+    x = np.array([0.3])
+    assert kern._blocks(x) == [0, 1]
+    a = 0.7 * kernels.Q_T(kern, T, 0.3, 0.3)
+    assert kern.contraction_11(T, x, np.array([0.7])) == pytest.approx(a ** 4, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("kern, T", BAND_KERNELS, ids=_case_id)
 def test_contraction_11_equals_dense_square(kern, T):
+    # against ||A^2||_F^2 on Q cut at the band: for OU the band's e^{-30}
+    # tail is below the tolerance
     g = cond._Grid(kern, GG, T)
     r = np.sqrt(g.w * g.mu(2.0))
-    A = r[:, None] * _dense_Q(g) * r[None, :]
+    A = r[:, None] * _dense_Q(kern, T, g.x) * r[None, :]
     assert g.contraction_11_norm_sq() == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("intensity, mb", [(GG, 4.0), (crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), 16.0)],
+                         ids=lambda v: v.label() if hasattr(v, "label") else f"{v:g}MB")
+def test_rectangular_contraction_norms_memory(intensity, mb):
+    # no band is stored: the block products run in batches of about
+    # _STREAM entries, and the sqrt profile's ladder only widens the blocks
+    cond._grid.cache_clear()
+    peak = traced_peak(cond.contraction_norms, kernels.Rectangular(1.0), intensity, 800.0)
+    assert peak <= mb * 1e6
 
 
 @pytest.mark.parametrize("intensity", [GG, crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7)),
@@ -246,28 +317,28 @@ def test_ou_contraction_11_matches_banded_block_products(T):
     kern = kernels.OrnsteinUhlenbeck(1.0)
     n = cond.contraction_norms(kern, GG, T)
     assert n.k11_l2_sq == pytest.approx(OU_K11_BANDED[T], rel=1e-12, abs=0)
-    # every OU norm comes without the banded Q matrix
-    assert cond._grid(kern, GG, T)._Q is None
 
 
-def test_Q_matrix_refuses_a_band_above_the_cap(monkeypatch):
+def test_grid_refuses_a_band_above_the_cap(monkeypatch):
     kern = kernels.Rectangular(1.0)
-    g = cond._Grid(kern, GG, 20.0)
-    x = g.x
+    x = cond._Grid(kern, GG, 20.0).x
     pairs = int(np.sum((x[None, :] <= x[:, None] + kern.band)
                        & (x[:, None] <= x[None, :] + kern.band)))
     monkeypatch.setattr(cond, "_MAX_BAND_PAIRS", pairs - 1)
 
     def no_pairs(*args):
-        raise AssertionError("Q_T evaluated before the refusal")
+        raise AssertionError("a band pair evaluated before the refusal")
 
     monkeypatch.setattr(kernels, "Q_T", no_pairs)
+    monkeypatch.setattr(kernels.Rectangular, "band_matvec", no_pairs)
+    monkeypatch.setattr(kernels.Rectangular, "contraction_11", no_pairs)
+    cond._grid.cache_clear()
     with pytest.raises(ValueError, match=rf"T=20 has {pairs} kernel band pairs, "
                                          rf"above the cap of {pairs - 1}"):
-        g.Q_band()
+        cond.contraction_norms(kern, GG, 20.0)
     monkeypatch.undo()
     monkeypatch.setattr(cond, "_MAX_BAND_PAIRS", pairs)
-    assert g.Q_band()[0].size == x.size
+    assert cond.contraction_norms(kern, GG, 20.0).k11_l2_sq > 0.0
 
 
 @pytest.mark.parametrize("intensity", [GG, EG1], ids=lambda i: i.label())

@@ -203,3 +203,36 @@ def test_small_T_rectangular_still_exact():
             assert kernels.K_T(kern, T, x) == pytest.approx(quad_K_T(kern, T, x), abs=1e-10)
             assert kernels.Q_T(kern, T, x, 0.4) == pytest.approx(
                 quad_Q_T(kern, T, x, 0.4), abs=1e-10)
+
+
+def _carry_sequential(decay, inflow):
+    """Oracle for kernels._carry: the recurrence c_{j+1} = c_j decay_j +
+    inflow_j from c_0 = 0, one step at a time."""
+    c = [0.0]
+    for d, f in zip(decay.tolist(), inflow.tolist()):
+        c.append(c[-1] * d + f)
+    return np.array(c)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 900, 20_000])
+def test_carry_matches_the_sequential_recurrence(n):
+    # decay products far below e^{-600} (several blocks), a zero and a
+    # subnormal decay, and inflows over six decades
+    rng = seeded(210, n)
+    for scale in (0.01, 0.5):
+        decay = np.exp(-rng.exponential(scale, n))
+        if n > 2:
+            decay[rng.integers(0, n, 3)] = [0.0, 5e-324, 1e-300]
+        inflow = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        if n == 20_000:
+            assert np.sum(np.log(np.maximum(decay, 1e-320))) < -1500.0
+        c = kernels._carry(decay, inflow)
+        assert c.shape == (n + 1,) and np.all(np.isfinite(c))
+        np.testing.assert_allclose(c, _carry_sequential(decay, inflow), rtol=1e-13, atol=0)
+
+
+def test_carry_without_decay_is_the_running_sum():
+    # decay 1 (the nested kernels) is one block: the cumsum, bit for bit
+    inflow = seeded(211).exponential(1.0, 5000)
+    assert np.array_equal(kernels._carry(np.ones(5000), inflow),
+                          _carry_sequential(np.ones(5000), inflow))

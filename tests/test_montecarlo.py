@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +15,7 @@ from hazardlab import montecarlo as mc
 from hazardlab.asymptotics import Functional
 from hazardlab.conditions import I_moments
 
-from conftest import seeded
+from conftest import seeded, traced_peak
 
 GG = crm.GeneralizedGamma(0.5, 1.0)
 EG1 = crm.ExtendedGamma(crm.Constant(1.0))
@@ -93,22 +92,12 @@ def test_running_sum_equals_exact_prefixes():
         assert np.all(np.abs(_numeric.running_sum(v) - exact) <= np.spacing(np.abs(exact)))
 
 
-def _traced_peak(f, *args):
-    """Peak bytes that tracemalloc traces during f(*args)."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n", [34_000, 1_130_000])
 def test_running_sum_holds_three_arrays(n):
     # the sums, the TwoSum errors and one temporary; the values are pinned
     # by test_running_sum_equals_exact_prefixes
     v = seeded(533).standard_normal(n)
-    assert _traced_peak(_numeric.running_sum, v) <= 3.5 * v.nbytes
+    assert traced_peak(_numeric.running_sum, v) <= 3.5 * v.nbytes
 
 
 def test_cumhaz_adds_no_atom_length_array():
@@ -118,7 +107,17 @@ def test_cumhaz_adds_no_atom_length_array():
     for kern in (kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
                  kernels.DykstraLaud(), kernels.UShaped(2.0)):
         s = make_sample(kern, T, 600_000, entropy=534)
-        assert _traced_peak(mc.cumhaz, s, kern, T) <= 0.25 * s.jumps.nbytes, kern.label()
+        assert traced_peak(mc.cumhaz, s, kern, T) <= 0.25 * s.jumps.nbytes, kern.label()
+
+
+def test_rect_pair_sum_holds_five_arrays_of_2n():
+    # the gaps, the signed jumps in merge order and running_sum's three;
+    # the values are pinned by the pair-sum oracles below
+    kern, T, n = kernels.Rectangular(1.0), 500.0, 500_000
+    rng = seeded(535)
+    x = np.sort(rng.uniform(0.0, T + 1.0, n))
+    J = rng.exponential(0.5, n)
+    assert traced_peak(kern.pair_sum, J, x, T) <= 5.5 * 16 * n
 
 
 def test_path2nd_single_atom_ou():
