@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "block_bounds",
     "block_partials",
     "comp_sum",
     "gauss_legendre_panels",
@@ -98,17 +97,6 @@ def sorted_unique(a):
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
-
-
-def block_bounds(x, span):
-    """[start, stop) index ranges of the sorted x cut every `span` from
-    x[0]; empty blocks are dropped."""
-    edges = np.arange(x[0], x[-1] + span, span)
-    stops = sorted_unique(np.searchsorted(x, edges[1:], side="left").clip(1, x.size))
-    if stops.size == 0 or stops[-1] != x.size:
-        stops = np.append(stops, x.size).astype(int)
-    starts = np.concatenate([[0], stops[:-1]])
-    return starts, stops
 
 
 # Newton steps allowed per Gauss-Legendre rule; from the guesses below

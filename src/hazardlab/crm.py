@@ -51,8 +51,8 @@ class EnvelopeError(Exception):
 # probabilities and the thinned copies.  The inverse and keep steps run over
 # blocks of _numeric._STREAM atoms.  The cumulative hazard adds no array of
 # the draw's length (it keeps blocks and their partials).  The path
-# functionals' pair sums do: the Green's-function prefix sums about three
-# arrays of n, the rectangular sweep five of 2n at its peak (the gaps
+# functionals' pair sums do: the Green's-function prefix sums ~2.2 arrays
+# of n, the rectangular sweep five of 2n at its peak (the gaps
 # between the merged starts and ends, the signed jumps in merge order and
 # the running sum's three).
 MAX_EXPECTED_ATOMS = 2e7
@@ -182,8 +182,11 @@ class _Family:
     above(a, epsilon, p) and below(a, epsilon, p) of that moment carried by
     jumps above and below epsilon (each a regularised incomplete function,
     so neither is 1 minus the other), density(v, p) and tail(v, p) =
-    int_v^inf rho(du); and the thinning envelope(lo, hi) (see _envelope)
-    and draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
+    int_v^inf rho(du); the thinning envelope(lo, hi), the tightest
+    constant-parameter envelope of the same family on the window, as
+    (homogeneous envelope intensity, rate multiplier, acceptance probability
+    function of (v, x), envelope label) (non-homogeneous members only); and
+    draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
     (homogeneous members only).  dominating() gives the Dominating measure
     Ferguson-Klass runs on (homogeneous members only), or None where the
     sampler inverts the tail of rho itself."""
@@ -706,7 +709,7 @@ def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gen
     if not (epsilon > 0):
         raise ValueError("epsilon must be > 0")
     if thin:
-        env, rate_mult, accept, env_label = _envelope(intensity, lo, hi)
+        env, rate_mult, accept, env_label = intensity.envelope(lo, hi)
     elif intensity.homogeneous:
         env, rate_mult, env_label = intensity, 1.0, ""
     else:
@@ -743,15 +746,6 @@ def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,
     MAX_EXPECTED_ATOMS.
     """
     return _sample(intensity, window, epsilon, rng, seed, thin=False)
-
-
-def _envelope(intensity: JumpIntensity, lo: float, hi: float):
-    """Tightest constant-parameter envelope of the same family on the window.
-
-    Returns (homogeneous envelope intensity, rate multiplier, acceptance
-    probability function of (v, x), envelope label).
-    """
-    return intensity.envelope(lo, hi)
 
 
 def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,

@@ -20,8 +20,8 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import crm
-from ._numeric import (_STREAM, block_bounds, comp_sum, gl_panels, quad_breaks,
-                       running_sum, sorted_unique)
+from ._numeric import (_STREAM, comp_sum, gl_panels, quad_breaks, running_sum,
+                       sorted_unique)
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -34,7 +34,7 @@ class _Family:
     K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
     slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T) and
     pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x; the
-    non-nested ones define band (Q_T(x, y) = 0 once |x - y| > band).
+    rectangular kernel also defines band (Q_T(x, y) = 0 once |x - y| > band).
     On the condition grid every family defines contraction_11(T, x, r2),
     ||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j with r^2 = r2, and its
     rows int mu(y) Q_T(x_i, y)^power dy come from row_integrals(T, x,
@@ -64,8 +64,9 @@ class _Family:
 class _Green(_Family):
     """Kernels of Green's-function form: for locations 0 <= x <= y,
         Q_T(x, y) = e^{-decay (y - x)} g(T, y),
-    with g >= 0.  Q_T, the pair sum and the condition grid's reductions
-    follow from decay and g alone."""
+    with g >= 0.  Q_T follows from decay and g alone, and the pair sum and
+    the condition grid's reductions from decayed prefix sums
+    (_decayed_prefix) over the sorted locations."""
 
     def Q(self, T, x, y):
         out = np.exp(-self.decay * np.abs(x - y)) * self.g(T, np.maximum(x, y))
@@ -74,22 +75,9 @@ class _Green(_Family):
     def pair_sum(self, J, x, T):
         # For x_i <= x_j, Q_T(x_i, x_j) = e^{-k(x_j - x_i)} g(x_j) with
         # k = decay, so the sum is sum_j J_j g_j (J_j + 2 L_j), all terms
-        # positive, with L_j = sum_{i<j} J_i e^{-k(x_j - x_i)}.  L is
-        # carried over the blocks of block_bounds, each measured from its
-        # first location so no exponent exceeds 60; k = 0 is one block, a
-        # plain exclusive cumsum.
-        k = self.decay
-        starts, stops = block_bounds(x, 60.0 / k) if k > 0 else ([0], [x.size])
-        L = np.empty_like(J)
-        carry, ref = 0.0, x[0]      # sum over earlier blocks of J_i e^{-k(ref - x_i)}
-        for a, b in zip(starts, stops):
-            xb = x[a:b]
-            carry *= math.exp(-k * (xb[0] - ref))
-            ref = xb[0]
-            prefix = np.cumsum(J[a:b] * np.exp(k * (xb - ref)))      # bounded by e^{60}
-            L[a:b] = np.exp(-k * (xb - ref)) * (carry + np.concatenate([[0.0], prefix[:-1]]))
-            carry += float(prefix[-1])
-        return comp_sum(J * self.g(T, x) * (J + 2.0 * L))
+        # positive, with L the decayed prefix sum of J.  J g is formed
+        # first, so L is its only other array of n (2.2 arrays at the peak).
+        return comp_sum(J * self.g(T, x) * (J + 2.0 * _decayed_prefix(self.decay, x, J)))
 
     def row_integrals(self, T, x, edges, mu, power):
         """int mu(y) Q_T(x_i, y)^power dy at the increasing nodes x, for mu
@@ -97,20 +85,22 @@ class _Green(_Family):
 
         With m = power * decay the row is g(x_i)^power L(x_i) + R(x_i),
         where L(b) = int_0^b mu(y) e^{-m(b-y)} dy and
-        R(b) = int_b^hi mu(y) g(y)^power e^{-m(y-b)} dy.  Both are carried
-        segment by segment over the breakpoints edges U x, with one
-        Gauss-Legendre rule per segment, so the kink of Q_T at y = x_i is
-        on a segment edge.  Every term is positive and every carry factor
-        is <= 1, so nothing cancels."""
+        R(b) = int_b^hi mu(y) g(y)^power e^{-m(y-b)} dy.  Over the
+        breakpoints b = edges U x, one Gauss-Legendre rule per segment gives
+        its share of L at its right end and its share of R at its left end,
+        so the kink of Q_T at y = x_i is on a segment edge.  L(b_j) is the
+        share at b_j plus the decayed prefix sum of those before it, R(b_j)
+        the same taken backward.  Every term is positive, so nothing
+        cancels."""
         m = power * self.decay
         b = sorted_unique(np.concatenate([edges, x]))
         y, w = gl_panels(b[:-1], b[1:], 12)
         f = w * mu(y)
-        into_left = np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1)
-        into_right = np.sum(f * self.g(T, y) ** power * np.exp(-m * (y - b[:-1, None])), axis=1)
-        decay = np.exp(-m * np.diff(b))
-        left = _carry(decay, into_left)
-        right = _carry(decay[::-1], into_right[::-1])[::-1]
+        into_left = np.append(0.0, np.sum(f * np.exp(-m * (b[1:, None] - y)), axis=1))
+        into_right = np.append(np.sum(f * self.g(T, y) ** power
+                                      * np.exp(-m * (y - b[:-1, None])), axis=1), 0.0)
+        left = _decayed_prefix(m, b, into_left) + into_left
+        right = _decayed_prefix(m, -b[::-1], into_right[::-1])[::-1] + into_right
         at = np.searchsorted(b, x)
         return self.g(T, x) ** power * left[at] + right[at]
 
@@ -124,20 +114,18 @@ class _Green(_Family):
         where L_i = sum_{l<i} r2_l e^{-2k(x_i-x_l)} and
         R_j = sum_{l>j} r2_l g_l^2 e^{-2k(x_l-x_j)}.  Squaring and summing
         over i < j leaves the sums U_p(j) = sum_{i<j} r2_i e^{-2k(x_j-x_i)}
-        Y_ij^p for p = 0, 1, 2 (U_0 = L), each carried forward with the
-        decay d = e^{-2k dx}; Y_{i,j+1} = Y_ij + c_{j+1} makes U_1 and U_2
-        binomial updates of the lower ones.  Every term and every carry
-        factor is positive, so nothing cancels."""
+        Y_ij^p for p = 0, 1, 2 (U_0 = L); Y_{i,j+1} = Y_ij + c_{j+1} makes
+        U_1 and U_2 decayed prefix sums of the lower ones, and R is one
+        taken backward.  Every term is positive, so nothing cancels."""
+        k = 2.0 * self.decay
         g = self.g(T, x)
         c = r2 * g
-        d = np.exp(-2.0 * self.decay * np.diff(x))
-        a, cn = r2[:-1], c[1:]            # node j's r2 and node j+1's c
-        U0 = _carry(d, d * a)
+        cn = np.append(c[1:], 0.0)        # node j + 1's c
+        U0 = _decayed_prefix(k, x, r2)
         Y = g * U0 + c                    # Y_jj
-        U1 = _carry(d, d * (a * Y[:-1] + cn * (U0[:-1] + a)))
-        U2 = _carry(d, d * (2.0 * cn * U1[:-1] + cn ** 2 * U0[:-1]
-                            + a * (Y[:-1] + cn) ** 2))
-        R = _carry(d[::-1], (d * r2[1:] * g[1:] ** 2)[::-1])[::-1]
+        U1 = _decayed_prefix(k, x, r2 * Y + cn * (U0 + r2))
+        U2 = _decayed_prefix(k, x, 2.0 * cn * U1 + cn ** 2 * U0 + r2 * (Y + cn) ** 2)
+        R = _decayed_prefix(k, -x[::-1], (r2 * g ** 2)[::-1])[::-1]
         return float(np.sum(r2 * (g ** 2 * (2.0 * U2 + r2 * Y ** 2)
                                   + 2.0 * g * R * (2.0 * U1 + r2 * Y)
                                   + R ** 2 * (2.0 * U0 + r2))))
@@ -401,10 +389,6 @@ class OrnsteinUhlenbeck(_Green):
     def bulk(self) -> tuple:
         return math.sqrt(2.0 / self.kappa), 1.0, 1.0 / self.kappa
 
-    @property
-    def band(self) -> float:
-        return 30.0 / self.kappa          # e^{-30} ~ 1e-13 of the norm mass
-
 
 @dataclass(frozen=True)
 class UShaped(_Nested):
@@ -449,37 +433,40 @@ class UShaped(_Nested):
 Kernel = Union[Rectangular, DykstraLaud, OrnsteinUhlenbeck, UShaped]
 
 
-def _carry(decay, inflow) -> np.ndarray:
-    """c_0 = 0, c_{j+1} = c_j decay_j + inflow_j, for j = 0 .. len(decay)-1,
-    with 0 <= decay <= 1 and inflow >= 0.
+# Widest exponent k (x - x_first) inside one block of _decayed_prefix:
+# e^{+-200} stays far from overflow and underflow, with an error of up to
+# ~200 ulp in each such factor; a narrower span adds a Python step per
+# block on every OU grid and path.
+_SPAN = 200.0
 
-    Over a block of steps with the decays' running product P >= e^{-600},
-    c = P (c_start + cumsum(inflow / P)), all terms positive.  A decay
-    below e^{-600} (zero or subnormal too) is a step of its own."""
-    n = decay.size
-    c = np.empty(n + 1)
-    c[0] = carry = 0.0
-    # H[j] = -log of the product of the first j decays, each factor's log
-    # clipped at -601 so that H stays finite and nondecreasing
-    H = np.zeros(n + 1)
-    np.cumsum(-np.log(np.maximum(decay, math.exp(-601.0))), out=H[1:])
-    j = 0
-    while j < n:
-        # steps j .. stop - 1 keep the block's product above e^{-600}
-        stop = int(np.searchsorted(H, H[j] + 600.0, side="right")) - 1
-        if stop == j:
-            carry = carry * float(decay[j]) + float(inflow[j])
-            c[j + 1] = carry
-            stop = j + 1
-        else:
-            P = np.cumprod(decay[j:stop])
-            q = inflow[j:stop] / P
-            q[0] += carry
-            np.cumsum(q, out=q)
-            np.multiply(P, q, out=c[j + 1:stop + 1])
-            carry = float(c[stop])
-        j = stop
-    return c
+
+def _decayed_prefix(k, x, a) -> np.ndarray:
+    """L_j = sum_{i<j} a_i e^{-k(x_j - x_i)} for increasing x, k >= 0 and
+    a >= 0: the sum behind every reduction of the Green's-function kernels.
+
+    A block holds at most _STREAM points, spanning at most _SPAN in
+    z = k (x - x_first), and in it L = e^{-z} (carry + the exclusive cumsum
+    of a e^{z}), all terms positive.  The carry is L + a at the previous
+    block's last point, moved over the gap by one factor e^{-k gap}, so it
+    underflows only where the terms it sums do.  For k = 0 on fewer than
+    _STREAM points, L is the exclusive cumsum of a bit for bit."""
+    L = np.empty(x.size)
+    carry, start = 0.0, 0
+    while start < x.size:
+        stop = min(start + _STREAM, x.size)
+        if k > 0:
+            stop = start + int(np.searchsorted(x[start:stop], x[start] + _SPAN / k, side="right"))
+        z = k * (x[start:stop] - x[start])
+        q = a[start:stop] * np.exp(z)
+        np.cumsum(q, out=q)
+        out = L[start:stop]
+        out[0] = carry
+        np.add(carry, q[:-1], out=out[1:])
+        out *= np.exp(-z)
+        if stop < x.size:
+            carry = float(out[-1] + a[stop - 1]) * math.exp(-k * (x[stop] - x[stop - 1]))
+        start = stop
+    return L
 
 
 def _check_T(T: float) -> float:

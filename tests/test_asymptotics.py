@@ -174,10 +174,12 @@ def test_bulk_integrals_match_their_definitions():
         m, r0, r2 = kern.bulk
         assert float(kernels.K_T(kern, T, x)) == pytest.approx(m, rel=1e-12, abs=0)
         assert float(kernels.Q_T(kern, T, x, x)) == pytest.approx(r0, rel=1e-12, abs=0)
-        # Q_T(x, x + u) vanishes beyond the band and is smooth on each side of 0
+        # Q_T(x, x + u) is smooth on each side of 0 and vanishes beyond the
+        # rectangular band; the OU integrand beyond 30 / kappa is e^{-60} of r2
+        reach = kern.band if isinstance(kern, kernels.Rectangular) else 30.0 / kern.kappa
         f = lambda u: float(kernels.Q_T(kern, T, x, x + u)) ** 2
         r2_quad = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                      for lo, hi in ((-kern.band, 0.0), (0.0, kern.band)))
+                      for lo, hi in ((-reach, 0.0), (0.0, reach)))
         assert r2_quad == pytest.approx(r2, rel=1e-12, abs=0)
 
 

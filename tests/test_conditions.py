@@ -180,9 +180,6 @@ def test_ou_rows_match_split_quadrature(kern, intensity):
                 (power, g.x[i])
 
 
-# the kernels with a pair band
-BAND_KERNELS = [(kernels.Rectangular(0.5), 20.0), (kernels.OrnsteinUhlenbeck(1.0), 45.0),
-                (kernels.OrnsteinUhlenbeck(2.5), 40.0)]
 EG_SQRT = crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7))
 # rectangular grids: both bandwidths, a horizon below 4 tau and the
 # non-homogeneous grid with its panel ladder near 0
@@ -197,7 +194,7 @@ def _case_id(value):
 
 
 def _dense_Q(kern, T, x):
-    """Q_T(x_i, x_j) at every pair of the nodes x, 0 beyond the kernel's band."""
+    """Q_T(x_i, x_j) at every pair of the nodes x, 0 beyond the rectangular band."""
     dense = kernels.Q_T(kern, T, x[:, None], x[None, :])
     band = (x[None, :] <= x[:, None] + kern.band) & (x[:, None] <= x[None, :] + kern.band)
     return np.where(band, dense, 0.0)
@@ -269,16 +266,6 @@ def test_rectangular_contraction_11_on_one_node():
     assert kern._blocks(x) == [0, 1]
     a = 0.7 * kernels.Q_T(kern, T, 0.3, 0.3)
     assert kern.contraction_11(T, x, np.array([0.7])) == pytest.approx(a ** 4, rel=1e-15, abs=0)
-
-
-@pytest.mark.parametrize("kern, T", BAND_KERNELS, ids=_case_id)
-def test_contraction_11_equals_dense_square(kern, T):
-    # against ||A^2||_F^2 on Q cut at the band: for OU the band's e^{-30}
-    # tail is below the tolerance
-    g = cond._Grid(kern, GG, T)
-    r = np.sqrt(g.w * g.mu(2.0))
-    A = r[:, None] * _dense_Q(kern, T, g.x) * r[None, :]
-    assert g.contraction_11_norm_sq() == pytest.approx(np.sum((A @ A) ** 2), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("intensity, mb", [(GG, 4.0), (crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), 16.0)],

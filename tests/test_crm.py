@@ -367,14 +367,14 @@ def test_beta_envelope_requires_c_at_least_one():
 
 def test_thinning_acceptance_probabilities_valid():
     intensity = crm.ExtendedGamma(crm.AffineSqrt(0.5, 1.5))
-    env, mult, accept, _ = crm._envelope(intensity, 0.0, 25.0)
+    env, mult, accept, _ = intensity.envelope(0.0, 25.0)
     rng = seeded(115)
     v = rng.uniform(1e-6, 5.0, 500)
     x = rng.uniform(0.0, 25.0, 500)
     p = accept(v, x)
     assert np.all((p >= 0) & (p <= 1))
     b = crm.Beta(crm.AffineSqrt(1.0, 0.7))
-    env, mult, accept, _ = crm._envelope(b, 0.0, 25.0)
+    env, mult, accept, _ = b.envelope(0.0, 25.0)
     v = rng.uniform(1e-6, 0.999, 500)
     p = accept(v, x)
     assert np.all((p >= 0) & (p <= 1 + 1e-12))

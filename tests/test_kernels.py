@@ -205,34 +205,36 @@ def test_small_T_rectangular_still_exact():
                 quad_Q_T(kern, T, x, 0.4), abs=1e-10)
 
 
-def _carry_sequential(decay, inflow):
-    """Oracle for kernels._carry: the recurrence c_{j+1} = c_j decay_j +
-    inflow_j from c_0 = 0, one step at a time."""
-    c = [0.0]
-    for d, f in zip(decay.tolist(), inflow.tolist()):
-        c.append(c[-1] * d + f)
-    return np.array(c)
+def _decayed_prefix_sequential(k, x, a):
+    """Oracle for kernels._decayed_prefix: the recurrence
+    L_{j+1} = (L_j + a_j) e^{-k(x_{j+1} - x_j)} from L_0 = 0, one step at a
+    time."""
+    x, a = x.tolist(), a.tolist()
+    L = [0.0]
+    for j in range(len(x) - 1):
+        L.append((L[-1] + a[j]) * math.exp(-k * (x[j + 1] - x[j])))
+    return np.array(L[:len(x)])
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 900, 20_000])
-def test_carry_matches_the_sequential_recurrence(n):
-    # decay products far below e^{-600} (several blocks), a zero and a
-    # subnormal decay, and inflows over six decades
+@pytest.mark.parametrize("n", [0, 1, 2, 900, 20_000, 2 * kernels._STREAM + 7])
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_decayed_prefix_matches_the_sequential_recurrence(n, k):
+    # blocks cut by span (k = 1) and by length (> 2 _STREAM points); a tie,
+    # a gap of 600, whose carry stays far above 0 only when moved from the
+    # block's last point (e^{-600} ~ 3e-261), and one of 800, whose factor
+    # underflows to 0; inflows over six decades; forward and backward
     rng = seeded(210, n)
     for scale in (0.01, 0.5):
-        decay = np.exp(-rng.exponential(scale, n))
-        if n > 2:
-            decay[rng.integers(0, n, 3)] = [0.0, 5e-324, 1e-300]
-        inflow = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
-        if n == 20_000:
-            assert np.sum(np.log(np.maximum(decay, 1e-320))) < -1500.0
-        c = kernels._carry(decay, inflow)
-        assert c.shape == (n + 1,) and np.all(np.isfinite(c))
-        np.testing.assert_allclose(c, _carry_sequential(decay, inflow), rtol=1e-13, atol=0)
-
-
-def test_carry_without_decay_is_the_running_sum():
-    # decay 1 (the nested kernels) is one block: the cumsum, bit for bit
-    inflow = seeded(211).exponential(1.0, 5000)
-    assert np.array_equal(kernels._carry(np.ones(5000), inflow),
-                          _carry_sequential(np.ones(5000), inflow))
+        gaps = rng.exponential(scale, n)
+        if n > 3:
+            gaps[[n // 4, n // 2, 3 * n // 4]] = [0.0, 600.0, 800.0]
+        x = np.cumsum(gaps)
+        a = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        for xs, As in ((x, a), (-x[::-1], a[::-1])):
+            L = kernels._decayed_prefix(k, xs, As)
+            assert L.shape == (n,) and np.all(np.isfinite(L))
+            np.testing.assert_allclose(L, _decayed_prefix_sequential(k, xs, As),
+                                       rtol=1e-13, atol=0)
+            if k == 0.0 and n < kernels._STREAM:
+                # one block: the exclusive cumsum, bit for bit
+                assert np.array_equal(L, np.cumsum(np.append(0.0, As))[:n])

@@ -120,6 +120,18 @@ def test_rect_pair_sum_holds_five_arrays_of_2n():
     assert traced_peak(kern.pair_sum, J, x, T) <= 5.5 * 16 * n
 
 
+@pytest.mark.parametrize("kern", [kernels.OrnsteinUhlenbeck(1.0), kernels.DykstraLaud()],
+                         ids=lambda k: k.label())
+def test_green_pair_sum_holds_two_arrays_of_n(kern):
+    # J g and the decayed prefix sum, with its blocks of _STREAM points; the
+    # values are pinned by the naive double sums below
+    T, n = 500.0, 500_000
+    rng = seeded(536)
+    x = np.sort(rng.uniform(0.0, T, n))
+    J = rng.exponential(0.5, n)
+    assert traced_peak(kern.pair_sum, J, x, T) <= 2.6 * 8 * n
+
+
 def test_path2nd_single_atom_ou():
     kern = kernels.OrnsteinUhlenbeck(1.0)
     T = 50.0
@@ -291,7 +303,8 @@ def test_green_path2nd_random_cases_equal_naive_double_sum():
     # 20 draws over OU(kappa in [0.1, 5]), Dykstra-Laud and U-shaped(beta
     # in [0.5, 4]) with random T and n < 800; half the locations on a grid
     # of 1/64 of the window, so ties occur; jumps over four decades; OU's
-    # T spans 1 to 25 blocks of 60 / kappa, so the carry crosses block edges
+    # kappa T spans 60 to 1500, so the decayed prefix sum's carry crosses
+    # the edges of its blocks of _SPAN / kappa
     rng = seeded(541)
     tied = crossing = 0
     for i in range(20):
@@ -316,7 +329,7 @@ def test_green_path2nd_random_cases_equal_naive_double_sum():
         s = crm.CrmSample(J, x, (lo, hi), 1e-6, 0.0)
         tied += np.unique(x).size < n
         if kind == "ou":
-            crossing += _numeric.block_bounds(np.sort(x), 60.0 / kappa)[0].size >= 10
+            crossing += kappa * np.ptp(x) > kernels._SPAN
         Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
         naive = float(J @ Q @ J) / T
         assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
