@@ -151,25 +151,34 @@ def I_moments(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
 # quadrature-grid engine for the bivariate norms
 # ---------------------------------------------------------------------------
 
-def _panel_edges(kernel, T, nonhomog: bool) -> np.ndarray:
+_GRID_ORDER = 8     # Gauss-Legendre nodes per panel of the condition grid
+# A grid with more nodes than this is refused before it is built: OU(1) past
+# T ~ 37,500, rectangular(1) past T ~ 18,750.  A rectangular grid holds 40-65
+# band pairs per node plus at most ~120k near a sqrt profile's ladder, so its
+# refusal stays below 20M band pairs (~25x the T=800 grid's 806k).
+_MAX_NODES = 300_000
+
+
+def _panel_edges(kernel, T, intensity) -> np.ndarray:
     """Panel edges over the location window resolving kernel kinks, OU decay
-    scales, and (non-homogeneous) the profile's origin behavior."""
+    scales, the intensity's kinks and (non-homogeneous) the profile's origin
+    behavior.  A grid whose panel lattice alone holds more than _MAX_NODES
+    nodes is refused with ValueError before any edge is allocated."""
     lo, hi = kernels.location_window(kernel, T)
     step = kernel.panel_step(T)
+    nodes = _GRID_ORDER * math.ceil((hi - lo) / step)
+    if nodes > _MAX_NODES:
+        raise ValueError(f"the condition grid at T={T:g} needs {nodes} nodes, "
+                         f"above the cap of {_MAX_NODES}")
     edges = np.arange(lo, hi + step, step)
-    edges = np.concatenate([edges, [hi], np.asarray(kernel.breaks(T))])
+    edges = np.concatenate([edges, [hi], np.asarray(kernel.breaks(T)),
+                            np.asarray(intensity.kinks, dtype=float)])
     edges = edges[(edges >= lo) & (edges <= hi)]
-    if nonhomog:
+    if not crm.is_homogeneous(intensity):
         ladder = hi * 2.0 ** -np.arange(1.0, 42.0)
         edges = np.concatenate([edges, ladder[ladder > lo]])
     edges = sorted_unique(edges)
     return edges[np.concatenate([[True], np.diff(edges) > 1e-12 * max(1.0, hi)])]
-
-
-_GRID_ORDER = 8     # Gauss-Legendre nodes per panel of the condition grid
-# A grid whose kernel band holds more pairs than this (~25x the rectangular
-# T=800 grid's 806k) is refused before any pair is evaluated.
-_MAX_BAND_PAIRS = 20_000_000
 
 
 class _Grid:
@@ -177,32 +186,23 @@ class _Grid:
     norms reduce to the rows int mu_p(y) Q_T(x_i, y)^power dy and to
     ||A^2||_F^2 for A = diag(r) Q_T diag(r), both from the kernel.
 
-    The Green's-function kernels (Ornstein-Uhlenbeck, Dykstra-Laud,
-    U-shaped; kernels._Green) compute both without a matrix: their
-    row_integrals put the kink of Q_T at y = x_i on a segment edge, which
-    makes the rows machine-exact where the tensor grid would carry ~1e-4
-    relative error from kink-straddling panels, and their contraction_11
-    is O(n).  The rectangular kernel sums over the tensor grid's band
-    pairs, formed as they are used from two vectors of the nodes
-    (band_matvec, contraction_11); no band is stored.  Its grid is refused
-    with ValueError when the band holds more than _MAX_BAND_PAIRS pairs
-    (counting both halves)."""
+    The panels end at every kink of the kernel and of the intensity.  The
+    Green's-function kernels (Ornstein-Uhlenbeck, Dykstra-Laud, U-shaped;
+    kernels._Green) compute both without a matrix: their row_integrals put
+    the kink of Q_T at y = x_i on a segment edge, which makes the rows
+    machine-exact where the tensor grid would carry ~1e-4 relative error
+    from kink-straddling panels, and their contraction_11 is O(n).  The
+    rectangular kernel sums over the tensor grid's band pairs, formed as
+    they are used from two vectors of the nodes; no band is stored.  A
+    grid of more than _MAX_NODES nodes is refused with ValueError before
+    it is built."""
 
     def __init__(self, kernel, intensity, T):
         self.kernel, self.intensity, self.T = kernel, intensity, T
-        self.edges = _panel_edges(kernel, T, not crm.is_homogeneous(intensity))
+        self.edges = _panel_edges(kernel, T, intensity)
         x, w = gl_panels(self.edges[:-1], self.edges[1:], _GRID_ORDER)
         # increasing: the panels are consecutive and the nodes interior
         self.x, self.w = x.ravel(), w.ravel()
-        self.banded = hasattr(kernel, "band_matvec")
-        if self.banded:
-            reach = self.x + kernel.band
-            pairs = int(np.sum(np.searchsorted(self.x, reach, side="right")
-                               - np.searchsorted(reach, self.x, side="left")))
-            if pairs > _MAX_BAND_PAIRS:
-                raise ValueError(
-                    f"the condition grid at T={T:g} has {pairs} kernel band "
-                    f"pairs, above the cap of {_MAX_BAND_PAIRS}")
         self.KT = kernels.K_T(kernel, T, self.x)
         self.R = kernels.Q_T(kernel, T, self.x, self.x)
         self._rows = {}
@@ -216,12 +216,9 @@ class _Grid:
         rows(1, 1) is J(x_i) = int mu_1(w) Q(x_i, w) dw."""
         key = (float(p), power)
         if key not in self._rows:
-            if self.banded:
-                row = self.kernel.band_matvec(self.T, self.x, self.w * self.mu(float(p)), power)
-            else:
-                mu_p = lambda y: crm.jump_moment(self.intensity, float(p), y)
-                row = self.kernel.row_integrals(self.T, self.x, self.edges, mu_p, power)
-            self._rows[key] = row
+            mu_p = lambda y: crm.jump_moment(self.intensity, float(p), y)
+            self._rows[key] = self.kernel.row_integrals(self.T, self.x, self.w, self.edges,
+                                                        mu_p, power)
         return self._rows[key]
 
     def qq(self, power: int) -> float:

@@ -244,27 +244,23 @@ def _replicate_range(args) -> List[float]:
 
 def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> float:
     """(1/T) int_0^T E[h(t)^2] dt under the full or epsilon-truncated
-    intensity: (1/T) [int m(t)^2 dt + int K2(x) Q_T(x,x) dx]."""
+    intensity: (1/T) [K1^2 int m(t)^2 dt + K2 int Q_T(x,x) dx] with m the
+    kernel's slice mass.  Homogeneous intensities only, the only ones the
+    catalog has a path-second-moment or path-variance limit for; a
+    non-homogeneous one raises ValueError."""
     kernel, intensity, T = config.kernel, config.intensity, config.horizon
+    if not crm.is_homogeneous(intensity):
+        raise ValueError(f"the mean-square centering covers homogeneous intensities, "
+                         f"not {intensity.label()}")
     eps = config.epsilon if truncated else 0.0
     lo, hi = kernels.location_window(kernel, T)
-
-    if crm.is_homogeneous(intensity):
-        k1 = crm.jump_moment(intensity, 1.0, 0.0, eps)
-        k2 = crm.jump_moment(intensity, 2.0, 0.0, eps)
-        # int_0^T (int k(t,x) dx)^2 dt
-        mean_part = k1 ** 2 * quad_breaks(lambda t: kernel.slice_mass(t) ** 2, 0.0, T,
-                                          kernel.slice_kinks, rel_tol=1e-11)
-        second_part = k2 * quad_breaks(lambda x: kernels.Q_T(kernel, T, x, x), lo, hi,
-                                       kernel.breaks(T), rel_tol=1e-10)
-    else:
-        # each node's mean hazard is an integral of its own
-        mean_sq = lambda ts: np.array([kernels.mean_hazard(kernel, intensity, t, eps)
-                                       for t in ts]) ** 2
-        mean_part = quad_breaks(mean_sq, 0.0, T, kernel.slice_kinks, rel_tol=1e-8)
-        second_part = quad_breaks(
-            lambda x: crm.jump_moment(intensity, 2.0, x, eps) * kernels.Q_T(kernel, T, x, x),
-            lo, hi, kernel.breaks(T) + list(intensity.kinks), rel_tol=1e-10)
+    k1 = crm.jump_moment(intensity, 1.0, 0.0, eps)
+    k2 = crm.jump_moment(intensity, 2.0, 0.0, eps)
+    # int_0^T (int k(t,x) dx)^2 dt
+    mean_part = k1 ** 2 * quad_breaks(lambda t: kernel.slice_mass(t) ** 2, 0.0, T,
+                                      kernel.slice_kinks, rel_tol=1e-11)
+    second_part = k2 * quad_breaks(lambda x: kernels.Q_T(kernel, T, x, x), lo, hi,
+                                   kernel.breaks(T), rel_tol=1e-10)
     return (mean_part + second_part) / T
 
 

@@ -129,10 +129,11 @@ def test_path2nd_centering_matches_mean_square_quadrature():
     # horizons, absolute < 1e-4 at the larger)
     for kern in (kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0)):
         spec = asy.regime_path2nd(kern, GG)
+        k1 = crm.moment(GG, 1)
         devs = []
         for T in (3000.0, 30000.0):
             mean_part, _ = integrate.quad(
-                lambda t: kernels.mean_hazard(kern, GG, t) ** 2, 0.0, T, limit=400)
+                lambda t: float(k1 * kern.slice_mass(t)) ** 2, 0.0, T, limit=400)
             k2 = crm.moment(GG, 2)
             lo, hi = kernels.location_window(kern, T)
             second_part, _ = integrate.quad(

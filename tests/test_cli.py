@@ -156,8 +156,8 @@ format = json
 
 
 def test_oversized_condition_grid_is_one_line_error(tmp_path, capsys):
-    # 640k nodes with a 65-node band: twice the condition grid's pair cap,
-    # refused before any pair is evaluated
+    # 640k nodes: twice the condition grid's node cap, refused before the
+    # grid is built
     cfg_path = tmp_path / "big.ini"
     cfg_path.write_text("""
 [experiment]
@@ -179,7 +179,7 @@ gamma = 1.0
     assert cli.main(["check-conditions", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    assert err[0].startswith("error: the condition grid at T=2000 has 41155998 kernel band pairs")
+    assert err[0] == "error: the condition grid at T=2000 needs 640016 nodes, above the cap of 300000"
     assert not out.exists()
 
 

@@ -149,10 +149,15 @@ def test_monte_carlo_norm_oracle_agreement():
 # ---------------------------------------------------------------------------
 
 def quad_row(kern, intensity, T, x, p, power):
-    """Adaptive-quadrature oracle for int mu_p(y) Q_T(x, y)^power dy, split
-    at the diagonal kink y = x and at the kernel's breakpoints."""
+    """Adaptive-quadrature oracle for int mu_p(y) Q_T(x, y)^power dy over the
+    location window, split at the diagonal kink y = x, the rectangular band's
+    ends y = x -+ 2 tau, the kernel's breakpoints and the intensity's kinks."""
+    lo, hi = kernels.location_window(kern, T)
     f = lambda y: crm.jump_moment(intensity, p, y) * kernels.Q_T(kern, T, x, y) ** power
-    cuts = np.unique([0.0, x, T] + [b for b in kern.breaks(T) if 0.0 < b < T])
+    kinks = [x] + list(kern.breaks(T)) + list(intensity.kinks)
+    if isinstance(kern, kernels.Rectangular):
+        kinks += [x - kern.band, x + kern.band]
+    cuts = np.unique([lo, hi] + [c for c in kinks if lo < c < hi])
     return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
                for a, b in zip(cuts[:-1], cuts[1:]))
 
@@ -177,6 +182,29 @@ def test_ou_rows_match_split_quadrature(kern, intensity):
         for i in nodes:
             assert row[i] == pytest.approx(
                 quad_row(kern, intensity, T, g.x[i], power, power), rel=1e-11, abs=0), \
+                (power, g.x[i])
+
+
+@pytest.mark.parametrize("b", [1.5, 2.3])
+@pytest.mark.parametrize("kern", [kernels.OrnsteinUhlenbeck(1.0), kernels.Rectangular(1.0)],
+                         ids=lambda k: k.label())
+def test_rows_resolve_the_intensity_kink(kern, b):
+    # EG(indicator_sqrt(b))'s moments jump at x = b, which is a panel edge
+    # whether or not it lies on the panel lattice (2.3 does not): the nodes
+    # nearest b and a band's half-width to either side.  The rectangular
+    # rows carry the tensor grid's error from panels straddling the kink of
+    # Q_T at y = x_i, up to 2.2e-3 here at power 4; a panel straddling x = b
+    # put up to 1.2% (OU) and 7.5% (rectangular) on these rows.
+    T, intensity = 20.0, crm.ExtendedGamma(crm.IndicatorSqrt(b))
+    g = cond._Grid(kern, intensity, T)
+    assert b in g.edges
+    nodes = np.searchsorted(g.x, [b - 1.0, b, b, b + 1.0]) - [0, 1, 0, 0]
+    rel = 3e-3 if isinstance(kern, kernels.Rectangular) else 1e-11
+    for power in (1, 2, 4):
+        row = g.rows(power, power)
+        for i in nodes:
+            assert row[i] == pytest.approx(
+                quad_row(kern, intensity, T, g.x[i], power, power), rel=rel, abs=0), \
                 (power, g.x[i])
 
 
@@ -212,13 +240,12 @@ def test_rectangular_band_pairs_from_the_spans(kern, intensity, T):
 
 
 @pytest.mark.parametrize("kern, intensity, T", RECT_GRIDS, ids=_case_id)
-def test_rectangular_band_matvec_equals_dense_product(kern, intensity, T):
+def test_rectangular_rows_equal_dense_product(kern, intensity, T):
     g = cond._Grid(kern, intensity, T)
     Q = kernels.Q_T(kern, T, g.x[:, None], g.x[None, :])
     for power in (1, 2, 4):
         v = g.w * g.mu(float(power))
-        np.testing.assert_allclose(kern.band_matvec(T, g.x, v, power), (Q ** power) @ v,
-                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g.rows(power, power), (Q ** power) @ v, rtol=1e-13, atol=0)
 
 
 # 2 and 3 blocks of rows on the homogeneous grid, and the grids of
@@ -306,25 +333,23 @@ def test_ou_contraction_11_matches_banded_block_products(T):
     assert n.k11_l2_sq == pytest.approx(OU_K11_BANDED[T], rel=1e-12, abs=0)
 
 
-def test_grid_refuses_a_band_above_the_cap(monkeypatch):
-    kern = kernels.Rectangular(1.0)
-    x = cond._Grid(kern, GG, 20.0).x
-    pairs = int(np.sum((x[None, :] <= x[:, None] + kern.band)
-                       & (x[:, None] <= x[None, :] + kern.band)))
-    monkeypatch.setattr(cond, "_MAX_BAND_PAIRS", pairs - 1)
+@pytest.mark.parametrize("kern", [kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0)],
+                         ids=lambda k: k.label())
+def test_grid_refuses_nodes_above_the_cap(kern, monkeypatch):
+    # the count comes from the panel lattice, before any node is placed
+    nodes = cond._Grid(kern, GG, 20.0).x.size
+    monkeypatch.setattr(cond, "_MAX_NODES", nodes - 1)
 
-    def no_pairs(*args):
-        raise AssertionError("a band pair evaluated before the refusal")
+    def no_grid(*args):
+        raise AssertionError("a grid built before the refusal")
 
-    monkeypatch.setattr(kernels, "Q_T", no_pairs)
-    monkeypatch.setattr(kernels.Rectangular, "band_matvec", no_pairs)
-    monkeypatch.setattr(kernels.Rectangular, "contraction_11", no_pairs)
+    monkeypatch.setattr(cond, "gl_panels", no_grid)
     cond._grid.cache_clear()
-    with pytest.raises(ValueError, match=rf"T=20 has {pairs} kernel band pairs, "
-                                         rf"above the cap of {pairs - 1}"):
+    with pytest.raises(ValueError, match=rf"the condition grid at T=20 needs {nodes} nodes, "
+                                         rf"above the cap of {nodes - 1}$"):
         cond.contraction_norms(kern, GG, 20.0)
     monkeypatch.undo()
-    monkeypatch.setattr(cond, "_MAX_BAND_PAIRS", pairs)
+    monkeypatch.setattr(cond, "_MAX_NODES", nodes)
     assert cond.contraction_norms(kern, GG, 20.0).k11_l2_sq > 0.0
 
 

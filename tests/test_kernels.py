@@ -112,34 +112,52 @@ def test_K_T_continuity_on_fine_grid():
         assert np.max(np.abs(np.diff(vals))) <= lip * h + 1e-12
 
 
-def test_mean_hazard_reference_values():
-    # homogeneous: slice mass times the first moment
-    k1 = crm.moment(GG, 1)
-    assert kernels.mean_hazard(kernels.Rectangular(1.0), GG, 5.0) == pytest.approx(2.0 * k1)
-    assert kernels.mean_hazard(kernels.DykstraLaud(), GG, 3.0) == pytest.approx(3.0 * k1)
-    assert kernels.mean_hazard(kernels.DykstraLaud(), GG, 0.0) == 0.0
-    assert kernels.mean_hazard(kernels.UShaped(2.0), GG, 0.0) == pytest.approx(2.0 * k1)
-    # against quadrature, including a non-homogeneous profile
-    eg = crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
+def test_slice_mass_reference_values():
+    # int k(t, x) dx, the mean hazard per unit first moment
+    assert kernels.Rectangular(1.0).slice_mass(5.0) == pytest.approx(2.0)
+    assert kernels.DykstraLaud().slice_mass(3.0) == pytest.approx(3.0)
+    assert kernels.DykstraLaud().slice_mass(0.0) == 0.0
+    assert kernels.UShaped(2.0).slice_mass(0.0) == pytest.approx(2.0)
     for kern in (kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0),
                  kernels.DykstraLaud()):
         for t in (0.7, 3.0, 11.0):
-            def f(x):
-                return crm.moment_general(eg, 1.0, x) * kernels.eval_kernel(kern, t, x)
-            oracle, _ = integrate.quad(f, 0.0, t + 2.0, points=[t], limit=300)
-            assert kernels.mean_hazard(kern, eg, t) == pytest.approx(oracle, rel=1e-8, abs=1e-12)
+            oracle, _ = integrate.quad(lambda x: kernels.eval_kernel(kern, t, x), 0.0, t + 2.0,
+                                       points=[t - 1.0, t, t + 1.0], limit=300)
+            assert kern.slice_mass(t) == pytest.approx(oracle, rel=1e-8, abs=1e-12)
+
+
+def _slice_edges(kern, c):
+    # the times t at which an edge of the slice x -> k(t, x) crosses x = c
+    if isinstance(kern, kernels.Rectangular):
+        return [c - kern.tau, c + kern.tau]
+    if isinstance(kern, kernels.UShaped):
+        return [kern.beta_center - c, kern.beta_center + c]
+    return [c]
+
+
+def quad_mean_hazard(kern, intensity, t):
+    # E[h(t)] = int K_rho^(1)(x) k(t, x) dx over the slice, split at the
+    # intensity's kinks; x = u^2 takes the sqrt profiles' singular slope at
+    # x = 0 out of the integrand
+    if isinstance(kern, kernels.Rectangular):
+        lo, hi = max(t - kern.tau, 0.0), t + kern.tau
+    else:
+        lo, hi = 0.0, abs(t - kern.beta_center) if isinstance(kern, kernels.UShaped) else t
+    if hi <= lo:
+        return 0.0
+    pts = [math.sqrt(c) for c in intensity.kinks if lo < c < hi]
+    f = lambda u: 2.0 * u * crm.moment_general(intensity, 1.0, u * u) \
+        * kernels.eval_kernel(kern, t, u * u)
+    return integrate.quad(f, math.sqrt(lo), math.sqrt(hi), points=pts or None, limit=200)[0]
 
 
 def quad_kT3(kern, intensity, T, x):
-    # independent double-quadrature oracle: (1/T) int k(t,x) E[h(t)] dt
-    if isinstance(kern, kernels.Rectangular):
-        pts = [x - kern.tau, x + kern.tau]
-    elif isinstance(kern, kernels.UShaped):
-        pts = [kern.beta_center - x, kern.beta_center + x]
-    else:
-        pts = [x]
-    f = lambda t: kernels.eval_kernel(kern, t, x) * kernels.mean_hazard(kern, intensity, t)
-    val, _ = integrate.quad(f, 0, T, points=[p for p in pts if 0 < p < T], limit=400)
+    # independent double-quadrature oracle: (1/T) int k(t,x) E[h(t)] dt,
+    # split where the slice's edges cross x, the origin or an intensity kink
+    pts = [t for c in (x, 0.0) + tuple(intensity.kinks) for t in _slice_edges(kern, c)]
+    f = lambda t: kernels.eval_kernel(kern, t, x) * quad_mean_hazard(kern, intensity, t)
+    val, _ = integrate.quad(f, 0, T, points=sorted({t for t in pts if 0 < t < T}) or None,
+                            limit=400)
     return val / T
 
 

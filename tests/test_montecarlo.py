@@ -120,11 +120,12 @@ def test_rect_pair_sum_holds_five_arrays_of_2n():
     assert traced_peak(kern.pair_sum, J, x, T) <= 5.5 * 16 * n
 
 
-@pytest.mark.parametrize("kern", [kernels.OrnsteinUhlenbeck(1.0), kernels.DykstraLaud()],
-                         ids=lambda k: k.label())
+@pytest.mark.parametrize("kern", [kernels.OrnsteinUhlenbeck(1.0), kernels.DykstraLaud(),
+                                  kernels.UShaped(2.0)], ids=lambda k: k.label())
 def test_green_pair_sum_holds_two_arrays_of_n(kern):
-    # J g and the decayed prefix sum, with its blocks of _STREAM points; the
-    # values are pinned by the naive double sums below
+    # J g and the decayed prefix sum, with its blocks of _STREAM points, or
+    # g's own two arrays while it is formed; the values are pinned by the
+    # naive double sums below
     T, n = 500.0, 500_000
     rng = seeded(536)
     x = np.sort(rng.uniform(0.0, T, n))
@@ -583,17 +584,14 @@ def test_rectangular_mean_square_centering_is_exact(tau, T):
                 == pytest.approx(exact, rel=1e-13, abs=0)
 
 
-def test_nonhomogeneous_mean_square_centering_against_panels():
-    # beta has K^(1) = 1 for every c, so the mean part is the homogeneous
-    # one; the K^(2) Q_T(x, x) part is summed over unit panels
-    T, tau = 500.0, 1.0
-    intensity = crm.Beta(crm.IndicatorSqrt(1.0))
-    cfg = mc.ExperimentConfig(kernels.Rectangular(tau), intensity,
-                              Functional.PATH_SECOND_MOMENT, T)
-    f = lambda x: crm.moment(intensity, 2, x=x) * kernels.Q_T(cfg.kernel, T, x, x)
-    edges = np.arange(0.0, T + tau + 0.5, 1.0)
-    second = math.fsum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12)[0]
-                       for a, b in zip(edges[:-1], edges[1:]))
-    ref = (4 * tau ** 2 * T - 5 * tau ** 3 / 3 + second) / T
-    assert mc._mean_sq_hazard_quadrature(cfg, truncated=False) \
-        == pytest.approx(ref, rel=1e-10, abs=0)
+@pytest.mark.parametrize("functional", [Functional.PATH_SECOND_MOMENT, Functional.PATH_VARIANCE],
+                         ids=lambda f: f.value)
+def test_mean_square_centering_refuses_nonhomogeneous_intensities(functional):
+    # the catalog has no quadratic-functional limit for them, so run_clt
+    # never centers one; the centering itself refuses too
+    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), crm.Beta(crm.IndicatorSqrt(1.0)),
+                              functional, 30.0, epsilon=1e-3)
+    for call in (mc._mean_sq_hazard_quadrature, mc._exact_center):
+        with pytest.raises(ValueError, match=r"covers homogeneous intensities, "
+                                             r"not beta\(indicator_sqrt\(1\)\)"):
+            call(cfg, truncated=True)

@@ -2,7 +2,6 @@
 against closed forms and against QUADPACK (scipy.integrate, a test-only
 oracle: the package itself never imports it)."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +97,12 @@ def test_unconverged_quadrature_is_refused():
 
 @pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.label())
 def test_homogeneous_values_match_quadpack(kern):
+    for t in (0.5, 3.0, 15.0, 250.0):
+        # int k(t, x) dx, with the slice's edges for rectangular(1) and
+        # U-shaped(2) and its end for the others among the points
+        oracle = quadpack(lambda x: kernels.eval_kernel(kern, t, x), 0.0, t + 3.0,
+                          [t, t - 1.0, t + 1.0, 2.0 - t, t - 2.0])
+        assert kern.slice_mass(t) == pytest.approx(oracle, rel=1e-12, abs=0)
     for intensity in HOMOGENEOUS:
         for T in (30.0, 500.0):
             lo, hi = kernels.location_window(kern, T)
@@ -108,14 +113,6 @@ def test_homogeneous_values_match_quadpack(kern):
                     oracle = quadpack(lambda x: ki * kernels.K_T(kern, T, x) ** i,
                                       lo, hi, kern.breaks(T))
                     assert I_moments(kern, intensity, T, i, eps) \
-                        == pytest.approx(oracle, rel=1e-12, abs=0)
-                for t in (0.5, 3.0, T / 2):
-                    # the points hold the slice's edges for rectangular(1)
-                    # and U-shaped(2)
-                    s_lo, s_hi = kern.slice_support(t)
-                    oracle = k1 * quadpack(lambda x: kernels.eval_kernel(kern, t, x),
-                                           s_lo, s_hi, [t - 1.0, t + 1.0, 2.0 - t, t - 2.0])
-                    assert kernels.mean_hazard(kern, intensity, t, eps) \
                         == pytest.approx(oracle, rel=1e-12, abs=0)
                 if eps == 0.0:
                     continue
@@ -129,59 +126,28 @@ def test_homogeneous_values_match_quadpack(kern):
 
 
 # ---------------------------------------------------------------------------
-# non-homogeneous intensities: the nested centerings against nested QUADPACK
+# non-homogeneous intensities: the cumulative-hazard centering against
+# QUADPACK; the quadratic functionals have no cataloged limit for them
 # ---------------------------------------------------------------------------
 
-def _nested_oracle(kern, intensity, T, eps, t_kinks):
-    """(mean part, second part, I_1, I_2) by QUADPACK at epsrel 2e-14, with
-    every kink of the inner and the outer integrands as a point."""
-    x_kinks = list(kern.breaks(T)) + list(intensity.kinks)
-
-    def mean_hazard(t):
-        lo, hi = kern.slice_support(t)
-        if hi <= lo:
-            return 0.0
-        # QUADPACK flags roundoff where t falls within a few ulps of a kink
-        # (the piece next to it is empty); the value is still exact there
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            return quadpack(lambda x: float(crm.jump_moment(intensity, 1.0, x, eps))
-                            * kernels.eval_kernel(kern, t, x), lo, hi, intensity.kinks,
-                            rel=2e-14)
-    lo, hi = kernels.location_window(kern, T)
-    mean_part = quadpack(lambda t: mean_hazard(t) ** 2, 0.0, T,
-                         list(kern.slice_kinks) + t_kinks, rel=2e-14)
-    second = quadpack(lambda x: float(crm.jump_moment(intensity, 2.0, x, eps))
-                      * kernels.Q_T(kern, T, x, x), lo, hi, x_kinks, rel=2e-14)
-    I1, I2 = (quadpack(lambda x: float(crm.jump_moment(intensity, float(i), x, eps))
-                       * kernels.K_T(kern, T, x) ** i, lo, hi, x_kinks, rel=2e-14)
-              for i in (1, 2))
-    return mean_part, second, I1, I2
-
-
-# (kernel, intensity, the kinks of t -> E[h(t)] that the profile adds)
 NONHOMOGENEOUS = [
-    (kernels.Rectangular(1.0), crm.Beta(crm.IndicatorSqrt(1.0)), [2.0]),
-    (kernels.DykstraLaud(), crm.ExtendedGamma(crm.IndicatorSqrt(2.0)), [2.0]),
-    (kernels.UShaped(2.0), crm.Beta(crm.AffineSqrt(1.0, 0.7)), []),
-    (kernels.OrnsteinUhlenbeck(1.0), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), []),
+    (kernels.Rectangular(1.0), crm.Beta(crm.IndicatorSqrt(1.0))),
+    (kernels.DykstraLaud(), crm.ExtendedGamma(crm.IndicatorSqrt(2.0))),
+    (kernels.UShaped(2.0), crm.Beta(crm.AffineSqrt(1.0, 0.7))),
+    (kernels.OrnsteinUhlenbeck(1.0), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))),
 ]
 
 
-@pytest.mark.parametrize("kern, intensity, t_kinks", NONHOMOGENEOUS,
-                         ids=lambda v: v.label() if hasattr(v, "label") else "")
-def test_nonhomogeneous_centerings_match_nested_quadpack(kern, intensity, t_kinks):
+@pytest.mark.parametrize("kern, intensity", NONHOMOGENEOUS,
+                         ids=lambda v: v.label())
+def test_nonhomogeneous_centerings_match_nested_quadpack(kern, intensity):
+    # I_1 and I_2 by QUADPACK at epsrel 2e-14, with every kink of the
+    # integrand as a point
     T, eps = 30.0, 1e-3
-    mean_part, second, I1, I2 = _nested_oracle(kern, intensity, T, eps, t_kinks)
-    if isinstance(intensity.profile, crm.IndicatorSqrt) and isinstance(kern, kernels.Rectangular):
-        assert mean_part == pytest.approx(117.4607162226596, rel=1e-13)
-    assert I_moments(kern, intensity, T, 1, eps) == pytest.approx(I1, rel=1e-10, abs=0)
-    assert I_moments(kern, intensity, T, 2, eps) == pytest.approx(I2, rel=1e-10, abs=0)
-    cfg = mc.ExperimentConfig(kern, intensity, Functional.PATH_SECOND_MOMENT, T, epsilon=eps)
-    assert mc._mean_sq_hazard_quadrature(cfg, truncated=True) \
-        == pytest.approx((mean_part + second) / T, rel=1e-10, abs=0)
-    # the path variance is a difference: its error is the mean square's
-    cfg = mc.ExperimentConfig(kern, intensity, Functional.PATH_VARIANCE, T, epsilon=eps)
-    mean_sq = (mean_part + second) / T
-    assert mc._exact_center(cfg, truncated=True) \
-        == pytest.approx(mean_sq - (I1 ** 2 + I2) / T ** 2, rel=0, abs=1e-10 * mean_sq)
+    lo, hi = kernels.location_window(kern, T)
+    x_kinks = list(kern.breaks(T)) + list(intensity.kinks)
+    for i in (1, 2):
+        oracle = quadpack(lambda x: float(crm.jump_moment(intensity, float(i), x, eps))
+                          * kernels.K_T(kern, T, x) ** i, lo, hi, x_kinks, rel=2e-14)
+        assert I_moments(kern, intensity, T, i, eps) == pytest.approx(oracle, rel=1e-10, abs=0)
+
