@@ -24,8 +24,8 @@ __all__ = [
     "quad_breaks",
     "running_sum",
     "sorted_unique",
-    "betainc", "betaincc", "erf", "exp1", "expit", "gammainc", "gammaincc",
-    "gammaln", "kolmogorov", "logit", "xlog1py",
+    "betainc", "betaincc", "erf", "exp1", "gammainc", "gammaincc",
+    "gammaln", "kolmogorov", "xlog1py",
 ]
 
 _BLOCK = 4096
@@ -280,24 +280,6 @@ def xlog1py(x, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x * np.log1p(y)
     return np.where((x == 0) & ~np.isnan(y), 0.0, out)[()]
-
-
-def expit(x):
-    """1 / (1 + e^-x), without overflow for either sign of x."""
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
-
-
-def logit(p):
-    """log(p / (1 - p)); around p = 1/2 from log1p, which keeps the
-    digits that p / (1 - p) loses there."""
-    p = np.asarray(p, dtype=float)
-    s = 2.0 * (p - 0.5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
-                       np.log1p(s) - np.log1p(-s))
-    return out[()]
 
 
 def kolmogorov(y: float) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -262,11 +261,6 @@ class _Grid:
         return float(np.sum(self.w * integ))
 
 
-@lru_cache(maxsize=8)
-def _grid(kernel, intensity, T) -> _Grid:
-    return _Grid(kernel, intensity, float(T))
-
-
 # ---------------------------------------------------------------------------
 # contraction norms
 # ---------------------------------------------------------------------------
@@ -296,8 +290,8 @@ def contraction_norms(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     (K^(2))^2/T^2 intint Q_T(x,y)^2 dxdy in the homogeneous case), leaving
     only location integrals.
     """
-    g = _grid(kernel, intensity, float(T))
     T = float(T)
+    g = _Grid(kernel, intensity, T)
     return ContractionNorms(
         k1_l2_sq=g.qq(2) / T ** 2,
         k1_l4_4=g.qq(4) / T ** 4,
@@ -399,7 +393,7 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
         for T in t_grid:
             c1 = _rate_value(rate, T)
             c0 = _rate_value(c0_rate, T)
-            g = _grid(kernel, intensity, float(T))
+            g = _Grid(kernel, intensity, float(T))
             values[3].append(g.pathvar_combined_norm_sq(c1, c0, delta_est))
     else:
         raise ValueError(f"unknown theorem {theorem!r}")

@@ -12,11 +12,11 @@ truncated moments, a Ferguson-Klass sampler for the homogeneous cases and
 a thinning sampler against a constant-parameter envelope for the
 non-homogeneous ones.  Ferguson-Klass runs on a dominating Levy measure
 nu0 >= rho with a closed-form tail inverse and keeps each jump v with
-probability rho(v)/nu0(v) (Rosinski's rejection method); a family without
-such a nu0 (extended gamma, beta with c < 1) inverts the tail of rho by one
-cubic per jump, from a cached Hermite table on nodes uniform in
-log(rate * N(v)).  Each family's class carries its facts; the module
-functions are the validated entry points.
+probability rho(v)/nu0(v) (Rosinski's rejection method); extended gamma,
+which has no such nu0 yet, inverts the tail of rho by one cubic per jump,
+from a cached Hermite table of log v on nodes uniform in log(rate * N(v)).
+Each family's class carries its facts; the module functions are the
+validated entry points.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._numeric import (_STREAM, betainc, betaincc, comp_sum, exp1, expit, gammainc,
-                       gammaincc, gammaln, gl_panels, logit, quad_breaks, xlog1py)
+from ._numeric import (_STREAM, betainc, betaincc, comp_sum, exp1, gammainc, gammaincc,
+                       gammaln, gl_panels, quad_breaks, xlog1py)
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -189,7 +189,7 @@ class _Family:
     draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
     (homogeneous members only).  dominating() gives the Dominating measure
     Ferguson-Klass runs on (homogeneous members only), or None where the
-    sampler inverts the tail of rho itself."""
+    sampler inverts the tail of rho itself (extended gamma)."""
     # every jump lies below the ceiling
     ceiling: ClassVar[float] = math.inf
     homogeneous: ClassVar[bool] = True
@@ -315,7 +315,8 @@ class ExtendedGamma(_Profiled):
     # probability e^{-beta v}(1 + beta v), but it moves the seeded stream
     # that the criterion-6 KS gates are pinned to (ROADMAP item 1).  The
     # family inverts its own tail through the Hermite table of
-    # _inverse_tail_table instead, one cubic per jump.
+    # _inverse_tail_table instead, one cubic per jump; it is the table's
+    # only user.
 
 
 _BETA_SERIES_TERMS = 80
@@ -394,14 +395,27 @@ class Beta(_Profiled):
     def draw_tilted(self, rng, n, power):
         return rng.beta(float(power), self.c_fn.a, size=n)
 
-    def dominating(self) -> Optional[Dominating]:
-        # c dv / v on (0, 1), tail -c log v; (1-v)^{c-1} <= 1 needs c >= 1
+    def dominating(self) -> Dominating:
         c = self.c_fn.a
-        if c < 1.0:
-            return None
-        return Dominating(lambda v: -c * np.log(v),
-                          lambda n: np.exp(-n / c),
-                          lambda v: np.exp(xlog1py(c - 1.0, -v)))
+        if c >= 1.0:
+            # c dv / v on (0, 1), tail -c log v, keep (1-v)^{c-1}
+            return Dominating(lambda v: -c * np.log(v),
+                              lambda n: np.exp(-n / c),
+                              lambda v: np.exp(xlog1py(c - 1.0, -v)))
+        # c < 1, where (1-v)^{c-1} is unbounded: c 2^{1-c} dv / v on (0, 1/2]
+        # and 2c (1-v)^{c-1} dv on (1/2, 1), whose tail is t = 2^{1-c} at 1/2.
+        # Each piece is evaluated on its own points only ((n/2)^{1/c}
+        # overflows for large n at small c), and the jumps nearest the
+        # ceiling, which round to 1, take the largest double below it.
+        t, top = 2.0 ** (1.0 - c), math.nextafter(1.0, 0.0)
+        return Dominating(
+            lambda v: np.piecewise(v, [v >= 0.5], [lambda u: 2.0 * (1.0 - u) ** c,
+                                                   lambda u: t * (1.0 - c * np.log(2.0 * u))]),
+            lambda n: np.piecewise(n, [n <= t], [
+                lambda g: np.minimum(1.0 - (0.5 * g) ** (1.0 / c), top),
+                lambda g: 0.5 * np.exp((t - g) / (c * t))]),
+            lambda v: np.piecewise(v, [v < 0.5], [lambda u: (2.0 * (1.0 - u)) ** (c - 1.0),
+                                                  lambda u: 0.5 / u]))
 
 
 JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
@@ -564,57 +578,48 @@ _TABLE_NODES = 32768
 
 
 class _TailTable(NamedTuple):
-    """Jump coordinate c against y = log(rate * tail_mass(v)) on the nodes
-    y_lo + k h: on [y_k, y_k + h) it is the cubic with coefficients
-    coef[:, k] (highest power first) in s = (y - y_k) / h.  Coordinates are
-    clipped to [lo, hi]; to_v maps them to jumps."""
+    """log v against y = log(rate * tail_mass(v)) on the nodes y_lo + k h:
+    on [y_k, y_k + h) it is the cubic with coefficients coef[:, k]
+    (highest power first) in s = (y - y_k) / h, clipped to [lo, hi]."""
     y_lo: float
     h: float
     coef: np.ndarray
     lo: float
     hi: float
-    to_v: Callable
 
 
 @lru_cache(maxsize=64)
 def _inverse_tail_table(intensity: JumpIntensity, rate: float, epsilon: float) -> _TailTable:
-    """Cached cubic Hermite table of a jump coordinate against
-    y = log(rate * tail_mass(v)), for inverse-tail sampling.
+    """Cached cubic Hermite table of log v against
+    y = log(rate * tail_mass(v)), for inverse-tail sampling of the family
+    without a dominating measure (extended gamma).
 
-    The coordinate is log v for the unbounded families and logit v for
-    the beta family, whose tail flattens only in 1 - v near the jump
-    ceiling 1.  The nodes are uniform in y.  Each is placed by linear
-    interpolation on a grid uniform in the coordinate, then solved by
-    Newton's method against the exact tail, and stores its exact slope
-    dc/dy = -N / (rho(v) dv/dc).
+    The nodes are uniform in y.  Each is placed by linear interpolation on
+    a grid uniform in log v, then solved by Newton's method against the
+    exact tail, and stores its exact slope d(log v)/dy = -N / (rho(v) v).
     """
-    if math.isfinite(intensity.ceiling):
-        to_v, dv_dc = expit, lambda v: v * (1.0 - v)
-        lo, hi = logit(epsilon), logit(1.0 - 1e-13)
-    else:
-        vmax = max(2.0 * epsilon, 1.0)
-        while rate * tail_mass(intensity, vmax) > 1e-12 and vmax < 1e6:
-            vmax *= 2.0
-        to_v, dv_dc = np.exp, lambda v: v
-        lo, hi = math.log(epsilon), math.log(vmax)
+    vmax = max(2.0 * epsilon, 1.0)
+    while rate * tail_mass(intensity, vmax) > 1e-12 and vmax < 1e6:
+        vmax *= 2.0
+    lo, hi = math.log(epsilon), math.log(vmax)
     grid = np.linspace(lo, hi, 8192)
-    y = np.log(rate * tail_mass(intensity, to_v(grid)))
-    # y falls as the coordinate rises.  The nodes are y_lo + k h with the
-    # h that _invert_tail divides by, so node k falls in interval k.
+    y = np.log(rate * tail_mass(intensity, np.exp(grid)))
+    # y falls as log v rises.  The nodes are y_lo + k h with the h that
+    # _invert_tail divides by, so node k falls in interval k.
     y_lo = float(y[-1])
     h = (float(y[0]) - y_lo) / (_TABLE_NODES - 1)
     nodes = y_lo + h * np.arange(_TABLE_NODES)
     c = np.interp(nodes, y[::-1], grid[::-1])
     for _ in range(2):
-        v = to_v(c)
+        v = np.exp(c)
         n = tail_mass(intensity, v)
-        slope = -n / (jump_density(intensity, v) * dv_dc(v))
+        slope = -n / (jump_density(intensity, v) * v)
         step = (np.log(rate * n) - nodes) * slope
         c = np.clip(c - np.clip(step, -1.0, 1.0), lo, hi)
     m = h * slope
     c0, c1, m0, m1 = c[:-1], c[1:], m[:-1], m[1:]
     coef = np.stack([2.0 * (c0 - c1) + m0 + m1, 3.0 * (c1 - c0) - 2.0 * m0 - m1, m0, c0])
-    return _TailTable(y_lo, h, coef, lo, hi, to_v)
+    return _TailTable(y_lo, h, coef, lo, hi)
 
 
 def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
@@ -622,27 +627,28 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
     """Solve rate * tail_mass(v) = g for each arrival time g.
 
     The interval of log g in the cached Hermite table is found by
-    arithmetic, and one cubic gives the coordinate: no search and no tail
+    arithmetic, and one cubic gives log v: no search and no tail
     evaluation per jump.  The inversion residual |N(v)/g - 1| stays below
-    1e-13 for extended gamma (asserted by the property tests).
+    1e-13 (asserted by the property tests).
     """
     if gammas.size == 0:
         return gammas
     t = _inverse_tail_table(intensity, rate, epsilon)
     last = t.coef.shape[1]
-    # arrivals outside the table take its end coordinates
+    # arrivals outside the table take its end jumps
     s = np.clip((np.log(gammas) - t.y_lo) / t.h, 0.0, last)
     k = np.minimum(s.astype(np.intp), last - 1)
     s -= k
     a3, a2, a1, a0 = t.coef
-    coord = ((a3[k] * s + a2[k]) * s + a1[k]) * s + a0[k]
-    return t.to_v(np.clip(coord, t.lo, t.hi, out=coord))
+    log_v = ((a3[k] * s + a2[k]) * s + a1[k]) * s + a0[k]
+    return np.exp(np.clip(log_v, t.lo, t.hi, out=log_v))
 
 
 @lru_cache(maxsize=64)
 def _tail_at(intensity: JumpIntensity, epsilon: float) -> float:
-    """tail_mass(intensity, epsilon), cached: the sampler's scalar series
-    length, which for beta costs a series and a quadrature per call."""
+    """tail_mass(intensity, epsilon), cached: the per-replicate series
+    length of the family without a dominating measure (extended gamma),
+    whose E1 would otherwise be evaluated once per replicate."""
     return tail_mass(intensity, epsilon)
 
 
@@ -655,9 +661,9 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     nu0 is the family's dominating measure, whose tail inverts in closed
     form; each jump is then kept with probability rho(v)/nu0(v), and the
     kept jumps are exactly the epsilon-truncated series of rho (Rosinski's
-    rejection method).  A family without one (extended gamma, beta with
-    c < 1) has nu0 = rho, inverted by _invert_tail: one cubic per arrival
-    from the cached Hermite table, with no tail evaluation.  Both maps run
+    rejection method).  The family without one (extended gamma) has
+    nu0 = rho, inverted by _invert_tail: one cubic per arrival from the
+    cached Hermite table, with no tail evaluation.  Both maps run
     over blocks of _STREAM arrivals, so their temporaries stay in cache.
     Refuses, before any draw, a series whose expected length
     rate * nu0((epsilon, inf)) exceeds MAX_EXPECTED_ATOMS.

@@ -321,7 +321,7 @@ gamma = 1.0
 
 def test_runtime_runs_with_scipy_refused(tmp_path):
     # every command, and each sampler path: closed-form rejection (GG, beta
-    # c = 1.5), the inverse-tail tables (extended gamma, beta c = 0.5) and
+    # c = 0.5 and 1.5), the inverse-tail table (extended gamma) and
     # thinning (affine_sqrt); ks_alpha = 1e-9 keeps a small-T KS verdict
     # out of the exit code.  Neither these nor an OU path-variance run
     # load scipy, numpy.ma or numpy.polynomial.

@@ -300,7 +300,6 @@ def test_rectangular_contraction_11_on_one_node():
 def test_rectangular_contraction_norms_memory(intensity, mb):
     # no band is stored: the block products run in batches of about
     # _STREAM entries, and the sqrt profile's ladder only widens the blocks
-    cond._grid.cache_clear()
     peak = traced_peak(cond.contraction_norms, kernels.Rectangular(1.0), intensity, 800.0)
     assert peak <= mb * 1e6
 
@@ -344,7 +343,6 @@ def test_grid_refuses_nodes_above_the_cap(kern, monkeypatch):
         raise AssertionError("a grid built before the refusal")
 
     monkeypatch.setattr(cond, "gl_panels", no_grid)
-    cond._grid.cache_clear()
     with pytest.raises(ValueError, match=rf"the condition grid at T=20 needs {nodes} nodes, "
                                          rf"above the cap of {nodes - 1}$"):
         cond.contraction_norms(kern, GG, 20.0)

@@ -153,10 +153,10 @@ def test_tail_mass_vs_quadrature():
 
 
 def test_inverse_tail_identity():
-    # N(N^{-1}(g)) = g to 1e-9 relative (design: bisection-grade table + Newton)
+    # N(N^{-1}(g)) = g to 1e-9 relative (design: bisection-grade table + Newton);
+    # the table maps log v, so it serves the unbounded families only
     for intensity in (crm.GeneralizedGamma(0.5, 1.0),
-                      crm.ExtendedGamma(crm.Constant(1.0)),
-                      crm.Beta(crm.Constant(1.5))):
+                      crm.ExtendedGamma(crm.Constant(1.0))):
         measure = 50.0
         eps = 1e-6
         n_eps = measure * crm.tail_mass(intensity, eps)
@@ -226,13 +226,17 @@ def _truncated_law_cdf(intensity, jumps, eps):
     (116, crm.GeneralizedGamma(0.5, 1.0)),
     (117, crm.ExtendedGamma(crm.Constant(1.0))),
     (118, crm.Beta(crm.Constant(1.0))),
-    (119, crm.Beta(crm.Constant(1.5)))], ids=lambda v: v.label() if hasattr(v, "label") else None)
+    (119, crm.Beta(crm.Constant(1.5))),
+    (127, crm.Beta(crm.Constant(0.3))),
+    (128, crm.Beta(crm.Constant(0.5)))],
+    ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_sampled_jumps_follow_the_truncated_law(entropy, intensity):
     # Given their count, the jumps of the epsilon-truncated CRM are iid with
     # CDF 1 - N(v)/N(eps), so the pooled jumps of 50 draws must pass a KS
     # test of their probability-integral transform.  At eps = 1e-3 rejection
-    # removes 5.5% (GG) and 8.9% (beta(1.5)) of the dominating series and
-    # keeps all of it for beta(1); gamma inverts its tail table.
+    # removes 5.5% (GG) and 8.9% (beta(1.5)) of the dominating series,
+    # keeps all of it for beta(1) and thins both pieces of the two-piece
+    # measure of beta(0.3) and beta(0.5); gamma inverts its tail table.
     eps = 1e-3
     jumps = np.concatenate([crm.sample_homogeneous(intensity, (0.0, 200.0), eps,
                                                    seeded(entropy, r)).jumps
@@ -246,8 +250,8 @@ def test_sampled_jumps_follow_the_truncated_law(entropy, intensity):
     (121, crm.Beta(crm.Constant(1.5))),
     (122, crm.Beta(crm.Constant(0.5)))], ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_count_law_per_sampling_path(entropy, intensity, monkeypatch):
-    # like test_poisson_count_law; beta with c < 1 has no dominating measure
-    # and still inverts its own tail, every other family never does
+    # like test_poisson_count_law; extended gamma, which has no dominating
+    # measure, inverts its own tail once per draw, and beta never does
     inversions = []
     invert = crm._invert_tail
     monkeypatch.setattr(crm, "_invert_tail",
@@ -255,7 +259,7 @@ def test_count_law_per_sampling_path(entropy, intensity, monkeypatch):
     lam = 100.0 * crm.tail_mass(intensity, 1e-6)
     counts = [crm.sample_homogeneous(intensity, (0.0, 100.0), 1e-6, seeded(entropy, r)).size
               for r in range(200)]
-    assert len(inversions) == (200 if intensity.dominating() is None else 0)
+    assert len(inversions) == (200 if isinstance(intensity, crm.ExtendedGamma) else 0)
     tol = 4.0 * math.sqrt(lam / 200.0)
     assert abs(np.mean(counts) - lam) <= tol, (np.mean(counts), lam, tol)
 
@@ -278,6 +282,16 @@ def test_sampler_refuses_oversized_series_before_drawing():
     with pytest.raises(ValueError, match="above the limit"):
         crm.sample_nonhomogeneous(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
                                   (0.0, 1e7), 1e-6, _NoDraws())
+
+
+def test_beta_small_c_preflight_counts_the_dominating_series():
+    # beta(0.5) at eps = 1e-6 on a window of 2e6: the kept series expects
+    # 2e6 * N(eps) = 1.52e7 atoms, under the limit, but the drawn series of
+    # nu0 expects 2e6 * N0(eps) = 2.14e7, which is refused before any draw
+    with pytest.raises(ValueError, match=r"^epsilon=1e-06 asks for 2\.14e\+07 expected atoms "
+                                         r"per draw of beta\(constant\(0\.5\)\), above the "
+                                         r"limit 2e\+07; raise epsilon$"):
+        crm.sample_homogeneous(crm.Beta(crm.Constant(0.5)), (0.0, 2e6), 1e-6, _NoDraws())
 
 
 def test_campbell_mean_per_family():
@@ -400,7 +414,7 @@ def test_beta_upper_share_against_exact_binomial_sum():
 
 
 # ---------------------------------------------------------------------------
-# inverse-tail table (extended gamma, beta with c < 1)
+# inverse-tail table (extended gamma) and beta's two-piece nu0 (c < 1)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("beta", [0.5, 0.8, 1.0, 2.0])
@@ -414,33 +428,84 @@ def test_extended_gamma_inversion_residual(beta, rate, eps):
     assert resid.max() <= 1e-13, resid.max()
 
 
-@pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
-def test_beta_small_c_inversion_residual(c):
-    # g >= 1 keeps 1 - v above ~1e-6 at c = 0.3; nearer the ceiling the
-    # double v resolves 1 - v only to 1.1e-16, which alone moves N(v) by
-    # more than the bound
+def _beta_nu0_density(c, v):
+    # the two-piece dominating measure of beta with c < 1, written out
+    return np.where(v <= 0.5, c * 2.0 ** (1.0 - c) / v, 2.0 * c * (1.0 - v) ** (c - 1.0))
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.5, 0.9])
+def test_beta_small_c_dominating_measure(c):
+    # nu0 >= rho and the keep probability rho/nu0 lies in [0, 1] on a grid
+    # up to the ceiling; the tail of nu0 against quadrature of its density
     intensity = crm.Beta(crm.Constant(c))
+    dom = intensity.dominating()
+    v = np.concatenate([np.geomspace(1e-9, 0.5, 20000), 1.0 - np.geomspace(0.5, 1e-12, 20000)[1:]])
+    rho, nu0 = crm.jump_density(intensity, v), _beta_nu0_density(c, v)
+    keep = dom.keep(v)
+    assert np.all(nu0 >= rho)
+    assert np.all((keep >= 0.0) & (keep <= 1.0))
+    np.testing.assert_allclose(keep, rho / nu0, rtol=1e-13, atol=0.0)
+    for vi in (1e-6, 1e-3, 0.1, 0.4999, 0.5, 0.5001, 0.8, 0.99, 0.999999):
+        # the upper piece's (1 - u)^(c-1) singularity goes into the weight
+        upper, _ = integrate.quad(lambda u: 2.0 * c, max(vi, 0.5), 1.0, weight="alg",
+                                  wvar=(0.0, c - 1.0), epsabs=0.0, epsrel=1e-13)
+        lower = 0.0
+        if vi < 0.5:
+            lower, _ = integrate.quad(lambda u: _beta_nu0_density(c, u), vi, 0.5,
+                                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert float(dom.tail(vi)) == pytest.approx(upper + lower, rel=1e-10, abs=0), vi
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.5, 0.9])
+def test_beta_small_c_inversion_residual(c):
+    # rate * N0(v) = g for the jumps v <= 0.999; nearer the ceiling the
+    # double v resolves 1 - v only to 1.1e-16, which alone moves N0(v) by
+    # more than the bound
+    dom = crm.Beta(crm.Constant(c)).dominating()
     rate, eps = 50.0, 1e-6
-    n_eps = rate * crm.tail_mass(intensity, eps)
-    g = np.geomspace(1.0, n_eps, 20001)[:-1]
-    v = crm._invert_tail(intensity, rate, eps, g)
-    resid = np.abs(rate * crm.tail_mass(intensity, v) / g - 1.0)
+    n_eps = rate * float(dom.tail(eps))
+    g = np.geomspace(rate * float(dom.tail(0.999)), n_eps, 20001)[:-1]
+    v = dom.inverse(g / rate)
+    assert np.all(v <= 0.999 * (1.0 + 1e-15))
+    resid = np.abs(rate * dom.tail(v) / g - 1.0)
     assert resid.max() <= 1e-9, resid.max()
 
 
 @pytest.mark.parametrize("intensity,rate,eps,top", [
-    (crm.ExtendedGamma(crm.Constant(1.0)), 1000.0, 1e-6, 32.0),
-    (crm.Beta(crm.Constant(0.3)), 100.0, 1e-4, 1.0 - 1e-13)],
+    (crm.ExtendedGamma(crm.Constant(1.0)), 1000.0, 1e-6, 32.0)],
     ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_arrivals_beyond_the_table_take_its_end_jumps(intensity, rate, eps, top):
     # the table spans the jumps from epsilon up to the first power of two
-    # with rate * N(v) <= 1e-12 (unbounded) or up to 1 - 1e-13 (beta); an
-    # earlier arrival takes the top jump, and jumps never rise as g grows
+    # with rate * N(v) <= 1e-12; an earlier arrival takes the top jump, and
+    # jumps never rise as g grows
     n_eps = rate * crm.tail_mass(intensity, eps)
     v = crm._invert_tail(intensity, rate, eps, np.geomspace(1e-300, n_eps, 2001))
     assert v[0] == pytest.approx(top, rel=1e-15, abs=0)
     assert np.all(np.diff(v) <= 0)
     assert v[-1] == pytest.approx(eps, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.1, 0.3])
+def test_beta_small_c_jumps_stay_below_the_ceiling(c):
+    # the early arrivals, whose 1 - (g/2)^(1/c) rounds to 1, take the
+    # largest double below 1; jumps never rise as g grows and end at eps.
+    # Each piece sees only its own arrivals: at c = 1e-3 the lower piece's
+    # exponent (t - g)/(c t) would overflow on the upper piece's.
+    dom = crm.Beta(crm.Constant(c)).dominating()
+    rate, eps = 100.0, 1e-4
+    n_eps = rate * float(dom.tail(eps))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        v = dom.inverse(np.geomspace(1e-300, n_eps, 2001) / rate)
+    assert v[0] == np.nextafter(1.0, 0.0)
+    assert np.all(np.diff(v) <= 0)
+    assert v[-1] == pytest.approx(eps, rel=1e-12, abs=0)
+
+
+def test_beta_small_c_draw_stays_below_the_ceiling():
+    # c = 0.1 on a window of 501: the first arrivals round to 1 unclipped
+    s = crm.sample_homogeneous(crm.Beta(crm.Constant(0.1)), (0.0, 501.0), 1e-6, seeded(129))
+    assert s.size > 1000
+    assert np.all((s.jumps >= 1e-6) & (s.jumps < 1.0))
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -466,12 +531,17 @@ def test_extended_gamma_jumps_match_an_independent_root(beta):
                          ids=lambda v: v.label())
 def test_warm_table_draw_evaluates_no_tail_per_jump(intensity, monkeypatch):
     window, eps = (0.0, 300.0), 1e-6
-    crm.sample_homogeneous(intensity, window, eps, seeded(124))
     sizes = []
     tail_mass = crm.tail_mass
     monkeypatch.setattr(crm, "tail_mass",
                         lambda intensity, v, x=None: sizes.append(np.size(v))
                         or tail_mass(intensity, v, x))
+    crm._inverse_tail_table.cache_clear()
+    crm._tail_at.cache_clear()
+    crm.sample_homogeneous(intensity, window, eps, seeded(124))
+    # the cold draw builds extended gamma's table; beta's nu0 is closed form
+    assert (sizes != []) == (intensity.dominating() is None), sizes
+    sizes.clear()
     s = crm.sample_homogeneous(intensity, window, eps, seeded(124, 1))
     assert s.size > 1000
     # the table and the scalar series length are both cached
@@ -482,6 +552,7 @@ def test_warm_table_draw_evaluates_no_tail_per_jump(intensity, monkeypatch):
                                        crm.Beta(crm.Constant(0.45))],
                          ids=lambda v: v.label())
 def test_series_length_tail_is_evaluated_once_per_intensity_and_epsilon(intensity, monkeypatch):
+    # beta's series length is the closed-form tail of its nu0, never rho's
     calls = []
     tail_mass = crm.tail_mass
     monkeypatch.setattr(crm, "tail_mass",
@@ -493,7 +564,8 @@ def test_series_length_tail_is_evaluated_once_per_intensity_and_epsilon(intensit
     first = len(calls)
     crm.sample_homogeneous(intensity, window, eps, seeded(125, 1))
     assert len(calls) == first
-    assert sum(np.ndim(v) == 0 and v == eps for v in calls) == 1
+    evaluations = 1 if isinstance(intensity, crm.ExtendedGamma) else 0
+    assert sum(np.ndim(v) == 0 and v == eps for v in calls) == evaluations
 
 
 def _fk_one_pass(intensity, rate, epsilon, rng):
