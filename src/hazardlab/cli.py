@@ -33,7 +33,7 @@ from .asymptotics import (Functional, NotCatalogedError, Power, PowerLog,
 from .conditions import Theorem, check_theorem
 from .montecarlo import (CENTERING_CATALOG, CENTERING_QUADRATURE,
                          ExperimentConfig, TruncationBudgetError, hazard_path,
-                         run_clt, sample_crm)
+                         run_clt, sample_series)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "render_config", "run", "main"]
 
@@ -445,7 +445,7 @@ def run(cfg: RunConfig) -> int:
                   f"variance_ratio={report.variance_ratio:.4g}")
             return 0 if report.ks_p_value >= cfg.ks_alpha else 2
 
-        sample = sample_crm(config, 0)
+        sample = sample_series(config, 0)
         ts = np.linspace(0.0, cfg.horizon, cfg.grid_n)
         hs = hazard_path(sample, cfg.kernel, ts)
         body = "t,hazard\n" + "\n".join(

@@ -15,8 +15,10 @@ nu0 >= rho with a closed-form tail inverse and keeps each jump v with
 probability rho(v)/nu0(v) (Rosinski's rejection method); extended gamma,
 which has no such nu0 yet, inverts the tail of rho by one cubic per jump,
 from a cached Hermite table of log v on nodes uniform in log(rate * N(v)).
-Each family's class carries its facts; the module functions are the
-validated entry points.
+sample_bulk draws the mass of an interval whole, from the family's exact
+total-mass law, where it has one (generalized gamma, constant extended
+gamma).  Each family's class carries its facts; the module functions are
+the validated entry points.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ __all__ = [
     "CrmSample", "EnvelopeError", "Dominating", "MAX_EXPECTED_ATOMS",
     "is_homogeneous", "moment", "moment_general", "moment_truncated",
     "tail_mass", "jump_density", "mean_below", "jump_moment",
-    "sample_homogeneous", "sample_nonhomogeneous",
+    "sample_homogeneous", "sample_nonhomogeneous", "sample_bulk",
 ]
 
 
@@ -45,11 +47,12 @@ class EnvelopeError(Exception):
 
 
 # The sampler refuses a draw whose expected Ferguson-Klass series is longer
-# than this: each per-atom float array of such a draw takes 160 MB.  A draw
-# holds two at full length, the arrival times (overwritten by the jumps) and
-# the locations; a thinned draw also holds its acceptance uniforms and
-# probabilities and the thinned copies.  The inverse and keep steps run over
-# blocks of _numeric._STREAM atoms.  The cumulative hazard adds no array of
+# than this, and a bulk cut into more pieces than this (sample_bulk: each
+# piece is one aggregated atom): each per-atom float array of such a draw
+# takes 160 MB.  A draw holds two at full length, the arrival times
+# (overwritten by the jumps) and the locations; a thinned draw also holds
+# its acceptance uniforms and probabilities and the thinned copies.  The
+# inverse and keep steps run over blocks of _numeric._STREAM atoms.  The cumulative hazard adds no array of
 # the draw's length (it keeps blocks and their partials).  The path
 # functionals' pair sums do: the Green's-function prefix sums ~2.2 arrays
 # of n, the rectangular sweep five of 2n at its peak (the gaps
@@ -189,7 +192,11 @@ class _Family:
     draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
     (homogeneous members only).  dominating() gives the Dominating measure
     Ferguson-Klass runs on (homogeneous members only), or None where the
-    sampler inverts the tail of rho itself (extended gamma)."""
+    sampler inverts the tail of rho itself (extended gamma).
+    mass_law(length) gives the exact law of the untruncated total mass on an
+    interval of that length, as a draw rng -> the masses of the equal pieces
+    the interval is cut into, or None where the family has no closed-form
+    law (beta, non-constant profiles)."""
     # every jump lies below the ceiling
     ceiling: ClassVar[float] = math.inf
     homogeneous: ClassVar[bool] = True
@@ -201,6 +208,9 @@ class _Family:
         return None
 
     def dominating(self) -> Optional[Dominating]:
+        return None
+
+    def mass_law(self, length: float) -> Optional[Callable]:
         return None
 
 
@@ -272,6 +282,21 @@ class GeneralizedGamma(_Family):
                           lambda n: (c * n) ** (-1.0 / s),
                           lambda v: np.exp(-g * v))
 
+    def mass_law(self, length: float) -> Callable:
+        # The mass has Laplace exponent length ((gamma + s)^sigma -
+        # gamma^sigma) / sigma: a positive sigma-stable law tilted by
+        # e^{-gamma v}.  Cut into n = ceil(length gamma^sigma / sigma)
+        # pieces, each piece's stable mass is accepted with probability
+        # e^{-length gamma^sigma / (sigma n)} >= e^{-1}.
+        s, g = self.sigma, self.gamma
+        pieces = length * g ** s / s
+        if not pieces <= MAX_EXPECTED_ATOMS:
+            raise ValueError(
+                f"a bulk of length {length:g} asks for {pieces:.3g} pieces per draw of "
+                f"{self.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}")
+        n = math.ceil(pieces)
+        return lambda rng: _tilted_stable(rng, n, s, g, math.log(length / (n * s)) / s)
+
 
 @dataclass(frozen=True)
 class ExtendedGamma(_Profiled):
@@ -310,6 +335,12 @@ class ExtendedGamma(_Profiled):
 
     def draw_tilted(self, rng, n, power):
         return rng.gamma(float(power), 1.0 / self.beta_fn.a, size=n)
+
+    def mass_law(self, length: float) -> Optional[Callable]:
+        # Gamma(length, beta), in one piece
+        if not self.beta_fn.constant:
+            return None
+        return lambda rng: rng.gamma(length, 1.0 / self.beta_fn.a, size=1)
 
     # No dominating measure: dv / (v (1 + beta v)) would serve, with keep
     # probability e^{-beta v}(1 + beta v), but it moves the seeded stream
@@ -421,6 +452,36 @@ class Beta(_Profiled):
 JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
 
 
+def _tilted_stable(rng: np.random.Generator, n: int, sigma: float, gamma: float,
+                   log_scale: float) -> np.ndarray:
+    """n independent draws of e^{log_scale} S tilted by e^{-gamma v}, for S
+    positive sigma-stable with E e^{-s S} = e^{-s^sigma}.
+
+    S is Kanter's representation (Kanter, Ann. Probab. 3, 1975),
+        S = sin(sigma U) / sin(U)^{1/sigma} (sin((1 - sigma) U) / E)^{(1 - sigma)/sigma}
+    with U uniform on (0, pi] and E ~ Exp(1), formed in log space; a draw v
+    is kept when gamma v < E', E' ~ Exp(1), compared with the exponent
+    clipped to +-700, so nothing overflows or underflows (the clipped tails
+    decide nothing: E' < e^{-700} and E' > e^{700} do not occur).  The
+    kept draws are taken in order until n are kept."""
+    out, have = np.empty(n), 0
+    a, b = (1.0 - sigma) / sigma, 1.0 / sigma
+    log_gamma = math.log(gamma)
+    # the acceptance probability, e^{-gamma^sigma e^{sigma log_scale}}
+    accept = math.exp(-gamma ** sigma * math.exp(sigma * log_scale))
+    while have < n:
+        want = n - have
+        m = int(want / accept + 4.0 * math.sqrt(want / accept) + 16)
+        u = math.pi * (1.0 - rng.random(m))
+        e = rng.standard_exponential((2, m))
+        log_v = (np.log(np.sin(sigma * u)) - b * np.log(np.sin(u))
+                 + a * (np.log(np.sin((1.0 - sigma) * u)) - np.log(e[0])) + log_scale)
+        kept = log_v[np.exp(np.clip(log_v + log_gamma, -700.0, 700.0)) < e[1]][:want]
+        out[have:have + kept.size] = np.exp(kept)
+        have += kept.size
+    return out
+
+
 def is_homogeneous(intensity: JumpIntensity) -> bool:
     """True when rho(dv|x) does not depend on x."""
     return intensity.homogeneous
@@ -525,7 +586,10 @@ class CrmSample:
     jumps are non-increasing (Ferguson-Klass order, which rejection and
     thinning keep); every jump is >= epsilon; mean_deficit bounds the mean
     mass discarded below epsilon.  envelope records the thinning envelope,
-    when one was used.
+    when one was used.  A bulk draw (sample_bulk) ends in aggregated atoms,
+    one per piece of the bulk, each the piece's whole untruncated mass:
+    they are exempt from the ordering and from the epsilon floor, and
+    mean_deficit counts the Ferguson-Klass part of the window only.
     """
     jumps: np.ndarray
     locations: np.ndarray
@@ -766,3 +830,36 @@ def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
     same MAX_EXPECTED_ATOMS preflight applies to the envelope's series.
     """
     return _sample(intensity, window, epsilon, rng, seed, thin=True)
+
+
+def sample_bulk(intensity: JumpIntensity, window, bulk, epsilon: float,
+                rng: np.random.Generator, seed: Optional[int] = None) -> CrmSample:
+    """A homogeneous CRM on the window whose mass in the interval bulk =
+    (a, b) is drawn whole from the family's exact total-mass law
+    (mass_law), untruncated, as one aggregated atom at the midpoint of each
+    of its pieces; the rest of the window, [lo, a) and [b, hi), is the
+    Ferguson-Klass series at epsilon, as in sample_homogeneous.
+
+    A functional that is constant in x on the bulk sees the same law as on
+    the full series there, with nothing below epsilon discarded, so
+    mean_deficit = |window outside the bulk| * int_0^epsilon v rho(dv).
+    Raises ValueError when the family has no total-mass law, and, before
+    any draw, when either part's count exceeds MAX_EXPECTED_ATOMS.
+    """
+    lo, hi = _check_window(window)
+    a, b = float(bulk[0]), float(bulk[1])
+    if not (lo <= a < b <= hi):
+        raise ValueError(f"bulk {bulk} is not an interval of the window [{lo:g},{hi:g})")
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be > 0")
+    law = intensity.mass_law(b - a)
+    if law is None:
+        raise ValueError(f"{intensity.label()} has no closed-form total-mass law")
+    edge = (a - lo) + (hi - b)
+    jumps = _fk_jumps(intensity, edge, epsilon, rng)
+    locations = rng.uniform(lo, lo + edge, size=jumps.size)
+    locations[locations >= a] += b - a
+    masses = law(rng)
+    centers = a + (b - a) * (np.arange(masses.size) + 0.5) / masses.size
+    return CrmSample(np.concatenate([jumps, masses]), np.concatenate([locations, centers]),
+                     (lo, hi), epsilon, edge * mean_below(intensity, epsilon), seed=seed)

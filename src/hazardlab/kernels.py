@@ -53,6 +53,10 @@ class _Family:
         # breakpoints of the I_i quadratures and of the condition-grid panels
         return []
 
+    def flat(self, T: float):
+        # the interval (a, b) where x -> K_T(x) is constant, or None
+        return None
+
 
 class _Green(_Family):
     """Kernels of Green's-function form: for locations 0 <= x <= y,
@@ -182,6 +186,11 @@ class Rectangular(_Family):
 
     def panel_step(self, T: float) -> float:
         return self.tau / 2.0
+
+    def flat(self, T: float):
+        # K_T(x) = 2 tau on [tau, T - tau]
+        tau = self.tau
+        return (tau, T - tau) if T > 2.0 * tau else None
 
     @property
     def bulk(self) -> tuple:

@@ -31,7 +31,7 @@ from .conditions import I_moments
 __all__ = [
     "ExperimentConfig", "CltReport", "TruncationBudgetError",
     "cumhaz", "path_second_moment", "path_variance", "hazard_path",
-    "ks_test", "run_clt", "sample_crm", "resolve_workers",
+    "ks_test", "run_clt", "sample_crm", "sample_series", "resolve_workers",
 ]
 
 CENTERING_CATALOG = "catalog"
@@ -215,17 +215,49 @@ def resolve_workers(requested: Optional[int] = None) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
-    """Draw replicate r on the kernel's location window with the stream
-    split from the master seed by the replicate index."""
-    rng = np.random.default_rng(
+def _stream(config: ExperimentConfig, replicate: int) -> np.random.Generator:
+    # the stream split from the master seed by the replicate index
+    return np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(replicate,)))
+
+
+def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
+    """Draw replicate r's full epsilon-truncated series on the kernel's
+    location window: the sample every path functional and `sample-paths`
+    evaluate."""
+    rng = _stream(config, replicate)
     window = kernels.location_window(config.kernel, config.horizon)
     if crm.is_homogeneous(config.intensity):
         return crm.sample_homogeneous(config.intensity, window, config.epsilon,
                                       rng, seed=config.seed)
     return crm.sample_nonhomogeneous(config.intensity, window, config.epsilon,
                                      rng, seed=config.seed)
+
+
+def _bulk(config: ExperimentConfig):
+    """The interval where K_T is constant, when the functional is the
+    cumulative hazard and the family has a total-mass law there; else None.
+    The cumulative hazard weighs the atoms of that interval by one value,
+    so it needs their total mass only."""
+    if config.functional is not Functional.CUMULATIVE_HAZARD:
+        return None
+    flat = config.kernel.flat(config.horizon)
+    if flat is None or config.intensity.mass_law(flat[1] - flat[0]) is None:
+        return None
+    return flat
+
+
+def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
+    """Draw replicate r for the config's functional: the full series
+    (sample_series), except for the cumulative hazard where K_T is flat on
+    an interval and the family has a total-mass law (_bulk), whose mass is
+    then drawn whole (crm.sample_bulk)."""
+    bulk = _bulk(config)
+    if bulk is None:
+        return sample_series(config, replicate)
+    return crm.sample_bulk(config.intensity,
+                           kernels.location_window(config.kernel, config.horizon), bulk,
+                           config.epsilon, _stream(config, replicate), seed=config.seed)
 
 
 _FUNCTIONALS = {
@@ -272,11 +304,19 @@ def _I1(config: ExperimentConfig, truncated: bool) -> float:
 def _exact_center(config: ExperimentConfig, truncated: bool) -> float:
     """Quadrature value of the functional's mean under the full or the
     epsilon-truncated intensity (the latter is the exact mean of the
-    simulated statistic).  For the path variance that is
-    mean_sq - E[(H/T)^2] with E[H^2] = I_1^2 + I_2."""
+    simulated statistic, whose bulk, where sample_crm draws one, is not
+    truncated).  For the path variance that is mean_sq - E[(H/T)^2] with
+    E[H^2] = I_1^2 + I_2."""
     F = config.functional
     if F is Functional.CUMULATIVE_HAZARD:
-        return _I1(config, truncated)
+        bulk = _bulk(config) if truncated else None
+        if bulk is None:
+            return _I1(config, truncated)
+        # I_1(epsilon) plus the mass below epsilon that the bulk keeps
+        a, b = bulk
+        k = kernels.K_T(config.kernel, config.horizon, 0.5 * (a + b))
+        return _I1(config, truncated) + k * (b - a) * crm.mean_below(config.intensity,
+                                                                      config.epsilon)
     mean_sq = _mean_sq_hazard_quadrature(config, truncated)
     if F is Functional.PATH_SECOND_MOMENT:
         return mean_sq

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from hazardlab import _numeric, cli, crm, kernels, montecarlo
@@ -192,6 +193,39 @@ def test_sample_paths_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#") and lines[1] == "t,hazard"
     assert len(lines) == 2 + 257
+
+
+def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
+    # only the cumulative hazard draws the bulk whole: sample-paths (whose
+    # config's functional defaults to the cumulative hazard) and the
+    # path-functional replicates evaluate the full series, bit for bit the
+    # sample_homogeneous draw of each replicate's stream
+    gg, kern = crm.GeneralizedGamma(0.5, 1.0), kernels.Rectangular(1.0)
+    cfg_path = tmp_path / "paths.ini"
+    cfg_path.write_text("[experiment]\nkind = sample-paths\nhorizon = 20\nseed = 1\n\n"
+                        "[kernel]\ntype = rectangular\ntau = 1.0\n\n[crm]\n"
+                        "family = generalized_gamma\nsigma = 0.5\ngamma = 1.0\n")
+    out = tmp_path / "paths.csv"
+    assert cli.main(["sample-paths", "--config", str(cfg_path), "--grid", "50",
+                     "--out", str(out)]) == 0
+    window = kernels.location_window(kern, 20.0)
+    series = crm.sample_homogeneous(gg, window, 1e-6, _stream(1, 0))
+    ts = np.linspace(0.0, 20.0, 50)
+    body = "t,hazard\n" + "\n".join(f"{t:.17g},{h:.17g}" for t, h in
+                                     zip(ts, montecarlo.hazard_path(series, kern, ts))) + "\n"
+    assert out.read_text().split("\n", 1)[1] == body
+    for functional, f in ((Functional.PATH_SECOND_MOMENT, montecarlo.path_second_moment),
+                          (Functional.PATH_VARIANCE, montecarlo.path_variance)):
+        config = ExperimentConfig(kern, gg, functional, 30.0, replicates=100, seed=11,
+                                  epsilon=1e-3)
+        window = kernels.location_window(kern, 30.0)
+        assert montecarlo.run_clt(config, workers=1).values == [
+            f(crm.sample_homogeneous(gg, window, 1e-3, _stream(11, r)), kern, 30.0)
+            for r in range(100)]
+
+
+def _stream(seed, replicate):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
 
 
 def test_subcommand_config_kind_mismatch(tmp_path):

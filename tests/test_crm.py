@@ -315,6 +315,94 @@ def test_campbell_mean_per_family():
             assert abs(mean - target) <= 4.0 * se, (intensity, mean, target, se)
 
 
+def test_campbell_total_mass_of_a_long_window():
+    # the series of GG(0.5, 1) at eps = 1e-2 on (0, 1000) has total mass of
+    # mean L int_eps^inf v rho(dv) and variance L int_eps^inf v^2 rho(dv);
+    # 2000 draws resolve a keep probability of e^{-1.01 gamma v} (z -11.5
+    # at this seed, against 0.56 for the exact keep)
+    intensity, L, eps, n = crm.GeneralizedGamma(0.5, 1.0), 1000.0, 1e-2, 2000
+    rng = seeded(2201)
+    totals = [crm.sample_homogeneous(intensity, (0.0, L), eps, rng).total_mass()
+              for _ in range(n)]
+    se = math.sqrt(L * crm.jump_moment(intensity, 2.0, 0.0, eps) / n)
+    target = L * crm.jump_moment(intensity, 1.0, 0.0, eps)
+    assert abs(np.mean(totals) - target) <= 4.0 * se, (np.mean(totals), target, se)
+
+
+# ---------------------------------------------------------------------------
+# total-mass laws (the bulk of sample_bulk)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entropy, intensity, length, draws", [
+    (2211, crm.GeneralizedGamma(0.1, 2.0), 20.0, 2000),
+    (2212, crm.GeneralizedGamma(0.5, 1.0), 200.0, 4000),
+    (2213, crm.GeneralizedGamma(0.9, 0.5), 20.0, 2000),
+    (2214, crm.ExtendedGamma(crm.Constant(1.5)), 20.0, 4000),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_total_mass_law_cumulants(entropy, intensity, length, draws):
+    # the mass of an interval is infinitely divisible with cumulants
+    # kappa_j = length * m_j (untruncated jump moments); the k-statistics
+    # k1, k2, k3 of the drawn masses lie within 4 SE of them, each SE from
+    # the exact cumulants up to order 6 (the variances of k-statistics).
+    # At sigma = 0.5, the 1.6M pieces resolve a bulk tilt of e^{-1.01 gamma S}
+    # (the mean moves by -0.5%, ~ -6 SE).
+    law = intensity.mass_law(length)
+    rng = seeded(entropy)
+    x = np.array([law(rng).sum() for _ in range(draws)])
+    kap = {j: length * crm.moment_general(intensity, float(j)) for j in range(1, 7)}
+    n = draws
+    var = {1: kap[2] / n,
+           2: kap[4] / n + 2.0 * kap[2] ** 2 / (n - 1),
+           3: kap[6] / n + 9.0 * (kap[2] * kap[4] + kap[3] ** 2) / (n - 1)
+              + 6.0 * n * kap[2] ** 3 / ((n - 1) * (n - 2))}
+    for j in (1, 2, 3):
+        k = stats.kstat(x, j)
+        assert abs(k - kap[j]) <= 4.0 * math.sqrt(var[j]), (j, k, kap[j], math.sqrt(var[j]))
+
+
+def test_total_mass_draws_raise_no_floating_point_error():
+    # Kanter's draws and their keep test run in log space: at the ends of
+    # sigma and gamma nothing overflows, underflows or divides by zero
+    rng = seeded(2221)
+    with np.errstate(all="raise"):
+        for sigma in (0.05, 0.95):
+            for gamma in (0.1, 10.0):
+                law = crm.GeneralizedGamma(sigma, gamma).mass_law(50.0)
+                masses = np.concatenate([law(rng) for _ in range(200)])
+                assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
+
+
+def test_mass_law_facts_and_bulk_layout():
+    gg = crm.GeneralizedGamma(0.5, 2.0)
+    assert crm.Beta(crm.Constant(1.5)).mass_law(10.0) is None
+    assert crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)).mass_law(10.0) is None
+    assert crm.ExtendedGamma(crm.Constant(1.5)).mass_law(10.0)(seeded(2222)).size == 1
+    # n = ceil(length gamma^sigma / sigma) pieces
+    assert gg.mass_law(10.0)(seeded(2222)).size == math.ceil(10.0 * 2.0 ** 0.5 / 0.5)
+    # Ferguson-Klass outside the bulk (10, 90), then one aggregated atom at
+    # the midpoint of each of the 227 pieces of the bulk
+    s = crm.sample_bulk(gg, (0.0, 101.0), (10.0, 90.0), 1e-4, seeded(2223))
+    fk, agg = slice(0, s.size - 227), slice(s.size - 227, s.size)
+    assert np.all(s.jumps[fk] >= 1e-4) and np.all(np.diff(s.jumps[fk]) <= 0.0)
+    assert np.all((s.locations[fk] < 10.0) | (s.locations[fk] >= 90.0))
+    assert np.allclose(s.locations[agg], 10.0 + 80.0 * (np.arange(227) + 0.5) / 227,
+                       rtol=1e-15, atol=0.0)
+    assert np.all(s.jumps[agg] >= 0.0)
+    assert s.mean_deficit == pytest.approx(21.0 * crm.mean_below(gg, 1e-4), rel=1e-15)
+    with pytest.raises(ValueError, match="no closed-form total-mass law"):
+        crm.sample_bulk(crm.Beta(crm.Constant(1.5)), (0.0, 101.0), (10.0, 90.0), 1e-4,
+                        _NoDraws())
+
+
+def test_bulk_refuses_too_many_pieces_before_drawing():
+    # GG(0.05, 1) on a bulk of 2e6 asks for 4e7 pieces
+    with pytest.raises(ValueError, match=r"^a bulk of length 2e\+06 asks for 4e\+07 pieces per "
+                                         r"draw of generalized_gamma\(sigma=0\.05,gamma=1\), "
+                                         r"above the limit 2e\+07$"):
+        crm.sample_bulk(crm.GeneralizedGamma(0.05, 1.0), (0.0, 2e6 + 2.0), (1.0, 2e6 + 1.0),
+                        1e-6, _NoDraws())
+
+
 def test_seeded_determinism_bit_for_bit():
     gg = crm.GeneralizedGamma(0.5, 1.0)
     a = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109), seed=109)

@@ -213,6 +213,19 @@ def test_location_window():
         assert np.all(kernels.eval_kernel(kern, ts, np.full_like(ts, x)) == 0.0)
 
 
+def test_flat_interval_of_K_T():
+    # rectangular(tau): K_T = 2 tau on [tau, T - tau] once T > 2 tau, and
+    # below 2 tau outside it; the other kernels have no flat interval
+    kern = kernels.Rectangular(1.5)
+    assert kern.flat(10.0) == (1.5, 8.5)
+    x = np.linspace(1.5, 8.5, 1001)
+    assert np.allclose(kernels.K_T(kern, 10.0, x), 3.0, rtol=1e-15, atol=0.0)
+    assert np.all(kernels.K_T(kern, 10.0, np.array([1.49, 8.51])) < 3.0)
+    assert kern.flat(3.0) is None and kern.flat(2.0) is None
+    for other in (kernels.DykstraLaud(), kernels.OrnsteinUhlenbeck(1.0), kernels.UShaped(2.0)):
+        assert other.flat(10.0) is None
+
+
 def test_small_T_rectangular_still_exact():
     # the interval-intersection forms stay valid for T <= 2 tau
     kern = kernels.Rectangular(1.0)

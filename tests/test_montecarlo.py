@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -492,17 +493,42 @@ def test_path_variance_quadrature_centering_is_unbiased():
 
 
 def test_budget_refusal_and_unsupported():
+    # the bulk [1, 299] is drawn untruncated, so only the boundary's mass
+    # below eps biases the statistic: 0.0227 at eps = 1e-2 exceeds 1% of the
+    # target sd (0.0141), and 0.00023 at eps = 1e-6 does not
     cfg = mc.ExperimentConfig(kernel=kernels.Rectangular(1.0), intensity=GG,
                               functional=Functional.CUMULATIVE_HAZARD,
-                              horizon=300.0, replicates=100, seed=5,
+                              horizon=300.0, replicates=100, seed=5, epsilon=1e-2,
                               centering_mode=mc.CENTERING_CATALOG)
     with pytest.raises(mc.TruncationBudgetError):
         mc.run_clt(cfg, workers=1)
+    assert len(mc.run_clt(dataclasses.replace(cfg, epsilon=1e-6), workers=1).values) == 100
     bad = mc.ExperimentConfig(kernel=kernels.DykstraLaud(), intensity=GG,
                               functional=Functional.PATH_SECOND_MOMENT,
                               horizon=100.0, replicates=100, seed=5)
     with pytest.raises(ValueError, match="check-conditions"):
         mc.run_clt(bad, workers=1)
+
+
+@pytest.mark.parametrize("intensity, seeds", [(GG, (2231, 2232)), (EG1, (2233, 2234))],
+                         ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, seeds):
+    # rectangular(1) at T = 20, eps = 1e-3: H from the bulk draw against H
+    # from the full series, which lacks the bulk's mass below eps, shifted by
+    # its mean 2 tau |flat| mean_below(eps); two-sample KS over 2000
+    # replicates each, from unrelated seeds.  The bulk draws' mean is the
+    # quadrature centering within 4 SE.
+    kern, T, eps = kernels.Rectangular(1.0), 20.0, 1e-3
+    bulk_cfg, full_cfg = (mc.ExperimentConfig(kern, intensity, Functional.CUMULATIVE_HAZARD, T,
+                                              seed=seed, epsilon=eps) for seed in seeds)
+    assert mc.sample_crm(bulk_cfg, 0).size < mc.sample_series(bulk_cfg, 0).size
+    bulk = np.array([mc.cumhaz(mc.sample_crm(bulk_cfg, r), kern, T) for r in range(2000)])
+    full = np.array([mc.cumhaz(mc.sample_series(full_cfg, r), kern, T) for r in range(2000)])
+    a, b = kern.flat(T)
+    shift = 2.0 * (b - a) * crm.mean_below(intensity, eps)
+    assert stats.ks_2samp(bulk, full + shift).pvalue > 0.01
+    se = bulk.std(ddof=1) / math.sqrt(bulk.size)
+    assert abs(bulk.mean() - mc._exact_center(bulk_cfg, truncated=True)) <= 4.0 * se
 
 
 def test_worker_resolution_env_cap(monkeypatch):
