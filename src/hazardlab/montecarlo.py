@@ -235,28 +235,31 @@ def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
 
 
 def _bulk(config: ExperimentConfig):
-    """The interval where K_T is constant, when the functional is the
-    cumulative hazard and the family has a total-mass law there; else None.
+    """(interval, law): the interval where K_T is constant and the family's
+    total-mass law there, when the functional is the cumulative hazard and
+    crm.bulk_law gives a law that costs less than the series; else None.
     The cumulative hazard weighs the atoms of that interval by one value,
     so it needs their total mass only."""
     if config.functional is not Functional.CUMULATIVE_HAZARD:
         return None
     flat = config.kernel.flat(config.horizon)
-    if flat is None or config.intensity.mass_law(flat[1] - flat[0]) is None:
+    if flat is None:
         return None
-    return flat
+    law = crm.bulk_law(config.intensity, flat[1] - flat[0], config.epsilon)
+    return None if law is None else (flat, law)
 
 
 def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     """Draw replicate r for the config's functional: the full series
     (sample_series), except for the cumulative hazard where K_T is flat on
-    an interval and the family has a total-mass law (_bulk), whose mass is
-    then drawn whole (crm.sample_bulk)."""
+    an interval and the family's total-mass law there costs less (_bulk),
+    whose mass is then drawn whole (crm.sample_bulk)."""
     bulk = _bulk(config)
     if bulk is None:
         return sample_series(config, replicate)
+    flat, law = bulk
     return crm.sample_bulk(config.intensity,
-                           kernels.location_window(config.kernel, config.horizon), bulk,
+                           kernels.location_window(config.kernel, config.horizon), flat, law,
                            config.epsilon, _stream(config, replicate), seed=config.seed)
 
 
@@ -313,7 +316,7 @@ def _exact_center(config: ExperimentConfig, truncated: bool) -> float:
         if bulk is None:
             return _I1(config, truncated)
         # I_1(epsilon) plus the mass below epsilon that the bulk keeps
-        a, b = bulk
+        (a, b), _ = bulk
         k = kernels.K_T(config.kernel, config.horizon, 0.5 * (a + b))
         return _I1(config, truncated) + k * (b - a) * crm.mean_below(config.intensity,
                                                                       config.epsilon)

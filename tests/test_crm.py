@@ -348,7 +348,7 @@ def test_total_mass_law_cumulants(entropy, intensity, length, draws):
     # (the mean moves by -0.5%, ~ -6 SE).
     law = intensity.mass_law(length)
     rng = seeded(entropy)
-    x = np.array([law(rng).sum() for _ in range(draws)])
+    x = np.array([law.draw(rng).sum() for _ in range(draws)])
     kap = {j: length * crm.moment_general(intensity, float(j)) for j in range(1, 7)}
     n = draws
     var = {1: kap[2] / n,
@@ -368,7 +368,7 @@ def test_total_mass_draws_raise_no_floating_point_error():
         for sigma in (0.05, 0.95):
             for gamma in (0.1, 10.0):
                 law = crm.GeneralizedGamma(sigma, gamma).mass_law(50.0)
-                masses = np.concatenate([law(rng) for _ in range(200)])
+                masses = np.concatenate([law.draw(rng) for _ in range(200)])
                 assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
 
 
@@ -376,12 +376,15 @@ def test_mass_law_facts_and_bulk_layout():
     gg = crm.GeneralizedGamma(0.5, 2.0)
     assert crm.Beta(crm.Constant(1.5)).mass_law(10.0) is None
     assert crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)).mass_law(10.0) is None
-    assert crm.ExtendedGamma(crm.Constant(1.5)).mass_law(10.0)(seeded(2222)).size == 1
+    eg = crm.ExtendedGamma(crm.Constant(1.5)).mass_law(10.0)
+    assert eg.pieces == 1 and eg.draw(seeded(2222)).size == 1
     # n = ceil(length gamma^sigma / sigma) pieces
-    assert gg.mass_law(10.0)(seeded(2222)).size == math.ceil(10.0 * 2.0 ** 0.5 / 0.5)
+    law = gg.mass_law(10.0)
+    assert law.pieces == math.ceil(10.0 * 2.0 ** 0.5 / 0.5) == law.draw(seeded(2222)).size
     # Ferguson-Klass outside the bulk (10, 90), then one aggregated atom at
     # the midpoint of each of the 227 pieces of the bulk
-    s = crm.sample_bulk(gg, (0.0, 101.0), (10.0, 90.0), 1e-4, seeded(2223))
+    s = crm.sample_bulk(gg, (0.0, 101.0), (10.0, 90.0), gg.mass_law(80.0), 1e-4,
+                        seeded(2223))
     fk, agg = slice(0, s.size - 227), slice(s.size - 227, s.size)
     assert np.all(s.jumps[fk] >= 1e-4) and np.all(np.diff(s.jumps[fk]) <= 0.0)
     assert np.all((s.locations[fk] < 10.0) | (s.locations[fk] >= 90.0))
@@ -389,18 +392,32 @@ def test_mass_law_facts_and_bulk_layout():
                        rtol=1e-15, atol=0.0)
     assert np.all(s.jumps[agg] >= 0.0)
     assert s.mean_deficit == pytest.approx(21.0 * crm.mean_below(gg, 1e-4), rel=1e-15)
-    with pytest.raises(ValueError, match="no closed-form total-mass law"):
-        crm.sample_bulk(crm.Beta(crm.Constant(1.5)), (0.0, 101.0), (10.0, 90.0), 1e-4,
-                        _NoDraws())
+
+
+def test_bulk_law_only_where_its_pieces_cost_less_than_the_series():
+    # a piece costs about ten arrivals of the series it replaces
+    gg = crm.GeneralizedGamma(0.5, 1.0)
+    assert crm.bulk_law(crm.Beta(crm.Constant(1.5)), 100.0, 1e-6) is None
+    assert crm.bulk_law(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), 100.0, 1e-6) is None
+    # GG(0.5, 1): 2 pieces per unit length, 1.13e3 arrivals at 1e-6 and 11.3 at 1e-2
+    assert crm.bulk_law(gg, 100.0, 1e-6).pieces == 200
+    assert crm.bulk_law(gg, 100.0, 1e-2) is None
+    # GG(0.05, 1): 20 pieces per unit length against 24.4 arrivals at 1e-2
+    assert crm.bulk_law(crm.GeneralizedGamma(0.05, 1.0), 2e6, 1e-2) is None
+    # constant extended gamma: one piece, taken from 10 expected arrivals on
+    eg = crm.ExtendedGamma(crm.Constant(1.0))
+    assert crm.bulk_law(eg, 20.0, 1e-3).pieces == 1
+    assert crm.bulk_law(eg, 1.0, 1.0) is None
 
 
 def test_bulk_refuses_too_many_pieces_before_drawing():
     # GG(0.05, 1) on a bulk of 2e6 asks for 4e7 pieces
+    gg = crm.GeneralizedGamma(0.05, 1.0)
     with pytest.raises(ValueError, match=r"^a bulk of length 2e\+06 asks for 4e\+07 pieces per "
                                          r"draw of generalized_gamma\(sigma=0\.05,gamma=1\), "
                                          r"above the limit 2e\+07$"):
-        crm.sample_bulk(crm.GeneralizedGamma(0.05, 1.0), (0.0, 2e6 + 2.0), (1.0, 2e6 + 1.0),
-                        1e-6, _NoDraws())
+        crm.sample_bulk(gg, (0.0, 2e6 + 2.0), (1.0, 2e6 + 1.0), gg.mass_law(2e6), 1e-6,
+                        _NoDraws())
 
 
 def test_seeded_determinism_bit_for_bit():

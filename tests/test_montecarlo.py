@@ -493,9 +493,10 @@ def test_path_variance_quadrature_centering_is_unbiased():
 
 
 def test_budget_refusal_and_unsupported():
-    # the bulk [1, 299] is drawn untruncated, so only the boundary's mass
-    # below eps biases the statistic: 0.0227 at eps = 1e-2 exceeds 1% of the
-    # target sd (0.0141), and 0.00023 at eps = 1e-6 does not
+    # at eps = 1e-2 the bulk [1, 299] would cost more than its series, so
+    # the full series is drawn and its mass below eps biases the statistic
+    # by 3.89, above 1% of the target sd (0.0141); at eps = 1e-6 the bulk is
+    # drawn untruncated and only the boundary's bias, 0.00023, remains
     cfg = mc.ExperimentConfig(kernel=kernels.Rectangular(1.0), intensity=GG,
                               functional=Functional.CUMULATIVE_HAZARD,
                               horizon=300.0, replicates=100, seed=5, epsilon=1e-2,
@@ -529,6 +530,19 @@ def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, seeds):
     assert stats.ks_2samp(bulk, full + shift).pvalue > 0.01
     se = bulk.std(ddof=1) / math.sqrt(bulk.size)
     assert abs(bulk.mean() - mc._exact_center(bulk_cfg, truncated=True)) <= 4.0 * se
+
+
+def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
+    # rectangular(1) + GG(0.5, 1) at eps = 1e-2: the flat interval's 96
+    # pieces would cost more than its ~540 expected arrivals, so sample_crm
+    # draws the full series and centers on I_1(eps)
+    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
+                              50.0, seed=2235, epsilon=1e-2)
+    assert mc._bulk(cfg) is None
+    for r in range(3):
+        assert mc.sample_crm(cfg, r).to_csv_text() == mc.sample_series(cfg, r).to_csv_text()
+    assert mc._exact_center(cfg, truncated=True) == mc._I1(cfg, truncated=True)
+    assert mc._bulk(dataclasses.replace(cfg, epsilon=1e-6)) is not None
 
 
 def test_worker_resolution_env_cap(monkeypatch):
