@@ -189,8 +189,7 @@ def _regime_quadratic(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
         return Unsupported(_MONOTONE_REASON)
     if not crm.is_homogeneous(intensity):
         return Unsupported(
-            "non-homogeneous intensity: the limiting variance depends on the whole "
-            "profile; bracket with constant-parameter envelopes or run check-conditions")
+            "non-homogeneous intensity: the limiting variance depends on the whole profile")
     k1, k2, k3, k4 = _moments(intensity)
     m, r0, r2 = kernel.bulk
     s1 = 2.0 * k2 ** 2 * r2

@@ -33,13 +33,12 @@ import numpy as np
 
 from . import crm, kernels
 from ._numeric import gl_panels, quad_breaks, sorted_unique
-from .asymptotics import (NotCatalogedError, Power, PowerLog, RateFunction,
-                          regime_cumhaz)
+from .asymptotics import Power, PowerLog, RateFunction, regime_cumhaz
 
 __all__ = [
-    "Theorem", "Verdict", "ConditionReport", "ComparisonReport", "FitResult",
+    "Theorem", "Verdict", "ConditionReport", "FitResult",
     "I_moments", "ContractionNorms", "contraction_norms", "check_theorem",
-    "fit_slope", "classify", "sandwich_compare", "mc_norm_oracle",
+    "fit_slope", "classify", "mc_norm_oracle",
 ]
 
 
@@ -412,94 +411,6 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     return ConditionReport(theorem, t_grid, values, verdicts,
                            delta_estimate=delta_est,
                            rate_label=rate.label())
-
-
-# ---------------------------------------------------------------------------
-# comparison (sandwich) checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ComparisonReport:
-    t_grid: List[float]
-    i2_lower: List[float]
-    i2_target: List[float]
-    i2_upper: List[float]
-    bracket_ok: bool
-    rate_ratio_slope: float
-    variance_interval: Optional[tuple]
-
-    def to_json_dict(self) -> dict:
-        return {"t_grid": self.t_grid, "i2_lower": self.i2_lower,
-                "i2_target": self.i2_target, "i2_upper": self.i2_upper,
-                "bracket_ok": self.bracket_ok,
-                "rate_ratio_slope": self.rate_ratio_slope,
-                "variance_interval": self.variance_interval}
-
-
-def _dominance_grid(kernel_lo, kernel_hi, target_kernel, t_max: float):
-    ts = np.linspace(0.0, t_max, 200)
-    lo_w, hi_w = kernels.location_window(kernel_hi, t_max)
-    xs = np.linspace(lo_w, hi_w, 200)
-    for t in ts:
-        klo = kernels.eval_kernel(kernel_lo, t, xs)
-        k = kernels.eval_kernel(target_kernel, t, xs)
-        khi = kernels.eval_kernel(kernel_hi, t, xs)
-        bad = np.where((klo > k + 1e-12) | (k > khi + 1e-12))[0]
-        if bad.size:
-            x = xs[bad[0]]
-            raise ValueError(
-                f"kernel dominance violated at (t={t:g}, x={x:g}): "
-                f"{klo[bad[0]]:g} <= {k[bad[0]]:g} <= {khi[bad[0]]:g} fails")
-
-
-def _intensity_dominance(int_lo, int_target, int_hi, x_max: float):
-    vs = np.geomspace(1e-8, min(0.999999 * int_target.ceiling, 50.0), 60)
-    xs = np.linspace(0.0, x_max, 40)
-    for x in xs:
-        lo = crm.jump_density(int_lo, vs, x)
-        mid = crm.jump_density(int_target, vs, x)
-        hi = crm.jump_density(int_hi, vs, x)
-        bad = np.where((lo > mid * (1 + 1e-9) + 1e-300) & (lo > mid + 1e-15))[0]
-        bad2 = np.where((mid > hi * (1 + 1e-9) + 1e-300) & (mid > hi + 1e-15))[0]
-        if bad.size or bad2.size:
-            j = (bad if bad.size else bad2)[0]
-            raise ValueError(
-                f"intensity dominance violated at (v={vs[j]:g}, x={x:g})")
-
-
-def sandwich_compare(kernel_lo, kernel_hi, intensity_lo, intensity_hi,
-                     target_kernel, target_intensity,
-                     t_grid: Sequence[float]) -> ComparisonReport:
-    """Comparison check: with pointwise bounds on the kernel and intensity,
-    I_2 of the target is bracketed by I_2 of the bounding pairs at every
-    horizon, and the implied limit variance lies in the bounds' interval.
-
-    Dominance is verified on a 200 x 200 evaluation grid first, and the two
-    bounds must share a rate (fitted slope of their C0 ratio ~ 0).
-    """
-    t_grid = [float(t) for t in t_grid]
-    t_max = max(t_grid)
-    _dominance_grid(kernel_lo, kernel_hi, target_kernel, t_max)
-    _intensity_dominance(intensity_lo, target_intensity, intensity_hi,
-                         kernels.location_window(kernel_hi, t_max)[1])
-    lo_series = [I_moments(kernel_lo, intensity_lo, T, 2) for T in t_grid]
-    hi_series = [I_moments(kernel_hi, intensity_hi, T, 2) for T in t_grid]
-    mid_series = [I_moments(target_kernel, target_intensity, T, 2) for T in t_grid]
-    tol = 1e-9
-    ok = all(l <= m * (1 + tol) + tol and m <= h * (1 + tol) + tol
-             for l, m, h in zip(lo_series, mid_series, hi_series))
-    ratio = np.asarray(lo_series) / np.asarray(hi_series)
-    slope = fit_slope(t_grid, np.maximum(ratio, 1e-300)).slope
-    var_interval = None
-    try:
-        v_lo = regime_cumhaz(kernel_lo, intensity_lo).limit_variance
-        v_hi = regime_cumhaz(kernel_hi, intensity_hi).limit_variance
-        var_interval = (min(v_lo, v_hi), max(v_lo, v_hi))
-    except NotCatalogedError:
-        pass
-    return ComparisonReport(t_grid, lo_series, mid_series, hi_series,
-                            bracket_ok=ok, rate_ratio_slope=slope,
-                            variance_interval=var_interval)
 
 
 # ---------------------------------------------------------------------------

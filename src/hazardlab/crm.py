@@ -17,8 +17,9 @@ which has no such nu0 yet, inverts the tail of rho by one cubic per jump,
 from a cached Hermite table of log v on nodes uniform in log(rate * N(v)).
 sample_bulk draws the mass of an interval whole, from the family's exact
 total-mass law, where it has one (generalized gamma, constant extended
-gamma); bulk_law gives that law where it costs less than the series.  Each family's class carries its facts; the module functions are
-the validated entry points.
+gamma); bulk_law gives that law where it costs less than the series.
+Each family's class carries its facts; the module functions are the
+validated entry points.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 import numpy as np
 
 from ._numeric import (_STREAM, betainc, betaincc, comp_sum, exp1, gammainc, gammaincc,
-                       gammaln, gl_panels, quad_breaks, xlog1py)
+                       gammaln, gl_panels, xlog1py)
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -52,8 +53,9 @@ class EnvelopeError(Exception):
 # takes 160 MB.  A draw holds two at full length, the arrival times
 # (overwritten by the jumps) and the locations; a thinned draw also holds
 # its acceptance uniforms and probabilities and the thinned copies.  The
-# inverse and keep steps run over blocks of _numeric._STREAM atoms.  The cumulative hazard adds no array of
-# the draw's length (it keeps blocks and their partials).  The path
+# inverse and keep steps run over blocks of _numeric._STREAM atoms.  The
+# cumulative hazard adds no array of the draw's length (it keeps blocks
+# and their partials).  The path
 # functionals' pair sums do: the Green's-function prefix sums ~2.2 arrays
 # of n, the rectangular sweep five of 2n at its peak (the gaps
 # between the merged starts and ends, the signed jumps in merge order and
@@ -195,7 +197,7 @@ class _Family:
     int_v^inf rho(du); the thinning envelope(lo, hi), the tightest
     constant-parameter envelope of the same family on the window, as
     (homogeneous envelope intensity, rate multiplier, acceptance probability
-    function of (v, x), envelope label) (non-homogeneous members only); and
+    function of (v, x)) (non-homogeneous members only); and
     draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
     (homogeneous members only).  dominating() gives the Dominating measure
     Ferguson-Klass runs on (homogeneous members only), or None where the
@@ -333,7 +335,7 @@ class ExtendedGamma(_Profiled):
         def accept(v, x):
             return np.exp(-(fn(x) - L) * v)
 
-        return ExtendedGamma(Constant(L)), 1.0, accept, f"extended_gamma(constant({L:g}))"
+        return ExtendedGamma(Constant(L)), 1.0, accept
 
     def draw_tilted(self, rng, n, power):
         return rng.gamma(float(power), 1.0 / self.beta_fn.a, size=n)
@@ -422,8 +424,7 @@ class Beta(_Profiled):
             c = fn(x)
             return (c / c_max) * np.exp(xlog1py(c - c_min, -v))
 
-        return Beta(Constant(c_min)), c_max / c_min, accept, \
-            f"beta(constant({c_min:g}))*{c_max / c_min:g}"
+        return Beta(Constant(c_min)), c_max / c_min, accept
 
     def draw_tilted(self, rng, n, power):
         return rng.beta(float(power), self.c_fn.a, size=n)
@@ -586,20 +587,14 @@ class CrmSample:
     """A realized, epsilon-truncated CRM on a bounded window.
 
     jumps are non-increasing (Ferguson-Klass order, which rejection and
-    thinning keep); every jump is >= epsilon; mean_deficit bounds the mean
-    mass discarded below epsilon.  envelope records the thinning envelope,
-    when one was used.  A bulk draw (sample_bulk) ends in aggregated atoms,
-    one per piece of the bulk, each the piece's whole untruncated mass:
-    they are exempt from the ordering and from the epsilon floor, and
-    mean_deficit counts the Ferguson-Klass part of the window only.
+    thinning keep) and every jump is >= epsilon.  A bulk draw (sample_bulk)
+    ends in aggregated atoms, one per piece of the bulk, each the piece's
+    whole untruncated mass: they are exempt from the ordering and from the
+    epsilon floor.
     """
     jumps: np.ndarray
     locations: np.ndarray
     window: tuple
-    epsilon: float
-    mean_deficit: float
-    seed: Optional[int] = None
-    envelope: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", np.asarray(self.jumps, dtype=float))
@@ -613,21 +608,6 @@ class CrmSample:
 
     def total_mass(self) -> float:
         return comp_sum(self.jumps)
-
-    def to_csv_text(self) -> str:
-        a, b = self.window
-        seed = "none" if self.seed is None else str(self.seed)
-        lines = [
-            f"# epsilon={self.epsilon:.17g} window={a:.17g},{b:.17g} "
-            f"mean_deficit={self.mean_deficit:.17g} seed={seed}",
-            "jump,location",
-        ]
-        lines.extend(f"{j:.17g},{x:.17g}" for j, x in zip(self.jumps, self.locations))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
 
 
 def _check_window(window) -> tuple:
@@ -782,14 +762,14 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
 
 
 def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
-            seed: Optional[int], thin: bool) -> CrmSample:
+            thin: bool) -> CrmSample:
     lo, hi = _check_window(window)
     if not (epsilon > 0):
         raise ValueError("epsilon must be > 0")
     if thin:
-        env, rate_mult, accept, env_label = intensity.envelope(lo, hi)
+        env, rate_mult, accept = intensity.envelope(lo, hi)
     elif intensity.homogeneous:
-        env, rate_mult, env_label = intensity, 1.0, ""
+        env, rate_mult = intensity, 1.0
     else:
         raise ValueError(
             f"{intensity.label()} is non-homogeneous; use sample_nonhomogeneous")
@@ -798,36 +778,23 @@ def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gen
     if thin:
         keep = rng.uniform(size=jumps.size) < accept(jumps, locations)
         jumps, locations = jumps[keep], locations[keep]
-    return CrmSample(jumps, locations, (lo, hi), epsilon, _deficit(intensity, epsilon, lo, hi),
-                     seed=seed, envelope=env_label)
-
-
-@lru_cache(maxsize=64)
-def _deficit(intensity: JumpIntensity, epsilon: float, lo: float, hi: float) -> float:
-    """Mean jump mass below epsilon of the *target* intensity, integrated
-    over the window [lo, hi); cached, as every replicate of a run asks for
-    the same one."""
-    if intensity.homogeneous:
-        return (hi - lo) * mean_below(intensity, epsilon)
-    return quad_breaks(lambda x: mean_below(intensity, epsilon, x),
-                       lo, hi, intensity.kinks, rel_tol=1e-10)
+    return CrmSample(jumps, locations, (lo, hi))
 
 
 def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,
-                       rng: np.random.Generator, seed: Optional[int] = None) -> CrmSample:
+                       rng: np.random.Generator) -> CrmSample:
     """Exact-above-epsilon Ferguson-Klass sample of a homogeneous CRM
     (rejection from the family's dominating measure, see _fk_jumps).
 
-    Jumps come out non-increasing; locations are uniform on the window;
-    mean_deficit = |window| * int_0^epsilon v rho(dv).  Raises ValueError,
-    before any draw, when the expected series length exceeds
-    MAX_EXPECTED_ATOMS.
+    Jumps come out non-increasing; locations are uniform on the window.
+    Raises ValueError, before any draw, when the expected series length
+    exceeds MAX_EXPECTED_ATOMS.
     """
-    return _sample(intensity, window, epsilon, rng, seed, thin=False)
+    return _sample(intensity, window, epsilon, rng, thin=False)
 
 
 def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
-                          rng: np.random.Generator, seed: Optional[int] = None) -> CrmSample:
+                          rng: np.random.Generator) -> CrmSample:
     """Thinning sampler for extended-gamma / beta intensities.
 
     A homogeneous envelope (constant-parameter member of the same family,
@@ -837,7 +804,7 @@ def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
     which is exp(-(beta(x)-L)v) resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.  The
     same MAX_EXPECTED_ATOMS preflight applies to the envelope's series.
     """
-    return _sample(intensity, window, epsilon, rng, seed, thin=True)
+    return _sample(intensity, window, epsilon, rng, thin=True)
 
 
 # A bulk piece costs about ten Ferguson-Klass arrivals: about e Kanter
@@ -859,7 +826,7 @@ def bulk_law(intensity: JumpIntensity, length: float, epsilon: float) -> Optiona
 
 
 def sample_bulk(intensity: JumpIntensity, window, bulk, law: MassLaw, epsilon: float,
-                rng: np.random.Generator, seed: Optional[int] = None) -> CrmSample:
+                rng: np.random.Generator) -> CrmSample:
     """A homogeneous CRM on the window whose mass in the interval bulk =
     (a, b) is drawn whole from law, the family's MassLaw of b - a
     (bulk_law or mass_law), untruncated, as one aggregated atom at the
@@ -868,8 +835,7 @@ def sample_bulk(intensity: JumpIntensity, window, bulk, law: MassLaw, epsilon: f
     sample_homogeneous.
 
     A functional that is constant in x on the bulk sees the same law as on
-    the full series there, with nothing below epsilon discarded, so
-    mean_deficit = |window outside the bulk| * int_0^epsilon v rho(dv).
+    the full series there, with nothing below epsilon discarded.
     Raises ValueError, before any draw, when either part's count exceeds
     MAX_EXPECTED_ATOMS.
     """
@@ -890,4 +856,4 @@ def sample_bulk(intensity: JumpIntensity, window, bulk, law: MassLaw, epsilon: f
     masses = law.draw(rng)
     centers = a + (b - a) * (np.arange(masses.size) + 0.5) / masses.size
     return CrmSample(np.concatenate([jumps, masses]), np.concatenate([locations, centers]),
-                     (lo, hi), epsilon, edge * mean_below(intensity, epsilon), seed=seed)
+                     (lo, hi))

@@ -228,10 +228,8 @@ def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     rng = _stream(config, replicate)
     window = kernels.location_window(config.kernel, config.horizon)
     if crm.is_homogeneous(config.intensity):
-        return crm.sample_homogeneous(config.intensity, window, config.epsilon,
-                                      rng, seed=config.seed)
-    return crm.sample_nonhomogeneous(config.intensity, window, config.epsilon,
-                                     rng, seed=config.seed)
+        return crm.sample_homogeneous(config.intensity, window, config.epsilon, rng)
+    return crm.sample_nonhomogeneous(config.intensity, window, config.epsilon, rng)
 
 
 def _bulk(config: ExperimentConfig):
@@ -260,7 +258,7 @@ def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     flat, law = bulk
     return crm.sample_bulk(config.intensity,
                            kernels.location_window(config.kernel, config.horizon), flat, law,
-                           config.epsilon, _stream(config, replicate), seed=config.seed)
+                           config.epsilon, _stream(config, replicate))
 
 
 _FUNCTIONALS = {

@@ -292,8 +292,7 @@ def test_criterion_8_invariant_suites():
                  kernels.DykstraLaud(), kernels.UShaped(2.0)):
         T = 30.0
         lo, hi = kernels.location_window(kern, T)
-        s = crm.CrmSample(rng.exponential(0.5, 600), rng.uniform(lo, hi, 600),
-                          (lo, hi), 1e-6, 0.0)
+        s = crm.CrmSample(rng.exponential(0.5, 600), rng.uniform(lo, hi, 600), (lo, hi))
         p2m = mc.path_second_moment(s, kern, T)
         ident = mc.path_variance(s, kern, T) + (mc.cumhaz(s, kern, T) / T) ** 2
         if abs(ident - p2m) > 1e-12 * max(1.0, p2m):

@@ -444,44 +444,3 @@ def test_report_serialization_round_trip():
     csv = rep.to_csv_text().splitlines()
     assert csv[0] == "condition,T,value,verdict"
     assert len(csv) == 1 + 2 * 4
-
-
-# ---------------------------------------------------------------------------
-# sandwich comparison
-# ---------------------------------------------------------------------------
-
-def test_sandwich_degenerate_bounds():
-    rep = cond.sandwich_compare(kernels.Rectangular(1.0), kernels.Rectangular(1.0),
-                                GG, GG, kernels.Rectangular(1.0), GG,
-                                [20.0, 40.0, 80.0, 160.0])
-    assert rep.bracket_ok
-    assert rep.i2_lower == pytest.approx(rep.i2_target)
-    assert rep.i2_upper == pytest.approx(rep.i2_target)
-    assert abs(rep.rate_ratio_slope) < 1e-9
-    assert rep.variance_interval[0] == pytest.approx(rep.variance_interval[1])
-
-
-def test_sandwich_extended_gamma_profile():
-    # beta(x) in [L, M] on the window: the measure-lower bound has the
-    # LARGER rate M (bigger beta -> smaller jump moments), so the I2
-    # ordering flips relative to the profile bounds
-    grid = [20.0, 40.0, 80.0, 160.0]
-    kern = kernels.Rectangular(1.0)
-    target = crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
-    x_max = kernels.location_window(kern, max(grid))[1]
-    L, M = 1.0, 1.0 + math.sqrt(x_max)
-    rep = cond.sandwich_compare(kern, kern,
-                                crm.ExtendedGamma(crm.Constant(M)),
-                                crm.ExtendedGamma(crm.Constant(L)),
-                                kern, target, grid)
-    assert rep.bracket_ok
-    assert all(l < m < h for l, m, h in zip(rep.i2_lower, rep.i2_target, rep.i2_upper))
-    lo_var, hi_var = rep.variance_interval
-    assert lo_var < hi_var
-
-
-def test_sandwich_dominance_violation_names_point():
-    with pytest.raises(ValueError, match=r"dominance violated at \(t="):
-        cond.sandwich_compare(kernels.Rectangular(1.5), kernels.Rectangular(1.0),
-                              GG, GG, kernels.Rectangular(1.2), GG,
-                              [20.0, 40.0, 80.0, 160.0])

@@ -182,11 +182,10 @@ def test_sampler_rejects_bad_arguments(rng):
 
 
 def test_beta_full_truncation(rng):
-    # epsilon >= 1 discards every jump; the deficit is the full mean mass
+    # epsilon >= 1 discards every jump
     be = crm.Beta(crm.Constant(1.0))
     s = crm.sample_homogeneous(be, (0.0, 5.0), 1.0, rng)
     assert s.size == 0
-    assert s.mean_deficit == pytest.approx(5.0 * crm.moment(be, 1, x=0.0), rel=1e-12)
 
 
 def test_jumps_nonincreasing_and_above_epsilon(rng):
@@ -391,7 +390,6 @@ def test_mass_law_facts_and_bulk_layout():
     assert np.allclose(s.locations[agg], 10.0 + 80.0 * (np.arange(227) + 0.5) / 227,
                        rtol=1e-15, atol=0.0)
     assert np.all(s.jumps[agg] >= 0.0)
-    assert s.mean_deficit == pytest.approx(21.0 * crm.mean_below(gg, 1e-4), rel=1e-15)
 
 
 def test_bulk_law_only_where_its_pieces_cost_less_than_the_series():
@@ -422,22 +420,9 @@ def test_bulk_refuses_too_many_pieces_before_drawing():
 
 def test_seeded_determinism_bit_for_bit():
     gg = crm.GeneralizedGamma(0.5, 1.0)
-    a = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109), seed=109)
-    b = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109), seed=109)
-    assert a.to_csv_text() == b.to_csv_text()
-
-
-def test_csv_header_format(tmp_path):
-    eg = crm.ExtendedGamma(crm.Constant(1.0))
-    s = crm.sample_homogeneous(eg, (0.0, 4.0), 1e-4, seeded(110), seed=42)
-    text = s.to_csv_text()
-    first, second = text.splitlines()[:2]
-    assert first.startswith("# epsilon=") and "window=0,4" in first \
-        and "mean_deficit=" in first and "seed=42" in first
-    assert second == "jump,location"
-    path = tmp_path / "sample.csv"
-    s.to_csv(path)
-    assert path.read_text() == text
+    a = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109))
+    b = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109))
+    assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +435,6 @@ def test_constant_profile_routed_to_thinning_is_degenerate():
     # acceptance probability is identically 1: law equals the homogeneous one
     lam = 10.0 * crm.tail_mass(eg, 1e-5)
     assert abs(s.size - lam) <= 5.0 * math.sqrt(lam)
-    assert s.envelope.startswith("extended_gamma")
 
 
 def test_extended_gamma_thinning_campbell():
@@ -486,14 +470,14 @@ def test_beta_envelope_requires_c_at_least_one():
 
 def test_thinning_acceptance_probabilities_valid():
     intensity = crm.ExtendedGamma(crm.AffineSqrt(0.5, 1.5))
-    env, mult, accept, _ = intensity.envelope(0.0, 25.0)
+    env, mult, accept = intensity.envelope(0.0, 25.0)
     rng = seeded(115)
     v = rng.uniform(1e-6, 5.0, 500)
     x = rng.uniform(0.0, 25.0, 500)
     p = accept(v, x)
     assert np.all((p >= 0) & (p <= 1))
     b = crm.Beta(crm.AffineSqrt(1.0, 0.7))
-    env, mult, accept, _ = b.envelope(0.0, 25.0)
+    env, mult, accept = b.envelope(0.0, 25.0)
     v = rng.uniform(1e-6, 0.999, 500)
     p = accept(v, x)
     assert np.all((p >= 0) & (p <= 1 + 1e-12))

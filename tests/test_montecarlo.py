@@ -27,7 +27,7 @@ def make_sample(kern, T, n, entropy=500, jump_scale=0.5):
     lo, hi = kernels.location_window(kern, T)
     J = rng.exponential(jump_scale, n)
     x = rng.uniform(lo, hi, n)
-    return crm.CrmSample(J, x, (lo, hi), 1e-6, 0.0)
+    return crm.CrmSample(J, x, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,9 @@ def make_sample(kern, T, n, entropy=500, jump_scale=0.5):
 
 def test_cumhaz_reference_values():
     kern = kernels.DykstraLaud()
-    empty = crm.CrmSample(np.empty(0), np.empty(0), (0.0, 3.0), 1e-6, 0.0)
+    empty = crm.CrmSample(np.empty(0), np.empty(0), (0.0, 3.0))
     assert mc.cumhaz(empty, kern, 3.0) == 0.0
-    single = crm.CrmSample(np.array([2.0]), np.array([1.0]), (0.0, 3.0), 1e-6, 0.0)
+    single = crm.CrmSample(np.array([2.0]), np.array([1.0]), (0.0, 3.0))
     assert mc.cumhaz(single, kern, 3.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         mc.cumhaz(single, kernels.Rectangular(1.0), 3.0)   # window too small
@@ -137,10 +137,10 @@ def test_green_pair_sum_holds_two_arrays_of_n(kern):
 def test_path2nd_single_atom_ou():
     kern = kernels.OrnsteinUhlenbeck(1.0)
     T = 50.0
-    s = crm.CrmSample(np.array([1.0]), np.array([0.0]), (0.0, T), 1e-6, 0.0)
+    s = crm.CrmSample(np.array([1.0]), np.array([0.0]), (0.0, T))
     assert mc.path_second_moment(s, kern, T) \
         == pytest.approx(kernels.Q_T(kern, T, 0.0, 0.0) / T, rel=1e-14)
-    empty = crm.CrmSample(np.empty(0), np.empty(0), (0.0, T), 1e-6, 0.0)
+    empty = crm.CrmSample(np.empty(0), np.empty(0), (0.0, T))
     assert mc.path_second_moment(empty, kern, T) == 0.0
 
 
@@ -170,8 +170,23 @@ def test_path_variance_identity_and_clamp():
     # a hazard path that is constant on [0, T] has zero path variance
     kern = kernels.Rectangular(2.0)
     T = 1.0
-    s = crm.CrmSample(np.array([1.3]), np.array([0.9]), (0.0, 3.0), 1e-6, 0.0)
+    s = crm.CrmSample(np.array([1.3]), np.array([0.9]), (0.0, 3.0))
     assert mc.path_variance(s, kern, T) <= 1e-12
+
+
+def test_path_variance_clamp_at_scale():
+    # 1e5 equal jumps at (2k + 1) tau tile [0, T = 2e5 tau] with rectangular
+    # spans, so h is constant and p2m - (H/T)^2 cancels completely: what
+    # rounding of the jumps leaves of it must stay within the clamp.  tau = 1
+    # keeps the locations exact; at tau = 0.7 their rounding opens gaps and
+    # overlaps of an ulp, and the path variance is ~5e-12 p2m in fact.
+    kern, n = kernels.Rectangular(1.0), 100_000
+    T = 2.0 * n * kern.tau
+    x = (2.0 * np.arange(n) + 1.0) * kern.tau
+    s = crm.CrmSample(np.full(n, 0.3), x, kernels.location_window(kern, T))
+    p2m = mc.path_second_moment(s, kern, T)
+    v = mc.path_variance(s, kern, T)
+    assert 0.0 <= v <= 1e-12 * p2m
 
 
 @pytest.mark.parametrize("kern", [kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
@@ -185,7 +200,7 @@ def test_pair_sums_below_one_at_relative_precision(kern):
     s = make_sample(kern, T, 500, entropy=520, jump_scale=0.002)
     x = s.locations.copy()
     x[::2] = np.round(x[::2], 1)
-    s = crm.CrmSample(s.jumps, x, s.window, 1e-6, 0.0)
+    s = crm.CrmSample(s.jumps, x, s.window)
     assert np.unique(x).size < x.size
     Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
     naive = float(s.jumps @ Q @ s.jumps) / T
@@ -267,7 +282,7 @@ def test_rect_prefix_pair_sum_equals_naive_double_sum():
             x = np.concatenate([s.locations, extra])
             x[::2] = np.round(x[::2], 1)
             J = np.concatenate([s.jumps, np.ones(extra.size)])
-            s = crm.CrmSample(J, x, (0.0, T + 3 * tau), 1e-6, 0.0)
+            s = crm.CrmSample(J, x, (0.0, T + 3 * tau))
             assert np.unique(x).size < x.size
             assert np.any((x > T) & (x <= T + tau)) and np.any(x > T + tau)
             Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
@@ -292,7 +307,7 @@ def test_rect_path2nd_random_cases_equal_naive_double_sum():
         x[snap] = np.minimum(np.round(x[snap] * 16.0) / 16.0, T + tau)
         x = np.concatenate([x, rng.uniform(T + tau, T + 3.0 * tau, 5)])
         J = rng.exponential(1.0, x.size) * 10.0 ** rng.uniform(-4.0, 0.0, x.size)
-        s = crm.CrmSample(J, x, (0.0, T + 3.0 * tau), 1e-6, 0.0)
+        s = crm.CrmSample(J, x, (0.0, T + 3.0 * tau))
         tied += bool(np.any(np.abs(x[:, None] - x[None, :]) == 2.0 * tau))
         short += T < 2.0 * tau
         Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
@@ -328,7 +343,7 @@ def test_green_path2nd_random_cases_equal_naive_double_sum():
         step = (hi - lo) / 64.0
         x[snap] = np.minimum(lo + np.round((x[snap] - lo) / step) * step, hi)
         J = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-4.0, 0.0, n)
-        s = crm.CrmSample(J, x, (lo, hi), 1e-6, 0.0)
+        s = crm.CrmSample(J, x, (lo, hi))
         tied += np.unique(x).size < n
         if kind == "ou":
             crossing += kappa * np.ptp(x) > kernels._SPAN
@@ -511,6 +526,19 @@ def test_budget_refusal_and_unsupported():
         mc.run_clt(bad, workers=1)
 
 
+def test_nonhomogeneous_quadratic_refusal_names_check_conditions_once():
+    # the catalog says why (the limit depends on the whole profile) and
+    # run_clt alone points to check-conditions
+    cfg = mc.ExperimentConfig(kernels.OrnsteinUhlenbeck(1.0),
+                              crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
+                              Functional.PATH_VARIANCE, 100.0)
+    with pytest.raises(ValueError) as info:
+        mc.run_clt(cfg, workers=1)
+    msg = str(info.value)
+    assert "depends on the whole profile" in msg
+    assert msg.count("check-conditions") == 1 and "envelope" not in msg
+
+
 @pytest.mark.parametrize("intensity, seeds", [(GG, (2231, 2232)), (EG1, (2233, 2234))],
                          ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, seeds):
@@ -540,7 +568,8 @@ def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
                               50.0, seed=2235, epsilon=1e-2)
     assert mc._bulk(cfg) is None
     for r in range(3):
-        assert mc.sample_crm(cfg, r).to_csv_text() == mc.sample_series(cfg, r).to_csv_text()
+        a, b = mc.sample_crm(cfg, r), mc.sample_series(cfg, r)
+        assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
     assert mc._exact_center(cfg, truncated=True) == mc._I1(cfg, truncated=True)
     assert mc._bulk(dataclasses.replace(cfg, epsilon=1e-6)) is not None
 
