@@ -155,6 +155,19 @@ def test_regime_dispatch_and_rows():
     assert len(rect_rows) == 1 and rect_rows[0]["delta"]
 
 
+def test_nonhomogeneous_quadratic_rows_give_the_profile_reason():
+    # the regimes table says why and no more: check-conditions is named by
+    # run_clt's refusal, and no envelope bracket covers a quadratic functional
+    pairs = [(k, i) for k, i in asy.default_catalog_pairs()
+             if not crm.is_homogeneous(i) and not k.nested]
+    rows = [r for r in asy.catalog_rows(pairs)
+            if r["functional"] != asy.Functional.CUMULATIVE_HAZARD.value]
+    assert len(rows) == 2 * 2
+    assert all(r["supported"] == "no" and r["reason"] ==
+               "non-homogeneous intensity: the limiting variance depends on the whole profile"
+               for r in rows)
+
+
 def test_regime_spec_validation():
     with pytest.raises(ValueError):
         asy.RegimeSpec(asy.Functional.CUMULATIVE_HAZARD, asy.Power(-0.5),

@@ -574,6 +574,23 @@ def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
     assert mc._bulk(dataclasses.replace(cfg, epsilon=1e-6)) is not None
 
 
+@pytest.mark.parametrize("eps, deficit_per_mass", [(1e-2, 2.0 * 50.0 - 0.5), (1e-6, 3.5)],
+                         ids=["series", "bulk"])
+def test_run_level_truncation_deficit(eps, deficit_per_mass):
+    # what truncation leaves behind is the full minus the truncated center.
+    # Rectangular(1) on the window [0, T + 1] has int K_T dx = 1.5 + 2(T - 2)
+    # + 2 = 2T - 0.5, and K_T = 2 on its flat interval [1, T - 1], whose
+    # mass below eps the bulk keeps: the deficit is mean_below(eps) times
+    # 2T - 0.5 on the series and 3.5 with the bulk.  Both centers carry the
+    # quadrature's 1e-11 relative error on I_1 ~ 1e2, up to 3e-7 of the
+    # bulk's deficit of ~4e-3.
+    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
+                              50.0, seed=2236, epsilon=eps)
+    assert (mc._bulk(cfg) is None) == (eps == 1e-2)
+    deficit = mc._exact_center(cfg, truncated=False) - mc._exact_center(cfg, truncated=True)
+    assert deficit == pytest.approx(deficit_per_mass * crm.mean_below(GG, eps), rel=1e-6)
+
+
 def test_worker_resolution_env_cap(monkeypatch):
     import os
     monkeypatch.setenv("HAZARDLAB_THREADS", "1")
