@@ -333,12 +333,6 @@ def _e1_fraction(z, depth: int):
 def exp1(z):
     """E1(z) = int_z^inf e^-t / t dt for z >= 0."""
     z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        v = float(z)
-        if not v > 1.0:
-            return float(_e1_series(v)) if v > 0.0 else (math.inf if v == 0.0 else math.nan)
-        depth = next(d for edge, d in reversed(_E1_DEPTH) if v > edge)
-        return float(_e1_fraction(v, depth))
     flat = z.ravel()
     out = np.full(flat.shape, np.nan)
     out[flat == 0] = np.inf

@@ -147,14 +147,14 @@ _MONOTONE_REASON = (
 
 
 def _moments(intensity, upto=4):
-    return [crm.moment(intensity, i) for i in range(1, upto + 1)]
+    return [crm.jump_moment(intensity, i) for i in range(1, upto + 1)]
 
 
 def regime_cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> RegimeSpec:
     """Theorem-level regime of C0(T) * [H(T) - trend(T)] -> N(0, sigma0^2)."""
     F = Functional.CUMULATIVE_HAZARD
-    if crm.is_homogeneous(intensity):
-        k1, k2 = crm.moment(intensity, 1), crm.moment(intensity, 2)
+    if intensity.homogeneous:
+        k1, k2 = crm.jump_moment(intensity, 1), crm.jump_moment(intensity, 2)
         if kernel.nested:
             var = k2 / 3.0
             return RegimeSpec(F, Power(-1.5), PowerTrend(0.5 * k1, 2.0), var, sigma0_sq=var)
@@ -187,7 +187,7 @@ def _regime_quadratic(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
                       F: Functional) -> Union[RegimeSpec, Unsupported]:
     if kernel.nested:
         return Unsupported(_MONOTONE_REASON)
-    if not crm.is_homogeneous(intensity):
+    if not intensity.homogeneous:
         return Unsupported(
             "non-homogeneous intensity: the limiting variance depends on the whole profile")
     k1, k2, k3, k4 = _moments(intensity)

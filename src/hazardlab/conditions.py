@@ -172,7 +172,7 @@ def _panel_edges(kernel, T, intensity) -> np.ndarray:
     edges = np.concatenate([edges, [hi], np.asarray(kernel.breaks(T)),
                             np.asarray(intensity.kinks, dtype=float)])
     edges = edges[(edges >= lo) & (edges <= hi)]
-    if not crm.is_homogeneous(intensity):
+    if not intensity.homogeneous:
         ladder = hi * 2.0 ** -np.arange(1.0, 42.0)
         edges = np.concatenate([edges, ladder[ladder > lo]])
     edges = sorted_unique(edges)
@@ -430,7 +430,7 @@ def mc_norm_oracle(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     independent copies, so every estimator is unbiased for the
     full-dimensional integral.
     """
-    if not crm.is_homogeneous(intensity):
+    if not intensity.homogeneous:
         raise ValueError("the Monte Carlo oracle covers homogeneous intensities")
     lo, hi = kernels.location_window(kernel, T)
     W = hi - lo
@@ -440,7 +440,7 @@ def mc_norm_oracle(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
         # W K^(power) / s^power.  The tilt must not exceed the lowest jump
         # power the estimator carries in that coordinate, or the weights
         # have infinite variance.
-        kp = crm.moment(intensity, power)
+        kp = crm.jump_moment(intensity, power)
         s = intensity.draw_tilted(rng, n, power)
         x = rng.uniform(lo, hi, size=n)
         return s, x, kp / s ** power * W

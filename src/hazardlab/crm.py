@@ -7,19 +7,20 @@ measure on locations:
 * extended gamma      rho(dv|x) = e^{-beta(x) v} / v dv
 * beta                rho(dv|x) = c(x) (1-v)^{c(x)-1} / v dv   on (0,1)
 
-The module provides closed-form jump moments and tail masses, exact
-truncated moments, a Ferguson-Klass sampler for the homogeneous cases and
-a thinning sampler against a constant-parameter envelope for the
-non-homogeneous ones.  Ferguson-Klass runs on a dominating Levy measure
-nu0 >= rho with a closed-form tail inverse and keeps each jump v with
-probability rho(v)/nu0(v) (Rosinski's rejection method); extended gamma,
-which has no such nu0 yet, inverts the tail of rho by one cubic per jump,
-from a cached Hermite table of log v on nodes uniform in log(rate * N(v)).
-sample_bulk draws the mass of an interval whole, from the family's exact
-total-mass law, where it has one (generalized gamma, constant extended
-gamma); bulk_law gives that law where it costs less than the series.
-Each family's class carries its facts; the module functions are the
-validated entry points.
+The module answers two questions, each through one function: jump_moment
+gives the exact (full or epsilon-truncated) jump moment at a location,
+and sample gives an epsilon-truncated draw on a window.  A homogeneous
+draw is the Ferguson-Klass series; a non-homogeneous one is thinned from
+a constant-parameter envelope.  Ferguson-Klass runs on a dominating Levy
+measure nu0 >= rho with a closed-form tail inverse and keeps each jump v
+with probability rho(v)/nu0(v) (Rosinski's rejection method); extended
+gamma, which has no such nu0 yet, inverts the tail of rho by one cubic per
+jump, from a cached Hermite table of log v on nodes uniform in
+log(rate * N(v)).  Given a bulk, sample draws that interval's mass whole,
+from the family's exact total-mass law (generalized gamma, constant
+extended gamma); bulk_law gives that law where it costs less than the
+series.  Each family's class carries its facts; the module functions are
+the validated entry points.
 """
 from __future__ import annotations
 
@@ -37,9 +38,7 @@ __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
     "GeneralizedGamma", "ExtendedGamma", "Beta", "JumpIntensity",
     "CrmSample", "EnvelopeError", "Dominating", "MassLaw", "MAX_EXPECTED_ATOMS",
-    "is_homogeneous", "moment", "moment_general", "moment_truncated",
-    "tail_mass", "jump_density", "mean_below", "jump_moment",
-    "sample_homogeneous", "sample_nonhomogeneous", "bulk_law", "sample_bulk",
+    "jump_moment", "tail_mass", "jump_density", "mean_below", "bulk_law", "sample",
 ]
 
 
@@ -48,8 +47,8 @@ class EnvelopeError(Exception):
 
 
 # The sampler refuses a draw whose expected Ferguson-Klass series is longer
-# than this, and a bulk cut into more pieces than this (sample_bulk: each
-# piece is one aggregated atom): each per-atom float array of such a draw
+# than this, and a bulk cut into more pieces than this (each piece of a
+# bulk is one aggregated atom): each per-atom float array of such a draw
 # takes 160 MB.  A draw holds two at full length, the arrival times
 # (overwritten by the jumps) and the locations; a thinned draw also holds
 # its acceptance uniforms and probabilities and the thinned copies.  The
@@ -213,6 +212,8 @@ class _Family:
     kinks: ClassVar[tuple] = ()
 
     def param(self, x):
+        """The family parameter at the location(s) x; x may be None for a
+        homogeneous intensity."""
         return None
 
     def dominating(self) -> Optional[Dominating]:
@@ -234,6 +235,10 @@ class _Profiled(_Family):
         return self.profile.kinks
 
     def param(self, x):
+        if x is None:
+            if not self.homogeneous:
+                raise ValueError(f"{self.label()} is non-homogeneous: supply the location x")
+            x = 0.0
         return np.asarray(self.profile(x), dtype=float)
 
 
@@ -275,9 +280,6 @@ class GeneralizedGamma(_Family):
         # Gamma(-s, z) through the recurrence Gamma(-s,z) = (z^-s e^-z - Gamma(1-s,z))/s
         upper = z ** (-s) * np.exp(-z) - math.gamma(1.0 - s) * gammaincc(1.0 - s, z)
         return np.maximum((g ** s / math.gamma(1.0 - s)) * upper / s, 0.0)
-
-    def envelope(self, lo: float, hi: float):
-        raise ValueError("generalized gamma is homogeneous; use sample_homogeneous")
 
     def draw_tilted(self, rng, n, power):
         return rng.gamma(power - self.sigma, 1.0 / self.gamma, size=n)
@@ -485,87 +487,51 @@ def _tilted_stable(rng: np.random.Generator, n: int, sigma: float, gamma: float,
     return out
 
 
-def is_homogeneous(intensity: JumpIntensity) -> bool:
-    """True when rho(dv|x) does not depend on x."""
-    return intensity.homogeneous
-
-
-def _param(intensity: JumpIntensity, x):
-    """The family parameter at the location(s) x; x may be omitted for a
-    homogeneous intensity."""
-    if x is None:
-        if not intensity.homogeneous:
-            raise ValueError(f"{intensity.label()} is non-homogeneous: supply the location x")
-        x = 0.0
-    return intensity.param(x)
-
-
-def _scalar_or_array(val):
-    return float(val) if np.size(val) == 1 else val
-
-
 # ---------------------------------------------------------------------------
 # moments, tails, densities
 # ---------------------------------------------------------------------------
 
-def moment_general(intensity: JumpIntensity, a: float, x=None) -> float:
-    """K_rho^(a)(x) = int v^a rho(dv|x) for any real order a >= 1.
+def jump_moment(intensity: JumpIntensity, a: float, x=None, epsilon: float = 0.0):
+    """int_epsilon^inf v^a rho(dv|x), the full (epsilon = 0) or
+    epsilon-truncated jump moment of order a >= 1 at the location(s) x:
+    the exact jump moment of the epsilon-truncated simulation.  Shaped like
+    x, a float when x is a scalar or omitted (homogeneous intensities
+    only); 0 once epsilon reaches the family's ceiling.  A homogeneous
+    family's moment does not depend on x: it is computed once and
+    broadcast.
 
-    Closed forms: generalized gamma Gamma(a-sigma)/(Gamma(1-sigma) gamma^{a-sigma});
-    extended gamma Gamma(a) beta(x)^{-a}; beta Gamma(a) Gamma(1+c) / Gamma(a+c).
+    Closed forms at epsilon = 0: generalized gamma
+    Gamma(a-sigma)/(Gamma(1-sigma) gamma^{a-sigma}); extended gamma
+    Gamma(a) beta(x)^{-a}; beta Gamma(a) Gamma(1+c) / Gamma(a+c).  A
+    positive epsilon multiplies them by the family's regularised upper
+    incomplete function (above).
     """
     if a < 1:
         raise ValueError(f"order must be >= 1, got {a}")
-    return _scalar_or_array(intensity.moment(a, _param(intensity, x)))
-
-
-def moment(intensity: JumpIntensity, order: int, x=None) -> float:
-    """Jump moment K_rho^(order)(x) for order in {1, 2, 3, 4}.
-
-    For homogeneous intensities x may be omitted; non-homogeneous ones
-    require it.
-    """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be one of 1,2,3,4, got {order}")
-    return moment_general(intensity, float(order), x)
-
-
-def moment_truncated(intensity: JumpIntensity, a: float, epsilon: float, x=None) -> float:
-    """Truncated moment int_epsilon^inf v^a rho(dv|x), closed form.
-
-    This is the exact jump moment of the epsilon-truncated simulation and
-    drives the bias-corrected Monte Carlo centerings.
-    """
-    full = moment_general(intensity, a, x)
-    if epsilon <= 0:
-        return full
+    a = float(a)
+    p = intensity.param(None if intensity.homogeneous else x)
+    val = intensity.moment(a, p)
     if epsilon >= intensity.ceiling:
-        return 0.0 * full
-    return _scalar_or_array(full * intensity.above(a, epsilon, _param(intensity, x)))
-
-
-def jump_moment(intensity: JumpIntensity, a: float, x, epsilon: float = 0.0):
-    """Full (epsilon = 0) or epsilon-truncated jump moment of order a at
-    the location(s) x, shaped like x.  A homogeneous family's moment does
-    not depend on x: it is computed once and broadcast."""
-    if intensity.homogeneous:
-        c = moment_truncated(intensity, a, epsilon)
-        return np.full(np.shape(x), c) if np.ndim(x) else c
-    val = moment_truncated(intensity, a, epsilon, x)
-    return np.reshape(val, np.shape(x)) if np.ndim(x) else val
+        val = 0.0 * val
+    elif not epsilon <= 0:      # a NaN epsilon gives NaN, not the full moment
+        val = val * intensity.above(a, epsilon, p)
+    if not np.ndim(x):
+        return float(val)
+    return np.full(np.shape(x), val) if intensity.homogeneous else np.reshape(val, np.shape(x))
 
 
 def mean_below(intensity: JumpIntensity, epsilon: float, x=None) -> float:
     """int_0^epsilon v rho(dv|x): the mean jump mass lost to truncation."""
     if epsilon <= 0:
         return 0.0
-    return _scalar_or_array(moment_general(intensity, 1.0, x)
-                            * intensity.below(1.0, epsilon, _param(intensity, x)))
+    p = intensity.param(x)
+    val = intensity.moment(1.0, p) * intensity.below(1.0, epsilon, p)
+    return float(val) if np.size(val) == 1 else val
 
 
 def jump_density(intensity: JumpIntensity, v, x=None):
     """Levy density rho(v|x) (with respect to dv)."""
-    return intensity.density(np.asarray(v, dtype=float), _param(intensity, x))
+    return intensity.density(np.asarray(v, dtype=float), intensity.param(x))
 
 
 def tail_mass(intensity: JumpIntensity, v, x=None):
@@ -574,7 +540,7 @@ def tail_mass(intensity: JumpIntensity, v, x=None):
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr <= 0):
         raise ValueError("tail_mass requires v > 0")
-    out = intensity.tail(v_arr, _param(intensity, x))
+    out = intensity.tail(v_arr, intensity.param(x))
     return float(out) if np.ndim(v) == 0 else out
 
 
@@ -587,10 +553,10 @@ class CrmSample:
     """A realized, epsilon-truncated CRM on a bounded window.
 
     jumps are non-increasing (Ferguson-Klass order, which rejection and
-    thinning keep) and every jump is >= epsilon.  A bulk draw (sample_bulk)
-    ends in aggregated atoms, one per piece of the bulk, each the piece's
-    whole untruncated mass: they are exempt from the ordering and from the
-    epsilon floor.
+    thinning keep) and every jump is >= epsilon.  A draw with a bulk
+    (sample's bulk argument) ends in aggregated atoms, one per piece of the
+    bulk, each the piece's whole untruncated mass: they are exempt from the
+    ordering and from the epsilon floor.
     """
     jumps: np.ndarray
     locations: np.ndarray
@@ -761,52 +727,6 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     return gammas[:kept]
 
 
-def _sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
-            thin: bool) -> CrmSample:
-    lo, hi = _check_window(window)
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be > 0")
-    if thin:
-        env, rate_mult, accept = intensity.envelope(lo, hi)
-    elif intensity.homogeneous:
-        env, rate_mult = intensity, 1.0
-    else:
-        raise ValueError(
-            f"{intensity.label()} is non-homogeneous; use sample_nonhomogeneous")
-    jumps = _fk_jumps(env, (hi - lo) * rate_mult, epsilon, rng)
-    locations = rng.uniform(lo, hi, size=jumps.size)
-    if thin:
-        keep = rng.uniform(size=jumps.size) < accept(jumps, locations)
-        jumps, locations = jumps[keep], locations[keep]
-    return CrmSample(jumps, locations, (lo, hi))
-
-
-def sample_homogeneous(intensity: JumpIntensity, window, epsilon: float,
-                       rng: np.random.Generator) -> CrmSample:
-    """Exact-above-epsilon Ferguson-Klass sample of a homogeneous CRM
-    (rejection from the family's dominating measure, see _fk_jumps).
-
-    Jumps come out non-increasing; locations are uniform on the window.
-    Raises ValueError, before any draw, when the expected series length
-    exceeds MAX_EXPECTED_ATOMS.
-    """
-    return _sample(intensity, window, epsilon, rng, thin=False)
-
-
-def sample_nonhomogeneous(intensity: JumpIntensity, window, epsilon: float,
-                          rng: np.random.Generator) -> CrmSample:
-    """Thinning sampler for extended-gamma / beta intensities.
-
-    A homogeneous envelope (constant-parameter member of the same family,
-    scaled for beta by sup c / inf c) is sampled exactly by Ferguson-Klass
-    with rejection from its dominating measure, as in sample_homogeneous;
-    the atom (v, x) is then accepted with probability rho(v|x)/rho_env(v),
-    which is exp(-(beta(x)-L)v) resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.  The
-    same MAX_EXPECTED_ATOMS preflight applies to the envelope's series.
-    """
-    return _sample(intensity, window, epsilon, rng, thin=True)
-
-
 # A bulk piece costs about ten Ferguson-Klass arrivals: about e Kanter
 # attempts of three random draws, three sines and four logarithms each,
 # against one arrival's exponential, inverse and keep test.  Generalized
@@ -825,26 +745,50 @@ def bulk_law(intensity: JumpIntensity, length: float, epsilon: float) -> Optiona
     return law
 
 
-def sample_bulk(intensity: JumpIntensity, window, bulk, law: MassLaw, epsilon: float,
-                rng: np.random.Generator) -> CrmSample:
-    """A homogeneous CRM on the window whose mass in the interval bulk =
-    (a, b) is drawn whole from law, the family's MassLaw of b - a
-    (bulk_law or mass_law), untruncated, as one aggregated atom at the
-    midpoint of each of its pieces; the rest of the window, [lo, a) and
-    [b, hi), is the Ferguson-Klass series at epsilon, as in
-    sample_homogeneous.
+def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
+           bulk=None) -> CrmSample:
+    """An epsilon-truncated draw of the CRM on the window, exact above
+    epsilon.
 
-    A functional that is constant in x on the bulk sees the same law as on
-    the full series there, with nothing below epsilon discarded.
-    Raises ValueError, before any draw, when either part's count exceeds
-    MAX_EXPECTED_ATOMS.
+    A homogeneous intensity is drawn by Ferguson-Klass with rejection from
+    its dominating measure (see _fk_jumps): jumps non-increasing, locations
+    uniform on the window.  A non-homogeneous one is thinned: its envelope,
+    the constant-parameter member of the same family (scaled for beta by
+    sup c / inf c), is drawn the same way and the atom (v, x) is accepted
+    with probability rho(v|x)/rho_env(v), which is exp(-(beta(x)-L)v)
+    resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.
+
+    bulk = ((a, b), law), homogeneous intensities only, draws the mass of
+    the interval [a, b) whole from law, the family's MassLaw of b - a
+    (bulk_law or mass_law), untruncated, as one aggregated atom at the
+    midpoint of each of its pieces; the rest of the window is the series
+    at epsilon.  A functional that is constant in x on the bulk sees the
+    same law as on the full series there, with nothing below epsilon
+    discarded.
+
+    Raises ValueError, before any draw, when the expected series length
+    or the bulk's piece count exceeds MAX_EXPECTED_ATOMS, and
+    EnvelopeError when a beta profile has no envelope on the window.
     """
     lo, hi = _check_window(window)
-    a, b = float(bulk[0]), float(bulk[1])
-    if not (lo <= a < b <= hi):
-        raise ValueError(f"bulk {bulk} is not an interval of the window [{lo:g},{hi:g})")
     if not (epsilon > 0):
         raise ValueError("epsilon must be > 0")
+    if bulk is None:
+        env, rate_mult, accept = ((intensity, 1.0, None) if intensity.homogeneous
+                                  else intensity.envelope(lo, hi))
+        jumps = _fk_jumps(env, (hi - lo) * rate_mult, epsilon, rng)
+        locations = rng.uniform(lo, hi, size=jumps.size)
+        if accept is not None:
+            keep = rng.uniform(size=jumps.size) < accept(jumps, locations)
+            jumps, locations = jumps[keep], locations[keep]
+        return CrmSample(jumps, locations, (lo, hi))
+    interval, law = bulk
+    if not intensity.homogeneous:
+        raise ValueError(
+            f"{intensity.label()} is non-homogeneous: it has no total-mass law for a bulk")
+    a, b = float(interval[0]), float(interval[1])
+    if not (lo <= a < b <= hi):
+        raise ValueError(f"bulk {interval} is not an interval of the window [{lo:g},{hi:g})")
     if not law.pieces <= MAX_EXPECTED_ATOMS:
         raise ValueError(
             f"a bulk of length {b - a:g} asks for {law.pieces:.3g} pieces per draw of "

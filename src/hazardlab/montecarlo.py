@@ -225,11 +225,8 @@ def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     """Draw replicate r's full epsilon-truncated series on the kernel's
     location window: the sample every path functional and `sample-paths`
     evaluate."""
-    rng = _stream(config, replicate)
-    window = kernels.location_window(config.kernel, config.horizon)
-    if crm.is_homogeneous(config.intensity):
-        return crm.sample_homogeneous(config.intensity, window, config.epsilon, rng)
-    return crm.sample_nonhomogeneous(config.intensity, window, config.epsilon, rng)
+    return crm.sample(config.intensity, kernels.location_window(config.kernel, config.horizon),
+                      config.epsilon, _stream(config, replicate))
 
 
 def _bulk(config: ExperimentConfig):
@@ -251,14 +248,9 @@ def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     """Draw replicate r for the config's functional: the full series
     (sample_series), except for the cumulative hazard where K_T is flat on
     an interval and the family's total-mass law there costs less (_bulk),
-    whose mass is then drawn whole (crm.sample_bulk)."""
-    bulk = _bulk(config)
-    if bulk is None:
-        return sample_series(config, replicate)
-    flat, law = bulk
-    return crm.sample_bulk(config.intensity,
-                           kernels.location_window(config.kernel, config.horizon), flat, law,
-                           config.epsilon, _stream(config, replicate))
+    whose mass is then drawn whole (crm.sample's bulk)."""
+    return crm.sample(config.intensity, kernels.location_window(config.kernel, config.horizon),
+                      config.epsilon, _stream(config, replicate), bulk=_bulk(config))
 
 
 _FUNCTIONALS = {
@@ -282,7 +274,7 @@ def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> flo
     catalog has a path-second-moment or path-variance limit for; a
     non-homogeneous one raises ValueError."""
     kernel, intensity, T = config.kernel, config.intensity, config.horizon
-    if not crm.is_homogeneous(intensity):
+    if not intensity.homogeneous:
         raise ValueError(f"the mean-square centering covers homogeneous intensities, "
                          f"not {intensity.label()}")
     eps = config.epsilon if truncated else 0.0

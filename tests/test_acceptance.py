@@ -49,7 +49,7 @@ def test_criterion_1_regime_catalog_exactness():
     worst = 0.0
     for _ in range(20):
         intensity = random_intensity(rng, homogeneous=True)
-        k2 = crm.moment(intensity, 2, x=0.0)
+        k2 = crm.jump_moment(intensity, 2, x=0.0)
         tau = rng.uniform(0.3, 3.0)
         kappa = rng.uniform(0.3, 3.0)
         beta = rng.uniform(0.5, 4.0)
@@ -77,9 +77,9 @@ def test_criterion_2_moment_oracle():
     worst = 0.0
     for _ in range(50):
         intensity = random_intensity(rng)
-        x = None if crm.is_homogeneous(intensity) else rng.uniform(0.0, 9.0)
+        x = None if intensity.homogeneous else rng.uniform(0.0, 9.0)
         for order in (1, 2, 3, 4):
-            closed = crm.moment(intensity, order, x)
+            closed = crm.jump_moment(intensity, order, x)
             oracle = quad_moment(intensity, order, x)
             worst = max(worst, abs(closed - oracle) / oracle)
     elapsed = time.perf_counter() - t0
@@ -126,7 +126,7 @@ def test_criterion_3_positive_condition_checks():
 
 def test_criterion_4_negative_condition_checks():
     t0 = time.perf_counter()
-    k2 = crm.moment(GG, 2)
+    k2 = crm.jump_moment(GG, 2)
     cond1_target = k2 / 6.0          # equals the honest (K2)^2/3 at K2 = 1/2
     failures = []
     for kern in (kernels.DykstraLaud(), kernels.UShaped(2.0)):
@@ -330,7 +330,7 @@ def test_criterion_8_invariant_suites():
                 != s_d ** 2 / T_d * kernels.Q_T(kern, T_d, x_d, x_d):
             failures.append(("diagonal", kern.label()))
     # (e) monotone hazard paths for the monotone kernel
-    smp = crm.sample_homogeneous(EG1, (0.0, 30.0), 1e-5, seeded(9208))
+    smp = crm.sample(EG1, (0.0, 30.0), 1e-5, seeded(9208))
     path = mc.hazard_path(smp, kernels.DykstraLaud(), np.linspace(0, 30, 2000))
     if not np.all(np.diff(path) >= -1e-12):
         failures.append(("monotone",))
@@ -356,9 +356,9 @@ def test_criterion_9_performance_contract():
     kern = kernels.OrnsteinUhlenbeck(1.0)
     T = 500.0
     window = kernels.location_window(kern, T)
-    crm.sample_homogeneous(EG1, window, 1e-6, seeded(9009))   # warm the tail table
+    crm.sample(EG1, window, 1e-6, seeded(9009))   # warm the tail table
     t0 = time.perf_counter()
-    s = crm.sample_homogeneous(EG1, window, 1e-6, seeded(9009, 1))
+    s = crm.sample(EG1, window, 1e-6, seeded(9009, 1))
     mc.cumhaz(s, kern, T)
     mc.path_second_moment(s, kern, T)
     mc.path_variance(s, kern, T)

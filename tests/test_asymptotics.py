@@ -12,7 +12,7 @@ GG = crm.GeneralizedGamma(0.5, 1.0)
 
 
 def _moments(intensity):
-    return [crm.moment(intensity, i, x=None if crm.is_homogeneous(intensity) else 0.0)
+    return [crm.jump_moment(intensity, i, x=None if intensity.homogeneous else 0.0)
             for i in (1, 2, 3, 4)]
 
 
@@ -21,7 +21,7 @@ def test_cumhaz_catalog_formulas_20_draws():
     rng = seeded(301)
     for _ in range(20):
         intensity = random_intensity(rng, homogeneous=True)
-        k2 = crm.moment(intensity, 2, x=0.0)
+        k2 = crm.jump_moment(intensity, 2, x=0.0)
         tau, kap = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
         pairs = [
             (kernels.Rectangular(tau), 4.0 * k2 * tau ** 2),
@@ -106,7 +106,7 @@ def test_variance_components_positive_over_draws():
             assert p2.sigma1_sq > 0 and p2.sigma2_sq > 0
             assert pv.sigma3_sq > 0 and pv.delta > 0
             # sign flip of the cross terms: path-variance < path-2nd-moment
-            k1, k3 = crm.moment(intensity, 1, x=0.0), crm.moment(intensity, 3, x=0.0)
+            k1, k3 = crm.jump_moment(intensity, 1, x=0.0), crm.jump_moment(intensity, 3, x=0.0)
             if k1 * k3 > 0:
                 assert pv.sigma3_sq < p2.sigma2_sq
                 assert pv.limit_variance < p2.limit_variance
@@ -129,12 +129,12 @@ def test_path2nd_centering_matches_mean_square_quadrature():
     # horizons, absolute < 1e-4 at the larger)
     for kern in (kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0)):
         spec = asy.regime_path2nd(kern, GG)
-        k1 = crm.moment(GG, 1)
+        k1 = crm.jump_moment(GG, 1)
         devs = []
         for T in (3000.0, 30000.0):
             mean_part, _ = integrate.quad(
                 lambda t: float(k1 * kern.slice_mass(t)) ** 2, 0.0, T, limit=400)
-            k2 = crm.moment(GG, 2)
+            k2 = crm.jump_moment(GG, 2)
             lo, hi = kernels.location_window(kern, T)
             second_part, _ = integrate.quad(
                 lambda x: k2 * kernels.Q_T(kern, T, x, x), lo, hi, limit=400)
@@ -159,7 +159,7 @@ def test_nonhomogeneous_quadratic_rows_give_the_profile_reason():
     # the regimes table says why and no more: check-conditions is named by
     # run_clt's refusal, and no envelope bracket covers a quadratic functional
     pairs = [(k, i) for k, i in asy.default_catalog_pairs()
-             if not crm.is_homogeneous(i) and not k.nested]
+             if not i.homogeneous and not k.nested]
     rows = [r for r in asy.catalog_rows(pairs)
             if r["functional"] != asy.Functional.CUMULATIVE_HAZARD.value]
     assert len(rows) == 2 * 2

@@ -199,7 +199,7 @@ def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
     # only the cumulative hazard draws the bulk whole: sample-paths (whose
     # config's functional defaults to the cumulative hazard) and the
     # path-functional replicates evaluate the full series, bit for bit the
-    # sample_homogeneous draw of each replicate's stream
+    # bulk-free crm.sample draw of each replicate's stream
     gg, kern = crm.GeneralizedGamma(0.5, 1.0), kernels.Rectangular(1.0)
     cfg_path = tmp_path / "paths.ini"
     cfg_path.write_text("[experiment]\nkind = sample-paths\nhorizon = 20\nseed = 1\n\n"
@@ -209,7 +209,7 @@ def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
     assert cli.main(["sample-paths", "--config", str(cfg_path), "--grid", "50",
                      "--out", str(out)]) == 0
     window = kernels.location_window(kern, 20.0)
-    series = crm.sample_homogeneous(gg, window, 1e-6, _stream(1, 0))
+    series = crm.sample(gg, window, 1e-6, _stream(1, 0))
     ts = np.linspace(0.0, 20.0, 50)
     body = "t,hazard\n" + "\n".join(f"{t:.17g},{h:.17g}" for t, h in
                                      zip(ts, montecarlo.hazard_path(series, kern, ts))) + "\n"
@@ -220,7 +220,7 @@ def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
                                   epsilon=1e-3)
         window = kernels.location_window(kern, 30.0)
         assert montecarlo.run_clt(config, workers=1).values == [
-            f(crm.sample_homogeneous(gg, window, 1e-3, _stream(11, r)), kern, 30.0)
+            f(crm.sample(gg, window, 1e-3, _stream(11, r)), kern, 30.0)
             for r in range(100)]
 
 

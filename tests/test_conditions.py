@@ -20,7 +20,7 @@ GRID = [50.0, 100.0, 200.0, 400.0, 800.0]
 # ---------------------------------------------------------------------------
 
 def test_I_moments_closed_forms():
-    k1, k2 = crm.moment(GG, 1), crm.moment(GG, 2)
+    k1, k2 = crm.jump_moment(GG, 1), crm.jump_moment(GG, 2)
     T = 7.0
     assert cond.I_moments(kernels.DykstraLaud(), GG, T, 2) \
         == pytest.approx(k2 * T ** 3 / 3, rel=1e-9)
@@ -64,7 +64,7 @@ def test_condition_quantities_vanish_as_T_to_zero():
 
 
 def test_rect_norm_limits():
-    k = [crm.moment(GG, i) for i in (1, 2, 3, 4)]
+    k = [crm.jump_moment(GG, i) for i in (1, 2, 3, 4)]
     T, tau = 800.0, 1.0
     n = cond.contraction_norms(kernels.Rectangular(tau), GG, T)
     assert 2 * T * n.k1_l2_sq == pytest.approx(32 * tau ** 3 * k[1] ** 2 / 3, rel=0.02)
@@ -74,7 +74,7 @@ def test_rect_norm_limits():
 
 
 def test_ou_norm_limits():
-    k = [crm.moment(GG, i) for i in (1, 2, 3, 4)]
+    k = [crm.jump_moment(GG, i) for i in (1, 2, 3, 4)]
     T, kap = 800.0, 1.0
     n = cond.contraction_norms(kernels.OrnsteinUhlenbeck(kap), GG, T)
     assert 2 * T * n.k1_l2_sq == pytest.approx(2 * k[1] ** 2 / kap, rel=0.02)
@@ -86,7 +86,7 @@ def test_dl_norm_limit():
     # (2/T^2) ||k1||^2 = (K2)^2 / 3 under the full symmetric norm: with
     # Q_T(x, y) = T - max(x, y) on [0, T]^2, intint Q^2 = T^4 / 6 and
     # intint Q^4 = T^6 / 15
-    k2, k4 = crm.moment(GG, 2), crm.moment(GG, 4)
+    k2, k4 = crm.jump_moment(GG, 2), crm.jump_moment(GG, 4)
     for T in (10.0, 400.0):
         n = cond.contraction_norms(kernels.DykstraLaud(), GG, T)
         assert n.k1_l2_sq == pytest.approx(k2 ** 2 * T ** 2 / 6, rel=1e-13, abs=0)
@@ -361,7 +361,7 @@ def test_ou_first_row_is_kT3(kappa, intensity):
     x, k = g.x, kappa
     t1 = 1.0 - np.exp(-k * x) - np.exp(-2.0 * k * (T - x)) + np.exp(-k * (2.0 * T - x))
     t2 = (-np.expm1(-k * (T - x))) ** 2
-    kT3 = crm.moment(intensity, 1) * (t1 + t2) / (k * T)
+    kT3 = crm.jump_moment(intensity, 1) * (t1 + t2) / (k * T)
     np.testing.assert_allclose(g.rows(1, 1) / T, kT3, rtol=1e-12, atol=0)
 
 
@@ -401,7 +401,7 @@ def test_pathvar_delta_estimates():
     grid = [50.0, 100.0, 200.0, 400.0]
     rep = cond.check_theorem(kernels.OrnsteinUhlenbeck(1.0), GG,
                              cond.Theorem.PATHVAR, asy.Power(0.5), grid)
-    k1, k4 = crm.moment(GG, 1), crm.moment(GG, 4)
+    k1, k4 = crm.jump_moment(GG, 1), crm.jump_moment(GG, 4)
     assert rep.verdicts[1].kind == "vanishes"
     assert rep.verdicts[1].slope == pytest.approx(-0.5, abs=0.02)
     assert rep.delta_estimate == pytest.approx(2 ** 1.5 * k1, rel=0.03)

@@ -16,12 +16,13 @@ from conftest import quad_moment, random_intensity, seeded
 # ---------------------------------------------------------------------------
 
 def test_moment_reference_values():
-    assert crm.moment(crm.GeneralizedGamma(0.5, 1.0), 1) == pytest.approx(1.0, rel=1e-14)
-    assert crm.moment(crm.ExtendedGamma(crm.Constant(1.0)), 2, x=7.0) == pytest.approx(1.0, rel=1e-14)
-    assert crm.moment(crm.Beta(crm.Constant(1.0)), 2, x=0.1) == pytest.approx(0.5, rel=1e-14)
+    assert crm.jump_moment(crm.GeneralizedGamma(0.5, 1.0), 1) == pytest.approx(1.0, rel=1e-14)
+    assert crm.jump_moment(crm.ExtendedGamma(crm.Constant(1.0)), 2, x=7.0) \
+        == pytest.approx(1.0, rel=1e-14)
+    assert crm.jump_moment(crm.Beta(crm.Constant(1.0)), 2, x=0.1) == pytest.approx(0.5, rel=1e-14)
     # fourth moment of the sigma=0.3, gamma=2 member: (0.7*1.7*2.7)/2^3.7,
     # cross-checked against quadrature below
-    val = crm.moment(crm.GeneralizedGamma(0.3, 2.0), 4)
+    val = crm.jump_moment(crm.GeneralizedGamma(0.3, 2.0), 4)
     assert val == pytest.approx((0.7 * 1.7 * 2.7) / 2 ** 3.7, rel=1e-12)
     assert val == pytest.approx(quad_moment(crm.GeneralizedGamma(0.3, 2.0), 4), rel=1e-8)
 
@@ -30,9 +31,9 @@ def test_moment_matches_quadrature_50_draws():
     rng = seeded(101)
     for _ in range(50):
         intensity = random_intensity(rng)
-        x = None if crm.is_homogeneous(intensity) else rng.uniform(0.0, 9.0)
+        x = None if intensity.homogeneous else rng.uniform(0.0, 9.0)
         for order in (1, 2, 3, 4):
-            closed = crm.moment(intensity, order, x)
+            closed = crm.jump_moment(intensity, order, x)
             oracle = quad_moment(intensity, order, x)
             assert closed == pytest.approx(oracle, rel=1e-8), (intensity, order, x)
 
@@ -40,11 +41,9 @@ def test_moment_matches_quadrature_50_draws():
 def test_moment_validation():
     gg = crm.GeneralizedGamma(0.5, 1.0)
     with pytest.raises(ValueError):
-        crm.moment(gg, 5)
+        crm.jump_moment(gg, 0)
     with pytest.raises(ValueError):
-        crm.moment(gg, 0)
-    with pytest.raises(ValueError):
-        crm.moment(crm.ExtendedGamma(crm.AffineSqrt(1, 1)), 2)   # missing x
+        crm.jump_moment(crm.ExtendedGamma(crm.AffineSqrt(1, 1)), 2)   # missing x
 
 
 def test_intensity_validation():
@@ -77,23 +76,23 @@ def test_mean_below_is_the_lower_incomplete_share():
             == pytest.approx(-math.expm1(-level * eps) / level, rel=1e-14, abs=0)
     # every jump of a beta CRM lies below a truncation level >= 1
     assert crm.mean_below(crm.Beta(crm.Constant(2.0)), 1.5) \
-        == crm.moment(crm.Beta(crm.Constant(2.0)), 1)
+        == crm.jump_moment(crm.Beta(crm.Constant(2.0)), 1)
 
 
 def test_truncated_moments():
     rng = seeded(102)
     for _ in range(12):
         intensity = random_intensity(rng)
-        x = None if crm.is_homogeneous(intensity) else rng.uniform(0.0, 4.0)
+        x = None if intensity.homogeneous else rng.uniform(0.0, 4.0)
         eps = 10 ** rng.uniform(-6, -1)
-        closed = crm.moment_truncated(intensity, 2.0, eps, x)
+        closed = crm.jump_moment(intensity, 2.0, x, eps)
         f = lambda v: v ** 2 * crm.jump_density(intensity, v, x)
         hi = 1.0 if isinstance(intensity, crm.Beta) else np.inf
         oracle, _ = integrate.quad(f, eps, hi, epsabs=0.0, epsrel=1e-11, limit=300)
         assert closed == pytest.approx(oracle, rel=1e-8)
         # mean_below + truncated first moment == full first moment
-        total = crm.moment_general(intensity, 1.0, x)
-        assert crm.mean_below(intensity, eps, x) + crm.moment_truncated(intensity, 1.0, eps, x) \
+        total = crm.jump_moment(intensity, 1.0, x)
+        assert crm.mean_below(intensity, eps, x) + crm.jump_moment(intensity, 1.0, x, eps) \
             == pytest.approx(total, rel=1e-12)
 
 
@@ -172,19 +171,15 @@ def test_inverse_tail_identity():
 
 def test_sampler_rejects_bad_arguments(rng):
     with pytest.raises(ValueError):
-        crm.sample_homogeneous(crm.ExtendedGamma(crm.AffineSqrt(1, 1)), (0, 1), 1e-6, rng)
+        crm.sample(crm.GeneralizedGamma(0.5, 1.0), (0, 1), 0.0, rng)
     with pytest.raises(ValueError):
-        crm.sample_homogeneous(crm.GeneralizedGamma(0.5, 1.0), (0, 1), 0.0, rng)
-    with pytest.raises(ValueError):
-        crm.sample_homogeneous(crm.GeneralizedGamma(0.5, 1.0), (3, 1), 1e-6, rng)
-    with pytest.raises(ValueError):
-        crm.sample_nonhomogeneous(crm.GeneralizedGamma(0.5, 1.0), (0, 1), 1e-6, rng)
+        crm.sample(crm.GeneralizedGamma(0.5, 1.0), (3, 1), 1e-6, rng)
 
 
 def test_beta_full_truncation(rng):
     # epsilon >= 1 discards every jump
     be = crm.Beta(crm.Constant(1.0))
-    s = crm.sample_homogeneous(be, (0.0, 5.0), 1.0, rng)
+    s = crm.sample(be, (0.0, 5.0), 1.0, rng)
     assert s.size == 0
 
 
@@ -192,7 +187,7 @@ def test_jumps_nonincreasing_and_above_epsilon(rng):
     for intensity in (crm.GeneralizedGamma(0.4, 1.5),
                       crm.ExtendedGamma(crm.Constant(0.8)),
                       crm.Beta(crm.Constant(2.0))):
-        s = crm.sample_homogeneous(intensity, (0.0, 30.0), 1e-5, rng)
+        s = crm.sample(intensity, (0.0, 30.0), 1e-5, rng)
         assert np.all(np.diff(s.jumps) <= 0)
         assert s.jumps.min() >= 1e-5
         if isinstance(intensity, crm.Beta):
@@ -207,7 +202,7 @@ def test_poisson_count_law():
     lam = 100.0 * crm.tail_mass(gg, 1e-6)
     counts = []
     for r in range(200):
-        s = crm.sample_homogeneous(gg, (0.0, 100.0), 1e-6, seeded(105, r))
+        s = crm.sample(gg, (0.0, 100.0), 1e-6, seeded(105, r))
         counts.append(s.size)
     mean = np.mean(counts)
     tol = 4.0 * math.sqrt(lam / 200.0)
@@ -237,8 +232,7 @@ def test_sampled_jumps_follow_the_truncated_law(entropy, intensity):
     # keeps all of it for beta(1) and thins both pieces of the two-piece
     # measure of beta(0.3) and beta(0.5); gamma inverts its tail table.
     eps = 1e-3
-    jumps = np.concatenate([crm.sample_homogeneous(intensity, (0.0, 200.0), eps,
-                                                   seeded(entropy, r)).jumps
+    jumps = np.concatenate([crm.sample(intensity, (0.0, 200.0), eps, seeded(entropy, r)).jumps
                             for r in range(50)])
     p = stats.kstest(_truncated_law_cdf(intensity, jumps, eps), "uniform").pvalue
     assert p > 1e-3, (intensity, jumps.size, p)
@@ -256,7 +250,7 @@ def test_count_law_per_sampling_path(entropy, intensity, monkeypatch):
     monkeypatch.setattr(crm, "_invert_tail",
                         lambda *args: inversions.append(1) or invert(*args))
     lam = 100.0 * crm.tail_mass(intensity, 1e-6)
-    counts = [crm.sample_homogeneous(intensity, (0.0, 100.0), 1e-6, seeded(entropy, r)).size
+    counts = [crm.sample(intensity, (0.0, 100.0), 1e-6, seeded(entropy, r)).size
               for r in range(200)]
     assert len(inversions) == (200 if isinstance(intensity, crm.ExtendedGamma) else 0)
     tol = 4.0 * math.sqrt(lam / 200.0)
@@ -274,13 +268,12 @@ def test_sampler_refuses_oversized_series_before_drawing():
     window = kernels.location_window(kernels.Rectangular(1.0), 500.0)
     with pytest.raises(ValueError, match=r"epsilon=1e-08 asks for 9\.\d+e\+08 expected "
                                          r"atoms .* above the limit 2e\+07"):
-        crm.sample_homogeneous(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8, _NoDraws())
-    s = crm.sample_homogeneous(crm.GeneralizedGamma(0.5, 1.0), window, 1e-6, seeded(123))
+        crm.sample(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8, _NoDraws())
+    s = crm.sample(crm.GeneralizedGamma(0.5, 1.0), window, 1e-6, seeded(123))
     assert 5.6e5 < s.size < 5.7e5
     # the thinning sampler checks its envelope's series the same way
     with pytest.raises(ValueError, match="above the limit"):
-        crm.sample_nonhomogeneous(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
-                                  (0.0, 1e7), 1e-6, _NoDraws())
+        crm.sample(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 1e7), 1e-6, _NoDraws())
 
 
 def test_beta_small_c_preflight_counts_the_dominating_series():
@@ -290,7 +283,7 @@ def test_beta_small_c_preflight_counts_the_dominating_series():
     with pytest.raises(ValueError, match=r"^epsilon=1e-06 asks for 2\.14e\+07 expected atoms "
                                          r"per draw of beta\(constant\(0\.5\)\), above the "
                                          r"limit 2e\+07; raise epsilon$"):
-        crm.sample_homogeneous(crm.Beta(crm.Constant(0.5)), (0.0, 2e6), 1e-6, _NoDraws())
+        crm.sample(crm.Beta(crm.Constant(0.5)), (0.0, 2e6), 1e-6, _NoDraws())
 
 
 def test_campbell_mean_per_family():
@@ -299,10 +292,10 @@ def test_campbell_mean_per_family():
     for entropy, intensity in ((106, crm.GeneralizedGamma(0.6, 1.0)),
                                (107, crm.ExtendedGamma(crm.Constant(1.2))),
                                (108, crm.Beta(crm.Constant(1.0)))):
-        k1 = crm.moment(intensity, 1, x=0.0)
+        k1 = crm.jump_moment(intensity, 1, x=0.0)
         totals, moments_x = [], []
         for r in range(500):
-            s = crm.sample_homogeneous(intensity, window, 1e-5, seeded(entropy, r))
+            s = crm.sample(intensity, window, 1e-5, seeded(entropy, r))
             totals.append(s.total_mass())
             moments_x.append(float(np.sum(s.jumps * s.locations)))
         deficit = window[1] * crm.mean_below(intensity, 1e-5)
@@ -321,7 +314,7 @@ def test_campbell_total_mass_of_a_long_window():
     # at this seed, against 0.56 for the exact keep)
     intensity, L, eps, n = crm.GeneralizedGamma(0.5, 1.0), 1000.0, 1e-2, 2000
     rng = seeded(2201)
-    totals = [crm.sample_homogeneous(intensity, (0.0, L), eps, rng).total_mass()
+    totals = [crm.sample(intensity, (0.0, L), eps, rng).total_mass()
               for _ in range(n)]
     se = math.sqrt(L * crm.jump_moment(intensity, 2.0, 0.0, eps) / n)
     target = L * crm.jump_moment(intensity, 1.0, 0.0, eps)
@@ -329,7 +322,7 @@ def test_campbell_total_mass_of_a_long_window():
 
 
 # ---------------------------------------------------------------------------
-# total-mass laws (the bulk of sample_bulk)
+# total-mass laws (the bulk of crm.sample)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("entropy, intensity, length, draws", [
@@ -348,7 +341,7 @@ def test_total_mass_law_cumulants(entropy, intensity, length, draws):
     law = intensity.mass_law(length)
     rng = seeded(entropy)
     x = np.array([law.draw(rng).sum() for _ in range(draws)])
-    kap = {j: length * crm.moment_general(intensity, float(j)) for j in range(1, 7)}
+    kap = {j: length * crm.jump_moment(intensity, float(j)) for j in range(1, 7)}
     n = draws
     var = {1: kap[2] / n,
            2: kap[4] / n + 2.0 * kap[2] ** 2 / (n - 1),
@@ -382,8 +375,8 @@ def test_mass_law_facts_and_bulk_layout():
     assert law.pieces == math.ceil(10.0 * 2.0 ** 0.5 / 0.5) == law.draw(seeded(2222)).size
     # Ferguson-Klass outside the bulk (10, 90), then one aggregated atom at
     # the midpoint of each of the 227 pieces of the bulk
-    s = crm.sample_bulk(gg, (0.0, 101.0), (10.0, 90.0), gg.mass_law(80.0), 1e-4,
-                        seeded(2223))
+    s = crm.sample(gg, (0.0, 101.0), 1e-4, seeded(2223),
+                   bulk=((10.0, 90.0), gg.mass_law(80.0)))
     fk, agg = slice(0, s.size - 227), slice(s.size - 227, s.size)
     assert np.all(s.jumps[fk] >= 1e-4) and np.all(np.diff(s.jumps[fk]) <= 0.0)
     assert np.all((s.locations[fk] < 10.0) | (s.locations[fk] >= 90.0))
@@ -414,28 +407,31 @@ def test_bulk_refuses_too_many_pieces_before_drawing():
     with pytest.raises(ValueError, match=r"^a bulk of length 2e\+06 asks for 4e\+07 pieces per "
                                          r"draw of generalized_gamma\(sigma=0\.05,gamma=1\), "
                                          r"above the limit 2e\+07$"):
-        crm.sample_bulk(gg, (0.0, 2e6 + 2.0), (1.0, 2e6 + 1.0), gg.mass_law(2e6), 1e-6,
-                        _NoDraws())
+        crm.sample(gg, (0.0, 2e6 + 2.0), 1e-6, _NoDraws(),
+                   bulk=((1.0, 2e6 + 1.0), gg.mass_law(2e6)))
+
+
+def test_bulk_of_a_non_homogeneous_intensity_refused_before_drawing():
+    # a profiled intensity has no total-mass law; a bulk given with it is
+    # refused, also when the law passed is another family member's
+    law = crm.ExtendedGamma(crm.Constant(1.0)).mass_law(8.0)
+    with pytest.raises(ValueError, match=r"^extended_gamma\(affine_sqrt\(1,1\)\) is "
+                                         r"non-homogeneous: it has no total-mass law "
+                                         r"for a bulk$"):
+        crm.sample(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-3, _NoDraws(),
+                   bulk=((1.0, 9.0), law))
 
 
 def test_seeded_determinism_bit_for_bit():
     gg = crm.GeneralizedGamma(0.5, 1.0)
-    a = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109))
-    b = crm.sample_homogeneous(gg, (0.0, 20.0), 1e-6, seeded(109))
+    a = crm.sample(gg, (0.0, 20.0), 1e-6, seeded(109))
+    b = crm.sample(gg, (0.0, 20.0), 1e-6, seeded(109))
     assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
 
 
 # ---------------------------------------------------------------------------
 # thinning sampler
 # ---------------------------------------------------------------------------
-
-def test_constant_profile_routed_to_thinning_is_degenerate():
-    eg = crm.ExtendedGamma(crm.Constant(1.0))
-    s = crm.sample_nonhomogeneous(eg, (0.0, 10.0), 1e-5, seeded(111))
-    # acceptance probability is identically 1: law equals the homogeneous one
-    lam = 10.0 * crm.tail_mass(eg, 1e-5)
-    assert abs(s.size - lam) <= 5.0 * math.sqrt(lam)
-
 
 def test_extended_gamma_thinning_campbell():
     # mean of sum J_i (T - x_i) -> int_0^T (T - x)/(1 + sqrt x) dx
@@ -444,7 +440,7 @@ def test_extended_gamma_thinning_campbell():
     target, _ = integrate.quad(lambda x: (T - x) / (1 + math.sqrt(x)), 0, T)
     vals = []
     for r in range(500):
-        s = crm.sample_nonhomogeneous(intensity, (0.0, T), 1e-5, seeded(112, r))
+        s = crm.sample(intensity, (0.0, T), 1e-5, seeded(112, r))
         vals.append(float(np.sum(s.jumps * (T - s.locations))))
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     # the epsilon-deficit shifts the target down by < int (T-x) eps-mass dx
@@ -455,8 +451,7 @@ def test_beta_thinning_unit_mean():
     # the beta family has first jump moment exactly 1 at every location
     vals = []
     for r in range(400):
-        s = crm.sample_nonhomogeneous(crm.Beta(crm.AffineSqrt(1.0, 1.0)),
-                                      (0.0, 10.0), 1e-5, seeded(113, r))
+        s = crm.sample(crm.Beta(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-5, seeded(113, r))
         vals.append(s.total_mass())
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - 10.0) <= 4.0 * se + 0.01
@@ -465,7 +460,7 @@ def test_beta_thinning_unit_mean():
 def test_beta_envelope_requires_c_at_least_one():
     bad = crm.Beta(crm.IndicatorSqrt(0.25))    # sqrt(x) < 1 on (0.25, 1)
     with pytest.raises(crm.EnvelopeError):
-        crm.sample_nonhomogeneous(bad, (0.0, 10.0), 1e-5, seeded(114))
+        crm.sample(bad, (0.0, 10.0), 1e-5, seeded(114))
 
 
 def test_thinning_acceptance_probabilities_valid():
@@ -498,7 +493,7 @@ def test_beta_upper_share_against_exact_binomial_sum():
                 exact = _beta_upper_share_exact(a, c, eps)
                 assert float(intensity.above(float(a), eps, float(c))) \
                     == pytest.approx(float(exact), rel=1e-13, abs=0)
-                assert crm.moment_truncated(intensity, float(a), eps) \
+                assert crm.jump_moment(intensity, float(a), epsilon=eps) \
                     == pytest.approx(float(full * exact), rel=1e-13, abs=0)
 
 
@@ -592,7 +587,7 @@ def test_beta_small_c_jumps_stay_below_the_ceiling(c):
 
 def test_beta_small_c_draw_stays_below_the_ceiling():
     # c = 0.1 on a window of 501: the first arrivals round to 1 unclipped
-    s = crm.sample_homogeneous(crm.Beta(crm.Constant(0.1)), (0.0, 501.0), 1e-6, seeded(129))
+    s = crm.sample(crm.Beta(crm.Constant(0.1)), (0.0, 501.0), 1e-6, seeded(129))
     assert s.size > 1000
     assert np.all((s.jumps >= 1e-6) & (s.jumps < 1.0))
 
@@ -627,11 +622,11 @@ def test_warm_table_draw_evaluates_no_tail_per_jump(intensity, monkeypatch):
                         or tail_mass(intensity, v, x))
     crm._inverse_tail_table.cache_clear()
     crm._tail_at.cache_clear()
-    crm.sample_homogeneous(intensity, window, eps, seeded(124))
+    crm.sample(intensity, window, eps, seeded(124))
     # the cold draw builds extended gamma's table; beta's nu0 is closed form
     assert (sizes != []) == (intensity.dominating() is None), sizes
     sizes.clear()
-    s = crm.sample_homogeneous(intensity, window, eps, seeded(124, 1))
+    s = crm.sample(intensity, window, eps, seeded(124, 1))
     assert s.size > 1000
     # the table and the scalar series length are both cached
     assert sizes == [], sizes
@@ -649,9 +644,9 @@ def test_series_length_tail_is_evaluated_once_per_intensity_and_epsilon(intensit
                         or tail_mass(intensity, v, x))
     crm._tail_at.cache_clear()
     window, eps = (0.0, 200.0), 1e-6
-    crm.sample_homogeneous(intensity, window, eps, seeded(125))
+    crm.sample(intensity, window, eps, seeded(125))
     first = len(calls)
-    crm.sample_homogeneous(intensity, window, eps, seeded(125, 1))
+    crm.sample(intensity, window, eps, seeded(125, 1))
     assert len(calls) == first
     evaluations = 1 if isinstance(intensity, crm.ExtendedGamma) else 0
     assert sum(np.ndim(v) == 0 and v == eps for v in calls) == evaluations

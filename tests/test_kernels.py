@@ -146,7 +146,7 @@ def quad_mean_hazard(kern, intensity, t):
     if hi <= lo:
         return 0.0
     pts = [math.sqrt(c) for c in intensity.kinks if lo < c < hi]
-    f = lambda u: 2.0 * u * crm.moment_general(intensity, 1.0, u * u) \
+    f = lambda u: 2.0 * u * crm.jump_moment(intensity, 1.0, u * u) \
         * kernels.eval_kernel(kern, t, u * u)
     return integrate.quad(f, math.sqrt(lo), math.sqrt(hi), points=pts or None, limit=200)[0]
 
@@ -197,7 +197,7 @@ def test_kT3_bulk_value_definition_consistent():
     g = cond._Grid(kern, GG, T)
     i = int(np.searchsorted(g.x, T / 2))
     val = g.rows(1, 1)[i] / T
-    assert val == pytest.approx(2.0 / kappa * crm.moment(GG, 1) / T, rel=1e-12)
+    assert val == pytest.approx(2.0 / kappa * crm.jump_moment(GG, 1) / T, rel=1e-12)
     assert val == pytest.approx(quad_kT3(kern, GG, T, g.x[i]), rel=1e-9)
 
 

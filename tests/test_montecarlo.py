@@ -174,19 +174,34 @@ def test_path_variance_identity_and_clamp():
     assert mc.path_variance(s, kern, T) <= 1e-12
 
 
-def test_path_variance_clamp_at_scale():
-    # 1e5 equal jumps at (2k + 1) tau tile [0, T = 2e5 tau] with rectangular
-    # spans, so h is constant and p2m - (H/T)^2 cancels completely: what
-    # rounding of the jumps leaves of it must stay within the clamp.  tau = 1
-    # keeps the locations exact; at tau = 0.7 their rounding opens gaps and
-    # overlaps of an ulp, and the path variance is ~5e-12 p2m in fact.
-    kern, n = kernels.Rectangular(1.0), 100_000
-    T = 2.0 * n * kern.tau
-    x = (2.0 * np.arange(n) + 1.0) * kern.tau
-    s = crm.CrmSample(np.full(n, 0.3), x, kernels.location_window(kern, T))
+@pytest.mark.parametrize("case", [None] + list(range(40)))
+def test_path_variance_clamp_at_scale(case):
+    # n jumps J_k at (2k + 1) tau tile [0, T = 2n tau] with rectangular
+    # spans, so h is J_k on the k-th tile and the path variance is the
+    # population variance of the jumps.  With 1e5 equal jumps (case None)
+    # p2m - (H/T)^2 cancels completely: what rounding leaves of it must stay
+    # within the clamp.  The seeded tilings spread the jumps by a relative
+    # r = 1e-8..1 around m, so the variance runs from far below rounding to
+    # p2m / 3.  tau a power of 2 keeps the locations exact; at tau = 0.7
+    # their rounding opens gaps and overlaps of an ulp, and the path
+    # variance is ~5e-12 p2m in fact.
+    if case is None:
+        tau, jumps = 1.0, np.full(100_000, 0.3)
+    else:
+        rng = np.random.default_rng([9301, case])
+        tau = 2.0 ** int(rng.integers(-3, 4))
+        n = int(rng.integers(1_000, 100_001))
+        m, r = rng.uniform(0.1, 10.0), 10.0 ** -rng.uniform(0.0, 8.0)
+        jumps = m * (1.0 + r * rng.uniform(-1.0, 1.0, n))
+    kern, n = kernels.Rectangular(tau), jumps.size
+    T = 2.0 * n * tau
+    x = (2.0 * np.arange(n) + 1.0) * tau
+    s = crm.CrmSample(jumps, x, kernels.location_window(kern, T))
     p2m = mc.path_second_moment(s, kern, T)
     v = mc.path_variance(s, kern, T)
-    assert 0.0 <= v <= 1e-12 * p2m
+    mean = math.fsum(jumps) / n
+    var_pop = math.fsum((jumps - mean) ** 2) / n
+    assert v >= 0.0 and abs(v - var_pop) <= 1e-12 * p2m, (tau, n, v, var_pop, p2m)
 
 
 @pytest.mark.parametrize("kern", [kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
@@ -250,7 +265,7 @@ def test_functionals_match_trapezoid_oracle():
 
 def test_dykstra_laud_hazard_is_monotone():
     kern = kernels.DykstraLaud()
-    s = crm.sample_homogeneous(EG1, (0.0, 40.0), 1e-5, seeded(503))
+    s = crm.sample(EG1, (0.0, 40.0), 1e-5, seeded(503))
     path = mc.hazard_path(s, kern, np.linspace(0.0, 40.0, 3000))
     assert np.all(np.diff(path) >= -1e-12)
 
@@ -259,7 +274,7 @@ def test_rectangular_locality_speed():
     # the banded pair sum stays fast at production atom counts
     kern = kernels.Rectangular(1.0)
     T = 500.0
-    s = crm.sample_homogeneous(EG1, kernels.location_window(kern, T), 1e-6, seeded(504))
+    s = crm.sample(EG1, kernels.location_window(kern, T), 1e-6, seeded(504))
     assert 3_000 <= s.size <= 12_000
     mc.path_second_moment(s, kern, T)          # warm allocation pools
     timings = []
@@ -371,7 +386,7 @@ def _banded_oracle(sample, kern, T):
 def test_rect_prefix_pair_sum_matches_banded_oracle_at_56k_atoms():
     kern = kernels.Rectangular(1.0)
     T = 500.0
-    s = crm.sample_homogeneous(GG, kernels.location_window(kern, T), 1e-4, seeded(511))
+    s = crm.sample(GG, kernels.location_window(kern, T), 1e-4, seeded(511))
     assert 40_000 <= s.size <= 80_000
     # an uncompensated prefix over the laid-out blocks drifts to ~1e-13 here
     assert mc.path_second_moment(s, kern, T) == pytest.approx(_banded_oracle(s, kern, T),
@@ -383,7 +398,7 @@ def test_rect_path2nd_at_production_truncation():
     # on 2 vCPUs, the prefix sums ~0.2 s
     kern = kernels.Rectangular(1.0)
     T = 500.0
-    s = crm.sample_homogeneous(GG, kernels.location_window(kern, T), 1e-6, seeded(512))
+    s = crm.sample(GG, kernels.location_window(kern, T), 1e-6, seeded(512))
     assert 400_000 <= s.size <= 800_000
     t0 = time.perf_counter()
     p2m = mc.path_second_moment(s, kern, T)
@@ -662,8 +677,8 @@ def test_rectangular_mean_square_centering_is_exact(tau, T):
                                   Functional.PATH_SECOND_MOMENT, T, epsilon=1e-3)
         for truncated in (False, True):
             eps = cfg.epsilon if truncated else 0.0
-            k1 = crm.moment_truncated(intensity, 1.0, eps)
-            k2 = crm.moment_truncated(intensity, 2.0, eps)
+            k1 = crm.jump_moment(intensity, 1.0, epsilon=eps)
+            k2 = crm.jump_moment(intensity, 2.0, epsilon=eps)
             exact = (k1 ** 2 * (4 * tau ** 2 * T - 5 * tau ** 3 / 3)
                      + k2 * (2 * tau * T - tau ** 2 / 2)) / T
             assert mc._mean_sq_hazard_quadrature(cfg, truncated) \

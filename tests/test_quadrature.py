@@ -107,9 +107,9 @@ def test_homogeneous_values_match_quadpack(kern):
         for T in (30.0, 500.0):
             lo, hi = kernels.location_window(kern, T)
             for eps in (0.0, 1e-3):
-                k1, k2 = (crm.moment_truncated(intensity, a, eps) for a in (1.0, 2.0))
+                k1, k2 = (crm.jump_moment(intensity, a, epsilon=eps) for a in (1.0, 2.0))
                 for i in (1, 2, 3):
-                    ki = crm.moment_truncated(intensity, float(i), eps)
+                    ki = crm.jump_moment(intensity, float(i), epsilon=eps)
                     oracle = quadpack(lambda x: ki * kernels.K_T(kern, T, x) ** i,
                                       lo, hi, kern.breaks(T))
                     assert I_moments(kern, intensity, T, i, eps) \
