@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, crm, kernels
 from .asymptotics import (Functional, NotCatalogedError, Power, PowerLog,
-                          catalog_rows)
+                          catalog_rows, regime_cumhaz)
 from .conditions import Theorem, check_theorem
 from .montecarlo import (CENTERING_CATALOG, CENTERING_QUADRATURE,
                          ExperimentConfig, TruncationBudgetError, hazard_path,
@@ -383,7 +383,6 @@ def _write(cfg: RunConfig, body: str, default_name: str) -> str:
 
 
 def _auto_rate(cfg: RunConfig):
-    from .asymptotics import regime_cumhaz
     if cfg.rate is not None:
         return cfg.rate
     if cfg.theorem == Theorem.CUMHAZ:

@@ -338,12 +338,6 @@ class ConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def _rate_value(rate: RateFunction, T: float) -> float:
-    if not isinstance(rate, (Power, PowerLog)):
-        raise ValueError(f"unknown rate function {rate!r}")
-    return rate(T)
-
-
 def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
                   theorem: str, rate: RateFunction,
                   t_grid: Sequence[float]) -> ConditionReport:
@@ -357,45 +351,31 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 4 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be >= 4 strictly increasing horizons")
-    values: Dict[int, List[float]] = {}
+    if theorem not in Theorem.ALL:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    if not isinstance(rate, (Power, PowerLog)):
+        raise ValueError(f"unknown rate function {rate!r}")
+    rates = [rate(T) for T in t_grid]
     delta_est = None
+    # rows: one tuple of condition values per horizon
     if theorem == Theorem.CUMHAZ:
-        for T in t_grid:
-            c0 = _rate_value(rate, T)
-            i2 = I_moments(kernel, intensity, T, 2)
-            i3 = I_moments(kernel, intensity, T, 3)
-            values.setdefault(1, []).append(c0 ** 2 * i2)
-            values.setdefault(2, []).append(c0 ** 3 * i3)
+        rows = [(c0 ** 2 * I_moments(kernel, intensity, T, 2),
+                 c0 ** 3 * I_moments(kernel, intensity, T, 3)) for T, c0 in zip(t_grid, rates)]
     elif theorem == Theorem.PATH2ND:
-        for T in t_grid:
-            c1 = _rate_value(rate, T)
-            n = contraction_norms(kernel, intensity, T)
-            values.setdefault(1, []).append(2.0 * c1 ** 2 * n.k1_l2_sq)
-            values.setdefault(2, []).append(c1 ** 4 * n.k1_l4_4)
-            values.setdefault(3, []).append(c1 ** 4 * n.k11_l2_sq)
-            values.setdefault(4, []).append(c1 ** 4 * n.k21_l2_sq)
-            values.setdefault(5, []).append(c1 ** 2 * n.k23_l2_sq)
-            values.setdefault(6, []).append(c1 ** 3 * n.k23_l3_3)
-    elif theorem == Theorem.PATHVAR:
+        norms = (contraction_norms(kernel, intensity, T) for T in t_grid)
+        rows = [(2.0 * c1 ** 2 * n.k1_l2_sq, c1 ** 4 * n.k1_l4_4, c1 ** 4 * n.k11_l2_sq,
+                 c1 ** 4 * n.k21_l2_sq, c1 ** 2 * n.k23_l2_sq, c1 ** 3 * n.k23_l3_3)
+                for c1, n in zip(rates, norms)]
+    else:
         c0_rate = regime_cumhaz(kernel, intensity).rate
-        seq1, seq2 = [], []
-        for T in t_grid:
-            c1 = _rate_value(rate, T)
-            c0 = _rate_value(c0_rate, T)
-            seq1.append(c1 / (T * c0) ** 2)
-            seq2.append(2.0 * c1 * I_moments(kernel, intensity, T, 1) / (T ** 2 * c0))
+        c = [(T, c1, c0_rate(T)) for T, c1 in zip(t_grid, rates)]
+        seq2 = [2.0 * c1 * I_moments(kernel, intensity, T, 1) / (T ** 2 * c0) for T, c1, c0 in c]
         # delta = limit of seq2, extrapolated linearly in 1/T
         delta_est = _line_fit(1.0 / np.asarray(t_grid), np.asarray(seq2))[0]
-        values[1] = seq1
-        values[2] = seq2
-        values[3] = []
-        for T in t_grid:
-            c1 = _rate_value(rate, T)
-            c0 = _rate_value(c0_rate, T)
-            g = _Grid(kernel, intensity, float(T))
-            values[3].append(g.pathvar_combined_norm_sq(c1, c0, delta_est))
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
+        rows = [(c1 / (T * c0) ** 2, s2,
+                 _Grid(kernel, intensity, T).pathvar_combined_norm_sq(c1, c0, delta_est))
+                for (T, c1, c0), s2 in zip(c, seq2)]
+    values = {i: list(col) for i, col in enumerate(zip(*rows), start=1)}
 
     verdicts = {}
     for idx, series in values.items():

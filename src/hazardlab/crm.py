@@ -81,7 +81,9 @@ class MassLaw(NamedTuple):
 # ---------------------------------------------------------------------------
 # positive functions (non-homogeneity profiles)
 # ---------------------------------------------------------------------------
-# Each profile also carries `constant` (it does not depend on x) and
+# Each profile also carries `constant` (it does not depend on x).  Only a
+# non-constant profile is thinned, so only those carry the bounds
+# inf_on(lo, hi) and sup_on(lo, hi) of its thinning envelope and
 # `sqrt_slope`, the b with fn(x) ~ b sqrt(x) as x -> infinity (None when
 # the profile does not grow like sqrt(x)).
 
@@ -90,7 +92,6 @@ class Constant:
     """x -> a with a > 0."""
     a: float
     constant: ClassVar[bool] = True
-    sqrt_slope: ClassVar[Optional[float]] = None
     # the points where the profile is not smooth
     kinks: ClassVar[tuple] = ()
 
@@ -100,12 +101,6 @@ class Constant:
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.a)
-
-    def inf_on(self, lo: float, hi: float) -> float:
-        return self.a
-
-    def sup_on(self, lo: float, hi: float) -> float:
-        return self.a
 
     def label(self) -> str:
         return f"constant({self.a:g})"
@@ -643,8 +638,6 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
     evaluation per jump.  The inversion residual |N(v)/g - 1| stays below
     1e-13 (asserted by the property tests).
     """
-    if gammas.size == 0:
-        return gammas
     t = _inverse_tail_table(intensity, rate, epsilon)
     last = t.coef.shape[1]
     # arrivals outside the table take its end jumps

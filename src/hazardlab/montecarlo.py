@@ -24,8 +24,7 @@ import numpy.random  # noqa: F401
 from . import crm, kernels
 from ._numeric import (_BLOCK, _STREAM, block_partials, comp_sum, erf, kolmogorov,
                        quad_breaks)
-from .asymptotics import (Functional, MonteCarloMean, RegimeSpec, Unsupported,
-                          regime)
+from .asymptotics import Functional, MonteCarloMean, Unsupported, regime
 from .conditions import I_moments
 
 __all__ = [
@@ -267,66 +266,40 @@ def _replicate_range(args) -> List[float]:
             for r in range(start, stop)]
 
 
-def _mean_sq_hazard_quadrature(config: ExperimentConfig, truncated: bool) -> float:
-    """(1/T) int_0^T E[h(t)^2] dt under the full or epsilon-truncated
-    intensity: (1/T) [K1^2 int m(t)^2 dt + K2 int Q_T(x,x) dx] with m the
-    kernel's slice mass.  Homogeneous intensities only, the only ones the
-    catalog has a path-second-moment or path-variance limit for; a
-    non-homogeneous one raises ValueError."""
+def _exact_mean(config: ExperimentConfig, epsilon: float) -> float:
+    """Quadrature value of the mean of the functional as sample_crm draws
+    it, with the jumps truncated at epsilon (0: the untruncated CRM); a
+    bulk, where sample_crm draws one, is never truncated.  The path second
+    moment is (1/T) [K1^2 int m(t)^2 dt + K2 int Q_T(x,x) dx] with m the
+    kernel's slice mass, for homogeneous intensities only, the only ones
+    the catalog has a quadratic limit for (a non-homogeneous one raises
+    ValueError); the path variance subtracts E[(H/T)^2] = (I_1^2 + I_2)/T^2."""
     kernel, intensity, T = config.kernel, config.intensity, config.horizon
+    if config.functional is Functional.CUMULATIVE_HAZARD:
+        i1 = I_moments(kernel, intensity, T, 1, epsilon)
+        bulk = _bulk(config)
+        if bulk is None:
+            return i1
+        # the mass below epsilon that the bulk keeps
+        (a, b), _ = bulk
+        k = kernels.K_T(kernel, T, 0.5 * (a + b))
+        return i1 + k * (b - a) * crm.mean_below(intensity, epsilon)
     if not intensity.homogeneous:
         raise ValueError(f"the mean-square centering covers homogeneous intensities, "
                          f"not {intensity.label()}")
-    eps = config.epsilon if truncated else 0.0
     lo, hi = kernels.location_window(kernel, T)
-    k1 = crm.jump_moment(intensity, 1.0, 0.0, eps)
-    k2 = crm.jump_moment(intensity, 2.0, 0.0, eps)
+    k1 = crm.jump_moment(intensity, 1.0, 0.0, epsilon)
+    k2 = crm.jump_moment(intensity, 2.0, 0.0, epsilon)
     # int_0^T (int k(t,x) dx)^2 dt
     mean_part = k1 ** 2 * quad_breaks(lambda t: kernel.slice_mass(t) ** 2, 0.0, T,
                                       kernel.slice_kinks, rel_tol=1e-11)
     second_part = k2 * quad_breaks(lambda x: kernels.Q_T(kernel, T, x, x), lo, hi,
                                    kernel.breaks(T), rel_tol=1e-10)
-    return (mean_part + second_part) / T
-
-
-def _I1(config: ExperimentConfig, truncated: bool) -> float:
-    return I_moments(config.kernel, config.intensity, config.horizon, 1,
-                     config.epsilon if truncated else 0.0)
-
-
-def _exact_center(config: ExperimentConfig, truncated: bool) -> float:
-    """Quadrature value of the functional's mean under the full or the
-    epsilon-truncated intensity (the latter is the exact mean of the
-    simulated statistic, whose bulk, where sample_crm draws one, is not
-    truncated).  For the path variance that is mean_sq - E[(H/T)^2] with
-    E[H^2] = I_1^2 + I_2."""
-    F = config.functional
-    if F is Functional.CUMULATIVE_HAZARD:
-        bulk = _bulk(config) if truncated else None
-        if bulk is None:
-            return _I1(config, truncated)
-        # I_1(epsilon) plus the mass below epsilon that the bulk keeps
-        (a, b), _ = bulk
-        k = kernels.K_T(config.kernel, config.horizon, 0.5 * (a + b))
-        return _I1(config, truncated) + k * (b - a) * crm.mean_below(config.intensity,
-                                                                      config.epsilon)
-    mean_sq = _mean_sq_hazard_quadrature(config, truncated)
-    if F is Functional.PATH_SECOND_MOMENT:
+    mean_sq = (mean_part + second_part) / T
+    if config.functional is Functional.PATH_SECOND_MOMENT:
         return mean_sq
-    T, eps = config.horizon, config.epsilon if truncated else 0.0
-    i2 = I_moments(config.kernel, config.intensity, T, 2, eps)
-    return mean_sq - ((_I1(config, truncated) / T) ** 2 + i2 / T ** 2)
-
-
-def _centering(config: ExperimentConfig, spec: RegimeSpec) -> float:
-    """Centering tau(T): the cataloged trend/constant in catalog mode
-    (MonteCarloMean falls back to quadrature I_1), the exact truncated
-    mean in quadrature mode."""
-    if config.centering_mode == CENTERING_CATALOG:
-        if isinstance(spec.centering, MonteCarloMean):
-            return _I1(config, truncated=False)
-        return spec.centering(config.horizon)
-    return _exact_center(config, truncated=True)
+    i2 = I_moments(kernel, intensity, T, 2, epsilon)
+    return mean_sq - ((I_moments(kernel, intensity, T, 1, epsilon) / T) ** 2 + i2 / T ** 2)
 
 
 def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltReport:
@@ -350,17 +323,19 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
     rate_value = spec.rate(T)
     target_sd = math.sqrt(spec.limit_variance)
 
-    centering_used = _centering(config, spec)
     if config.centering_mode == CENTERING_QUADRATURE:
-        residual_bias = 0.0     # the centering absorbs the truncation shift
+        # the centering absorbs the truncation shift
+        centering_used = _exact_mean(config, config.epsilon)
     else:
+        full = _exact_mean(config, 0.0)
+        centering_used = (full if isinstance(spec.centering, MonteCarloMean)
+                          else spec.centering(T))
         # bias of the standardized mean induced by epsilon-truncation alone
-        residual_bias = abs(rate_value * (_exact_center(config, truncated=False)
-                                          - _exact_center(config, truncated=True)))
-    if residual_bias > TRUNCATION_BUDGET * target_sd:
-        raise TruncationBudgetError(
-            f"truncation bias {residual_bias:.4g} exceeds {TRUNCATION_BUDGET:.0%} of the "
-            f"target sd {target_sd:.4g}; lower epsilon or use quadrature centering")
+        residual_bias = abs(rate_value * (full - _exact_mean(config, config.epsilon)))
+        if residual_bias > TRUNCATION_BUDGET * target_sd:
+            raise TruncationBudgetError(
+                f"truncation bias {residual_bias:.4g} exceeds {TRUNCATION_BUDGET:.0%} of the "
+                f"target sd {target_sd:.4g}; lower epsilon or use quadrature centering")
 
     R = config.replicates
     if nworkers <= 1 or R < 2 * nworkers:

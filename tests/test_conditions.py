@@ -435,6 +435,21 @@ def test_check_theorem_cumhaz_and_errors():
                            asy.Power(-0.5), [10.0, 20.0])
 
 
+@pytest.mark.parametrize("theorem", cond.Theorem.ALL)
+def test_check_theorem_refuses_bad_input_before_any_quadrature(monkeypatch, theorem):
+    # an unknown theorem and a rate that is neither Power nor PowerLog are
+    # refused before I_moments, the contraction norms or a grid run
+    def fail(*args, **kwargs):
+        raise AssertionError("a quadrature ran before the input was checked")
+    for name in ("I_moments", "contraction_norms", "_Grid"):
+        monkeypatch.setattr(cond, name, fail)
+    kern = kernels.Rectangular(1.0)
+    with pytest.raises(ValueError, match="unknown theorem 'bogus'"):
+        cond.check_theorem(kern, GG, "bogus", asy.Power(0.5), GRID)
+    with pytest.raises(ValueError, match="unknown rate function"):
+        cond.check_theorem(kern, GG, theorem, lambda T: math.sqrt(T), GRID)
+
+
 def test_report_serialization_round_trip():
     import json
     rep = cond.check_theorem(kernels.DykstraLaud(), GG, cond.Theorem.CUMHAZ,

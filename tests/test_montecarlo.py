@@ -13,7 +13,7 @@ from scipy import integrate, stats
 
 from hazardlab import _numeric, crm, kernels
 from hazardlab import montecarlo as mc
-from hazardlab.asymptotics import Functional
+from hazardlab.asymptotics import Functional, MonteCarloMean, regime
 from hazardlab.conditions import I_moments
 
 from conftest import seeded, traced_peak
@@ -174,7 +174,7 @@ def test_path_variance_identity_and_clamp():
     assert mc.path_variance(s, kern, T) <= 1e-12
 
 
-@pytest.mark.parametrize("case", [None] + list(range(40)))
+@pytest.mark.parametrize("case", [None, "three"] + list(range(40)))
 def test_path_variance_clamp_at_scale(case):
     # n jumps J_k at (2k + 1) tau tile [0, T = 2n tau] with rectangular
     # spans, so h is J_k on the k-th tile and the path variance is the
@@ -184,9 +184,12 @@ def test_path_variance_clamp_at_scale(case):
     # r = 1e-8..1 around m, so the variance runs from far below rounding to
     # p2m / 3.  tau a power of 2 keeps the locations exact; at tau = 0.7
     # their rounding opens gaps and overlaps of an ulp, and the path
-    # variance is ~5e-12 p2m in fact.
+    # variance is ~5e-12 p2m in fact.  Three jumps of 0.1 (case "three")
+    # leave p2m - (H/T)^2 = -1.7e-18, which the clamp sets to 0.
     if case is None:
         tau, jumps = 1.0, np.full(100_000, 0.3)
+    elif case == "three":
+        tau, jumps = 1.0, np.full(3, 0.1)
     else:
         rng = np.random.default_rng([9301, case])
         tau = 2.0 ** int(rng.integers(-3, 4))
@@ -202,6 +205,20 @@ def test_path_variance_clamp_at_scale(case):
     mean = math.fsum(jumps) / n
     var_pop = math.fsum((jumps - mean) ** 2) / n
     assert v >= 0.0 and abs(v - var_pop) <= 1e-12 * p2m, (tau, n, v, var_pop, p2m)
+    if case == "three":
+        assert p2m - (mc.cumhaz(s, kern, T) / T) ** 2 < 0.0 and v == 0.0
+
+
+def test_path_variance_raises_when_negative_beyond_rounding(monkeypatch):
+    # a constant tiling has path variance 0; with its path second moment
+    # halved, p2m - (H/T)^2 = -p2m / 2 lies far beyond rounding
+    kern, T = kernels.Rectangular(1.0), 20.0
+    s = crm.CrmSample(np.full(10, 0.3), 2.0 * np.arange(10) + 1.0,
+                      kernels.location_window(kern, T))
+    p2m = mc.path_second_moment
+    monkeypatch.setattr(mc, "path_second_moment", lambda *args: 0.5 * p2m(*args))
+    with pytest.raises(ArithmeticError, match="negative beyond rounding"):
+        mc.path_variance(s, kern, T)
 
 
 @pytest.mark.parametrize("kern", [kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
@@ -572,7 +589,7 @@ def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, seeds):
     shift = 2.0 * (b - a) * crm.mean_below(intensity, eps)
     assert stats.ks_2samp(bulk, full + shift).pvalue > 0.01
     se = bulk.std(ddof=1) / math.sqrt(bulk.size)
-    assert abs(bulk.mean() - mc._exact_center(bulk_cfg, truncated=True)) <= 4.0 * se
+    assert abs(bulk.mean() - mc._exact_mean(bulk_cfg, eps)) <= 4.0 * se
 
 
 def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
@@ -585,7 +602,7 @@ def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
     for r in range(3):
         a, b = mc.sample_crm(cfg, r), mc.sample_series(cfg, r)
         assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
-    assert mc._exact_center(cfg, truncated=True) == mc._I1(cfg, truncated=True)
+    assert mc._exact_mean(cfg, cfg.epsilon) == I_moments(cfg.kernel, GG, 50.0, 1, cfg.epsilon)
     assert mc._bulk(dataclasses.replace(cfg, epsilon=1e-6)) is not None
 
 
@@ -602,8 +619,21 @@ def test_run_level_truncation_deficit(eps, deficit_per_mass):
     cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
                               50.0, seed=2236, epsilon=eps)
     assert (mc._bulk(cfg) is None) == (eps == 1e-2)
-    deficit = mc._exact_center(cfg, truncated=False) - mc._exact_center(cfg, truncated=True)
+    deficit = mc._exact_mean(cfg, 0.0) - mc._exact_mean(cfg, eps)
     assert deficit == pytest.approx(deficit_per_mass * crm.mean_below(GG, eps), rel=1e-6)
+
+
+def test_catalog_centering_without_a_trend_constant_is_the_full_I1():
+    # rectangular(1) + EG(affine_sqrt(1, 1)) has no closed trend constant
+    # (MonteCarloMean): catalog mode centers on I_1 of the untruncated CRM,
+    # not on the epsilon-truncated mean the quadrature mode uses
+    kern, intensity = kernels.Rectangular(1.0), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
+    assert isinstance(regime(kern, intensity, Functional.CUMULATIVE_HAZARD).centering,
+                      MonteCarloMean)
+    cfg = mc.ExperimentConfig(kern, intensity, Functional.CUMULATIVE_HAZARD, 60.0,
+                              replicates=100, seed=2237, epsilon=1e-4,
+                              centering_mode=mc.CENTERING_CATALOG)
+    assert mc.run_clt(cfg, workers=1).centering_value == I_moments(kern, intensity, 60.0, 1)
 
 
 def test_worker_resolution_env_cap(monkeypatch):
@@ -675,13 +705,12 @@ def test_rectangular_mean_square_centering_is_exact(tau, T):
     for intensity in (EG1, crm.ExtendedGamma(crm.Constant(2.0)), crm.Beta(crm.Constant(1.5))):
         cfg = mc.ExperimentConfig(kernels.Rectangular(tau), intensity,
                                   Functional.PATH_SECOND_MOMENT, T, epsilon=1e-3)
-        for truncated in (False, True):
-            eps = cfg.epsilon if truncated else 0.0
+        for eps in (0.0, cfg.epsilon):
             k1 = crm.jump_moment(intensity, 1.0, epsilon=eps)
             k2 = crm.jump_moment(intensity, 2.0, epsilon=eps)
             exact = (k1 ** 2 * (4 * tau ** 2 * T - 5 * tau ** 3 / 3)
                      + k2 * (2 * tau * T - tau ** 2 / 2)) / T
-            assert mc._mean_sq_hazard_quadrature(cfg, truncated) \
+            assert mc._exact_mean(cfg, eps) \
                 == pytest.approx(exact, rel=1e-13, abs=0)
 
 
@@ -692,7 +721,6 @@ def test_mean_square_centering_refuses_nonhomogeneous_intensities(functional):
     # never centers one; the centering itself refuses too
     cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), crm.Beta(crm.IndicatorSqrt(1.0)),
                               functional, 30.0, epsilon=1e-3)
-    for call in (mc._mean_sq_hazard_quadrature, mc._exact_center):
-        with pytest.raises(ValueError, match=r"covers homogeneous intensities, "
-                                             r"not beta\(indicator_sqrt\(1\)\)"):
-            call(cfg, truncated=True)
+    with pytest.raises(ValueError, match=r"covers homogeneous intensities, "
+                                         r"not beta\(indicator_sqrt\(1\)\)"):
+        mc._exact_mean(cfg, cfg.epsilon)

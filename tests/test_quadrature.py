@@ -121,7 +121,7 @@ def test_homogeneous_values_match_quadpack(kern):
                 mean_part = quadpack(lambda t: float(kern.slice_mass(t)) ** 2, 0.0, T,
                                      kern.slice_kinks)
                 second = quadpack(lambda x: kernels.Q_T(kern, T, x, x), lo, hi, kern.breaks(T))
-                assert mc._mean_sq_hazard_quadrature(cfg, truncated=True) \
+                assert mc._exact_mean(cfg, eps) \
                     == pytest.approx((k1 ** 2 * mean_part + k2 * second) / T, rel=1e-12, abs=0)
 
 
