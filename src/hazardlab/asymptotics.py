@@ -3,9 +3,10 @@ limiting variance for the cumulative hazard, path-second moment and
 path-variance of each worked (kernel, intensity) pair.
 
 The catalog is static data plus moment plugging, not a derivation
-engine; pairs outside it raise NotCatalogedError (linear functional) or
-return Unsupported (quadratic functionals, where monotone-type kernels
-genuinely fail the required negligibility conditions).
+engine.  regime() is its one lookup: a pair without a limit raises
+NotCatalogedError, whose reason says why (monotone-type kernels, for
+instance, genuinely fail the quadratic functionals' negligibility
+conditions).
 
 For a stationary kernel k(t, x) = phi(t - x) every constant is a
 stationary-bulk integral with the jump moments K_i plugged in: the
@@ -29,16 +30,10 @@ from typing import Optional, Union
 from . import crm, kernels
 
 __all__ = [
-    "Functional", "Power", "PowerLog", "RateFunction",
-    "PowerTrend", "ConstantCentering", "MonteCarloMean", "CenteringRule",
-    "RegimeSpec", "Unsupported", "NotCatalogedError",
-    "regime_cumhaz", "regime_path2nd", "regime_pathvar", "regime",
+    "Functional", "Power", "PowerTrend", "MonteCarloMean", "CenteringRule",
+    "RegimeSpec", "NotCatalogedError", "regime",
     "catalog_rows", "default_catalog_pairs",
 ]
-
-
-class NotCatalogedError(Exception):
-    """The (kernel, intensity) pair has no cataloged regime."""
 
 
 class Functional(enum.Enum):
@@ -47,58 +42,46 @@ class Functional(enum.Enum):
     PATH_VARIANCE = "path_variance"
 
 
+class NotCatalogedError(ValueError):
+    """The (kernel, intensity, functional) triple has no cataloged limit;
+    `reason` says why."""
+
+    def __init__(self, kernel: kernels.Kernel, intensity: crm.JumpIntensity,
+                 functional: Functional, reason: str):
+        super().__init__(f"no cataloged limit for ({kernel.label()}, {intensity.label()}, "
+                         f"{functional.value}): {reason}; "
+                         "run check-conditions for the numeric verdicts")
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class Power:
-    """C(T) = T^p."""
+    """C(T) = T^p (log T)^q; with q != 0 only for T > 1 (where log T > 0)."""
     p: float
+    q: float = 0.0
 
     def __call__(self, T: float) -> float:
-        return T ** self.p
-
-    def label(self) -> str:
-        return f"T^{self.p:g}"
-
-
-@dataclass(frozen=True)
-class PowerLog:
-    """C(T) = T^p (log T)^q, for T > 1 (where log T > 0)."""
-    p: float
-    q: float
-
-    def __call__(self, T: float) -> float:
+        if not self.q:
+            return T ** self.p
         if not T > 1.0:
             raise ValueError(f"rate {self.label()} is defined for T > 1 only, got T={T:g}")
         return T ** self.p * math.log(T) ** self.q
 
     def label(self) -> str:
-        return f"T^{self.p:g}*logT^{self.q:g}"
-
-
-RateFunction = Union[Power, PowerLog]
+        return f"T^{self.p:g}*logT^{self.q:g}" if self.q else f"T^{self.p:g}"
 
 
 @dataclass(frozen=True)
 class PowerTrend:
-    """Centering tau(T) = coef * T^power."""
+    """Centering tau(T) = coef * T^power; a constant at power 0."""
     coef: float
-    power: float
+    power: float = 0.0
 
     def __call__(self, T: float) -> float:
         return self.coef * T ** self.power
 
     def label(self) -> str:
-        return f"{self.coef:g}*T^{self.power:g}"
-
-
-@dataclass(frozen=True)
-class ConstantCentering:
-    value: float
-
-    def __call__(self, T: float) -> float:
-        return self.value
-
-    def label(self) -> str:
-        return f"{self.value:g}"
+        return f"{self.coef:g}*T^{self.power:g}" if self.power else f"{self.coef:g}"
 
 
 @dataclass(frozen=True)
@@ -110,17 +93,16 @@ class MonteCarloMean:
         return "I1(T) by quadrature"
 
 
-CenteringRule = Union[PowerTrend, ConstantCentering, MonteCarloMean]
+CenteringRule = Union[PowerTrend, MonteCarloMean]
 
 
 @dataclass(frozen=True)
 class RegimeSpec:
     functional: Functional
-    rate: RateFunction
+    rate: Power
     centering: CenteringRule
     limit_variance: float
     delta: Optional[float] = None
-    sigma0_sq: Optional[float] = None
     sigma1_sq: Optional[float] = None
     sigma2_sq: Optional[float] = None
     sigma3_sq: Optional[float] = None
@@ -132,13 +114,6 @@ class RegimeSpec:
             raise ValueError("path-variance regimes carry delta")
 
 
-@dataclass(frozen=True)
-class Unsupported:
-    """A pair for which the CLT hypotheses provably fail (or are not
-    cataloged); `reason` says why."""
-    reason: str
-
-
 _MONOTONE_REASON = (
     "monotone-growth kernel: the normalized contraction quantity converges to a "
     "positive constant and the single-integral condition quantities diverge, so no "
@@ -146,21 +121,14 @@ _MONOTONE_REASON = (
 )
 
 
-def _moments(intensity, upto=4):
-    return [crm.jump_moment(intensity, i) for i in range(1, upto + 1)]
-
-
-def regime_cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> RegimeSpec:
-    """Theorem-level regime of C0(T) * [H(T) - trend(T)] -> N(0, sigma0^2)."""
+def _cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> RegimeSpec:
     F = Functional.CUMULATIVE_HAZARD
     if intensity.homogeneous:
         k1, k2 = crm.jump_moment(intensity, 1), crm.jump_moment(intensity, 2)
         if kernel.nested:
-            var = k2 / 3.0
-            return RegimeSpec(F, Power(-1.5), PowerTrend(0.5 * k1, 2.0), var, sigma0_sq=var)
+            return RegimeSpec(F, Power(-1.5), PowerTrend(0.5 * k1, 2.0), k2 / 3.0)
         m = kernel.bulk[0]
-        var = m ** 2 * k2
-        return RegimeSpec(F, Power(-0.5), PowerTrend(m * k1, 1.0), var, sigma0_sq=var)
+        return RegimeSpec(F, Power(-0.5), PowerTrend(m * k1, 1.0), m ** 2 * k2)
     # non-homogeneous worked cases: sqrt-growth profiles with DL / rectangular
     b = intensity.profile.sqrt_slope
     if b is not None and isinstance(kernel, (kernels.DykstraLaud, kernels.Rectangular)):
@@ -169,56 +137,51 @@ def regime_cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> Regim
         # exactly 1 at every location
         extended = isinstance(intensity, crm.ExtendedGamma)
         if kernel.nested:
-            rate, centering, var = ((PowerLog(-1.0, -0.5), MonteCarloMean(), 1.0 / b ** 2)
+            rate, centering, var = ((Power(-1.0, -0.5), MonteCarloMean(), 1.0 / b ** 2)
                                     if extended else
                                     (Power(-1.25), PowerTrend(0.5, 2.0), 16.0 / (15.0 * b)))
         else:
             m = kernel.bulk[0]
-            rate, centering, var = ((PowerLog(0.0, -0.5), MonteCarloMean(), m ** 2 / b ** 2)
+            rate, centering, var = ((Power(0.0, -0.5), MonteCarloMean(), m ** 2 / b ** 2)
                                     if extended else
                                     (Power(-0.25), PowerTrend(m, 1.0), 2.0 * m ** 2 / b))
-        return RegimeSpec(F, rate, centering, var, sigma0_sq=var)
+        return RegimeSpec(F, rate, centering, var)
     raise NotCatalogedError(
-        f"no cumulative-hazard regime cataloged for ({kernel.label()}, {intensity.label()}); "
-        "the numeric condition checker can still be run")
+        kernel, intensity, F,
+        "non-homogeneous intensity: the cumulative-hazard worked cases are the "
+        "sqrt-growth profiles with the Dykstra-Laud and rectangular kernels")
 
 
-def _regime_quadratic(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
-                      F: Functional) -> Union[RegimeSpec, Unsupported]:
+def _quadratic(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
+               F: Functional) -> RegimeSpec:
     if kernel.nested:
-        return Unsupported(_MONOTONE_REASON)
+        raise NotCatalogedError(kernel, intensity, F, _MONOTONE_REASON)
     if not intensity.homogeneous:
-        return Unsupported(
+        raise NotCatalogedError(
+            kernel, intensity, F,
             "non-homogeneous intensity: the limiting variance depends on the whole profile")
-    k1, k2, k3, k4 = _moments(intensity)
+    k1, k2, k3, k4 = (crm.jump_moment(intensity, i) for i in (1, 2, 3, 4))
     m, r0, r2 = kernel.bulk
     s1 = 2.0 * k2 ** 2 * r2
     if F is Functional.PATH_SECOND_MOMENT:
         s2 = k4 * r0 ** 2 + 4.0 * k3 * k1 * r0 * m ** 2 + 4.0 * k2 * k1 ** 2 * m ** 4
-        return RegimeSpec(F, Power(0.5), ConstantCentering(k2 * r0 + k1 ** 2 * m ** 2),
+        return RegimeSpec(F, Power(0.5), PowerTrend(k2 * r0 + k1 ** 2 * m ** 2),
                           s1 + s2, sigma1_sq=s1, sigma2_sq=s2)
     s3 = k4 * r0 ** 2       # the delta * C0 * k0 term cancels the cross terms
-    return RegimeSpec(F, Power(0.5), ConstantCentering(k2 * r0), s1 + s3,
+    return RegimeSpec(F, Power(0.5), PowerTrend(k2 * r0), s1 + s3,
                       delta=2.0 * k1 * m, sigma1_sq=s1, sigma3_sq=s3)
 
 
-def regime_path2nd(kernel: kernels.Kernel,
-                   intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
-    """sqrt(T) * [path-second-moment - centering] -> N(0, sigma1^2 + sigma2^2)."""
-    return _regime_quadratic(kernel, intensity, Functional.PATH_SECOND_MOMENT)
-
-
-def regime_pathvar(kernel: kernels.Kernel,
-                   intensity: crm.JumpIntensity) -> Union[RegimeSpec, Unsupported]:
-    """sqrt(T) * [path-variance - centering] -> N(0, sigma1^2 + sigma3^2)."""
-    return _regime_quadratic(kernel, intensity, Functional.PATH_VARIANCE)
-
-
 def regime(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
-           functional: Functional) -> Union[RegimeSpec, Unsupported]:
+           functional: Functional) -> RegimeSpec:
+    """The cataloged limit of the functional for the pair:
+    C0(T) * [H(T) - trend(T)] -> N(0, sigma0^2) for the cumulative hazard,
+    sqrt(T) * [path-second-moment - centering] -> N(0, sigma1^2 + sigma2^2)
+    and sqrt(T) * [path-variance - centering] -> N(0, sigma1^2 + sigma3^2).
+    Raises NotCatalogedError for a pair without one."""
     if functional is Functional.CUMULATIVE_HAZARD:
-        return regime_cumhaz(kernel, intensity)
-    return _regime_quadratic(kernel, intensity, functional)
+        return _cumhaz(kernel, intensity)
+    return _quadratic(kernel, intensity, functional)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +209,13 @@ def catalog_rows(pairs=None):
     rows = []
     for kernel, intensity in (pairs or default_catalog_pairs()):
         for functional in Functional:
+            row = {"kernel": kernel.label(), "crm": intensity.label(),
+                   "functional": functional.value}
             try:
                 spec = regime(kernel, intensity, functional)
             except NotCatalogedError as exc:
-                spec = Unsupported(str(exc))
-            row = {"kernel": kernel.label(), "crm": intensity.label(),
-                   "functional": functional.value}
-            if isinstance(spec, Unsupported):
                 row.update(rate="", trend="", variance="", delta="",
-                           supported="no", reason=spec.reason)
+                           supported="no", reason=exc.reason)
             else:
                 row.update(rate=spec.rate.label(), trend=spec.centering.label(),
                            variance=f"{spec.limit_variance:.12g}",

@@ -28,8 +28,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import __version__, crm, kernels
-from .asymptotics import (Functional, NotCatalogedError, Power, PowerLog,
-                          catalog_rows, regime_cumhaz)
+from .asymptotics import Functional, NotCatalogedError, Power, catalog_rows, regime
 from .conditions import Theorem, check_theorem
 from .montecarlo import (CENTERING_CATALOG, CENTERING_QUADRATURE,
                          ExperimentConfig, TruncationBudgetError, hazard_path,
@@ -196,14 +195,12 @@ def _parse_rate(value: str, lineno: int, key: str):
         parts = value[9:].split(",")
         if len(parts) != 2:
             raise ConfigError(f"line {lineno}: powerlog rate needs p,q")
-        return PowerLog(_as_float(parts[0], lineno, key), _as_float(parts[1], lineno, key))
+        return Power(_as_float(parts[0], lineno, key), _as_float(parts[1], lineno, key))
     raise ConfigError(f"line {lineno}: rate must be auto, power:<p> or powerlog:<p>,<q>")
 
 
 def _render_rate(rate) -> str:
-    if isinstance(rate, PowerLog):
-        return f"powerlog:{_g(rate.p)},{_g(rate.q)}"
-    return f"power:{_g(rate.p)}"
+    return f"powerlog:{_g(rate.p)},{_g(rate.q)}" if rate.q else f"power:{_g(rate.p)}"
 
 
 def _parse_t_grid(value: str, lineno: int, key: str):
@@ -339,6 +336,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{cfg.kind} requires a [kernel] section")
         if cfg.intensity is None:
             raise ConfigError(f"{cfg.kind} requires a [crm] section")
+    elif (cfg.kernel is None) != (cfg.intensity is None):
+        raise ConfigError("regimes takes a [kernel] and a [crm] section together, or neither")
     return cfg
 
 
@@ -385,9 +384,15 @@ def _write(cfg: RunConfig, body: str, default_name: str) -> str:
 def _auto_rate(cfg: RunConfig):
     if cfg.rate is not None:
         return cfg.rate
-    if cfg.theorem == Theorem.CUMHAZ:
-        return regime_cumhaz(cfg.kernel, cfg.intensity).rate
-    return Power(0.5)       # C1 = sqrt(T), the quadratic-functional convention
+    if cfg.theorem != Theorem.CUMHAZ:
+        return Power(0.5)   # C1 = sqrt(T), the quadratic-functional convention
+    try:
+        return regime(cfg.kernel, cfg.intensity, Functional.CUMULATIVE_HAZARD).rate
+    except NotCatalogedError as exc:
+        raise ConfigError(
+            f"rate = auto: the catalog has no cumulative-hazard rate for "
+            f"({cfg.kernel.label()}, {cfg.intensity.label()}): {exc.reason}; "
+            "set rate = power:<p> or powerlog:<p>,<q>") from None
 
 
 def run(cfg: RunConfig) -> int:
@@ -397,10 +402,7 @@ def run(cfg: RunConfig) -> int:
             if cfg.expects:
                 raise ConfigError(_unread_expectation(
                     f"expect_condition_{min(cfg.expects)}", cfg.kind))
-            pairs = None
-            if cfg.kernel is not None and cfg.intensity is not None:
-                pairs = [(cfg.kernel, cfg.intensity)]
-            rows = catalog_rows(pairs)
+            rows = catalog_rows(None if cfg.kernel is None else [(cfg.kernel, cfg.intensity)])
             if cfg.out_format == "csv":
                 cols = ["kernel", "crm", "functional", "rate", "trend",
                         "variance", "delta", "supported"]
@@ -452,8 +454,8 @@ def run(cfg: RunConfig) -> int:
         path = _write(cfg, body, "paths.csv")
         print(f"wrote {path} ({sample.size} atoms)")
         return 0
-    except (OSError, ConfigError, ValueError, ArithmeticError, crm.EnvelopeError,
-            NotCatalogedError, TruncationBudgetError) as exc:
+    except (OSError, ValueError, ArithmeticError, crm.EnvelopeError,
+            TruncationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

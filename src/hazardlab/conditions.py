@@ -33,7 +33,7 @@ import numpy as np
 
 from . import crm, kernels
 from ._numeric import gl_panels, quad_breaks, sorted_unique
-from .asymptotics import Power, PowerLog, RateFunction, regime_cumhaz
+from .asymptotics import Functional, NotCatalogedError, Power, regime
 
 __all__ = [
     "Theorem", "Verdict", "ConditionReport", "FitResult",
@@ -275,11 +275,6 @@ class ContractionNorms:
     k23_l2_sq: float       # ||k2 + 2 k3||^2_{L2(nu)}
     k23_l3_3: float        # ||k2 + 2 k3||^3_{L3(nu)}
 
-    def as_dict(self) -> Dict[str, float]:
-        return {k: getattr(self, k) for k in
-                ("k1_l2_sq", "k1_l4_4", "k11_l2_sq", "k21_l2_sq",
-                 "k23_l2_sq", "k23_l3_3")}
-
 
 def contraction_norms(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
                       T: float) -> ContractionNorms:
@@ -339,7 +334,7 @@ class ConditionReport:
 
 
 def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
-                  theorem: str, rate: RateFunction,
+                  theorem: str, rate: Power,
                   t_grid: Sequence[float]) -> ConditionReport:
     """Evaluate every condition quantity of the chosen theorem on the
     horizon grid, fit log-log slopes, and issue verdicts.
@@ -353,7 +348,7 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
         raise ValueError("t_grid must be >= 4 strictly increasing horizons")
     if theorem not in Theorem.ALL:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if not isinstance(rate, (Power, PowerLog)):
+    if not isinstance(rate, Power):
         raise ValueError(f"unknown rate function {rate!r}")
     rates = [rate(T) for T in t_grid]
     delta_est = None
@@ -367,7 +362,13 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
                  c1 ** 4 * n.k21_l2_sq, c1 ** 2 * n.k23_l2_sq, c1 ** 3 * n.k23_l3_3)
                 for c1, n in zip(rates, norms)]
     else:
-        c0_rate = regime_cumhaz(kernel, intensity).rate
+        try:
+            c0_rate = regime(kernel, intensity, Functional.CUMULATIVE_HAZARD).rate
+        except NotCatalogedError as exc:
+            raise ValueError(
+                f"the path-variance conditions take C0 from the catalog's cumulative-hazard "
+                f"rate, and ({kernel.label()}, {intensity.label()}) has none: {exc.reason}"
+            ) from None
         c = [(T, c1, c0_rate(T)) for T, c1 in zip(t_grid, rates)]
         seq2 = [2.0 * c1 * I_moments(kernel, intensity, T, 1) / (T ** 2 * c0) for T, c1, c0 in c]
         # delta = limit of seq2, extrapolated linearly in 1/T

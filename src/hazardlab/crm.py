@@ -31,8 +31,8 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._numeric import (_STREAM, betainc, betaincc, comp_sum, exp1, gammainc, gammaincc,
-                       gammaln, gl_panels, xlog1py)
+from ._numeric import (_STREAM, betainc, betaincc, exp1, gammainc, gammaincc, gammaln,
+                       gl_panels, xlog1py)
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -566,9 +566,6 @@ class CrmSample:
     @property
     def size(self) -> int:
         return int(self.jumps.size)
-
-    def total_mass(self) -> float:
-        return comp_sum(self.jumps)
 
 
 def _check_window(window) -> tuple:

@@ -30,15 +30,17 @@ __all__ = [
 class _Family:
     """Defaults for the family facts.  Every family also defines value(t, x),
     K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
-    slice_mass(t) = int k(t, x) dx, the condition-grid panel_step(T) and
-    pair_sum(J, x, T) = sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x; the
-    rectangular kernel also defines band (Q_T(x, y) = 0 once |x - y| > band).
+    the condition-grid panel_step(T) and pair_sum(J, x, T) =
+    sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x; the rectangular kernel
+    also defines band (Q_T(x, y) = 0 once |x - y| > band).
     On the condition grid, with nodes x, weights w and panel edges edges,
     every family defines row_integrals(T, x, w, edges, mu, power), the rows
     int mu(y) Q_T(x_i, y)^power dy, and contraction_11(T, x, r2),
     ||A^2||_F^2 for A_ij = r_i Q_T(x_i, x_j) r_j with r^2 = r2.
-    Non-nested families are stationary, k(t, x) = phi(t - x), and carry the
-    bulk integrals (m, r0, r2) = (int phi, rho(0), int rho(u)^2 du) with
+    Non-nested families are stationary, k(t, x) = phi(t - x), and carry
+    slice_mass(t) = int k(t, x) dx, which the mean-square centering reads
+    (the nested families have no quadratic limit to center), and the bulk
+    integrals (m, r0, r2) = (int phi, rho(0), int rho(u)^2 du) with
     rho(u) = int phi(s) phi(s + u) ds: away from 0 and T these are K_T(x),
     Q_T(x, x) and int Q_T(x, x + u)^2 du."""
     # the slices x -> k(t, x) are nested, so Q_T(x, y) = K_T(max(x, y))
@@ -348,9 +350,6 @@ class DykstraLaud(_Nested):
     def K(self, T, x):
         return np.where(x >= 0, np.maximum(T - x, 0.0), 0.0)
 
-    def slice_mass(self, t):
-        return np.maximum(t, 0.0)
-
 
 @dataclass(frozen=True)
 class OrnsteinUhlenbeck(_Green):
@@ -427,13 +426,6 @@ class UShaped(_Nested):
     def window(self, T: float) -> tuple:
         b = self.beta_center
         return (0.0, max(b, T - b))
-
-    def slice_mass(self, t):
-        return np.abs(t - self.beta_center)
-
-    @property
-    def slice_kinks(self) -> tuple:
-        return (self.beta_center,)
 
     def breaks(self, T: float) -> list:
         b = self.beta_center

@@ -24,7 +24,7 @@ import numpy.random  # noqa: F401
 from . import crm, kernels
 from ._numeric import (_BLOCK, _STREAM, block_partials, comp_sum, erf, kolmogorov,
                        quad_breaks)
-from .asymptotics import Functional, MonteCarloMean, Unsupported, regime
+from .asymptotics import Functional, MonteCarloMean, regime
 from .conditions import I_moments
 
 __all__ = [
@@ -310,14 +310,10 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
     Refuses to run when the epsilon-truncation bias of the standardized
     statistic exceeds TRUNCATION_BUDGET of the target standard deviation
     (with quadrature centering the bias is absorbed into the centering,
-    so only catalog centering can trip the budget).
+    so only catalog centering can trip the budget), and raises the
+    catalog's NotCatalogedError for a pair without a cataloged limit.
     """
     spec = regime(config.kernel, config.intensity, config.functional)
-    if isinstance(spec, Unsupported):
-        raise ValueError(
-            f"no cataloged limit for ({config.kernel.label()}, "
-            f"{config.intensity.label()}, {config.functional.value}): {spec.reason}; "
-            "run check-conditions for the numeric verdicts")
     nworkers = resolve_workers(workers)
     T = config.horizon
     rate_value = spec.rate(T)

@@ -58,7 +58,7 @@ def test_criterion_1_regime_catalog_exactness():
                  (kernels.OrnsteinUhlenbeck(kappa), 2.0 * k2 / kappa),
                  (kernels.UShaped(beta), k2 / 3.0)]
         for kern, expected in cases:
-            got = asy.regime_cumhaz(kern, intensity).limit_variance
+            got = asy.regime(kern, intensity, Functional.CUMULATIVE_HAZARD).limit_variance
             worst = max(worst, abs(got - expected) / expected)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -97,7 +97,7 @@ def test_criterion_3_positive_condition_checks():
     t0 = time.perf_counter()
     failures = []
     for kern in (kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0)):
-        spec = asy.regime_path2nd(kern, GG)
+        spec = asy.regime(kern, GG, Functional.PATH_SECOND_MOMENT)
         rep = cond.check_theorem(kern, GG, cond.Theorem.PATH2ND, Power(0.5), GRID)
         for idx in (2, 3, 4):
             v = rep.verdicts[idx]

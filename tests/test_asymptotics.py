@@ -9,6 +9,7 @@ from hazardlab import crm, kernels
 from conftest import random_intensity, seeded
 
 GG = crm.GeneralizedGamma(0.5, 1.0)
+CH, P2, PV = asy.Functional
 
 
 def _moments(intensity):
@@ -30,15 +31,15 @@ def test_cumhaz_catalog_formulas_20_draws():
             (kernels.UShaped(rng.uniform(0.5, 4.0)), k2 / 3.0),
         ]
         for kern, expected in pairs:
-            spec = asy.regime_cumhaz(kern, intensity)
+            spec = asy.regime(kern, intensity, CH)
             assert spec.limit_variance == pytest.approx(expected, rel=1e-12)
 
 
 def test_cumhaz_rates_and_trends():
-    spec = asy.regime_cumhaz(kernels.Rectangular(1.0), GG)
-    assert isinstance(spec.rate, asy.Power) and spec.rate.p == -0.5
+    spec = asy.regime(kernels.Rectangular(1.0), GG, CH)
+    assert spec.rate == asy.Power(-0.5)
     assert spec.centering(10.0) == pytest.approx(20.0)           # 2 tau K1 T
-    spec = asy.regime_cumhaz(kernels.DykstraLaud(), GG)
+    spec = asy.regime(kernels.DykstraLaud(), GG, CH)
     assert spec.rate.p == -1.5
     assert spec.centering(10.0) == pytest.approx(50.0)           # K1 T^2 / 2
 
@@ -47,8 +48,8 @@ def test_nonhomogeneous_cumhaz_catalog():
     dl, rect = kernels.DykstraLaud(), kernels.Rectangular(1.0)
     eg = crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0))
     be = crm.Beta(crm.IndicatorSqrt(1.0))
-    spec = asy.regime_cumhaz(dl, eg)
-    assert isinstance(spec.rate, asy.PowerLog) and (spec.rate.p, spec.rate.q) == (-1.0, -0.5)
+    spec = asy.regime(dl, eg, CH)
+    assert spec.rate == asy.Power(-1.0, -0.5)
     # T^p (log T)^q is real and finite only above T = 1
     assert spec.rate(math.e ** 4) == pytest.approx(math.e ** -4 / 2.0, rel=1e-15)
     for T in (1.0, 0.5):
@@ -56,17 +57,17 @@ def test_nonhomogeneous_cumhaz_catalog():
             spec.rate(T)
     assert isinstance(spec.centering, asy.MonteCarloMean)
     assert spec.limit_variance == pytest.approx(1.0)
-    spec = asy.regime_cumhaz(rect, eg)
+    spec = asy.regime(rect, eg, CH)
     assert spec.limit_variance == pytest.approx(4.0)
-    spec = asy.regime_cumhaz(dl, be)
+    spec = asy.regime(dl, be, CH)
     assert spec.rate.p == -1.25
     assert spec.centering(10.0) == pytest.approx(50.0)           # T^2/2 (K1(x) = 1)
     assert spec.limit_variance == pytest.approx(16.0 / 15.0)
-    spec = asy.regime_cumhaz(rect, be)
+    spec = asy.regime(rect, be, CH)
     assert spec.rate.p == -0.25
     assert spec.limit_variance == pytest.approx(8.0)
     with pytest.raises(asy.NotCatalogedError):
-        asy.regime_cumhaz(kernels.OrnsteinUhlenbeck(1.0), eg)
+        asy.regime(kernels.OrnsteinUhlenbeck(1.0), eg, CH)
 
 
 def test_quadratic_catalog_corrected_values():
@@ -75,22 +76,22 @@ def test_quadratic_catalog_corrected_values():
     sigma, gamma = 0.5, 1.0
     K = lambda c: math.gamma(c - sigma) / (math.gamma(1 - sigma) * gamma ** (c - sigma))
     tau = 1.0
-    spec = asy.regime_path2nd(kernels.Rectangular(tau), GG)
+    spec = asy.regime(kernels.Rectangular(tau), GG, P2)
     s1 = 32 * tau ** 3 * K(2) ** 2 / 3
     s2 = 4 * tau ** 2 * K(4) + 32 * tau ** 3 * K(3) * K(1) + 64 * tau ** 4 * K(2) * K(1) ** 2
     assert spec.sigma1_sq == pytest.approx(s1, rel=1e-12)
     assert spec.sigma2_sq == pytest.approx(s2, rel=1e-12)
     assert spec.limit_variance == pytest.approx(s1 + s2, rel=1e-12)
     kap = 1.0
-    spec = asy.regime_path2nd(kernels.OrnsteinUhlenbeck(kap), GG)
+    spec = asy.regime(kernels.OrnsteinUhlenbeck(kap), GG, P2)
     assert spec.sigma1_sq == pytest.approx(2 * K(2) ** 2 / kap, rel=1e-12)
     assert spec.sigma2_sq == pytest.approx(
         K(4) + 8 * K(3) * K(1) / kap + 16 * K(2) * K(1) ** 2 / kap ** 2, rel=1e-12)
-    spec = asy.regime_pathvar(kernels.Rectangular(tau), GG)
+    spec = asy.regime(kernels.Rectangular(tau), GG, PV)
     assert spec.delta == pytest.approx(4 * tau * K(1), rel=1e-12)
     assert spec.sigma3_sq == pytest.approx(4 * tau ** 2 * K(4), rel=1e-12)
     assert spec.centering(123.0) == pytest.approx(2 * tau * K(2), rel=1e-12)
-    spec = asy.regime_pathvar(kernels.OrnsteinUhlenbeck(kap), GG)
+    spec = asy.regime(kernels.OrnsteinUhlenbeck(kap), GG, PV)
     assert spec.delta == pytest.approx(2 ** 1.5 * K(1) / math.sqrt(kap), rel=1e-12)
     assert spec.sigma3_sq == pytest.approx(K(4), rel=1e-12)
 
@@ -101,8 +102,8 @@ def test_variance_components_positive_over_draws():
         intensity = random_intensity(rng, homogeneous=True)
         for kern in (kernels.Rectangular(rng.uniform(0.3, 3.0)),
                      kernels.OrnsteinUhlenbeck(rng.uniform(0.3, 3.0))):
-            p2 = asy.regime_path2nd(kern, intensity)
-            pv = asy.regime_pathvar(kern, intensity)
+            p2 = asy.regime(kern, intensity, P2)
+            pv = asy.regime(kern, intensity, PV)
             assert p2.sigma1_sq > 0 and p2.sigma2_sq > 0
             assert pv.sigma3_sq > 0 and pv.delta > 0
             # sign flip of the cross terms: path-variance < path-2nd-moment
@@ -114,13 +115,13 @@ def test_variance_components_positive_over_draws():
 
 def test_monotone_kernels_unsupported_quadratics():
     for kern in (kernels.DykstraLaud(), kernels.UShaped(2.0)):
-        out = asy.regime_path2nd(kern, GG)
-        assert isinstance(out, asy.Unsupported) and "diverge" in out.reason
-        out = asy.regime_pathvar(kern, GG)
-        assert isinstance(out, asy.Unsupported)
-    out = asy.regime_path2nd(kernels.Rectangular(1.0),
-                             crm.ExtendedGamma(crm.AffineSqrt(1, 1)))
-    assert isinstance(out, asy.Unsupported)
+        with pytest.raises(asy.NotCatalogedError) as info:
+            asy.regime(kern, GG, P2)
+        assert "diverge" in info.value.reason
+        with pytest.raises(asy.NotCatalogedError):
+            asy.regime(kern, GG, PV)
+    with pytest.raises(asy.NotCatalogedError):
+        asy.regime(kernels.Rectangular(1.0), crm.ExtendedGamma(crm.AffineSqrt(1, 1)), P2)
 
 
 def test_path2nd_centering_matches_mean_square_quadrature():
@@ -128,7 +129,7 @@ def test_path2nd_centering_matches_mean_square_quadrature():
     # computed by quadrature; the deviation decays like 1/T (checked at two
     # horizons, absolute < 1e-4 at the larger)
     for kern in (kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0)):
-        spec = asy.regime_path2nd(kern, GG)
+        spec = asy.regime(kern, GG, P2)
         k1 = crm.jump_moment(GG, 1)
         devs = []
         for T in (3000.0, 30000.0):
@@ -168,13 +169,57 @@ def test_nonhomogeneous_quadratic_rows_give_the_profile_reason():
                for r in rows)
 
 
+
+def test_catalog_rate_and_trend_text_is_pinned():
+    # a constant trend reads as its coefficient alone, a log rate as
+    # T^p*logT^q, and a pair without a trend constant names its quadrature
+    pairs = [(kernels.OrnsteinUhlenbeck(1.0), crm.ExtendedGamma(crm.Constant(1.0))),
+             (kernels.DykstraLaud(), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)))]
+    got = [(r["functional"], r["rate"], r["trend"], r["variance"], r["delta"])
+           for r in asy.catalog_rows(pairs)]
+    assert got[:4] == [
+        ("cumulative_hazard", "T^-0.5", "1.41421*T^1", "2", ""),
+        ("path_second_moment", "T^0.5", "3", "40", ""),
+        ("path_variance", "T^0.5", "1", "8", "2.82842712475"),
+        ("cumulative_hazard", "T^-1*logT^-0.5", "I1(T) by quadrature", "1", ""),
+    ]
+
+
+def test_power_rate_is_bit_exact_and_only_its_log_form_refuses_small_horizons():
+    for p in (-1.5, -0.5, -0.25, 0.0, 0.5):
+        for T in (0.3, 1.0, 1.7, 60.0, 12345.6):
+            assert asy.Power(p)(T) == T ** p
+            assert asy.PowerTrend(0.7)(T) == 0.7
+    assert asy.Power(0.5, 0.0) == asy.Power(0.5)
+    assert asy.Power(0.0, -0.5)(math.e) == 1.0
+    for T in (1.0, 0.5):
+        with pytest.raises(ValueError, match=r"^rate T\^0\*logT\^-0.5 is defined for T > 1 only"):
+            asy.Power(0.0, -0.5)(T)
+
+
+@pytest.mark.parametrize("kern, intensity, functional", [
+    (kernels.UShaped(2.0), GG, P2),
+    (kernels.OrnsteinUhlenbeck(1.0), crm.Beta(crm.IndicatorSqrt(1.0)), PV),
+    (kernels.OrnsteinUhlenbeck(1.0), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), CH),
+], ids=["nested", "nonhomogeneous-quadratic", "ou-sqrt-cumhaz"])
+def test_refusal_reason_is_the_catalog_reason(kern, intensity, functional):
+    with pytest.raises(asy.NotCatalogedError) as info:
+        asy.regime(kern, intensity, functional)
+    row, = [r for r in asy.catalog_rows([(kern, intensity)])
+            if r["functional"] == functional.value]
+    assert row["supported"] == "no" and info.value.reason == row["reason"]
+    assert str(info.value) == (f"no cataloged limit for ({kern.label()}, {intensity.label()}, "
+                               f"{functional.value}): {row['reason']}; "
+                               "run check-conditions for the numeric verdicts")
+    assert isinstance(info.value, ValueError)
+
 def test_regime_spec_validation():
     with pytest.raises(ValueError):
         asy.RegimeSpec(asy.Functional.CUMULATIVE_HAZARD, asy.Power(-0.5),
-                       asy.ConstantCentering(1.0), 0.0)
+                       asy.PowerTrend(1.0), 0.0)
     with pytest.raises(ValueError):
         asy.RegimeSpec(asy.Functional.PATH_VARIANCE, asy.Power(0.5),
-                       asy.ConstantCentering(1.0), 1.0)       # delta missing
+                       asy.PowerTrend(1.0), 1.0)       # delta missing
 
 
 def test_bulk_integrals_match_their_definitions():
@@ -219,14 +264,14 @@ def test_catalog_matches_hand_written_rectangular_and_ou_constants():
              k4, 2.0 ** 1.5 * k1 / math.sqrt(kap), k2),
         ]
         for kern, s0, trend, s1, s2, c2, s3, delta, cv in reference:
-            ch = asy.regime_cumhaz(kern, intensity)
-            assert (ch.sigma0_sq, ch.limit_variance) == (exact(s0), exact(s0))
+            ch = asy.regime(kern, intensity, CH)
+            assert ch.limit_variance == exact(s0)
             assert (ch.centering.coef, ch.centering.power) == (exact(trend), 1.0)
-            p2 = asy.regime_path2nd(kern, intensity)
+            p2 = asy.regime(kern, intensity, P2)
             assert (p2.sigma1_sq, p2.sigma2_sq) == (exact(s1), exact(s2))
             assert p2.limit_variance == exact(s1 + s2)
-            assert p2.centering.value == exact(c2)
-            pv = asy.regime_pathvar(kern, intensity)
+            assert (p2.centering.coef, p2.centering.power) == (exact(c2), 0.0)
+            pv = asy.regime(kern, intensity, PV)
             assert (pv.sigma1_sq, pv.sigma3_sq, pv.delta) == (exact(s1), exact(s3), exact(delta))
             assert pv.limit_variance == exact(s1 + s3)
-            assert pv.centering.value == exact(cv)
+            assert (pv.centering.coef, pv.centering.power) == (exact(cv), 0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hazardlab import _numeric, cli, crm, kernels, montecarlo
-from hazardlab.asymptotics import Functional, PowerLog
+from hazardlab.asymptotics import Functional, Power
 from hazardlab.montecarlo import ExperimentConfig
 
 MINIMAL = """
@@ -86,7 +86,7 @@ def test_round_trip_identity():
     text = MINIMAL + ("rate = powerlog:-1,-0.5\nexpect_condition_5 = diverges\n"
                       "t_grid = 10,20,40,80\n")
     cfg3 = cli.parse_config(text)
-    assert isinstance(cfg3.rate, PowerLog)
+    assert cfg3.rate == Power(-1.0, -0.5)
     assert cli.parse_config(cli.render_config(cfg3)) == cfg3
 
 
@@ -112,6 +112,77 @@ def test_regimes_command(tmp_path, capsys):
     assert lines[1] == "kernel,crm,functional,rate,trend,variance,delta,supported"
     assert len(lines) > 40
 
+
+
+_LONE = "regimes takes a [kernel] and a [crm] section together, or neither"
+
+
+@pytest.mark.parametrize("section", ["[kernel]\ntype = rectangular\ntau = 2\n",
+                                     "[crm]\nfamily = beta\nvalue = 1\n"],
+                         ids=["kernel", "crm"])
+def test_regimes_refuses_a_lone_kernel_or_crm_section(tmp_path, capsys, section):
+    # one section alone would otherwise give way to the whole default catalog
+    text = MINIMAL + "\n" + section
+    with pytest.raises(cli.ConfigError, match=r"^regimes takes a \[kernel\] and a \[crm\] "
+                                              r"section together, or neither$"):
+        cli.parse_config(text)
+    cfg_path = tmp_path / "lone.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "regimes.json"
+    assert cli.main(["regimes", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {_LONE}"]
+    assert not out.exists()
+
+
+def test_regimes_with_both_sections_writes_the_pair_rows(tmp_path):
+    cfg_path = tmp_path / "pair.ini"
+    cfg_path.write_text(MINIMAL + "\n[kernel]\ntype = rectangular\ntau = 2\n"
+                        "\n[crm]\nfamily = beta\nvalue = 1\n")
+    out = tmp_path / "regimes.json"
+    assert cli.main(["regimes", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = json.loads("\n".join(out.read_text().splitlines()[1:]))
+    assert [(r["kernel"], r["crm"]) for r in rows] == [("rectangular(tau=2)",
+                                                        "beta(constant(1))")] * 3
+
+
+_OU_SQRT = """
+[experiment]
+kind = check-conditions
+theorem = {theorem}
+t_grid = 12.5,25,50,100
+
+[kernel]
+type = ornstein_uhlenbeck
+kappa = 1.0
+
+[crm]
+family = extended_gamma
+fn = affine_sqrt
+a = 1.0
+b = 1.0
+"""
+_OU_SQRT_PAIR = "ornstein_uhlenbeck(kappa=1), extended_gamma(affine_sqrt(1,1))"
+_OU_SQRT_REASON = ("non-homogeneous intensity: the cumulative-hazard worked cases are the "
+                   "sqrt-growth profiles with the Dykstra-Laud and rectangular kernels")
+
+
+@pytest.mark.parametrize("theorem, line", [
+    ("cumhaz", f"error: rate = auto: the catalog has no cumulative-hazard rate for "
+               f"({_OU_SQRT_PAIR}): {_OU_SQRT_REASON}; "
+               "set rate = power:<p> or powerlog:<p>,<q>"),
+    ("pathvar", f"error: the path-variance conditions take C0 from the catalog's "
+                f"cumulative-hazard rate, and ({_OU_SQRT_PAIR}) has none: {_OU_SQRT_REASON}"),
+])
+def test_check_conditions_refusals_give_the_catalog_reason(tmp_path, capsys, theorem, line):
+    # a pair without a cumulative-hazard regime: the cumhaz rate must be
+    # given, and the path-variance C0 has no source; neither line points the
+    # user at check-conditions, the command that refused
+    cfg_path = tmp_path / "ou_sqrt.ini"
+    cfg_path.write_text(_OU_SQRT.format(theorem=theorem))
+    out = tmp_path / "out.json"
+    assert cli.main(["check-conditions", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
 
 def test_simulate_deterministic_files(tmp_path):
     cfg_path = tmp_path / "sim.ini"

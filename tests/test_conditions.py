@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_monte_carlo_norm_oracle_agreement():
         (kernels.OrnsteinUhlenbeck(0.7), GG, 25.0),
     ]
     for kern, intensity, T in configs:
-        analytic = cond.contraction_norms(kern, intensity, T).as_dict()
+        analytic = dataclasses.asdict(cond.contraction_norms(kern, intensity, T))
         mc = cond.mc_norm_oracle(kern, intensity, T, 1_000_000, rng)
         for name, (est, se) in mc.items():
             ref = analytic[name]
@@ -415,8 +416,8 @@ def test_pathvar_delta_estimates():
 def test_dl_raw_norms_vanish_at_zero_horizon():
     # the monotone kernel has an empty time slice at t = 0, so even the
     # 1/T-normalized kernels vanish with T (at least linearly)
-    small = cond.contraction_norms(kernels.DykstraLaud(), GG, 1e-3).as_dict()
-    big = cond.contraction_norms(kernels.DykstraLaud(), GG, 1e-1).as_dict()
+    small = dataclasses.asdict(cond.contraction_norms(kernels.DykstraLaud(), GG, 1e-3))
+    big = dataclasses.asdict(cond.contraction_norms(kernels.DykstraLaud(), GG, 1e-1))
     for name, value in small.items():
         assert 0.0 <= value < 1e-2
         assert value < 0.2 * big[name], name
@@ -437,7 +438,7 @@ def test_check_theorem_cumhaz_and_errors():
 
 @pytest.mark.parametrize("theorem", cond.Theorem.ALL)
 def test_check_theorem_refuses_bad_input_before_any_quadrature(monkeypatch, theorem):
-    # an unknown theorem and a rate that is neither Power nor PowerLog are
+    # an unknown theorem and a rate that is not a Power are
     # refused before I_moments, the contraction norms or a grid run
     def fail(*args, **kwargs):
         raise AssertionError("a quadrature ran before the input was checked")

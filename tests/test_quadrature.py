@@ -97,11 +97,13 @@ def test_unconverged_quadrature_is_refused():
 
 @pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.label())
 def test_homogeneous_values_match_quadpack(kern):
-    for t in (0.5, 3.0, 15.0, 250.0):
-        # int k(t, x) dx, with the slice's edges for rectangular(1) and
-        # U-shaped(2) and its end for the others among the points
+    # the nested kernels have no quadratic limit, so no slice mass and no
+    # mean-square centering
+    for t in (0.5, 3.0, 15.0, 250.0) if not kern.nested else ():
+        # int k(t, x) dx, with the slice's edges for rectangular(1) and its
+        # end for OU among the points
         oracle = quadpack(lambda x: kernels.eval_kernel(kern, t, x), 0.0, t + 3.0,
-                          [t, t - 1.0, t + 1.0, 2.0 - t, t - 2.0])
+                          [t, t - 1.0, t + 1.0])
         assert kern.slice_mass(t) == pytest.approx(oracle, rel=1e-12, abs=0)
     for intensity in HOMOGENEOUS:
         for T in (30.0, 500.0):
@@ -114,7 +116,7 @@ def test_homogeneous_values_match_quadpack(kern):
                                       lo, hi, kern.breaks(T))
                     assert I_moments(kern, intensity, T, i, eps) \
                         == pytest.approx(oracle, rel=1e-12, abs=0)
-                if eps == 0.0:
+                if eps == 0.0 or kern.nested:
                     continue
                 cfg = mc.ExperimentConfig(kern, intensity, Functional.PATH_SECOND_MOMENT, T,
                                           epsilon=eps)
