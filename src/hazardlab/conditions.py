@@ -38,7 +38,7 @@ from .asymptotics import Functional, NotCatalogedError, Power, regime
 __all__ = [
     "Theorem", "Verdict", "ConditionReport", "FitResult",
     "I_moments", "ContractionNorms", "contraction_norms", "check_theorem",
-    "fit_slope", "classify", "mc_norm_oracle",
+    "fit_slope", "classify",
 ]
 
 
@@ -392,80 +392,3 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     return ConditionReport(theorem, t_grid, values, verdicts,
                            delta_estimate=delta_est,
                            rate_label=rate.label())
-
-
-# ---------------------------------------------------------------------------
-# full-dimensional Monte Carlo oracle for the reduced norms
-# ---------------------------------------------------------------------------
-
-def mc_norm_oracle(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
-                   T: float, n_samples: int, rng) -> Dict[str, tuple]:
-    """Importance-sampling estimates (value, standard_error) of the six
-    contraction-norm quantities, integrating over all jump and location
-    coordinates directly (homogeneous intensities).
-
-    Locations are uniform on the window.  Coordinates that enter an
-    estimator quadratically are proposed from the s^2-tilted jump
-    density; the inner copies that realize k3 (where the jump appears
-    linearly) from the s^1-tilted one.  Inner nu-integrals use
-    independent copies, so every estimator is unbiased for the
-    full-dimensional integral.
-    """
-    if not intensity.homogeneous:
-        raise ValueError("the Monte Carlo oracle covers homogeneous intensities")
-    lo, hi = kernels.location_window(kernel, T)
-    W = hi - lo
-
-    def pairs(n, power):
-        # s ~ s^power rho(s) / K^(power), so one nu-coordinate weighs
-        # W K^(power) / s^power.  The tilt must not exceed the lowest jump
-        # power the estimator carries in that coordinate, or the weights
-        # have infinite variance.
-        kp = crm.jump_moment(intensity, power)
-        s = intensity.draw_tilted(rng, n, power)
-        x = rng.uniform(lo, hi, size=n)
-        return s, x, kp / s ** power * W
-
-    out = {}
-
-    def record(name, samples):
-        samples = np.asarray(samples, dtype=float)
-        est = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(samples.size))
-        out[name] = (est, se)
-
-    s1, x1, w1 = pairs(n_samples, 2)
-    s2, x2, w2 = pairs(n_samples, 2)
-    s3, x3, w3 = pairs(n_samples, 2)
-    s4, x4, w4 = pairs(n_samples, 2)
-    Q12 = kernels.Q_T(kernel, T, x1, x2)
-    k1_12 = s1 * s2 / T * Q12
-
-    record("k1_l2_sq", k1_12 ** 2 * w1 * w2)
-    record("k1_l4_4", k1_12 ** 4 * w1 * w2)
-    # contraction *_1^1: two independent inner copies (each jump enters
-    # squared, so the s^2 tilt makes the inner weights constant)
-    Q13, Q32 = kernels.Q_T(kernel, T, x1, x3), kernels.Q_T(kernel, T, x3, x2)
-    Q14, Q42 = kernels.Q_T(kernel, T, x1, x4), kernels.Q_T(kernel, T, x4, x2)
-    inner1 = (s1 * s3 / T * Q13) * (s3 * s2 / T * Q32) * w3
-    inner2 = (s1 * s4 / T * Q14) * (s4 * s2 / T * Q42) * w4
-    record("k11_l2_sq", inner1 * inner2 * w1 * w2)
-    # contraction *_2^1 at (s1,x1): inner squares on two copies
-    g1 = (s1 * s3 / T * Q13) ** 2 * w3
-    g2 = (s1 * s4 / T * Q14) ** 2 * w4
-    record("k21_l2_sq", g1 * g2 * w1)
-    # k2 + 2 k3 at (s1, x1); k3 carries the inner jump linearly -> tilt 1
-    u1, y1, v1 = pairs(n_samples, 1)
-    u2, y2, v2 = pairs(n_samples, 1)
-    u3, y3, v3 = pairs(n_samples, 1)
-    R1 = kernels.Q_T(kernel, T, x1, x1)
-    k2v = s1 ** 2 / T * R1
-    k3a = s1 * u1 / T * kernels.Q_T(kernel, T, x1, y1) * v1
-    k3b = s1 * u2 / T * kernels.Q_T(kernel, T, x1, y2) * v2
-    k3c = s1 * u3 / T * kernels.Q_T(kernel, T, x1, y3) * v3
-    record("k23_l2_sq", (k2v ** 2 + 2.0 * k2v * (k3a + k3b) + 4.0 * k3a * k3b) * w1)
-    cube = (k2v ** 3 + 2.0 * k2v ** 2 * (k3a + k3b + k3c)
-            + 4.0 * k2v * (k3a * k3b + k3a * k3c + k3b * k3c)
-            + 8.0 * k3a * k3b * k3c)
-    record("k23_l3_3", cube * w1)
-    return out

@@ -191,11 +191,10 @@ class _Family:
     int_v^inf rho(du); the thinning envelope(lo, hi), the tightest
     constant-parameter envelope of the same family on the window, as
     (homogeneous envelope intensity, rate multiplier, acceptance probability
-    function of (v, x)) (non-homogeneous members only); and
-    draw_tilted(rng, n, power), n draws from s^power rho(ds) / K^(power)
-    (homogeneous members only).  dominating() gives the Dominating measure
-    Ferguson-Klass runs on (homogeneous members only), or None where the
-    sampler inverts the tail of rho itself (extended gamma).
+    function of (v, x)) (non-homogeneous members only).  dominating() gives
+    the Dominating measure Ferguson-Klass runs on (homogeneous members
+    only), or None where the sampler inverts the tail of rho itself
+    (extended gamma).
     mass_law(length) gives the MassLaw of the untruncated total mass on an
     interval of that length, or None where the family has no closed-form
     law (beta, non-constant profiles)."""
@@ -276,9 +275,6 @@ class GeneralizedGamma(_Family):
         upper = z ** (-s) * np.exp(-z) - math.gamma(1.0 - s) * gammaincc(1.0 - s, z)
         return np.maximum((g ** s / math.gamma(1.0 - s)) * upper / s, 0.0)
 
-    def draw_tilted(self, rng, n, power):
-        return rng.gamma(power - self.sigma, 1.0 / self.gamma, size=n)
-
     def dominating(self) -> Dominating:
         # the stable measure v^{-1-sigma} / Gamma(1-sigma) dv
         s, g = self.sigma, self.gamma
@@ -333,9 +329,6 @@ class ExtendedGamma(_Profiled):
             return np.exp(-(fn(x) - L) * v)
 
         return ExtendedGamma(Constant(L)), 1.0, accept
-
-    def draw_tilted(self, rng, n, power):
-        return rng.gamma(float(power), 1.0 / self.beta_fn.a, size=n)
 
     def mass_law(self, length: float) -> Optional[MassLaw]:
         # Gamma(length, beta), in one piece
@@ -422,9 +415,6 @@ class Beta(_Profiled):
             return (c / c_max) * np.exp(xlog1py(c - c_min, -v))
 
         return Beta(Constant(c_min)), c_max / c_min, accept
-
-    def draw_tilted(self, rng, n, power):
-        return rng.beta(float(power), self.c_fn.a, size=n)
 
     def dominating(self) -> Dominating:
         c = self.c_fn.a

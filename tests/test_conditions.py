@@ -16,6 +16,12 @@ EG1 = crm.ExtendedGamma(crm.Constant(1.0))
 GRID = [50.0, 100.0, 200.0, 400.0, 800.0]
 
 
+def _case_id(value):
+    if hasattr(value, "label"):
+        return value.label()
+    return f"T={value:g}" if isinstance(value, float) else f"blocks={value}"
+
+
 # ---------------------------------------------------------------------------
 # I moments
 # ---------------------------------------------------------------------------
@@ -121,28 +127,76 @@ def test_nonnegativity_of_condition_values():
         assert all(v >= 0 for v in series)
 
 
-def test_monte_carlo_norm_oracle_agreement():
-    # full-dimensional importance sampling reproduces every reduced norm
-    rng = seeded(402)
-    configs = [
-        (kernels.Rectangular(1.0), GG, 30.0),
-        (kernels.Rectangular(0.7), EG1, 25.0),
-        (kernels.OrnsteinUhlenbeck(1.0), GG, 30.0),
-        (kernels.OrnsteinUhlenbeck(2.0), EG1, 20.0),
-        (kernels.DykstraLaud(), GG, 25.0),
-        (kernels.DykstraLaud(), crm.Beta(crm.Constant(1.5)), 25.0),
-        (kernels.UShaped(2.0), GG, 25.0),
-        (kernels.UShaped(1.5), EG1, 20.0),
-        (kernels.Rectangular(1.5), crm.Beta(crm.Constant(2.0)), 30.0),
-        (kernels.OrnsteinUhlenbeck(0.7), GG, 25.0),
-    ]
-    for kern, intensity, T in configs:
-        analytic = dataclasses.asdict(cond.contraction_norms(kern, intensity, T))
-        mc = cond.mc_norm_oracle(kern, intensity, T, 1_000_000, rng)
-        for name, (est, se) in mc.items():
-            ref = analytic[name]
-            assert abs(est - ref) <= 3.0 * se + 1e-4 * abs(ref), \
-                (kern.label(), intensity.label(), name, ref, est, se)
+class ThreeAtoms:
+    """A homogeneous jump law rho = sum_c omega_c delta_{s_c} on three jump
+    sizes, so that its moments 1-6 are generic; duck-typed to the family
+    facts that contraction_norms and _Grid read."""
+    homogeneous = True
+    kinks = ()
+    ceiling = math.inf
+    s = np.array([0.3, 1.1, 2.7])
+    omega = np.array([0.5, 1.3, 0.2])
+
+    def param(self, x):
+        return None
+
+    def moment(self, a, p):
+        return float(np.sum(self.omega * self.s ** a))
+
+    def label(self):
+        return "three_atoms"
+
+
+ATOMS = ThreeAtoms()
+
+
+def finite_measure(kern, T):
+    """The points u = (s_a, x_i) of nu = rho x (the nodes and weights of the
+    condition grid), their masses nu_u, and k1(u, v) = s_a s_b Q_T(x_i, x_j) / T
+    and k2 + 2 k3 at every point, each written out from its definition as
+    a sum over the points: k2(u) = s_a^2 Q_T(x_i, x_i) / T and
+    k3(u) = sum_z k1(u, z) nu_z."""
+    g = cond._Grid(kern, ATOMS, T)
+    n, m = g.x.size, ATOMS.s.size
+    # point (s_a, x_i) at index a n + i
+    s, x = np.repeat(ATOMS.s, n), np.tile(g.x, m)
+    nu = np.repeat(ATOMS.omega, n) * np.tile(g.w, m)
+    Q = kernels.Q_T(kern, T, x[:, None], x[None, :])
+    k1 = s[:, None] * s[None, :] * Q / T
+    k23 = s ** 2 * np.diag(Q) / T + 2.0 * (k1 @ nu)
+    return s, x, nu, k1, k23
+
+
+# Rectangular kernels only: the engine forms their rows and ||A^2||_F^2 as
+# sums over the grid's nodes, so they equal the sums over nu's points.  The
+# Green's-function rows are exact integrals, which differ from node sums by
+# the grid's kink error.  tau = 0.8 at T = 1.2 < 2 tau reaches both clamps
+# of the band.
+NU_CASES = [(kernels.Rectangular(1.0), 6.0), (kernels.Rectangular(0.8), 1.2),
+            (kernels.Rectangular(2.5), 9.0)]
+
+
+@pytest.mark.parametrize("kern, T", NU_CASES, ids=_case_id)
+def test_contraction_norms_equal_their_definitions_on_a_finite_measure(kern, T):
+    _, _, nu, k1, k23 = finite_measure(kern, T)
+    k11 = (k1 * nu) @ k1                # (k1 *_1^1 k1)(u, v) = sum_z k1(u, z) k1(z, v) nu_z
+    k21 = k1 ** 2 @ nu                  # (k1 *_2^1 k1)(u) = sum_z k1(u, z)^2 nu_z
+    want = dict(k1_l2_sq=nu @ k1 ** 2 @ nu, k1_l4_4=nu @ k1 ** 4 @ nu,
+                k11_l2_sq=nu @ k11 ** 2 @ nu, k21_l2_sq=nu @ k21 ** 2,
+                k23_l2_sq=nu @ k23 ** 2, k23_l3_3=nu @ np.abs(k23) ** 3)
+    got = dataclasses.asdict(cond.contraction_norms(kern, ATOMS, T))
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-13, abs=0), name
+
+
+@pytest.mark.parametrize("kern, T", NU_CASES, ids=_case_id)
+def test_pathvar_combined_norm_equals_its_definition_on_a_finite_measure(kern, T):
+    # || C1 (k2 + 2 k3) - delta C0 k0 ||^2 with k0(s, x) = s K_T(x)
+    c1, c0, delta = 1.7, 0.3, 0.9
+    s, x, nu, _, k23 = finite_measure(kern, T)
+    want = nu @ (c1 * k23 - delta * c0 * s * kernels.K_T(kern, T, x)) ** 2
+    got = cond._Grid(kern, ATOMS, T).pathvar_combined_norm_sq(c1, c0, delta)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +268,6 @@ EG_SQRT = crm.ExtendedGamma(crm.AffineSqrt(1.0, 0.7))
 # non-homogeneous grid with its panel ladder near 0
 RECT_GRIDS = [(kernels.Rectangular(0.5), GG, 20.0), (kernels.Rectangular(1.0), GG, 3.0),
               (kernels.Rectangular(1.0), EG_SQRT, 12.0), (kernels.Rectangular(0.5), EG_SQRT, 5.0)]
-
-
-def _case_id(value):
-    if hasattr(value, "label"):
-        return value.label()
-    return f"T={value:g}" if isinstance(value, float) else f"blocks={value}"
 
 
 def _dense_Q(kern, T, x):
