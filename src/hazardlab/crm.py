@@ -19,8 +19,10 @@ jump, from a cached Hermite table of log v on nodes uniform in
 log(rate * N(v)).  Given a bulk, sample draws that interval's mass whole,
 from the family's exact total-mass law (generalized gamma, constant
 extended gamma); bulk_law gives that law where it costs less than the
-series.  Each family's class carries its facts; the module functions are
-the validated entry points.
+series: one exact tilted-stable draw for generalized gamma (Devroye's
+double rejection), one gamma draw for constant extended gamma.  Each
+family's class carries its facts; the module functions are the validated
+entry points.
 """
 from __future__ import annotations
 
@@ -47,11 +49,10 @@ class EnvelopeError(Exception):
 
 
 # The sampler refuses a draw whose expected Ferguson-Klass series is longer
-# than this, and a bulk cut into more pieces than this (each piece of a
-# bulk is one aggregated atom): each per-atom float array of such a draw
-# takes 160 MB.  A draw holds two at full length, the arrival times
-# (overwritten by the jumps) and the locations; a thinned draw also holds
-# its acceptance uniforms and probabilities and the thinned copies.  The
+# than this: each per-atom float array of such a draw takes 160 MB.  A
+# draw holds two at full length, the arrival times (overwritten by the
+# jumps) and the locations; a thinned draw also holds its acceptance
+# uniforms and probabilities and the thinned copies.  The
 # inverse and keep steps run over blocks of _numeric._STREAM atoms.  The
 # cumulative hazard adds no array of the draw's length (it keeps blocks
 # and their partials).  The path
@@ -72,9 +73,9 @@ class Dominating(NamedTuple):
 
 
 class MassLaw(NamedTuple):
-    """The exact law of the untruncated total mass of an interval, cut into
-    `pieces` equal pieces: draw(rng) gives the pieces' masses."""
-    pieces: int
+    """The exact law of the untruncated total mass of an interval: draw(rng)
+    gives one mass, at a cost of about `cost` Ferguson-Klass arrivals."""
+    cost: float
     draw: Callable
 
 
@@ -285,14 +286,12 @@ class GeneralizedGamma(_Family):
 
     def mass_law(self, length: float) -> MassLaw:
         # The mass has Laplace exponent length ((gamma + s)^sigma -
-        # gamma^sigma) / sigma: a positive sigma-stable law tilted by
-        # e^{-gamma v}.  Cut into n = ceil(length gamma^sigma / sigma)
-        # pieces, each piece's stable mass is accepted with probability
-        # e^{-length gamma^sigma / (sigma n)} >= e^{-1}.
+        # gamma^sigma) / sigma: (length / sigma)^{1/sigma} S, S positive
+        # sigma-stable, tilted by e^{-lambda S} with lambda = gamma
+        # (length / sigma)^{1/sigma}, so lambda^sigma = length gamma^sigma / sigma.
         s, g = self.sigma, self.gamma
-        n = math.ceil(length * g ** s / s)
-        return MassLaw(n, lambda rng: _tilted_stable(rng, n, s, g,
-                                                     math.log(length / (n * s)) / s))
+        return MassLaw(_STABLE_DRAW_COST,
+                       _TiltedStable(s, length * g ** s / s, math.log(length / s) / s))
 
 
 @dataclass(frozen=True)
@@ -331,10 +330,11 @@ class ExtendedGamma(_Profiled):
         return ExtendedGamma(Constant(L)), 1.0, accept
 
     def mass_law(self, length: float) -> Optional[MassLaw]:
-        # Gamma(length, beta), in one piece
+        # Gamma(length, beta)
         if not self.beta_fn.constant:
             return None
-        return MassLaw(1, lambda rng: rng.gamma(length, 1.0 / self.beta_fn.a, size=1))
+        return MassLaw(_GAMMA_DRAW_COST,
+                       lambda rng: float(rng.gamma(length, 1.0 / self.beta_fn.a)))
 
     # No dominating measure: dv / (v (1 + beta v)) would serve, with keep
     # probability e^{-beta v}(1 + beta v), but it moves the seeded stream
@@ -442,34 +442,115 @@ class Beta(_Profiled):
 JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
 
 
-def _tilted_stable(rng: np.random.Generator, n: int, sigma: float, gamma: float,
-                   log_scale: float) -> np.ndarray:
-    """n independent draws of e^{log_scale} S tilted by e^{-gamma v}, for S
-    positive sigma-stable with E e^{-s S} = e^{-s^sigma}.
+_HALF_PI_ROOT = math.sqrt(0.5 * math.pi)
+_LOG_PI = math.log(math.pi)
 
-    S is Kanter's representation (Kanter, Ann. Probab. 3, 1975),
-        S = sin(sigma U) / sin(U)^{1/sigma} (sin((1 - sigma) U) / E)^{(1 - sigma)/sigma}
-    with U uniform on (0, pi] and E ~ Exp(1), formed in log space; a draw v
-    is kept when gamma v < E', E' ~ Exp(1), compared with the exponent
-    clipped to +-700, so nothing overflows or underflows (the clipped tails
-    decide nothing: E' < e^{-700} and E' > e^{700} do not occur).  The
-    kept draws are taken in order until n are kept."""
-    out, have = np.empty(n), 0
-    a, b = (1.0 - sigma) / sigma, 1.0 / sigma
-    log_gamma = math.log(gamma)
-    # the acceptance probability, e^{-gamma^sigma e^{sigma log_scale}}
-    accept = math.exp(-gamma ** sigma * math.exp(sigma * log_scale))
-    while have < n:
-        want = n - have
-        m = int(want / accept + 4.0 * math.sqrt(want / accept) + 16)
-        u = math.pi * (1.0 - rng.random(m))
-        e = rng.standard_exponential((2, m))
-        log_v = (np.log(np.sin(sigma * u)) - b * np.log(np.sin(u))
-                 + a * (np.log(np.sin((1.0 - sigma) * u)) - np.log(e[0])) + log_scale)
-        kept = log_v[np.exp(np.clip(log_v + log_gamma, -700.0, 700.0)) < e[1]][:want]
-        out[have:have + kept.size] = np.exp(kept)
-        have += kept.size
-    return out
+
+class _TiltedStable:
+    """The draw rng -> e^{log_scale} S, for S positive sigma-stable with
+    E e^{-s S} = e^{-s^sigma} tilted by e^{-lambda S}, lam_s = lambda^sigma:
+    Devroye's double rejection (L. Devroye, "Random variate generation for
+    exponentially and polynomially tilted stable distributions", ACM
+    TOMACS 19(4), 2009), exact, in O(1) expected attempts for every sigma
+    and tilt.
+
+    By Kanter's representation S = X^{-b}, b = (1 - sigma)/sigma, where
+    (U, X) on (0, pi) x (0, inf) has density a(U) e^{-a(U) X} / pi with
+        a(u) = [sin(sigma u)^sigma sin((1 - sigma) u)^{1 - sigma} / sin u]^{1/(1 - sigma)};
+    tilted, it is proportional to a(U) e^{-a(U) X - lambda X^{-b}}.  Given
+    U, Y = a(U) X is log-concave with mode m = (1 - sigma) lambda^sigma /
+    zeta^2, where zeta^2 = sinc u / (sinc(sigma u)^sigma
+    sinc((1 - sigma) u)^{1 - sigma}).  Its envelope is a half-normal of sd
+    delta = sqrt(g) / zeta below m, flat on [m, m + delta], and exponential
+    of mean z = 1 / (1 - (1 + sigma zeta / sqrt(g))^{-1/sigma}) above, with
+    g = lambda^sigma sigma (1 - sigma).  The envelope's mass, times
+    e^{lambda^sigma}, is
+        q(u) = e^{-lambda^sigma (1/zeta^2 - 1)} ((1 + sqrt(pi/2)) sqrt(g) / zeta + z),
+    and U is drawn from q by rejection from pi d(u) >= q(u), with
+    d(u) = xi e^{-g u^2 / 2} (xi alone when g < 1) + psi / sqrt(pi - u).
+    An accepted U leaves Z = W pi d(U) / q(U) uniform on (0, 1], and -log Z
+    is the exponential of the test of Y against its envelope.  Everything
+    runs in logs: nothing overflows or underflows.
+    """
+
+    def __init__(self, sigma: float, lam_s: float, log_scale: float):
+        self.sigma, self.lam_s, self.log_scale = sigma, lam_s, log_scale
+        self.b = (1.0 - sigma) / sigma
+        self.g = lam_s * sigma * (1.0 - sigma)
+        self.rg = math.sqrt(self.g)
+        c = 2.0 + _HALF_PI_ROOT
+        xi = (1.0 + math.sqrt(2.0) * c * self.rg) / math.pi
+        self.log_xi = math.log(xi)
+        # psi = c sqrt(g) e^{-g pi^2 / 8} / sqrt(pi), in logs: it underflows
+        # for large g
+        self.log_psi = math.log(c * self.rg) - self.g * math.pi ** 2 / 8.0 - 0.5 * _LOG_PI
+        # the masses on (0, pi) of d's body (a normal on (0, inf) when g >= 1)
+        # and of its pole
+        body = xi * math.sqrt(0.5 * math.pi / self.g) if self.g >= 1.0 else xi * math.pi
+        self.p_body = body / (body + 2.0 * math.sqrt(math.pi) * math.exp(self.log_psi))
+
+    def log_proposal(self, u: float) -> float:
+        """log(pi d(u))."""
+        body = self.log_xi - (0.5 * self.g * u * u if self.g >= 1.0 else 0.0)
+        pole = self.log_psi - 0.5 * math.log(math.pi - u)
+        return _LOG_PI + max(body, pole) + math.log1p(math.exp(-abs(body - pole)))
+
+    def envelope(self, u: float) -> tuple:
+        """(log q(u), m, delta, z): the log mass of the envelope of Y given
+        U = u, and its mode, sd and exponential mean."""
+        s, rg = self.sigma, self.rg
+        log_iz2 = (s * math.log(math.sin(s * u) / (s * u))
+                   + (1.0 - s) * math.log(math.sin((1.0 - s) * u) / ((1.0 - s) * u))
+                   - math.log(math.sin(u) / u))
+        delta = rg * math.exp(0.5 * log_iz2)
+        z = -1.0 / math.expm1(-math.log1p(s / delta) / s)
+        log_q = (-self.lam_s * math.expm1(log_iz2)
+                 + math.log((1.0 + _HALF_PI_ROOT) * delta + z))
+        return log_q, (1.0 - s) * self.lam_s * math.exp(log_iz2), delta, z
+
+    def __call__(self, rng: np.random.Generator) -> float:
+        s, b = self.sigma, self.b
+        while True:
+            v, u1, u2, w, v2, u3, u4 = rng.random(7).tolist()
+            if v >= self.p_body:
+                u = math.pi * (1.0 - u1 * u1)         # density ~ 1 / sqrt(pi - u)
+            elif self.g >= 1.0:
+                u = _half_normal(u1, u2) / self.rg
+            else:
+                u = math.pi * u1
+            if not 0.0 < u < math.pi:
+                continue
+            log_q, m, delta, z = self.envelope(u)
+            log_z = math.log1p(-w) + self.log_proposal(u) - log_q
+            if log_z > 0.0:
+                continue
+            tail = _HALF_PI_ROOT * delta
+            pick = v2 * (tail + delta + z)
+            if pick < tail:
+                n = _half_normal(u3, u4)
+                y, spent = m - delta * n, 0.5 * n * n
+            elif pick < tail + delta:
+                y, spent = m + delta * u3, 0.0
+            else:
+                spent = -math.log1p(-u3)
+                y = m + delta + z * spent
+            if not y > 0.0:
+                continue
+            # -log of Y's density over its envelope at y is
+            # y - m + (m / b) ((m / y)^b - 1) - spent; from t = 700 on it
+            # exceeds -log Z, which stays below 40
+            t = b * math.log(m / y)
+            if t < 700.0 and y - m + (m / b) * math.expm1(t) - spent <= -log_z:
+                # log S = b (log a(u) - log y)
+                log_ba = (s * math.log(math.sin(s * u))
+                          + (1.0 - s) * math.log(math.sin((1.0 - s) * u))
+                          - math.log(math.sin(u))) / s
+                return math.exp(self.log_scale + log_ba - b * math.log(y))
+
+
+def _half_normal(u1: float, u2: float) -> float:
+    """|N| for N standard normal, from two uniforms on [0, 1) (Box-Muller)."""
+    return math.sqrt(-2.0 * math.log1p(-u1)) * abs(math.cos(2.0 * math.pi * u2))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +620,9 @@ class CrmSample:
 
     jumps are non-increasing (Ferguson-Klass order, which rejection and
     thinning keep) and every jump is >= epsilon.  A draw with a bulk
-    (sample's bulk argument) ends in aggregated atoms, one per piece of the
-    bulk, each the piece's whole untruncated mass: they are exempt from the
-    ordering and from the epsilon floor.
+    (sample's bulk argument) ends in one aggregated atom, the bulk's whole
+    untruncated mass: it is exempt from the ordering and from the epsilon
+    floor.
     """
     jumps: np.ndarray
     locations: np.ndarray
@@ -707,20 +788,25 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     return gammas[:kept]
 
 
-# A bulk piece costs about ten Ferguson-Klass arrivals: about e Kanter
-# attempts of three random draws, three sines and four logarithms each,
-# against one arrival's exponential, inverse and keep test.  Generalized
-# gamma, sigma 0.05-0.9, numpy on 2 vCPUs: 200-320 ns a piece against
-# 21-34 ns an arrival, 9.2-10.5 times as much in each configuration.
-_PIECE_COST = 10.0
+# The cost of one bulk draw in Ferguson-Klass arrivals.  A tilted-stable
+# draw is one to a few double-rejection attempts of seven uniforms and some
+# twenty scalar sines, logarithms and exponentials, against one arrival's
+# exponential, inverse and keep test in numpy.  Generalized gamma, sigma
+# 0.05-0.9, 2 vCPUs: 6.7-9.4 us a draw at lambda^sigma 100-1e4 and ~5 us at
+# 0.01, against 18-19 ns an arrival, 370-510 arrivals; 9-34 us at
+# lambda^sigma 1-10, where more attempts are rejected.
+_STABLE_DRAW_COST = 400.0
+# One gamma draw: 0.77 us against 47 ns an extended-gamma arrival, about
+# 16 arrivals, counted as the ten its seeded bulk decisions were made with.
+_GAMMA_DRAW_COST = 10.0
 
 
 def bulk_law(intensity: JumpIntensity, length: float, epsilon: float) -> Optional[MassLaw]:
     """The family's total-mass law of an interval of this length
-    (mass_law), when it has one and its pieces cost less than the
+    (mass_law), when it has one and its draw costs less than the
     epsilon-truncated series it replaces there would; else None."""
     law = intensity.mass_law(length)
-    if law is None or not _PIECE_COST * law.pieces < _arrivals(intensity, length, epsilon):
+    if law is None or not law.cost < _arrivals(intensity, length, epsilon):
         return None
     return law
 
@@ -740,15 +826,14 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
 
     bulk = ((a, b), law), homogeneous intensities only, draws the mass of
     the interval [a, b) whole from law, the family's MassLaw of b - a
-    (bulk_law or mass_law), untruncated, as one aggregated atom at the
-    midpoint of each of its pieces; the rest of the window is the series
-    at epsilon.  A functional that is constant in x on the bulk sees the
-    same law as on the full series there, with nothing below epsilon
-    discarded.
+    (bulk_law or mass_law), untruncated, as one aggregated atom at its
+    midpoint; the rest of the window is the series at epsilon.  A
+    functional that is constant in x on the bulk sees the same law as on
+    the full series there, with nothing below epsilon discarded.
 
     Raises ValueError, before any draw, when the expected series length
-    or the bulk's piece count exceeds MAX_EXPECTED_ATOMS, and
-    EnvelopeError when a beta profile has no envelope on the window.
+    exceeds MAX_EXPECTED_ATOMS, and EnvelopeError when a beta profile has
+    no envelope on the window.
     """
     lo, hi = _check_window(window)
     if not (epsilon > 0):
@@ -769,15 +854,9 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     a, b = float(interval[0]), float(interval[1])
     if not (lo <= a < b <= hi):
         raise ValueError(f"bulk {interval} is not an interval of the window [{lo:g},{hi:g})")
-    if not law.pieces <= MAX_EXPECTED_ATOMS:
-        raise ValueError(
-            f"a bulk of length {b - a:g} asks for {law.pieces:.3g} pieces per draw of "
-            f"{intensity.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}")
     edge = (a - lo) + (hi - b)
     jumps = _fk_jumps(intensity, edge, epsilon, rng)
     locations = rng.uniform(lo, lo + edge, size=jumps.size)
     locations[locations >= a] += b - a
-    masses = law.draw(rng)
-    centers = a + (b - a) * (np.arange(masses.size) + 0.5) / masses.size
-    return CrmSample(np.concatenate([jumps, masses]), np.concatenate([locations, centers]),
+    return CrmSample(np.append(jumps, law.draw(rng)), np.append(locations, a + (b - a) * 0.5),
                      (lo, hi))

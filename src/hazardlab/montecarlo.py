@@ -200,13 +200,25 @@ class CltReport:
         return "\n".join(lines) + "\n"
 
 
-def resolve_workers(requested: Optional[int] = None) -> int:
+# A run whose replicates expect fewer atoms than this in all is drawn in
+# this process.  Starting the worker pool costs 20-30 ms (imports 5.5-8 ms,
+# Pool(2) 8-11 ms, first dispatch 1-6 ms, join 2-3 ms; 2 vCPUs), and two
+# workers save at most half the serial time, less when the second vCPU is
+# busy, so the pool pays only from ~50 ms of serial work: 5.5e5-7e5 atoms
+# at the 70-90 ns an atom of a cumulative-hazard replicate.  The benchmark
+# runs expect 3.8e5 (rectangular + GG cumulative hazard, drawn here),
+# 1.79e6 (rectangular path variance) and 2.65e7 (OU path second moment).
+_POOL_MIN_ATOMS = 1e6
+
+
+def resolve_workers(requested: Optional[int] = None, atoms: float = math.inf) -> int:
     """Worker count: explicit argument, else HAZARDLAB_THREADS (a positive
-    integer), else min(4, cpu_count); capped at cpu_count."""
+    integer), else 1 for a run that expects fewer than _POOL_MIN_ATOMS atoms
+    in all and min(4, cpu_count) for a larger one; capped at cpu_count."""
     if requested is None:
         env = os.environ.get("HAZARDLAB_THREADS")
         if not env:
-            requested = min(4, os.cpu_count() or 1)
+            requested = 1 if atoms < _POOL_MIN_ATOMS else min(4, os.cpu_count() or 1)
         elif env.strip().isdecimal() and int(env) > 0:
             requested = int(env)
         else:
@@ -241,6 +253,22 @@ def _bulk(config: ExperimentConfig):
         return None
     law = crm.bulk_law(config.intensity, flat[1] - flat[0], config.epsilon)
     return None if law is None else (flat, law)
+
+
+def _expected_atoms(config: ExperimentConfig) -> float:
+    """The expected atoms of one sample_crm draw: the arrivals of the
+    series it draws (crm._arrivals; of the thinning envelope for a
+    non-homogeneous intensity), plus the cost of its bulk draw."""
+    intensity, epsilon = config.intensity, config.epsilon
+    lo, hi = kernels.location_window(config.kernel, config.horizon)
+    bulk = _bulk(config)
+    if bulk is not None:
+        (a, b), law = bulk
+        return crm._arrivals(intensity, (a - lo) + (hi - b), epsilon) + law.cost
+    if intensity.homogeneous:
+        return crm._arrivals(intensity, hi - lo, epsilon)
+    envelope, rate_mult, _ = intensity.envelope(lo, hi)
+    return crm._arrivals(envelope, (hi - lo) * rate_mult, epsilon)
 
 
 def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
@@ -312,9 +340,13 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
     (with quadrature centering the bias is absorbed into the centering,
     so only catalog centering can trip the budget), and raises the
     catalog's NotCatalogedError for a pair without a cataloged limit.
+    The worker count is resolve_workers(workers), given the atoms all
+    replicates expect: by default a run too small to pay for the pool's
+    start-up is drawn in this process.
     """
     spec = regime(config.kernel, config.intensity, config.functional)
-    nworkers = resolve_workers(workers)
+    R = config.replicates
+    nworkers = resolve_workers(workers, R * _expected_atoms(config))
     T = config.horizon
     rate_value = spec.rate(T)
     target_sd = math.sqrt(spec.limit_variance)
@@ -333,7 +365,6 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
                 f"truncation bias {residual_bias:.4g} exceeds {TRUNCATION_BUDGET:.0%} of the "
                 f"target sd {target_sd:.4g}; lower epsilon or use quadrature centering")
 
-    R = config.replicates
     if nworkers <= 1 or R < 2 * nworkers:
         values = _replicate_range((config, 0, R))
     else:

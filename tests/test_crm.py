@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from math import comb, factorial
 
@@ -326,24 +327,13 @@ def test_campbell_total_mass_of_a_long_window():
 # total-mass laws (the bulk of crm.sample)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("entropy, intensity, length, draws", [
-    (2211, crm.GeneralizedGamma(0.1, 2.0), 20.0, 2000),
-    (2212, crm.GeneralizedGamma(0.5, 1.0), 200.0, 4000),
-    (2213, crm.GeneralizedGamma(0.9, 0.5), 20.0, 2000),
-    (2214, crm.ExtendedGamma(crm.Constant(1.5)), 20.0, 4000),
-], ids=lambda v: v.label() if hasattr(v, "label") else None)
-def test_total_mass_law_cumulants(entropy, intensity, length, draws):
+def _assert_mass_cumulants(x, intensity, length):
     # the mass of an interval is infinitely divisible with cumulants
     # kappa_j = length * m_j (untruncated jump moments); the k-statistics
     # k1, k2, k3 of the drawn masses lie within 4 SE of them, each SE from
-    # the exact cumulants up to order 6 (the variances of k-statistics).
-    # At sigma = 0.5, the 1.6M pieces resolve a bulk tilt of e^{-1.01 gamma S}
-    # (the mean moves by -0.5%, ~ -6 SE).
-    law = intensity.mass_law(length)
-    rng = seeded(entropy)
-    x = np.array([law.draw(rng).sum() for _ in range(draws)])
+    # the exact cumulants up to order 6 (the variances of k-statistics)
     kap = {j: length * crm.jump_moment(intensity, float(j)) for j in range(1, 7)}
-    n = draws
+    n = x.size
     var = {1: kap[2] / n,
            2: kap[4] / n + 2.0 * kap[2] ** 2 / (n - 1),
            3: kap[6] / n + 9.0 * (kap[2] * kap[4] + kap[3] ** 2) / (n - 1)
@@ -353,63 +343,154 @@ def test_total_mass_law_cumulants(entropy, intensity, length, draws):
         assert abs(k - kap[j]) <= 4.0 * math.sqrt(var[j]), (j, k, kap[j], math.sqrt(var[j]))
 
 
+@pytest.mark.parametrize("entropy, intensity, length, draws", [
+    (2211, crm.GeneralizedGamma(0.1, 2.0), 20.0, 2000),
+    (2212, crm.GeneralizedGamma(0.5, 1.0), 200.0, 4000),
+    (2213, crm.GeneralizedGamma(0.9, 0.5), 20.0, 2000),
+    (2214, crm.ExtendedGamma(crm.Constant(1.5)), 20.0, 4000),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_total_mass_law_cumulants(entropy, intensity, length, draws):
+    # At sigma = 0.5, 4000 draws resolve a bulk tilt of e^{-1.01 gamma S}
+    # (the mean moves by -0.5%, ~ -6 SE).
+    law = intensity.mass_law(length)
+    rng = seeded(entropy)
+    _assert_mass_cumulants(np.array([law.draw(rng) for _ in range(draws)]), intensity, length)
+
+
+def _kanter_pieces(rng, intensity, length, draws):
+    """The mass as the bulk drew it before the double rejection: cut into
+    n = ceil(length gamma^sigma / sigma) pieces, each a positive stable draw
+    by Kanter's representation, scaled by (length / (n sigma))^{1/sigma}
+    and kept with probability e^{-gamma v} (at least e^{-1})."""
+    s, g = intensity.sigma, intensity.gamma
+    n = math.ceil(length * g ** s / s)
+    log_scale = math.log(length / (n * s)) / s
+    out, have, want = np.empty(n * draws), 0, n * draws
+    while have < want:
+        m = min(int(1.2 * math.e * (want - have)) + 64, 1 << 18)
+        u = math.pi * (1.0 - rng.random(m))
+        e = rng.standard_exponential((2, m))
+        log_v = (np.log(np.sin(s * u)) - np.log(np.sin(u)) / s
+                 + (1.0 - s) / s * (np.log(np.sin((1.0 - s) * u)) - np.log(e[0])) + log_scale)
+        kept = log_v[np.exp(np.clip(log_v + math.log(g), -700.0, 700.0)) < e[1]][:want - have]
+        out[have:have + kept.size] = np.exp(kept)
+        have += kept.size
+    return out.reshape(draws, n).sum(axis=1)
+
+
+@pytest.mark.parametrize("entropy, intensity, length, draws", [
+    # lambda^sigma 996: criterion 5's bulk
+    (2241, crm.GeneralizedGamma(0.5, 1.0), 498.0, 5000),
+    # lambda^sigma 1.67, g = 0.35 < 1: the uniform body
+    (2242, crm.GeneralizedGamma(0.3, 1.0), 0.5, 20000),
+    # g = 1.07, just above 1: the normal body
+    (2243, crm.GeneralizedGamma(0.9, 0.5), 20.0, 20000),
+    # lambda^sigma 214 at small sigma
+    (2244, crm.GeneralizedGamma(0.1, 2.0), 20.0, 10000),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_tilted_stable_draw_has_the_law_of_the_kanter_pieces(entropy, intensity, length, draws):
+    # the double-rejection draw against the piecewise Kanter sampler it
+    # replaced (two-sample KS, the reference on a stream of its own), and
+    # its k-statistics against the exact cumulants
+    rng = seeded(entropy)
+    law = intensity.mass_law(length)
+    x = np.array([law.draw(rng) for _ in range(draws)])
+    ref = _kanter_pieces(seeded(entropy, 1), intensity, length, draws)
+    assert stats.ks_2samp(x, ref).pvalue > 0.01
+    _assert_mass_cumulants(x, intensity, length)
+
+
+def _log_envelope_mass(u, sigma, lam_s):
+    """log q(u) from its definition in X = E / a(U): e^{lambda^sigma} times
+    the mass of the envelope of a e^{-a x - lambda x^{-b}} about its mode
+    m = (b/a)^sigma lambda^sigma (half-normal of sd delta = sqrt(sigma m / a),
+    flat over delta, exponential of rate a / z), in logs."""
+    s, b = sigma, (1.0 - sigma) / sigma
+    log_a = (s * np.log(np.sin(s * u)) + (1.0 - s) * np.log(np.sin((1.0 - s) * u))
+             - np.log(np.sin(u))) / (1.0 - s)
+    log_m = s * (math.log(b) - log_a) + math.log(lam_s)
+    peak = lam_s - np.exp(log_a + log_m) - np.exp(math.log(lam_s) / s - b * log_m)
+    a_delta = np.exp(0.5 * (math.log(s) + log_m + log_a))
+    z = 1.0 / (1.0 - (1.0 + a_delta * np.exp(-log_a - log_m)) ** (-1.0 / s))
+    return peak + np.log(a_delta * (1.0 + math.sqrt(math.pi / 2.0)) + z)
+
+
+def test_tilted_stable_proposal_dominates_the_envelope_mass():
+    # the U step of the double rejection is exact only where pi d(u) >= q(u):
+    # on a u-grid dense at both ends, for sigma 0.05..0.95 and lambda^sigma
+    # 1e-3..1e5 and on both sides of g = lambda^sigma sigma (1 - sigma) = 1.
+    # The draw's log q (formed in Y = a X) equals the definition.
+    u = np.concatenate([np.geomspace(1e-9, 1e-2, 30), np.linspace(0.0, math.pi, 1001)[1:-1],
+                        math.pi - np.geomspace(1e-15, 1e-2, 60)])
+    worst = -math.inf
+    for sigma in np.linspace(0.05, 0.95, 19):
+        g_one = 1.0 / (sigma * (1.0 - sigma))
+        for lam_s in [*np.geomspace(1e-3, 1e5, 17), 0.99 * g_one, 1.01 * g_one]:
+            draw = crm._TiltedStable(sigma, lam_s, 0.0)
+            log_q = _log_envelope_mass(u, sigma, lam_s)
+            own = np.array([draw.envelope(v)[0] for v in u])
+            assert np.allclose(own, log_q, rtol=1e-9, atol=1e-9), (sigma, lam_s)
+            gap = log_q - np.array([draw.log_proposal(v) for v in u])
+            worst = max(worst, float(gap.max()))
+            assert np.all(gap < 0.0), (sigma, lam_s, u[np.argmax(gap)], np.exp(gap.max()))
+    # with room for rounding: the largest q / (pi d) is ~0.97.  Without the
+    # sqrt(2) of xi it is 0.9999 on this grid and tends to 1 as lambda^sigma
+    # grows, where the rounding of lambda^sigma (1/zeta^2 - 1) carries it
+    # above 1 (1.0003 at lambda^sigma = 1e12)
+    assert worst < math.log(0.98)
+
+
 def test_total_mass_draws_raise_no_floating_point_error():
-    # Kanter's draws and their keep test run in log space: at the ends of
-    # sigma and gamma nothing overflows, underflows or divides by zero
+    # the draw runs in logs: at the ends of sigma, gamma and the length
+    # nothing overflows, underflows or divides by zero, also for GG(0.05, 1)
+    # on 2e6 (lambda^sigma 4e7), which the piecewise sampler refused as 4e7
+    # pieces
     rng = seeded(2221)
-    with np.errstate(all="raise"):
-        for sigma in (0.05, 0.95):
-            for gamma in (0.1, 10.0):
-                law = crm.GeneralizedGamma(sigma, gamma).mass_law(50.0)
-                masses = np.concatenate([law.draw(rng) for _ in range(200)])
-                assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
+    cases = [(s, g, length) for s in (0.05, 0.95) for g in (0.1, 10.0) for length in (1e-6, 50.0)]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sigma, gamma, length in cases + [(0.05, 1.0, 2e6)]:
+            law = crm.GeneralizedGamma(sigma, gamma).mass_law(length)
+            masses = np.array([law.draw(rng) for _ in range(200)])
+            assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
 
 
 def test_mass_law_facts_and_bulk_layout():
     gg = crm.GeneralizedGamma(0.5, 2.0)
     assert crm.Beta(crm.Constant(1.5)).mass_law(10.0) is None
     assert crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)).mass_law(10.0) is None
+    # each law is one draw of the whole mass, priced in arrivals
     eg = crm.ExtendedGamma(crm.Constant(1.5)).mass_law(10.0)
-    assert eg.pieces == 1 and eg.draw(seeded(2222)).size == 1
-    # n = ceil(length gamma^sigma / sigma) pieces
+    assert eg.cost == 10.0 and isinstance(eg.draw(seeded(2222)), float)
     law = gg.mass_law(10.0)
-    assert law.pieces == math.ceil(10.0 * 2.0 ** 0.5 / 0.5) == law.draw(seeded(2222)).size
+    assert law.cost == crm._STABLE_DRAW_COST and isinstance(law.draw(seeded(2222)), float)
     # Ferguson-Klass outside the bulk (10, 90), then one aggregated atom at
-    # the midpoint of each of the 227 pieces of the bulk
+    # its midpoint
     s = crm.sample(gg, (0.0, 101.0), 1e-4, seeded(2223),
                    bulk=((10.0, 90.0), gg.mass_law(80.0)))
-    fk, agg = slice(0, s.size - 227), slice(s.size - 227, s.size)
+    fk = slice(0, s.size - 1)
     assert np.all(s.jumps[fk] >= 1e-4) and np.all(np.diff(s.jumps[fk]) <= 0.0)
     assert np.all((s.locations[fk] < 10.0) | (s.locations[fk] >= 90.0))
-    assert np.allclose(s.locations[agg], 10.0 + 80.0 * (np.arange(227) + 0.5) / 227,
-                       rtol=1e-15, atol=0.0)
-    assert np.all(s.jumps[agg] >= 0.0)
+    assert s.locations[-1] == 50.0 and s.jumps[-1] > 0.0
 
 
-def test_bulk_law_only_where_its_pieces_cost_less_than_the_series():
-    # a piece costs about ten arrivals of the series it replaces
+def test_bulk_law_only_where_its_draw_costs_less_than_the_series():
+    # a tilted-stable draw costs about 400 arrivals of the series it
+    # replaces, a gamma draw ten
     gg = crm.GeneralizedGamma(0.5, 1.0)
     assert crm.bulk_law(crm.Beta(crm.Constant(1.5)), 100.0, 1e-6) is None
     assert crm.bulk_law(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), 100.0, 1e-6) is None
-    # GG(0.5, 1): 2 pieces per unit length, 1.13e3 arrivals at 1e-6 and 11.3 at 1e-2
-    assert crm.bulk_law(gg, 100.0, 1e-6).pieces == 200
-    assert crm.bulk_law(gg, 100.0, 1e-2) is None
-    # GG(0.05, 1): 20 pieces per unit length against 24.4 arrivals at 1e-2
-    assert crm.bulk_law(crm.GeneralizedGamma(0.05, 1.0), 2e6, 1e-2) is None
-    # constant extended gamma: one piece, taken from 10 expected arrivals on
+    # GG(0.5, 1): 1.13e3 arrivals per unit length at 1e-6 and 11.3 at 1e-2
+    assert crm.bulk_law(gg, 100.0, 1e-6).cost == 400.0
+    assert crm.bulk_law(gg, 40.0, 1e-2).cost == 400.0
+    assert crm.bulk_law(gg, 30.0, 1e-2) is None
+    # GG(0.05, 1): 24.4 arrivals per unit length at 1e-2
+    assert crm.bulk_law(crm.GeneralizedGamma(0.05, 1.0), 10.0, 1e-2) is None
+    assert crm.bulk_law(crm.GeneralizedGamma(0.05, 1.0), 2e6, 1e-2) is not None
+    # constant extended gamma: one draw, taken from 10 expected arrivals on
     eg = crm.ExtendedGamma(crm.Constant(1.0))
-    assert crm.bulk_law(eg, 20.0, 1e-3).pieces == 1
+    assert crm.bulk_law(eg, 20.0, 1e-3).cost == 10.0
     assert crm.bulk_law(eg, 1.0, 1.0) is None
-
-
-def test_bulk_refuses_too_many_pieces_before_drawing():
-    # GG(0.05, 1) on a bulk of 2e6 asks for 4e7 pieces
-    gg = crm.GeneralizedGamma(0.05, 1.0)
-    with pytest.raises(ValueError, match=r"^a bulk of length 2e\+06 asks for 4e\+07 pieces per "
-                                         r"draw of generalized_gamma\(sigma=0\.05,gamma=1\), "
-                                         r"above the limit 2e\+07$"):
-        crm.sample(gg, (0.0, 2e6 + 2.0), 1e-6, _NoDraws(),
-                   bulk=((1.0, 2e6 + 1.0), gg.mass_law(2e6)))
 
 
 def test_bulk_of_a_non_homogeneous_intensity_refused_before_drawing():

@@ -540,13 +540,13 @@ def test_path_variance_quadrature_centering_is_unbiased():
 
 
 def test_budget_refusal_and_unsupported():
-    # at eps = 1e-2 the bulk [1, 299] would cost more than its series, so
+    # at eps = 1e-2 the bulk [1, 19] would cost more than its series, so
     # the full series is drawn and its mass below eps biases the statistic
-    # by 3.89, above 1% of the target sd (0.0141); at eps = 1e-6 the bulk is
-    # drawn untruncated and only the boundary's bias, 0.00023, remains
+    # by 0.99, above 1% of the target sd (0.0141); at eps = 1e-6 the bulk is
+    # drawn untruncated and only the boundary's bias, 0.00088, remains
     cfg = mc.ExperimentConfig(kernel=kernels.Rectangular(1.0), intensity=GG,
                               functional=Functional.CUMULATIVE_HAZARD,
-                              horizon=300.0, replicates=100, seed=5, epsilon=1e-2,
+                              horizon=20.0, replicates=100, seed=5, epsilon=1e-2,
                               centering_mode=mc.CENTERING_CATALOG)
     with pytest.raises(mc.TruncationBudgetError):
         mc.run_clt(cfg, workers=1)
@@ -593,20 +593,20 @@ def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, seeds):
 
 
 def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
-    # rectangular(1) + GG(0.5, 1) at eps = 1e-2: the flat interval's 96
-    # pieces would cost more than its ~540 expected arrivals, so sample_crm
-    # draws the full series and centers on I_1(eps)
+    # rectangular(1) + GG(0.5, 1) at T = 20, eps = 1e-2: the flat interval's
+    # one draw (~400 arrivals) would cost more than its ~203 expected
+    # arrivals, so sample_crm draws the full series and centers on I_1(eps)
     cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
-                              50.0, seed=2235, epsilon=1e-2)
+                              20.0, seed=2235, epsilon=1e-2)
     assert mc._bulk(cfg) is None
     for r in range(3):
         a, b = mc.sample_crm(cfg, r), mc.sample_series(cfg, r)
         assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
-    assert mc._exact_mean(cfg, cfg.epsilon) == I_moments(cfg.kernel, GG, 50.0, 1, cfg.epsilon)
+    assert mc._exact_mean(cfg, cfg.epsilon) == I_moments(cfg.kernel, GG, 20.0, 1, cfg.epsilon)
     assert mc._bulk(dataclasses.replace(cfg, epsilon=1e-6)) is not None
 
 
-@pytest.mark.parametrize("eps, deficit_per_mass", [(1e-2, 2.0 * 50.0 - 0.5), (1e-6, 3.5)],
+@pytest.mark.parametrize("eps, deficit_per_mass", [(1e-2, 2.0 * 20.0 - 0.5), (1e-6, 3.5)],
                          ids=["series", "bulk"])
 def test_run_level_truncation_deficit(eps, deficit_per_mass):
     # what truncation leaves behind is the full minus the truncated center.
@@ -614,10 +614,10 @@ def test_run_level_truncation_deficit(eps, deficit_per_mass):
     # + 2 = 2T - 0.5, and K_T = 2 on its flat interval [1, T - 1], whose
     # mass below eps the bulk keeps: the deficit is mean_below(eps) times
     # 2T - 0.5 on the series and 3.5 with the bulk.  Both centers carry the
-    # quadrature's 1e-11 relative error on I_1 ~ 1e2, up to 3e-7 of the
+    # quadrature's 1e-11 relative error on I_1 ~ 40, up to 1e-7 of the
     # bulk's deficit of ~4e-3.
     cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
-                              50.0, seed=2236, epsilon=eps)
+                              20.0, seed=2236, epsilon=eps)
     assert (mc._bulk(cfg) is None) == (eps == 1e-2)
     deficit = mc._exact_mean(cfg, 0.0) - mc._exact_mean(cfg, eps)
     assert deficit == pytest.approx(deficit_per_mass * crm.mean_below(GG, eps), rel=1e-6)
@@ -637,12 +637,89 @@ def test_catalog_centering_without_a_trend_constant_is_the_full_I1():
 
 
 def test_worker_resolution_env_cap(monkeypatch):
-    import os
     monkeypatch.setenv("HAZARDLAB_THREADS", "1")
     assert mc.resolve_workers(None) == 1
     monkeypatch.delenv("HAZARDLAB_THREADS")
     assert 1 <= mc.resolve_workers(None) <= min(4, os.cpu_count() or 1)
     assert mc.resolve_workers(64) == (os.cpu_count() or 1)
+
+
+class _PoolLog:
+    """multiprocessing.Pool in this process: records each pool's size and
+    maps serially."""
+    sizes = []
+
+    def __init__(self, n):
+        self.sizes.append(n)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, f, jobs):
+        return [f(job) for job in jobs]
+
+
+def _cumhaz_config(**kw):
+    # the benchmark's rectangular + GG cumulative-hazard run: 3,385 edge
+    # arrivals and one bulk draw per replicate
+    return mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD, 500.0,
+                               replicates=100, seed=2238, **kw)
+
+
+def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("HAZARDLAB_THREADS", raising=False)
+    monkeypatch.setattr(mc.multiprocessing, "Pool", _PoolLog)
+    _PoolLog.sizes = []
+    cfg = _cumhaz_config()
+    atoms = mc._expected_atoms(cfg)
+    edge = crm._arrivals(GG, 3.0, cfg.epsilon)
+    assert atoms == edge + crm._STABLE_DRAW_COST and 3384 < edge < 3386
+    # 100 replicates expect 3.8e5 atoms, under the constant: no pool
+    assert cfg.replicates * atoms < mc._POOL_MIN_ATOMS
+    assert mc.resolve_workers(None, cfg.replicates * atoms) == 1
+    serial = mc.run_clt(cfg)
+    assert _PoolLog.sizes == []
+    # at or above the constant the default pool runs, with the same values
+    assert mc.resolve_workers(None, mc._POOL_MIN_ATOMS) == 4
+    monkeypatch.setattr(mc, "_POOL_MIN_ATOMS", cfg.replicates * atoms)
+    assert mc.run_clt(cfg).values == serial.values
+    assert _PoolLog.sizes == [4]
+    # without a bulk the series' arrivals count: the thinning envelope's for
+    # a non-homogeneous intensity
+    series = dataclasses.replace(cfg, functional=Functional.PATH_VARIANCE, epsilon=1e-3)
+    assert mc._expected_atoms(series) == crm._arrivals(GG, 501.0, 1e-3)
+    thinned = mc.ExperimentConfig(kernels.Rectangular(1.0),
+                                  crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
+                                  Functional.CUMULATIVE_HAZARD, 20.0, epsilon=1e-3)
+    assert mc._expected_atoms(thinned) == crm._arrivals(crm.ExtendedGamma(crm.Constant(1.0)),
+                                                        21.0, 1e-3)
+
+
+def test_explicit_workers_and_env_still_pool_a_small_run(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(mc.multiprocessing, "Pool", _PoolLog)
+    _PoolLog.sizes = []
+    cfg = _cumhaz_config(epsilon=1e-3)
+    assert cfg.replicates * mc._expected_atoms(cfg) < mc._POOL_MIN_ATOMS
+    monkeypatch.delenv("HAZARDLAB_THREADS", raising=False)
+    mc.run_clt(cfg, workers=2)
+    monkeypatch.setenv("HAZARDLAB_THREADS", "3")
+    mc.run_clt(cfg)
+    assert _PoolLog.sizes == [2, 3]
+
+
+def test_bulk_cumhaz_pool_equals_serial():
+    # a real 2-worker pool over rectangular + GG cumulative-hazard
+    # replicates that draw the bulk: the values equal the serial run's bit
+    # for bit
+    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD, 50.0,
+                              replicates=100, seed=2239, epsilon=1e-3)
+    assert mc._bulk(cfg) is not None
+    assert mc.run_clt(cfg, workers=2).values == mc.run_clt(cfg, workers=1).values
 
 
 def test_experiment_config_validation():
