@@ -22,8 +22,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import crm, kernels
-from ._numeric import (_BLOCK, _STREAM, block_partials, comp_sum, erf, kolmogorov,
-                       quad_breaks)
+from ._numeric import _STREAM, block_partials, erf, kolmogorov, quad_breaks
 from .asymptotics import Functional, MonteCarloMean, regime
 from .conditions import I_moments
 
@@ -60,13 +59,10 @@ def _check_window(sample: crm.CrmSample, kernel, T: float):
 def cumhaz(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:
     """H(T) = sum_i J_i K_T(x_i): exact integral of the hazard path.  The
     terms are formed over blocks of _STREAM atoms, so K_T's temporaries
-    stay in cache, and each block keeps only its comp_sum partials: no
-    array of the sample's length is added, and the result equals comp_sum
-    of all the terms bit for bit."""
+    stay in cache, and each block keeps only its block_partials: no array
+    of the sample's length is added, and the result is math.fsum of the
+    partials of all the terms, at every sample size."""
     _check_window(sample, kernel, T)
-    if sample.size <= _BLOCK:
-        # comp_sum adds this few terms exactly, not by partials
-        return comp_sum(sample.jumps * kernels.K_T(kernel, T, sample.locations))
     partials = []
     for i in range(0, sample.size, _STREAM):
         block = slice(i, i + _STREAM)
@@ -204,8 +200,9 @@ class CltReport:
 # this process.  Starting the worker pool costs 20-30 ms (imports 5.5-8 ms,
 # Pool(2) 8-11 ms, first dispatch 1-6 ms, join 2-3 ms; 2 vCPUs), and two
 # workers save at most half the serial time, less when the second vCPU is
-# busy, so the pool pays only from ~50 ms of serial work: 5.5e5-7e5 atoms
-# at the 70-90 ns an atom of a cumulative-hazard replicate.  The benchmark
+# busy, so the pool pays only from ~50 ms of serial work: 5e5-5.7e5 atoms
+# at the 88-97 ns an expected atom of a cumulative-hazard replicate (the
+# draw and the sum; rectangular + GG at T = 500, seed 1).  The benchmark
 # runs expect 3.8e5 (rectangular + GG cumulative hazard, drawn here),
 # 1.79e6 (rectangular path variance) and 2.65e7 (OU path second moment).
 _POOL_MIN_ATOMS = 1e6

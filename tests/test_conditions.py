@@ -444,6 +444,23 @@ def test_verdict_classification():
     assert cond.classify(t, noisy).kind == "inconclusive"
 
 
+def test_fit_slope_r2_of_a_noisy_line():
+    # log y = 1 + 0.5 log T + e on log T = 0..4, with e orthogonal to the
+    # centered log T and summing to 0, so the fit is exact: slope 0.5,
+    # intercept 1, residuals e.  SS_res = 0.04 and SS_tot = sum (0.5 dx + e)^2
+    # = 0.81 + 0.36 + 0 + 0.16 + 1.21 = 2.54, so R^2 = 1 - 0.04 / 2.54 = 125/127
+    lx = np.arange(5.0)
+    e = np.array([0.1, -0.1, 0.0, -0.1, 0.1])
+    t, y = np.exp(lx), np.exp(1.0 + 0.5 * lx + e)
+    fit = cond.fit_slope(t, y)
+    assert fit.slope == pytest.approx(0.5, abs=1e-12)
+    assert fit.intercept == pytest.approx(1.0, abs=1e-12)
+    assert fit.r2 == pytest.approx(125.0 / 127.0, rel=1e-12, abs=0)
+    # R^2 < 0.99 alone withholds the verdict the same line earns without e
+    assert cond.classify(t, np.exp(1.0 + 0.5 * lx)).kind == "diverges"
+    assert cond.classify(t, y).kind == "inconclusive"
+
+
 def test_pathvar_delta_estimates():
     # delta(k): 4 tau K1 for the bandwidth kernel, 2^{3/2} K1 / sqrt(kappa)
     # for the exponential one; combined condition-3 norm -> sigma3^2

@@ -50,8 +50,20 @@ def test_cumhaz_blocks_equal_one_pass(n):
                  kernels.DykstraLaud(), kernels.UShaped(2.0)):
         T = 23.0
         s = make_sample(kern, T, n, entropy=502)
-        one_pass = _numeric.comp_sum(s.jumps * kernels.K_T(kern, T, s.locations))
-        assert mc.cumhaz(s, kern, T) == one_pass
+        terms = s.jumps * kernels.K_T(kern, T, s.locations)
+        assert mc.cumhaz(s, kern, T) == math.fsum(_numeric.block_partials(terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 3387, 4095, 4096])
+def test_cumhaz_is_within_1e_14_of_the_exact_sum(n):
+    # the terms are >= 0, so each pairwise block partial is within about
+    # log2(4096) u relative of its exact sum (Higham 1993)
+    for kern in (kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
+                 kernels.DykstraLaud(), kernels.UShaped(2.0)):
+        T = 23.0
+        s = make_sample(kern, T, n, entropy=504)
+        exact = math.fsum((s.jumps * kernels.K_T(kern, T, s.locations)).tolist())
+        assert mc.cumhaz(s, kern, T) == pytest.approx(exact, rel=1e-14, abs=0), kern.label()
 
 
 def _comp_sum_per_block(values):
