@@ -56,8 +56,10 @@ def test_cumhaz_blocks_equal_one_pass(n):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 3387, 4095, 4096])
 def test_cumhaz_is_within_1e_14_of_the_exact_sum(n):
-    # the terms are >= 0, so each pairwise block partial is within about
-    # log2(4096) u relative of its exact sum (Higham 1993)
+    # the terms are >= 0, so each block partial is within O(depth * u)
+    # relative of its exact sum (Higham 1993); numpy's depth for 4096 terms
+    # is about 15 + 3 + 5 = 23 (8 accumulators adding 16 terms each in
+    # every 128-term leaf, then pairwise), far inside 1e-14; worst measured 2e-16
     for kern in (kernels.Rectangular(0.8), kernels.OrnsteinUhlenbeck(1.3),
                  kernels.DykstraLaud(), kernels.UShaped(2.0)):
         T = 23.0

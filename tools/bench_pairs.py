@@ -1,15 +1,15 @@
 """Alternating benchmark pairs of two commits, written as one BENCH file.
 
     python3 tools/bench_pairs.py --parent REV --change REV --pairs N
-        [--seconds S] [--first-seed K]
+        [--first-seed K]
 
 Run from the root of the repository.  Each revision is exported with
 `git archive` into its own directory under a temporary directory, removed
 at the end.  Then, for pair i = 0..N-1 and each workload of
 BENCHMARK.json, `python3 perfbench/run.py --workload W --seed K+i
---seconds S --trace 0` runs once in each export, with the side that runs
-first alternating from pair to pair, so that a drift of the host's speed
-falls on both sides alike.  Each side runs its own committed perfbench/;
+--seconds S --trace 0` runs once in each export, S being BENCHMARK.json's
+run_seconds, with the side that runs first alternating from pair to pair,
+so that a drift of the host's speed falls on both sides alike.  Each side runs its own committed perfbench/;
 nothing under perfbench/ is changed or imported.
 
 The output, BENCH_<short sha of --change>.json, holds, per
@@ -127,8 +127,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--change", required=True, help="git revision of the change side")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -136,7 +134,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     out_path = f"BENCH_{_git('rev-parse', '--short=7', shas['change'])}.json"
 
     base = tempfile.mkdtemp(prefix="bench-pairs-")
