@@ -17,12 +17,10 @@ with probability rho(v)/nu0(v) (Rosinski's rejection method); extended
 gamma, which has no such nu0 yet, inverts the tail of rho by one cubic per
 jump, from a cached Hermite table of log v on nodes uniform in
 log(rate * N(v)).  Given a bulk, sample draws that interval's mass whole,
-from the family's exact total-mass law (generalized gamma, constant
-extended gamma); bulk_law gives that law where it costs less than the
-series: one exact tilted-stable draw for generalized gamma (Devroye's
-double rejection), one gamma draw for constant extended gamma.  Each
-family's class carries its facts; the module functions are the validated
-entry points.
+from the family's exact total-mass law (mass_law): one exact
+tilted-stable draw for generalized gamma (Devroye's double rejection),
+one gamma draw for constant extended gamma.  Each family's class carries
+its facts; the module functions are the validated entry points.
 """
 from __future__ import annotations
 
@@ -39,8 +37,8 @@ from ._numeric import (_STREAM, betainc, betaincc, exp1, gammainc, gammaincc, ga
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
     "GeneralizedGamma", "ExtendedGamma", "Beta", "JumpIntensity",
-    "CrmSample", "EnvelopeError", "Dominating", "MassLaw", "MAX_EXPECTED_ATOMS",
-    "jump_moment", "tail_mass", "jump_density", "mean_below", "bulk_law", "sample",
+    "CrmSample", "EnvelopeError", "Dominating", "MAX_EXPECTED_ATOMS",
+    "jump_moment", "tail_mass", "jump_density", "mean_below", "sample",
 ]
 
 
@@ -70,13 +68,6 @@ class Dominating(NamedTuple):
     tail: Callable
     inverse: Callable
     keep: Callable
-
-
-class MassLaw(NamedTuple):
-    """The exact law of the untruncated total mass of an interval: draw(rng)
-    gives one mass, at a cost of about `cost` Ferguson-Klass arrivals."""
-    cost: float
-    draw: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +187,9 @@ class _Family:
     the Dominating measure Ferguson-Klass runs on (homogeneous members
     only), or None where the sampler inverts the tail of rho itself
     (extended gamma).
-    mass_law(length) gives the MassLaw of the untruncated total mass on an
-    interval of that length, or None where the family has no closed-form
-    law (beta, non-constant profiles)."""
+    mass_law(length) gives the exact draw rng -> mass of the untruncated
+    total mass on an interval of that length, or None where the family has
+    no closed-form law (beta, non-constant profiles)."""
     # every jump lies below the ceiling
     ceiling: ClassVar[float] = math.inf
     homogeneous: ClassVar[bool] = True
@@ -214,7 +205,7 @@ class _Family:
     def dominating(self) -> Optional[Dominating]:
         return None
 
-    def mass_law(self, length: float) -> Optional[MassLaw]:
+    def mass_law(self, length: float) -> Optional[Callable]:
         return None
 
 
@@ -284,14 +275,13 @@ class GeneralizedGamma(_Family):
                           lambda n: (c * n) ** (-1.0 / s),
                           lambda v: np.exp(-g * v))
 
-    def mass_law(self, length: float) -> MassLaw:
+    def mass_law(self, length: float) -> Callable:
         # The mass has Laplace exponent length ((gamma + s)^sigma -
         # gamma^sigma) / sigma: (length / sigma)^{1/sigma} S, S positive
         # sigma-stable, tilted by e^{-lambda S} with lambda = gamma
         # (length / sigma)^{1/sigma}, so lambda^sigma = length gamma^sigma / sigma.
         s, g = self.sigma, self.gamma
-        return MassLaw(_STABLE_DRAW_COST,
-                       _TiltedStable(s, length * g ** s / s, math.log(length / s) / s))
+        return _TiltedStable(s, length * g ** s / s, math.log(length / s) / s)
 
 
 @dataclass(frozen=True)
@@ -329,12 +319,11 @@ class ExtendedGamma(_Profiled):
 
         return ExtendedGamma(Constant(L)), 1.0, accept
 
-    def mass_law(self, length: float) -> Optional[MassLaw]:
+    def mass_law(self, length: float) -> Optional[Callable]:
         # Gamma(length, beta)
         if not self.beta_fn.constant:
             return None
-        return MassLaw(_GAMMA_DRAW_COST,
-                       lambda rng: float(rng.gamma(length, 1.0 / self.beta_fn.a)))
+        return lambda rng: float(rng.gamma(length, 1.0 / self.beta_fn.a))
 
     # No dominating measure: dv / (v (1 + beta v)) would serve, with keep
     # probability e^{-beta v}(1 + beta v), but it moves the seeded stream
@@ -444,6 +433,13 @@ JumpIntensity = Union[GeneralizedGamma, ExtendedGamma, Beta]
 
 _HALF_PI_ROOT = math.sqrt(0.5 * math.pi)
 _LOG_PI = math.log(math.pi)
+# The tilted-stable draw's attempt cap.  Its acceptance per attempt
+# depends on g = lambda^sigma sigma (1 - sigma) alone: ~0.99 as g -> 0,
+# falling to 0.133 as g rises to 1, where the U proposal's body turns from
+# uniform to normal (0.242 just above), and 0.535 at lambda^sigma = 1e6
+# (sigma 0.05-0.95, 3,000-20,000 draws a point).  A correct draw reaches
+# the cap with chance 0.867^500 ~ 1e-31.
+_TILTED_STABLE_ATTEMPTS = 500
 
 
 class _TiltedStable:
@@ -452,7 +448,8 @@ class _TiltedStable:
     Devroye's double rejection (L. Devroye, "Random variate generation for
     exponentially and polynomially tilted stable distributions", ACM
     TOMACS 19(4), 2009), exact, in O(1) expected attempts for every sigma
-    and tilt.
+    and tilt.  Raises ArithmeticError when _TILTED_STABLE_ATTEMPTS attempts
+    all reject.
 
     By Kanter's representation S = X^{-b}, b = (1 - sigma)/sigma, where
     (U, X) on (0, pi) x (0, inf) has density a(U) e^{-a(U) X} / pi with
@@ -510,7 +507,7 @@ class _TiltedStable:
 
     def __call__(self, rng: np.random.Generator) -> float:
         s, b = self.sigma, self.b
-        while True:
+        for _ in range(_TILTED_STABLE_ATTEMPTS):
             v, u1, u2, w, v2, u3, u4 = rng.random(7).tolist()
             if v >= self.p_body:
                 u = math.pi * (1.0 - u1 * u1)         # density ~ 1 / sqrt(pi - u)
@@ -546,6 +543,8 @@ class _TiltedStable:
                           + (1.0 - s) * math.log(math.sin((1.0 - s) * u))
                           - math.log(math.sin(u))) / s
                 return math.exp(self.log_scale + log_ba - b * math.log(y))
+        raise ArithmeticError(f"the tilted-stable draw (sigma={s:g}, lambda^sigma={self.lam_s:g}) "
+                              f"accepted none of {_TILTED_STABLE_ATTEMPTS} attempts")
 
 
 def _half_normal(u1: float, u2: float) -> float:
@@ -788,29 +787,6 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     return gammas[:kept]
 
 
-# The cost of one bulk draw in Ferguson-Klass arrivals.  A tilted-stable
-# draw is one to a few double-rejection attempts of seven uniforms and some
-# twenty scalar sines, logarithms and exponentials, against one arrival's
-# exponential, inverse and keep test in numpy.  Generalized gamma, sigma
-# 0.05-0.9, 2 vCPUs: 6.7-9.4 us a draw at lambda^sigma 100-1e4 and ~5 us at
-# 0.01, against 18-19 ns an arrival, 370-510 arrivals; 9-34 us at
-# lambda^sigma 1-10, where more attempts are rejected.
-_STABLE_DRAW_COST = 400.0
-# One gamma draw: 0.77 us against 47 ns an extended-gamma arrival, about
-# 16 arrivals, counted as the ten its seeded bulk decisions were made with.
-_GAMMA_DRAW_COST = 10.0
-
-
-def bulk_law(intensity: JumpIntensity, length: float, epsilon: float) -> Optional[MassLaw]:
-    """The family's total-mass law of an interval of this length
-    (mass_law), when it has one and its draw costs less than the
-    epsilon-truncated series it replaces there would; else None."""
-    law = intensity.mass_law(length)
-    if law is None or not law.cost < _arrivals(intensity, length, epsilon):
-        return None
-    return law
-
-
 def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
            bulk=None) -> CrmSample:
     """An epsilon-truncated draw of the CRM on the window, exact above
@@ -825,11 +801,11 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.
 
     bulk = ((a, b), law), homogeneous intensities only, draws the mass of
-    the interval [a, b) whole from law, the family's MassLaw of b - a
-    (bulk_law or mass_law), untruncated, as one aggregated atom at its
-    midpoint; the rest of the window is the series at epsilon.  A
-    functional that is constant in x on the bulk sees the same law as on
-    the full series there, with nothing below epsilon discarded.
+    the interval [a, b) whole from law, the family's mass_law(b - a),
+    untruncated, as one aggregated atom at its midpoint; the rest of the
+    window is the series at epsilon.  A functional that is constant in x
+    on the bulk sees the same law as on the full series there, with
+    nothing below epsilon discarded.
 
     Raises ValueError, before any draw, when the expected series length
     exceeds MAX_EXPECTED_ATOMS, and EnvelopeError when a beta profile has
@@ -858,5 +834,5 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     jumps = _fk_jumps(intensity, edge, epsilon, rng)
     locations = rng.uniform(lo, lo + edge, size=jumps.size)
     locations[locations >= a] += b - a
-    return CrmSample(np.append(jumps, law.draw(rng)), np.append(locations, a + (b - a) * 0.5),
+    return CrmSample(np.append(jumps, law(rng)), np.append(locations, a + (b - a) * 0.5),
                      (lo, hi))

@@ -203,7 +203,7 @@ class CltReport:
 # busy, so the pool pays only from ~50 ms of serial work: 5e5-5.7e5 atoms
 # at the 88-97 ns an expected atom of a cumulative-hazard replicate (the
 # draw and the sum; rectangular + GG at T = 500, seed 1).  The benchmark
-# runs expect 3.8e5 (rectangular + GG cumulative hazard, drawn here),
+# runs expect 3.4e5 (rectangular + GG cumulative hazard, drawn here),
 # 1.79e6 (rectangular path variance) and 2.65e7 (OU path second moment).
 _POOL_MIN_ATOMS = 1e6
 
@@ -239,29 +239,29 @@ def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
 
 def _bulk(config: ExperimentConfig):
     """(interval, law): the interval where K_T is constant and the family's
-    total-mass law there, when the functional is the cumulative hazard and
-    crm.bulk_law gives a law that costs less than the series; else None.
-    The cumulative hazard weighs the atoms of that interval by one value,
-    so it needs their total mass only."""
+    total-mass law there (mass_law), when the functional is the cumulative
+    hazard and the family has one; else None.  The cumulative hazard
+    weighs the atoms of that interval by one value, so it needs their
+    total mass only."""
     if config.functional is not Functional.CUMULATIVE_HAZARD:
         return None
     flat = config.kernel.flat(config.horizon)
     if flat is None:
         return None
-    law = crm.bulk_law(config.intensity, flat[1] - flat[0], config.epsilon)
+    law = config.intensity.mass_law(flat[1] - flat[0])
     return None if law is None else (flat, law)
 
 
 def _expected_atoms(config: ExperimentConfig) -> float:
     """The expected atoms of one sample_crm draw: the arrivals of the
     series it draws (crm._arrivals; of the thinning envelope for a
-    non-homogeneous intensity), plus the cost of its bulk draw."""
+    non-homogeneous intensity).  A bulk draw counts as none."""
     intensity, epsilon = config.intensity, config.epsilon
     lo, hi = kernels.location_window(config.kernel, config.horizon)
     bulk = _bulk(config)
     if bulk is not None:
-        (a, b), law = bulk
-        return crm._arrivals(intensity, (a - lo) + (hi - b), epsilon) + law.cost
+        (a, b), _ = bulk
+        return crm._arrivals(intensity, (a - lo) + (hi - b), epsilon)
     if intensity.homogeneous:
         return crm._arrivals(intensity, hi - lo, epsilon)
     envelope, rate_mult, _ = intensity.envelope(lo, hi)
@@ -271,8 +271,8 @@ def _expected_atoms(config: ExperimentConfig) -> float:
 def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     """Draw replicate r for the config's functional: the full series
     (sample_series), except for the cumulative hazard where K_T is flat on
-    an interval and the family's total-mass law there costs less (_bulk),
-    whose mass is then drawn whole (crm.sample's bulk)."""
+    an interval and the family has a total-mass law there (_bulk), whose
+    mass is then drawn whole (crm.sample's bulk)."""
     return crm.sample(config.intensity, kernels.location_window(config.kernel, config.horizon),
                       config.epsilon, _stream(config, replicate), bulk=_bulk(config))
 

@@ -69,12 +69,9 @@ def test_cumhaz_is_within_1e_14_of_the_exact_sum(n):
 
 
 def _comp_sum_per_block(values):
-    # comp_sum's partials taken one np.sum call per 4096-element block
+    # comp_sum's partials taken one np.sum call per 4096-element block, at
+    # every size
     a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    if a.size <= 4096:
-        return math.fsum(a.tolist())
     nblocks = -(-a.size // 4096)
     return math.fsum([float(np.sum(a[i * 4096:(i + 1) * 4096])) for i in range(nblocks)])
 
@@ -87,6 +84,16 @@ def test_comp_sum_equals_per_block_partials():
             # differs in its last bits
             a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
             assert _numeric.comp_sum(a) == _comp_sum_per_block(a)
+
+
+def test_comp_sum_of_non_negative_terms_is_within_1e_14_of_the_exact_sum():
+    # at most one block: the pairwise sum alone, against math.fsum's exact
+    # one, for non-negative terms over 26 decades
+    rng = seeded(505)
+    for n in (1, 2, 7, 100, 1000, 4095, 4096):
+        for _ in range(3):
+            a = rng.exponential(size=n) * np.exp(rng.uniform(-30.0, 30.0, n))
+            assert _numeric.comp_sum(a) == pytest.approx(math.fsum(a.tolist()), rel=1e-14, abs=0)
 
 
 def test_running_sum_equals_exact_prefixes():
@@ -554,10 +561,9 @@ def test_path_variance_quadrature_centering_is_unbiased():
 
 
 def test_budget_refusal_and_unsupported():
-    # at eps = 1e-2 the bulk [1, 19] would cost more than its series, so
-    # the full series is drawn and its mass below eps biases the statistic
-    # by 0.99, above 1% of the target sd (0.0141); at eps = 1e-6 the bulk is
-    # drawn untruncated and only the boundary's bias, 0.00088, remains
+    # the bulk [1, 19] is drawn untruncated, so only the boundary's mass
+    # below eps biases the statistic: at eps = 1e-2 by 0.0880, above 1% of
+    # the target sd (0.0141), and at eps = 1e-6 by 0.00088
     cfg = mc.ExperimentConfig(kernel=kernels.Rectangular(1.0), intensity=GG,
                               functional=Functional.CUMULATIVE_HAZARD,
                               horizon=20.0, replicates=100, seed=5, epsilon=1e-2,
@@ -585,56 +591,50 @@ def test_nonhomogeneous_quadratic_refusal_names_check_conditions_once():
     assert msg.count("check-conditions") == 1 and "envelope" not in msg
 
 
-@pytest.mark.parametrize("intensity, seeds", [(GG, (2231, 2232)), (EG1, (2233, 2234))],
-                         ids=lambda v: v.label() if hasattr(v, "label") else None)
-def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, seeds):
-    # rectangular(1) at T = 20, eps = 1e-3: H from the bulk draw against H
-    # from the full series, which lacks the bulk's mass below eps, shifted by
-    # its mean 2 tau |flat| mean_below(eps); two-sample KS over 2000
-    # replicates each, from unrelated seeds.  The bulk draws' mean is the
-    # quadrature centering within 4 SE.
-    kern, T, eps = kernels.Rectangular(1.0), 20.0, 1e-3
+@pytest.mark.parametrize("intensity, T, eps, seeds", [
+    (GG, 20.0, 1e-3, (2231, 2232)), (EG1, 20.0, 1e-3, (2233, 2234)),
+    # short flat intervals at large eps, where the series expects few
+    # arrivals: lambda^sigma 2 (the least efficient tilted-stable draws) and
+    # 36, and Gamma(0.5, 1)
+    (GG, 3.0, 1e-2, (2271, 2272)), (GG, 20.0, 1e-2, (2273, 2274)),
+    (EG1, 2.5, 0.1, (2275, 2276)),
+], ids=["gg", "eg", "gg-short-eps1e-2", "gg-eps1e-2", "eg-short-eps0.1"])
+def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, T, eps, seeds):
+    # rectangular(1): H from the bulk draw against H from the full series,
+    # which lacks the bulk's mass below eps, shifted by its mean
+    # 2 tau |flat| mean_below(eps); two-sample KS over 2000 replicates each,
+    # from unrelated seeds.  The bulk draws' mean is the quadrature
+    # centering within 4 SE.
+    kern = kernels.Rectangular(1.0)
     bulk_cfg, full_cfg = (mc.ExperimentConfig(kern, intensity, Functional.CUMULATIVE_HAZARD, T,
                                               seed=seed, epsilon=eps) for seed in seeds)
-    assert mc.sample_crm(bulk_cfg, 0).size < mc.sample_series(bulk_cfg, 0).size
+    a, b = kern.flat(T)
+    # the bulk is the last atom, at the flat interval's midpoint
+    assert mc.sample_crm(bulk_cfg, 0).locations[-1] == 0.5 * (a + b)
     bulk = np.array([mc.cumhaz(mc.sample_crm(bulk_cfg, r), kern, T) for r in range(2000)])
     full = np.array([mc.cumhaz(mc.sample_series(full_cfg, r), kern, T) for r in range(2000)])
-    a, b = kern.flat(T)
     shift = 2.0 * (b - a) * crm.mean_below(intensity, eps)
     assert stats.ks_2samp(bulk, full + shift).pvalue > 0.01
     se = bulk.std(ddof=1) / math.sqrt(bulk.size)
     assert abs(bulk.mean() - mc._exact_mean(bulk_cfg, eps)) <= 4.0 * se
 
 
-def test_cumhaz_draws_the_full_series_where_the_bulk_costs_more():
-    # rectangular(1) + GG(0.5, 1) at T = 20, eps = 1e-2: the flat interval's
-    # one draw (~400 arrivals) would cost more than its ~203 expected
-    # arrivals, so sample_crm draws the full series and centers on I_1(eps)
-    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
-                              20.0, seed=2235, epsilon=1e-2)
-    assert mc._bulk(cfg) is None
-    for r in range(3):
-        a, b = mc.sample_crm(cfg, r), mc.sample_series(cfg, r)
-        assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
-    assert mc._exact_mean(cfg, cfg.epsilon) == I_moments(cfg.kernel, GG, 20.0, 1, cfg.epsilon)
-    assert mc._bulk(dataclasses.replace(cfg, epsilon=1e-6)) is not None
-
-
-@pytest.mark.parametrize("eps, deficit_per_mass", [(1e-2, 2.0 * 20.0 - 0.5), (1e-6, 3.5)],
+@pytest.mark.parametrize("intensity, eps, deficit_per_mass",
+                         [(crm.Beta(crm.Constant(1.5)), 1e-2, 2.0 * 20.0 - 0.5), (GG, 1e-6, 3.5)],
                          ids=["series", "bulk"])
-def test_run_level_truncation_deficit(eps, deficit_per_mass):
+def test_run_level_truncation_deficit(intensity, eps, deficit_per_mass):
     # what truncation leaves behind is the full minus the truncated center.
     # Rectangular(1) on the window [0, T + 1] has int K_T dx = 1.5 + 2(T - 2)
     # + 2 = 2T - 0.5, and K_T = 2 on its flat interval [1, T - 1], whose
     # mass below eps the bulk keeps: the deficit is mean_below(eps) times
-    # 2T - 0.5 on the series and 3.5 with the bulk.  Both centers carry the
-    # quadrature's 1e-11 relative error on I_1 ~ 40, up to 1e-7 of the
-    # bulk's deficit of ~4e-3.
-    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD,
+    # 2T - 0.5 on the series (beta has no total-mass law) and 3.5 with the
+    # bulk.  Both centers carry the quadrature's 1e-11 relative error on
+    # I_1 ~ 40, up to 1e-7 of the bulk's deficit of ~4e-3.
+    cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), intensity, Functional.CUMULATIVE_HAZARD,
                               20.0, seed=2236, epsilon=eps)
-    assert (mc._bulk(cfg) is None) == (eps == 1e-2)
+    assert (mc._bulk(cfg) is None) == (intensity is not GG)
     deficit = mc._exact_mean(cfg, 0.0) - mc._exact_mean(cfg, eps)
-    assert deficit == pytest.approx(deficit_per_mass * crm.mean_below(GG, eps), rel=1e-6)
+    assert deficit == pytest.approx(deficit_per_mass * crm.mean_below(intensity, eps), rel=1e-6)
 
 
 def test_catalog_centering_without_a_trend_constant_is_the_full_I1():
@@ -690,9 +690,9 @@ def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
     _PoolLog.sizes = []
     cfg = _cumhaz_config()
     atoms = mc._expected_atoms(cfg)
-    edge = crm._arrivals(GG, 3.0, cfg.epsilon)
-    assert atoms == edge + crm._STABLE_DRAW_COST and 3384 < edge < 3386
-    # 100 replicates expect 3.8e5 atoms, under the constant: no pool
+    # the bulk draw counts as no atom
+    assert atoms == crm._arrivals(GG, 3.0, cfg.epsilon) and 3384 < atoms < 3386
+    # 100 replicates expect 3.4e5 atoms, under the constant: no pool
     assert cfg.replicates * atoms < mc._POOL_MIN_ATOMS
     assert mc.resolve_workers(None, cfg.replicates * atoms) == 1
     serial = mc.run_clt(cfg)
