@@ -24,6 +24,7 @@ __all__ = [
     "quad_breaks",
     "running_sum",
     "sorted_unique",
+    "stable_order",
     "betainc", "betaincc", "erf", "exp1", "gammainc", "gammaincc",
     "gammaln", "kolmogorov", "xlog1py",
 ]
@@ -97,6 +98,33 @@ def sorted_unique(a):
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def stable_order(a):
+    """(order, a[order]) with order = np.argsort(a, kind="stable"), for a
+    1-d float64 array of finite values, by one value sort instead of an
+    argsort (numpy sorts floats with SIMD kernels, indices without).
+
+    Each key is a's bit pattern with the sign bit and the low
+    b = bit_length(n - 1) bits cleared and the index in those bits: a
+    nonnegative float, so sorting the keys as floats orders them by
+    truncated |a|, then by index, and the low bits read back give the
+    order.  Equal values share their truncated key, so they come out in
+    index order.  Where the gathered values decrease, the truncation
+    misordered near-ties or the input has negative values, and a stable
+    argsort of the gathered values, nearly sorted, repairs the order."""
+    n = a.size
+    low = (1 << (n - 1).bit_length()) - 1 if n else 0
+    order = a.view(np.int64) & ((1 << 63) - 1 - low)
+    order |= np.arange(n)
+    order.view(np.float64).sort()
+    order &= low
+    s = a[order]
+    if (s[1:] < s[:-1]).any():
+        fix = np.argsort(s, kind="stable")
+        s = s[fix]
+        order = order[fix]
+    return order, s
 
 
 # Newton steps allowed per Gauss-Legendre rule; from the guesses below

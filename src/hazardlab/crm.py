@@ -54,10 +54,12 @@ class EnvelopeError(Exception):
 # inverse and keep steps run over blocks of _numeric._STREAM atoms.  The
 # cumulative hazard adds no array of the draw's length (it keeps blocks
 # and their partials).  The path
-# functionals' pair sums do: the Green's-function prefix sums ~2.2 arrays
-# of n, the rectangular sweep five of 2n at its peak (the gaps
-# between the merged starts and ends, the signed jumps in merge order and
-# the running sum's three).
+# functionals' pair sums do, each sorting the atoms it is handed: the
+# Green's-function ones ~4.3 arrays of n at their peak (the location
+# order and the sorted locations, J gathered, then J g and the decayed
+# prefix sum), the rectangular sweep five of 2n (the gaps between the
+# sorted starts and ends, the signed jumps in event order and the
+# running sum's three).
 MAX_EXPECTED_ATOMS = 2e7
 
 

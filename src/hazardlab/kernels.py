@@ -19,7 +19,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from ._numeric import _STREAM, comp_sum, gl_panels, running_sum, sorted_unique
+from ._numeric import (_STREAM, comp_sum, gl_panels, running_sum, sorted_unique,
+                       stable_order)
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -31,8 +32,9 @@ class _Family:
     """Defaults for the family facts.  Every family also defines value(t, x),
     K(T, x) and Q(T, x, y) (the closed forms behind eval_kernel, K_T, Q_T),
     the condition-grid panel_step(T) and pair_sum(J, x, T) =
-    sum_{i,j} J_i J_j Q_T(x_i, x_j) over sorted x; the rectangular kernel
-    also defines band (Q_T(x, y) = 0 once |x - y| > band).
+    sum_{i,j} J_i J_j Q_T(x_i, x_j) over atoms in any order, which it
+    sorts with one _numeric.stable_order; the rectangular kernel also
+    defines band (Q_T(x, y) = 0 once |x - y| > band).
     On the condition grid, with nodes x, weights w and panel edges edges,
     every family defines row_integrals(T, x, w, edges, mu, power), the rows
     int mu(y) Q_T(x_i, y)^power dy, and contraction_11(T, x, r2),
@@ -65,7 +67,8 @@ class _Green(_Family):
         Q_T(x, y) = e^{-decay (y - x)} g(T, y),
     with g >= 0.  Q_T follows from decay and g alone, and the pair sum and
     the condition grid's reductions from decayed prefix sums
-    (_decayed_prefix) over the sorted locations."""
+    (_decayed_prefix) over increasing locations: the grid's nodes, and the
+    atoms once the pair sum has put them in location order."""
 
     def Q(self, T, x, y):
         out = np.exp(-self.decay * np.abs(x - y)) * self.g(T, np.maximum(x, y))
@@ -73,9 +76,14 @@ class _Green(_Family):
 
     def pair_sum(self, J, x, T):
         # For x_i <= x_j, Q_T(x_i, x_j) = e^{-k(x_j - x_i)} g(x_j) with
-        # k = decay, so the sum is sum_j J_j g_j (J_j + 2 L_j), all terms
-        # positive, with L the decayed prefix sum of J.  J g is formed
-        # first, so L is its only other array of n (2.2 arrays at the peak).
+        # k = decay, so over the atoms in location order (one stable_order)
+        # the sum is sum_j J_j g_j (J_j + 2 L_j), all terms positive, with L
+        # the decayed prefix sum of J.  The order is dropped once J is
+        # gathered, and J g is formed before L (4.3 arrays of n at the peak,
+        # counting x).
+        order, x = stable_order(x)
+        J = J[order]
+        del order
         return comp_sum(J * self.g(T, x) * (J + 2.0 * _decayed_prefix(self.decay, x, J)))
 
     def row_integrals(self, T, x, w, edges, mu, power):
@@ -206,7 +214,8 @@ class Rectangular(_Family):
 
     def _span(self, T, x):
         # the times [start, end] = [max(x - tau, 0), min(x + tau, T)] where
-        # k(., x) is on; both are nondecreasing in x, and for x <= y in the
+        # k(., x) is on; both are nondecreasing in x, so on the increasing
+        # nodes of the condition grid they are sorted, and for x <= y in the
         # window Q_T(x, y) = max(0, end(x) - start(y)), the arithmetic of Q
         tau = self.tau
         return np.maximum(x - tau, 0.0), np.minimum(x + tau, T)
@@ -214,9 +223,9 @@ class Rectangular(_Family):
     def pair_sum(self, J, x, T):
         # sum_{i,j} J_i J_j Q_T(x_i, x_j) = int_0^T h(t)^2 dt, where the path
         # h is J_i on the span [start_i, end_i] summed over the atoms, with
-        # start clamped to end (atoms past T + tau get an empty span).  For
-        # sorted x both are nondecreasing, so one stable argsort merges the
-        # starts (+J) and the ends (-J); h after each event is the
+        # start clamped to end (atoms past T + tau get an empty span).  The
+        # atoms come in any order: one stable_order sorts the starts (+J)
+        # and the ends (-J) together; h after each event is the
         # compensated running sum of the jumps, and the integral sums h^2
         # over the gaps to the next event, all terms >= 0 (a gap between
         # neighbouring events is exact away from 0).  Each array of 2n is
@@ -224,8 +233,8 @@ class Rectangular(_Family):
         start, end = self._span(T, x)
         events = np.concatenate([np.minimum(start, end, out=start), end])
         del start, end
-        order = np.argsort(events, kind="stable")
-        gaps = np.diff(events[order])
+        order, events = stable_order(events)
+        gaps = np.diff(events)
         del events
         jumps = np.concatenate([J, -J])[order]
         del order

@@ -75,17 +75,16 @@ def path_second_moment(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) 
     """(1/T) sum_{i,j} J_i J_j Q_T(x_i, x_j): exact time average of the
     squared hazard path.
 
-    The atoms are sorted by location once and handed to the kernel's pair
-    sum, which equals the naive double sum: a decayed prefix sum for the
-    Green's-function kernels, and for the rectangular kernel the integral
-    of h^2 from one sweep over the path's jumps at max(x_i - tau, 0) and
-    min(x_i + tau, T).
+    The atoms go to the kernel's pair sum in the sample's order; it sorts
+    what it sweeps and equals the naive double sum: a decayed prefix sum
+    over the locations for the Green's-function kernels, and for the
+    rectangular kernel the integral of h^2 from one sweep over the path's
+    jumps at max(x_i - tau, 0) and min(x_i + tau, T).
     """
     _check_window(sample, kernel, T)
     if sample.size == 0:
         return 0.0
-    order = np.argsort(sample.locations)
-    return kernel.pair_sum(sample.jumps[order], sample.locations[order], T) / T
+    return kernel.pair_sum(sample.jumps, sample.locations, T) / T
 
 
 def path_variance(sample: crm.CrmSample, kernel: kernels.Kernel, T: float) -> float:

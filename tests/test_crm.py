@@ -769,6 +769,33 @@ def test_series_length_tail_is_evaluated_once_per_intensity_and_epsilon(intensit
     assert sum(np.ndim(v) == 0 and v == eps for v in calls) == evaluations
 
 
+@pytest.mark.parametrize("entropy,intensity,eps,rate_exact", [
+    (2290, crm.GeneralizedGamma(0.5, 1.0), 1e-3, 0.945),
+    (2291, crm.GeneralizedGamma(0.3, 2.0), 1e-4, 0.899),
+    (2292, crm.Beta(crm.Constant(1.5)), 1e-3, 0.911),
+    (2293, crm.Beta(crm.Constant(4.0)), 1e-3, 0.735),
+    (2294, crm.Beta(crm.Constant(0.5)), 1e-3, 0.714),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_keep_step_acceptance_rate(entropy, intensity, eps, rate_exact, monkeypatch):
+    # kept / drawn arrivals of the nu0 keep step against its exact rate
+    # N(eps) / N0(eps), at 4 SE over ~2e5 arrivals: a dominating measure
+    # that wastes mass, or a keep probability that drops jumps, fails it.
+    # The arrivals are counted where the series inverts nu0's tail.
+    dom = intensity.dominating()
+    rate = crm.tail_mass(intensity, eps) / float(dom.tail(eps))
+    assert rate == pytest.approx(rate_exact, abs=5e-4)
+    drawn = []
+
+    def counting():
+        return crm.Dominating(dom.tail, lambda n: drawn.append(n.size) or dom.inverse(n),
+                              dom.keep)
+    monkeypatch.setattr(type(intensity), "dominating", lambda self: counting())
+    kept = crm._fk_jumps(intensity, 2e5 / float(dom.tail(eps)), eps, seeded(entropy)).size
+    n = sum(drawn)
+    assert n > 1.9e5
+    assert abs(kept / n - rate) <= 4.0 * math.sqrt(rate * (1.0 - rate) / n), (kept / n, rate)
+
+
 def _fk_one_pass(intensity, rate, epsilon, rng):
     # the series drawn in one pass over all arrivals (the block loop's
     # reference): same arrivals, one inverse, one rng.random call

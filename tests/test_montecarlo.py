@@ -122,6 +122,68 @@ def test_running_sum_holds_three_arrays(n):
     assert traced_peak(_numeric.running_sum, v) <= 3.5 * v.nbytes
 
 
+def _stable_order_cases():
+    rng = seeded(570)
+    near = 1.0 + np.arange(1000) * 2.0 ** -52
+    tiny = np.append(np.arange(1, 300) * 5e-324, np.zeros(50))
+    return {
+        "empty": np.empty(0),
+        "one": np.array([3.5]),
+        "zeros": np.zeros(100),
+        "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
+        "repeats": rng.integers(0, 5, 1000).astype(float),
+        "near-ties": near[rng.permutation(near.size)],
+        "subnormals": tiny[rng.permutation(tiny.size)],
+        "reversed": np.arange(1000.0)[::-1],
+        "negative": -rng.uniform(0.0, 10.0, 1000),
+        "mixed-sign": np.round(rng.standard_normal(1000), 1),
+        "uniform-17k": rng.uniform(0.0, 500.0, 17_000),
+        "uniform-2e6": rng.uniform(0.0, 500.0, 2_000_000),
+    }
+
+
+# the cases whose truncated keys must misorder neighbours
+_REPAIRED = {"near-ties", "subnormals", "negative", "mixed-sign", "uniform-2e6"}
+
+
+@pytest.mark.parametrize("case", list(_stable_order_cases()))
+def test_stable_order_equals_stable_argsort(case, monkeypatch):
+    a = _stable_order_cases()[case]
+    repairs = []
+    argsort = np.argsort
+
+    def spy(*args, **kw):
+        repairs.append(1)
+        return argsort(*args, **kw)
+    monkeypatch.setattr(np, "argsort", spy)
+    order, s = _numeric.stable_order(a)
+    monkeypatch.undo()
+    ref = np.argsort(a, kind="stable")
+    assert order.dtype == ref.dtype and np.array_equal(order, ref)
+    # bit patterns, so that -0.0 and 0.0 must keep their places
+    assert np.array_equal(s.view(np.int64), a[ref].view(np.int64))
+    assert bool(repairs) == (case in _REPAIRED)
+
+
+@pytest.mark.parametrize("kern", [kernels.Rectangular(0.8), kernels.Rectangular(2.5),
+                                  kernels.OrnsteinUhlenbeck(1.3), kernels.DykstraLaud(),
+                                  kernels.UShaped(2.0)], ids=lambda k: k.label())
+def test_pair_sum_does_not_depend_on_the_atom_order(kern):
+    # bit for bit: the sorted atoms against 40 random permutations, at a
+    # horizon below and above the kernel's scale; the rectangular spans
+    # tie at 0 and at T, and atoms past T + tau get empty spans
+    rng = seeded(572)
+    for T in (3.0, 23.0):
+        for n in (1, 2, 7, 2000):
+            lo, hi = kernels.location_window(kern, T)
+            J = rng.exponential(0.5, n)
+            x = np.sort(rng.uniform(lo, hi + 1.0, n))
+            ref = kern.pair_sum(J, x, T)
+            for _ in range(40 if n > 2 else 2):
+                p = rng.permutation(n)
+                assert kern.pair_sum(J[p], x[p], T) == ref
+
+
 def test_cumhaz_adds_no_atom_length_array():
     # only _STREAM-atom blocks and their partials: ~0.8 MB traced at any
     # size, against 4.8 MB for each of the sample's two arrays here
@@ -132,27 +194,31 @@ def test_cumhaz_adds_no_atom_length_array():
         assert traced_peak(mc.cumhaz, s, kern, T) <= 0.25 * s.jumps.nbytes, kern.label()
 
 
-def test_rect_pair_sum_holds_five_arrays_of_2n():
-    # the gaps, the signed jumps in merge order and running_sum's three;
-    # the values are pinned by the pair-sum oracles below
+@pytest.mark.parametrize("presorted", [True, False], ids=["sorted", "unsorted"])
+def test_rect_pair_sum_holds_five_arrays_of_2n(presorted):
+    # the gaps, the signed jumps in event order and running_sum's three,
+    # whatever the order of the atoms; the values are pinned by the
+    # pair-sum oracles below
     kern, T, n = kernels.Rectangular(1.0), 500.0, 500_000
     rng = seeded(535)
-    x = np.sort(rng.uniform(0.0, T + 1.0, n))
+    x = rng.uniform(0.0, T + 1.0, n)
+    if presorted:
+        x.sort()
     J = rng.exponential(0.5, n)
     assert traced_peak(kern.pair_sum, J, x, T) <= 5.5 * 16 * n
 
 
 @pytest.mark.parametrize("kern", [kernels.OrnsteinUhlenbeck(1.0), kernels.DykstraLaud(),
                                   kernels.UShaped(2.0)], ids=lambda k: k.label())
-def test_green_pair_sum_holds_two_arrays_of_n(kern):
-    # J g and the decayed prefix sum, with its blocks of _STREAM points, or
-    # g's own two arrays while it is formed; the values are pinned by the
-    # naive double sums below
+def test_green_path_second_moment_holds_under_five_arrays_of_n(kern):
+    # on unsorted atoms: the order and the sorted locations, J gathered,
+    # then J g and the decayed prefix sum, with its blocks of _STREAM
+    # points (4.26 arrays of n); the values are pinned by the naive double
+    # sums below
     T, n = 500.0, 500_000
     rng = seeded(536)
-    x = np.sort(rng.uniform(0.0, T, n))
-    J = rng.exponential(0.5, n)
-    assert traced_peak(kern.pair_sum, J, x, T) <= 2.6 * 8 * n
+    s = crm.CrmSample(rng.exponential(0.5, n), rng.uniform(0.0, T, n), (0.0, T))
+    assert traced_peak(mc.path_second_moment, s, kern, T) <= 4.6 * 8 * n
 
 
 def test_path2nd_single_atom_ou():
