@@ -80,7 +80,7 @@ class _Green(_Family):
         # the sum is sum_j J_j g_j (J_j + 2 L_j), all terms positive, with L
         # the decayed prefix sum of J.  The order is dropped once J is
         # gathered, and J g is formed before L (4.3 arrays of n at the peak,
-        # counting x).
+        # the sorted locations among them).
         order, x = stable_order(x)
         J = J[order]
         del order

@@ -122,33 +122,31 @@ def test_running_sum_holds_three_arrays(n):
     assert traced_peak(_numeric.running_sum, v) <= 3.5 * v.nbytes
 
 
-def _stable_order_cases():
-    rng = seeded(570)
-    near = 1.0 + np.arange(1000) * 2.0 ** -52
-    tiny = np.append(np.arange(1, 300) * 5e-324, np.zeros(50))
-    return {
-        "empty": np.empty(0),
-        "one": np.array([3.5]),
-        "zeros": np.zeros(100),
-        "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
-        "repeats": rng.integers(0, 5, 1000).astype(float),
-        "near-ties": near[rng.permutation(near.size)],
-        "subnormals": tiny[rng.permutation(tiny.size)],
-        "reversed": np.arange(1000.0)[::-1],
-        "negative": -rng.uniform(0.0, 10.0, 1000),
-        "mixed-sign": np.round(rng.standard_normal(1000), 1),
-        "uniform-17k": rng.uniform(0.0, 500.0, 17_000),
-        "uniform-2e6": rng.uniform(0.0, 500.0, 2_000_000),
-    }
-
-
+_NEAR = 1.0 + np.arange(1000) * 2.0 ** -52
+_TINY = np.append(np.arange(1, 300) * 5e-324, np.zeros(50))
+# each case draws from its own seeded stream
+_STABLE_ORDER_CASES = {
+    "empty": lambda rng: np.empty(0),
+    "one": lambda rng: np.array([3.5]),
+    "zeros": lambda rng: np.zeros(100),
+    "signed-zeros": lambda rng: np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
+    "repeats": lambda rng: rng.integers(0, 5, 1000).astype(float),
+    "near-ties": lambda rng: rng.permutation(_NEAR),
+    "subnormals": lambda rng: rng.permutation(_TINY),
+    "reversed": lambda rng: np.arange(1000.0)[::-1],
+    "negative": lambda rng: -rng.uniform(0.0, 10.0, 1000),
+    "mixed-sign": lambda rng: np.round(rng.standard_normal(1000), 1),
+    "uniform-17k": lambda rng: rng.uniform(0.0, 500.0, 17_000),
+    "uniform-2e6": lambda rng: rng.uniform(0.0, 500.0, 2_000_000),
+}
 # the cases whose truncated keys must misorder neighbours
 _REPAIRED = {"near-ties", "subnormals", "negative", "mixed-sign", "uniform-2e6"}
 
 
-@pytest.mark.parametrize("case", list(_stable_order_cases()))
-def test_stable_order_equals_stable_argsort(case, monkeypatch):
-    a = _stable_order_cases()[case]
+@pytest.mark.parametrize("key,case", list(enumerate(_STABLE_ORDER_CASES)),
+                         ids=list(_STABLE_ORDER_CASES))
+def test_stable_order_equals_stable_argsort(key, case, monkeypatch):
+    a = _STABLE_ORDER_CASES[case](seeded(570, key))
     repairs = []
     argsort = np.argsort
 
