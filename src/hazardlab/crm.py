@@ -710,12 +710,22 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
     t = _inverse_tail_table(intensity, rate, epsilon)
     last = t.coef.shape[1]
     # arrivals outside the table take its end jumps
-    s = np.clip((np.log(gammas) - t.y_lo) / t.h, 0.0, last)
-    k = np.minimum(s.astype(np.intp), last - 1)
+    s = np.log(gammas)
+    s -= t.y_lo
+    s /= t.h
+    np.minimum(np.maximum(s, 0.0, out=s), last, out=s)
+    k = s.astype(np.intp)
+    np.minimum(k, last - 1, out=k)
     s -= k
+    # ((a3 s + a2) s + a1) s + a0, each coefficient gathered into one buffer
     a3, a2, a1, a0 = t.coef
-    log_v = ((a3[k] * s + a2[k]) * s + a1[k]) * s + a0[k]
-    return np.exp(np.clip(log_v, t.lo, t.hi, out=log_v))
+    log_v = a3.take(k)
+    coef = np.empty_like(log_v)
+    for a in (a2, a1, a0):
+        log_v *= s
+        log_v += a.take(k, out=coef)
+    np.minimum(np.maximum(log_v, t.lo, out=log_v), t.hi, out=log_v)
+    return np.exp(log_v, out=log_v)
 
 
 @lru_cache(maxsize=64)
@@ -766,9 +776,9 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     total = 0.0
     want = int(n_eps + 10.0 * math.sqrt(n_eps) + 64)
     while total < n_eps:
-        e = rng.exponential(size=want)
+        e = rng.standard_exponential(size=want)
         chunks.append(e)
-        total += float(np.sum(e))
+        total += float(e.sum())
         want = max(64, want // 4)
     gammas = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     np.cumsum(gammas, out=gammas)
@@ -805,9 +815,13 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     bulk = ((a, b), law), homogeneous intensities only, draws the mass of
     the interval [a, b) whole from law, the family's mass_law(b - a),
     untruncated, as one aggregated atom at its midpoint; the rest of the
-    window is the series at epsilon.  A functional that is constant in x
-    on the bulk sees the same law as on the full series there, with
-    nothing below epsilon discarded.
+    window is the series at epsilon.  That series runs over the window's
+    length outside [a, b), its locations uniform on [lo, lo + length),
+    and those at or past a move past b by adding (x >= a) (b - a): one
+    arithmetic pass, exact, since the others gain +0.0.  The aggregated
+    atom comes last.  A functional that is constant in x on the bulk sees
+    the same law as on the full series there, with nothing below epsilon
+    discarded.
 
     Raises ValueError, before any draw, when the expected series length
     exceeds MAX_EXPECTED_ATOMS, and EnvelopeError when a beta profile has
@@ -833,8 +847,14 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     if not (lo <= a < b <= hi):
         raise ValueError(f"bulk {interval} is not an interval of the window [{lo:g},{hi:g})")
     edge = (a - lo) + (hi - b)
-    jumps = _fk_jumps(intensity, edge, epsilon, rng)
-    locations = rng.uniform(lo, lo + edge, size=jumps.size)
-    locations[locations >= a] += b - a
-    return CrmSample(np.append(jumps, law(rng)), np.append(locations, a + (b - a) * 0.5),
-                     (lo, hi))
+    series = _fk_jumps(intensity, edge, epsilon, rng)
+    n = series.size
+    jumps, locations = np.empty(n + 1), np.empty(n + 1)
+    jumps[:n] = series
+    u = rng.uniform(lo, lo + edge, size=n)
+    # the series' locations at or past a move over the bulk by b - a; the
+    # others gain +0.0, which is exact
+    np.multiply(u >= a, b - a, out=locations[:n])
+    locations[:n] += u
+    jumps[n], locations[n] = law(rng), a + (b - a) * 0.5
+    return CrmSample(jumps, locations, (lo, hi))
