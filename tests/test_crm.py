@@ -528,6 +528,57 @@ def test_mass_law_facts_and_bulk_layout():
     assert s.locations[-1] == 50.0 and s.jumps[-1] > 0.0
 
 
+class _PlantedUniforms:
+    """A Generator whose uniform draws start with the given values; every
+    other draw, and the stream, are the wrapped generator's."""
+
+    def __init__(self, rng, head):
+        self._rng, self._head = rng, np.asarray(head)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, *args, **kwargs):
+        u = self._rng.uniform(*args, **kwargs)
+        u[:self._head.size] = self._head
+        return u
+
+
+def _bulk_sample_reference(intensity, window, eps, rng, bulk):
+    # the bulk draw as the masked assignment and np.append made it
+    (a, b), law = bulk
+    lo, hi = window
+    edge = (a - lo) + (hi - b)
+    jumps = crm._fk_jumps(intensity, edge, eps, rng)
+    x = rng.uniform(lo, lo + edge, size=jumps.size)
+    x[x >= a] += b - a
+    return np.append(jumps, law(rng)), np.append(x, a + (b - a) * 0.5)
+
+
+@pytest.mark.parametrize("window,interval", [((0.0, 101.0), (10.0, 90.0)),
+                                             ((3.5, 101.3), (10.25, 90.7))],
+                         ids=["lo=0", "lo=3.5"])
+def test_bulk_shift_equals_the_masked_assignment_bit_for_bit(window, interval):
+    # locations exactly at lo and at a, one ulp either side of a and the
+    # last double below lo + edge, then the draw's own
+    gg = crm.GeneralizedGamma(0.5, 2.0)
+    (lo, hi), (a, b) = window, interval
+    head = [lo, a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf),
+            np.nextafter(lo + (a - lo) + (hi - b), -np.inf)]
+    bulk = ((a, b), gg.mass_law(b - a))
+    rng = _PlantedUniforms(seeded(2304), head)
+    ref_rng = _PlantedUniforms(seeded(2304), head)
+    s = crm.sample(gg, window, 1e-4, rng, bulk=bulk)
+    jumps, locations = _bulk_sample_reference(gg, window, 1e-4, ref_rng, bulk)
+    assert s.size > 1000
+    assert s.jumps.tobytes() == jumps.tobytes()
+    assert s.locations.tobytes() == locations.tobytes()
+    assert s.locations[0] == lo and s.locations[1] == a + (b - a)
+    assert s.locations[2] == np.nextafter(a, -np.inf)
+    # the stream continues where the reference leaves it
+    assert rng.random() == ref_rng.random()
+
+
 def test_bulk_of_a_non_homogeneous_intensity_refused_before_drawing():
     # a profiled intensity has no total-mass law; a bulk given with it is
     # refused, also when the law passed is another family member's
@@ -593,6 +644,38 @@ def test_thinning_acceptance_probabilities_valid():
     v = rng.uniform(1e-6, 0.999, 500)
     p = accept(v, x)
     assert np.all((p >= 0) & (p <= 1 + 1e-12))
+
+
+@pytest.mark.parametrize("entropy,intensity,hi,eps", [
+    (2300, crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), 1000.0, 1e-2),
+    (2301, crm.Beta(crm.AffineSqrt(1.0, 0.7)), 100.0, 1e-3),
+    (2302, crm.Beta(crm.IndicatorSqrt(1.0)), 100.0, 1e-3),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_thinning_acceptance_rate(entropy, intensity, hi, eps, monkeypatch):
+    # accepted / envelope atoms against the exact rate
+    # int N_eps(x) dx / ((hi - lo) mult N_env(eps)), at 4 SE over ~2e5
+    # envelope atoms: an envelope that wastes mass, or an accept
+    # probability that drops atoms, fails it.  The envelope atoms are
+    # counted where the series returns them.
+    env, mult, _ = intensity.envelope(0.0, hi)
+    kinks = [k for k in intensity.profile.kinks if 0.0 < k < hi] or None
+    accepted_mass, _ = integrate.quad(lambda x: crm.tail_mass(intensity, eps, x), 0.0, hi,
+                                      points=kinks, limit=200)
+    rate = accepted_mass / (hi * mult * crm.tail_mass(env, eps))
+    drawn = []
+    fk_jumps = crm._fk_jumps
+
+    def counting(*args):
+        jumps = fk_jumps(*args)
+        drawn.append(jumps.size)
+        return jumps
+    monkeypatch.setattr(crm, "_fk_jumps", counting)
+    kept, r = 0, 0
+    while sum(drawn) < 2e5:
+        kept += crm.sample(intensity, (0.0, hi), eps, seeded(entropy, r)).size
+        r += 1
+    n = sum(drawn)
+    assert abs(kept / n - rate) <= 4.0 * math.sqrt(rate * (1.0 - rate) / n), (kept / n, rate)
 
 
 def _beta_upper_share_exact(a, c, eps):
@@ -684,6 +767,37 @@ def test_arrivals_beyond_the_table_take_its_end_jumps(intensity, rate, eps, top)
     assert v[0] == pytest.approx(top, rel=1e-15, abs=0)
     assert np.all(np.diff(v) <= 0)
     assert v[-1] == pytest.approx(eps, rel=1e-12, abs=0)
+
+
+def _invert_tail_reference(intensity, rate, eps, gammas):
+    # _invert_tail with one expression per step, as before its in-place
+    # passes
+    t = crm._inverse_tail_table(intensity, rate, eps)
+    last = t.coef.shape[1]
+    s = np.clip((np.log(gammas) - t.y_lo) / t.h, 0.0, last)
+    k = np.minimum(s.astype(np.intp), last - 1)
+    s -= k
+    a3, a2, a1, a0 = t.coef
+    log_v = ((a3[k] * s + a2[k]) * s + a1[k]) * s + a0[k]
+    return np.exp(np.clip(log_v, t.lo, t.hi, out=log_v))
+
+
+@pytest.mark.parametrize("intensity,rate,eps", [
+    (crm.ExtendedGamma(crm.Constant(1.0)), 1000.0, 1e-6),
+    (crm.ExtendedGamma(crm.Constant(0.5)), 50.0, 1e-3)],
+    ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_invert_tail_equals_its_one_expression_form_bit_for_bit(intensity, rate, eps):
+    # arrivals below the table's first node (the top jump), on every 997th
+    # node, drawn across it and beyond its last node (epsilon)
+    t = crm._inverse_tail_table(intensity, rate, eps)
+    n_eps = rate * crm.tail_mass(intensity, eps)
+    g = np.concatenate([np.geomspace(1e-300, math.exp(t.y_lo), 40),
+                        np.exp(t.y_lo + t.h * np.arange(0, t.coef.shape[1] + 1, 997)),
+                        seeded(2303).uniform(0.0, n_eps, 5000),
+                        np.geomspace(n_eps, 1e3 * n_eps, 40)])
+    assert (np.log(g) < t.y_lo).any() and (g > n_eps).any()
+    assert crm._invert_tail(intensity, rate, eps, g).tobytes() \
+        == _invert_tail_reference(intensity, rate, eps, g).tobytes()
 
 
 @pytest.mark.parametrize("c", [1e-3, 0.1, 0.3])

@@ -243,6 +243,24 @@ def _decayed_prefix_sequential(k, x, a):
     return np.array(L[:len(x)])
 
 
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
+def test_ou_g_equals_its_one_expression_form_bit_for_bit(kappa):
+    # g is formed in place; on an array (1-d and 2-d), a 0-d array and a
+    # float it returns -expm1(-2 kappa max(T - z, 0)) bit for bit, in z's
+    # shape
+    kern, T = kernels.OrnsteinUhlenbeck(kappa), 40.0
+    z = np.concatenate([[0.0, -1.5, T, np.nextafter(T, 0.0), np.nextafter(T, np.inf), T + 3.0],
+                        seeded(2305).uniform(-5.0, 45.0, 994)])
+    ref = -np.expm1(-2.0 * kappa * np.maximum(T - z, 0.0))
+    for arg, want in ((z, ref), (z.reshape(40, 25), ref.reshape(40, 25))):
+        out = kern.g(T, arg)
+        assert out.shape == arg.shape and out.tobytes() == want.tobytes()
+    for zi, want in zip(z[:50], ref[:50]):
+        for arg in (float(zi), np.array(zi)):
+            out = kern.g(T, arg)
+            assert np.shape(out) == () and np.float64(out).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 900, 20_000, 2 * kernels._STREAM + 7])
 @pytest.mark.parametrize("k", [0.0, 1.0])
 def test_decayed_prefix_matches_the_sequential_recurrence(n, k):

@@ -12,7 +12,9 @@ from conftest import seeded
 N = 1000
 # each draw in the shape a sampler takes it, from its own fresh stream
 DRAWS = {
-    # Ferguson-Klass arrivals
+    # Ferguson-Klass arrivals, and exponential(scale=1.0), which
+    # multiplies the same draws by 1.0
+    "standard_exponential": lambda rng: rng.standard_exponential(size=N),
     "exponential": lambda rng: rng.exponential(size=N),
     # the tilted-stable draw's seven uniforms a round
     "random7": lambda rng: rng.random(7),
@@ -24,6 +26,7 @@ DRAWS = {
     "gamma": lambda rng: [rng.gamma(shape, 0.5) for shape in (0.3, 1.0, 7.5, 500.0)],
 }
 SHA256 = {
+    "standard_exponential": "de786bf0cbff804627671a474db1ae0060d5de575ad166292aaaa354b216e548",
     "exponential": "de786bf0cbff804627671a474db1ae0060d5de575ad166292aaaa354b216e548",
     "random7": "11590dd9eb2f22f940d6011ece25fbbd6b0b73b99317ad4dccc81e3ab7fef989",
     "random": "3b66c049fc66352e25991b85377b70d5b1392cd9a1ba2a57f0a32f1a8c1c9088",
