@@ -4,7 +4,7 @@
 
 Run from the root of the repository.  Each revision is exported with
 `git archive` into its own directory under a temporary directory, removed
-at the end.  In each export a child process imports that export's
+at the end, as tools/bench_pairs.py does.  In each export a child process imports that export's
 hazardlab (PYTHONPATH=<export>/src) and prints, for each config of
 _configs() and for 1 and 2 workers, the sha256 of
 `run_clt(config, workers).to_json()`.  The tool prints one line per config
@@ -16,7 +16,7 @@ seeds 1-3, criterion 5's two runs (seed 20260809), criterion 6's two runs
 (seed 20260810), one beta(0.5) run (the two-piece dominating measure and
 the OU pair sum) and one extended-gamma thinning run (affine_sqrt(1, 1)).
 Both sides run the same configs, so they must build with both revisions'
-APIs.  A full pass takes about two minutes per revision on 2 vCPUs.
+APIs.  A full pass takes about 20 s per revision on 2 vCPUs.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.getcwd()
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, _export
+
 WORKERS = (1, 2)
 
 
@@ -86,13 +86,6 @@ def _emit() -> int:
             digest = hashlib.sha256(run_clt(config, workers).to_json().encode()).hexdigest()
             print(json.dumps([label, workers, digest]), flush=True)
     return 0
-
-
-def _export(rev: str, dest: str) -> None:
-    os.makedirs(dest)
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def _digests(tree: str) -> dict:
