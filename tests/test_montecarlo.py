@@ -211,7 +211,7 @@ def test_rect_pair_sum_holds_five_arrays_of_2n(presorted):
 def test_green_path_second_moment_holds_under_five_arrays_of_n(kern):
     # on unsorted atoms: the order and the sorted locations, J gathered,
     # then J g and the decayed prefix sum, with its blocks of _STREAM
-    # points (4.26 arrays of n); the values are pinned by the naive double
+    # points (4.20 arrays of n); the values are pinned by the naive double
     # sums below
     T, n = 500.0, 500_000
     rng = seeded(536)
