@@ -96,23 +96,14 @@ def _tokenize(text: str):
         yield lineno, section, key.strip().lower(), value.strip()
 
 
-def _as_float(value, lineno, key, cond=None, describe=""):
+def _as_number(value, lineno, key, cond=None, describe="", kind=float):
     try:
-        x = float(value)
+        x = kind(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}")
-    if not math.isfinite(x):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"line {lineno}: {key} must be {noun}, got {value!r}")
+    if kind is float and not math.isfinite(x):
         raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
-    if cond is not None and not cond(x):
-        raise ConfigError(f"line {lineno}: {key}={value} violates {describe}")
-    return x
-
-
-def _as_int(value, lineno, key, cond=None, describe=""):
-    try:
-        x = int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}")
     if cond is not None and not cond(x):
         raise ConfigError(f"line {lineno}: {key}={value} violates {describe}")
     return x
@@ -166,7 +157,7 @@ def _build(fields: dict, section: str, tkey: str, lineno: Optional[int] = None):
         else:
             value, at = fields.pop(key)
             cond, rule = _RULES.get(key, (lambda x: x > 0, f"{key} > 0"))
-            args[arg] = _as_float(value, at, f"{section}.{key}", cond, rule)
+            args[arg] = _as_number(value, at, f"{section}.{key}", cond, rule)
     try:
         return cls(**args)
     except ValueError as exc:
@@ -190,12 +181,12 @@ def _parse_rate(value: str, lineno: int, key: str):
     if value == "auto":
         return None
     if value.startswith("power:"):
-        return Power(_as_float(value[6:], lineno, key))
+        return Power(_as_number(value[6:], lineno, key))
     if value.startswith("powerlog:"):
         parts = value[9:].split(",")
         if len(parts) != 2:
             raise ConfigError(f"line {lineno}: powerlog rate needs p,q")
-        return Power(_as_float(parts[0], lineno, key), _as_float(parts[1], lineno, key))
+        return Power(_as_number(parts[0], lineno, key), _as_number(parts[1], lineno, key))
     raise ConfigError(f"line {lineno}: rate must be auto, power:<p> or powerlog:<p>,<q>")
 
 
@@ -239,21 +230,22 @@ _FIELDS = {
         "theorem": ("theorem", _choice({t: t for t in Theorem.ALL},
                                        f"theorem must be one of {Theorem.ALL}"), str),
         "rate": ("rate", _parse_rate, _render_rate),
-        "horizon": ("horizon", partial(_as_float, cond=lambda x: x > 0,
+        "horizon": ("horizon", partial(_as_number, cond=lambda x: x > 0,
                                        describe="horizon > 0"), _g),
-        "replicates": ("replicates", partial(_as_int, cond=lambda x: x >= 100,
-                                             describe="replicates >= 100"), str),
-        "seed": ("seed", partial(_as_int, cond=lambda x: x >= 0, describe="seed >= 0"), str),
-        "epsilon": ("epsilon", partial(_as_float, cond=lambda x: x > 0,
+        "replicates": ("replicates", partial(_as_number, cond=lambda x: x >= 100,
+                                             describe="replicates >= 100", kind=int), str),
+        "seed": ("seed", partial(_as_number, cond=lambda x: x >= 0,
+                                 describe="seed >= 0", kind=int), str),
+        "epsilon": ("epsilon", partial(_as_number, cond=lambda x: x > 0,
                                        describe="epsilon > 0"), _g),
         "t_grid": ("t_grid", _parse_t_grid, lambda grid: ",".join(map(_g, grid))),
         "centering": ("centering", _choice(_CENTERINGS,
                                            "centering must be catalog or quadrature"),
                       {mode: name for name, mode in _CENTERINGS.items()}.get),
-        "ks_alpha": ("ks_alpha", partial(_as_float, cond=lambda x: 0 < x < 1,
+        "ks_alpha": ("ks_alpha", partial(_as_number, cond=lambda x: 0 < x < 1,
                                          describe="ks_alpha in (0,1)"), _g),
-        "grid_n": ("grid_n", partial(_as_int, cond=lambda x: x >= 2,
-                                     describe="grid_n >= 2"), str),
+        "grid_n": ("grid_n", partial(_as_number, cond=lambda x: x >= 2,
+                                     describe="grid_n >= 2", kind=int), str),
     },
     "output": {
         # an empty path means the subcommand's default file name
@@ -282,10 +274,6 @@ def _render_fields(cfg: RunConfig, section: str) -> list:
             if (value := getattr(cfg, name)) is not None]
 
 
-def _unread_expectation(key: str, kind: str) -> str:
-    return f"{key}: only check-conditions reads condition expectations, not {kind}"
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     sections: Dict[str, Dict[str, tuple]] = {s: {} for s in _SECTIONS}
@@ -308,10 +296,9 @@ def parse_config(text: str) -> RunConfig:
     expects = {key: exp.pop(key) for key in list(exp) if key.startswith("expect_condition_")}
     _parse_fields(cfg, "experiment", exp)
     for key, (value, lineno) in expects.items():
-        # a regimes document may carry check-conditions keys through a
-        # render/parse round trip; the regimes run refuses them (run)
-        if cfg.kind not in ("check-conditions", "regimes"):
-            raise ConfigError(f"line {lineno}: {_unread_expectation(key, cfg.kind)}")
+        if cfg.kind != "check-conditions":
+            raise ConfigError(f"line {lineno}: {key}: only check-conditions reads "
+                              f"condition expectations, not {cfg.kind}")
         try:
             idx = int(key.rsplit("_", 1)[1])
         except ValueError:
@@ -399,18 +386,15 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
     try:
         if cfg.kind == "regimes":
-            if cfg.expects:
-                raise ConfigError(_unread_expectation(
-                    f"expect_condition_{min(cfg.expects)}", cfg.kind))
             rows = catalog_rows(None if cfg.kernel is None else [(cfg.kernel, cfg.intensity)])
             if cfg.out_format == "csv":
                 cols = ["kernel", "crm", "functional", "rate", "trend",
                         "variance", "delta", "supported"]
                 body = ",".join(cols) + "\n" + "\n".join(
                     ",".join(str(r[c]) for c in cols) for r in rows) + "\n"
-                path = _write(cfg, body, "regimes.csv")
             else:
-                path = _write(cfg, json.dumps(rows, indent=2) + "\n", "regimes.json")
+                body = json.dumps(rows, indent=2) + "\n"
+            path = _write(cfg, body, f"regimes.{cfg.out_format}")
             print(f"wrote {path} ({len(rows)} rows)")
             return 0
 
@@ -438,10 +422,8 @@ def run(cfg: RunConfig) -> int:
             epsilon=cfg.epsilon, centering_mode=cfg.centering)
         if cfg.kind == "simulate":
             report = run_clt(config)
-            if cfg.out_format == "csv":
-                path = _write(cfg, report.samples_csv_text(), "simulate.csv")
-            else:
-                path = _write(cfg, report.to_json() + "\n", "simulate.json")
+            body = report.samples_csv_text() if cfg.out_format == "csv" else report.to_json() + "\n"
+            path = _write(cfg, body, f"simulate.{cfg.out_format}")
             print(f"wrote {path}: ks_p={report.ks_p_value:.4g} "
                   f"variance_ratio={report.variance_ratio:.4g}")
             return 0 if report.ks_p_value >= cfg.ks_alpha else 2
@@ -481,17 +463,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            cfg = _load(args.config)
-        else:
+        # only regimes runs without --config, on the default catalog
+        if args.config is None:
             cfg = RunConfig(kind="regimes", out_format="csv")
+        else:
+            cfg = _load(args.config)
         if cfg.kind != args.command:
-            # the subcommand wins; config kind must agree when both given
-            if args.config:
-                print(f"error: config kind={cfg.kind!r} does not match "
-                      f"subcommand {args.command!r}", file=sys.stderr)
-                return 1
-            cfg.kind = args.command
+            raise ConfigError(f"config kind={cfg.kind!r} does not match "
+                              f"subcommand {args.command!r}")
         if args.out:
             cfg.out_path = args.out
         if getattr(args, "format", None):

@@ -13,7 +13,7 @@ import math
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -164,8 +164,7 @@ class ExperimentConfig:
 
 @dataclass
 class CltReport:
-    standardized_samples: List[float]
-    values: List[float]
+    # declared in the order of the JSON report's keys
     sample_mean: float
     sample_variance: float
     target_variance: float
@@ -175,15 +174,11 @@ class CltReport:
     truncation_budget_ok: bool
     centering_value: float
     rate_value: float
+    standardized_samples: List[float]
+    values: List[float]
 
     def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "sample_mean", "sample_variance", "target_variance", "ks_statistic",
-            "ks_p_value", "variance_ratio", "truncation_budget_ok",
-            "centering_value", "rate_value")}
-        d["standardized_samples"] = list(self.standardized_samples)
-        d["values"] = list(self.values)
-        return d
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

@@ -82,9 +82,11 @@ def test_round_trip_identity():
     assert again == cfg
     cfg2 = cli.parse_config(MINIMAL)
     assert cli.parse_config(cli.render_config(cfg2)) == cfg2
-    # with a rate and expectations
-    text = MINIMAL + ("rate = powerlog:-1,-0.5\nexpect_condition_5 = diverges\n"
-                      "t_grid = 10,20,40,80\n")
+    # with a rate and expectations, which only check-conditions reads
+    text = MINIMAL.replace("regimes", "check-conditions") + (
+        "rate = powerlog:-1,-0.5\nexpect_condition_5 = diverges\nt_grid = 10,20,40,80\n"
+        "[kernel]\ntype = dykstra_laud\n"
+        "[crm]\nfamily = generalized_gamma\nsigma = 0.5\ngamma = 1.0\n")
     cfg3 = cli.parse_config(text)
     assert cfg3.rate == Power(-1.0, -0.5)
     assert cli.parse_config(cli.render_config(cfg3)) == cfg3
@@ -308,6 +310,52 @@ def test_subcommand_config_kind_mismatch(tmp_path):
 def test_operational_error_exit_code(tmp_path):
     missing = tmp_path / "nope.ini"
     assert cli.main(["simulate", "--config", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("kind", ["simulate", "check-conditions", "sample-paths", "regimes"])
+def test_empty_config_path_is_one_line_error(tmp_path, capsys, kind):
+    # a given --config is always read, even when empty: no subcommand runs
+    # on the default config in its place
+    out = tmp_path / "out.txt"
+    assert cli.main([kind, "--config", "", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_rate_auto_takes_the_catalog_rate(tmp_path):
+    text = ("[experiment]\nkind = check-conditions\ntheorem = cumhaz\nrate = auto\n"
+            "t_grid = 10,20,40,80\n[kernel]\ntype = dykstra_laud\n"
+            "[crm]\nfamily = generalized_gamma\nsigma = 0.5\ngamma = 1.0\n")
+    cfg = cli.parse_config(text)
+    assert cfg.rate is None
+    assert cli.parse_config(text.replace("rate = auto\n", "")) == cfg
+    # the catalog's cumulative-hazard C0 for Dykstra-Laud, not the T^0.5
+    # of the quadratic functionals
+    cfg_path = tmp_path / "cond.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "cond.json"
+    assert cli.main(["check-conditions", "--config", str(cfg_path), "--out", str(out)]) == 0
+    blob = json.loads(out.read_text().split("\n", 1)[1])
+    assert blob["rate"] == "T^-1.5"
+
+
+def test_simulate_csv_rows_equal_the_json_values(tmp_path):
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(SIMULATE)
+    out_json, out_csv = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out_json)]) == 0
+    assert cli.main(["simulate", "--config", str(cfg_path), "--format", "csv",
+                     "--out", str(out_csv)]) == 0
+    blob = json.loads(out_json.read_text().split("\n", 1)[1])
+    lines = out_csv.read_text().splitlines()
+    assert lines[0].startswith("# hazardlab ") and "format = csv" in lines[0]
+    assert lines[1] == "replicate,value,standardized"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r) for r, _, _ in rows] == list(range(100))
+    assert [float(v) for _, v, _ in rows] == blob["values"]
+    assert [float(z) for _, _, z in rows] == blob["standardized_samples"]
 
 
 def test_bad_thread_setting_is_one_line_error(tmp_path, monkeypatch, capsys):
@@ -642,18 +690,14 @@ def test_expect_condition_refused_outside_check_conditions(tmp_path, capsys, kin
     text = SIMULATE.replace("kind = simulate", f"kind = {kind}").replace(
         "centering = quadrature\n", "centering = quadrature\nexpect_condition_5 = vanishes\n")
     message = f"expect_condition_5: only check-conditions reads condition expectations, not {kind}"
-    if kind == "regimes":
-        # a regimes document still parses (render/parse round trip); its run refuses
-        assert cli.parse_config(text).expects == {5: "vanishes"}
-    else:
-        with pytest.raises(cli.ConfigError, match=rf"^line 9: {message}$"):
-            cli.parse_config(text)
+    with pytest.raises(cli.ConfigError, match=rf"^line 9: {message}$"):
+        cli.parse_config(text)
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
     out = tmp_path / "out.txt"
     assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+    assert err == [f"error: line 9: {message}"]
     assert not out.exists()
 
 

@@ -525,3 +525,34 @@ def test_report_serialization_round_trip():
     csv = rep.to_csv_text().splitlines()
     assert csv[0] == "condition,T,value,verdict"
     assert len(csv) == 1 + 2 * 4
+
+
+def test_verdict_labels():
+    assert cond.Verdict("diverges", 1.23456, 0.998765).label() == \
+        "Diverges(slope=1.235,r2=0.9988)"
+    assert cond.Verdict("inconclusive", -0.4321, 0.5).label() == \
+        "Inconclusive(slope=-0.432,r2=0.5000)"
+    assert cond.Verdict("inconclusive", math.nan, math.nan).label() == \
+        "Inconclusive(slope=nan,r2=nan)"
+
+
+def test_check_theorem_non_finite_and_zero_ending_series(monkeypatch):
+    # the cumulative-hazard conditions are C0^2 I_2 and C0^3 I_3 (C0 = 1
+    # here); crafted moments give condition 1 a non-finite series and
+    # condition 2 one that ends in an exact 0 or has a 0 before its end
+    t_grid = [10.0, 20.0, 40.0, 80.0]
+    monkeypatch.setattr(cond, "I_moments",
+                        lambda kernel, intensity, T, i: series[i][t_grid.index(T)])
+    args = (kernels.Rectangular(1.0), crm.GeneralizedGamma(0.5, 1.0), cond.Theorem.CUMHAZ,
+            asy.Power(0.0), t_grid)
+    shown = lambda v: (v.kind, repr(v.slope), repr(v.r2), v.limit_est)
+    inconclusive = ("inconclusive", "nan", "nan", None)
+    # a non-finite value decides before the 0 at the end
+    series = {2: [math.inf, 2.0, 1.0, 0.0], 3: [3.0, 2.0, 1.0, 0.0]}
+    verdicts = cond.check_theorem(*args).verdicts
+    assert shown(verdicts[1]) == inconclusive
+    assert verdicts[2] == cond.Verdict("vanishes", -math.inf, 1.0)
+    series = {2: [1.0, math.nan, 1.0, 1.0], 3: [3.0, 0.0, 1.0, 0.5]}
+    verdicts = cond.check_theorem(*args).verdicts
+    assert shown(verdicts[1]) == inconclusive
+    assert shown(verdicts[2]) == inconclusive

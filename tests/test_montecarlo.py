@@ -16,7 +16,7 @@ from hazardlab import montecarlo as mc
 from hazardlab.asymptotics import Functional, MonteCarloMean, regime
 from hazardlab.conditions import I_moments
 
-from conftest import seeded, traced_peak
+from conftest import quad_Q_T, seeded, traced_peak
 
 GG = crm.GeneralizedGamma(0.5, 1.0)
 EG1 = crm.ExtendedGamma(crm.Constant(1.0))
@@ -241,6 +241,23 @@ def test_path2nd_equals_naive_double_sum():
         Q = kernels.Q_T(kern, T, s.locations[:, None], s.locations[None, :])
         naive = float(s.jumps @ Q @ s.jumps) / T
         assert mc.path_second_moment(s, kern, T) == pytest.approx(naive, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kern, T", [(kernels.OrnsteinUhlenbeck(1.3), 23.0),
+                                     (kernels.OrnsteinUhlenbeck(2.5), 200.0),
+                                     (kernels.DykstraLaud(), 23.0),
+                                     (kernels.UShaped(2.0), 23.0)],
+                         ids=["ou-1.3", "ou-2.5-blocks", "dykstra-laud", "u-shaped-2"])
+def test_green_pair_sum_equals_quadrature_double_sum(kern, T):
+    # the naive double sum above evaluates Q_T through the kernel's own
+    # Green's-function form; this reference integrates products of the
+    # kernel itself, so a wrong g(T, z) shows.  At T = 200 the OU prefix
+    # sum's carry crosses block edges (blocks of 60 / kappa)
+    s = make_sample(kern, T, 6, entropy=3601)
+    J, x = s.jumps, s.locations
+    ref = sum(J[i] * J[j] * quad_Q_T(kern, T, x[i], x[j])
+              for i in range(6) for j in range(6)) / T
+    assert mc.path_second_moment(s, kern, T) == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 def test_path_variance_identity_and_clamp():

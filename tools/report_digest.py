@@ -1,15 +1,24 @@
-"""Bit-identity of run_clt reports between two commits.
+"""Bit-identity of run_clt reports, or of command-line output files,
+between two commits.
 
-    python3 tools/report_digest.py --parent REV --change REV
+    python3 tools/report_digest.py --parent REV --change REV [--cli]
 
 Run from the root of the repository.  Each revision is exported with
 `git archive` into its own directory under a temporary directory, removed
 at the end, as tools/bench_pairs.py does.  In each export a child process imports that export's
 hazardlab (PYTHONPATH=<export>/src) and prints, for each config of
 _configs() and for 1 and 2 workers, the sha256 of
-`run_clt(config, workers).to_json()`.  The tool prints one line per config
-and worker count with both digests, and exits 1 when any pair differs, a
-config is missing on one side, or a child fails.
+`run_clt(config, workers).to_json()`.  The tool prints one line per digest
+with both sides' values, and exits 1 when any pair differs, a digest is
+missing on one side, or a child fails.
+
+With --cli the child instead runs `hazardlab.cli.main` on every INI that
+the export's perfbench/workloads.py builds for its four benchmark
+workloads at seeds 1-3, once in the INI's JSON format and once with
+`--format csv`, and on `regimes` without a config in both formats.  Each
+run writes to the same relative `--out` name in both exports, so the
+provenance lines match; the digest is the exit status, the sha256 of the
+written file and that of the printed lines.
 
 The configs: the three `simulate` workloads of perfbench/workloads.py at
 seeds 1-3, criterion 5's two runs (seed 20260809), criterion 6's two runs
@@ -21,7 +30,9 @@ APIs.  A full pass takes about 20 s per revision on 2 vCPUs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -32,6 +43,7 @@ import tempfile
 from bench_pairs import SIDES, _export
 
 WORKERS = (1, 2)
+SEEDS = (1, 2, 3)
 
 
 def _configs() -> list:
@@ -72,42 +84,91 @@ def _configs() -> list:
     return out
 
 
-def _emit() -> int:
-    """Child side: one JSON line [label, workers, sha256] per config and
-    worker count, from the hazardlab of the export it runs in."""
-    import hazardlab
+def _report_digests():
+    """(label, sha256) of each run_clt report, from the hazardlab on sys.path."""
     from hazardlab.montecarlo import run_clt
+
+    for label, config in _configs():
+        for workers in WORKERS:
+            report = run_clt(config, workers).to_json()
+            yield f"{label}, {workers} worker(s)", hashlib.sha256(report.encode()).hexdigest()
+
+
+def _cli_runs():
+    """(label, argv, INI text or None) of each command-line run."""
+    sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
+    from workloads import WORKLOADS
+
+    runs = [(f"regimes {fmt}", ["regimes", "--format", fmt], None) for fmt in ("csv", "json")]
+    for name in sorted(WORKLOADS):
+        workload = WORKLOADS[name]
+        for seed in SEEDS:
+            for config_label, text in workload.configs(seed):
+                for fmt in ("json", "csv"):
+                    argv = [workload.command] + (["--format", fmt] if fmt == "csv" else [])
+                    runs.append((f"{name} seed {seed} {config_label} {fmt}", argv, text))
+    return runs
+
+
+def _cli_digests():
+    """(label, digest) of each command-line run in a fresh directory of the
+    export, from the hazardlab on sys.path."""
+    from hazardlab import cli
+
+    runs = _cli_runs()
+    os.mkdir("cli-runs")
+    os.chdir("cli-runs")
+    for i, (label, argv, text) in enumerate(runs):
+        if text is not None:
+            with open(f"run{i}.ini", "w") as fh:
+                fh.write(text)
+            argv = argv + ["--config", f"run{i}.ini"]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            status = cli.main(argv + ["--out", f"run{i}.out"])
+        written = "-"
+        if os.path.exists(f"run{i}.out"):
+            with open(f"run{i}.out", "rb") as fh:
+                written = hashlib.sha256(fh.read()).hexdigest()
+        yield label, (f"exit {status} file {written} "
+                      f"stdout {hashlib.sha256(printed.getvalue().encode()).hexdigest()}")
+
+
+def _emit(cli: bool) -> int:
+    """Child side: one JSON line [label, digest] per report or command-line
+    run, from the hazardlab of the export it runs in."""
+    import hazardlab
 
     if not os.path.abspath(hazardlab.__file__).startswith(os.getcwd() + os.sep):
         raise SystemExit(f"imported {hazardlab.__file__}, not the export's hazardlab")
 
-    for label, config in _configs():
-        for workers in WORKERS:
-            digest = hashlib.sha256(run_clt(config, workers).to_json().encode()).hexdigest()
-            print(json.dumps([label, workers, digest]), flush=True)
+    for label, digest in (_cli_digests() if cli else _report_digests()):
+        print(json.dumps([label, digest]), flush=True)
     return 0
 
 
-def _digests(tree: str) -> dict:
-    """{(label, workers): sha256} from a child run in the export `tree`."""
+def _digests(tree: str, cli: bool) -> dict:
+    """{label: digest} from a child run in the export `tree`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit"], cwd=tree,
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit",
+                          *(["--cli"] if cli else [])], cwd=tree,
                          env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"digest run in {tree} exited {out.returncode}: "
                            f"{out.stderr.strip()[-500:]}")
-    return {(label, workers): digest for label, workers, digest
-            in map(json.loads, out.stdout.splitlines())}
+    return dict(map(json.loads, out.stdout.splitlines()))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="git revision of the parent side")
     parser.add_argument("--change", help="git revision of the change side")
+    parser.add_argument("--cli", action="store_true",
+                        help="digest the files that hazardlab's commands write")
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit:
-        return _emit()
+        return _emit(args.cli)
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
 
@@ -117,7 +178,7 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.parent, args.change)):
             tree = os.path.join(base, side)
             _export(rev, tree)
-            digests[side] = _digests(tree)
+            digests[side] = _digests(tree, args.cli)
     except (subprocess.CalledProcessError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -126,14 +187,13 @@ def main(argv=None) -> int:
 
     keys = list(dict.fromkeys([*digests["parent"], *digests["change"]]))
     differ = 0
-    for label, workers in keys:
-        p = digests["parent"].get((label, workers))
-        c = digests["change"].get((label, workers))
+    for label in keys:
+        p, c = digests["parent"].get(label), digests["change"].get(label)
         same = p is not None and p == c
         differ += not same
-        print(f"{'same' if same else 'DIFFERS'}  {label}, {workers} worker(s): "
-              f"parent {p or '-'} change {c or '-'}")
-    print(f"{len(keys) - differ} of {len(keys)} reports bit-identical")
+        print(f"{'same' if same else 'DIFFERS'}  {label}: parent {p or '-'} change {c or '-'}")
+    print(f"{len(keys) - differ} of {len(keys)} {'outputs' if args.cli else 'reports'} "
+          "bit-identical")
     return 1 if differ else 0
 
 
