@@ -6,7 +6,9 @@ The named tests must first pass on an unmutated copy of the repository.
 Then, for each mutant (all, or those named), the runner copies src/ and
 tests/ to a temporary directory, replaces the row's `old` text in its file
 by `new`, runs only the row's `killed_by` tests there with pytest, and
-requires each of them to fail within BUDGET_S seconds.  It exits 1 when a
+requires each of them to fail within BUDGET_S seconds.  The rows are
+checked os.cpu_count() at a time, each in its own copy, and reported in
+catalog order, each with its own time.  It exits 1 when a
 mutant survives, a run exceeds its budget, or a row's `old` text does not
 occur exactly once in its file.  Needs Python 3.11+ (tomllib) and the test
 dependencies.
@@ -20,6 +22,7 @@ import sys
 import tempfile
 import time
 import tomllib
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CATALOG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "catalog.toml")
@@ -70,6 +73,11 @@ def _check(row: dict) -> str:
     return f"survived: not failed by {', '.join(survived)}" if survived else ""
 
 
+def _timed_check(row: dict) -> tuple:
+    t0 = time.monotonic()
+    return _check(row), time.monotonic() - t0
+
+
 def main(argv: list) -> int:
     with open(CATALOG, "rb") as fh:
         rows = tomllib.load(fh)["mutant"]
@@ -87,11 +95,11 @@ def main(argv: list) -> int:
         print(f"error: unmutated, these tests do not pass: {', '.join(bad)}", file=sys.stderr)
         return 1
     status = 0
-    for row in rows:
-        t0 = time.monotonic()
-        problem = _check(row)
-        print(f"{row['name']}: {problem or 'killed'} ({time.monotonic() - t0:.1f} s)")
-        status |= bool(problem)
+    # each check waits on its pytest child, so threads run them side by side
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        for row, (problem, took) in zip(rows, pool.map(_timed_check, rows)):
+            print(f"{row['name']}: {problem or 'killed'} ({took:.1f} s)", flush=True)
+            status |= bool(problem)
     return status
 
 

@@ -471,8 +471,8 @@ def main(argv=None) -> int:
         if cfg.kind != args.command:
             raise ConfigError(f"config kind={cfg.kind!r} does not match "
                               f"subcommand {args.command!r}")
-        if args.out:
-            cfg.out_path = args.out
+        if args.out is not None:
+            cfg.out_path = args.out or None
         if getattr(args, "format", None):
             cfg.out_format = args.format
         if getattr(args, "grid", None) is not None:

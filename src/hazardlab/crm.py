@@ -38,7 +38,7 @@ __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
     "GeneralizedGamma", "ExtendedGamma", "Beta", "JumpIntensity",
     "CrmSample", "EnvelopeError", "Dominating", "MAX_EXPECTED_ATOMS",
-    "jump_moment", "tail_mass", "jump_density", "mean_below", "sample",
+    "jump_moment", "tail_mass", "jump_density", "mean_below", "sample", "expected_atoms",
 ]
 
 
@@ -640,13 +640,6 @@ class CrmSample:
         return int(self.jumps.size)
 
 
-def _check_window(window) -> tuple:
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo >= 0.0):
-        raise ValueError(f"window must be a bounded interval [a,b) with 0 <= a < b, got {window}")
-    return lo, hi
-
-
 # Nodes of an inverse-tail table.  The cubic Hermite error falls as the
 # fourth power of the node spacing; at 32768 nodes the inversion residual
 # |N(v)/g - 1| is ~1e-14.
@@ -761,15 +754,9 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     nu0 = rho, inverted by _invert_tail: one cubic per arrival from the
     cached Hermite table, with no tail evaluation.  Both maps run
     over blocks of _STREAM arrivals, so their temporaries stay in cache.
-    Refuses, before any draw, a series whose expected length
-    rate * nu0((epsilon, inf)) exceeds MAX_EXPECTED_ATOMS.
     """
     dom = intensity.dominating()
     n_eps = _arrivals(intensity, rate, epsilon)
-    if not n_eps <= MAX_EXPECTED_ATOMS:
-        raise ValueError(
-            f"epsilon={epsilon:g} asks for {n_eps:.3g} expected atoms per draw of "
-            f"{intensity.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}; raise epsilon")
     if n_eps <= 0.0:
         return np.empty(0)
     chunks = []
@@ -797,6 +784,44 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
         gammas[kept:kept + v.size] = v
         kept += v.size
     return gammas[:kept]
+
+
+def _plan(intensity: JumpIntensity, window, epsilon: float, bulk=None) -> tuple:
+    """The draw that sample makes, refused before anything is drawn:
+    (lo, hi, measure, rate, accept, atoms), the window, the measure and
+    rate of the series (the intensity's over the window, or the window's
+    length outside a bulk; the envelope's over the window times its
+    multiplier), the thinning acceptance of (v, x) or None, and the
+    series' expected arrivals (_arrivals)."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo >= 0.0):
+        raise ValueError(f"window must be a bounded interval [a,b) with 0 <= a < b, got {window}")
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be > 0")
+    measure, rate, accept = intensity, hi - lo, None
+    if bulk is not None:
+        if not intensity.homogeneous:
+            raise ValueError(
+                f"{intensity.label()} is non-homogeneous: it has no total-mass law for a bulk")
+        a, b = float(bulk[0][0]), float(bulk[0][1])
+        if not (lo <= a < b <= hi):
+            raise ValueError(f"bulk {bulk[0]} is not an interval of the window [{lo:g},{hi:g})")
+        rate = (a - lo) + (hi - b)
+    elif not intensity.homogeneous:
+        measure, rate_mult, accept = intensity.envelope(lo, hi)
+        rate *= rate_mult
+    atoms = _arrivals(measure, rate, epsilon)
+    if not atoms <= MAX_EXPECTED_ATOMS:
+        raise ValueError(
+            f"epsilon={epsilon:g} asks for {atoms:.3g} expected atoms per draw of "
+            f"{measure.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}; raise epsilon")
+    return lo, hi, measure, rate, accept, atoms
+
+
+def expected_atoms(intensity: JumpIntensity, window, epsilon: float, bulk=None) -> float:
+    """The expected arrivals of the series that sample(intensity, window,
+    epsilon, rng, bulk) draws, a bulk counting as none; refuses as it does."""
+    return _plan(intensity, window, epsilon, bulk)[-1]
 
 
 def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
@@ -827,31 +852,20 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     exceeds MAX_EXPECTED_ATOMS, and EnvelopeError when a beta profile has
     no envelope on the window.
     """
-    lo, hi = _check_window(window)
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be > 0")
+    lo, hi, measure, rate, accept, _ = _plan(intensity, window, epsilon, bulk)
+    series = _fk_jumps(measure, rate, epsilon, rng)
     if bulk is None:
-        env, rate_mult, accept = ((intensity, 1.0, None) if intensity.homogeneous
-                                  else intensity.envelope(lo, hi))
-        jumps = _fk_jumps(env, (hi - lo) * rate_mult, epsilon, rng)
-        locations = rng.uniform(lo, hi, size=jumps.size)
-        if accept is not None:
-            keep = rng.uniform(size=jumps.size) < accept(jumps, locations)
-            jumps, locations = jumps[keep], locations[keep]
-        return CrmSample(jumps, locations, (lo, hi))
+        locations = rng.uniform(lo, hi, size=series.size)
+        if accept is None:
+            return CrmSample(series, locations, (lo, hi))
+        keep = rng.uniform(size=series.size) < accept(series, locations)
+        return CrmSample(series[keep], locations[keep], (lo, hi))
     interval, law = bulk
-    if not intensity.homogeneous:
-        raise ValueError(
-            f"{intensity.label()} is non-homogeneous: it has no total-mass law for a bulk")
     a, b = float(interval[0]), float(interval[1])
-    if not (lo <= a < b <= hi):
-        raise ValueError(f"bulk {interval} is not an interval of the window [{lo:g},{hi:g})")
-    edge = (a - lo) + (hi - b)
-    series = _fk_jumps(intensity, edge, epsilon, rng)
     n = series.size
     jumps, locations = np.empty(n + 1), np.empty(n + 1)
     jumps[:n] = series
-    u = rng.uniform(lo, lo + edge, size=n)
+    u = rng.uniform(lo, lo + rate, size=n)
     # the series' locations at or past a move over the bulk by b - a; the
     # others gain +0.0, which is exact
     np.multiply(u >= a, b - a, out=locations[:n])

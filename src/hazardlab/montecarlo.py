@@ -248,22 +248,6 @@ def _bulk(config: ExperimentConfig):
     return None if law is None else (flat, law)
 
 
-def _expected_atoms(config: ExperimentConfig) -> float:
-    """The expected atoms of one sample_crm draw: the arrivals of the
-    series it draws (crm._arrivals; of the thinning envelope for a
-    non-homogeneous intensity).  A bulk draw counts as none."""
-    intensity, epsilon = config.intensity, config.epsilon
-    lo, hi = kernels.location_window(config.kernel, config.horizon)
-    bulk = _bulk(config)
-    if bulk is not None:
-        (a, b), _ = bulk
-        return crm._arrivals(intensity, (a - lo) + (hi - b), epsilon)
-    if intensity.homogeneous:
-        return crm._arrivals(intensity, hi - lo, epsilon)
-    envelope, rate_mult, _ = intensity.envelope(lo, hi)
-    return crm._arrivals(envelope, (hi - lo) * rate_mult, epsilon)
-
-
 def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     """Draw replicate r for the config's functional: the full series
     (sample_series), except for the cumulative hazard where K_T is flat on
@@ -334,13 +318,15 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
     so only catalog centering can trip the budget), and raises the
     catalog's NotCatalogedError for a pair without a cataloged limit.
     The worker count is resolve_workers(workers), given the atoms all
-    replicates expect: by default a run too small to pay for the pool's
-    start-up is drawn in this process.
+    replicates expect (crm.expected_atoms, which refuses an oversized draw
+    before the centering quadrature and the pool start): by default a run
+    too small to pay for the pool's start-up is drawn in this process.
     """
     spec = regime(config.kernel, config.intensity, config.functional)
-    R = config.replicates
-    nworkers = resolve_workers(workers, R * _expected_atoms(config))
-    T = config.horizon
+    T, R = config.horizon, config.replicates
+    window = kernels.location_window(config.kernel, T)
+    atoms = crm.expected_atoms(config.intensity, window, config.epsilon, _bulk(config))
+    nworkers = resolve_workers(workers, R * atoms)
     rate_value = spec.rate(T)
     target_sd = math.sqrt(spec.limit_variance)
 

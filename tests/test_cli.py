@@ -822,3 +822,56 @@ def test_negative_seed_is_refused_at_its_line(tmp_path, capsys, kind):
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         ExperimentConfig(kernel=cfg.kernel, intensity=cfg.intensity,
                          functional=cfg.functional, horizon=40.0, seed=-3)
+
+
+_EXPECT = SIMULATE.replace("kind = simulate", "kind = check-conditions").replace(
+    "seed = 3\n", "seed = 3\nexpect_condition_{} = {}\n")
+_NO_KERNEL = SIMULATE.replace("[kernel]\ntype = ornstein_uhlenbeck\nkappa = 1.0\n", "")
+_NO_CRM = SIMULATE.replace("[crm]\nfamily = extended_gamma\nfn = constant\nvalue = 1.0\n", "")
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("regimes", "seed = 1\n" + MINIMAL, "line 1: key outside any [section]"),
+    ("simulate", SIMULATE.replace("type = ornstein_uhlenbeck\n", ""),
+     "missing required key kernel.type"),
+    ("simulate", SIMULATE.replace("family = extended_gamma\n", ""),
+     "missing required key crm.family"),
+    ("simulate", SIMULATE.replace("type = ornstein_uhlenbeck", "type = bogus"),
+     "line 11: unknown kernel.type 'bogus' "
+     "(one of rectangular, dykstra_laud, ornstein_uhlenbeck, u_shaped)"),
+    ("simulate", SIMULATE.replace("family = extended_gamma", "family = bogus"),
+     "line 15: unknown crm.family 'bogus' (one of generalized_gamma, extended_gamma, beta)"),
+    ("simulate", SIMULATE.replace("fn = constant", "fn = bogus"),
+     "line 16: unknown crm.fn 'bogus' (one of constant, affine_sqrt, indicator_sqrt)"),
+    ("simulate", SIMULATE.replace("seed = 3\n", "seed = 3\nseed = 4\n"),
+     "line 8: duplicate key experiment.seed"),
+    ("simulate", SIMULATE.replace("kind = simulate\n", ""), "missing required key experiment.kind"),
+    ("check-conditions", _EXPECT.format("x", "vanishes"),
+     "line 8: bad condition index in expect_condition_x"),
+    ("check-conditions", _EXPECT.format(1, "maybe"),
+     "line 8: expect_condition_1 must be converges_to_positive, vanishes or diverges"),
+    *[(kind, text.replace("kind = simulate", f"kind = {kind}"), f"{kind} requires a [{section}] section")
+      for kind in ("simulate", "check-conditions", "sample-paths")
+      for section, text in (("kernel", _NO_KERNEL), ("crm", _NO_CRM))],
+], ids=["outside-section", "no-kernel-type", "no-crm-family", "unknown-type", "unknown-family",
+        "unknown-fn", "duplicate-key", "no-kind", "bad-index", "bad-expectation",
+        *[f"{kind}-no-{section}" for kind in ("simulate", "check-conditions", "sample-paths")
+          for section in ("kernel", "crm")]])
+def test_config_refusals_are_one_line_errors(tmp_path, capsys, kind, text, message):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out.txt"
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_empty_out_means_the_default_file_name(tmp_path, monkeypatch):
+    # as an empty [output] path does; the config's path is not used
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.ini").write_text(MINIMAL + "\n[output]\npath = from_config.csv\nformat = csv\n")
+    assert cli.main(["regimes", "--config", "r.ini", "--out", ""]) == 0
+    assert (tmp_path / "regimes.csv").exists()
+    assert not (tmp_path / "from_config.csv").exists()

@@ -432,6 +432,9 @@ def test_fit_slope_exact_power_laws():
         cond.fit_slope(t, np.array([1.0, 2.0, 0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         cond.fit_slope([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    for bad_t in ([1.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0], [4.0, 3.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match=r"^t_values must be strictly increasing$"):
+            cond.fit_slope(bad_t, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_verdict_classification():

@@ -57,6 +57,11 @@ def test_intensity_validation():
         crm.AffineSqrt(0.0, 1.0)            # vanishes at x = 0
     with pytest.raises(ValueError):
         crm.Constant(-1.0)
+    for b in (0.0, -2.0):
+        with pytest.raises(ValueError, match=rf"^AffineSqrt requires b > 0, got b={b}$"):
+            crm.AffineSqrt(1.0, b)
+        with pytest.raises(ValueError, match=rf"^IndicatorSqrt requires b > 0, got b={b}$"):
+            crm.IndicatorSqrt(b)
 
 
 def test_generalized_gamma_rejects_non_finite_gamma():
@@ -588,6 +593,55 @@ def test_bulk_of_a_non_homogeneous_intensity_refused_before_drawing():
                                          r"for a bulk$"):
         crm.sample(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-3, _NoDraws(),
                    bulk=((1.0, 9.0), law))
+
+
+@pytest.mark.parametrize("window, interval", [((0.0, 10.0), (5.0, 12.0)),
+                                              ((2.0, 10.0), (1.0, 5.0)),
+                                              ((0.0, 10.0), (6.0, 4.0))],
+                         ids=["past-hi", "before-lo", "reversed"])
+def test_bulk_outside_the_window_refused_before_drawing(window, interval):
+    gg = crm.GeneralizedGamma(0.5, 1.0)
+    bulk = (interval, gg.mass_law(1.0))
+    message = (rf"^bulk \({interval[0]}, {interval[1]}\) is not an interval of the window "
+               rf"\[{window[0]:g},{window[1]:g}\)$")
+    with pytest.raises(ValueError, match=message):
+        crm.sample(gg, window, 1e-3, _NoDraws(), bulk=bulk)
+    with pytest.raises(ValueError, match=message):
+        crm.expected_atoms(gg, window, 1e-3, bulk)
+
+
+def test_expected_atoms_counts_the_series_that_sample_draws():
+    # the window's series, the edge outside a bulk, the thinning envelope's
+    # series times its multiplier; each equals the arrivals the draw expects
+    gg, eps = crm.GeneralizedGamma(0.5, 1.0), 1e-3
+    assert crm.expected_atoms(gg, (2.0, 12.0), eps) == crm._arrivals(gg, 10.0, eps)
+    bulk = ((4.0, 11.0), gg.mass_law(7.0))
+    assert crm.expected_atoms(gg, (2.0, 12.0), eps, bulk) == crm._arrivals(gg, 3.0, eps)
+    beta = crm.Beta(crm.AffineSqrt(1.0, 0.7))
+    env, mult, _ = beta.envelope(0.0, 25.0)
+    assert crm.expected_atoms(beta, (0.0, 25.0), eps) == crm._arrivals(env, 25.0 * mult, eps)
+    # extended gamma keeps every arrival: the mean size of its draws beside
+    # a bulk is the count, at 4 SE over 400 draws
+    eg = crm.ExtendedGamma(crm.Constant(1.0))
+    bulk = ((5.0, 25.0), eg.mass_law(20.0))
+    n = crm.expected_atoms(eg, (0.0, 30.0), eps, bulk)
+    sizes = [crm.sample(eg, (0.0, 30.0), eps, seeded(2310, r), bulk=bulk).size - 1
+             for r in range(400)]
+    assert 60 < n < 70 and abs(np.mean(sizes) - n) <= 4.0 * math.sqrt(n / 400)
+    # it refuses what sample refuses, with the same message
+    window = kernels.location_window(kernels.Rectangular(1.0), 500.0)
+    with pytest.raises(ValueError, match=r"^epsilon=1e-08 asks for 9\.\d+e\+08 expected atoms"):
+        crm.expected_atoms(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8)
+    for bad_window in ((1.0, 1.0), (-1.0, 2.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"^window must be a bounded interval"):
+            crm.expected_atoms(gg, bad_window, eps)
+    with pytest.raises(ValueError, match=r"^epsilon must be > 0$"):
+        crm.expected_atoms(gg, (0.0, 1.0), 0.0)
+
+
+def test_sample_arrays_of_different_lengths_refused():
+    with pytest.raises(ValueError, match=r"^jumps and locations must have equal length$"):
+        crm.CrmSample([1.0, 0.5], [0.2], (0.0, 1.0))
 
 
 def test_seeded_determinism_bit_for_bit():

@@ -764,13 +764,19 @@ def _cumhaz_config(**kw):
                                replicates=100, seed=2238, **kw)
 
 
+def _atoms(cfg):
+    # the expected atoms of one sample_crm draw
+    return crm.expected_atoms(cfg.intensity, kernels.location_window(cfg.kernel, cfg.horizon),
+                              cfg.epsilon, mc._bulk(cfg))
+
+
 def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("HAZARDLAB_THREADS", raising=False)
     monkeypatch.setattr(mc.multiprocessing, "Pool", _PoolLog)
     _PoolLog.sizes = []
     cfg = _cumhaz_config()
-    atoms = mc._expected_atoms(cfg)
+    atoms = _atoms(cfg)
     # the bulk draw counts as no atom
     assert atoms == crm._arrivals(GG, 3.0, cfg.epsilon) and 3384 < atoms < 3386
     # 100 replicates expect 3.4e5 atoms, under the constant: no pool
@@ -786,12 +792,28 @@ def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
     # without a bulk the series' arrivals count: the thinning envelope's for
     # a non-homogeneous intensity
     series = dataclasses.replace(cfg, functional=Functional.PATH_VARIANCE, epsilon=1e-3)
-    assert mc._expected_atoms(series) == crm._arrivals(GG, 501.0, 1e-3)
+    assert _atoms(series) == crm._arrivals(GG, 501.0, 1e-3)
     thinned = mc.ExperimentConfig(kernels.Rectangular(1.0),
                                   crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
                                   Functional.CUMULATIVE_HAZARD, 20.0, epsilon=1e-3)
-    assert mc._expected_atoms(thinned) == crm._arrivals(crm.ExtendedGamma(crm.Constant(1.0)),
-                                                        21.0, 1e-3)
+    assert _atoms(thinned) == crm._arrivals(crm.ExtendedGamma(crm.Constant(1.0)), 21.0, 1e-3)
+
+
+def test_oversized_run_is_refused_before_the_centering_and_the_pool(monkeypatch):
+    # OU(1) + GG(0.5, 1) path second moment at T = 1000 and eps = 1e-9
+    # expects 3.57e7 atoms per draw: run_clt refuses it with the sampler's
+    # message before it computes the centering or starts a pool
+    calls = []
+    monkeypatch.setattr(mc, "_exact_mean", lambda *a: calls.append("_exact_mean") or 0.0)
+    monkeypatch.setattr(mc.multiprocessing, "Pool",
+                        lambda *a, **k: calls.append("Pool") or _PoolLog(*a))
+    cfg = mc.ExperimentConfig(kernels.OrnsteinUhlenbeck(1.0), GG, Functional.PATH_SECOND_MOMENT,
+                              1000.0, replicates=100, epsilon=1e-9)
+    with pytest.raises(ValueError, match=r"^epsilon=1e-09 asks for 3\.57e\+07 expected atoms "
+                                         r"per draw of generalized_gamma\(sigma=0\.5,gamma=1\), "
+                                         r"above the limit 2e\+07; raise epsilon$"):
+        mc.run_clt(cfg, workers=2)
+    assert calls == []
 
 
 def test_explicit_workers_and_env_still_pool_a_small_run(monkeypatch):
@@ -799,7 +821,7 @@ def test_explicit_workers_and_env_still_pool_a_small_run(monkeypatch):
     monkeypatch.setattr(mc.multiprocessing, "Pool", _PoolLog)
     _PoolLog.sizes = []
     cfg = _cumhaz_config(epsilon=1e-3)
-    assert cfg.replicates * mc._expected_atoms(cfg) < mc._POOL_MIN_ATOMS
+    assert cfg.replicates * _atoms(cfg) < mc._POOL_MIN_ATOMS
     monkeypatch.delenv("HAZARDLAB_THREADS", raising=False)
     mc.run_clt(cfg, workers=2)
     monkeypatch.setenv("HAZARDLAB_THREADS", "3")
@@ -831,6 +853,11 @@ def test_experiment_config_validation():
                             functional=Functional.CUMULATIVE_HAZARD,
                             horizon=10.0, replicates=100, seed=0,
                             centering_mode="bogus")
+    for epsilon in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match=r"^epsilon must be > 0$"):
+            mc.ExperimentConfig(kernel=kernels.DykstraLaud(), intensity=GG,
+                                functional=Functional.CUMULATIVE_HAZARD,
+                                horizon=10.0, replicates=100, seed=0, epsilon=epsilon)
 
 
 def test_csv_and_json_reports():
