@@ -491,9 +491,27 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     if a + b < 170.0:
         # Gamma itself is good to a few ulp; its log is not, where large
         beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    else:
-        beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    return x ** a * y ** b / (a * beta * _lentz(1.0, coef))
+        return x ** a * y ** b / (a * beta * _lentz(1.0, coef))
+    # the larger of x and y may be rounded (1 - x is exact for x >= 1/2), and
+    # its power, ~b/2 ulp off at b ~ 400, comes from log1p of the smaller
+    front = (x ** a * math.exp(b * math.log1p(-x) - _log_beta(a, b)) if x <= y
+             else y ** b * math.exp(a * math.log1p(-y) - _log_beta(a, b)))
+    return front / (a * _lentz(1.0, coef))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a + b >= 170, where Gamma(a + b) overflows.  With p <= q
+    (so q >= 85), Stirling's series gives log(Gamma(q) / Gamma(p + q)) =
+    -(q - 1/2) log1p(p/q) - p log(p + q) + p + s(q) - s(p + q), with no term
+    much above the sum, where lgamma(q) - lgamma(p + q) cancels two numbers
+    ~q log q; s(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5) - 1/(1680z^7) + O(z^-9)."""
+    def s(z):
+        r = 1.0 / (z * z)
+        return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / z
+
+    p, q = min(a, b), max(a, b)
+    return (math.lgamma(p) - (q - 0.5) * math.log1p(p / q) - p * math.log(p + q) + p
+            + s(q) - s(p + q))
 
 
 def _beta_value(a: float, b: float, x: float, upper: bool) -> float:

@@ -130,7 +130,7 @@ def _cumhaz(kernel: kernels.Kernel, intensity: crm.JumpIntensity) -> RegimeSpec:
         m = kernel.bulk[0]
         return RegimeSpec(F, Power(-0.5), PowerTrend(m * k1, 1.0), m ** 2 * k2)
     # non-homogeneous worked cases: sqrt-growth profiles with DL / rectangular
-    b = intensity.profile.sqrt_slope
+    b = intensity.fn.sqrt_slope
     if b is not None and isinstance(kernel, (kernels.DykstraLaud, kernels.Rectangular)):
         # extended gamma: K2(x) ~ 1/(b^2 x), so I2 ~ var * T^2 log T (Dykstra-
         # Laud) or var * log T (rectangular); beta: the first jump moment is

@@ -21,7 +21,7 @@ import json
 import locale  # noqa: F401
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from functools import partial
 from typing import Dict, Optional, Tuple
 
@@ -29,10 +29,9 @@ import numpy as np
 
 from . import __version__, crm, kernels
 from .asymptotics import Functional, NotCatalogedError, Power, catalog_rows, regime
-from .conditions import Theorem, check_theorem
+from .conditions import CONDITION_COUNTS, THEOREM_NAMES, check_theorem
 from .montecarlo import (CENTERING_CATALOG, CENTERING_QUADRATURE,
-                         ExperimentConfig, TruncationBudgetError, hazard_path,
-                         run_clt, sample_series)
+                         ExperimentConfig, hazard_path, run_clt, sample_series)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "render_config", "run", "main"]
 
@@ -54,7 +53,7 @@ class RunConfig:
     kernel: Optional[kernels.Kernel] = None
     intensity: Optional[crm.JumpIntensity] = None
     functional: Functional = Functional.CUMULATIVE_HAZARD
-    theorem: str = Theorem.PATH2ND
+    theorem: Functional = Functional.PATH_SECOND_MOMENT
     rate: Optional[object] = None            # None: take the catalog rate
     horizon: float = 500.0
     replicates: int = 2000
@@ -109,23 +108,14 @@ def _as_number(value, lineno, key, cond=None, describe="", kind=float):
     return x
 
 
-# kernel.type, crm.family and crm.fn -> (class, {INI key: constructor argument})
-_KERNEL_TYPES = {
-    "rectangular": (kernels.Rectangular, {"tau": "tau"}),
-    "dykstra_laud": (kernels.DykstraLaud, {}),
-    "ornstein_uhlenbeck": (kernels.OrnsteinUhlenbeck, {"kappa": "kappa"}),
-    "u_shaped": (kernels.UShaped, {"beta": "beta_center"}),
-}
-_FAMILIES = {
-    "generalized_gamma": (crm.GeneralizedGamma, {"sigma": "sigma", "gamma": "gamma"}),
-    "extended_gamma": (crm.ExtendedGamma, {"fn": "beta_fn"}),
-    "beta": (crm.Beta, {"fn": "c_fn"}),
-}
-_PROFILES = {
-    "constant": (crm.Constant, {"value": "a"}),
-    "affine_sqrt": (crm.AffineSqrt, {"a": "a", "b": "b"}),
-    "indicator_sqrt": (crm.IndicatorSqrt, {"b": "b"}),
-}
+# kernel.type, crm.family and crm.fn -> class; each field of a class is
+# the INI key of the same name
+_KERNEL_TYPES = {"rectangular": kernels.Rectangular, "dykstra_laud": kernels.DykstraLaud,
+                 "ornstein_uhlenbeck": kernels.OrnsteinUhlenbeck, "u_shaped": kernels.UShaped}
+_FAMILIES = {"generalized_gamma": crm.GeneralizedGamma, "extended_gamma": crm.ExtendedGamma,
+             "beta": crm.Beta}
+_PROFILES = {"constant": crm.Constant, "affine_sqrt": crm.AffineSqrt,
+             "indicator_sqrt": crm.IndicatorSqrt}
 # a key naming a table (default type or None) builds its argument from that
 # table; every other key is a number, > 0 unless _RULES says otherwise
 _TABLES = {"type": (_KERNEL_TYPES, None), "family": (_FAMILIES, None),
@@ -147,19 +137,18 @@ def _build(fields: dict, section: str, tkey: str, lineno: Optional[int] = None):
     if name not in table:
         raise ConfigError(f"line {lineno}: unknown {section}.{tkey} {name!r} "
                           f"(one of {', '.join(table)})")
-    cls, keys = table[name]
     args = {}
-    for key, arg in keys.items():
+    for key in (f.name for f in dc_fields(table[name])):
         if key in _TABLES:
-            args[arg] = _build(fields, section, key, lineno)
+            args[key] = _build(fields, section, key, lineno)
         elif key not in fields:
             raise ConfigError(f"line {lineno}: missing required key {section}.{key}")
         else:
             value, at = fields.pop(key)
             cond, rule = _RULES.get(key, (lambda x: x > 0, f"{key} > 0"))
-            args[arg] = _as_number(value, at, f"{section}.{key}", cond, rule)
+            args[key] = _as_number(value, at, f"{section}.{key}", cond, rule)
     try:
-        return cls(**args)
+        return table[name](**args)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}")
 
@@ -216,7 +205,6 @@ def _choice(names: dict, message: str):
     return parse
 
 
-_CENTERINGS = {"catalog": CENTERING_CATALOG, "quadrature": CENTERING_QUADRATURE}
 _FORMATS = ("csv", "json")
 
 # [experiment] and [output] key -> (RunConfig field, parse(value, lineno,
@@ -227,8 +215,9 @@ _FIELDS = {
         "functional": ("functional", _choice({f.value: f for f in Functional},
                                              "unknown functional {value!r}"),
                        lambda f: f.value),
-        "theorem": ("theorem", _choice({t: t for t in Theorem.ALL},
-                                       f"theorem must be one of {Theorem.ALL}"), str),
+        "theorem": ("theorem", _choice({name: f for f, name in THEOREM_NAMES.items()},
+                                       f"theorem must be one of {tuple(THEOREM_NAMES.values())}"),
+                    THEOREM_NAMES.get),
         "rate": ("rate", _parse_rate, _render_rate),
         "horizon": ("horizon", partial(_as_number, cond=lambda x: x > 0,
                                        describe="horizon > 0"), _g),
@@ -239,9 +228,9 @@ _FIELDS = {
         "epsilon": ("epsilon", partial(_as_number, cond=lambda x: x > 0,
                                        describe="epsilon > 0"), _g),
         "t_grid": ("t_grid", _parse_t_grid, lambda grid: ",".join(map(_g, grid))),
-        "centering": ("centering", _choice(_CENTERINGS,
-                                           "centering must be catalog or quadrature"),
-                      {mode: name for name, mode in _CENTERINGS.items()}.get),
+        "centering": ("centering", _choice({c: c for c in (CENTERING_CATALOG,
+                                                           CENTERING_QUADRATURE)},
+                                           "centering must be catalog or quadrature"), str),
         "ks_alpha": ("ks_alpha", partial(_as_number, cond=lambda x: 0 < x < 1,
                                          describe="ks_alpha in (0,1)"), _g),
         "grid_n": ("grid_n", partial(_as_number, cond=lambda x: x >= 2,
@@ -256,9 +245,10 @@ _FIELDS = {
 }
 # section -> its keys, besides experiment.expect_condition_<i>
 _ALLOWED = {"experiment": {"kind", *_FIELDS["experiment"]}, "output": set(_FIELDS["output"]),
-            "kernel": {"type"}.union(*(keys for _, keys in _KERNEL_TYPES.values())),
-            "crm": {"family"}.union(*(keys for _, keys in [*_FAMILIES.values(),
-                                                           *_PROFILES.values()]))}
+            "kernel": {"type", *(f.name for cls in _KERNEL_TYPES.values()
+                                 for f in dc_fields(cls))},
+            "crm": {"family", *(f.name for cls in [*_FAMILIES.values(), *_PROFILES.values()]
+                                for f in dc_fields(cls))}}
 
 
 def _parse_fields(cfg: RunConfig, section: str, fields: dict) -> None:
@@ -303,9 +293,9 @@ def parse_config(text: str) -> RunConfig:
             idx = int(key.rsplit("_", 1)[1])
         except ValueError:
             raise ConfigError(f"line {lineno}: bad condition index in {key}")
-        count = Theorem.CONDITIONS[cfg.theorem]
+        count = CONDITION_COUNTS[cfg.theorem]
         if not 1 <= idx <= count:
-            raise ConfigError(f"line {lineno}: {key}: theorem {cfg.theorem} "
+            raise ConfigError(f"line {lineno}: {key}: theorem {THEOREM_NAMES[cfg.theorem]} "
                               f"has conditions 1-{count}")
         if value not in ("converges_to_positive", "vanishes", "diverges"):
             raise ConfigError(
@@ -330,11 +320,9 @@ def parse_config(text: str) -> RunConfig:
 
 def _render(obj, tkey: str) -> list:
     table, _ = _TABLES[tkey]
-    name, keys = next((name, keys) for name, (cls, keys) in table.items()
-                      if type(obj) is cls)
-    lines = [f"{tkey} = {name}"]
-    for key, arg in keys.items():
-        value = getattr(obj, arg)
+    lines = [f"{tkey} = {next(name for name, cls in table.items() if type(obj) is cls)}"]
+    for key in (f.name for f in dc_fields(obj)):
+        value = getattr(obj, key)
         lines += _render(value, key) if key in _TABLES else [f"{key} = {value:.17g}"]
     return lines
 
@@ -371,7 +359,7 @@ def _write(cfg: RunConfig, body: str, default_name: str) -> str:
 def _auto_rate(cfg: RunConfig):
     if cfg.rate is not None:
         return cfg.rate
-    if cfg.theorem != Theorem.CUMHAZ:
+    if cfg.theorem is not Functional.CUMULATIVE_HAZARD:
         return Power(0.5)   # C1 = sqrt(T), the quadratic-functional convention
     try:
         return regime(cfg.kernel, cfg.intensity, Functional.CUMULATIVE_HAZARD).rate
@@ -402,7 +390,7 @@ def run(cfg: RunConfig) -> int:
             report = check_theorem(cfg.kernel, cfg.intensity, cfg.theorem,
                                    _auto_rate(cfg), cfg.t_grid)
             body = report.to_csv_text() if cfg.out_format == "csv" else report.to_json() + "\n"
-            path = _write(cfg, body, f"conditions_{cfg.theorem}.{cfg.out_format}")
+            path = _write(cfg, body, f"conditions_{THEOREM_NAMES[cfg.theorem]}.{cfg.out_format}")
             status = 0
             for idx, expected in sorted(cfg.expects.items()):
                 got = report.verdicts.get(idx)
@@ -436,8 +424,7 @@ def run(cfg: RunConfig) -> int:
         path = _write(cfg, body, "paths.csv")
         print(f"wrote {path} ({sample.size} atoms)")
         return 0
-    except (OSError, ValueError, ArithmeticError, crm.EnvelopeError,
-            TruncationBudgetError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,19 +36,19 @@ from ._numeric import gl_panels, quad_breaks, sorted_unique
 from .asymptotics import Functional, NotCatalogedError, Power, regime
 
 __all__ = [
-    "Theorem", "Verdict", "ConditionReport", "FitResult",
+    "THEOREM_NAMES", "CONDITION_COUNTS", "Verdict", "ConditionReport", "FitResult",
     "I_moments", "ContractionNorms", "contraction_norms", "check_theorem",
     "fit_slope", "classify",
 ]
 
 
-class Theorem:
-    CUMHAZ = "cumhaz"
-    PATH2ND = "path2nd"
-    PATHVAR = "pathvar"
-    ALL = (CUMHAZ, PATH2ND, PATHVAR)
-    # number of condition quantities each theorem evaluates
-    CONDITIONS = {CUMHAZ: 2, PATH2ND: 6, PATHVAR: 3}
+# each functional's theorem by its short name (the config's theorem key,
+# the report's theorem field), and the number of condition quantities that
+# theorem evaluates
+THEOREM_NAMES = {Functional.CUMULATIVE_HAZARD: "cumhaz", Functional.PATH_SECOND_MOMENT: "path2nd",
+                 Functional.PATH_VARIANCE: "pathvar"}
+CONDITION_COUNTS = {Functional.CUMULATIVE_HAZARD: 2, Functional.PATH_SECOND_MOMENT: 6,
+                    Functional.PATH_VARIANCE: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def contraction_norms(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
 
 @dataclass
 class ConditionReport:
-    theorem: str
+    theorem: Functional
     t_grid: List[float]
     values: Dict[int, List[float]]          # condition index (1-based) -> series
     verdicts: Dict[int, Verdict]
@@ -311,7 +311,7 @@ class ConditionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "theorem": self.theorem,
+            "theorem": THEOREM_NAMES[self.theorem],
             "rate": self.rate_label,
             "t_grid": list(self.t_grid),
             "values": {str(k): list(v) for k, v in self.values.items()},
@@ -334,10 +334,10 @@ class ConditionReport:
 
 
 def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
-                  theorem: str, rate: Power,
+                  theorem: Functional, rate: Power,
                   t_grid: Sequence[float]) -> ConditionReport:
-    """Evaluate every condition quantity of the chosen theorem on the
-    horizon grid, fit log-log slopes, and issue verdicts.
+    """Evaluate every condition quantity of the functional's theorem on
+    the horizon grid, fit log-log slopes, and issue verdicts.
 
     For the path-variance theorem the constant delta is estimated as the
     intercept of a linear-in-1/T fit of 2 C1 I_1(T) / (T^2 C0), and the
@@ -346,17 +346,17 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 4 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be >= 4 strictly increasing horizons")
-    if theorem not in Theorem.ALL:
+    if theorem not in CONDITION_COUNTS:
         raise ValueError(f"unknown theorem {theorem!r}")
     if not isinstance(rate, Power):
         raise ValueError(f"unknown rate function {rate!r}")
     rates = [rate(T) for T in t_grid]
     delta_est = None
     # rows: one tuple of condition values per horizon
-    if theorem == Theorem.CUMHAZ:
+    if theorem is Functional.CUMULATIVE_HAZARD:
         rows = [(c0 ** 2 * I_moments(kernel, intensity, T, 2),
                  c0 ** 3 * I_moments(kernel, intensity, T, 3)) for T, c0 in zip(t_grid, rates)]
-    elif theorem == Theorem.PATH2ND:
+    elif theorem is Functional.PATH_SECOND_MOMENT:
         norms = (contraction_norms(kernel, intensity, T) for T in t_grid)
         rows = [(2.0 * c1 ** 2 * n.k1_l2_sq, c1 ** 4 * n.k1_l4_4, c1 ** 4 * n.k11_l2_sq,
                  c1 ** 4 * n.k21_l2_sq, c1 ** 2 * n.k23_l2_sq, c1 ** 3 * n.k23_l3_3)

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class EnvelopeError(Exception):
+class EnvelopeError(ValueError):
     """No valid constant-parameter envelope exists on the window."""
 
 
@@ -83,21 +83,21 @@ class Dominating(NamedTuple):
 
 @dataclass(frozen=True)
 class Constant:
-    """x -> a with a > 0."""
-    a: float
+    """x -> value with value > 0."""
+    value: float
     constant: ClassVar[bool] = True
     # the points where the profile is not smooth
     kinks: ClassVar[tuple] = ()
 
     def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"Constant requires a > 0, got {self.a}")
+        if not (self.value > 0 and math.isfinite(self.value)):
+            raise ValueError(f"Constant requires value > 0, got {self.value}")
 
     def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.a)
+        return np.full_like(np.asarray(x, dtype=float), self.value)
 
     def label(self) -> str:
-        return f"constant({self.a:g})"
+        return f"constant({self.value:g})"
 
 
 @dataclass(frozen=True)
@@ -211,23 +211,25 @@ class _Family:
         return None
 
 
+@dataclass(frozen=True)
 class _Profiled(_Family):
-    """Families whose parameter at x is the value of a location profile."""
+    """Families whose parameter at x is the value of the location profile fn."""
+    fn: PositiveFunction
 
     @property
     def homogeneous(self) -> bool:
-        return self.profile.constant
+        return self.fn.constant
 
     @property
     def kinks(self) -> tuple:
-        return self.profile.kinks
+        return self.fn.kinks
 
     def param(self, x):
         if x is None:
             if not self.homogeneous:
                 raise ValueError(f"{self.label()} is non-homogeneous: supply the location x")
             x = 0.0
-        return np.asarray(self.profile(x), dtype=float)
+        return np.asarray(self.fn(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -288,15 +290,10 @@ class GeneralizedGamma(_Family):
 
 @dataclass(frozen=True)
 class ExtendedGamma(_Profiled):
-    """Weighted gamma family with rate profile beta_fn(x) > 0."""
-    beta_fn: PositiveFunction
+    """Weighted gamma family with rate profile fn(x) > 0."""
 
     def label(self) -> str:
-        return f"extended_gamma({self.beta_fn.label()})"
-
-    @property
-    def profile(self) -> PositiveFunction:
-        return self.beta_fn
+        return f"extended_gamma({self.fn.label()})"
 
     def moment(self, a, p):
         return np.exp(gammaln(a) - a * np.log(p))
@@ -314,7 +311,7 @@ class ExtendedGamma(_Profiled):
         return exp1(p * v)
 
     def envelope(self, lo: float, hi: float):
-        fn, L = self.beta_fn, self.beta_fn.inf_on(lo, hi)
+        fn, L = self.fn, self.fn.inf_on(lo, hi)
 
         def accept(v, x):
             return np.exp(-(fn(x) - L) * v)
@@ -323,9 +320,9 @@ class ExtendedGamma(_Profiled):
 
     def mass_law(self, length: float) -> Optional[Callable]:
         # Gamma(length, beta)
-        if not self.beta_fn.constant:
+        if not self.fn.constant:
             return None
-        return lambda rng: float(rng.gamma(length, 1.0 / self.beta_fn.a))
+        return lambda rng: float(rng.gamma(length, 1.0 / self.fn.value))
 
     # No dominating measure: dv / (v (1 + beta v)) would serve, with keep
     # probability e^{-beta v}(1 + beta v), but it moves the seeded stream
@@ -341,16 +338,11 @@ _BETA_ROW_BLOCK = 4096
 
 @dataclass(frozen=True)
 class Beta(_Profiled):
-    """Beta family with concentration profile c_fn(x) > 0; jumps in (0,1)."""
-    c_fn: PositiveFunction
+    """Beta family with concentration profile fn(x) > 0; jumps in (0,1)."""
     ceiling: ClassVar[float] = 1.0
 
     def label(self) -> str:
-        return f"beta({self.c_fn.label()})"
-
-    @property
-    def profile(self) -> PositiveFunction:
-        return self.c_fn
+        return f"beta({self.fn.label()})"
 
     def moment(self, a, p):
         return np.exp(gammaln(a) + gammaln(1.0 + p) - gammaln(a + p))
@@ -394,7 +386,7 @@ class Beta(_Profiled):
         return out
 
     def envelope(self, lo: float, hi: float):
-        fn = self.c_fn
+        fn = self.fn
         c_min, c_max = fn.inf_on(lo, hi), fn.sup_on(lo, hi)
         if c_min < 1.0:
             raise EnvelopeError(
@@ -408,7 +400,7 @@ class Beta(_Profiled):
         return Beta(Constant(c_min)), c_max / c_min, accept
 
     def dominating(self) -> Dominating:
-        c = self.c_fn.a
+        c = self.fn.value
         if c >= 1.0:
             # c dv / v on (0, 1), tail -c log v, keep (1-v)^{c-1}
             return Dominating(lambda v: -c * np.log(v),

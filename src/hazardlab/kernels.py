@@ -419,22 +419,22 @@ class OrnsteinUhlenbeck(_Green):
 @dataclass(frozen=True)
 class UShaped(_Nested):
     """k(t,x) = 1{|t - beta| >= x}; bath-tub shape with minimum at beta > 0."""
-    beta_center: float
+    beta: float
 
     def __post_init__(self):
-        if not (self.beta_center > 0 and math.isfinite(self.beta_center)):
-            raise ValueError(f"beta_center must be > 0, got {self.beta_center}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def label(self) -> str:
-        return f"u_shaped(beta={self.beta_center:g})"
+        return f"u_shaped(beta={self.beta:g})"
 
     def value(self, t, x):
-        return ((x >= 0) & (np.abs(t - self.beta_center) >= x)).astype(float)
+        return ((x >= 0) & (np.abs(t - self.beta) >= x)).astype(float)
 
     def K(self, T, x):
         # formed in place, at most two arrays of x's shape live: the pair
         # sum calls this as its g
-        b = self.beta_center
+        b = self.beta
         out = np.subtract(b, x, out=np.empty(np.shape(x)))
         np.minimum(out, T, out=out)
         np.maximum(0.0, out, out=out)
@@ -447,11 +447,11 @@ class UShaped(_Nested):
         return out
 
     def window(self, T: float) -> tuple:
-        b = self.beta_center
+        b = self.beta
         return (0.0, max(b, T - b))
 
     def breaks(self, T: float) -> list:
-        b = self.beta_center
+        b = self.beta
         return [b, abs(T - b)]
 
 

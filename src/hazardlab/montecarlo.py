@@ -33,13 +33,13 @@ __all__ = [
 ]
 
 CENTERING_CATALOG = "catalog"
-CENTERING_QUADRATURE = "quadrature_i1"
+CENTERING_QUADRATURE = "quadrature"
 # largest tolerated truncation bias of the standardized statistic, as a
 # fraction of the target standard deviation
 TRUNCATION_BUDGET = 0.01
 
 
-class TruncationBudgetError(Exception):
+class TruncationBudgetError(ValueError):
     """The epsilon-truncation bias exceeds the tolerated fraction of the
     standardized statistic's scale."""
 

@@ -47,7 +47,7 @@ def quad_K_T(kernel, T, x):
     if isinstance(kernel, kernels.Rectangular):
         pts = [x - kernel.tau, x + kernel.tau]
     elif isinstance(kernel, kernels.UShaped):
-        pts = [kernel.beta_center - x, kernel.beta_center + x]
+        pts = [kernel.beta - x, kernel.beta + x]
     else:
         pts = [x]
     pts = [p for p in pts if 0 < p < T]
@@ -62,7 +62,7 @@ def quad_Q_T(kernel, T, x, y):
         if isinstance(kernel, kernels.Rectangular):
             pts += [c - kernel.tau, c + kernel.tau]
         elif isinstance(kernel, kernels.UShaped):
-            pts += [kernel.beta_center - c, kernel.beta_center + c]
+            pts += [kernel.beta - c, kernel.beta + c]
         else:
             pts += [c]
     pts = [p for p in pts if 0 < p < T]

@@ -98,7 +98,7 @@ def test_criterion_3_positive_condition_checks():
     failures = []
     for kern in (kernels.Rectangular(1.0), kernels.OrnsteinUhlenbeck(1.0)):
         spec = asy.regime(kern, GG, Functional.PATH_SECOND_MOMENT)
-        rep = cond.check_theorem(kern, GG, cond.Theorem.PATH2ND, Power(0.5), GRID)
+        rep = cond.check_theorem(kern, GG, Functional.PATH_SECOND_MOMENT, Power(0.5), GRID)
         for idx in (2, 3, 4):
             v = rep.verdicts[idx]
             if not (v.kind == "vanishes" and abs(v.slope + 1.0) <= 0.15 and v.r2 >= 0.99):
@@ -130,7 +130,7 @@ def test_criterion_4_negative_condition_checks():
     cond1_target = k2 / 6.0          # equals the honest (K2)^2/3 at K2 = 1/2
     failures = []
     for kern in (kernels.DykstraLaud(), kernels.UShaped(2.0)):
-        rep = cond.check_theorem(kern, GG, cond.Theorem.PATH2ND, Power(-1.0), GRID)
+        rep = cond.check_theorem(kern, GG, Functional.PATH_SECOND_MOMENT, Power(-1.0), GRID)
         value_800 = rep.values[1][-1]
         if abs(value_800 - cond1_target) > 0.02 * cond1_target:
             failures.append((kern.label(), 1, value_800, cond1_target))

@@ -828,6 +828,15 @@ _EXPECT = SIMULATE.replace("kind = simulate", "kind = check-conditions").replace
     "seed = 3\n", "seed = 3\nexpect_condition_{} = {}\n")
 _NO_KERNEL = SIMULATE.replace("[kernel]\ntype = ornstein_uhlenbeck\nkappa = 1.0\n", "")
 _NO_CRM = SIMULATE.replace("[crm]\nfamily = extended_gamma\nfn = constant\nvalue = 1.0\n", "")
+# sqrt(x) < 1 on (0.25, 1): no beta envelope with c >= 1
+_NO_ENVELOPE = ("[experiment]\nkind = sample-paths\nhorizon = 10\nepsilon = 1e-5\n"
+                "[kernel]\ntype = rectangular\ntau = 1.0\n"
+                "[crm]\nfamily = beta\nfn = indicator_sqrt\nb = 0.25\n")
+# the boundary's mass below eps = 1e-2 biases the catalog-centered statistic
+_OVER_BUDGET = ("[experiment]\nkind = simulate\nhorizon = 20\nreplicates = 100\nseed = 5\n"
+                "epsilon = 0.01\ncentering = catalog\n"
+                "[kernel]\ntype = rectangular\ntau = 1.0\n"
+                "[crm]\nfamily = generalized_gamma\nsigma = 0.5\ngamma = 1.0\n")
 
 
 @pytest.mark.parametrize("kind, text, message", [
@@ -853,10 +862,14 @@ _NO_CRM = SIMULATE.replace("[crm]\nfamily = extended_gamma\nfn = constant\nvalue
     *[(kind, text.replace("kind = simulate", f"kind = {kind}"), f"{kind} requires a [{section}] section")
       for kind in ("simulate", "check-conditions", "sample-paths")
       for section, text in (("kernel", _NO_KERNEL), ("crm", _NO_CRM))],
+    ("sample-paths", _NO_ENVELOPE, "beta thinning needs inf c >= 1 on the window; "
+                                   "got inf c = 0.5 for indicator_sqrt(0.25) on [0,11]"),
+    ("simulate", _OVER_BUDGET, "truncation bias 0.08802 exceeds 1% of the target sd 1.414; "
+                               "lower epsilon or use quadrature centering"),
 ], ids=["outside-section", "no-kernel-type", "no-crm-family", "unknown-type", "unknown-family",
         "unknown-fn", "duplicate-key", "no-kind", "bad-index", "bad-expectation",
         *[f"{kind}-no-{section}" for kind in ("simulate", "check-conditions", "sample-paths")
-          for section in ("kernel", "crm")]])
+          for section in ("kernel", "crm")], "no-envelope", "over-truncation-budget"])
 def test_config_refusals_are_one_line_errors(tmp_path, capsys, kind, text, message):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
@@ -875,3 +888,11 @@ def test_empty_out_means_the_default_file_name(tmp_path, monkeypatch):
     assert cli.main(["regimes", "--config", "r.ini", "--out", ""]) == 0
     assert (tmp_path / "regimes.csv").exists()
     assert not (tmp_path / "from_config.csv").exists()
+
+
+def test_run_refuses_an_unknown_kind(capsys):
+    # a RunConfig built in code skips parse_config's kind check
+    assert cli.run(cli.RunConfig(kind="bogus")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: unknown kind 'bogus'"]
+    assert captured.out == ""

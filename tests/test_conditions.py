@@ -121,7 +121,7 @@ def test_diagonal_restriction_identity():
 
 
 def test_nonnegativity_of_condition_values():
-    rep = cond.check_theorem(kernels.Rectangular(1.0), GG, cond.Theorem.PATH2ND,
+    rep = cond.check_theorem(kernels.Rectangular(1.0), GG, asy.Functional.PATH_SECOND_MOMENT,
                              asy.Power(0.5), [20.0, 40.0, 80.0, 160.0])
     for series in rep.values.values():
         assert all(v >= 0 for v in series)
@@ -469,14 +469,14 @@ def test_pathvar_delta_estimates():
     # for the exponential one; combined condition-3 norm -> sigma3^2
     grid = [50.0, 100.0, 200.0, 400.0]
     rep = cond.check_theorem(kernels.OrnsteinUhlenbeck(1.0), GG,
-                             cond.Theorem.PATHVAR, asy.Power(0.5), grid)
+                             asy.Functional.PATH_VARIANCE, asy.Power(0.5), grid)
     k1, k4 = crm.jump_moment(GG, 1), crm.jump_moment(GG, 4)
     assert rep.verdicts[1].kind == "vanishes"
     assert rep.verdicts[1].slope == pytest.approx(-0.5, abs=0.02)
     assert rep.delta_estimate == pytest.approx(2 ** 1.5 * k1, rel=0.03)
     assert rep.values[3][-1] == pytest.approx(k4, rel=0.02)
     rep = cond.check_theorem(kernels.Rectangular(1.0), GG,
-                             cond.Theorem.PATHVAR, asy.Power(0.5), grid)
+                             asy.Functional.PATH_VARIANCE, asy.Power(0.5), grid)
     assert rep.delta_estimate == pytest.approx(4.0 * k1, rel=0.03)
     assert rep.values[3][-1] == pytest.approx(4.0 * k4, rel=0.02)
 
@@ -492,7 +492,7 @@ def test_dl_raw_norms_vanish_at_zero_horizon():
 
 
 def test_check_theorem_cumhaz_and_errors():
-    rep = cond.check_theorem(kernels.Rectangular(1.0), GG, cond.Theorem.CUMHAZ,
+    rep = cond.check_theorem(kernels.Rectangular(1.0), GG, asy.Functional.CUMULATIVE_HAZARD,
                              asy.Power(-0.5), GRID)
     assert rep.verdicts[1].kind == "converges_to_positive"
     assert rep.verdicts[1].limit_est == pytest.approx(2.0, rel=0.02)   # 4 K2 tau^2
@@ -500,11 +500,11 @@ def test_check_theorem_cumhaz_and_errors():
     with pytest.raises(ValueError):
         cond.check_theorem(kernels.Rectangular(1.0), GG, "bogus", asy.Power(0.5), GRID)
     with pytest.raises(ValueError):
-        cond.check_theorem(kernels.Rectangular(1.0), GG, cond.Theorem.CUMHAZ,
+        cond.check_theorem(kernels.Rectangular(1.0), GG, asy.Functional.CUMULATIVE_HAZARD,
                            asy.Power(-0.5), [10.0, 20.0])
 
 
-@pytest.mark.parametrize("theorem", cond.Theorem.ALL)
+@pytest.mark.parametrize("theorem", list(cond.THEOREM_NAMES), ids=cond.THEOREM_NAMES.get)
 def test_check_theorem_refuses_bad_input_before_any_quadrature(monkeypatch, theorem):
     # an unknown theorem and a rate that is not a Power are
     # refused before I_moments, the contraction norms or a grid run
@@ -521,7 +521,7 @@ def test_check_theorem_refuses_bad_input_before_any_quadrature(monkeypatch, theo
 
 def test_report_serialization_round_trip():
     import json
-    rep = cond.check_theorem(kernels.DykstraLaud(), GG, cond.Theorem.CUMHAZ,
+    rep = cond.check_theorem(kernels.DykstraLaud(), GG, asy.Functional.CUMULATIVE_HAZARD,
                              asy.Power(-1.5), [20.0, 40.0, 80.0, 160.0])
     blob = json.loads(rep.to_json())
     assert blob["theorem"] == "cumhaz" and len(blob["t_grid"]) == 4
@@ -546,8 +546,8 @@ def test_check_theorem_non_finite_and_zero_ending_series(monkeypatch):
     t_grid = [10.0, 20.0, 40.0, 80.0]
     monkeypatch.setattr(cond, "I_moments",
                         lambda kernel, intensity, T, i: series[i][t_grid.index(T)])
-    args = (kernels.Rectangular(1.0), crm.GeneralizedGamma(0.5, 1.0), cond.Theorem.CUMHAZ,
-            asy.Power(0.0), t_grid)
+    args = (kernels.Rectangular(1.0), crm.GeneralizedGamma(0.5, 1.0),
+            asy.Functional.CUMULATIVE_HAZARD, asy.Power(0.0), t_grid)
     shown = lambda v: (v.kind, repr(v.slope), repr(v.r2), v.limit_est)
     inconclusive = ("inconclusive", "nan", "nan", None)
     # a non-finite value decides before the 0 at the end

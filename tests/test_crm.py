@@ -712,7 +712,7 @@ def test_thinning_acceptance_rate(entropy, intensity, hi, eps, monkeypatch):
     # probability that drops atoms, fails it.  The envelope atoms are
     # counted where the series returns them.
     env, mult, _ = intensity.envelope(0.0, hi)
-    kinks = [k for k in intensity.profile.kinks if 0.0 < k < hi] or None
+    kinks = [k for k in intensity.fn.kinks if 0.0 < k < hi] or None
     accepted_mass, _ = integrate.quad(lambda x: crm.tail_mass(intensity, eps, x), 0.0, hi,
                                       points=kinks, limit=200)
     rate = accepted_mass / (hi * mult * crm.tail_mass(env, eps))

@@ -127,7 +127,7 @@ def _slice_edges(kern, c):
     if isinstance(kern, kernels.Rectangular):
         return [c - kern.tau, c + kern.tau]
     if isinstance(kern, kernels.UShaped):
-        return [kern.beta_center - c, kern.beta_center + c]
+        return [kern.beta - c, kern.beta + c]
     return [c]
 
 
@@ -138,7 +138,7 @@ def quad_mean_hazard(kern, intensity, t):
     if isinstance(kern, kernels.Rectangular):
         lo, hi = max(t - kern.tau, 0.0), t + kern.tau
     else:
-        lo, hi = 0.0, abs(t - kern.beta_center) if isinstance(kern, kernels.UShaped) else t
+        lo, hi = 0.0, abs(t - kern.beta) if isinstance(kern, kernels.UShaped) else t
     if hi <= lo:
         return 0.0
     pts = [math.sqrt(c) for c in intensity.kinks if lo < c < hi]

@@ -62,10 +62,19 @@ BETA_B = np.geomspace(0.05, 20.0, 25)
 BETA_X = np.concatenate([np.geomspace(1e-12, 0.5, 60), 1.0 - np.geomspace(1e-13, 0.5, 60)[::-1]])
 
 
+# concentrations with a + b >= 170, where B(a, b) comes from Stirling's
+# series (a constant profile of value 200 reaches them), at truncation
+# levels up to 0.02: above that scipy's betaincc itself is off by up to
+# 5e-13 at b ~ 350 (x = 0.05, against 30-digit mpmath)
+BETA_B_LARGE = np.geomspace(170.0, 400.0, 7)
+BETA_X_SMALL = np.geomspace(1e-12, 0.02, 40)
+
+
 @pytest.mark.parametrize("name", ["betainc", "betaincc"])
 def test_incomplete_beta(name):
-    a, b, x = np.meshgrid(BETA_A, BETA_B, BETA_X, indexing="ij")
-    assert_rel(getattr(_numeric, name)(a, b, x), getattr(special, name)(a, b, x))
+    for grid in ((BETA_A, BETA_B, BETA_X), (BETA_A, BETA_B_LARGE, BETA_X_SMALL)):
+        a, b, x = np.meshgrid(*grid, indexing="ij")
+        assert_rel(getattr(_numeric, name)(a, b, x), getattr(special, name)(a, b, x))
 
 
 def test_incomplete_beta_edges():

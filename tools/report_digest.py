@@ -14,11 +14,13 @@ missing on one side, or a child fails.
 
 With --cli the child instead runs `hazardlab.cli.main` on every INI that
 the export's perfbench/workloads.py builds for its four benchmark
-workloads at seeds 1-3, and `regimes` without a config, each with
-`--format json` and with `--format csv`.  Each run writes to the same
-relative `--out` name in both exports, so the provenance lines match; the
-digest is the exit status, the sha256 of the written file and that of
-the printed lines.  A --cli pass takes about 20 s per revision.
+workloads at seeds 1-3, on the small INIs of CLI_CONFIGS, and `regimes`
+without a config, each with `--format json` and with `--format csv`
+(`sample-paths`, which writes CSV only and takes no `--format`, once).
+Each run writes to the same relative `--out` name in both exports, so the
+provenance lines match; the digest is the exit status, the sha256 of the
+written file and that of the printed lines.  A --cli pass takes about
+20 s per revision.
 
 The configs: the three `simulate` workloads of perfbench/workloads.py at
 seeds 1-3, criterion 5's two runs (seed 20260809), criterion 6's two runs
@@ -44,6 +46,50 @@ from bench_pairs import SIDES, _export
 
 WORKERS = (1, 2)
 SEEDS = (1, 2, 3)
+
+
+def _ini(experiment: str, kernel: str, crm: str) -> str:
+    return f"[experiment]\n{experiment}\n\n[kernel]\n{kernel}\n\n[crm]\n{crm}\n"
+
+
+_GRID = "t_grid = 5,10,20,40"
+_GG = "family = generalized_gamma\nsigma = 0.5\ngamma = 1.0"
+_EG_SQRT = "family = extended_gamma\nfn = affine_sqrt\na = 1.0\nb = 1.0"
+_BETA_2 = "family = beta\nfn = constant\nvalue = 2.0"
+_BETA_SQRT = "family = beta\nfn = indicator_sqrt\nb = 1.0"
+_RECT, _DL = "type = rectangular\ntau = 1.0", "type = dykstra_laud"
+_OU, _U = "type = ornstein_uhlenbeck\nkappa = 1.0", "type = u_shaped\nbeta = 2.0"
+# (label, subcommand, INI): each kernel type, family and profile and each
+# theorem, besides the benchmark workloads' rectangular and OU kernels,
+# generalized gamma and constant extended gamma and theorem path2nd; each
+# run takes well under a second
+CLI_CONFIGS = [
+    ("conditions cumhaz dykstra_laud+gg", "check-conditions",
+     _ini(f"kind = check-conditions\ntheorem = cumhaz\n{_GRID}", _DL, _GG)),
+    ("conditions cumhaz dykstra_laud+eg(affine_sqrt)", "check-conditions",
+     _ini(f"kind = check-conditions\ntheorem = cumhaz\n{_GRID}", _DL, _EG_SQRT)),
+    ("conditions pathvar rectangular+beta(constant)", "check-conditions",
+     _ini(f"kind = check-conditions\ntheorem = pathvar\nrate = power:0.5\n{_GRID}\n"
+          "expect_condition_1 = vanishes", _RECT, _BETA_2)),
+    ("conditions path2nd u_shaped+beta(indicator_sqrt)", "check-conditions",
+     _ini(f"kind = check-conditions\ntheorem = path2nd\nrate = power:0.5\n{_GRID}", _U,
+          _BETA_SQRT)),
+    ("simulate cumhaz rectangular+beta(indicator_sqrt)", "simulate",
+     _ini("kind = simulate\nfunctional = cumulative_hazard\nhorizon = 20\nreplicates = 100\n"
+          "seed = 4\nepsilon = 1e-3", _RECT, _BETA_SQRT)),
+    ("simulate cumhaz dykstra_laud+eg(affine_sqrt) catalog", "simulate",
+     _ini("kind = simulate\nfunctional = cumulative_hazard\nhorizon = 20\nreplicates = 100\n"
+          "seed = 5\nepsilon = 1e-4\ncentering = catalog", _DL, _EG_SQRT)),
+    ("simulate pathvar ornstein_uhlenbeck+beta(constant)", "simulate",
+     _ini("kind = simulate\nfunctional = path_variance\nhorizon = 20\nreplicates = 100\n"
+          "seed = 6\nepsilon = 1e-3", _OU, _BETA_2)),
+    ("sample-paths u_shaped+beta(constant)", "sample-paths",
+     _ini("kind = sample-paths\nhorizon = 20\nseed = 7\nepsilon = 1e-3\ngrid_n = 50", _U,
+          _BETA_2)),
+    ("sample-paths ornstein_uhlenbeck+eg(affine_sqrt)", "sample-paths",
+     _ini("kind = sample-paths\nhorizon = 20\nseed = 8\nepsilon = 1e-3\ngrid_n = 50", _OU,
+          _EG_SQRT)),
+]
 
 
 def _configs() -> list:
@@ -105,6 +151,7 @@ def _cli_digests():
     for name in sorted(WORKLOADS):
         runs += [(f"{name} seed {seed} {label}", (WORKLOADS[name].command, text))
                  for seed in SEEDS for label, text in WORKLOADS[name].configs(seed)]
+    runs += [(label, (command, text)) for label, command, text in CLI_CONFIGS]
     os.mkdir("cli-runs")
     os.chdir("cli-runs")
     for i, (label, config) in enumerate(runs):
@@ -113,11 +160,12 @@ def _cli_digests():
             with open(f"run{i}.ini", "w") as fh:
                 fh.write(config[1])
             argv = [config[0], "--config", f"run{i}.ini"]
-        for fmt in ("json", "csv"):
+        paths = argv[0] == "sample-paths"
+        for fmt in ("csv",) if paths else ("json", "csv"):
             out = f"run{i}.{fmt}"
             printed = io.StringIO()
             with contextlib.redirect_stdout(printed):
-                status = cli.main(argv + ["--format", fmt, "--out", out])
+                status = cli.main(argv + ([] if paths else ["--format", fmt]) + ["--out", out])
             written = "-"
             if os.path.exists(out):
                 with open(out, "rb") as fh:
