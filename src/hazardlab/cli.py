@@ -315,6 +315,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{cfg.kind} requires a [crm] section")
     elif (cfg.kernel is None) != (cfg.intensity is None):
         raise ConfigError("regimes takes a [kernel] and a [crm] section together, or neither")
+    if cfg.kind == "sample-paths":
+        if cfg.out_format != "csv" and "format" in sections["output"]:
+            raise ConfigError(f"line {sections['output']['format'][1]}: sample-paths writes "
+                              f"csv, not output.format = {cfg.out_format}")
+        cfg.out_format = "csv"
     return cfg
 
 

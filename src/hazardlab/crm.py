@@ -7,20 +7,24 @@ measure on locations:
 * extended gamma      rho(dv|x) = e^{-beta(x) v} / v dv
 * beta                rho(dv|x) = c(x) (1-v)^{c(x)-1} / v dv   on (0,1)
 
-The module answers two questions, each through one function: jump_moment
-gives the exact (full or epsilon-truncated) jump moment at a location,
-and sample gives an epsilon-truncated draw on a window.  A homogeneous
-draw is the Ferguson-Klass series; a non-homogeneous one is thinned from
-a constant-parameter envelope.  Ferguson-Klass runs on a dominating Levy
-measure nu0 >= rho with a closed-form tail inverse and keeps each jump v
-with probability rho(v)/nu0(v) (Rosinski's rejection method); extended
-gamma, which has no such nu0 yet, inverts the tail of rho by one cubic per
-jump, from a cached Hermite table of log v on nodes uniform in
-log(rate * N(v)).  Given a bulk, sample draws that interval's mass whole,
-from the family's exact total-mass law (mass_law): one exact
-tilted-stable draw for generalized gamma (Devroye's double rejection),
-one gamma draw for constant extended gamma.  Each family's class carries
-its facts; the module functions are the validated entry points.
+The module answers two questions: jump_moment gives the exact (full or
+epsilon-truncated) jump moment at a location, and plan and sample give
+an epsilon-truncated draw on a window.  plan lays the draw out once and
+refuses it before anything is drawn (the series' measure, rate and
+expected arrivals, its dominating measure, the thinning and the bulk);
+sample draws from a plan, and every draw from one plan, on its own
+stream, draws the same law.  A homogeneous draw is the Ferguson-Klass
+series; a non-homogeneous one is thinned from a constant-parameter
+envelope.  Ferguson-Klass runs on a dominating Levy measure nu0 >= rho
+with a closed-form tail inverse and keeps each jump v with probability
+rho(v)/nu0(v) (Rosinski's rejection method); extended gamma, which has
+no such nu0 yet, inverts the tail of rho by one cubic per jump, from a
+cached Hermite table of log v on nodes uniform in log(rate * N(v)).
+Given a bulk, the draw takes that interval's mass whole, from the
+family's exact total-mass law (mass_law): one exact tilted-stable draw
+for generalized gamma (Devroye's double rejection), one gamma draw for
+constant extended gamma.  Each family's class carries its facts; the
+module functions are the validated entry points.
 """
 from __future__ import annotations
 
@@ -37,8 +41,8 @@ from ._numeric import (_STREAM, betainc, betaincc, exp1, gammainc, gammaincc, ga
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
     "GeneralizedGamma", "ExtendedGamma", "Beta", "JumpIntensity",
-    "CrmSample", "EnvelopeError", "Dominating", "MAX_EXPECTED_ATOMS",
-    "jump_moment", "tail_mass", "jump_density", "mean_below", "sample", "expected_atoms",
+    "CrmSample", "EnvelopeError", "Dominating", "MAX_EXPECTED_ATOMS", "Plan",
+    "jump_moment", "tail_mass", "jump_density", "mean_below", "plan", "sample",
 ]
 
 
@@ -713,33 +717,69 @@ def _invert_tail(intensity: JumpIntensity, rate: float, epsilon: float,
     return np.exp(log_v, out=log_v)
 
 
-@lru_cache(maxsize=64)
-def _tail_at(intensity: JumpIntensity, epsilon: float) -> float:
-    """tail_mass(intensity, epsilon), cached: the per-replicate series
-    length of the family without a dominating measure (extended gamma),
-    whose E1 would otherwise be evaluated once per replicate."""
-    return tail_mass(intensity, epsilon)
+class Plan(NamedTuple):
+    """A draw laid out by plan: the window (lo, hi); the series' measure
+    (the intensity, or its thinning envelope) and rate (the window's
+    length, outside the bulk only or times the envelope's multiplier);
+    epsilon; the thinning acceptance of (v, x); the measure's Dominating
+    measure; the series' expected arrivals; and the bulk ((a, b), law)."""
+    window: tuple
+    measure: JumpIntensity
+    rate: float
+    epsilon: float
+    accept: Optional[Callable]
+    dominating: Optional[Dominating]
+    atoms: float
+    bulk: Optional[tuple]
 
 
-def _arrivals(intensity: JumpIntensity, rate: float, epsilon: float) -> float:
-    """The expected number of arrivals _fk_jumps draws: rate times the
-    tail at epsilon of the measure the series runs on."""
-    dom = intensity.dominating()
-    if epsilon >= intensity.ceiling:
-        return 0.0
-    if dom is None:
-        return rate * _tail_at(intensity, epsilon)
-    # on a numpy scalar an overflowing tail reads inf
-    return rate * float(dom.tail(np.float64(epsilon)))
+def plan(intensity: JumpIntensity, window, epsilon: float, bulk=None) -> Plan:
+    """Lay out the epsilon-truncated draw of the CRM on the window, and
+    refuse it before anything is drawn: ValueError for a bad window,
+    epsilon or bulk and when the series expects more than
+    MAX_EXPECTED_ATOMS arrivals, EnvelopeError when a beta profile has no
+    envelope on the window.  Every draw from one plan (sample) draws the
+    same law; a plan holds no state from one draw to the next."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo >= 0.0):
+        raise ValueError(f"window must be a bounded interval [a,b) with 0 <= a < b, got {window}")
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be > 0")
+    measure, rate, accept = intensity, hi - lo, None
+    if bulk is not None:
+        if not intensity.homogeneous:
+            raise ValueError(
+                f"{intensity.label()} is non-homogeneous: it has no total-mass law for a bulk")
+        a, b = float(bulk[0][0]), float(bulk[0][1])
+        if not (lo <= a < b <= hi):
+            raise ValueError(f"bulk {bulk[0]} is not an interval of the window [{lo:g},{hi:g})")
+        rate = (a - lo) + (hi - b)
+        bulk = ((a, b), bulk[1])
+    elif not intensity.homogeneous:
+        measure, rate_mult, accept = intensity.envelope(lo, hi)
+        rate *= rate_mult
+    dom = measure.dominating()
+    if epsilon >= measure.ceiling:
+        atoms = 0.0
+    elif dom is None:
+        atoms = rate * tail_mass(measure, epsilon)
+    else:
+        # on a numpy scalar an overflowing tail reads inf
+        atoms = rate * float(dom.tail(np.float64(epsilon)))
+    if not atoms <= MAX_EXPECTED_ATOMS:
+        raise ValueError(
+            f"epsilon={epsilon:g} asks for {atoms:.3g} expected atoms per draw of "
+            f"{measure.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}; raise epsilon")
+    return Plan((lo, hi), measure, rate, epsilon, accept, dom, atoms, bulk)
 
 
-def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
-              rng: np.random.Generator) -> np.ndarray:
-    """Ferguson-Klass series for a homogeneous intensity scaled by `rate`,
+def _fk_jumps(plan: Plan, rng: np.random.Generator) -> np.ndarray:
+    """Ferguson-Klass series of the plan's measure scaled by its rate,
     stopped at the first jump below epsilon: unit-rate Poisson arrivals g
-    mapped to the jump v with rate * nu0((v, inf)) = g.
+    up to the plan's count (atoms), each mapped to the jump v with
+    rate * nu0((v, inf)) = g.
 
-    nu0 is the family's dominating measure, whose tail inverts in closed
+    nu0 is the plan's dominating measure, whose tail inverts in closed
     form; each jump is then kept with probability rho(v)/nu0(v), and the
     kept jumps are exactly the epsilon-truncated series of rho (Rosinski's
     rejection method).  The family without one (extended gamma) has
@@ -747,8 +787,7 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     cached Hermite table, with no tail evaluation.  Both maps run
     over blocks of _STREAM arrivals, so their temporaries stay in cache.
     """
-    dom = intensity.dominating()
-    n_eps = _arrivals(intensity, rate, epsilon)
+    n_eps, dom, rate = plan.atoms, plan.dominating, plan.rate
     if n_eps <= 0.0:
         return np.empty(0)
     chunks = []
@@ -769,7 +808,7 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     for i in range(0, gammas.size, _STREAM):
         g = gammas[i:i + _STREAM]
         if dom is None:
-            v = _invert_tail(intensity, rate, epsilon, g)
+            v = _invert_tail(plan.measure, rate, plan.epsilon, g)
         else:
             v = dom.inverse(g / rate)
             v = v[rng.random(v.size) < dom.keep(v)]
@@ -778,48 +817,9 @@ def _fk_jumps(intensity: JumpIntensity, rate: float, epsilon: float,
     return gammas[:kept]
 
 
-def _plan(intensity: JumpIntensity, window, epsilon: float, bulk=None) -> tuple:
-    """The draw that sample makes, refused before anything is drawn:
-    (lo, hi, measure, rate, accept, atoms), the window, the measure and
-    rate of the series (the intensity's over the window, or the window's
-    length outside a bulk; the envelope's over the window times its
-    multiplier), the thinning acceptance of (v, x) or None, and the
-    series' expected arrivals (_arrivals)."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo >= 0.0):
-        raise ValueError(f"window must be a bounded interval [a,b) with 0 <= a < b, got {window}")
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be > 0")
-    measure, rate, accept = intensity, hi - lo, None
-    if bulk is not None:
-        if not intensity.homogeneous:
-            raise ValueError(
-                f"{intensity.label()} is non-homogeneous: it has no total-mass law for a bulk")
-        a, b = float(bulk[0][0]), float(bulk[0][1])
-        if not (lo <= a < b <= hi):
-            raise ValueError(f"bulk {bulk[0]} is not an interval of the window [{lo:g},{hi:g})")
-        rate = (a - lo) + (hi - b)
-    elif not intensity.homogeneous:
-        measure, rate_mult, accept = intensity.envelope(lo, hi)
-        rate *= rate_mult
-    atoms = _arrivals(measure, rate, epsilon)
-    if not atoms <= MAX_EXPECTED_ATOMS:
-        raise ValueError(
-            f"epsilon={epsilon:g} asks for {atoms:.3g} expected atoms per draw of "
-            f"{measure.label()}, above the limit {MAX_EXPECTED_ATOMS:.3g}; raise epsilon")
-    return lo, hi, measure, rate, accept, atoms
-
-
-def expected_atoms(intensity: JumpIntensity, window, epsilon: float, bulk=None) -> float:
-    """The expected arrivals of the series that sample(intensity, window,
-    epsilon, rng, bulk) draws, a bulk counting as none; refuses as it does."""
-    return _plan(intensity, window, epsilon, bulk)[-1]
-
-
-def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Generator,
-           bulk=None) -> CrmSample:
-    """An epsilon-truncated draw of the CRM on the window, exact above
-    epsilon.
+def sample(plan: Plan, rng: np.random.Generator) -> CrmSample:
+    """An epsilon-truncated draw of the CRM as the plan lays it out, exact
+    above epsilon.
 
     A homogeneous intensity is drawn by Ferguson-Klass with rejection from
     its dominating measure (see _fk_jumps): jumps non-increasing, locations
@@ -829,9 +829,9 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     with probability rho(v|x)/rho_env(v), which is exp(-(beta(x)-L)v)
     resp. (c(x)/c_max)(1-v)^{c(x)-c_min}.
 
-    bulk = ((a, b), law), homogeneous intensities only, draws the mass of
-    the interval [a, b) whole from law, the family's mass_law(b - a),
-    untruncated, as one aggregated atom at its midpoint; the rest of the
+    The plan's bulk ((a, b), law), homogeneous intensities only, draws the
+    mass of the interval [a, b) whole from law, the family's mass_law(b -
+    a), untruncated, as one aggregated atom at its midpoint; the rest of the
     window is the series at epsilon.  That series runs over the window's
     length outside [a, b), its locations uniform on [lo, lo + length),
     and those at or past a move past b by adding (x >= a) (b - a): one
@@ -839,25 +839,20 @@ def sample(intensity: JumpIntensity, window, epsilon: float, rng: np.random.Gene
     atom comes last.  A functional that is constant in x on the bulk sees
     the same law as on the full series there, with nothing below epsilon
     discarded.
-
-    Raises ValueError, before any draw, when the expected series length
-    exceeds MAX_EXPECTED_ATOMS, and EnvelopeError when a beta profile has
-    no envelope on the window.
     """
-    lo, hi, measure, rate, accept, _ = _plan(intensity, window, epsilon, bulk)
-    series = _fk_jumps(measure, rate, epsilon, rng)
-    if bulk is None:
+    (lo, hi), accept = plan.window, plan.accept
+    series = _fk_jumps(plan, rng)
+    if plan.bulk is None:
         locations = rng.uniform(lo, hi, size=series.size)
         if accept is None:
             return CrmSample(series, locations, (lo, hi))
         keep = rng.uniform(size=series.size) < accept(series, locations)
         return CrmSample(series[keep], locations[keep], (lo, hi))
-    interval, law = bulk
-    a, b = float(interval[0]), float(interval[1])
+    (a, b), law = plan.bulk
     n = series.size
     jumps, locations = np.empty(n + 1), np.empty(n + 1)
     jumps[:n] = series
-    u = rng.uniform(lo, lo + rate, size=n)
+    u = rng.uniform(lo, lo + plan.rate, size=n)
     # the series' locations at or past a move over the bulk by b - a; the
     # others gain +0.0, which is exact
     np.multiply(u >= a, b - a, out=locations[:n])

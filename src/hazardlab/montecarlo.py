@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -229,32 +230,32 @@ def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
     """Draw replicate r's full epsilon-truncated series on the kernel's
     location window: the sample every path functional and `sample-paths`
     evaluate."""
-    return crm.sample(config.intensity, kernels.location_window(config.kernel, config.horizon),
-                      config.epsilon, _stream(config, replicate))
+    window = kernels.location_window(config.kernel, config.horizon)
+    return crm.sample(crm.plan(config.intensity, window, config.epsilon),
+                      _stream(config, replicate))
 
 
-def _bulk(config: ExperimentConfig):
-    """(interval, law): the interval where K_T is constant and the family's
-    total-mass law there (mass_law), when the functional is the cumulative
-    hazard and the family has one; else None.  The cumulative hazard
-    weighs the atoms of that interval by one value, so it needs their
-    total mass only."""
-    if config.functional is not Functional.CUMULATIVE_HAZARD:
-        return None
+@lru_cache(maxsize=1)
+def _draw_plan(config: ExperimentConfig) -> crm.Plan:
+    """The crm.plan every replicate of the config draws from, memoised for
+    the last config (forked pool workers inherit run_clt's; spawned ones
+    build it once): the series on the kernel's location window, except
+    that the cumulative hazard, which weighs the atoms of an interval
+    where K_T is flat by one value, draws their mass whole there (the
+    plan's bulk) where the family has a total-mass law (mass_law)."""
+    window = kernels.location_window(config.kernel, config.horizon)
     flat = config.kernel.flat(config.horizon)
-    if flat is None:
-        return None
-    law = config.intensity.mass_law(flat[1] - flat[0])
-    return None if law is None else (flat, law)
+    law = None
+    if config.functional is Functional.CUMULATIVE_HAZARD and flat is not None:
+        law = config.intensity.mass_law(flat[1] - flat[0])
+    bulk = None if law is None else (flat, law)
+    return crm.plan(config.intensity, window, config.epsilon, bulk)
 
 
 def sample_crm(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
-    """Draw replicate r for the config's functional: the full series
-    (sample_series), except for the cumulative hazard where K_T is flat on
-    an interval and the family has a total-mass law there (_bulk), whose
-    mass is then drawn whole (crm.sample's bulk)."""
-    return crm.sample(config.intensity, kernels.location_window(config.kernel, config.horizon),
-                      config.epsilon, _stream(config, replicate), bulk=_bulk(config))
+    """Draw replicate r for the config's functional from its one plan
+    (_draw_plan)."""
+    return crm.sample(_draw_plan(config), _stream(config, replicate))
 
 
 _FUNCTIONALS = {
@@ -282,7 +283,7 @@ def _exact_mean(config: ExperimentConfig, epsilon: float) -> float:
     kernel, intensity, T = config.kernel, config.intensity, config.horizon
     if config.functional is Functional.CUMULATIVE_HAZARD:
         i1 = I_moments(kernel, intensity, T, 1, epsilon)
-        bulk = _bulk(config)
+        bulk = _draw_plan(config).bulk
         if bulk is None:
             return i1
         # the mass below epsilon that the bulk keeps
@@ -318,15 +319,13 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
     so only catalog centering can trip the budget), and raises the
     catalog's NotCatalogedError for a pair without a cataloged limit.
     The worker count is resolve_workers(workers), given the atoms all
-    replicates expect (crm.expected_atoms, which refuses an oversized draw
-    before the centering quadrature and the pool start): by default a run
-    too small to pay for the pool's start-up is drawn in this process.
+    replicates expect (the draw plan's, whose build refuses an oversized
+    draw before the centering quadrature and the pool start): by default a
+    run too small to pay for the pool's start-up is drawn in this process.
     """
     spec = regime(config.kernel, config.intensity, config.functional)
     T, R = config.horizon, config.replicates
-    window = kernels.location_window(config.kernel, T)
-    atoms = crm.expected_atoms(config.intensity, window, config.epsilon, _bulk(config))
-    nworkers = resolve_workers(workers, R * atoms)
+    nworkers = resolve_workers(workers, R * _draw_plan(config).atoms)
     rate_value = spec.rate(T)
     target_sd = math.sqrt(spec.limit_variance)
 

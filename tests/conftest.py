@@ -17,6 +17,16 @@ def seeded(entropy, key=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(key,)))
 
 
+def series_arrivals(measure, rate, epsilon):
+    """The expected arrivals of a Ferguson-Klass series of the homogeneous
+    measure scaled by rate: rate times the tail at epsilon of its
+    dominating measure, or of the measure itself where it has none."""
+    dom = measure.dominating()
+    if dom is None:
+        return rate * crm.tail_mass(measure, epsilon)
+    return rate * float(dom.tail(np.float64(epsilon)))
+
+
 def traced_peak(f, *args):
     """Peak bytes that tracemalloc traces during f(*args)."""
     tracemalloc.start()

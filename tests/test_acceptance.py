@@ -330,7 +330,7 @@ def test_criterion_8_invariant_suites():
                 != s_d ** 2 / T_d * kernels.Q_T(kern, T_d, x_d, x_d):
             failures.append(("diagonal", kern.label()))
     # (e) monotone hazard paths for the monotone kernel
-    smp = crm.sample(EG1, (0.0, 30.0), 1e-5, seeded(9208))
+    smp = crm.sample(crm.plan(EG1, (0.0, 30.0), 1e-5), seeded(9208))
     path = mc.hazard_path(smp, kernels.DykstraLaud(), np.linspace(0, 30, 2000))
     if not np.all(np.diff(path) >= -1e-12):
         failures.append(("monotone",))
@@ -356,9 +356,9 @@ def test_criterion_9_performance_contract():
     kern = kernels.OrnsteinUhlenbeck(1.0)
     T = 500.0
     window = kernels.location_window(kern, T)
-    crm.sample(EG1, window, 1e-6, seeded(9009))   # warm the tail table
+    crm.sample(crm.plan(EG1, window, 1e-6), seeded(9009))   # warm the tail table
     t0 = time.perf_counter()
-    s = crm.sample(EG1, window, 1e-6, seeded(9009, 1))
+    s = crm.sample(crm.plan(EG1, window, 1e-6), seeded(9009, 1))
     mc.cumhaz(s, kern, T)
     mc.path_second_moment(s, kern, T)
     mc.path_variance(s, kern, T)

@@ -257,15 +257,38 @@ gamma = 1.0
     assert not out.exists()
 
 
+# SIMULATE as a sample-paths config with no output format
+PATHS = SIMULATE.replace("kind = simulate", "kind = sample-paths").replace("format = json\n", "")
+
+
 def test_sample_paths_csv(tmp_path):
+    # the provenance line echoes the CSV that sample-paths writes
     cfg_path = tmp_path / "paths.ini"
-    cfg_path.write_text(SIMULATE.replace("kind = simulate", "kind = sample-paths"))
+    cfg_path.write_text(PATHS)
     out = tmp_path / "paths.csv"
     assert cli.main(["sample-paths", "--config", str(cfg_path), "--grid", "257",
                      "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#") and lines[1] == "t,hazard"
+    assert lines[0].endswith(" ; format = csv")
     assert len(lines) == 2 + 257
+    assert cli.parse_config(PATHS + "format = csv\n").out_format == "csv"
+
+
+def test_sample_paths_refuses_a_json_format(tmp_path, capsys):
+    text = PATHS + "format = json\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(cli.ConfigError, match=rf"^line {lineno}: sample-paths writes csv, "
+                                              rf"not output\.format = json$"):
+        cli.parse_config(text)
+    cfg_path = tmp_path / "paths.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "paths.csv"
+    assert cli.main(["sample-paths", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: line {lineno}: sample-paths writes csv, "
+                                         f"not output.format = json"]
+    assert captured.out == "" and not out.exists()
 
 
 def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
@@ -282,7 +305,7 @@ def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
     assert cli.main(["sample-paths", "--config", str(cfg_path), "--grid", "50",
                      "--out", str(out)]) == 0
     window = kernels.location_window(kern, 20.0)
-    series = crm.sample(gg, window, 1e-6, _stream(1, 0))
+    series = crm.sample(crm.plan(gg, window, 1e-6), _stream(1, 0))
     ts = np.linspace(0.0, 20.0, 50)
     body = "t,hazard\n" + "\n".join(f"{t:.17g},{h:.17g}" for t, h in
                                      zip(ts, montecarlo.hazard_path(series, kern, ts))) + "\n"
@@ -293,7 +316,7 @@ def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
                                   epsilon=1e-3)
         window = kernels.location_window(kern, 30.0)
         assert montecarlo.run_clt(config, workers=1).values == [
-            f(crm.sample(gg, window, 1e-3, _stream(11, r)), kern, 30.0)
+            f(crm.sample(crm.plan(gg, window, 1e-3), _stream(11, r)), kern, 30.0)
             for r in range(100)]
 
 
@@ -653,7 +676,7 @@ def test_non_finite_gamma_fails_at_its_line(tmp_path, capsys):
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
 def test_grid_override_follows_the_grid_n_rule(tmp_path, capsys, grid):
     cfg_path = tmp_path / "paths.ini"
-    cfg_path.write_text(SIMULATE.replace("kind = simulate", "kind = sample-paths"))
+    cfg_path.write_text(PATHS)
     out = tmp_path / "paths.csv"
     assert cli.main(["sample-paths", "--config", str(cfg_path), "--grid", grid,
                      "--out", str(out)]) == 1

@@ -10,7 +10,7 @@ from scipy import integrate, optimize, special, stats
 from hazardlab import crm, kernels
 from hazardlab._numeric import comp_sum
 
-from conftest import quad_moment, random_intensity, seeded
+from conftest import quad_moment, random_intensity, seeded, series_arrivals
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +176,17 @@ def test_inverse_tail_identity():
 # homogeneous sampler
 # ---------------------------------------------------------------------------
 
-def test_sampler_rejects_bad_arguments(rng):
+def test_sampler_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        crm.sample(crm.GeneralizedGamma(0.5, 1.0), (0, 1), 0.0, rng)
+        crm.plan(crm.GeneralizedGamma(0.5, 1.0), (0, 1), 0.0)
     with pytest.raises(ValueError):
-        crm.sample(crm.GeneralizedGamma(0.5, 1.0), (3, 1), 1e-6, rng)
+        crm.plan(crm.GeneralizedGamma(0.5, 1.0), (3, 1), 1e-6)
 
 
 def test_beta_full_truncation(rng):
     # epsilon >= 1 discards every jump
     be = crm.Beta(crm.Constant(1.0))
-    s = crm.sample(be, (0.0, 5.0), 1.0, rng)
+    s = crm.sample(crm.plan(be, (0.0, 5.0), 1.0), rng)
     assert s.size == 0
 
 
@@ -194,7 +194,7 @@ def test_jumps_nonincreasing_and_above_epsilon(rng):
     for intensity in (crm.GeneralizedGamma(0.4, 1.5),
                       crm.ExtendedGamma(crm.Constant(0.8)),
                       crm.Beta(crm.Constant(2.0))):
-        s = crm.sample(intensity, (0.0, 30.0), 1e-5, rng)
+        s = crm.sample(crm.plan(intensity, (0.0, 30.0), 1e-5), rng)
         assert np.all(np.diff(s.jumps) <= 0)
         assert s.jumps.min() >= 1e-5
         if isinstance(intensity, crm.Beta):
@@ -204,14 +204,12 @@ def test_jumps_nonincreasing_and_above_epsilon(rng):
 
 def test_poisson_count_law():
     # window [0,100], epsilon 1e-6: mean atom count over 200 seeded draws
-    # matches 100 * tail_mass(1e-6) well within the Poisson band
+    # from one plan matches 100 * tail_mass(1e-6) well within the Poisson
+    # band
     gg = crm.GeneralizedGamma(0.5, 1.0)
     lam = 100.0 * crm.tail_mass(gg, 1e-6)
-    counts = []
-    for r in range(200):
-        s = crm.sample(gg, (0.0, 100.0), 1e-6, seeded(105, r))
-        counts.append(s.size)
-    mean = np.mean(counts)
+    plan = crm.plan(gg, (0.0, 100.0), 1e-6)
+    mean = np.mean([crm.sample(plan, seeded(105, r)).size for r in range(200)])
     tol = 4.0 * math.sqrt(lam / 200.0)
     assert abs(mean - lam) <= tol, (mean, lam, tol)
 
@@ -239,8 +237,8 @@ def test_sampled_jumps_follow_the_truncated_law(entropy, intensity):
     # keeps all of it for beta(1) and thins both pieces of the two-piece
     # measure of beta(0.3) and beta(0.5); gamma inverts its tail table.
     eps = 1e-3
-    jumps = np.concatenate([crm.sample(intensity, (0.0, 200.0), eps, seeded(entropy, r)).jumps
-                            for r in range(50)])
+    plan = crm.plan(intensity, (0.0, 200.0), eps)
+    jumps = np.concatenate([crm.sample(plan, seeded(entropy, r)).jumps for r in range(50)])
     p = stats.kstest(_truncated_law_cdf(intensity, jumps, eps), "uniform").pvalue
     assert p > 1e-3, (intensity, jumps.size, p)
 
@@ -251,22 +249,18 @@ def test_sampled_jumps_follow_the_truncated_law(entropy, intensity):
     (122, crm.Beta(crm.Constant(0.5)))], ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_count_law_per_sampling_path(entropy, intensity, monkeypatch):
     # like test_poisson_count_law; extended gamma, which has no dominating
-    # measure, inverts its own tail once per draw, and beta never does
+    # measure, inverts its own tail once per draw, and beta never does.  A
+    # 2% error in the plan's count is 2.6 of extended gamma's 4-SE band
     inversions = []
     invert = crm._invert_tail
     monkeypatch.setattr(crm, "_invert_tail",
                         lambda *args: inversions.append(1) or invert(*args))
     lam = 100.0 * crm.tail_mass(intensity, 1e-6)
-    counts = [crm.sample(intensity, (0.0, 100.0), 1e-6, seeded(entropy, r)).size
-              for r in range(200)]
+    plan = crm.plan(intensity, (0.0, 100.0), 1e-6)
+    counts = [crm.sample(plan, seeded(entropy, r)).size for r in range(200)]
     assert len(inversions) == (200 if isinstance(intensity, crm.ExtendedGamma) else 0)
     tol = 4.0 * math.sqrt(lam / 200.0)
     assert abs(np.mean(counts) - lam) <= tol, (np.mean(counts), lam, tol)
-
-
-class _NoDraws:
-    def __getattr__(self, name):
-        raise AssertionError(f"the sampler drew ({name}) before refusing")
 
 
 def test_sampler_refuses_oversized_series_before_drawing():
@@ -275,12 +269,12 @@ def test_sampler_refuses_oversized_series_before_drawing():
     window = kernels.location_window(kernels.Rectangular(1.0), 500.0)
     with pytest.raises(ValueError, match=r"epsilon=1e-08 asks for 9\.\d+e\+08 expected "
                                          r"atoms .* above the limit 2e\+07"):
-        crm.sample(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8, _NoDraws())
-    s = crm.sample(crm.GeneralizedGamma(0.5, 1.0), window, 1e-6, seeded(123))
+        crm.plan(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8)
+    s = crm.sample(crm.plan(crm.GeneralizedGamma(0.5, 1.0), window, 1e-6), seeded(123))
     assert 5.6e5 < s.size < 5.7e5
     # the thinning sampler checks its envelope's series the same way
     with pytest.raises(ValueError, match="above the limit"):
-        crm.sample(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 1e7), 1e-6, _NoDraws())
+        crm.plan(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 1e7), 1e-6)
 
 
 def test_beta_small_c_preflight_counts_the_dominating_series():
@@ -290,7 +284,7 @@ def test_beta_small_c_preflight_counts_the_dominating_series():
     with pytest.raises(ValueError, match=r"^epsilon=1e-06 asks for 2\.14e\+07 expected atoms "
                                          r"per draw of beta\(constant\(0\.5\)\), above the "
                                          r"limit 2e\+07; raise epsilon$"):
-        crm.sample(crm.Beta(crm.Constant(0.5)), (0.0, 2e6), 1e-6, _NoDraws())
+        crm.plan(crm.Beta(crm.Constant(0.5)), (0.0, 2e6), 1e-6)
 
 
 def test_campbell_mean_per_family():
@@ -302,7 +296,7 @@ def test_campbell_mean_per_family():
         k1 = crm.jump_moment(intensity, 1, x=0.0)
         totals, moments_x = [], []
         for r in range(500):
-            s = crm.sample(intensity, window, 1e-5, seeded(entropy, r))
+            s = crm.sample(crm.plan(intensity, window, 1e-5), seeded(entropy, r))
             totals.append(comp_sum(s.jumps))
             moments_x.append(float(np.sum(s.jumps * s.locations)))
         deficit = window[1] * crm.mean_below(intensity, 1e-5)
@@ -321,7 +315,7 @@ def test_campbell_total_mass_of_a_long_window():
     # at this seed, against 0.56 for the exact keep)
     intensity, L, eps, n = crm.GeneralizedGamma(0.5, 1.0), 1000.0, 1e-2, 2000
     rng = seeded(2201)
-    totals = [comp_sum(crm.sample(intensity, (0.0, L), eps, rng).jumps)
+    totals = [comp_sum(crm.sample(crm.plan(intensity, (0.0, L), eps), rng).jumps)
               for _ in range(n)]
     se = math.sqrt(L * crm.jump_moment(intensity, 2.0, 0.0, eps) / n)
     target = L * crm.jump_moment(intensity, 1.0, 0.0, eps)
@@ -525,8 +519,8 @@ def test_mass_law_facts_and_bulk_layout():
     assert isinstance(gg.mass_law(10.0)(seeded(2222)), float)
     # Ferguson-Klass outside the bulk (10, 90), then one aggregated atom at
     # its midpoint
-    s = crm.sample(gg, (0.0, 101.0), 1e-4, seeded(2223),
-                   bulk=((10.0, 90.0), gg.mass_law(80.0)))
+    s = crm.sample(crm.plan(gg, (0.0, 101.0), 1e-4, ((10.0, 90.0), gg.mass_law(80.0))),
+                   seeded(2223))
     fk = slice(0, s.size - 1)
     assert np.all(s.jumps[fk] >= 1e-4) and np.all(np.diff(s.jumps[fk]) <= 0.0)
     assert np.all((s.locations[fk] < 10.0) | (s.locations[fk] >= 90.0))
@@ -554,7 +548,7 @@ def _bulk_sample_reference(intensity, window, eps, rng, bulk):
     (a, b), law = bulk
     lo, hi = window
     edge = (a - lo) + (hi - b)
-    jumps = crm._fk_jumps(intensity, edge, eps, rng)
+    jumps = crm._fk_jumps(crm.plan(intensity, (0.0, edge), eps), rng)
     x = rng.uniform(lo, lo + edge, size=jumps.size)
     x[x >= a] += b - a
     return np.append(jumps, law(rng)), np.append(x, a + (b - a) * 0.5)
@@ -573,7 +567,7 @@ def test_bulk_shift_equals_the_masked_assignment_bit_for_bit(window, interval):
     bulk = ((a, b), gg.mass_law(b - a))
     rng = _PlantedUniforms(seeded(2304), head)
     ref_rng = _PlantedUniforms(seeded(2304), head)
-    s = crm.sample(gg, window, 1e-4, rng, bulk=bulk)
+    s = crm.sample(crm.plan(gg, window, 1e-4, bulk), rng)
     jumps, locations = _bulk_sample_reference(gg, window, 1e-4, ref_rng, bulk)
     assert s.size > 1000
     assert s.jumps.tobytes() == jumps.tobytes()
@@ -591,8 +585,8 @@ def test_bulk_of_a_non_homogeneous_intensity_refused_before_drawing():
     with pytest.raises(ValueError, match=r"^extended_gamma\(affine_sqrt\(1,1\)\) is "
                                          r"non-homogeneous: it has no total-mass law "
                                          r"for a bulk$"):
-        crm.sample(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-3, _NoDraws(),
-                   bulk=((1.0, 9.0), law))
+        crm.plan(crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-3,
+                 ((1.0, 9.0), law))
 
 
 @pytest.mark.parametrize("window, interval", [((0.0, 10.0), (5.0, 12.0)),
@@ -605,38 +599,70 @@ def test_bulk_outside_the_window_refused_before_drawing(window, interval):
     message = (rf"^bulk \({interval[0]}, {interval[1]}\) is not an interval of the window "
                rf"\[{window[0]:g},{window[1]:g}\)$")
     with pytest.raises(ValueError, match=message):
-        crm.sample(gg, window, 1e-3, _NoDraws(), bulk=bulk)
-    with pytest.raises(ValueError, match=message):
-        crm.expected_atoms(gg, window, 1e-3, bulk)
+        crm.plan(gg, window, 1e-3, bulk)
 
 
-def test_expected_atoms_counts_the_series_that_sample_draws():
+def test_plan_counts_the_series_that_sample_draws():
     # the window's series, the edge outside a bulk, the thinning envelope's
-    # series times its multiplier; each equals the arrivals the draw expects
+    # series times its multiplier; each plan's count is the arrivals the
+    # draw expects
     gg, eps = crm.GeneralizedGamma(0.5, 1.0), 1e-3
-    assert crm.expected_atoms(gg, (2.0, 12.0), eps) == crm._arrivals(gg, 10.0, eps)
-    bulk = ((4.0, 11.0), gg.mass_law(7.0))
-    assert crm.expected_atoms(gg, (2.0, 12.0), eps, bulk) == crm._arrivals(gg, 3.0, eps)
+    plan = crm.plan(gg, (2, 12), eps)
+    assert plan[:5] == ((2.0, 12.0), gg, 10.0, eps, None) and plan.bulk is None
+    assert plan.atoms == series_arrivals(gg, 10.0, eps)
+    law = gg.mass_law(7.0)
+    plan = crm.plan(gg, (2.0, 12.0), eps, ((4, 11), law))
+    assert plan.rate == 3.0 and plan.atoms == series_arrivals(gg, 3.0, eps)
+    assert plan.bulk == ((4.0, 11.0), law)
     beta = crm.Beta(crm.AffineSqrt(1.0, 0.7))
     env, mult, _ = beta.envelope(0.0, 25.0)
-    assert crm.expected_atoms(beta, (0.0, 25.0), eps) == crm._arrivals(env, 25.0 * mult, eps)
+    plan = crm.plan(beta, (0.0, 25.0), eps)
+    assert plan.measure == env and plan.rate == 25.0 * mult and plan.accept is not None
+    assert plan.atoms == series_arrivals(env, 25.0 * mult, eps)
+    # at the ceiling the series is empty
+    assert crm.plan(crm.Beta(crm.Constant(1.0)), (0.0, 5.0), 1.0).atoms == 0.0
     # extended gamma keeps every arrival: the mean size of its draws beside
     # a bulk is the count, at 4 SE over 400 draws
     eg = crm.ExtendedGamma(crm.Constant(1.0))
-    bulk = ((5.0, 25.0), eg.mass_law(20.0))
-    n = crm.expected_atoms(eg, (0.0, 30.0), eps, bulk)
-    sizes = [crm.sample(eg, (0.0, 30.0), eps, seeded(2310, r), bulk=bulk).size - 1
-             for r in range(400)]
+    plan = crm.plan(eg, (0.0, 30.0), eps, ((5.0, 25.0), eg.mass_law(20.0)))
+    n = plan.atoms
+    assert plan.dominating is None and n == series_arrivals(eg, 10.0, eps)
+    sizes = [crm.sample(plan, seeded(2310, r)).size - 1 for r in range(400)]
     assert 60 < n < 70 and abs(np.mean(sizes) - n) <= 4.0 * math.sqrt(n / 400)
-    # it refuses what sample refuses, with the same message
-    window = kernels.location_window(kernels.Rectangular(1.0), 500.0)
-    with pytest.raises(ValueError, match=r"^epsilon=1e-08 asks for 9\.\d+e\+08 expected atoms"):
-        crm.expected_atoms(crm.GeneralizedGamma(0.9, 1.0), window, 1e-8)
+    # it refuses a bad window or epsilon
     for bad_window in ((1.0, 1.0), (-1.0, 2.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match=r"^window must be a bounded interval"):
-            crm.expected_atoms(gg, bad_window, eps)
+            crm.plan(gg, bad_window, eps)
     with pytest.raises(ValueError, match=r"^epsilon must be > 0$"):
-        crm.expected_atoms(gg, (0.0, 1.0), 0.0)
+        crm.plan(gg, (0.0, 1.0), 0.0)
+
+
+def _mass_law(intensity, interval):
+    return None if interval is None else (interval, intensity.mass_law(interval[1] - interval[0]))
+
+
+@pytest.mark.parametrize("intensity,interval", [
+    (crm.GeneralizedGamma(0.5, 1.0), None),
+    (crm.Beta(crm.Constant(1.5)), None),
+    (crm.Beta(crm.Constant(0.5)), None),
+    (crm.ExtendedGamma(crm.Constant(1.0)), None),
+    (crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)), None),
+    (crm.Beta(crm.IndicatorSqrt(1.0)), None),
+    (crm.GeneralizedGamma(0.5, 1.0), (5.0, 25.0)),
+    (crm.ExtendedGamma(crm.Constant(1.0)), (5.0, 25.0)),
+], ids=lambda v: v.label() if hasattr(v, "label") else "bulk" if v else "series")
+def test_one_plan_draws_as_fresh_plans_bit_for_bit(intensity, interval):
+    # a plan carries no state from one draw to the next: five draws from
+    # one plan equal five draws, on the same streams, each from a fresh
+    # plan with a fresh total-mass law
+    window, eps = (0.0, 30.0), 1e-3
+    plan = crm.plan(intensity, window, eps, _mass_law(intensity, interval))
+    once = [crm.sample(plan, seeded(2320, r)) for r in range(5)]
+    for r, a in enumerate(once):
+        b = crm.sample(crm.plan(intensity, window, eps, _mass_law(intensity, interval)),
+                       seeded(2320, r))
+        assert a.size > 10
+        assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
 
 
 def test_sample_arrays_of_different_lengths_refused():
@@ -646,8 +672,8 @@ def test_sample_arrays_of_different_lengths_refused():
 
 def test_seeded_determinism_bit_for_bit():
     gg = crm.GeneralizedGamma(0.5, 1.0)
-    a = crm.sample(gg, (0.0, 20.0), 1e-6, seeded(109))
-    b = crm.sample(gg, (0.0, 20.0), 1e-6, seeded(109))
+    a = crm.sample(crm.plan(gg, (0.0, 20.0), 1e-6), seeded(109))
+    b = crm.sample(crm.plan(gg, (0.0, 20.0), 1e-6), seeded(109))
     assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.locations, b.locations)
 
 
@@ -662,7 +688,7 @@ def test_extended_gamma_thinning_campbell():
     target, _ = integrate.quad(lambda x: (T - x) / (1 + math.sqrt(x)), 0, T)
     vals = []
     for r in range(500):
-        s = crm.sample(intensity, (0.0, T), 1e-5, seeded(112, r))
+        s = crm.sample(crm.plan(intensity, (0.0, T), 1e-5), seeded(112, r))
         vals.append(float(np.sum(s.jumps * (T - s.locations))))
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     # the epsilon-deficit shifts the target down by < int (T-x) eps-mass dx
@@ -673,7 +699,8 @@ def test_beta_thinning_unit_mean():
     # the beta family has first jump moment exactly 1 at every location
     vals = []
     for r in range(400):
-        s = crm.sample(crm.Beta(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-5, seeded(113, r))
+        s = crm.sample(crm.plan(crm.Beta(crm.AffineSqrt(1.0, 1.0)), (0.0, 10.0), 1e-5),
+                       seeded(113, r))
         vals.append(comp_sum(s.jumps))
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - 10.0) <= 4.0 * se + 0.01
@@ -682,7 +709,7 @@ def test_beta_thinning_unit_mean():
 def test_beta_envelope_requires_c_at_least_one():
     bad = crm.Beta(crm.IndicatorSqrt(0.25))    # sqrt(x) < 1 on (0.25, 1)
     with pytest.raises(crm.EnvelopeError):
-        crm.sample(bad, (0.0, 10.0), 1e-5, seeded(114))
+        crm.plan(bad, (0.0, 10.0), 1e-5)
 
 
 def test_thinning_acceptance_probabilities_valid():
@@ -724,9 +751,10 @@ def test_thinning_acceptance_rate(entropy, intensity, hi, eps, monkeypatch):
         drawn.append(jumps.size)
         return jumps
     monkeypatch.setattr(crm, "_fk_jumps", counting)
+    plan = crm.plan(intensity, (0.0, hi), eps)
     kept, r = 0, 0
     while sum(drawn) < 2e5:
-        kept += crm.sample(intensity, (0.0, hi), eps, seeded(entropy, r)).size
+        kept += crm.sample(plan, seeded(entropy, r)).size
         r += 1
     n = sum(drawn)
     assert abs(kept / n - rate) <= 4.0 * math.sqrt(rate * (1.0 - rate) / n), (kept / n, rate)
@@ -872,7 +900,7 @@ def test_beta_small_c_jumps_stay_below_the_ceiling(c):
 
 def test_beta_small_c_draw_stays_below_the_ceiling():
     # c = 0.1 on a window of 501: the first arrivals round to 1 unclipped
-    s = crm.sample(crm.Beta(crm.Constant(0.1)), (0.0, 501.0), 1e-6, seeded(129))
+    s = crm.sample(crm.plan(crm.Beta(crm.Constant(0.1)), (0.0, 501.0), 1e-6), seeded(129))
     assert s.size > 1000
     assert np.all((s.jumps >= 1e-6) & (s.jumps < 1.0))
 
@@ -899,42 +927,27 @@ def test_extended_gamma_jumps_match_an_independent_root(beta):
                                        crm.Beta(crm.Constant(0.5))],
                          ids=lambda v: v.label())
 def test_warm_table_draw_evaluates_no_tail_per_jump(intensity, monkeypatch):
+    # the plan evaluates rho's tail at epsilon once for extended gamma and
+    # never for beta, whose series length is the closed-form tail of its
+    # nu0; a draw from the plan evaluates none once the table is warm
     window, eps = (0.0, 300.0), 1e-6
-    sizes = []
-    tail_mass = crm.tail_mass
-    monkeypatch.setattr(crm, "tail_mass",
-                        lambda intensity, v, x=None: sizes.append(np.size(v))
-                        or tail_mass(intensity, v, x))
-    crm._inverse_tail_table.cache_clear()
-    crm._tail_at.cache_clear()
-    crm.sample(intensity, window, eps, seeded(124))
-    # the cold draw builds extended gamma's table; beta's nu0 is closed form
-    assert (sizes != []) == (intensity.dominating() is None), sizes
-    sizes.clear()
-    s = crm.sample(intensity, window, eps, seeded(124, 1))
-    assert s.size > 1000
-    # the table and the scalar series length are both cached
-    assert sizes == [], sizes
-
-
-@pytest.mark.parametrize("intensity", [crm.ExtendedGamma(crm.Constant(1.7)),
-                                       crm.Beta(crm.Constant(0.45))],
-                         ids=lambda v: v.label())
-def test_series_length_tail_is_evaluated_once_per_intensity_and_epsilon(intensity, monkeypatch):
-    # beta's series length is the closed-form tail of its nu0, never rho's
     calls = []
     tail_mass = crm.tail_mass
     monkeypatch.setattr(crm, "tail_mass",
                         lambda intensity, v, x=None: calls.append(v)
                         or tail_mass(intensity, v, x))
-    crm._tail_at.cache_clear()
-    window, eps = (0.0, 200.0), 1e-6
-    crm.sample(intensity, window, eps, seeded(125))
-    first = len(calls)
-    crm.sample(intensity, window, eps, seeded(125, 1))
-    assert len(calls) == first
-    evaluations = 1 if isinstance(intensity, crm.ExtendedGamma) else 0
-    assert sum(np.ndim(v) == 0 and v == eps for v in calls) == evaluations
+    crm._inverse_tail_table.cache_clear()
+    plan = crm.plan(intensity, window, eps)
+    eg = intensity.dominating() is None
+    assert calls == ([eps] if eg else []), calls
+    calls.clear()
+    crm.sample(plan, seeded(124))
+    # the cold draw builds extended gamma's table; beta's nu0 is closed form
+    assert (calls != []) == eg
+    calls.clear()
+    s = crm.sample(plan, seeded(124, 1))
+    assert s.size > 1000
+    assert calls == []
 
 
 @pytest.mark.parametrize("entropy,intensity,eps,rate_exact", [
@@ -958,7 +971,8 @@ def test_keep_step_acceptance_rate(entropy, intensity, eps, rate_exact, monkeypa
         return crm.Dominating(dom.tail, lambda n: drawn.append(n.size) or dom.inverse(n),
                               dom.keep)
     monkeypatch.setattr(type(intensity), "dominating", lambda self: counting())
-    kept = crm._fk_jumps(intensity, 2e5 / float(dom.tail(eps)), eps, seeded(entropy)).size
+    plan = crm.plan(intensity, (0.0, 2e5 / float(dom.tail(eps))), eps)
+    kept = crm._fk_jumps(plan, seeded(entropy)).size
     n = sum(drawn)
     assert n > 1.9e5
     assert abs(kept / n - rate) <= 4.0 * math.sqrt(rate * (1.0 - rate) / n), (kept / n, rate)
@@ -999,7 +1013,7 @@ def test_block_loop_draws_the_one_pass_series_bit_for_bit(intensity, arrivals):
     rate = 0.5 * (g[arrivals - 1] + g[arrivals]) / tail
     assert np.searchsorted(g, rate * tail) == arrivals
     rng, ref_rng = seeded(126), seeded(126)
-    jumps = crm._fk_jumps(intensity, rate, eps, rng)
+    jumps = crm._fk_jumps(crm.plan(intensity, (0.0, rate), eps), rng)
     ref = _fk_one_pass(intensity, rate, eps, ref_rng)
     assert jumps.size == ref.size > 0
     if dom is None:

@@ -16,7 +16,7 @@ from hazardlab import montecarlo as mc
 from hazardlab.asymptotics import Functional, MonteCarloMean, regime
 from hazardlab.conditions import I_moments
 
-from conftest import quad_Q_T, seeded, traced_peak
+from conftest import quad_Q_T, seeded, series_arrivals, traced_peak
 
 GG = crm.GeneralizedGamma(0.5, 1.0)
 EG1 = crm.ExtendedGamma(crm.Constant(1.0))
@@ -384,7 +384,7 @@ def test_functionals_match_trapezoid_oracle():
 
 def test_dykstra_laud_hazard_is_monotone():
     kern = kernels.DykstraLaud()
-    s = crm.sample(EG1, (0.0, 40.0), 1e-5, seeded(503))
+    s = crm.sample(crm.plan(EG1, (0.0, 40.0), 1e-5), seeded(503))
     path = mc.hazard_path(s, kern, np.linspace(0.0, 40.0, 3000))
     assert np.all(np.diff(path) >= -1e-12)
 
@@ -393,7 +393,7 @@ def test_rectangular_locality_speed():
     # the banded pair sum stays fast at production atom counts
     kern = kernels.Rectangular(1.0)
     T = 500.0
-    s = crm.sample(EG1, kernels.location_window(kern, T), 1e-6, seeded(504))
+    s = crm.sample(crm.plan(EG1, kernels.location_window(kern, T), 1e-6), seeded(504))
     assert 3_000 <= s.size <= 12_000
     mc.path_second_moment(s, kern, T)          # warm allocation pools
     timings = []
@@ -505,7 +505,7 @@ def _banded_oracle(sample, kern, T):
 def test_rect_prefix_pair_sum_matches_banded_oracle_at_56k_atoms():
     kern = kernels.Rectangular(1.0)
     T = 500.0
-    s = crm.sample(GG, kernels.location_window(kern, T), 1e-4, seeded(511))
+    s = crm.sample(crm.plan(GG, kernels.location_window(kern, T), 1e-4), seeded(511))
     assert 40_000 <= s.size <= 80_000
     # an uncompensated prefix over the laid-out blocks drifts to ~1e-13 here
     assert mc.path_second_moment(s, kern, T) == pytest.approx(_banded_oracle(s, kern, T),
@@ -517,7 +517,7 @@ def test_rect_path2nd_at_production_truncation():
     # on 2 vCPUs, the prefix sums ~0.2 s
     kern = kernels.Rectangular(1.0)
     T = 500.0
-    s = crm.sample(GG, kernels.location_window(kern, T), 1e-6, seeded(512))
+    s = crm.sample(crm.plan(GG, kernels.location_window(kern, T), 1e-6), seeded(512))
     assert 400_000 <= s.size <= 800_000
     t0 = time.perf_counter()
     p2m = mc.path_second_moment(s, kern, T)
@@ -713,7 +713,7 @@ def test_run_level_truncation_deficit(intensity, eps, deficit_per_mass):
     # I_1 ~ 40, up to 1e-7 of the bulk's deficit of ~4e-3.
     cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), intensity, Functional.CUMULATIVE_HAZARD,
                               20.0, seed=2236, epsilon=eps)
-    assert (mc._bulk(cfg) is None) == (intensity is not GG)
+    assert (mc._draw_plan(cfg).bulk is None) == (intensity is not GG)
     deficit = mc._exact_mean(cfg, 0.0) - mc._exact_mean(cfg, eps)
     assert deficit == pytest.approx(deficit_per_mass * crm.mean_below(intensity, eps), rel=1e-6)
 
@@ -766,8 +766,7 @@ def _cumhaz_config(**kw):
 
 def _atoms(cfg):
     # the expected atoms of one sample_crm draw
-    return crm.expected_atoms(cfg.intensity, kernels.location_window(cfg.kernel, cfg.horizon),
-                              cfg.epsilon, mc._bulk(cfg))
+    return mc._draw_plan(cfg).atoms
 
 
 def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
@@ -778,7 +777,7 @@ def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
     cfg = _cumhaz_config()
     atoms = _atoms(cfg)
     # the bulk draw counts as no atom
-    assert atoms == crm._arrivals(GG, 3.0, cfg.epsilon) and 3384 < atoms < 3386
+    assert atoms == series_arrivals(GG, 3.0, cfg.epsilon) and 3384 < atoms < 3386
     # 100 replicates expect 3.4e5 atoms, under the constant: no pool
     assert cfg.replicates * atoms < mc._POOL_MIN_ATOMS
     assert mc.resolve_workers(None, cfg.replicates * atoms) == 1
@@ -792,11 +791,11 @@ def test_default_workers_pool_only_a_run_that_pays_for_it(monkeypatch):
     # without a bulk the series' arrivals count: the thinning envelope's for
     # a non-homogeneous intensity
     series = dataclasses.replace(cfg, functional=Functional.PATH_VARIANCE, epsilon=1e-3)
-    assert _atoms(series) == crm._arrivals(GG, 501.0, 1e-3)
+    assert _atoms(series) == series_arrivals(GG, 501.0, 1e-3)
     thinned = mc.ExperimentConfig(kernels.Rectangular(1.0),
                                   crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
                                   Functional.CUMULATIVE_HAZARD, 20.0, epsilon=1e-3)
-    assert _atoms(thinned) == crm._arrivals(crm.ExtendedGamma(crm.Constant(1.0)), 21.0, 1e-3)
+    assert _atoms(thinned) == series_arrivals(crm.ExtendedGamma(crm.Constant(1.0)), 21.0, 1e-3)
 
 
 def test_oversized_run_is_refused_before_the_centering_and_the_pool(monkeypatch):
@@ -829,13 +828,46 @@ def test_explicit_workers_and_env_still_pool_a_small_run(monkeypatch):
     assert _PoolLog.sizes == [2, 3]
 
 
+def test_a_run_plans_its_draw_once(monkeypatch):
+    # the serial 100-replicate run lays out its draw once, for the pool
+    # rule, and every replicate draws from that plan
+    calls = []
+    plan = crm.plan
+    monkeypatch.setattr(crm, "plan", lambda *args: calls.append(args) or plan(*args))
+    mc._draw_plan.cache_clear()
+    mc.run_clt(_cumhaz_config(), workers=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kern,intensity,functional", [
+    (kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD),
+    (kernels.Rectangular(1.0), EG1, Functional.CUMULATIVE_HAZARD),
+    (kernels.Rectangular(1.0), crm.ExtendedGamma(crm.AffineSqrt(1.0, 1.0)),
+     Functional.CUMULATIVE_HAZARD),
+    (kernels.OrnsteinUhlenbeck(1.0), EG1, Functional.PATH_VARIANCE),
+    (kernels.OrnsteinUhlenbeck(1.0), crm.Beta(crm.Constant(0.5)), Functional.PATH_SECOND_MOMENT),
+], ids=["rect-gg-bulk", "rect-eg-bulk", "rect-eg-thinned", "ou-eg", "ou-beta-two-piece"])
+def test_replicate_range_draws_as_a_fresh_plan_per_replicate(kern, intensity, functional):
+    # the replicates of a range share one memoised plan; each value equals
+    # the replicate drawn alone from a plan built for it
+    cfg = mc.ExperimentConfig(kern, intensity, functional, 20.0, replicates=100, seed=2321,
+                              epsilon=1e-3)
+    mc._draw_plan.cache_clear()
+    shared = mc._replicate_range((cfg, 0, 5))
+    alone = []
+    for r in range(5):
+        mc._draw_plan.cache_clear()
+        alone.append(mc._FUNCTIONALS[functional](mc.sample_crm(cfg, r), kern, 20.0))
+    assert shared == alone
+
+
 def test_bulk_cumhaz_pool_equals_serial():
     # a real 2-worker pool over rectangular + GG cumulative-hazard
     # replicates that draw the bulk: the values equal the serial run's bit
     # for bit
     cfg = mc.ExperimentConfig(kernels.Rectangular(1.0), GG, Functional.CUMULATIVE_HAZARD, 50.0,
                               replicates=100, seed=2239, epsilon=1e-3)
-    assert mc._bulk(cfg) is not None
+    assert mc._draw_plan(cfg).bulk is not None
     assert mc.run_clt(cfg, workers=2).values == mc.run_clt(cfg, workers=1).values
 
 
