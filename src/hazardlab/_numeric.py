@@ -1,5 +1,6 @@
-"""Shared numerical helpers: compensated summation, panel quadrature and
-the special functions of the jump-intensity families and the KS test.
+"""Shared numerical helpers: the range check of numeric fields,
+compensated summation, panel quadrature and the special functions of the
+jump-intensity families and the KS test.
 
 Nothing in here knows about hazard rates; it is plumbing used by the
 domain modules.
@@ -18,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "block_partials",
+    "check_rules",
     "comp_sum",
     "gauss_legendre_panels",
     "gl_panels",
@@ -43,6 +45,19 @@ _STREAM = 8 * _BLOCK
 # ~10k minor page faults instead of ~95k.  Forked pool workers inherit it,
 # spawned ones run this import; other allocators ignore it.
 np.empty(1 << 20)
+
+
+def check_rules(obj) -> None:
+    """Refuse obj when a field named in its class's RULES, {field: (test,
+    text)}, is not finite or fails its test: the __post_init__ of every
+    class whose numeric fields have a range, stated there once."""
+    for key, (test, text) in obj.RULES.items():
+        x = getattr(obj, key)
+        where = f"{type(obj).__name__}.{key}={x}"
+        if not math.isfinite(x):
+            raise ValueError(f"{where} must be finite")
+        if not test(x):
+            raise ValueError(f"{where} violates {text}")
 
 
 def comp_sum(values) -> float:

@@ -67,6 +67,10 @@ class RunConfig:
     out_path: Optional[str] = None
     out_format: str = "json"
 
+    def __post_init__(self):
+        if self.kind == "sample-paths":    # the one format it writes
+            self.out_format = "csv"
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -95,16 +99,19 @@ def _tokenize(text: str):
         yield lineno, section, key.strip().lower(), value.strip()
 
 
-def _as_number(value, lineno, key, cond=None, describe="", kind=float):
+def _as_number(value, lineno, key, rule=None, kind=float):
+    """value as a kind, finite, and passing rule = (test, text) if given; a
+    lineno of None reports key alone (a command-line flag)."""
+    where = key if lineno is None else f"line {lineno}: {key}"
     try:
         x = kind(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"line {lineno}: {key} must be {noun}, got {value!r}")
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
     if kind is float and not math.isfinite(x):
-        raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
-    if cond is not None and not cond(x):
-        raise ConfigError(f"line {lineno}: {key}={value} violates {describe}")
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if rule is not None and not rule[0](x):
+        raise ConfigError(f"{where}={value} violates {rule[1]}")
     return x
 
 
@@ -117,11 +124,9 @@ _FAMILIES = {"generalized_gamma": crm.GeneralizedGamma, "extended_gamma": crm.Ex
 _PROFILES = {"constant": crm.Constant, "affine_sqrt": crm.AffineSqrt,
              "indicator_sqrt": crm.IndicatorSqrt}
 # a key naming a table (default type or None) builds its argument from that
-# table; every other key is a number, > 0 unless _RULES says otherwise
+# table; every other key is a number, checked by its class's RULES
 _TABLES = {"type": (_KERNEL_TYPES, None), "family": (_FAMILIES, None),
            "fn": (_PROFILES, "constant")}
-_RULES = {"sigma": (lambda x: 0 < x < 1, "sigma in (0,1)"),
-          "a": (lambda x: x > 0, "a > 0 (value 0 at x=0 otherwise)")}
 
 
 def _build(fields: dict, section: str, tkey: str, lineno: Optional[int] = None):
@@ -137,18 +142,17 @@ def _build(fields: dict, section: str, tkey: str, lineno: Optional[int] = None):
     if name not in table:
         raise ConfigError(f"line {lineno}: unknown {section}.{tkey} {name!r} "
                           f"(one of {', '.join(table)})")
-    args = {}
-    for key in (f.name for f in dc_fields(table[name])):
+    cls, args = table[name], {}
+    for key in (f.name for f in dc_fields(cls)):
         if key in _TABLES:
             args[key] = _build(fields, section, key, lineno)
         elif key not in fields:
             raise ConfigError(f"line {lineno}: missing required key {section}.{key}")
         else:
             value, at = fields.pop(key)
-            cond, rule = _RULES.get(key, (lambda x: x > 0, f"{key} > 0"))
-            args[key] = _as_number(value, at, f"{section}.{key}", cond, rule)
+            args[key] = _as_number(value, at, f"{section}.{key}", cls.RULES.get(key))
     try:
-        return table[name](**args)
+        return cls(**args)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}")
 
@@ -205,11 +209,16 @@ def _choice(names: dict, message: str):
     return parse
 
 
+def _number(rule, kind=float):
+    return partial(_as_number, rule=rule, kind=kind)
+
+
 _FORMATS = ("csv", "json")
 
 # [experiment] and [output] key -> (RunConfig field, parse(value, lineno,
 # "section.key") carrying the key's rule, render(field value)); render_config
-# writes the keys in this order and skips a field that is None
+# writes the keys in this order and skips a field that is None.  A number
+# that ExperimentConfig takes has the rule of its RULES.
 _FIELDS = {
     "experiment": {
         "functional": ("functional", _choice({f.value: f for f in Functional},
@@ -219,22 +228,16 @@ _FIELDS = {
                                        f"theorem must be one of {tuple(THEOREM_NAMES.values())}"),
                     THEOREM_NAMES.get),
         "rate": ("rate", _parse_rate, _render_rate),
-        "horizon": ("horizon", partial(_as_number, cond=lambda x: x > 0,
-                                       describe="horizon > 0"), _g),
-        "replicates": ("replicates", partial(_as_number, cond=lambda x: x >= 100,
-                                             describe="replicates >= 100", kind=int), str),
-        "seed": ("seed", partial(_as_number, cond=lambda x: x >= 0,
-                                 describe="seed >= 0", kind=int), str),
-        "epsilon": ("epsilon", partial(_as_number, cond=lambda x: x > 0,
-                                       describe="epsilon > 0"), _g),
+        "horizon": ("horizon", _number(ExperimentConfig.RULES["horizon"]), _g),
+        "replicates": ("replicates", _number(ExperimentConfig.RULES["replicates"], int), str),
+        "seed": ("seed", _number(ExperimentConfig.RULES["seed"], int), str),
+        "epsilon": ("epsilon", _number(ExperimentConfig.RULES["epsilon"]), _g),
         "t_grid": ("t_grid", _parse_t_grid, lambda grid: ",".join(map(_g, grid))),
         "centering": ("centering", _choice({c: c for c in (CENTERING_CATALOG,
                                                            CENTERING_QUADRATURE)},
                                            "centering must be catalog or quadrature"), str),
-        "ks_alpha": ("ks_alpha", partial(_as_number, cond=lambda x: 0 < x < 1,
-                                         describe="ks_alpha in (0,1)"), _g),
-        "grid_n": ("grid_n", partial(_as_number, cond=lambda x: x >= 2,
-                                     describe="grid_n >= 2", kind=int), str),
+        "ks_alpha": ("ks_alpha", _number((lambda x: 0 < x < 1, "ks_alpha in (0,1)")), _g),
+        "grid_n": ("grid_n", _number((lambda n: n >= 2, "grid_n >= 2"), int), str),
     },
     "output": {
         # an empty path means the subcommand's default file name
@@ -315,11 +318,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{cfg.kind} requires a [crm] section")
     elif (cfg.kernel is None) != (cfg.intensity is None):
         raise ConfigError("regimes takes a [kernel] and a [crm] section together, or neither")
-    if cfg.kind == "sample-paths":
-        if cfg.out_format != "csv" and "format" in sections["output"]:
-            raise ConfigError(f"line {sections['output']['format'][1]}: sample-paths writes "
-                              f"csv, not output.format = {cfg.out_format}")
-        cfg.out_format = "csv"
+    if cfg.kind == "sample-paths" and cfg.out_format != "csv":
+        raise ConfigError(f"line {sections['output']['format'][1]}: sample-paths writes "
+                          f"csv, not output.format = {cfg.out_format}")
     return cfg
 
 
@@ -468,9 +469,7 @@ def main(argv=None) -> int:
         if getattr(args, "format", None):
             cfg.out_format = args.format
         if getattr(args, "grid", None) is not None:
-            if args.grid < 2:
-                raise ConfigError(f"--grid={args.grid} violates grid_n >= 2")
-            cfg.grid_n = args.grid
+            cfg.grid_n = _FIELDS["experiment"]["grid_n"][1](str(args.grid), None, "--grid")
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

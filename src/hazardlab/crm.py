@@ -35,8 +35,8 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._numeric import (_STREAM, betainc, betaincc, exp1, gammainc, gammaincc, gammaln,
-                       gl_panels, xlog1py)
+from ._numeric import (_STREAM, betainc, betaincc, check_rules, exp1, gammainc,
+                       gammaincc, gammaln, gl_panels, xlog1py)
 
 __all__ = [
     "Constant", "AffineSqrt", "IndicatorSqrt", "PositiveFunction",
@@ -87,15 +87,14 @@ class Dominating(NamedTuple):
 
 @dataclass(frozen=True)
 class Constant:
-    """x -> value with value > 0."""
+    """x -> value."""
     value: float
+    # each parameter's range {field: (test, text)}: check_rules, the INI parser
+    RULES: ClassVar[dict] = {"value": (lambda x: x > 0, "value > 0")}
     constant: ClassVar[bool] = True
     # the points where the profile is not smooth
     kinks: ClassVar[tuple] = ()
-
-    def __post_init__(self):
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise ValueError(f"Constant requires value > 0, got {self.value}")
+    __post_init__ = check_rules
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.value)
@@ -106,20 +105,14 @@ class Constant:
 
 @dataclass(frozen=True)
 class AffineSqrt:
-    """x -> a + b*sqrt(x) with a > 0, b > 0.
-
-    a = 0 is rejected: the function must stay strictly positive at x = 0.
-    """
+    """x -> a + b*sqrt(x)."""
     a: float
     b: float
+    RULES: ClassVar[dict] = {"a": (lambda x: x > 0, "a > 0 (value 0 at x=0 otherwise)"),
+                             "b": (lambda x: x > 0, "b > 0")}
     constant: ClassVar[bool] = False
     kinks: ClassVar[tuple] = (0.0,)
-
-    def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"AffineSqrt requires a > 0 (value 0 at x=0 otherwise), got a={self.a}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"AffineSqrt requires b > 0, got b={self.b}")
+    __post_init__ = check_rules
 
     def __call__(self, x):
         return self.a + self.b * np.sqrt(np.asarray(x, dtype=float))
@@ -140,14 +133,12 @@ class AffineSqrt:
 
 @dataclass(frozen=True)
 class IndicatorSqrt:
-    """x -> 1 on (0, b], sqrt(x) on (b, inf); b > 0."""
+    """x -> 1 on (0, b], sqrt(x) on (b, inf)."""
     b: float
+    RULES: ClassVar[dict] = {"b": (lambda x: x > 0, "b > 0")}
     constant: ClassVar[bool] = False
     sqrt_slope: ClassVar[Optional[float]] = 1.0
-
-    def __post_init__(self):
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"IndicatorSqrt requires b > 0, got b={self.b}")
+    __post_init__ = check_rules
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -202,6 +193,9 @@ class _Family:
     # the locations where rho(dv|x) is not smooth in x: breakpoints of
     # every quadrature over x
     kinks: ClassVar[tuple] = ()
+    # each parameter's range, as on the profiles
+    RULES: ClassVar[dict] = {}
+    __post_init__ = check_rules
 
     def param(self, x):
         """The family parameter at the location(s) x; x may be None for a
@@ -238,18 +232,14 @@ class _Profiled(_Family):
 
 @dataclass(frozen=True)
 class GeneralizedGamma(_Family):
-    """Tilted-stable family; sigma in (0, 1), gamma > 0.
+    """Tilted-stable family.
 
     gamma = 0 (the stable case) is rejected: its jump moments diverge.
     """
     sigma: float
     gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < 1.0):
-            raise ValueError(f"sigma must lie in (0,1), got {self.sigma}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and > 0 (gamma = 0, the stable case, is excluded), got {self.gamma}")
+    RULES: ClassVar[dict] = {"sigma": (lambda x: 0 < x < 1, "sigma in (0,1)"),
+                             "gamma": (lambda x: x > 0, "gamma > 0")}
 
     def label(self) -> str:
         return f"generalized_gamma(sigma={self.sigma:g},gamma={self.gamma:g})"

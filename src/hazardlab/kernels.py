@@ -19,8 +19,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from ._numeric import (_STREAM, comp_sum, gl_panels, running_sum, sorted_unique,
-                       stable_order)
+from ._numeric import (_STREAM, check_rules, comp_sum, gl_panels, running_sum,
+                       sorted_unique, stable_order)
 
 __all__ = [
     "Rectangular", "DykstraLaud", "OrnsteinUhlenbeck", "UShaped", "Kernel",
@@ -45,6 +45,9 @@ class _Family:
     integrals (m, r0, r2) = (int phi, rho(0), int rho(u)^2 du) with
     rho(u) = int phi(s) phi(s + u) ds: away from 0 and T these are K_T(x),
     Q_T(x, x) and int Q_T(x, x + u)^2 du."""
+    # each parameter's range {field: (test, text)}: check_rules, the INI parser
+    RULES: ClassVar[dict] = {}
+    __post_init__ = check_rules
     # the slices x -> k(t, x) are nested, so Q_T(x, y) = K_T(max(x, y))
     nested: ClassVar[bool] = False
     # kinks of t -> slice_mass(t)
@@ -164,12 +167,9 @@ class _Nested(_Green):
 
 @dataclass(frozen=True)
 class Rectangular(_Family):
-    """k(t,x) = 1{|t-x| <= tau}; bandwidth tau > 0."""
+    """k(t,x) = 1{|t-x| <= tau}; bandwidth tau."""
     tau: float
-
-    def __post_init__(self):
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+    RULES: ClassVar[dict] = {"tau": (lambda x: x > 0, "tau > 0")}
 
     def label(self) -> str:
         return f"rectangular(tau={self.tau:g})"
@@ -372,10 +372,7 @@ class DykstraLaud(_Nested):
 class OrnsteinUhlenbeck(_Green):
     """k(t,x) = sqrt(2 kappa) exp(-kappa (t-x)) 1{0 <= x <= t}."""
     kappa: float
-
-    def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+    RULES: ClassVar[dict] = {"kappa": (lambda x: x > 0, "kappa > 0")}
 
     def label(self) -> str:
         return f"ornstein_uhlenbeck(kappa={self.kappa:g})"
@@ -418,12 +415,9 @@ class OrnsteinUhlenbeck(_Green):
 
 @dataclass(frozen=True)
 class UShaped(_Nested):
-    """k(t,x) = 1{|t - beta| >= x}; bath-tub shape with minimum at beta > 0."""
+    """k(t,x) = 1{|t - beta| >= x}; bath-tub shape with minimum at beta."""
     beta: float
-
-    def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+    RULES: ClassVar[dict] = {"beta": (lambda x: x > 0, "beta > 0")}
 
     def label(self) -> str:
         return f"u_shaped(beta={self.beta:g})"

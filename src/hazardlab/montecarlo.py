@@ -15,7 +15,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
 # numpy loads numpy.random on first use; importing it here keeps that out of
@@ -23,7 +23,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import crm, kernels
-from ._numeric import _STREAM, block_partials, erf, kolmogorov, quad_breaks
+from ._numeric import _STREAM, block_partials, check_rules, erf, kolmogorov, quad_breaks
 from .asymptotics import Functional, MonteCarloMean, regime
 from .conditions import I_moments
 
@@ -149,16 +149,15 @@ class ExperimentConfig:
     seed: int = 0
     epsilon: float = 1e-6
     centering_mode: str = CENTERING_QUADRATURE
+    # each number's range, {field: (test, text)}, which check_rules and the
+    # INI parser read; numpy's SeedSequence takes no negative entropy
+    RULES: ClassVar[dict] = {"horizon": (lambda x: x > 0, "horizon > 0"),
+                             "replicates": (lambda n: n >= 100, "replicates >= 100"),
+                             "seed": (lambda n: n >= 0, "seed >= 0"),
+                             "epsilon": (lambda x: x > 0, "epsilon > 0")}
 
     def __post_init__(self):
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be > 0")
-        if self.replicates < 100:
-            raise ValueError("need at least 100 replicates")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be > 0")
+        check_rules(self)
         if self.centering_mode not in (CENTERING_CATALOG, CENTERING_QUADRATURE):
             raise ValueError(f"unknown centering mode {self.centering_mode!r}")
 

@@ -152,6 +152,8 @@ def test_criterion_4_negative_condition_checks():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_cumhaz_clt():
+    """Reference: the Gaussian limit (asymptotic), KS at alpha = 0.01; false alarms over 40 fresh
+    seeds: 2/40 rect + GG, 1/40 OU + EG; no catalog row yet."""
     t0 = time.perf_counter()
     runs = {}
     for name, kern, intensity, target in (
@@ -199,6 +201,8 @@ def _quadratic_run(functional):
 
 
 def test_criterion_6_path2nd_corrected_target():
+    """Reference: the Gaussian limit N(0, 40) (asymptotic), KS at alpha = 0.01; false alarms over
+    40 fresh seeds: 6/40; no catalog row yet."""
     rep, dt = _quadratic_run(Functional.PATH_SECOND_MOMENT)
     # the catalog stores the full-norm variance K4 + 8K3K1/kap + 2(K2)^2/kap
     # + 16K2K1^2/kap^2 = 40 at these parameters
@@ -227,6 +231,8 @@ def test_criterion_6_path2nd_published_target():
 
 
 def test_criterion_6_pathvar():
+    """Reference: the Gaussian limit N(0, 8) (asymptotic), KS at alpha = 0.01; false alarms over
+    40 fresh seeds: 20/40; no catalog row yet."""
     rep, dt = _quadratic_run(Functional.PATH_VARIANCE)
     assert rep.centering_value == pytest.approx(1.0, rel=1e-12)    # K^(2) = 1
     assert rep.target_variance == pytest.approx(8.0, rel=1e-12)    # sigma1^2+sigma3^2

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -289,6 +291,18 @@ def test_sample_paths_refuses_a_json_format(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: line {lineno}: sample-paths writes csv, "
                                          f"not output.format = json"]
     assert captured.out == "" and not out.exists()
+
+
+def test_sample_paths_config_built_in_code_echoes_csv(tmp_path, monkeypatch):
+    # the format is decided by RunConfig itself, not by parse_config
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.RunConfig(kind="sample-paths", kernel=kernels.OrnsteinUhlenbeck(1.0),
+                        intensity=crm.GeneralizedGamma(0.5, 1.0), horizon=5.0, epsilon=1e-3,
+                        grid_n=3, out_path="lib.csv")
+    assert cli.run(cfg) == 0
+    lines = (tmp_path / "lib.csv").read_text().splitlines()
+    assert lines[0].endswith(" ; format = csv") and lines[1] == "t,hazard"
+    assert len(lines) == 2 + 3
 
 
 def test_rectangular_gg_paths_draw_the_full_series(tmp_path):
@@ -615,6 +629,79 @@ def test_out_of_range_crm_parameter_cites_the_key(crm_text, key, rule):
             cli.parse_config(text)
 
 
+# (section, its type line(s), class) for every kernel type, family and
+# profile; a profile's float fields sit under extended gamma
+_RULED = [("kernel", f"type = {name}", cls) for name, cls in cli._KERNEL_TYPES.items()] + \
+         [("crm", f"family = {name}", cls) for name, cls in cli._FAMILIES.items()] + \
+         [("crm", f"family = extended_gamma\nfn = {name}", cls)
+          for name, cls in cli._PROFILES.items()]
+_VALUES = ("0", "-2.5", "0.5", "1.5", "inf")
+
+
+def _float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.type in (float, "float")]
+
+
+def test_every_number_has_one_rule():
+    for cls in [*cli._KERNEL_TYPES.values(), *cli._FAMILIES.values(), *cli._PROFILES.values()]:
+        assert sorted(cls.RULES) == sorted(_float_fields(cls)), cls
+    assert sorted(ExperimentConfig.RULES) == ["epsilon", "horizon", "replicates", "seed"]
+
+
+@pytest.mark.parametrize("section, head, cls", _RULED, ids=[c.__name__ for _, _, c in _RULED])
+def test_cli_and_constructor_refuse_the_same_values(section, head, cls):
+    # each float field at each value, the others at 0.5 (inside every rule)
+    for key in _float_fields(cls):
+        for value in _VALUES:
+            args = {f: float(value) if f == key else 0.5 for f in _float_fields(cls)}
+            try:
+                cls(**args)
+                refused = False
+            except ValueError:
+                refused = True
+            sections = {"kernel": "type = dykstra_laud",
+                        "crm": "family = generalized_gamma\nsigma = 0.5\ngamma = 1"}
+            sections[section] = head + "".join(
+                f"\n{f} = {value if f == key else 0.5}" for f in args)
+            text = "[experiment]\nkind = regimes\n" + "".join(
+                f"\n[{name}]\n{body}\n" for name, body in sections.items())
+            lineno = text.splitlines().index(f"{key} = {value}") + 1
+            if refused:
+                with pytest.raises(cli.ConfigError, match=rf"^line {lineno}: {section}\.{key}"):
+                    cli.parse_config(text)
+            else:
+                cli.parse_config(text)
+
+
+def test_cli_and_experiment_config_refuse_the_same_values():
+    base = dict(kernel=kernels.OrnsteinUhlenbeck(1.0), intensity=crm.GeneralizedGamma(0.5, 1.0),
+                functional=Functional.CUMULATIVE_HAZARD, horizon=10.0, replicates=100,
+                seed=0, epsilon=1e-3)
+    for key in ExperimentConfig.RULES:
+        integer = isinstance(base[key], int)
+        for value in _VALUES:
+            text = f"[experiment]\nkind = regimes\n{key} = {value}\n"
+            if integer and not value.lstrip("-").isdigit():
+                # an integer key refuses a non-integer before its rule
+                with pytest.raises(cli.ConfigError, match=rf"^line 3: experiment\.{key} must be "
+                                                          r"an integer"):
+                    cli.parse_config(text)
+                continue
+            try:
+                ExperimentConfig(**{**base, key: (int if integer else float)(value)})
+                refused = False
+            except ValueError:
+                refused = True
+            if refused:
+                with pytest.raises(cli.ConfigError, match=rf"^line 3: experiment\.{key}"):
+                    cli.parse_config(text)
+            else:
+                cli.parse_config(text)
+    for key in ("horizon", "epsilon"):
+        with pytest.raises(ValueError, match=rf"^ExperimentConfig\.{key}=inf must be finite$"):
+            ExperimentConfig(**{**base, key: math.inf})
+
+
 def test_keys_the_chosen_type_does_not_use_are_rejected():
     # (replaced text, replacement, unused line, key, what it is not used by)
     cases = [("type = ornstein_uhlenbeck\nkappa = 1.0", "type = dykstra_laud\ntau = -1\nkappa = 3",
@@ -842,7 +929,7 @@ def test_negative_seed_is_refused_at_its_line(tmp_path, capsys, kind):
     assert err == [f"error: line {lineno}: experiment.seed=-3 violates seed >= 0"]
     assert not out.exists()
     cfg = cli.parse_config(SIMULATE)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+    with pytest.raises(ValueError, match=r"^ExperimentConfig\.seed=-3 violates seed >= 0$"):
         ExperimentConfig(kernel=cfg.kernel, intensity=cfg.intensity,
                          functional=cfg.functional, horizon=40.0, seed=-3)
 

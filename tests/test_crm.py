@@ -58,15 +58,15 @@ def test_intensity_validation():
     with pytest.raises(ValueError):
         crm.Constant(-1.0)
     for b in (0.0, -2.0):
-        with pytest.raises(ValueError, match=rf"^AffineSqrt requires b > 0, got b={b}$"):
+        with pytest.raises(ValueError, match=rf"^AffineSqrt\.b={b} violates b > 0$"):
             crm.AffineSqrt(1.0, b)
-        with pytest.raises(ValueError, match=rf"^IndicatorSqrt requires b > 0, got b={b}$"):
+        with pytest.raises(ValueError, match=rf"^IndicatorSqrt\.b={b} violates b > 0$"):
             crm.IndicatorSqrt(b)
 
 
 def test_generalized_gamma_rejects_non_finite_gamma():
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        with pytest.raises(ValueError, match=rf"^GeneralizedGamma\.gamma={bad} must be finite$"):
             crm.GeneralizedGamma(0.5, bad)
 
 

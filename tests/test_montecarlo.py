@@ -885,8 +885,9 @@ def test_experiment_config_validation():
                             functional=Functional.CUMULATIVE_HAZARD,
                             horizon=10.0, replicates=100, seed=0,
                             centering_mode="bogus")
-    for epsilon in (0.0, -1e-6, math.nan):
-        with pytest.raises(ValueError, match=r"^epsilon must be > 0$"):
+    for epsilon, refusal in ((0.0, "violates epsilon > 0"), (-1e-6, "violates epsilon > 0"),
+                             (math.nan, "must be finite"), (math.inf, "must be finite")):
+        with pytest.raises(ValueError, match=rf"^ExperimentConfig\.epsilon={epsilon} {refusal}$"):
             mc.ExperimentConfig(kernel=kernels.DykstraLaud(), intensity=GG,
                                 functional=Functional.CUMULATIVE_HAZARD,
                                 horizon=10.0, replicates=100, seed=0, epsilon=epsilon)

@@ -22,10 +22,12 @@ provenance lines match; the digest is the exit status, the sha256 of the
 written file and that of the printed lines.  A --cli pass takes about
 20 s per revision.
 
-The configs: the three `simulate` workloads of perfbench/workloads.py at
-seeds 1-3, criterion 5's two runs (seed 20260809), criterion 6's two runs
-(seed 20260810), one beta(0.5) run (the two-piece dominating measure and
-the OU pair sum) and one extended-gamma thinning run (affine_sqrt(1, 1)).
+The configs: the three `simulate` workloads at seeds 1-3, parsed by the
+export's `cli.parse_config` from the INIs of its perfbench/workloads.py
+(as the --cli pass and perfbench/child.py's verify do), criterion 5's two
+runs (seed 20260809), criterion 6's two runs (seed 20260810), one
+beta(0.5) run (the two-piece dominating measure and the OU pair sum) and
+one extended-gamma thinning run (affine_sqrt(1, 1)).
 Both sides run the same configs, so they must build with both revisions'
 APIs.  A full pass takes about 20 s per revision on 2 vCPUs.
 """
@@ -92,9 +94,16 @@ CLI_CONFIGS = [
 ]
 
 
+def _workloads() -> dict:
+    """The benchmark workloads of the export's perfbench/workloads.py."""
+    sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
+    from workloads import WORKLOADS
+    return WORKLOADS
+
+
 def _configs() -> list:
     """(label, ExperimentConfig) pairs, built with the hazardlab on sys.path."""
-    from hazardlab import crm, kernels
+    from hazardlab import cli, crm, kernels
     from hazardlab import montecarlo as mc
     from hazardlab.asymptotics import Functional
 
@@ -109,13 +118,15 @@ def _configs() -> list:
                                    horizon=horizon, replicates=replicates, seed=seed,
                                    epsilon=epsilon, centering_mode=centering)
 
-    out = []
-    for s in (1, 2, 3):
-        out += [
-            (f"clt-cumhaz-rect-gg seed {s}", cfg(rect, gg, cumhaz, 500.0, 100, s, 1e-6, quad)),
-            (f"clt-pathvar-rect-gg seed {s}", cfg(rect, gg, pv, 500.0, 100, s, 1e-3, quad)),
-            (f"clt-path2nd-ou-eg seed {s}", cfg(ou, eg, p2m, 1000.0, 2000, s, 1e-6, cat)),
-        ]
+    def parsed(text):
+        c = cli.parse_config(text)
+        return cfg(c.kernel, c.intensity, c.functional, c.horizon, c.replicates, c.seed,
+                   c.epsilon, c.centering)
+
+    workloads, out = _workloads(), []
+    for s in SEEDS:
+        out += [(f"{name} seed {s}", parsed(workloads[name].configs(s)[0][1]))
+                for name in ("clt-cumhaz-rect-gg", "clt-pathvar-rect-gg", "clt-path2nd-ou-eg")]
     out += [
         ("criterion 5 rect+gg", cfg(rect, gg, cumhaz, 500.0, 2000, 20260809, 1e-6, quad)),
         ("criterion 5 ou+eg", cfg(ou, eg, cumhaz, 500.0, 2000, 20260809, 1e-6, quad)),
@@ -144,13 +155,12 @@ def _cli_digests():
     """(label, digest) of each command-line run, in a fresh directory of the
     export, from the hazardlab on sys.path and the export's workloads."""
     from hazardlab import cli
-    sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
-    from workloads import WORKLOADS
+    workloads = _workloads()
 
     runs = [("regimes", None)]
-    for name in sorted(WORKLOADS):
-        runs += [(f"{name} seed {seed} {label}", (WORKLOADS[name].command, text))
-                 for seed in SEEDS for label, text in WORKLOADS[name].configs(seed)]
+    for name in sorted(workloads):
+        runs += [(f"{name} seed {seed} {label}", (workloads[name].command, text))
+                 for seed in SEEDS for label, text in workloads[name].configs(seed)]
     runs += [(label, (command, text)) for label, command, text in CLI_CONFIGS]
     os.mkdir("cli-runs")
     os.chdir("cli-runs")
