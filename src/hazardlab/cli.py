@@ -21,17 +21,17 @@ import json
 import locale  # noqa: F401
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from functools import partial
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
 from . import __version__, crm, kernels
+from ._numeric import check_rules
 from .asymptotics import Functional, NotCatalogedError, Power, catalog_rows, regime
-from .conditions import CONDITION_COUNTS, THEOREM_NAMES, check_theorem
+from .conditions import CONDITION_COUNTS, THEOREM_NAMES, check_t_grid, check_theorem
 from .montecarlo import (CENTERING_CATALOG, CENTERING_QUADRATURE,
-                         ExperimentConfig, hazard_path, run_clt, sample_series)
+                         ExperimentConfig, hazard_path, run_clt, sample_crm)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "render_config", "run", "main"]
 
@@ -49,6 +49,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One run's settings, checked whenever one is built (in code, by parse_config or
+    by main's flags): the kind, each number, the sections the kind needs and t_grid."""
     kind: str
     kernel: Optional[kernels.Kernel] = None
     intensity: Optional[crm.JumpIntensity] = None
@@ -66,8 +68,22 @@ class RunConfig:
     grid_n: int = 2000
     out_path: Optional[str] = None
     out_format: str = "json"
+    # each number's range, {field: (test, text)}, read by check_rules and the INI
+    # parser: ExperimentConfig's four, simulate's KS level and the sample-paths grid
+    RULES: ClassVar[dict] = {**ExperimentConfig.RULES,
+                             "ks_alpha": (lambda x: 0 < x < 1, "ks_alpha in (0,1)"),
+                             "grid_n": (lambda n: n >= 2, "grid_n >= 2")}
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown kind {self.kind!r}")
+        check_rules(self)
+        check_t_grid(self.t_grid)
+        for section, part in (("kernel", self.kernel), ("crm", self.intensity)):
+            if part is None and self.kind != "regimes":
+                raise ConfigError(f"{self.kind} requires a [{section}] section")
+        if self.kind == "regimes" and (self.kernel is None) != (self.intensity is None):
+            raise ConfigError("regimes takes a [kernel] and a [crm] section together, or neither")
         if self.kind == "sample-paths":    # the one format it writes
             self.out_format = "csv"
 
@@ -165,8 +181,8 @@ def _build_section(fields: dict, section: str, tkey: str):
     return built
 
 
-def _g(x: float) -> str:
-    return f"{x:.17g}"
+def _g(x) -> str:
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _parse_rate(value: str, lineno: int, key: str):
@@ -189,14 +205,13 @@ def _render_rate(rate) -> str:
 
 def _parse_t_grid(value: str, lineno: int, key: str):
     try:
-        grid = tuple(float(p) for p in value.split(","))
+        grid = [float(p) for p in value.split(",")]
     except ValueError:
         raise ConfigError(f"line {lineno}: t_grid must be comma-separated numbers")
-    if not all(math.isfinite(t) and t > 0 for t in grid):
-        raise ConfigError(f"line {lineno}: t_grid horizons must be finite and > 0")
-    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"line {lineno}: t_grid must be >= 4 increasing horizons")
-    return grid
+    try:
+        return check_t_grid(grid)
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {exc}")
 
 
 def _choice(names: dict, message: str):
@@ -209,16 +224,12 @@ def _choice(names: dict, message: str):
     return parse
 
 
-def _number(rule, kind=float):
-    return partial(_as_number, rule=rule, kind=kind)
-
-
 _FORMATS = ("csv", "json")
 
-# [experiment] and [output] key -> (RunConfig field, parse(value, lineno,
-# "section.key") carrying the key's rule, render(field value)); render_config
-# writes the keys in this order and skips a field that is None.  A number
-# that ExperimentConfig takes has the rule of its RULES.
+# [experiment] and [output] key with a syntax of its own -> (RunConfig
+# field, parse(value, lineno, "section.key") carrying the key's rule,
+# render(field value)).  Every other [experiment] key is a number of
+# RunConfig.RULES, parsed by its rule as the type of its default.
 _FIELDS = {
     "experiment": {
         "functional": ("functional", _choice({f.value: f for f in Functional},
@@ -228,16 +239,10 @@ _FIELDS = {
                                        f"theorem must be one of {tuple(THEOREM_NAMES.values())}"),
                     THEOREM_NAMES.get),
         "rate": ("rate", _parse_rate, _render_rate),
-        "horizon": ("horizon", _number(ExperimentConfig.RULES["horizon"]), _g),
-        "replicates": ("replicates", _number(ExperimentConfig.RULES["replicates"], int), str),
-        "seed": ("seed", _number(ExperimentConfig.RULES["seed"], int), str),
-        "epsilon": ("epsilon", _number(ExperimentConfig.RULES["epsilon"]), _g),
         "t_grid": ("t_grid", _parse_t_grid, lambda grid: ",".join(map(_g, grid))),
         "centering": ("centering", _choice({c: c for c in (CENTERING_CATALOG,
                                                            CENTERING_QUADRATURE)},
                                            "centering must be catalog or quadrature"), str),
-        "ks_alpha": ("ks_alpha", _number((lambda x: 0 < x < 1, "ks_alpha in (0,1)")), _g),
-        "grid_n": ("grid_n", _number((lambda n: n >= 2, "grid_n >= 2"), int), str),
     },
     "output": {
         # an empty path means the subcommand's default file name
@@ -247,24 +252,34 @@ _FIELDS = {
     },
 }
 # section -> its keys, besides experiment.expect_condition_<i>
-_ALLOWED = {"experiment": {"kind", *_FIELDS["experiment"]}, "output": set(_FIELDS["output"]),
+_ALLOWED = {"experiment": {"kind", *_FIELDS["experiment"], *RunConfig.RULES},
+            "output": set(_FIELDS["output"]),
             "kernel": {"type", *(f.name for cls in _KERNEL_TYPES.values()
                                  for f in dc_fields(cls))},
             "crm": {"family", *(f.name for cls in [*_FAMILIES.values(), *_PROFILES.values()]
                                 for f in dc_fields(cls))}}
 
 
-def _parse_fields(cfg: RunConfig, section: str, fields: dict) -> None:
-    """Set cfg's fields from a section's table keys, in document order."""
+def _parse_fields(section: str, fields: dict) -> dict:
+    """RunConfig field -> value of a section's keys, parsed in document
+    order."""
+    values = {}
     for key, (value, lineno) in fields.items():
-        name, parse, _ = _FIELDS[section][key]
-        setattr(cfg, name, parse(value, lineno, f"{section}.{key}"))
+        if key in RunConfig.RULES:
+            values[key] = _as_number(value, lineno, f"{section}.{key}", RunConfig.RULES[key],
+                                     type(getattr(RunConfig, key)))
+        else:
+            name, parse, _ = _FIELDS[section][key]
+            values[name] = parse(value, lineno, f"{section}.{key}")
+    return values
 
 
 def _render_fields(cfg: RunConfig, section: str) -> list:
-    return [f"{key} = {render(value)}"
-            for key, (name, _, render) in _FIELDS[section].items()
-            if (value := getattr(cfg, name)) is not None]
+    """A section's `key = value` lines in RunConfig's field order, None left out."""
+    rows = {name: (key, render) for key, (name, _, render) in _FIELDS[section].items()}
+    rows.update((key, (key, _g)) for key in cfg.RULES if section == "experiment")
+    return [f"{rows[f.name][0]} = {rows[f.name][1](value)}" for f in dc_fields(cfg)
+            if f.name in rows and (value := getattr(cfg, f.name)) is not None]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -284,43 +299,37 @@ def parse_config(text: str) -> RunConfig:
     kind, lineno = exp.pop("kind")
     if kind not in _KINDS:
         raise ConfigError(f"line {lineno}: experiment.kind must be one of {', '.join(_KINDS)}")
-    cfg = RunConfig(kind=kind)
 
     expects = {key: exp.pop(key) for key in list(exp) if key.startswith("expect_condition_")}
-    _parse_fields(cfg, "experiment", exp)
+    values = _parse_fields("experiment", exp)
+    theorem, values["expects"] = values.get("theorem", RunConfig.theorem), {}
     for key, (value, lineno) in expects.items():
-        if cfg.kind != "check-conditions":
+        if kind != "check-conditions":
             raise ConfigError(f"line {lineno}: {key}: only check-conditions reads "
-                              f"condition expectations, not {cfg.kind}")
+                              f"condition expectations, not {kind}")
         try:
             idx = int(key.rsplit("_", 1)[1])
         except ValueError:
             raise ConfigError(f"line {lineno}: bad condition index in {key}")
-        count = CONDITION_COUNTS[cfg.theorem]
+        count = CONDITION_COUNTS[theorem]
         if not 1 <= idx <= count:
-            raise ConfigError(f"line {lineno}: {key}: theorem {THEOREM_NAMES[cfg.theorem]} "
+            raise ConfigError(f"line {lineno}: {key}: theorem {THEOREM_NAMES[theorem]} "
                               f"has conditions 1-{count}")
         if value not in ("converges_to_positive", "vanishes", "diverges"):
             raise ConfigError(
                 f"line {lineno}: {key} must be converges_to_positive, vanishes or diverges")
-        cfg.expects[idx] = value
+        values["expects"][idx] = value
 
     if sections["kernel"]:
-        cfg.kernel = _build_section(dict(sections["kernel"]), "kernel", "type")
+        values["kernel"] = _build_section(dict(sections["kernel"]), "kernel", "type")
     if sections["crm"]:
-        cfg.intensity = _build_section(dict(sections["crm"]), "crm", "family")
-    _parse_fields(cfg, "output", sections["output"])
-
-    if cfg.kind in ("check-conditions", "simulate", "sample-paths"):
-        if cfg.kernel is None:
-            raise ConfigError(f"{cfg.kind} requires a [kernel] section")
-        if cfg.intensity is None:
-            raise ConfigError(f"{cfg.kind} requires a [crm] section")
-    elif (cfg.kernel is None) != (cfg.intensity is None):
-        raise ConfigError("regimes takes a [kernel] and a [crm] section together, or neither")
-    if cfg.kind == "sample-paths" and cfg.out_format != "csv":
+        values["intensity"] = _build_section(dict(sections["crm"]), "crm", "family")
+    values.update(_parse_fields("output", sections["output"]))
+    cfg = RunConfig(kind=kind, **values)
+    # RunConfig writes a sample-paths run as csv whatever it is given
+    if kind == "sample-paths" and values.get("out_format", "csv") != "csv":
         raise ConfigError(f"line {sections['output']['format'][1]}: sample-paths writes "
-                          f"csv, not output.format = {cfg.out_format}")
+                          f"csv, not output.format = {values['out_format']}")
     return cfg
 
 
@@ -408,10 +417,10 @@ def run(cfg: RunConfig) -> int:
             print(f"wrote {path}")
             return status
 
-        if cfg.kind not in ("simulate", "sample-paths"):
-            raise ConfigError(f"unknown kind {cfg.kind!r}")
+        # sample-paths draws the path that the path functionals integrate
         config = ExperimentConfig(
-            kernel=cfg.kernel, intensity=cfg.intensity, functional=cfg.functional,
+            kernel=cfg.kernel, intensity=cfg.intensity,
+            functional=cfg.functional if cfg.kind == "simulate" else Functional.PATH_VARIANCE,
             horizon=cfg.horizon, replicates=cfg.replicates, seed=cfg.seed,
             epsilon=cfg.epsilon, centering_mode=cfg.centering)
         if cfg.kind == "simulate":
@@ -422,7 +431,7 @@ def run(cfg: RunConfig) -> int:
                   f"variance_ratio={report.variance_ratio:.4g}")
             return 0 if report.ks_p_value >= cfg.ks_alpha else 2
 
-        sample = sample_series(config, 0)
+        sample = sample_crm(config, 0)
         ts = np.linspace(0.0, cfg.horizon, cfg.grid_n)
         hs = hazard_path(sample, cfg.kernel, ts)
         body = "t,hazard\n" + "\n".join(
@@ -464,12 +473,12 @@ def main(argv=None) -> int:
         if cfg.kind != args.command:
             raise ConfigError(f"config kind={cfg.kind!r} does not match "
                               f"subcommand {args.command!r}")
-        if args.out is not None:
-            cfg.out_path = args.out or None
+        flags = {} if args.out is None else {"out_path": args.out or None}
         if getattr(args, "format", None):
-            cfg.out_format = args.format
+            flags["out_format"] = args.format
         if getattr(args, "grid", None) is not None:
-            cfg.grid_n = _FIELDS["experiment"]["grid_n"][1](str(args.grid), None, "--grid")
+            flags["grid_n"] = _as_number(args.grid, None, "--grid", RunConfig.RULES["grid_n"], int)
+        cfg = replace(cfg, **flags)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ from .asymptotics import Functional, NotCatalogedError, Power, regime
 
 __all__ = [
     "THEOREM_NAMES", "CONDITION_COUNTS", "Verdict", "ConditionReport", "FitResult",
-    "I_moments", "ContractionNorms", "contraction_norms", "check_theorem",
+    "I_moments", "ContractionNorms", "contraction_norms", "check_t_grid", "check_theorem",
     "fit_slope", "classify",
 ]
 
@@ -333,6 +333,16 @@ class ConditionReport:
         return "\n".join(lines) + "\n"
 
 
+def check_t_grid(t_grid) -> tuple:
+    """t_grid as floats: >= 4 finite, positive, increasing horizons for the slope fits."""
+    grid = tuple(float(t) for t in t_grid)
+    if not all(math.isfinite(t) and t > 0 for t in grid):
+        raise ValueError("t_grid horizons must be finite and > 0")
+    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("t_grid must be >= 4 increasing horizons")
+    return grid
+
+
 def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
                   theorem: Functional, rate: Power,
                   t_grid: Sequence[float]) -> ConditionReport:
@@ -343,9 +353,7 @@ def check_theorem(kernel: kernels.Kernel, intensity: crm.JumpIntensity,
     intercept of a linear-in-1/T fit of 2 C1 I_1(T) / (T^2 C0), and the
     third condition evaluates the combined L2 norm with that estimate.
     """
-    t_grid = [float(t) for t in t_grid]
-    if len(t_grid) < 4 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be >= 4 strictly increasing horizons")
+    t_grid = list(check_t_grid(t_grid))
     if theorem not in CONDITION_COUNTS:
         raise ValueError(f"unknown theorem {theorem!r}")
     if not isinstance(rate, Power):

@@ -30,7 +30,7 @@ from .conditions import I_moments
 __all__ = [
     "ExperimentConfig", "CltReport", "TruncationBudgetError",
     "cumhaz", "path_second_moment", "path_variance", "hazard_path",
-    "ks_test", "run_clt", "sample_crm", "sample_series", "resolve_workers",
+    "ks_test", "run_clt", "sample_crm", "resolve_workers",
 ]
 
 CENTERING_CATALOG = "catalog"
@@ -225,23 +225,15 @@ def _stream(config: ExperimentConfig, replicate: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=config.seed, spawn_key=(replicate,)))
 
 
-def sample_series(config: ExperimentConfig, replicate: int) -> crm.CrmSample:
-    """Draw replicate r's full epsilon-truncated series on the kernel's
-    location window: the sample every path functional and `sample-paths`
-    evaluate."""
-    window = kernels.location_window(config.kernel, config.horizon)
-    return crm.sample(crm.plan(config.intensity, window, config.epsilon),
-                      _stream(config, replicate))
-
-
 @lru_cache(maxsize=1)
 def _draw_plan(config: ExperimentConfig) -> crm.Plan:
     """The crm.plan every replicate of the config draws from, memoised for
     the last config (forked pool workers inherit run_clt's; spawned ones
-    build it once): the series on the kernel's location window, except
-    that the cumulative hazard, which weighs the atoms of an interval
-    where K_T is flat by one value, draws their mass whole there (the
-    plan's bulk) where the family has a total-mass law (mass_law)."""
+    build it once): the full series on the kernel's location window (the
+    path of the path functionals and `sample-paths`), but the cumulative
+    hazard, which weighs the atoms of an interval where K_T is flat by one
+    value, draws their mass whole there (the plan's bulk) where the family
+    has a total-mass law (mass_law)."""
     window = kernels.location_window(config.kernel, config.horizon)
     flat = config.kernel.flat(config.horizon)
     law = None

@@ -646,6 +646,12 @@ def test_every_number_has_one_rule():
     for cls in [*cli._KERNEL_TYPES.values(), *cli._FAMILIES.values(), *cli._PROFILES.values()]:
         assert sorted(cls.RULES) == sorted(_float_fields(cls)), cls
     assert sorted(ExperimentConfig.RULES) == ["epsilon", "horizon", "replicates", "seed"]
+    # RunConfig takes ExperimentConfig's four as they are, and adds its own two
+    assert sorted(cli.RunConfig.RULES) == ["epsilon", "grid_n", "horizon", "ks_alpha",
+                                           "replicates", "seed"]
+    assert all(cli.RunConfig.RULES[key] is rule for key, rule in ExperimentConfig.RULES.items())
+    # every [experiment] key is a RULES number or has its own syntax, never both
+    assert not set(cli.RunConfig.RULES) & set(cli._FIELDS["experiment"])
 
 
 @pytest.mark.parametrize("section, head, cls", _RULED, ids=[c.__name__ for _, _, c in _RULED])
@@ -673,12 +679,20 @@ def test_cli_and_constructor_refuse_the_same_values(section, head, cls):
                 cli.parse_config(text)
 
 
+def _refuses(build, **args):
+    try:
+        build(**args)
+    except ValueError:
+        return True
+    return False
+
+
 def test_cli_and_experiment_config_refuse_the_same_values():
     base = dict(kernel=kernels.OrnsteinUhlenbeck(1.0), intensity=crm.GeneralizedGamma(0.5, 1.0),
                 functional=Functional.CUMULATIVE_HAZARD, horizon=10.0, replicates=100,
                 seed=0, epsilon=1e-3)
-    for key in ExperimentConfig.RULES:
-        integer = isinstance(base[key], int)
+    for key in cli.RunConfig.RULES:
+        integer = isinstance(getattr(cli.RunConfig, key), int)
         for value in _VALUES:
             text = f"[experiment]\nkind = regimes\n{key} = {value}\n"
             if integer and not value.lstrip("-").isdigit():
@@ -687,11 +701,10 @@ def test_cli_and_experiment_config_refuse_the_same_values():
                                                           r"an integer"):
                     cli.parse_config(text)
                 continue
-            try:
-                ExperimentConfig(**{**base, key: (int if integer else float)(value)})
-                refused = False
-            except ValueError:
-                refused = True
+            x = (int if integer else float)(value)
+            refused = _refuses(cli.RunConfig, kind="regimes", **{key: x})
+            if key in ExperimentConfig.RULES:
+                assert _refuses(ExperimentConfig, **{**base, key: x}) == refused, (key, value)
             if refused:
                 with pytest.raises(cli.ConfigError, match=rf"^line 3: experiment\.{key}"):
                     cli.parse_config(text)
@@ -700,6 +713,42 @@ def test_cli_and_experiment_config_refuse_the_same_values():
     for key in ("horizon", "epsilon"):
         with pytest.raises(ValueError, match=rf"^ExperimentConfig\.{key}=inf must be finite$"):
             ExperimentConfig(**{**base, key: math.inf})
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(kind="sample-paths", grid_n=0), r"^RunConfig\.grid_n=0 violates grid_n >= 2$"),
+    (dict(kind="simulate", ks_alpha=0.0),
+     r"^RunConfig\.ks_alpha=0\.0 violates ks_alpha in \(0,1\)$"),
+    (dict(kind="simulate", ks_alpha=5.0),
+     r"^RunConfig\.ks_alpha=5\.0 violates ks_alpha in \(0,1\)$"),
+    (dict(kind="check-conditions", t_grid=(10.0, 20.0, 40.0)),
+     r"^t_grid must be >= 4 increasing horizons$"),
+    (dict(kind="check-conditions", t_grid=(-4.0, 1.0, 2.0, 3.0)),
+     r"^t_grid horizons must be finite and > 0$"),
+    (dict(kind="simulate", kernel=None), r"^simulate requires a \[kernel\] section$"),
+    (dict(kind="sample-paths", intensity=None), r"^sample-paths requires a \[crm\] section$"),
+    (dict(kind="regimes", intensity=None),
+     r"^regimes takes a \[kernel\] and a \[crm\] section together, or neither$"),
+], ids=["grid_n-0", "ks_alpha-0", "ks_alpha-5", "t_grid-3", "t_grid-negative",
+        "simulate-no-kernel", "sample-paths-no-crm", "regimes-kernel-alone"])
+def test_run_config_built_in_code_is_refused_by_the_same_rules(args, message):
+    # what parse_config refuses at its line, RunConfig refuses when built:
+    # no run, no output file, no traceback from cli.run
+    base = dict(kernel=kernels.OrnsteinUhlenbeck(1.0), intensity=crm.GeneralizedGamma(0.5, 1.0),
+                horizon=5.0, replicates=100, epsilon=1e-3, out_path="never.csv")
+    with pytest.raises(ValueError, match=message):
+        cli.RunConfig(**{**base, **args})
+
+
+def test_command_line_flags_are_checked_by_run_config(tmp_path, monkeypatch):
+    # main applies --out, --format and --grid by building a new RunConfig
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.ini").write_text(MINIMAL)
+    built = []
+    real = cli.RunConfig.__post_init__
+    monkeypatch.setattr(cli.RunConfig, "__post_init__", lambda cfg: built.append(cfg) or real(cfg))
+    assert cli.main(["regimes", "--config", "r.ini", "--out", "x.json", "--format", "json"]) == 0
+    assert [(c.out_path, c.out_format) for c in built] == [(None, "json"), ("x.json", "json")]
 
 
 def test_keys_the_chosen_type_does_not_use_are_rejected():
@@ -1000,9 +1049,7 @@ def test_empty_out_means_the_default_file_name(tmp_path, monkeypatch):
     assert not (tmp_path / "from_config.csv").exists()
 
 
-def test_run_refuses_an_unknown_kind(capsys):
-    # a RunConfig built in code skips parse_config's kind check
-    assert cli.run(cli.RunConfig(kind="bogus")) == 1
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: unknown kind 'bogus'"]
-    assert captured.out == ""
+def test_run_refuses_an_unknown_kind():
+    # a RunConfig built in code is refused when it is built, not when it runs
+    with pytest.raises(cli.ConfigError, match=r"^unknown kind 'bogus'$"):
+        cli.RunConfig(kind="bogus")

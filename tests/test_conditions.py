@@ -539,6 +539,22 @@ def test_verdict_labels():
         "Inconclusive(slope=nan,r2=nan)"
 
 
+def test_check_theorem_refuses_a_bad_grid_before_any_quadrature(monkeypatch):
+    # t_grid's one rule (conditions.check_t_grid, which the CLI reads too)
+    # refuses the grid before a condition quantity is evaluated
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a condition quantity was evaluated")
+    for name in ("I_moments", "contraction_norms", "_Grid"):
+        monkeypatch.setattr(cond, name, quadrature)
+    args = (kernels.Rectangular(1.0), GG, asy.Functional.CUMULATIVE_HAZARD, asy.Power(0.5))
+    for grid, message in [((-4.0, 1.0, 2.0, 3.0), r"^t_grid horizons must be finite and > 0$"),
+                          ((1.0, 2.0, math.nan, 4.0), r"^t_grid horizons must be finite and > 0$"),
+                          ((10.0, 20.0, 40.0), r"^t_grid must be >= 4 increasing horizons$"),
+                          ((10.0, 20.0, 20.0, 40.0), r"^t_grid must be >= 4 increasing horizons$")]:
+        with pytest.raises(ValueError, match=message):
+            cond.check_theorem(*args, grid)
+
+
 def test_check_theorem_non_finite_and_zero_ending_series(monkeypatch):
     # the cumulative-hazard conditions are C0^2 I_2 and C0^3 I_3 (C0 = 1
     # here); crafted moments give condition 1 a non-finite series and

@@ -693,7 +693,9 @@ def test_bulk_cumhaz_has_the_law_of_the_full_series(intensity, T, eps, seeds):
     # the bulk is the last atom, at the flat interval's midpoint
     assert mc.sample_crm(bulk_cfg, 0).locations[-1] == 0.5 * (a + b)
     bulk = np.array([mc.cumhaz(mc.sample_crm(bulk_cfg, r), kern, T) for r in range(2000)])
-    full = np.array([mc.cumhaz(mc.sample_series(full_cfg, r), kern, T) for r in range(2000)])
+    series = crm.plan(intensity, kernels.location_window(kern, T), eps)
+    full = np.array([mc.cumhaz(crm.sample(series, mc._stream(full_cfg, r)), kern, T)
+                     for r in range(2000)])
     shift = 2.0 * (b - a) * crm.mean_below(intensity, eps)
     assert stats.ks_2samp(bulk, full + shift).pvalue > 0.01
     se = bulk.std(ddof=1) / math.sqrt(bulk.size)

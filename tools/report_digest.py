@@ -1,7 +1,8 @@
 """Bit-identity of run_clt reports, or of command-line output files,
-between two commits.
+between two commits; and the golden reports the test suite pins.
 
     python3 tools/report_digest.py --parent REV --change REV [--cli]
+    python3 tools/report_digest.py --write-golden
 
 Run from the root of the repository.  Each revision is exported with
 `git archive` into its own directory under a temporary directory, removed
@@ -30,6 +31,14 @@ beta(0.5) run (the two-piece dominating measure and the OU pair sum) and
 one extended-gamma thinning run (affine_sqrt(1, 1)).
 Both sides run the same configs, so they must build with both revisions'
 APIs.  A full pass takes about 20 s per revision on 2 vCPUs.
+
+--write-golden runs `run_clt(config, workers=1)` with the working tree's
+hazardlab (src/) on each small config of GOLDEN, one per sampling path,
+and rewrites tests/data/golden_reports.json with each config's INI, the
+first and last 5 standardized values, the sample mean and variance and
+the KS statistic, and the numpy version.  tests/test_golden_reports.py
+compares a fresh run with the file at rel 1e-12; rewrite the file only
+for a change that is meant to move a stream, and say so in its commit.
 """
 from __future__ import annotations
 
@@ -94,6 +103,64 @@ CLI_CONFIGS = [
 ]
 
 
+_SIM = "kind = simulate\nreplicates = 100\nepsilon = 1e-3\n"
+_CUM = _SIM + "functional = cumulative_hazard\nhorizon = 20\n"
+# (label, INI) of the golden reports: the generalized-gamma bulk and
+# series, the extended-gamma tail table, beta with c < 1 (its two-piece
+# dominating measure), and extended-gamma and beta thinning; each run takes
+# a few hundredths of a second
+GOLDEN = [
+    ("rectangular+gg cumhaz, bulk", _ini(_SIM + "functional = cumulative_hazard\nhorizon = 50\n"
+                                         "seed = 11", _RECT, _GG)),
+    ("ornstein_uhlenbeck+gg path2nd, series",
+     _ini(_SIM + "functional = path_second_moment\nhorizon = 20\nseed = 12", _OU, _GG)),
+    ("rectangular+gg pathvar, series",
+     _ini(_SIM + "functional = path_variance\nhorizon = 20\nseed = 13", _RECT, _GG)),
+    ("ornstein_uhlenbeck+eg(constant) cumhaz, tail table",
+     _ini(_CUM + "seed = 14", _OU, "family = extended_gamma\nfn = constant\nvalue = 1.0")),
+    ("rectangular+beta(constant(0.5)) cumhaz, c < 1",
+     _ini(_CUM + "seed = 15", _RECT, "family = beta\nfn = constant\nvalue = 0.5")),
+    ("rectangular+eg(affine_sqrt) cumhaz, thinning", _ini(_CUM + "seed = 16", _RECT, _EG_SQRT)),
+    ("rectangular+beta(indicator_sqrt) cumhaz, thinning",
+     _ini(_CUM + "seed = 17", _RECT, _BETA_SQRT)),
+]
+GOLDEN_FILE = os.path.join("tests", "data", "golden_reports.json")
+
+
+def _experiment(text: str):
+    """The ExperimentConfig of a simulate INI, parsed by the hazardlab on
+    sys.path."""
+    from hazardlab import cli
+    from hazardlab.montecarlo import ExperimentConfig
+
+    c = cli.parse_config(text)
+    return ExperimentConfig(kernel=c.kernel, intensity=c.intensity, functional=c.functional,
+                            horizon=c.horizon, replicates=c.replicates, seed=c.seed,
+                            epsilon=c.epsilon, centering_mode=c.centering)
+
+
+def _write_golden() -> int:
+    """Rewrite GOLDEN_FILE from the working tree's hazardlab."""
+    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+    import numpy as np
+    from hazardlab.montecarlo import run_clt
+
+    reports = []
+    for label, text in GOLDEN:
+        report = run_clt(_experiment(text), workers=1)
+        z = report.standardized_samples
+        reports.append({"label": label, "config": text, "first": z[:5], "last": z[-5:],
+                        "sample_mean": report.sample_mean,
+                        "sample_variance": report.sample_variance,
+                        "ks_statistic": report.ks_statistic})
+    with open(GOLDEN_FILE, "w") as fh:
+        json.dump({"written_by": "python3 tools/report_digest.py --write-golden",
+                   "numpy": np.__version__, "reports": reports}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_FILE} ({len(reports)} reports, numpy {np.__version__})")
+    return 0
+
+
 def _workloads() -> dict:
     """The benchmark workloads of the export's perfbench/workloads.py."""
     sys.path.insert(0, os.path.join(os.getcwd(), "perfbench"))
@@ -103,7 +170,7 @@ def _workloads() -> dict:
 
 def _configs() -> list:
     """(label, ExperimentConfig) pairs, built with the hazardlab on sys.path."""
-    from hazardlab import cli, crm, kernels
+    from hazardlab import crm, kernels
     from hazardlab import montecarlo as mc
     from hazardlab.asymptotics import Functional
 
@@ -118,14 +185,9 @@ def _configs() -> list:
                                    horizon=horizon, replicates=replicates, seed=seed,
                                    epsilon=epsilon, centering_mode=centering)
 
-    def parsed(text):
-        c = cli.parse_config(text)
-        return cfg(c.kernel, c.intensity, c.functional, c.horizon, c.replicates, c.seed,
-                   c.epsilon, c.centering)
-
     workloads, out = _workloads(), []
     for s in SEEDS:
-        out += [(f"{name} seed {s}", parsed(workloads[name].configs(s)[0][1]))
+        out += [(f"{name} seed {s}", _experiment(workloads[name].configs(s)[0][1]))
                 for name in ("clt-cumhaz-rect-gg", "clt-pathvar-rect-gg", "clt-path2nd-ou-eg")]
     out += [
         ("criterion 5 rect+gg", cfg(rect, gg, cumhaz, 500.0, 2000, 20260809, 1e-6, quad)),
@@ -215,10 +277,14 @@ def main(argv=None) -> int:
     parser.add_argument("--change", help="git revision of the change side")
     parser.add_argument("--cli", action="store_true",
                         help="digest the files that hazardlab's commands write")
+    parser.add_argument("--write-golden", action="store_true",
+                        help=f"rewrite {GOLDEN_FILE} from the working tree")
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit:
         return _emit(args.cli)
+    if args.write_golden:
+        return _write_golden()
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
 
