@@ -47,7 +47,7 @@ class ConfigError(ValueError):
     """Configuration parse/validation failure, with line context."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """One run's settings, checked whenever one is built (in code, by parse_config or
     by main's flags): the kind, each number, the sections the kind needs and t_grid."""
@@ -85,7 +85,7 @@ class RunConfig:
         if self.kind == "regimes" and (self.kernel is None) != (self.intensity is None):
             raise ConfigError("regimes takes a [kernel] and a [crm] section together, or neither")
         if self.kind == "sample-paths":    # the one format it writes
-            self.out_format = "csv"
+            object.__setattr__(self, "out_format", "csv")
 
 
 # ---------------------------------------------------------------------------

@@ -652,6 +652,7 @@ def _inverse_tail_table(intensity: JumpIntensity, rate: float, epsilon: float) -
     The nodes are uniform in y.  Each is placed by linear interpolation on
     a grid uniform in log v, then solved by Newton's method against the
     exact tail, and stores its exact slope d(log v)/dy = -N / (rho(v) v).
+    Cached, so the coefficients are read-only.
     """
     vmax = max(2.0 * epsilon, 1.0)
     while rate * tail_mass(intensity, vmax) > 1e-12 and vmax < 1e6:
@@ -674,6 +675,7 @@ def _inverse_tail_table(intensity: JumpIntensity, rate: float, epsilon: float) -
     m = h * slope
     c0, c1, m0, m1 = c[:-1], c[1:], m[:-1], m[1:]
     coef = np.stack([2.0 * (c0 - c1) + m0 + m1, 3.0 * (c1 - c0) - 2.0 * m0 - m1, m0, c0])
+    coef.flags.writeable = False
     return _TailTable(y_lo, h, coef, lo, hi)
 
 

@@ -14,7 +14,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
@@ -256,11 +256,10 @@ _FUNCTIONALS = {
 }
 
 
-def _replicate_range(args) -> List[float]:
-    config, start, stop = args
-    f = _FUNCTIONALS[config.functional]
-    return [f(sample_crm(config, r), config.kernel, config.horizon)
-            for r in range(start, stop)]
+def _replicate(config: ExperimentConfig, r: int) -> float:
+    """Replicate r's value.  The functional and sample_crm are looked up at
+    each call, so the wrappers of perfbench/spans.py see every draw."""
+    return _FUNCTIONALS[config.functional](sample_crm(config, r), config.kernel, config.horizon)
 
 
 def _exact_mean(config: ExperimentConfig, epsilon: float) -> float:
@@ -334,14 +333,12 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> CltRepor
                 f"truncation bias {residual_bias:.4g} exceeds {TRUNCATION_BUDGET:.0%} of the "
                 f"target sd {target_sd:.4g}; lower epsilon or use quadrature centering")
 
-    if nworkers <= 1 or R < 2 * nworkers:
-        values = _replicate_range((config, 0, R))
+    draw = partial(_replicate, config)
+    if nworkers == 1:
+        values = [draw(r) for r in range(R)]
     else:
-        bounds = np.linspace(0, R, 4 * nworkers + 1).astype(int)
-        jobs = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with multiprocessing.Pool(nworkers) as pool:
-            chunks = pool.map(_replicate_range, jobs)
-        values = [v for chunk in chunks for v in chunk]
+            values = pool.map(draw, range(R))
 
     values_arr = np.asarray(values, dtype=float)
     standardized = rate_value * (values_arr - centering_used)

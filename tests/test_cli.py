@@ -593,8 +593,7 @@ def test_log_rate_refuses_horizons_up_to_one(tmp_path, monkeypatch, capsys, kind
                                     kernels.OrnsteinUhlenbeck(2.5),
                                     kernels.UShaped(1.0 / 3.0)], ids=lambda k: k.label())
 def test_kernel_render_parse_round_trip(kernel):
-    cfg = cli.parse_config(SIMULATE)
-    cfg.kernel = kernel
+    cfg = dataclasses.replace(cli.parse_config(SIMULATE), kernel=kernel)
     again = cli.parse_config(cli.render_config(cfg))
     assert again == cfg
     assert type(again.kernel) is type(kernel)
@@ -740,6 +739,17 @@ def test_run_config_built_in_code_is_refused_by_the_same_rules(args, message):
         cli.RunConfig(**{**base, **args})
 
 
+def test_run_config_is_frozen_after_its_checks():
+    # a field set after the build would skip __post_init__: grid_n = 0 would
+    # write a sample-paths file of the provenance line and header alone
+    cfg = cli.RunConfig(kind="sample-paths", kernel=kernels.OrnsteinUhlenbeck(1.0),
+                        intensity=crm.GeneralizedGamma(0.5, 1.0), horizon=5.0, epsilon=1e-3,
+                        grid_n=3, out_path="never.csv")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid_n = 0
+    assert cfg.grid_n == 3 and cfg.out_format == "csv"
+
+
 def test_command_line_flags_are_checked_by_run_config(tmp_path, monkeypatch):
     # main applies --out, --format and --grid by building a new RunConfig
     monkeypatch.chdir(tmp_path)
@@ -774,8 +784,7 @@ def test_keys_the_chosen_type_does_not_use_are_rejected():
       for fn in (crm.Constant(1.0 / 3.0), crm.AffineSqrt(0.7, 1.9), crm.IndicatorSqrt(2.25))),
 ], ids=lambda i: i.label())
 def test_intensity_render_parse_round_trip(intensity):
-    cfg = cli.parse_config(SIMULATE)
-    cfg.intensity = intensity
+    cfg = dataclasses.replace(cli.parse_config(SIMULATE), intensity=intensity)
     again = cli.parse_config(cli.render_config(cfg))
     assert again == cfg
     assert type(again.intensity) is type(intensity)

@@ -882,6 +882,14 @@ def test_invert_tail_equals_its_one_expression_form_bit_for_bit(intensity, rate,
         == _invert_tail_reference(intensity, rate, eps, g).tobytes()
 
 
+def test_cached_tail_table_is_read_only():
+    # every later extended-gamma draw of the process inverts this table
+    t = crm._inverse_tail_table(crm.ExtendedGamma(crm.Constant(1.0)), 50.0, 1e-3)
+    for view in (t.coef, t.coef[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+
+
 @pytest.mark.parametrize("c", [1e-3, 0.1, 0.3])
 def test_beta_small_c_jumps_stay_below_the_ceiling(c):
     # the early arrivals, whose 1 - (g/2)^(1/c) rounds to 1, take the

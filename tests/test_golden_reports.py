@@ -2,7 +2,8 @@
 
 One small config per sampling path (the generalized-gamma bulk and
 series, the extended-gamma tail table, beta with c < 1, extended-gamma and
-beta thinning) runs in one process, and its first and last 5 standardized
+beta thinning) and the first 100 replicates of criterion 5's two runs and
+criterion 6a and 6c each run in one process, and its first and last 5 standardized
 values, sample mean and variance and KS statistic must equal the file's at
 rel 1e-12.  A change that is meant to move a stream rewrites the file with
 `python3 tools/report_digest.py --write-golden`; any other change that
@@ -22,7 +23,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golde
 def test_seeded_reports_match_the_golden_file():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    assert len(golden["reports"]) == 7
+    assert len(golden["reports"]) == 11
     wrong = []
     for entry in golden["reports"]:
         c = cli.parse_config(entry["config"])

@@ -830,6 +830,19 @@ def test_explicit_workers_and_env_still_pool_a_small_run(monkeypatch):
     assert _PoolLog.sizes == [2, 3]
 
 
+def test_a_pool_of_more_workers_than_half_the_replicates_still_pools(monkeypatch):
+    # the pool or the loop is resolve_workers' choice alone: 64 workers pool
+    # a 100-replicate run, which draws the serial run's values
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mc.multiprocessing, "Pool", _PoolLog)
+    _PoolLog.sizes = []
+    cfg = _cumhaz_config(epsilon=1e-3)
+    pooled = mc.run_clt(cfg, workers=64)
+    assert _PoolLog.sizes == [64]
+    assert pooled.values == mc.run_clt(cfg, workers=1).values
+    assert _PoolLog.sizes == [64]
+
+
 def test_a_run_plans_its_draw_once(monkeypatch):
     # the serial 100-replicate run lays out its draw once, for the pool
     # rule, and every replicate draws from that plan
@@ -849,13 +862,13 @@ def test_a_run_plans_its_draw_once(monkeypatch):
     (kernels.OrnsteinUhlenbeck(1.0), EG1, Functional.PATH_VARIANCE),
     (kernels.OrnsteinUhlenbeck(1.0), crm.Beta(crm.Constant(0.5)), Functional.PATH_SECOND_MOMENT),
 ], ids=["rect-gg-bulk", "rect-eg-bulk", "rect-eg-thinned", "ou-eg", "ou-beta-two-piece"])
-def test_replicate_range_draws_as_a_fresh_plan_per_replicate(kern, intensity, functional):
-    # the replicates of a range share one memoised plan; each value equals
-    # the replicate drawn alone from a plan built for it
+def test_replicate_draws_as_a_fresh_plan_per_replicate(kern, intensity, functional):
+    # successive replicates share one memoised plan; each value equals the
+    # replicate drawn alone from a plan built for it
     cfg = mc.ExperimentConfig(kern, intensity, functional, 20.0, replicates=100, seed=2321,
                               epsilon=1e-3)
     mc._draw_plan.cache_clear()
-    shared = mc._replicate_range((cfg, 0, 5))
+    shared = [mc._replicate(cfg, r) for r in range(5)]
     alone = []
     for r in range(5):
         mc._draw_plan.cache_clear()

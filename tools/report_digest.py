@@ -33,8 +33,8 @@ Both sides run the same configs, so they must build with both revisions'
 APIs.  A full pass takes about 20 s per revision on 2 vCPUs.
 
 --write-golden runs `run_clt(config, workers=1)` with the working tree's
-hazardlab (src/) on each small config of GOLDEN, one per sampling path,
-and rewrites tests/data/golden_reports.json with each config's INI, the
+hazardlab (src/) on each small config of GOLDEN, one per sampling path
+and the first 100 replicates of each criterion 5 and 6 run, and rewrites tests/data/golden_reports.json with each config's INI, the
 first and last 5 standardized values, the sample mean and variance and
 the KS statistic, and the numpy version.  tests/test_golden_reports.py
 compares a fresh run with the file at rel 1e-12; rewrite the file only
@@ -105,10 +105,17 @@ CLI_CONFIGS = [
 
 _SIM = "kind = simulate\nreplicates = 100\nepsilon = 1e-3\n"
 _CUM = _SIM + "functional = cumulative_hazard\nhorizon = 20\n"
+_EG = "family = extended_gamma\nfn = constant\nvalue = 1.0"
+# the first 100 replicates of the acceptance tests' criterion 5 and 6 runs
+_CRIT5 = "kind = simulate\nfunctional = cumulative_hazard\nhorizon = 500\nreplicates = 100\n" \
+         "seed = 20260809"
+_CRIT6 = "kind = simulate\nhorizon = 1000\nreplicates = 100\nseed = 20260810\n" \
+         "centering = catalog\n"
 # (label, INI) of the golden reports: the generalized-gamma bulk and
 # series, the extended-gamma tail table, beta with c < 1 (its two-piece
-# dominating measure), and extended-gamma and beta thinning; each run takes
-# a few hundredths of a second
+# dominating measure), and extended-gamma and beta thinning, each run a few
+# hundredths of a second; and the criterion runs' first 100 replicates,
+# about a quarter of a second for the four
 GOLDEN = [
     ("rectangular+gg cumhaz, bulk", _ini(_SIM + "functional = cumulative_hazard\nhorizon = 50\n"
                                          "seed = 11", _RECT, _GG)),
@@ -116,13 +123,18 @@ GOLDEN = [
      _ini(_SIM + "functional = path_second_moment\nhorizon = 20\nseed = 12", _OU, _GG)),
     ("rectangular+gg pathvar, series",
      _ini(_SIM + "functional = path_variance\nhorizon = 20\nseed = 13", _RECT, _GG)),
-    ("ornstein_uhlenbeck+eg(constant) cumhaz, tail table",
-     _ini(_CUM + "seed = 14", _OU, "family = extended_gamma\nfn = constant\nvalue = 1.0")),
+    ("ornstein_uhlenbeck+eg(constant) cumhaz, tail table", _ini(_CUM + "seed = 14", _OU, _EG)),
     ("rectangular+beta(constant(0.5)) cumhaz, c < 1",
      _ini(_CUM + "seed = 15", _RECT, "family = beta\nfn = constant\nvalue = 0.5")),
     ("rectangular+eg(affine_sqrt) cumhaz, thinning", _ini(_CUM + "seed = 16", _RECT, _EG_SQRT)),
     ("rectangular+beta(indicator_sqrt) cumhaz, thinning",
      _ini(_CUM + "seed = 17", _RECT, _BETA_SQRT)),
+    ("criterion 5 rectangular+gg cumhaz, first 100", _ini(_CRIT5, _RECT, _GG)),
+    ("criterion 5 ornstein_uhlenbeck+eg(constant) cumhaz, first 100", _ini(_CRIT5, _OU, _EG)),
+    ("criterion 6a ornstein_uhlenbeck+eg(constant) path2nd, first 100",
+     _ini(_CRIT6 + "functional = path_second_moment", _OU, _EG)),
+    ("criterion 6c ornstein_uhlenbeck+eg(constant) pathvar, first 100",
+     _ini(_CRIT6 + "functional = path_variance", _OU, _EG)),
 ]
 GOLDEN_FILE = os.path.join("tests", "data", "golden_reports.json")
 
